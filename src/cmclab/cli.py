@@ -18,6 +18,7 @@ from .errors import ConfigError, InvalidInputError, NumericalError, OutOfDomainE
 from .pipeline import (
     REPORT_MACHINE_FILE,
     export_meshes,
+    require_output,
     run,
     verify_outputs,
 )
@@ -75,10 +76,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    path = Path(args.in_dir) / REPORT_MACHINE_FILE
-    if not path.exists():
-        raise FileNotFoundError(f"expected output file not found: {path}")
-    text = path.read_text()
+    text = require_output(Path(args.in_dir) / REPORT_MACHINE_FILE).read_text()
     report = parse_machine(text)
     if args.machine:
         print(text, end="")

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 from .frames import SpectralParam
 from .surface_data import GridSpec
 
@@ -61,18 +61,13 @@ class RunConfig:
             raise ConfigError(
                 f"unknown family {self.family!r}; expected one of {', '.join(FAMILIES)}"
             )
-        if self.r is None:
-            object.__setattr__(self, "r", 0.5 * self.lam)
-        if not 0.0 < self.r < self.lam < 1.0:
-            raise ConfigError(
-                f"need 0 < r < lambda < 1, got r = {self.r}, lambda = {self.lam}"
-            )
+        try:
+            object.__setattr__(self, "r", self.spectral().r)
+            self.grid()
+        except InvalidInputError as exc:
+            raise ConfigError(str(exc)) from None
         if self.H == 0:
             raise ConfigError("H must be nonzero")
-        if self.nx < 5 or self.ny < 5:
-            raise ConfigError(f"grid must be at least 5x5, got {self.nx}x{self.ny}")
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ConfigError("grid extents must satisfy x_min < x_max, y_min < y_max")
         if not self.step > 0:
             raise ConfigError("profile step must be positive")
         if self.family == "custom-file" and not self.input_path:
@@ -93,21 +88,12 @@ class RunConfig:
 
 
 def _coerce(key: str, value, kind):
-    if isinstance(value, bool):
-        raise ConfigError(f"key {key!r} must be {kind.__name__}, got boolean")
-    if kind is float and isinstance(value, (int, float)):
-        return float(value)
-    if kind is int:
-        if not isinstance(value, int):
-            raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"key {key!r} must be a string, got {value!r}")
-        return value
-    if not isinstance(value, kind):
-        raise ConfigError(f"key {key!r} must be {kind.__name__}, got {value!r}")
-    return value
+    # a JSON integer is a valid float; a JSON boolean is never a number
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        got = "boolean" if isinstance(value, bool) else repr(value)
+        raise ConfigError(f"key {key!r} must be {kind.__name__}, got {got}")
+    return kind(value)
 
 
 def config_from_mapping(obj: dict) -> RunConfig:

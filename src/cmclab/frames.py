@@ -105,15 +105,7 @@ def lax_matrices(u, u_z, u_zbar, Q, H, lam):
     """
     if lam == 0:
         raise InvalidInputError("spectral value must be nonzero")
-    eu = np.exp(u)
-    emu = np.exp(-u)
-    U = np.array(
-        [[-0.5 * u_z, emu * Q / lam], [-0.5 * H * eu, 0.5 * u_z]], dtype=complex
-    )
-    V = np.array(
-        [[0.5 * u_zbar, 0.5 * H * eu], [-emu * lam * Q, -0.5 * u_zbar]], dtype=complex
-    )
-    return U, V
+    return _lax_arrays(u, u_z, u_zbar, Q, H, lam)
 
 
 def cylinder_frame_closed_form(z, lam):

@@ -130,6 +130,18 @@ def _check_lam(lam: float) -> None:
         )
 
 
+def _closed_form(data: SurfaceData, lam: float, sign: float) -> ClosedFormData:
+    # sign +1 gives the primary surface, -1 the shifted one; both multiply
+    # exactly, so the two sides differ by no rounding
+    _check_lam(lam)
+    d = lam - 1.0 / lam
+    return ClosedFormData(
+        metric_factor=data.Q**2 * np.exp(-2.0 * sign * data.u) * d**2,
+        hopf=0.5 * data.Q * data.H * (-sign * d),
+        mean=sign * (1.0 / lam + lam) / (1.0 / lam - lam),
+    )
+
+
 def closed_form_primary(data: SurfaceData, lam: float) -> ClosedFormData:
     """Closed-form data of the primary surface at spectral value lam.
 
@@ -137,26 +149,14 @@ def closed_form_primary(data: SurfaceData, lam: float) -> ClosedFormData:
     mean curvature (1/lam + lam)/(1/lam - lam).  The formulas describe the
     measured surfaces under the H = 2Q normalization.
     """
-    _check_lam(lam)
-    d = lam - 1.0 / lam
-    return ClosedFormData(
-        metric_factor=data.Q**2 * np.exp(-2.0 * data.u) * d**2,
-        hopf=0.5 * data.Q * data.H * (-d),
-        mean=(1.0 / lam + lam) / (1.0 / lam - lam),
-    )
+    return _closed_form(data, lam, 1.0)
 
 
 def closed_form_shifted(data: SurfaceData, lam: float) -> ClosedFormData:
     """Closed-form data of the shifted surface: metric factor
     Q^2 e^{2u} (lam - 1/lam)^2, Hopf value QH(lam - 1/lam)/2, mean
     curvature (lam + 1/lam)/(lam - 1/lam)."""
-    _check_lam(lam)
-    d = lam - 1.0 / lam
-    return ClosedFormData(
-        metric_factor=data.Q**2 * np.exp(2.0 * data.u) * d**2,
-        hopf=0.5 * data.Q * data.H * d,
-        mean=(lam + 1.0 / lam) / (lam - 1.0 / lam),
-    )
+    return _closed_form(data, lam, -1.0)
 
 
 def homothety_scale(H: float, lam: float, shifted: bool = False) -> float:

@@ -42,16 +42,6 @@ def mat2(a, b, c, d):
     return out
 
 
-def mat_mul(A, B):
-    """Matrix product over the trailing axes (same as the @ operator)."""
-    return A @ B
-
-
-def scalar_mul(s, M):
-    """Scalar multiple of a matrix (same as the * operator)."""
-    return np.asarray(s)[..., None, None] * M if np.ndim(s) else s * M
-
-
 def conj_transpose(M):
     """Conjugate transpose over the trailing matrix axes."""
     return np.conj(np.swapaxes(M, -1, -2))

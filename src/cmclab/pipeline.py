@@ -13,21 +13,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import ConfigError, InvalidInputError
 from .config import RunConfig
-from .frames import ExtendedFrame, SpectralParam, integrate_frame, shift_frame
-from .measure import measure
+from .frames import ExtendedFrame, SpectralParam, integrate_frame
 from .minkowski import require_h3
 from .report import VerificationReport, render_machine, render_text
 from .surface_data import (
     GridSpec,
     SurfaceData,
+    delaunay_data,
     gauss_residual,
     load_surface_data,
+    read_table,
     save_surface_data,
+    write_table,
 )
-from .surfaces import distance_grid, normal_field, surface_primary, surface_shifted
-from .verify import verify_theorem
+from .surfaces import distance_grid, surface_primary, surface_shifted
+from .verify import Side, _report, evaluate, verify_theorem
 
 BALL_TOL = 1e-8
 
@@ -38,6 +40,12 @@ MESH_SHIFTED_FILE = "mesh_shifted.obj"
 DIAGNOSTICS_FILE = "diagnostics.dat"
 REPORT_TEXT_FILE = "report.txt"
 REPORT_MACHINE_FILE = "report.kv"
+
+# (file, label) of each side's mesh, in side order
+MESH_FILES = (
+    (MESH_PRIMARY_FILE, "primary surface"),
+    (MESH_SHIFTED_FILE, "shifted surface"),
+)
 
 
 def poincare_ball(p):
@@ -56,13 +64,10 @@ def generate_data(config: RunConfig) -> SurfaceData:
         u = np.zeros((config.nx, config.ny))
         return SurfaceData(config.grid(), u, Q=config.Q, H=config.H)
     if config.family == "delaunay":
-        from .surface_data import delaunay_data
-
         return delaunay_data(
             config.grid(), config.H, config.u0, config.du0, step=config.step
         )
-    data = load_surface_data(config.input_path)
-    return data
+    return load_surface_data(config.input_path)
 
 
 def write_mesh(path, points, what="surface"):
@@ -75,38 +80,45 @@ def write_mesh(path, points, what="surface"):
     nx, ny = b.shape[0], b.shape[1]
     with open(path, "w") as fh:
         fh.write(f"# {what}: Poincare ball vertices, quad faces, row-major in y\n")
-        for j in range(ny):
-            for i in range(nx):
-                fh.write(f"v {b[i, j, 0]:.17g} {b[i, j, 1]:.17g} {b[i, j, 2]:.17g}\n")
+        write_table(fh, b, prefix="v ")
         for j in range(ny - 1):
             for i in range(nx - 1):
                 a = j * nx + i + 1
                 fh.write(f"f {a} {a + 1} {a + 1 + nx} {a + nx}\n")
 
 
-def write_diagnostics(path, data, frame):
+def _write_meshes(out: Path, surfaces) -> list[Path]:
+    """One mesh file per side, from the (primary, shifted) surfaces."""
+    for (name, label), surface in zip(MESH_FILES, surfaces):
+        write_mesh(out / name, surface.points, label)
+    return [out / name for name, _ in MESH_FILES]
+
+
+def write_diagnostics(path, data, sides: tuple[Side, Side]):
     """Per-point table of measured quantities on the interior grid.
 
-    The boundary ring carries no second-order measurements and is omitted.
+    `sides` is the (primary, shifted) pair from `evaluate`; the measured
+    columns are the primary side's.  The boundary ring carries no
+    second-order measurements and is omitted.
     Columns: i j x y E Fc G |Qm| Hm distance-to-shifted gauss-residual.
     """
-    prim = surface_primary(frame)
-    shif = surface_shifted(frame)
-    m = measure(prim, normal_field(frame))
-    dist = distance_grid(prim, shif)
-    res = gauss_residual(data)
-    xs, ys = data.grid.xs(), data.grid.ys()
+    primary, shifted = sides
+    m = primary.measured
+    g = data.grid
+    columns = (
+        *np.indices((g.nx, g.ny)),
+        *g.mesh(),
+        m.E,
+        m.Fc,
+        m.G,
+        np.hypot(m.Qm.real, m.Qm.imag),  # bitwise abs() of each entry; np.abs is not
+        m.Hm,
+        distance_grid(primary.surface, shifted.surface),
+        gauss_residual(data),
+    )
     with open(path, "w") as fh:
         fh.write("# columns: i j x y E Fc G |Qm| Hm distance-to-shifted gauss-residual\n")
-        for j in range(1, data.grid.ny - 1):
-            for i in range(1, data.grid.nx - 1):
-                row = (
-                    f"{i} {j} {xs[i]:.17g} {ys[j]:.17g} "
-                    f"{m.E[i, j]:.17g} {m.Fc[i, j]:.17g} {m.G[i, j]:.17g} "
-                    f"{abs(m.Qm[i, j]):.17g} {m.Hm[i, j]:.17g} "
-                    f"{dist[i, j]:.17g} {res[i, j]:.17g}\n"
-                )
-                fh.write(row)
+        write_table(fh, np.stack(columns, axis=-1)[1:-1, 1:-1])
 
 
 def save_frame(path, frame: ExtendedFrame):
@@ -123,35 +135,23 @@ def save_frame(path, frame: ExtendedFrame):
             f"{frame.base_index[0]} {frame.base_index[1]}\n"
         )
         fh.write(f"{g.x_min:.17g} {g.x_max:.17g} {g.y_min:.17g} {g.y_max:.17g}\n")
-        F = frame.F
-        for j in range(g.ny):
-            for i in range(g.nx):
-                vals = []
-                for a in range(2):
-                    for b in range(2):
-                        vals.append(f"{F[i, j, a, b].real:.17g}")
-                        vals.append(f"{F[i, j, a, b].imag:.17g}")
-                fh.write(" ".join(vals) + "\n")
+        re_im = np.stack([frame.F.real, frame.F.imag], axis=-1)
+        write_table(fh, re_im.reshape(g.nx, g.ny, 8))
 
 
 def load_frame(path) -> ExtendedFrame:
-    with open(path) as fh:
-        rows = [ln.split() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if len(rows) < 2:
-        raise InvalidInputError(f"{path}: truncated frame file")
+    (head, extents), flat = read_table(path, 2, 8)
     try:
-        lam, r = float(rows[0][0]), float(rows[0][1])
-        nx, ny = int(rows[0][2]), int(rows[0][3])
-        bi, bj = int(rows[0][4]), int(rows[0][5])
-        x_min, x_max, y_min, y_max = (float(v) for v in rows[1][:4])
+        lam, r = float(head[0]), float(head[1])
+        nx, ny = int(head[2]), int(head[3])
+        bi, bj = int(head[4]), int(head[5])
+        x_min, x_max, y_min, y_max = (float(v) for v in extents[:4])
     except (IndexError, ValueError) as exc:
         raise InvalidInputError(f"{path}: malformed frame header") from exc
-    body = rows[2:]
-    if len(body) != nx * ny:
+    if len(flat) != nx * ny:
         raise InvalidInputError(
-            f"{path}: expected {nx * ny} frame rows, found {len(body)}"
+            f"{path}: expected {nx * ny} frame rows, found {len(flat)}"
         )
-    flat = np.array([[float(v) for v in row[:8]] for row in body])
     F = (flat[:, 0::2] + 1j * flat[:, 1::2]).reshape(ny, nx, 2, 2).transpose(1, 0, 2, 3)
     grid = GridSpec(x_min, x_max, y_min, y_max, nx, ny)
     return ExtendedFrame(grid, F, SpectralParam(lam, r), (bi, bj))
@@ -179,23 +179,26 @@ def run(config: RunConfig) -> VerificationReport:
     frame = integrate_frame(data, config.spectral())
     save_surface_data(out / SURFACE_FILE, data)
     save_frame(out / FRAME_FILE, frame)
-    write_mesh(out / MESH_PRIMARY_FILE, surface_primary(frame).points, "primary surface")
-    write_mesh(out / MESH_SHIFTED_FILE, surface_shifted(frame).points, "shifted surface")
-    write_diagnostics(out / DIAGNOSTICS_FILE, data, frame)
-    report = verify_theorem(data, frame, tolerances=config.tolerances or None)
+    sides = evaluate(frame)
+    _write_meshes(out, (side.surface for side in sides))
+    write_diagnostics(out / DIAGNOSTICS_FILE, data, sides)
+    report = _report(data, sides, config.tolerances or None)
     _write_report_files(out, report)
     return report
+
+
+def require_output(path: Path) -> Path:
+    """`path` itself, after checking that the run directory holds it."""
+    if not path.exists():
+        raise FileNotFoundError(f"expected output file not found: {path}")
+    return path
 
 
 def load_outputs(in_dir):
     """(SurfaceData, ExtendedFrame) from a run directory."""
     in_dir = Path(in_dir)
-    surface_path = in_dir / SURFACE_FILE
-    frame_path = in_dir / FRAME_FILE
-    for p in (surface_path, frame_path):
-        if not p.exists():
-            raise FileNotFoundError(f"expected output file not found: {p}")
-    return load_surface_data(surface_path), load_frame(frame_path)
+    paths = [require_output(in_dir / name) for name in (SURFACE_FILE, FRAME_FILE)]
+    return load_surface_data(paths[0]), load_frame(paths[1])
 
 
 def verify_outputs(in_dir) -> VerificationReport:
@@ -209,11 +212,7 @@ def verify_outputs(in_dir) -> VerificationReport:
 def export_meshes(in_dir, model="poincare"):
     """Re-project stored frames to ball meshes; only one model exists."""
     if model != "poincare":
-        from .errors import ConfigError
-
         raise ConfigError(f"unknown export model {model!r}; only 'poincare' exists")
     in_dir = Path(in_dir)
-    _, frame = load_outputs(in_dir)
-    write_mesh(in_dir / MESH_PRIMARY_FILE, surface_primary(frame).points, "primary surface")
-    write_mesh(in_dir / MESH_SHIFTED_FILE, surface_shifted(frame).points, "shifted surface")
-    return [in_dir / MESH_PRIMARY_FILE, in_dir / MESH_SHIFTED_FILE]
+    frame = load_frame(require_output(in_dir / FRAME_FILE))
+    return _write_meshes(in_dir, (surface_primary(frame), surface_shifted(frame)))

@@ -20,11 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    IntegrationBlowupError,
-    InvalidInputError,
-    OutOfDomainError,
-)
+from .errors import IntegrationBlowupError, InvalidInputError
 
 # |u| beyond this makes e^{2u} useless in double precision; treat as blowup.
 BLOWUP_LIMIT = 200.0
@@ -73,10 +69,6 @@ class GridSpec:
 
     def center_index(self):
         return (self.nx // 2, self.ny // 2)
-
-    def is_interior(self, index):
-        i, j = index
-        return 1 <= i <= self.nx - 2 and 1 <= j <= self.ny - 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,19 +248,40 @@ def grid_derivatives(u, hx, hy):
     return ux, uy
 
 
-def derivative_samples(data, index):
-    """(u, u_z, u_zbar) at an interior grid point via central differences.
+def read_table(path, n_header, width):
+    """Header rows and float body of a text table; '#' and blank lines skip.
 
-    u_z = (u_x - i u_y)/2 and u_zbar = (u_x + i u_y)/2; for the real grids
-    handled here u_zbar is the conjugate of u_z.
+    Returns the first `n_header` rows as lists of fields and the rest as an
+    array of shape (rows, width).  A body row that is not exactly `width`
+    numbers raises InvalidInputError naming the file and the line.
     """
-    i, j = index
-    if not data.grid.is_interior(index):
-        raise OutOfDomainError(f"index {index!r} is not an interior grid point")
-    u = data.u
-    ux = (u[i + 1, j] - u[i - 1, j]) / (2.0 * data.grid.hx)
-    uy = (u[i, j + 1] - u[i, j - 1]) / (2.0 * data.grid.hy)
-    return u[i, j], 0.5 * (ux - 1j * uy), 0.5 * (ux + 1j * uy)
+    header, body = [], []
+    with open(path) as fh:
+        for n, ln in enumerate(fh, 1):
+            fields = ln.split()
+            if not fields or ln[0] == "#":
+                continue
+            if len(header) < n_header:
+                header.append(fields)
+            elif len(fields) != width:
+                raise InvalidInputError(f"{path}: line {n}: expected {width} fields")
+            else:
+                try:
+                    body.append([float(v) for v in fields])
+                except ValueError:
+                    msg = f"{path}: line {n}: non-numeric entry"
+                    raise InvalidInputError(msg) from None
+    if len(header) < n_header:
+        raise InvalidInputError(f"{path}: truncated file, header missing")
+    return header, np.array(body)
+
+
+def write_table(fh, table, prefix=""):
+    """Write a (nx, ny, k) grid table as one line of k numbers per point, x
+    fastest, at 17 significant digits so doubles round-trip exactly."""
+    for line in table.swapaxes(0, 1):  # one grid line at a time bounds memory
+        for row in line.tolist():
+            fh.write(prefix + " ".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def save_surface_data(path, data):
@@ -276,10 +289,7 @@ def save_surface_data(path, data):
     with open(path, "w") as fh:
         fh.write("# surface data: header 'Q H nx ny', then rows 'x y u' (x fastest)\n")
         fh.write(f"{data.Q:.17g} {data.H:.17g} {data.grid.nx} {data.grid.ny}\n")
-        xs, ys = data.grid.xs(), data.grid.ys()
-        for j in range(data.grid.ny):
-            for i in range(data.grid.nx):
-                fh.write(f"{xs[i]:.17g} {ys[j]:.17g} {data.u[i, j]:.17g}\n")
+        write_table(fh, np.stack([*data.grid.mesh(), data.u], axis=-1))
 
 
 def load_surface_data(path):
@@ -290,21 +300,16 @@ def load_surface_data(path):
     so loaded data may be non-normalized; check `SurfaceData.normalized`
     before verification runs.
     """
-    with open(path) as fh:
-        rows = [ln.split() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not rows:
-        raise InvalidInputError(f"{path}: empty surface data file")
+    (head,), table = read_table(path, 1, 3)
     try:
-        Q, H = float(rows[0][0]), float(rows[0][1])
-        nx, ny = int(rows[0][2]), int(rows[0][3])
+        Q, H = float(head[0]), float(head[1])
+        nx, ny = int(head[2]), int(head[3])
     except (IndexError, ValueError) as exc:
         raise InvalidInputError(f"{path}: malformed header line") from exc
-    body = rows[1:]
-    if len(body) != nx * ny:
+    if len(table) != nx * ny:
         raise InvalidInputError(
-            f"{path}: expected {nx * ny} data rows, found {len(body)}"
+            f"{path}: expected {nx * ny} data rows, found {len(table)}"
         )
-    table = np.array([[float(v) for v in row[:3]] for row in body])
     xs = table[:nx, 0]
     ys = table[::nx, 1]
     grid = GridSpec(

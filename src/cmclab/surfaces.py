@@ -75,28 +75,19 @@ class NormalField:
         object.__setattr__(self, "vectors", _locked(v))
 
 
-def _surface_points(F: np.ndarray) -> np.ndarray:
-    return from_hermitian(F @ conj_transpose(F))
+def _surface(frame: ExtendedFrame, F: np.ndarray, kind: str) -> H3SurfaceGrid:
+    points = from_hermitian(F @ conj_transpose(F))
+    return H3SurfaceGrid(frame.grid, points, frame.spectral, kind)
 
 
 def surface_primary(frame: ExtendedFrame) -> H3SurfaceGrid:
     """The surface F conj(F)^t as hyperboloid points."""
-    return H3SurfaceGrid(
-        grid=frame.grid,
-        points=_surface_points(frame.F),
-        spectral=frame.spectral,
-        kind=PRIMARY_KIND,
-    )
+    return _surface(frame, frame.F, PRIMARY_KIND)
 
 
 def surface_shifted(frame: ExtendedFrame) -> H3SurfaceGrid:
     """The parallel surface (FD) conj(FD)^t as hyperboloid points."""
-    return H3SurfaceGrid(
-        grid=frame.grid,
-        points=_surface_points(shift_frame(frame).F),
-        spectral=frame.spectral,
-        kind=SHIFTED_KIND,
-    )
+    return _surface(frame, shift_frame(frame).F, SHIFTED_KIND)
 
 
 def _normal_matrices(F: np.ndarray) -> np.ndarray:

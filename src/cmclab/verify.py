@@ -1,18 +1,24 @@
 """End-to-end verification of the parallel-surface statement.
 
-Given normalized surface data and its integrated frame at one spectral
-value, this assembles every registered check: the compatibility residual,
-frame unimodularity, normal-field algebra, the exact parallel identity and
-equidistance, measured-versus-closed-form geometry on both surfaces, the
-homothety match with the Euclidean data, and the opposite-sign bookkeeping
-for the measured mean curvatures.
+`evaluate` builds each side of the theorem once from an integrated frame:
+the primary surface F conj(F)^t and the shifted surface (FD) conj(FD)^t,
+each with its frame, algebraic normal and measured geometry.  The report
+runs the per-side checks (closed forms, constancy, Lawson homothety) in one
+loop over the two sides and takes frame unimodularity and the normal-field
+algebra as a maximum over it; compatibility, the exact parallel identity,
+equidistance and the opposite mean-curvature signs complete the registry.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .errors import ConfigError, InvalidInputError
 from .frames import ExtendedFrame, shift_frame
 from .measure import (
+    LAWSON_DUAL,
+    LAWSON_PRIMARY,
+    MeasuredData,
     closed_form_max_diff,
     closed_form_primary,
     closed_form_shifted,
@@ -32,6 +38,8 @@ from .measure import (
 from .report import CheckRecord, VerificationReport, default_tolerances, registry_names
 from .surface_data import SurfaceData, max_gauss_residual
 from .surfaces import (
+    H3SurfaceGrid,
+    NormalField,
     equidistance_defect,
     normal_field,
     normal_orthogonality_defect,
@@ -40,6 +48,38 @@ from .surfaces import (
     surface_primary,
     surface_shifted,
 )
+
+
+@dataclass(frozen=True, eq=False)
+class Side:
+    """One side of the parallel pair: `frame` (FD on the shifted side), the
+    surface F F* it spans, its normal and its measured geometry."""
+
+    name: str
+    frame: ExtendedFrame
+    surface: H3SurfaceGrid
+    normal: NormalField
+    measured: MeasuredData
+
+
+def _side(name: str, frame: ExtendedFrame, surface: H3SurfaceGrid) -> Side:
+    normal = normal_field(frame)
+    return Side(name, frame, surface, normal, measure(surface, normal))
+
+
+def evaluate(frame: ExtendedFrame) -> tuple[Side, Side]:
+    """The (primary, shifted) pair, each member built once."""
+    return (
+        _side("primary", frame, surface_primary(frame)),
+        _side("shifted", shift_frame(frame), surface_shifted(frame)),
+    )
+
+
+# per side: closed form, the Lawson side it matches, homothety scale negated
+_TARGETS = {
+    "primary": (closed_form_primary, LAWSON_DUAL, False),
+    "shifted": (closed_form_shifted, LAWSON_PRIMARY, True),
+}
 
 
 def resolve_tolerances(overrides: dict[str, float] | None = None) -> dict[str, float]:
@@ -68,6 +108,17 @@ def verify_theorem(
     problems (mismatched grids, non-normalized data, unknown tolerance
     names) raise.
     """
+    return _report(data, evaluate(frame), tolerances)
+
+
+def _report(
+    data: SurfaceData,
+    sides: tuple[Side, Side],
+    tolerances: dict[str, float] | None,
+) -> VerificationReport:
+    """The report on the two sides `evaluate` built from one frame."""
+    primary, shifted = sides
+    frame = primary.frame
     if data.grid != frame.grid:
         raise InvalidInputError("data and frame live on different grids")
     if not data.normalized:
@@ -78,55 +129,37 @@ def verify_theorem(
     tols = resolve_tolerances(tolerances)
     lam = frame.lam
 
-    frame_s = shift_frame(frame)
-    sur_p = surface_primary(frame)
-    sur_s = surface_shifted(frame)
-    nor_p = normal_field(frame)
-    nor_s = normal_field(frame_s)
-    mea_p = measure(sur_p, nor_p)
-    mea_s = measure(sur_s, nor_s)
-    clo_p = closed_form_primary(data, lam)
-    clo_s = closed_form_shifted(data, lam)
-    s_hom = homothety_scale(data.H, lam)
-
-    sign_p = mean_sign(mea_p)
-    sign_s = mean_sign(mea_s)
-
     values = {
         "gauss_residual_max": max_gauss_residual(data),
-        "det_drift_max": max(frame.max_det_drift(), frame_s.max_det_drift()),
-        "normal_unit_max_dev": max(normal_unit_defect(nor_p), normal_unit_defect(nor_s)),
+        "det_drift_max": max(s.frame.max_det_drift() for s in sides),
+        "normal_unit_max_dev": max(normal_unit_defect(s.normal) for s in sides),
         "normal_orthogonality_max_dev": max(
-            normal_orthogonality_defect(sur_p, nor_p),
-            normal_orthogonality_defect(sur_s, nor_s),
+            normal_orthogonality_defect(s.surface, s.normal) for s in sides
         ),
         "parallel_identity_residual": parallel_identity_residual(frame),
-        "equidistance_max_dev": equidistance_defect(sur_p, sur_s),
-        "metric_match_primary": metric_match(mea_p, clo_p),
-        "hopf_match_primary": hopf_match(mea_p, clo_p),
-        "mean_match_primary": mean_match(mea_p, clo_p),
-        "conformality_primary": conformality_defect(mea_p),
-        "isothermic_primary": isothermic_defect(mea_p),
-        "mean_constancy_primary": mean_constancy(mea_p),
-        "hopf_constancy_primary": hopf_constancy(mea_p),
-        "hopf_phase_primary": hopf_phase_defect(mea_p),
-        "lawson_match_primary": closed_form_max_diff(
-            lawson_data(data, s_hom, "of-dual"), clo_p
-        ),
-        "metric_match_shifted": metric_match(mea_s, clo_s),
-        "hopf_match_shifted": hopf_match(mea_s, clo_s),
-        "mean_match_shifted": mean_match(mea_s, clo_s),
-        "conformality_shifted": conformality_defect(mea_s),
-        "isothermic_shifted": isothermic_defect(mea_s),
-        "mean_constancy_shifted": mean_constancy(mea_s),
-        "hopf_constancy_shifted": hopf_constancy(mea_s),
-        "hopf_phase_shifted": hopf_phase_defect(mea_s),
-        "lawson_match_shifted": closed_form_max_diff(
-            lawson_data(data, homothety_scale(data.H, lam, shifted=True), "of-f"), clo_s
-        ),
-        # 0 when the two measured signs are opposite, 2 when equal
-        "mean_sign_opposite": abs(sign_p + sign_s),
+        "equidistance_max_dev": equidistance_defect(primary.surface, shifted.surface),
     }
+    signs = {}
+    for side in sides:
+        closed_form, lawson_side, negated = _TARGETS[side.name]
+        m = side.measured
+        clo = closed_form(data, lam)
+        lawson = lawson_data(data, homothety_scale(data.H, lam, negated), lawson_side)
+        side_values = {
+            "metric_match": metric_match(m, clo),
+            "hopf_match": hopf_match(m, clo),
+            "mean_match": mean_match(m, clo),
+            "conformality": conformality_defect(m),
+            "isothermic": isothermic_defect(m),
+            "mean_constancy": mean_constancy(m),
+            "hopf_constancy": hopf_constancy(m),
+            "hopf_phase": hopf_phase_defect(m),
+            "lawson_match": closed_form_max_diff(lawson, clo),
+        }
+        values.update((f"{k}_{side.name}", v) for k, v in side_values.items())
+        signs[side.name] = mean_sign(m)
+    # 0 when the two measured signs are opposite, 2 when equal
+    values["mean_sign_opposite"] = abs(signs["primary"] + signs["shifted"])
 
     records = tuple(
         CheckRecord(name, float(values[name]), tols[name]) for name in registry_names()
@@ -142,10 +175,11 @@ def verify_theorem(
         "ny": str(g.ny),
         "hx": f"{g.hx:.17g}",
         "hy": f"{g.hy:.17g}",
-        "homothety_scale": f"{s_hom:.17g}",
-        "mean_sign_primary": f"{sign_p:+.0f}",
-        "mean_sign_shifted": f"{sign_s:+.0f}",
-        "conformal_warning_primary": str(mea_p.conformal_warning).lower(),
-        "conformal_warning_shifted": str(mea_s.conformal_warning).lower(),
+        "homothety_scale": f"{homothety_scale(data.H, lam):.17g}",
+        **{f"mean_sign_{s.name}": f"{signs[s.name]:+.0f}" for s in sides},
+        **{
+            f"conformal_warning_{s.name}": str(s.measured.conformal_warning).lower()
+            for s in sides
+        },
     }
     return VerificationReport(records=records, metadata=metadata)

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -101,6 +102,30 @@ def test_report_without_run_exits_2(tmp_path, capsys):
 
 def test_verify_without_run_exits_2(tmp_path, capsys):
     assert main(["verify", "--in", str(tmp_path)]) == 2
+
+
+def _non_numeric(fields):
+    return ["abc"] + fields[1:]
+
+
+def _short_row(fields):
+    return fields[:-1]
+
+
+@pytest.mark.parametrize("name", ["frame.dat", "surface.dat"])
+@pytest.mark.parametrize("corrupt", [_non_numeric, _short_row])
+def test_bad_stored_row_exits_2(generated, tmp_path, capsys, name, corrupt):
+    _, out, _ = generated
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    path = run_dir / name
+    lines = path.read_text().splitlines(keepends=True)
+    lines[-1] = " ".join(corrupt(lines[-1].split())) + "\n"
+    path.write_text("".join(lines))
+    assert main(["verify", "--in", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert f"{name}: line {len(lines)}:" in err
 
 
 def test_incompatible_data_exits_3(tmp_path, capsys):

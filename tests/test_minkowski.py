@@ -11,12 +11,10 @@ from cmclab.minkowski import (
     from_hermitian,
     h3_defect,
     mat2,
-    mat_mul,
     minkowski_inner,
     mink_dot,
     require_h3,
     require_hermitian,
-    scalar_mul,
     to_hermitian,
 )
 
@@ -138,12 +136,12 @@ class TestMatrixHelpers:
         rng = np.random.default_rng(13)
         A = rng.standard_normal((8, 2, 2)) + 1j * rng.standard_normal((8, 2, 2))
         B = rng.standard_normal((8, 2, 2)) + 1j * rng.standard_normal((8, 2, 2))
-        np.testing.assert_allclose(det2(mat_mul(A, B)), det2(A) * det2(B), atol=1e-12)
+        np.testing.assert_allclose(det2(A @ B), det2(A) * det2(B), atol=1e-12)
 
-    def test_scalar_mul_and_mat2(self):
+    def test_mat2_entries(self):
         M = mat2(1.0, 2.0, 3.0, 4.0)
-        np.testing.assert_array_equal(scalar_mul(2.0, M), 2.0 * M)
-        assert M[0, 1] == 2.0
+        np.testing.assert_array_equal(M, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert M.dtype == complex
 
 
 class TestH3Validation:

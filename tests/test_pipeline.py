@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from cmclab.config import config_from_mapping
 from cmclab.errors import ConfigError, InvalidInputError
 from cmclab.frames import SpectralParam, integrate_frame
+from cmclab.measure import measure
 from cmclab.minkowski import from_hermitian, conj_transpose
 from cmclab.pipeline import (
     DIAGNOSTICS_FILE,
@@ -24,6 +27,7 @@ from cmclab.pipeline import (
     verify_outputs,
 )
 from cmclab.surface_data import GridSpec, cylinder_data
+from cmclab.surfaces import normal_field, surface_primary, surface_shifted
 
 ALL_FILES = (
     SURFACE_FILE,
@@ -203,7 +207,75 @@ class TestStoredOutputs:
         assert [p.name for p in paths] == [MESH_PRIMARY_FILE, MESH_SHIFTED_FILE]
         assert (out / MESH_PRIMARY_FILE).read_bytes() == before
 
+    def test_export_reads_only_the_frame_file(self, run_dir, tmp_path):
+        out, _, _ = run_dir
+        (tmp_path / FRAME_FILE).write_bytes((out / FRAME_FILE).read_bytes())
+        export_meshes(tmp_path)
+        for name in (MESH_PRIMARY_FILE, MESH_SHIFTED_FILE):
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+        (tmp_path / FRAME_FILE).unlink()
+        with pytest.raises(FileNotFoundError, match="frame.dat"):
+            export_meshes(tmp_path)
+
     def test_export_unknown_model(self, run_dir):
         out, _, _ = run_dir
         with pytest.raises(ConfigError, match="poincare"):
             export_meshes(out, model="klein")
+
+
+# sha256 of the deterministic outputs of a small Delaunay run; any change
+# here is an output format change and must be stated as one
+GOLDEN_CONFIG = {
+    "family": "delaunay",
+    "H": 0.5,
+    "u0": 0.3,
+    "du0": 0.0,
+    "lambda": 0.5,
+    "nx": 41,
+    "ny": 41,
+}
+GOLDEN_SHA256 = {
+    REPORT_MACHINE_FILE: "22db20a8db58d8d9b7ba209f4b1ecbe6cc5c4af64588e3a420ec2bc448d969f5",
+    DIAGNOSTICS_FILE: "b9c468b9cc9dc23bffeb8e159ea4c6fae212fd73503e93d5eadb9eb85e8acc8e",
+    MESH_PRIMARY_FILE: "80e747c4da6609ab22ea9927194e943b093af68187607de10205b3930976af46",
+    MESH_SHIFTED_FILE: "4c3ad2ebf7812801318df26e4bfd7b9326167b585945bdb9f45d6f5b38315cc6",
+}
+
+
+def test_golden_output_hashes(tmp_path):
+    run(config_from_mapping({**GOLDEN_CONFIG, "out_dir": str(tmp_path)}))
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def count_calls(monkeypatch, *fns):
+    """Count calls to each function under every name cmclab looks it up by.
+
+    The modules import these names directly, so each module-level binding
+    is replaced, not only the defining one.
+    """
+    counts = {fn.__name__: 0 for fn in fns}
+    for fn in fns:
+
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] != "cmclab":
+                continue
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+def test_run_builds_each_side_once(tmp_path, monkeypatch):
+    counts = count_calls(
+        monkeypatch,
+        surface_primary, surface_shifted, normal_field, measure
+    )
+    run(config_from_mapping({**GOLDEN_CONFIG, "out_dir": str(tmp_path)}))
+    assert counts["surface_primary"] == counts["surface_shifted"] == 1
+    assert counts["normal_field"] == 2
+    assert counts["measure"] == 2

@@ -3,20 +3,16 @@
 import numpy as np
 import pytest
 
-from cmclab.errors import (
-    IntegrationBlowupError,
-    InvalidInputError,
-    OutOfDomainError,
-)
+from cmclab.errors import IntegrationBlowupError, InvalidInputError
 from cmclab.surface_data import (
     GridSpec,
     SurfaceData,
     cylinder_data,
     delaunay_data,
     delaunay_profile,
-    derivative_samples,
     dual_data,
     gauss_residual,
+    grid_derivatives,
     load_surface_data,
     max_gauss_residual,
     save_surface_data,
@@ -146,36 +142,39 @@ class TestDualData:
         np.testing.assert_allclose(rd, -r, atol=1e-12)
 
 
+def wirtinger(d):
+    """u_z = (u_x - i u_y)/2 and u_zbar = (u_x + i u_y)/2 on the whole grid."""
+    ux, uy = grid_derivatives(d.u, d.grid.hx, d.grid.hy)
+    return 0.5 * (ux - 1j * uy), 0.5 * (ux + 1j * uy)
+
+
 class TestDerivativeSamples:
+    """Derivative samples from grid_derivatives, boundary lines included."""
+
     def test_cylinder(self):
-        d = cylinder_data(small_grid())
-        assert derivative_samples(d, (3, 4)) == (0.0, 0.0, 0.0)
+        uz, uzb = wirtinger(cylinder_data(small_grid()))
+        assert not np.any(uz) and not np.any(uzb)
 
     def test_linear_in_x(self):
         g = small_grid()
         X, _ = g.mesh()
-        d = SurfaceData(g, X, Q=0.25, H=0.5)
-        u, uz, uzb = derivative_samples(d, (4, 4))
-        assert uz == pytest.approx(0.5, abs=1e-13)
-        assert uzb == pytest.approx(0.5, abs=1e-13)
+        uz, uzb = wirtinger(SurfaceData(g, X, Q=0.25, H=0.5))
+        np.testing.assert_allclose(uz, 0.5, atol=1e-13)
+        np.testing.assert_allclose(uzb, 0.5, atol=1e-13)
 
     def test_linear_in_y(self):
         g = small_grid()
         _, Y = g.mesh()
-        d = SurfaceData(g, Y, Q=0.25, H=0.5)
-        _, uz, uzb = derivative_samples(d, (4, 4))
-        assert uz == pytest.approx(-0.5j, abs=1e-13)
-        assert uzb == pytest.approx(0.5j, abs=1e-13)
+        uz, uzb = wirtinger(SurfaceData(g, Y, Q=0.25, H=0.5))
+        np.testing.assert_allclose(uz, -0.5j, atol=1e-13)
+        np.testing.assert_allclose(uzb, 0.5j, atol=1e-13)
 
     def test_conjugate_symmetry(self):
         d = delaunay_data(small_grid(n=15), 0.5, 0.3, 0.0)
-        _, uz, uzb = derivative_samples(d, (7, 7))
-        assert uzb == pytest.approx(np.conj(uz), abs=1e-15)
-
-    def test_boundary_rejected(self):
-        d = cylinder_data(small_grid())
-        with pytest.raises(OutOfDomainError):
-            derivative_samples(d, (0, 4))
+        ux, uy = grid_derivatives(d.u, d.grid.hx, d.grid.hy)
+        assert np.isrealobj(ux) and np.isrealobj(uy)
+        uz, uzb = wirtinger(d)
+        np.testing.assert_array_equal(uzb, np.conj(uz))
 
 
 class TestFileRoundTrip:
