@@ -73,11 +73,6 @@ class RunConfig:
         if self.family == "custom-file" and not self.input_path:
             raise ConfigError("custom-file family requires an 'input' path")
 
-    @property
-    def Q(self) -> float:
-        # normalized isothermic data
-        return self.H / 2.0
-
     def grid(self) -> GridSpec:
         return GridSpec(
             self.x_min, self.x_max, self.y_min, self.y_max, self.nx, self.ny

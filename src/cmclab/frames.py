@@ -16,7 +16,7 @@ by classical RK4 along the base row and then up and down each column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,17 +97,6 @@ class ExtendedFrame:
         return float(self.det_drift().max())
 
 
-def lax_matrices(u, u_z, u_zbar, Q, H, lam):
-    """The frame-system coefficient matrices (U, V) at one point.
-
-    Both are traceless.  lam may be complex; on the unit circle with real u
-    the pair satisfies V = -conj(U)^t, the unitary-frame relation.
-    """
-    if lam == 0:
-        raise InvalidInputError("spectral value must be nonzero")
-    return _lax_arrays(u, u_z, u_zbar, Q, H, lam)
-
-
 def cylinder_frame_closed_form(z, lam):
     """Reference closed form of the flat-cylinder frame.
 
@@ -159,20 +148,27 @@ def spectral_shift_matrix(lam: float) -> np.ndarray:
     return np.array([[1.0 / sq, 0.0], [0.0, sq]], dtype=complex)
 
 
-def _lax_arrays(u, uz, uzb, Q, H, lam):
-    """Vectorized (U, V) over grids of u and its z-derivatives."""
+def lax_matrices(u, u_z, u_zbar, Q, H, lam):
+    """The frame-system coefficient matrices (U, V), shape u.shape + (2, 2).
+
+    u, u_z and u_zbar may be scalars or grids.  Both matrices are traceless.
+    lam may be complex; on the unit circle with real u the pair satisfies
+    V = -conj(U)^t, the unitary-frame relation.
+    """
+    if lam == 0:
+        raise InvalidInputError("spectral value must be nonzero")
     eu = np.exp(u)
     emu = np.exp(-u)
     U = np.empty(np.shape(u) + (2, 2), dtype=complex)
-    U[..., 0, 0] = -0.5 * uz
+    U[..., 0, 0] = -0.5 * u_z
     U[..., 0, 1] = emu * Q / lam
     U[..., 1, 0] = -0.5 * H * eu
-    U[..., 1, 1] = 0.5 * uz
+    U[..., 1, 1] = 0.5 * u_z
     V = np.empty_like(U)
-    V[..., 0, 0] = 0.5 * uzb
+    V[..., 0, 0] = 0.5 * u_zbar
     V[..., 0, 1] = 0.5 * H * eu
     V[..., 1, 0] = -emu * lam * Q
-    V[..., 1, 1] = -0.5 * uzb
+    V[..., 1, 1] = -0.5 * u_zbar
     return U, V
 
 
@@ -201,7 +197,7 @@ def _coefficient_arrays(data: SurfaceData, lam: float):
     def build(u, ux, uy):
         uz = 0.5 * (ux - 1j * uy)
         uzb = 0.5 * (ux + 1j * uy)
-        U, V = _lax_arrays(u, uz, uzb, data.Q, data.H, lam)
+        U, V = lax_matrices(u, uz, uzb, data.Q, data.H, lam)
         return U + V, 1j * (U - V)
 
     ux, uy = grid_derivatives(data.u, data.grid.hx, data.grid.hy)
@@ -227,38 +223,29 @@ def _rk4_cell(A0, Am, A1, h):
     return eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _sweep(Ax, Ay, Axm, Aym, grid: GridSpec, base, order: str) -> np.ndarray:
-    nx, ny = grid.nx, grid.ny
-    hx, hy = grid.hx, grid.hy
+def _march(F, A, Am, h, k0):
+    """Fill F outward along axis 0 from the known slice F[k0], one RK4 cell
+    per step; A holds the coefficient at the nodes, Am at the midpoints."""
+    for k in range(k0, len(F) - 1):
+        F[k + 1] = F[k] @ _rk4_cell(A[k], Am[k], A[k + 1], h)
+    for k in range(k0, 0, -1):
+        F[k - 1] = F[k] @ _rk4_cell(A[k], Am[k - 1], A[k - 1], -h)
+
+
+def _sweep(Ax, Ay, Axm, Aym, grid: GridSpec, base, x_first: bool) -> np.ndarray:
+    """Frames from the identity at `base`: along the base line of the first
+    direction, then across the grid in the other one."""
     i0, j0 = base
-    F = np.empty((nx, ny, 2, 2), dtype=complex)
+    F = np.empty((grid.nx, grid.ny, 2, 2), dtype=complex)
     F[i0, j0] = np.eye(2)
-
-    def row_sweep(js):
-        # x-direction cells, batched over the j-slice
-        for i in range(i0, nx - 1):
-            M = _rk4_cell(Ax[i, js], Axm[i, js], Ax[i + 1, js], hx)
-            F[i + 1, js] = F[i, js] @ M
-        for i in range(i0, 0, -1):
-            M = _rk4_cell(Ax[i, js], Axm[i - 1, js], Ax[i - 1, js], -hx)
-            F[i - 1, js] = F[i, js] @ M
-
-    def col_sweep(isl):
-        for j in range(j0, ny - 1):
-            M = _rk4_cell(Ay[isl, j], Aym[isl, j], Ay[isl, j + 1], hy)
-            F[isl, j + 1] = F[isl, j] @ M
-        for j in range(j0, 0, -1):
-            M = _rk4_cell(Ay[isl, j], Aym[isl, j - 1], Ay[isl, j - 1], -hy)
-            F[isl, j - 1] = F[isl, j] @ M
-
-    if order == "xy":
-        row_sweep(j0)
-        col_sweep(slice(None))
-    elif order == "yx":
-        col_sweep(i0)
-        row_sweep(slice(None))
+    # F and the y coefficients with y moved to the front march along y
+    Fy, Ay, Aym = (np.moveaxis(a, 1, 0) for a in (F, Ay, Aym))
+    if x_first:
+        _march(F[:, j0], Ax[:, j0], Axm[:, j0], grid.hx, i0)
+        _march(Fy, Ay, Aym, grid.hy, j0)
     else:
-        raise InvalidInputError(f"unknown sweep order {order!r}")
+        _march(Fy[:, i0], Ay[:, i0], Aym[:, i0], grid.hy, j0)
+        _march(F, Ax, Axm, grid.hx, i0)
     return F
 
 
@@ -266,8 +253,6 @@ def integrate_frame(
     data: SurfaceData,
     spectral: SpectralParam,
     base_index: tuple[int, int] | None = None,
-    compat_tol: float = COMPAT_TOL,
-    det_tol: float = DET_DRIFT_TOL,
 ) -> ExtendedFrame:
     """Integrate the frame system over the grid of ``data`` at one spectral
     value.
@@ -275,8 +260,9 @@ def integrate_frame(
     The base row through base_index (default: grid center) is integrated
     first, then every column, so the result is single-valued by construction;
     path independence is a property to be measured, see
-    two_path_discrepancy.  Unimodularity is monitored, never restored by
-    projection.
+    two_path_discrepancy.  Data whose Gauss residual exceeds COMPAT_TOL is
+    refused; unimodularity is monitored against DET_DRIFT_TOL, never
+    restored by projection.
     """
     grid = data.grid
     if base_index is None:
@@ -285,46 +271,37 @@ def integrate_frame(
     if not (0 <= i0 < grid.nx and 0 <= j0 < grid.ny):
         raise OutOfDomainError(f"base index {base_index} outside grid")
     res = max_gauss_residual(data)
-    if not res <= compat_tol:
+    if not res <= COMPAT_TOL:
         raise IncompatibleDataError(
-            f"compatibility residual {res:.3e} exceeds {compat_tol:.3e}; "
+            f"compatibility residual {res:.3e} exceeds {COMPAT_TOL:.3e}; "
             "the frame system would not be integrable"
         )
-    Ax, Ay, Axm, Aym = _coefficient_arrays(data, spectral.lam)
-    F = _sweep(Ax, Ay, Axm, Aym, grid, (i0, j0), "xy")
-    drift = np.abs(np.linalg.det(F) - 1.0)
+    F = _sweep(*_coefficient_arrays(data, spectral.lam), grid, (i0, j0), True)
+    frame = ExtendedFrame(grid=grid, F=F, spectral=spectral, base_index=(i0, j0))
+    drift = frame.det_drift()
     worst = float(drift.max())
-    if worst > det_tol:
+    if worst > DET_DRIFT_TOL:
         i, j = np.unravel_index(int(np.argmax(drift)), drift.shape)
         raise IntegrationFailureError(
             f"determinant drift {worst:.3e} at grid index ({i}, {j}) "
-            f"exceeds {det_tol:g}"
+            f"exceeds {DET_DRIFT_TOL:g}"
         )
-    return ExtendedFrame(grid=grid, F=F, spectral=spectral, base_index=(i0, j0))
+    return frame
 
 
-def two_path_discrepancy(
-    data: SurfaceData,
-    spectral: SpectralParam,
-    base_index: tuple[int, int] | None = None,
-    target_index: tuple[int, int] | None = None,
-) -> float:
-    """Max entry difference at the target corner between row-first and
-    column-first integration.
+def two_path_discrepancy(data: SurfaceData, spectral: SpectralParam) -> float:
+    """Max entry difference at the far corner (nx-1, ny-1) between
+    row-first and column-first integration from the grid center.
 
     Vanishes (to integrator order) exactly when the data satisfies the
     compatibility condition, so no residual precondition is applied here.
     """
     grid = data.grid
-    if base_index is None:
-        base_index = grid.center_index()
-    if target_index is None:
-        target_index = (grid.nx - 1, grid.ny - 1)
-    Ax, Ay, Axm, Aym = _coefficient_arrays(data, spectral.lam)
-    F_xy = _sweep(Ax, Ay, Axm, Aym, grid, base_index, "xy")
-    F_yx = _sweep(Ax, Ay, Axm, Aym, grid, base_index, "yx")
-    ti, tj = target_index
-    return float(np.max(np.abs(F_xy[ti, tj] - F_yx[ti, tj])))
+    coefficients = _coefficient_arrays(data, spectral.lam)
+    base = grid.center_index()
+    F_xy = _sweep(*coefficients, grid, base, True)[-1, -1]
+    F_yx = _sweep(*coefficients, grid, base, False)[-1, -1]
+    return float(np.max(np.abs(F_xy - F_yx)))
 
 
 def shift_frame(frame: ExtendedFrame) -> ExtendedFrame:
@@ -333,13 +310,7 @@ def shift_frame(frame: ExtendedFrame) -> ExtendedFrame:
     det D = 1, so unimodularity is preserved exactly; the value at the base
     index becomes D instead of the identity.
     """
-    D = spectral_shift_matrix(frame.lam)
-    return ExtendedFrame(
-        grid=frame.grid,
-        F=frame.F @ D,
-        spectral=frame.spectral,
-        base_index=frame.base_index,
-    )
+    return replace(frame, F=frame.F @ spectral_shift_matrix(frame.lam))
 
 
 def frame_left_multiply(frame: ExtendedFrame, G) -> ExtendedFrame:
@@ -350,9 +321,4 @@ def frame_left_multiply(frame: ExtendedFrame, G) -> ExtendedFrame:
     detG = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
     if abs(detG - 1.0) > 1e-9:
         raise InvalidInputError(f"gauge must be unimodular, det = {detG}")
-    return ExtendedFrame(
-        grid=frame.grid,
-        F=G @ frame.F,
-        spectral=frame.spectral,
-        base_index=frame.base_index,
-    )
+    return replace(frame, F=G @ frame.F)

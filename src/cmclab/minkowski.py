@@ -28,7 +28,6 @@ SIGMA = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 # logic errors; H3 checks share the same scale.
 HERMITIAN_RTOL = 1e-9
 H3_TOL = 1e-9
-IDENTITY2 = np.eye(2, dtype=complex)
 
 
 def mat2(a, b, c, d):
@@ -45,11 +44,6 @@ def mat2(a, b, c, d):
 def conj_transpose(M):
     """Conjugate transpose over the trailing matrix axes."""
     return np.conj(np.swapaxes(M, -1, -2))
-
-
-def det2(M):
-    """Determinant over the trailing matrix axes."""
-    return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
 
 
 def hermitian_defect(M):

@@ -21,6 +21,7 @@ from .report import VerificationReport, render_machine, render_text
 from .surface_data import (
     GridSpec,
     SurfaceData,
+    cylinder_data,
     delaunay_data,
     gauss_residual,
     load_surface_data,
@@ -29,7 +30,7 @@ from .surface_data import (
     write_table,
 )
 from .surfaces import distance_grid, surface_primary, surface_shifted
-from .verify import Side, _report, evaluate, verify_theorem
+from .verify import Side, _report, _require_normalized, evaluate, verify_theorem
 
 BALL_TOL = 1e-8
 
@@ -61,8 +62,7 @@ def poincare_ball(p):
 def generate_data(config: RunConfig) -> SurfaceData:
     """Build the SurfaceData a config describes."""
     if config.family == "cylinder":
-        u = np.zeros((config.nx, config.ny))
-        return SurfaceData(config.grid(), u, Q=config.Q, H=config.H)
+        return cylinder_data(config.grid(), config.H)
     if config.family == "delaunay":
         return delaunay_data(
             config.grid(), config.H, config.u0, config.du0, step=config.step
@@ -171,11 +171,7 @@ def run(config: RunConfig) -> VerificationReport:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data = generate_data(config)
-    if not data.normalized:
-        raise InvalidInputError(
-            "verification needs normalized data with H = 2Q; "
-            f"got H = {data.H}, Q = {data.Q}"
-        )
+    _require_normalized(data)
     frame = integrate_frame(data, config.spectral())
     save_surface_data(out / SURFACE_FILE, data)
     save_frame(out / FRAME_FILE, frame)

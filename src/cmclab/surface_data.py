@@ -8,9 +8,9 @@ must satisfy the Gauss equation
     4 u_{z zbar} - 4 Q^2 e^{-2u} + H^2 e^{2u} = 0,
 
 with 4 u_{z zbar} = u_xx + u_yy.  Built-in generators cover the round
-cylinder (u = 0, H = 1/2, Q = 1/4) and translation-invariant Delaunay-type
-profiles u = u(x) obtained by integrating the reduced ODE; arbitrary u
-grids can be loaded from a plain text file (see `load_surface_data`).
+cylinder (u = 0, Q = H/2) and translation-invariant Delaunay-type profiles
+u = u(x) obtained by integrating the reduced ODE; arbitrary u grids can be
+loaded from a plain text file (see `load_surface_data`).
 
 Arrays are indexed [i, j] with i along x and j along y.
 """
@@ -24,6 +24,9 @@ from .errors import IntegrationBlowupError, InvalidInputError
 
 # |u| beyond this makes e^{2u} useless in double precision; treat as blowup.
 BLOWUP_LIMIT = 200.0
+
+# a loaded row's x or y may miss its grid node by this share of the spacing
+GRID_NODE_RTOL = 1e-6
 
 
 def _locked(a, dtype=float):
@@ -96,9 +99,9 @@ class SurfaceData:
         return self.H == 2.0 * self.Q
 
 
-def cylinder_data(grid):
-    """Round-cylinder data: u = 0, H = 1/2, Q = 1/4 on the whole grid."""
-    return SurfaceData(grid, np.zeros((grid.nx, grid.ny)), Q=0.25, H=0.5)
+def cylinder_data(grid, H=0.5):
+    """Round-cylinder data: u = 0 and normalized Q = H/2 on the whole grid."""
+    return SurfaceData(grid, np.zeros((grid.nx, grid.ny)), Q=0.5 * H, H=H)
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,7 +299,9 @@ def load_surface_data(path):
     """Read a u-grid from the documented tabular format.
 
     Format: optional '#' comment lines, one header line `Q H nx ny`, then
-    nx*ny rows `x y u` with x varying fastest.  H and Q are taken as given,
+    nx*ny rows `x y u` with x varying fastest.  The first and last rows of
+    the first x line and of the first y column give the grid extents, and
+    every row must lie on its grid node.  H and Q are taken as given,
     so loaded data may be non-normalized; check `SurfaceData.normalized`
     before verification runs.
     """
@@ -317,5 +322,15 @@ def load_surface_data(path):
         y_min=float(ys[0]), y_max=float(ys[-1]),
         nx=nx, ny=ny,
     )
+    # every row must sit on its node of the grid the corner rows span
+    xs, ys = grid.xs(), grid.ys()
+    off = np.abs(table[:, 0].reshape(ny, nx) - xs) > GRID_NODE_RTOL * grid.hx
+    off |= np.abs(table[:, 1].reshape(ny, nx) - ys[:, None]) > GRID_NODE_RTOL * grid.hy
+    if off.any():
+        k = int(np.argmax(off))  # rows run x fastest, as off flattens
+        raise InvalidInputError(
+            f"{path}: data row {k + 1} has (x, y) = {tuple(table[k, :2].tolist())}, "
+            f"not grid node {float(xs[k % nx]), float(ys[k // nx])}"
+        )
     u = table[:, 2].reshape(ny, nx).T
     return SurfaceData(grid, u, Q=Q, H=H)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .frames import ExtendedFrame, SpectralParam, shift_frame, spectral_shift_matrix
-from .minkowski import conj_transpose, from_hermitian, mink_dot, require_h3, to_hermitian
+from .minkowski import conj_transpose, from_hermitian, mink_dot, require_h3
 from .surface_data import GridSpec, _locked
 
 PRIMARY_KIND = "primary-surface"
@@ -53,10 +53,6 @@ class H3SurfaceGrid:
         require_h3(pts, tol=SURFACE_DET_TOL, what=self.kind)
         object.__setattr__(self, "points", _locked(pts))
 
-    def hermitian(self) -> np.ndarray:
-        """Points as Hermitian matrices, shape (nx, ny, 2, 2)."""
-        return to_hermitian(self.points)
-
 
 @dataclass(frozen=True, eq=False)
 class NormalField:
@@ -75,19 +71,22 @@ class NormalField:
         object.__setattr__(self, "vectors", _locked(v))
 
 
-def _surface(frame: ExtendedFrame, F: np.ndarray, kind: str) -> H3SurfaceGrid:
+def _surface(frame: ExtendedFrame, kind: str) -> H3SurfaceGrid:
+    """The surface F conj(F)^t of `frame`, labelled `kind`; on a shifted
+    frame FD this is the shifted surface."""
+    F = frame.F
     points = from_hermitian(F @ conj_transpose(F))
     return H3SurfaceGrid(frame.grid, points, frame.spectral, kind)
 
 
 def surface_primary(frame: ExtendedFrame) -> H3SurfaceGrid:
     """The surface F conj(F)^t as hyperboloid points."""
-    return _surface(frame, frame.F, PRIMARY_KIND)
+    return _surface(frame, PRIMARY_KIND)
 
 
 def surface_shifted(frame: ExtendedFrame) -> H3SurfaceGrid:
     """The parallel surface (FD) conj(FD)^t as hyperboloid points."""
-    return _surface(frame, shift_frame(frame).F, SHIFTED_KIND)
+    return _surface(shift_frame(frame), SHIFTED_KIND)
 
 
 def _normal_matrices(F: np.ndarray) -> np.ndarray:

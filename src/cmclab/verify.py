@@ -38,15 +38,16 @@ from .measure import (
 from .report import CheckRecord, VerificationReport, default_tolerances, registry_names
 from .surface_data import SurfaceData, max_gauss_residual
 from .surfaces import (
+    PRIMARY_KIND,
+    SHIFTED_KIND,
     H3SurfaceGrid,
     NormalField,
+    _surface,
     equidistance_defect,
     normal_field,
     normal_orthogonality_defect,
     normal_unit_defect,
     parallel_identity_residual,
-    surface_primary,
-    surface_shifted,
 )
 
 
@@ -62,16 +63,18 @@ class Side:
     measured: MeasuredData
 
 
-def _side(name: str, frame: ExtendedFrame, surface: H3SurfaceGrid) -> Side:
+def _side(name: str, frame: ExtendedFrame, kind: str) -> Side:
+    surface = _surface(frame, kind)
     normal = normal_field(frame)
     return Side(name, frame, surface, normal, measure(surface, normal))
 
 
 def evaluate(frame: ExtendedFrame) -> tuple[Side, Side]:
-    """The (primary, shifted) pair, each member built once."""
+    """The (primary, shifted) pair, each member built once; the shifted
+    side's surface and normal both come from one shifted frame FD."""
     return (
-        _side("primary", frame, surface_primary(frame)),
-        _side("shifted", shift_frame(frame), surface_shifted(frame)),
+        _side("primary", frame, PRIMARY_KIND),
+        _side("shifted", shift_frame(frame), SHIFTED_KIND),
     )
 
 
@@ -108,7 +111,19 @@ def verify_theorem(
     problems (mismatched grids, non-normalized data, unknown tolerance
     names) raise.
     """
+    _require_normalized(data)
+    if data.grid != frame.grid:
+        raise InvalidInputError("data and frame live on different grids")
     return _report(data, evaluate(frame), tolerances)
+
+
+def _require_normalized(data: SurfaceData) -> None:
+    """Refuse data off the H = 2Q normalization the theorem needs."""
+    if not data.normalized:
+        raise InvalidInputError(
+            "verification requires normalized isothermic data with H = 2Q; "
+            f"got H = {data.H}, Q = {data.Q}"
+        )
 
 
 def _report(
@@ -119,13 +134,6 @@ def _report(
     """The report on the two sides `evaluate` built from one frame."""
     primary, shifted = sides
     frame = primary.frame
-    if data.grid != frame.grid:
-        raise InvalidInputError("data and frame live on different grids")
-    if not data.normalized:
-        raise InvalidInputError(
-            "verification requires normalized isothermic data with H = 2Q; "
-            f"got H = {data.H}, Q = {data.Q}"
-        )
     tols = resolve_tolerances(tolerances)
     lam = frame.lam
 

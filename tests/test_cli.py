@@ -128,6 +128,22 @@ def test_bad_stored_row_exits_2(generated, tmp_path, capsys, name, corrupt):
     assert f"{name}: line {len(lines)}:" in err
 
 
+def test_stored_row_off_the_grid_exits_2(generated, tmp_path, capsys):
+    _, out, _ = generated
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    path = run_dir / "surface.dat"
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[6].split()
+    fields[0] = "0.9"
+    lines[6] = " ".join(fields) + "\n"
+    path.write_text("".join(lines))
+    assert main(["verify", "--in", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert "surface.dat: data row 5 " in err
+
+
 def test_incompatible_data_exits_3(tmp_path, capsys):
     g = GridSpec(-1, 1, -1, 1, 11, 11)
     X, Y = g.mesh()

@@ -14,7 +14,6 @@ def test_minimal_config_defaults():
     assert cfg.lam == 0.5
     assert cfg.r == 0.25
     assert cfg.H == 0.5
-    assert cfg.Q == 0.25
     assert (cfg.nx, cfg.ny) == (101, 101)
     assert (cfg.x_min, cfg.x_max, cfg.y_min, cfg.y_max) == (-1.0, 1.0, -1.0, 1.0)
     assert cfg.step == 1e-3

@@ -187,12 +187,10 @@ class TestIntegrateFrame:
             integrate_frame(wild, SpectralParam(0.5))
 
     def test_det_drift_failure_names_worst_point(self):
-        g = square_grid(11)
-        X, Y = g.mesh()
-        wild = SurfaceData(g, 4.0 * np.cos(3 * np.pi * X) * np.cos(3 * np.pi * Y), Q=0.25, H=0.5)
+        # compatible data on a coarse grid (h = 0.2) drifts 9.9e-8 at (0, 5)
         with pytest.raises(IntegrationFailureError) as err:
-            integrate_frame(wild, SpectralParam(0.5), compat_tol=np.inf)
-        assert "grid index" in str(err.value)
+            integrate_frame(cylinder_data(square_grid(11)), SpectralParam(0.5))
+        assert "at grid index (0, 5)" in str(err.value)
 
 
 class TestPathIndependence:

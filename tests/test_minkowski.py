@@ -5,9 +5,7 @@ import pytest
 
 from cmclab.errors import InternalConsistencyError, InvalidInputError
 from cmclab.minkowski import (
-    IDENTITY2,
     conj_transpose,
-    det2,
     from_hermitian,
     h3_defect,
     mat2,
@@ -18,6 +16,7 @@ from cmclab.minkowski import (
     to_hermitian,
 )
 
+IDENTITY = np.eye(2, dtype=complex)
 DIAG_1_M1 = np.diag([1.0, -1.0]).astype(complex)
 
 
@@ -29,20 +28,20 @@ def random_hermitian(rng, n=1):
 def random_unimodular(rng, n=1):
     """Random SL2(C) samples: scale a generic matrix to determinant one."""
     M = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
-    d = det2(M)
+    d = np.linalg.det(M)
     return M / np.sqrt(d)[..., None, None]
 
 
 class TestTraceForm:
     def test_identity_is_timelike_unit(self):
-        assert minkowski_inner(IDENTITY2, IDENTITY2) == pytest.approx(-1.0, abs=1e-14)
+        assert minkowski_inner(IDENTITY, IDENTITY) == pytest.approx(-1.0, abs=1e-14)
 
     def test_diag_1_m1_is_spacelike_unit(self):
         # expanded by hand: X s = [[0,-i],[-i,0]], (X s)^2 = -I, trace -2
         assert minkowski_inner(DIAG_1_M1, DIAG_1_M1) == pytest.approx(1.0, abs=1e-14)
 
     def test_orthogonal_axes(self):
-        assert minkowski_inner(IDENTITY2, DIAG_1_M1) == pytest.approx(0.0, abs=1e-14)
+        assert minkowski_inner(IDENTITY, DIAG_1_M1) == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_coordinate_form(self):
         rng = np.random.default_rng(7)
@@ -81,12 +80,12 @@ class TestTraceForm:
     def test_rejects_non_hermitian(self):
         M = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(InvalidInputError):
-            minkowski_inner(M, IDENTITY2)
+            minkowski_inner(M, IDENTITY)
 
 
 class TestHermitianMap:
     def test_template_points(self):
-        np.testing.assert_array_equal(to_hermitian([0, 0, 0, 1]), IDENTITY2)
+        np.testing.assert_array_equal(to_hermitian([0, 0, 0, 1]), IDENTITY)
         np.testing.assert_array_equal(
             to_hermitian([1, 0, 0, 0]), np.array([[0, 1], [1, 0]], dtype=complex)
         )
@@ -102,7 +101,7 @@ class TestHermitianMap:
     def test_det_is_minus_inner(self):
         rng = np.random.default_rng(11)
         p = rng.standard_normal((30, 4)) * 2.0
-        d = det2(to_hermitian(p)).real
+        d = np.linalg.det(to_hermitian(p)).real
         np.testing.assert_allclose(d, -mink_dot(p, p), atol=1e-12)
 
     def test_from_hermitian_rejects_non_hermitian(self):
@@ -110,14 +109,11 @@ class TestHermitianMap:
             from_hermitian(np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex))
 
     def test_tolerates_roundoff_defect(self):
-        M = IDENTITY2 + 1e-12 * np.array([[0, 1j], [0, 0]])
+        M = IDENTITY + 1e-12 * np.array([[0, 1j], [0, 0]])
         from_hermitian(M)  # within tolerance, must not raise
 
 
 class TestMatrixHelpers:
-    def test_det_identity(self):
-        assert det2(IDENTITY2) == 1.0
-
     def test_conj_transpose(self):
         M = np.array([[0.0, 1j], [0.0, 0.0]])
         np.testing.assert_array_equal(
@@ -130,13 +126,7 @@ class TestMatrixHelpers:
     def test_det_of_spectral_diagonal(self):
         lam = 0.37
         D = np.diag([lam**-0.5, lam**0.5]).astype(complex)
-        assert det2(D) == pytest.approx(1.0, abs=1e-15)
-
-    def test_det_multiplicative(self):
-        rng = np.random.default_rng(13)
-        A = rng.standard_normal((8, 2, 2)) + 1j * rng.standard_normal((8, 2, 2))
-        B = rng.standard_normal((8, 2, 2)) + 1j * rng.standard_normal((8, 2, 2))
-        np.testing.assert_allclose(det2(A @ B), det2(A) * det2(B), atol=1e-12)
+        assert np.linalg.det(D) == pytest.approx(1.0, abs=1e-15)
 
     def test_mat2_entries(self):
         M = mat2(1.0, 2.0, 3.0, 4.0)

@@ -7,7 +7,7 @@ import pytest
 
 from cmclab.config import config_from_mapping
 from cmclab.errors import ConfigError, InvalidInputError
-from cmclab.frames import SpectralParam, integrate_frame
+from cmclab.frames import SpectralParam, integrate_frame, shift_frame
 from cmclab.measure import measure
 from cmclab.minkowski import from_hermitian, conj_transpose
 from cmclab.pipeline import (
@@ -19,6 +19,7 @@ from cmclab.pipeline import (
     REPORT_TEXT_FILE,
     SURFACE_FILE,
     export_meshes,
+    generate_data,
     load_frame,
     load_outputs,
     poincare_ball,
@@ -26,8 +27,15 @@ from cmclab.pipeline import (
     save_frame,
     verify_outputs,
 )
-from cmclab.surface_data import GridSpec, cylinder_data
-from cmclab.surfaces import normal_field, surface_primary, surface_shifted
+from cmclab.surface_data import (
+    GridSpec,
+    SurfaceData,
+    cylinder_data,
+    load_surface_data,
+    save_surface_data,
+)
+from cmclab.surfaces import _surface, normal_field
+from cmclab.verify import verify_theorem
 
 ALL_FILES = (
     SURFACE_FILE,
@@ -169,8 +177,6 @@ class TestRun:
         assert "generated" in (out / REPORT_TEXT_FILE).read_text()
 
     def test_refuses_non_normalized_custom_data(self, tmp_path):
-        from cmclab.surface_data import SurfaceData, save_surface_data
-
         src = tmp_path / "custom.dat"
         data = SurfaceData(
             GridSpec(-1, 1, -1, 1, 9, 9), np.zeros((9, 9)), Q=0.25, H=0.9
@@ -271,11 +277,34 @@ def count_calls(monkeypatch, *fns):
 
 
 def test_run_builds_each_side_once(tmp_path, monkeypatch):
-    counts = count_calls(
-        monkeypatch,
-        surface_primary, surface_shifted, normal_field, measure
-    )
+    # _surface is the one builder behind surface_primary and surface_shifted
+    counts = count_calls(monkeypatch, _surface, shift_frame, normal_field, measure)
     run(config_from_mapping({**GOLDEN_CONFIG, "out_dir": str(tmp_path)}))
-    assert counts["surface_primary"] == counts["surface_shifted"] == 1
+    assert counts["_surface"] == 2
+    assert counts["shift_frame"] == 1
     assert counts["normal_field"] == 2
     assert counts["measure"] == 2
+
+
+def test_cylinder_family_is_normalized_at_any_H(tmp_path):
+    cfg = config_from_mapping(
+        {"family": "cylinder", "H": 0.8, "lambda": 0.5, "out_dir": str(tmp_path)}
+    )
+    data = generate_data(cfg)
+    assert (data.H, data.Q) == (0.8, 0.4)
+    assert not data.u.any()
+
+
+def test_verify_theorem_refuses_like_run(tmp_path):
+    g = GridSpec(-0.2, 0.2, -0.2, 0.2, 9, 9)
+    src = tmp_path / "custom.dat"
+    save_surface_data(src, SurfaceData(g, np.zeros((9, 9)), Q=0.25, H=0.9))
+    cfg = config_from_mapping(
+        {"family": "custom-file", "input": str(src), "lambda": 0.5, "out_dir": str(tmp_path)}
+    )
+    with pytest.raises(InvalidInputError, match="H = 2Q") as from_run:
+        run(cfg)
+    frame = integrate_frame(cylinder_data(g), SpectralParam(0.5))
+    with pytest.raises(InvalidInputError) as from_verify:
+        verify_theorem(load_surface_data(src), frame)
+    assert str(from_verify.value) == str(from_run.value)

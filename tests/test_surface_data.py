@@ -194,6 +194,18 @@ class TestFileRoundTrip:
         save_surface_data(path, SurfaceData(g, np.zeros((5, 5)), Q=0.3, H=0.5))
         assert not load_surface_data(path).normalized
 
+    @pytest.mark.parametrize("row, column, value", [(4, 0, "0.9"), (41, 1, "-5")])
+    def test_row_off_its_grid_node_refused(self, tmp_path, row, column, value):
+        path = tmp_path / "surface.dat"
+        save_surface_data(path, cylinder_data(small_grid(n=9)))
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[2 + row].split()  # after the comment and header lines
+        fields[column] = value
+        lines[2 + row] = " ".join(fields) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(InvalidInputError, match=f"surface.dat: data row {row + 1} "):
+            load_surface_data(path)
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.dat"
         path.write_text("0.25 0.5\n")
