@@ -3,7 +3,10 @@
 All output files are plain text with numbers at 17 significant digits, so a
 repeated run with the same config is bitwise identical except for the human
 report, which carries a generation timestamp.  The machine report and the
-diagnostics table never do.
+diagnostics table never do.  Every grid table goes through
+`surface_data.write_table` and comes back through `surface_data.read_table`,
+which parses the stored text to the same doubles and refuses the same rows;
+the formats carry no version of their own.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .surface_data import (
     gauss_residual,
     load_surface_data,
     read_table,
+    require_grid_size,
     save_surface_data,
     write_table,
 )
@@ -81,10 +85,10 @@ def write_mesh(path, points, what="surface"):
     with open(path, "w") as fh:
         fh.write(f"# {what}: Poincare ball vertices, quad faces, row-major in y\n")
         write_table(fh, b, prefix="v ")
-        for j in range(ny - 1):
-            for i in range(nx - 1):
-                a = j * nx + i + 1
-                fh.write(f"f {a} {a + 1} {a + 1 + nx} {a + nx}\n")
+        # a[i, j] is the 1-based number of vertex (i, j), first corner of cell (i, j)
+        a = np.arange(1, nx * ny + 1).reshape(ny, nx).T[:-1, :-1]
+        faces = np.stack([a, a + 1, a + 1 + nx, a + nx], axis=-1)
+        write_table(fh, faces, prefix="f ")
 
 
 def _write_meshes(out: Path, surfaces) -> list[Path]:
@@ -148,6 +152,7 @@ def load_frame(path) -> ExtendedFrame:
         x_min, x_max, y_min, y_max = (float(v) for v in extents[:4])
     except (IndexError, ValueError) as exc:
         raise InvalidInputError(f"{path}: malformed frame header") from exc
+    require_grid_size(nx, ny, path)
     if len(flat) != nx * ny:
         raise InvalidInputError(
             f"{path}: expected {nx * ny} frame rows, found {len(flat)}"

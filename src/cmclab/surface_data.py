@@ -28,11 +28,21 @@ BLOWUP_LIMIT = 200.0
 # a loaded row's x or y may miss its grid node by this share of the spacing
 GRID_NODE_RTOL = 1e-6
 
+# fewest nodes per axis that leave an interior for the second-order stencils
+MIN_NODES = 5
+
 
 def _locked(a, dtype=float):
     a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a
+
+
+def require_grid_size(nx, ny, where=None):
+    """Refuse node counts below MIN_NODES, naming `where` (a file) if given."""
+    if nx < MIN_NODES or ny < MIN_NODES:
+        msg = f"grids need nx, ny >= {MIN_NODES} for interior stencils, got {nx} x {ny}"
+        raise InvalidInputError(msg if where is None else f"{where}: {msg}")
 
 
 @dataclass(frozen=True)
@@ -47,8 +57,7 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
-        if self.nx < 5 or self.ny < 5:
-            raise InvalidInputError("grids need nx, ny >= 5 for interior stencils")
+        require_grid_size(self.nx, self.ny)
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise InvalidInputError("grid extents must have positive length")
 
@@ -256,35 +265,64 @@ def read_table(path, n_header, width):
 
     Returns the first `n_header` rows as lists of fields and the rest as an
     array of shape (rows, width).  A body row that is not exactly `width`
-    numbers raises InvalidInputError naming the file and the line.
+    numbers raises InvalidInputError naming the file and the line.  The body
+    goes through numpy's parser, which reads 17-digit text back bit for bit;
+    whatever it refuses is scanned again line by line by `_scan_body`.
     """
-    header, body = [], []
+    with open(path) as fh:
+        kept = [ln for ln in fh if ln[0] != "#" and not ln.isspace()]
+    if len(kept) < n_header:
+        raise InvalidInputError(f"{path}: truncated file, header missing")
+    header = [ln.split() for ln in kept[:n_header]]
+    body = kept[n_header:]
+    if not body:  # np.loadtxt would warn "input contained no data"
+        return header, np.empty((0, width))
+    try:
+        table = np.loadtxt(body, comments=None, ndmin=2)
+    except ValueError:
+        table = None
+    if table is None or table.shape[1] != width:
+        table = _scan_body(path, n_header, width)
+    return header, table
+
+
+def _scan_body(path, n_header, width):
+    """The body of `read_table`, parsed one line at a time with float().
+
+    Raises on the first row that is not exactly `width` numbers, naming its
+    line.  A body with none returns as parsed: float() also takes spellings
+    numpy's parser refuses, such as "1_0".
+    """
+    body, seen = [], 0
     with open(path) as fh:
         for n, ln in enumerate(fh, 1):
-            fields = ln.split()
-            if not fields or ln[0] == "#":
+            if ln[0] == "#" or ln.isspace():
                 continue
-            if len(header) < n_header:
-                header.append(fields)
-            elif len(fields) != width:
+            seen += 1
+            if seen <= n_header:
+                continue
+            fields = ln.split()
+            if len(fields) != width:
                 raise InvalidInputError(f"{path}: line {n}: expected {width} fields")
-            else:
-                try:
-                    body.append([float(v) for v in fields])
-                except ValueError:
-                    msg = f"{path}: line {n}: non-numeric entry"
-                    raise InvalidInputError(msg) from None
-    if len(header) < n_header:
-        raise InvalidInputError(f"{path}: truncated file, header missing")
-    return header, np.array(body)
+            try:
+                body.append([float(v) for v in fields])
+            except ValueError:
+                msg = f"{path}: line {n}: non-numeric entry"
+                raise InvalidInputError(msg) from None
+    return np.array(body)
 
 
 def write_table(fh, table, prefix=""):
     """Write a (nx, ny, k) grid table as one line of k numbers per point, x
-    fastest, at 17 significant digits so doubles round-trip exactly."""
+    fastest, at 17 significant digits so doubles round-trip exactly.
+
+    Integer tables print as integers, as "%.17g" prints them below 2**53,
+    without the detour through float.
+    """
+    field = "%d" if table.dtype.kind in "iu" else "%.17g"
+    row = prefix + " ".join([field] * table.shape[-1]) + "\n"
     for line in table.swapaxes(0, 1):  # one grid line at a time bounds memory
-        for row in line.tolist():
-            fh.write(prefix + " ".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines([row % tuple(r) for r in line.tolist()])
 
 
 def save_surface_data(path, data):
@@ -311,6 +349,7 @@ def load_surface_data(path):
         nx, ny = int(head[2]), int(head[3])
     except (IndexError, ValueError) as exc:
         raise InvalidInputError(f"{path}: malformed header line") from exc
+    require_grid_size(nx, ny, path)
     if len(table) != nx * ny:
         raise InvalidInputError(
             f"{path}: expected {nx * ny} data rows, found {len(table)}"

@@ -184,6 +184,26 @@ def test_non_normalized_custom_file_exits_2(tmp_path, capsys):
     assert "H = 2Q" in capsys.readouterr().err
 
 
+def test_custom_file_with_empty_grid_exits_2(tmp_path, capsys):
+    src = tmp_path / "empty.dat"
+    src.write_text("0.25 0.5 0 0\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "family": "custom-file",
+                "input": str(src),
+                "lambda": 0.5,
+                "out_dir": str(tmp_path / "o"),
+            }
+        )
+    )
+    assert main(["generate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert "empty.dat: grids need nx, ny >= 5" in err
+
+
 def test_tolerance_override_can_fail_run(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = write_config(

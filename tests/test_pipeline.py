@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,14 @@ class TestFramePersistence:
         path.write_text("# header only\n0.5 0.25 9 9 4 4\n-1 1 -1 1\n1 0\n")
         with pytest.raises(InvalidInputError):
             load_frame(path)
+
+    def test_empty_grid_header_refused(self, tmp_path):
+        path = tmp_path / "frame.dat"
+        path.write_text("0.5 0.25 0 0 0 0\n-1 1 -1 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="frame.dat: grids need nx, ny >= 5"):
+                load_frame(path)
 
 
 class TestRun:

@@ -1,5 +1,8 @@
 """Tests for grid data generation, the Gauss residual, and duality."""
 
+import io
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,9 @@ from cmclab.surface_data import (
     grid_derivatives,
     load_surface_data,
     max_gauss_residual,
+    read_table,
     save_surface_data,
+    write_table,
 )
 
 
@@ -210,4 +215,117 @@ class TestFileRoundTrip:
         path = tmp_path / "bad.dat"
         path.write_text("0.25 0.5\n")
         with pytest.raises(InvalidInputError):
+            load_surface_data(path)
+
+    @pytest.mark.parametrize(
+        "text", ["0.25 0.5 0 0\n", "0.25 0.5 -1 -1\n0 0 0\n"], ids=["empty", "negative"]
+    )
+    def test_header_below_the_grid_minimum_refused(self, tmp_path, text):
+        path = tmp_path / "surface.dat"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="surface.dat: grids need nx, ny >= 5"):
+                load_surface_data(path)
+
+    def test_empty_body_counts_rows_without_warning(self, tmp_path):
+        path = tmp_path / "surface.dat"
+        path.write_text("0.25 0.5 5 5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="expected 25 data rows, found 0"):
+                load_surface_data(path)
+
+
+# values whose 17-digit text is easy to get wrong
+AWKWARD = [-0.0, 5e-324, 1e300, 1 / 3, 2.0, -7.0, 0.1, -1.7976931348623157e308, 2.0**-1022]
+
+
+def per_float_text(table, prefix=""):
+    """The per-float f-string join `write_table` replaced, as the reference."""
+    return "".join(
+        prefix + " ".join(f"{v:.17g}" for v in row) + "\n"
+        for line in table.swapaxes(0, 1)
+        for row in line.tolist()
+    )
+
+
+class TestTableIO:
+    def awkward_table(self):
+        a = np.array(AWKWARD)
+        return np.stack([a, a[::-1], -a]).reshape(3, 3, 3)
+
+    def test_writer_matches_per_float_format(self):
+        table = self.awkward_table()
+        fh = io.StringIO()
+        write_table(fh, table, prefix="v ")
+        assert fh.getvalue() == per_float_text(table, prefix="v ")
+
+    def test_writer_matches_per_float_format_on_ints(self):
+        table = np.arange(24).reshape(2, 3, 4) * 12345
+        fh = io.StringIO()
+        write_table(fh, table, prefix="f ")
+        assert fh.getvalue() == per_float_text(table, prefix="f ")
+        assert fh.getvalue().startswith("f 0 12345 24690 37035\n")
+
+    def test_reader_returns_the_written_bits(self, tmp_path):
+        table = self.awkward_table()
+        path = tmp_path / "t.dat"
+        with open(path, "w") as fh:
+            fh.write("# header then rows\nh1 h2\n")
+            write_table(fh, table)
+        (head,), body = read_table(path, 1, 3)
+        assert head == ["h1", "h2"]
+        rows = table.swapaxes(0, 1).reshape(-1, 3)  # x fastest
+        assert np.array_equal(body.view(np.int64), rows.view(np.int64))
+
+    def test_reader_takes_every_spelling_float_takes(self, tmp_path):
+        path = tmp_path / "t.dat"
+        path.write_text("h\n1_0 -inf 2.5\n")
+        _, body = read_table(path, 1, 3)
+        assert body.tolist() == [[10.0, -np.inf, 2.5]]
+
+
+def _insert_skipped_lines(lines):
+    mid = len(lines) // 2
+    return lines[:mid] + ["# a note\n", "\n", "   \n"] + lines[mid:]
+
+
+class TestTableInputRules:
+    def saved(self, tmp_path):
+        path = tmp_path / "surface.dat"
+        save_surface_data(path, delaunay_data(small_grid(n=9), 0.5, 0.2, 0.1))
+        return path, path.read_text().splitlines(keepends=True)
+
+    def test_comment_and_blank_lines_in_the_body_skip(self, tmp_path):
+        path, lines = self.saved(tmp_path)
+        before = load_surface_data(path)
+        path.write_text("".join(_insert_skipped_lines(lines)))
+        after = load_surface_data(path)
+        assert np.array_equal(after.u, before.u) and after.grid == before.grid
+
+    @pytest.mark.parametrize(
+        "index, edit, message",
+        [
+            (40, lambda ln: ln.rstrip("\n") + " # note\n", "expected 3 fields"),
+            (40, lambda ln: "  # indented note\n", "non-numeric entry"),
+            (40, lambda ln: ln.rstrip("\n") + " 0\n", "expected 3 fields"),
+            (2, lambda ln: "abc" + ln[ln.index(" "):], "non-numeric entry"),
+            (2, lambda ln: ln.split(" ", 1)[1], "expected 3 fields"),
+        ],
+        ids=["inline-comment", "indented-comment", "extra-field", "first-row-word", "first-row-short"],
+    )
+    def test_bad_row_refused_with_its_line(self, tmp_path, index, edit, message):
+        path, lines = self.saved(tmp_path)
+        lines[index] = edit(lines[index])
+        path.write_text("".join(lines))
+        with pytest.raises(InvalidInputError, match=f"surface.dat: line {index + 1}: {message}"):
+            load_surface_data(path)
+
+    def test_line_numbers_count_skipped_lines(self, tmp_path):
+        path, lines = self.saved(tmp_path)
+        lines = _insert_skipped_lines(lines)
+        lines[-1] = "1 2\n"
+        path.write_text("".join(lines))
+        with pytest.raises(InvalidInputError, match=f"line {len(lines)}: expected 3 fields"):
             load_surface_data(path)
