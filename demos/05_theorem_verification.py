@@ -20,7 +20,7 @@ from cmclab import (
     surface_primary,
     verify_theorem,
 )
-from cmclab.measure import closed_form_primary, homothety_scale
+from cmclab.measure import closed_form, homothety_scale
 
 sp = SpectralParam(0.5)
 data = cylinder_data(GridSpec(-1, 1, -1, 1, 101, 101))
@@ -33,7 +33,7 @@ print("measured E (center):", m.E[50, 50])
 print("measured |Qm| (center):", abs(m.Qm[50, 50]))
 print("measured Hm (center):", m.Hm[50, 50])
 
-c = closed_form_primary(data, sp.lam)
+c = closed_form(data, sp.lam, 1)  # sign +1: the primary side
 print("closed-form metric factor:", float(c.metric_factor[0, 0]))
 print("closed-form |hopf|:", abs(c.hopf), " mean:", c.mean)
 

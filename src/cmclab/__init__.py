@@ -64,8 +64,7 @@ from .surfaces import (
 from .measure import (
     ClosedFormData,
     MeasuredData,
-    closed_form_primary,
-    closed_form_shifted,
+    closed_form,
     homothety_scale,
     lawson_data,
     measure,
@@ -129,8 +128,7 @@ __all__ = [
     "surface_shifted",
     "ClosedFormData",
     "MeasuredData",
-    "closed_form_primary",
-    "closed_form_shifted",
+    "closed_form",
     "homothety_scale",
     "lawson_data",
     "measure",

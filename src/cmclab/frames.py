@@ -249,35 +249,26 @@ def _sweep(Ax, Ay, Axm, Aym, grid: GridSpec, base, x_first: bool) -> np.ndarray:
     return F
 
 
-def integrate_frame(
-    data: SurfaceData,
-    spectral: SpectralParam,
-    base_index: tuple[int, int] | None = None,
-) -> ExtendedFrame:
+def integrate_frame(data: SurfaceData, spectral: SpectralParam) -> ExtendedFrame:
     """Integrate the frame system over the grid of ``data`` at one spectral
     value.
 
-    The base row through base_index (default: grid center) is integrated
-    first, then every column, so the result is single-valued by construction;
-    path independence is a property to be measured, see
-    two_path_discrepancy.  Data whose Gauss residual exceeds COMPAT_TOL is
-    refused; unimodularity is monitored against DET_DRIFT_TOL, never
-    restored by projection.
+    The base row through the grid center is integrated first, then every
+    column, so the result is single-valued by construction; path
+    independence is a property to be measured, see two_path_discrepancy.
+    Data whose Gauss residual exceeds COMPAT_TOL is refused; unimodularity
+    is monitored against DET_DRIFT_TOL, never restored by projection.
     """
     grid = data.grid
-    if base_index is None:
-        base_index = grid.center_index()
-    i0, j0 = base_index
-    if not (0 <= i0 < grid.nx and 0 <= j0 < grid.ny):
-        raise OutOfDomainError(f"base index {base_index} outside grid")
+    base = grid.center_index()
     res = max_gauss_residual(data)
     if not res <= COMPAT_TOL:
         raise IncompatibleDataError(
             f"compatibility residual {res:.3e} exceeds {COMPAT_TOL:.3e}; "
             "the frame system would not be integrable"
         )
-    F = _sweep(*_coefficient_arrays(data, spectral.lam), grid, (i0, j0), True)
-    frame = ExtendedFrame(grid=grid, F=F, spectral=spectral, base_index=(i0, j0))
+    F = _sweep(*_coefficient_arrays(data, spectral.lam), grid, base, True)
+    frame = ExtendedFrame(grid=grid, F=F, spectral=spectral, base_index=base)
     drift = frame.det_drift()
     worst = float(drift.max())
     if worst > DET_DRIFT_TOL:

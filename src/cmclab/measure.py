@@ -27,9 +27,6 @@ from .surfaces import H3SurfaceGrid, NormalField
 # |Fc|/E beyond this marks the parametrization as visibly non-conformal
 CONFORMAL_WARN_RATIO = 0.05
 
-LAWSON_PRIMARY = "of-f"
-LAWSON_DUAL = "of-dual"
-
 
 @dataclass(frozen=True, eq=False)
 class MeasuredData:
@@ -130,9 +127,18 @@ def _check_lam(lam: float) -> None:
         )
 
 
-def _closed_form(data: SurfaceData, lam: float, sign: float) -> ClosedFormData:
-    # sign +1 gives the primary surface, -1 the shifted one; both multiply
-    # exactly, so the two sides differ by no rounding
+def closed_form(data: SurfaceData, lam: float, sign: int) -> ClosedFormData:
+    """Closed-form data of one side at spectral value lam: sign +1 for the
+    primary surface, -1 for the shifted one.
+
+    Metric factor Q^2 e^{-2 sign u} (lam - 1/lam)^2, Hopf value
+    sign QH(1/lam - lam)/2, mean curvature
+    sign (1/lam + lam)/(1/lam - lam).  The sign multiplies exactly, so the
+    two sides differ by no rounding.  The formulas describe the measured
+    surfaces under the H = 2Q normalization.
+    """
+    if sign not in (1, -1):
+        raise InvalidInputError(f"side sign must be +1 or -1, got {sign!r}")
     _check_lam(lam)
     d = lam - 1.0 / lam
     return ClosedFormData(
@@ -142,48 +148,25 @@ def _closed_form(data: SurfaceData, lam: float, sign: float) -> ClosedFormData:
     )
 
 
-def closed_form_primary(data: SurfaceData, lam: float) -> ClosedFormData:
-    """Closed-form data of the primary surface at spectral value lam.
-
-    Metric factor Q^2 e^{-2u} (lam - 1/lam)^2, Hopf value QH(1/lam - lam)/2,
-    mean curvature (1/lam + lam)/(1/lam - lam).  The formulas describe the
-    measured surfaces under the H = 2Q normalization.
-    """
-    return _closed_form(data, lam, 1.0)
-
-
-def closed_form_shifted(data: SurfaceData, lam: float) -> ClosedFormData:
-    """Closed-form data of the shifted surface: metric factor
-    Q^2 e^{2u} (lam - 1/lam)^2, Hopf value QH(lam - 1/lam)/2, mean
-    curvature (lam + 1/lam)/(lam - 1/lam)."""
-    return _closed_form(data, lam, -1.0)
-
-
-def homothety_scale(H: float, lam: float, shifted: bool = False) -> float:
+def homothety_scale(H: float, lam: float) -> float:
     """The scale s = H(1/lam - lam)/2 relating the hyperbolic surface's data
-    to Euclidean data; negated for the shifted surface."""
+    to Euclidean data; the shifted side uses -s."""
     if H == 0:
         raise InvalidInputError("mean curvature H must be nonzero")
     if not 0.0 < lam < 1.0:
         raise InvalidInputError(f"spectral value must lie in (0, 1), got {lam}")
-    s = 0.5 * H * (1.0 / lam - lam)
-    return -s if shifted else s
+    return 0.5 * H * (1.0 / lam - lam)
 
 
-def lawson_data(data: SurfaceData, s: float, which: str) -> ClosedFormData:
-    """Euclidean data scaled by a homothety s: metric factor s^2 e^{2u}
-    ("of-f") or s^2 e^{-2u} ("of-dual"), Hopf value sQ, mean curvature
-    sqrt((H/s)^2 + 1)."""
+def lawson_data(data: SurfaceData, s: float) -> ClosedFormData:
+    """Lawson-partner data of the surface `data` describes, scaled by a
+    homothety s: metric factor s^2 e^{2u}, Hopf value sQ, mean curvature
+    sqrt((H/s)^2 + 1).  Pass `dual_data(data)` for the partner built from
+    the Christoffel dual."""
     if s == 0:
         raise InvalidInputError("homothety scale must be nonzero")
-    if which == LAWSON_PRIMARY:
-        mf = s**2 * np.exp(2.0 * data.u)
-    elif which == LAWSON_DUAL:
-        mf = s**2 * np.exp(-2.0 * data.u)
-    else:
-        raise InvalidInputError(f"unknown Lawson side {which!r}")
     return ClosedFormData(
-        metric_factor=mf,
+        metric_factor=s**2 * np.exp(2.0 * data.u),
         hopf=s * data.Q,
         mean=float(np.sqrt((data.H / s) ** 2 + 1.0)),
     )

@@ -20,7 +20,7 @@ from .errors import ConfigError, InvalidInputError
 from .config import RunConfig
 from .frames import ExtendedFrame, SpectralParam, integrate_frame
 from .minkowski import require_h3
-from .report import VerificationReport, render_machine, render_text
+from .report import SIDES, VerificationReport, render_machine, render_text
 from .surface_data import (
     GridSpec,
     SurfaceData,
@@ -40,17 +40,12 @@ BALL_TOL = 1e-8
 
 SURFACE_FILE = "surface.dat"
 FRAME_FILE = "frame.dat"
-MESH_PRIMARY_FILE = "mesh_primary.obj"
-MESH_SHIFTED_FILE = "mesh_shifted.obj"
+# one mesh file per side, in side order
+MESH_FILES = tuple(f"mesh_{side}.obj" for side in SIDES)
+MESH_PRIMARY_FILE, MESH_SHIFTED_FILE = MESH_FILES
 DIAGNOSTICS_FILE = "diagnostics.dat"
 REPORT_TEXT_FILE = "report.txt"
 REPORT_MACHINE_FILE = "report.kv"
-
-# (file, label) of each side's mesh, in side order
-MESH_FILES = (
-    (MESH_PRIMARY_FILE, "primary surface"),
-    (MESH_SHIFTED_FILE, "shifted surface"),
-)
 
 
 def poincare_ball(p):
@@ -93,9 +88,10 @@ def write_mesh(path, points, what="surface"):
 
 def _write_meshes(out: Path, surfaces) -> list[Path]:
     """One mesh file per side, from the (primary, shifted) surfaces."""
-    for (name, label), surface in zip(MESH_FILES, surfaces):
-        write_mesh(out / name, surface.points, label)
-    return [out / name for name, _ in MESH_FILES]
+    paths = [out / name for name in MESH_FILES]
+    for path, surface in zip(paths, surfaces):
+        write_mesh(path, surface.points, f"{surface.kind} surface")
+    return paths
 
 
 def write_diagnostics(path, data, sides: tuple[Side, Side]):
@@ -144,13 +140,13 @@ def save_frame(path, frame: ExtendedFrame):
 
 
 def load_frame(path) -> ExtendedFrame:
-    (head, extents), flat = read_table(path, 2, 8)
+    (head, extents), flat = read_table(path, (6, 4), 8)
     try:
         lam, r = float(head[0]), float(head[1])
         nx, ny = int(head[2]), int(head[3])
         bi, bj = int(head[4]), int(head[5])
-        x_min, x_max, y_min, y_max = (float(v) for v in extents[:4])
-    except (IndexError, ValueError) as exc:
+        x_min, x_max, y_min, y_max = (float(v) for v in extents)
+    except ValueError as exc:
         raise InvalidInputError(f"{path}: malformed frame header") from exc
     require_grid_size(nx, ny, path)
     if len(flat) != nx * ny:

@@ -260,48 +260,58 @@ def grid_derivatives(u, hx, hy):
     return ux, uy
 
 
-def read_table(path, n_header, width):
+def read_table(path, header_widths, width):
     """Header rows and float body of a text table; '#' and blank lines skip.
 
-    Returns the first `n_header` rows as lists of fields and the rest as an
-    array of shape (rows, width).  A body row that is not exactly `width`
-    numbers raises InvalidInputError naming the file and the line.  The body
-    goes through numpy's parser, which reads 17-digit text back bit for bit;
-    whatever it refuses is scanned again line by line by `_scan_body`.
+    Returns the first len(header_widths) rows as lists of fields, header row
+    k holding exactly header_widths[k] of them, and the rest as an array of
+    shape (rows, width).  A row of any other length, or a body row that is
+    not all numbers, raises InvalidInputError naming the file and the line.
+    The body goes through numpy's parser, which reads 17-digit text back bit
+    for bit; whatever it or the header check refuses is scanned again line
+    by line by `_scan`.
     """
     with open(path) as fh:
         kept = [ln for ln in fh if ln[0] != "#" and not ln.isspace()]
+    n_header = len(header_widths)
     if len(kept) < n_header:
         raise InvalidInputError(f"{path}: truncated file, header missing")
     header = [ln.split() for ln in kept[:n_header]]
     body = kept[n_header:]
-    if not body:  # np.loadtxt would warn "input contained no data"
-        return header, np.empty((0, width))
-    try:
-        table = np.loadtxt(body, comments=None, ndmin=2)
-    except ValueError:
-        table = None
+    table = None
+    if [len(fields) for fields in header] == list(header_widths):
+        if not body:  # np.loadtxt would warn "input contained no data"
+            return header, np.empty((0, width))
+        try:
+            table = np.loadtxt(body, comments=None, ndmin=2)
+        except ValueError:
+            pass
     if table is None or table.shape[1] != width:
-        table = _scan_body(path, n_header, width)
+        table = _scan(path, header_widths, width)
     return header, table
 
 
-def _scan_body(path, n_header, width):
+def _scan(path, header_widths, width):
     """The body of `read_table`, parsed one line at a time with float().
 
-    Raises on the first row that is not exactly `width` numbers, naming its
-    line.  A body with none returns as parsed: float() also takes spellings
-    numpy's parser refuses, such as "1_0".
+    Raises on the first header row of the wrong length or body row that is
+    not exactly `width` numbers, naming its line.  A file with none returns
+    its body as parsed: float() also takes spellings numpy's parser refuses,
+    such as "1_0".
     """
     body, seen = [], 0
     with open(path) as fh:
         for n, ln in enumerate(fh, 1):
             if ln[0] == "#" or ln.isspace():
                 continue
-            seen += 1
-            if seen <= n_header:
-                continue
             fields = ln.split()
+            if seen < len(header_widths):
+                w = header_widths[seen]
+                seen += 1
+                if len(fields) != w:
+                    msg = f"{path}: line {n}: expected {w} header fields"
+                    raise InvalidInputError(msg)
+                continue
             if len(fields) != width:
                 raise InvalidInputError(f"{path}: line {n}: expected {width} fields")
             try:
@@ -343,11 +353,11 @@ def load_surface_data(path):
     so loaded data may be non-normalized; check `SurfaceData.normalized`
     before verification runs.
     """
-    (head,), table = read_table(path, 1, 3)
+    (head,), table = read_table(path, (4,), 3)
     try:
         Q, H = float(head[0]), float(head[1])
         nx, ny = int(head[2]), int(head[3])
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise InvalidInputError(f"{path}: malformed header line") from exc
     require_grid_size(nx, ny, path)
     if len(table) != nx * ny:

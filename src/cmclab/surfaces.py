@@ -20,10 +20,8 @@ import numpy as np
 from .errors import InvalidInputError
 from .frames import ExtendedFrame, SpectralParam, shift_frame, spectral_shift_matrix
 from .minkowski import conj_transpose, from_hermitian, mink_dot, require_h3
+from .report import SIDES
 from .surface_data import GridSpec, _locked
-
-PRIMARY_KIND = "primary-surface"
-SHIFTED_KIND = "shifted-surface"
 
 # |det - 1| allowed for surface points; inherited from frame det drift
 SURFACE_DET_TOL = 1e-8
@@ -34,7 +32,8 @@ DISTANCE_CLAMP_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class H3SurfaceGrid:
-    """Grid of hyperboloid points, coordinates (x1, x2, x3, x0)."""
+    """Grid of hyperboloid points, coordinates (x1, x2, x3, x0); `kind` is
+    the name in SIDES of the side the surface belongs to."""
 
     grid: GridSpec
     points: np.ndarray
@@ -42,7 +41,7 @@ class H3SurfaceGrid:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in (PRIMARY_KIND, SHIFTED_KIND):
+        if self.kind not in SIDES:
             raise InvalidInputError(f"unknown surface kind {self.kind!r}")
         pts = np.asarray(self.points, dtype=float)
         if pts.shape != (self.grid.nx, self.grid.ny, 4):
@@ -50,7 +49,7 @@ class H3SurfaceGrid:
                 f"points shape {pts.shape} does not match grid "
                 f"({self.grid.nx}, {self.grid.ny}, 4)"
             )
-        require_h3(pts, tol=SURFACE_DET_TOL, what=self.kind)
+        require_h3(pts, tol=SURFACE_DET_TOL, what=f"{self.kind} surface")
         object.__setattr__(self, "points", _locked(pts))
 
 
@@ -72,7 +71,7 @@ class NormalField:
 
 
 def _surface(frame: ExtendedFrame, kind: str) -> H3SurfaceGrid:
-    """The surface F conj(F)^t of `frame`, labelled `kind`; on a shifted
+    """The surface F conj(F)^t of `frame` on side `kind`; on a shifted
     frame FD this is the shifted surface."""
     F = frame.F
     points = from_hermitian(F @ conj_transpose(F))
@@ -81,12 +80,12 @@ def _surface(frame: ExtendedFrame, kind: str) -> H3SurfaceGrid:
 
 def surface_primary(frame: ExtendedFrame) -> H3SurfaceGrid:
     """The surface F conj(F)^t as hyperboloid points."""
-    return _surface(frame, PRIMARY_KIND)
+    return _surface(frame, SIDES[0])
 
 
 def surface_shifted(frame: ExtendedFrame) -> H3SurfaceGrid:
     """The parallel surface (FD) conj(FD)^t as hyperboloid points."""
-    return _surface(shift_frame(frame), SHIFTED_KIND)
+    return _surface(shift_frame(frame), SIDES[1])
 
 
 def _normal_matrices(F: np.ndarray) -> np.ndarray:

@@ -2,11 +2,17 @@
 
 `evaluate` builds each side of the theorem once from an integrated frame:
 the primary surface F conj(F)^t and the shifted surface (FD) conj(FD)^t,
-each with its frame, algebraic normal and measured geometry.  The report
-runs the per-side checks (closed forms, constancy, Lawson homothety) in one
-loop over the two sides and takes frame unimodularity and the normal-field
-algebra as a maximum over it; compatibility, the exact parallel identity,
-equidistance and the opposite mean-curvature signs complete the registry.
+each with its frame, algebraic normal and measured geometry.  A side is a
+name from `report.SIDES` and a sign, +1 on the primary side and -1 on the
+shifted one, and the sign is all that tells the per-side checks apart: the
+closed form carries it (`closed_form(data, lam, sign)`), and the Lawson
+partner is taken at the scale sign * s, with s = H(1/lam - lam)/2, from
+the Christoffel dual on the primary side and from the data itself on the
+shifted one.  The report runs the per-side checks (closed forms,
+constancy, Lawson homothety) in one loop over the two sides and takes
+frame unimodularity and the normal-field algebra as a maximum over it;
+compatibility, the exact parallel identity, equidistance and the opposite
+mean-curvature signs complete the registry.
 """
 
 from __future__ import annotations
@@ -16,12 +22,9 @@ from dataclasses import dataclass
 from .errors import ConfigError, InvalidInputError
 from .frames import ExtendedFrame, shift_frame
 from .measure import (
-    LAWSON_DUAL,
-    LAWSON_PRIMARY,
     MeasuredData,
+    closed_form,
     closed_form_max_diff,
-    closed_form_primary,
-    closed_form_shifted,
     conformality_defect,
     homothety_scale,
     hopf_constancy,
@@ -35,11 +38,15 @@ from .measure import (
     measure,
     metric_match,
 )
-from .report import CheckRecord, VerificationReport, default_tolerances, registry_names
-from .surface_data import SurfaceData, max_gauss_residual
+from .report import (
+    SIDES,
+    CheckRecord,
+    VerificationReport,
+    default_tolerances,
+    registry_names,
+)
+from .surface_data import SurfaceData, dual_data, max_gauss_residual
 from .surfaces import (
-    PRIMARY_KIND,
-    SHIFTED_KIND,
     H3SurfaceGrid,
     NormalField,
     _surface,
@@ -53,36 +60,29 @@ from .surfaces import (
 
 @dataclass(frozen=True, eq=False)
 class Side:
-    """One side of the parallel pair: `frame` (FD on the shifted side), the
-    surface F F* it spans, its normal and its measured geometry."""
+    """One side of the parallel pair: its name in SIDES, its sign (+1
+    primary, -1 shifted), `frame` (FD on the shifted side), the surface F F*
+    it spans, its normal and its measured geometry."""
 
     name: str
+    sign: int
     frame: ExtendedFrame
     surface: H3SurfaceGrid
     normal: NormalField
     measured: MeasuredData
 
 
-def _side(name: str, frame: ExtendedFrame, kind: str) -> Side:
-    surface = _surface(frame, kind)
+def _side(name: str, sign: int, frame: ExtendedFrame) -> Side:
+    surface = _surface(frame, name)
     normal = normal_field(frame)
-    return Side(name, frame, surface, normal, measure(surface, normal))
+    return Side(name, sign, frame, surface, normal, measure(surface, normal))
 
 
 def evaluate(frame: ExtendedFrame) -> tuple[Side, Side]:
     """The (primary, shifted) pair, each member built once; the shifted
     side's surface and normal both come from one shifted frame FD."""
-    return (
-        _side("primary", frame, PRIMARY_KIND),
-        _side("shifted", shift_frame(frame), SHIFTED_KIND),
-    )
-
-
-# per side: closed form, the Lawson side it matches, homothety scale negated
-_TARGETS = {
-    "primary": (closed_form_primary, LAWSON_DUAL, False),
-    "shifted": (closed_form_shifted, LAWSON_PRIMARY, True),
-}
+    primary, shifted = SIDES
+    return _side(primary, 1, frame), _side(shifted, -1, shift_frame(frame))
 
 
 def resolve_tolerances(overrides: dict[str, float] | None = None) -> dict[str, float]:
@@ -136,6 +136,7 @@ def _report(
     frame = primary.frame
     tols = resolve_tolerances(tolerances)
     lam = frame.lam
+    scale = homothety_scale(data.H, lam)
 
     values = {
         "gauss_residual_max": max_gauss_residual(data),
@@ -149,10 +150,10 @@ def _report(
     }
     signs = {}
     for side in sides:
-        closed_form, lawson_side, negated = _TARGETS[side.name]
         m = side.measured
-        clo = closed_form(data, lam)
-        lawson = lawson_data(data, homothety_scale(data.H, lam, negated), lawson_side)
+        clo = closed_form(data, lam, side.sign)
+        partner = dual_data(data) if side.sign == 1 else data
+        lawson = lawson_data(partner, side.sign * scale)
         side_values = {
             "metric_match": metric_match(m, clo),
             "hopf_match": hopf_match(m, clo),
@@ -167,7 +168,7 @@ def _report(
         values.update((f"{k}_{side.name}", v) for k, v in side_values.items())
         signs[side.name] = mean_sign(m)
     # 0 when the two measured signs are opposite, 2 when equal
-    values["mean_sign_opposite"] = abs(signs["primary"] + signs["shifted"])
+    values["mean_sign_opposite"] = abs(sum(signs.values()))
 
     records = tuple(
         CheckRecord(name, float(values[name]), tols[name]) for name in registry_names()
@@ -183,7 +184,7 @@ def _report(
         "ny": str(g.ny),
         "hx": f"{g.hx:.17g}",
         "hy": f"{g.hy:.17g}",
-        "homothety_scale": f"{homothety_scale(data.H, lam):.17g}",
+        "homothety_scale": f"{scale:.17g}",
         **{f"mean_sign_{s.name}": f"{signs[s.name]:+.0f}" for s in sides},
         **{
             f"conformal_warning_{s.name}": str(s.measured.conformal_warning).lower()

@@ -144,6 +144,35 @@ def test_stored_row_off_the_grid_exits_2(generated, tmp_path, capsys):
     assert "surface.dat: data row 5 " in err
 
 
+@pytest.mark.parametrize("name, width", [("frame.dat", 6), ("surface.dat", 4)])
+def test_stored_header_with_extra_fields_exits_2(generated, tmp_path, capsys, name, width):
+    _, out, _ = generated
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    path = run_dir / name
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].rstrip("\n") + " junk 7\n"
+    path.write_text("".join(lines))
+    assert main(["verify", "--in", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert f"{name}: line 2: expected {width} header fields" in err
+
+
+def test_stored_base_outside_the_grid_exits_2(generated, tmp_path, capsys):
+    _, out, _ = generated
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    path = run_dir / "frame.dat"
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[1].endswith(" 41 41 20 20\n")
+    lines[1] = lines[1].replace(" 41 41 20 20\n", " 41 41 41 0\n")
+    path.write_text("".join(lines))
+    assert main(["verify", "--in", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config: base index (41, 0) outside grid\n"
+
+
 def test_incompatible_data_exits_3(tmp_path, capsys):
     g = GridSpec(-1, 1, -1, 1, 11, 11)
     X, Y = g.mesh()

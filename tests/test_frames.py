@@ -7,7 +7,6 @@ from cmclab.errors import (
     IncompatibleDataError,
     IntegrationFailureError,
     InvalidInputError,
-    OutOfDomainError,
 )
 from cmclab.frames import (
     ExtendedFrame,
@@ -170,14 +169,6 @@ class TestIntegrateFrame:
     def test_delaunay_det_drift(self):
         fr = integrate_frame(delaunay_data(square_grid(101), 0.5, 0.3, 0.0), SpectralParam(0.5))
         assert fr.max_det_drift() < 1e-8
-
-    def test_base_index_respected(self):
-        fr = integrate_frame(cylinder_data(square_grid(21)), SpectralParam(0.5), base_index=(3, 17))
-        assert np.array_equal(fr.F[3, 17], np.eye(2, dtype=complex))
-
-    def test_base_outside_grid(self):
-        with pytest.raises(OutOfDomainError):
-            integrate_frame(cylinder_data(square_grid(21)), SpectralParam(0.5), base_index=(21, 0))
 
     def test_incompatible_data_refused(self):
         g = square_grid(11)

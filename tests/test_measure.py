@@ -7,9 +7,8 @@ from cmclab.errors import DegenerateSpectralValueError, InvalidInputError
 from cmclab.frames import shift_frame
 from cmclab.measure import (
     ClosedFormData,
+    closed_form,
     closed_form_max_diff,
-    closed_form_primary,
-    closed_form_shifted,
     conformality_defect,
     homothety_scale,
     hopf_constancy,
@@ -43,13 +42,13 @@ def measured_cylinder(cyl_frame_101):
 
 class TestClosedForms:
     def test_cylinder_primary_values(self):
-        c = closed_form_primary(cylinder_data(GridSpec(-1, 1, -1, 1, 5, 5)), 0.5)
+        c = closed_form(cylinder_data(GridSpec(-1, 1, -1, 1, 5, 5)), 0.5, 1)
         assert np.allclose(c.metric_factor, 0.140625, atol=1e-15)
         assert c.hopf == pytest.approx(0.09375, abs=1e-15)
         assert c.mean == pytest.approx(5.0 / 3.0, abs=1e-15)
 
     def test_cylinder_shifted_values(self):
-        c = closed_form_shifted(cylinder_data(GridSpec(-1, 1, -1, 1, 5, 5)), 0.5)
+        c = closed_form(cylinder_data(GridSpec(-1, 1, -1, 1, 5, 5)), 0.5, -1)
         assert np.allclose(c.metric_factor, 0.140625, atol=1e-15)
         assert c.hopf == pytest.approx(-0.09375, abs=1e-15)
         assert c.mean == pytest.approx(-5.0 / 3.0, abs=1e-15)
@@ -57,28 +56,34 @@ class TestClosedForms:
     def test_degenerate_spectral_value(self):
         d = constant_data(0.0, 0.25, 0.5)
         with pytest.raises(DegenerateSpectralValueError):
-            closed_form_primary(d, 1.0)
+            closed_form(d, 1.0, 1)
         with pytest.raises(DegenerateSpectralValueError):
-            closed_form_shifted(d, 1.0)
+            closed_form(d, 1.0, -1)
+
+    def test_unknown_sign_rejected(self):
+        d = constant_data(0.0, 0.25, 0.5)
+        for sign in (0, 2, 0.5, -1.5):
+            with pytest.raises(InvalidInputError, match="side sign must be"):
+                closed_form(d, 0.5, sign)
 
     def test_dual_swaps_metrics(self):
         d = constant_data(0.4, 0.25, 0.5)
-        p, s = closed_form_primary(d, 0.5), closed_form_shifted(d, 0.5)
-        pd = closed_form_primary(dual_data(d), 0.5)
-        sd = closed_form_shifted(dual_data(d), 0.5)
+        p, s = closed_form(d, 0.5, 1), closed_form(d, 0.5, -1)
+        pd = closed_form(dual_data(d), 0.5, 1)
+        sd = closed_form(dual_data(d), 0.5, -1)
         np.testing.assert_allclose(pd.metric_factor, s.metric_factor, rtol=1e-15)
         np.testing.assert_allclose(sd.metric_factor, p.metric_factor, rtol=1e-15)
         assert pd.hopf == p.hopf and pd.mean == p.mean
 
     def test_shifted_negates_hopf_and_mean(self):
         d = constant_data(-0.2, 0.3, 0.6)
-        p, s = closed_form_primary(d, 0.7), closed_form_shifted(d, 0.7)
+        p, s = closed_form(d, 0.7, 1), closed_form(d, 0.7, -1)
         assert s.hopf == pytest.approx(-p.hopf, abs=1e-15)
         assert s.mean == pytest.approx(-p.mean, abs=1e-15)
 
     def test_metric_ratio(self):
         d = constant_data(0.3, 0.25, 0.5)
-        p, s = closed_form_primary(d, 0.5), closed_form_shifted(d, 0.5)
+        p, s = closed_form(d, 0.5, 1), closed_form(d, 0.5, -1)
         np.testing.assert_allclose(
             s.metric_factor / p.metric_factor, np.exp(4 * d.u), rtol=1e-13
         )
@@ -91,9 +96,6 @@ class TestClosedForms:
 class TestHomothetyScale:
     def test_value(self):
         assert homothety_scale(0.5, 0.5) == pytest.approx(0.375, abs=1e-16)
-
-    def test_shifted_negation(self):
-        assert homothety_scale(0.5, 0.5, shifted=True) == -homothety_scale(0.5, 0.5)
 
     def test_small_near_one(self):
         assert abs(homothety_scale(0.5, 0.999)) < 1e-3
@@ -108,35 +110,43 @@ class TestHomothetyScale:
 class TestLawsonData:
     def test_cylinder_dual_matches_primary_closed_form(self):
         d = cylinder_data(GridSpec(-1, 1, -1, 1, 5, 5))
-        L = lawson_data(d, 0.375, "of-dual")
+        L = lawson_data(dual_data(d), 0.375)
         assert np.allclose(L.metric_factor, 0.140625, atol=1e-15)
         assert L.hopf == pytest.approx(0.09375, abs=1e-16)
         assert L.mean == pytest.approx(5.0 / 3.0, abs=1e-15)
 
     def test_cylinder_f_side_with_negated_scale(self):
         d = cylinder_data(GridSpec(-1, 1, -1, 1, 5, 5))
-        L = lawson_data(d, -0.375, "of-f")
+        L = lawson_data(d, -0.375)
         assert np.allclose(L.metric_factor, 0.140625, atol=1e-15)
         assert L.hopf == pytest.approx(-0.09375, abs=1e-16)
         assert L.mean == pytest.approx(5.0 / 3.0, abs=1e-15)
 
     def test_flat_case_sides_coincide(self):
         d = cylinder_data(GridSpec(-1, 1, -1, 1, 5, 5))
-        a = lawson_data(d, 0.375, "of-f")
-        b = lawson_data(d, 0.375, "of-dual")
+        a = lawson_data(d, 0.375)
+        b = lawson_data(dual_data(d), 0.375)
         assert closed_form_max_diff(a, b) == 0.0
 
     def test_zero_scale_rejected(self):
         with pytest.raises(InvalidInputError):
-            lawson_data(constant_data(0.0, 0.25, 0.5), 0.0, "of-f")
+            lawson_data(constant_data(0.0, 0.25, 0.5), 0.0)
 
-    def test_unknown_side_rejected(self):
-        with pytest.raises(InvalidInputError):
-            lawson_data(constant_data(0.0, 0.25, 0.5), 0.1, "of-both")
+    def test_dual_partner_metric_is_bit_exact(self):
+        # the partner of the dual reads e^{2(-u)}, which must round exactly
+        # as e^{-2u} does on any u, not only on the golden 41 x 41 config
+        rng = np.random.default_rng(7)
+        g = GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 9)
+        for _ in range(50):
+            d = SurfaceData(g, rng.uniform(-3.0, 3.0, (9, 9)), Q=0.25, H=0.5)
+            s = rng.uniform(-2.0, 2.0)
+            got = lawson_data(dual_data(d), s).metric_factor
+            want = s**2 * np.exp(-2.0 * d.u)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_exact_identity_on_normalized_tuples(self):
-        # dual-side Lawson data with the homothety scale reproduces the
-        # primary closed form; f-side with the negated scale reproduces
+        # the dual's Lawson data with the homothety scale reproduces the
+        # primary closed form; that of f with the negated scale reproduces
         # the shifted closed form up to the documented mean sign
         rng = np.random.default_rng(21)
         for _ in range(25):
@@ -145,10 +155,10 @@ class TestLawsonData:
             d = constant_data(rng.uniform(-1.0, 1.0), Q, 2.0 * Q)
             s = homothety_scale(d.H, lam)
             assert closed_form_max_diff(
-                lawson_data(d, s, "of-dual"), closed_form_primary(d, lam)
+                lawson_data(dual_data(d), s), closed_form(d, lam, 1)
             ) <= 1e-12
             assert closed_form_max_diff(
-                lawson_data(d, -s, "of-f"), closed_form_shifted(d, lam)
+                lawson_data(d, -s), closed_form(d, lam, -1)
             ) <= 1e-12
 
     def test_metric_forced_scale_breaks_mean_without_normalization(self):
@@ -157,8 +167,8 @@ class TestLawsonData:
         lam = 0.5
         bad = constant_data(0.2, 0.25, 0.9)  # H != 2Q
         s_metric = bad.Q * (1.0 / lam - lam)
-        L = lawson_data(bad, s_metric, "of-dual")
-        C = closed_form_primary(bad, lam)
+        L = lawson_data(dual_data(bad), s_metric)
+        C = closed_form(bad, lam, 1)
         assert np.max(np.abs(L.metric_factor - C.metric_factor)) <= 1e-15
         assert abs(abs(L.mean) - abs(C.mean)) > 0.1
 
@@ -166,14 +176,14 @@ class TestLawsonData:
 class TestMeasureCylinder:
     def test_primary_matches_closed_form(self, measured_cylinder, cyl_frame_101):
         m, _ = measured_cylinder
-        c = closed_form_primary(cylinder_data(cyl_frame_101.grid), 0.5)
+        c = closed_form(cylinder_data(cyl_frame_101.grid), 0.5, 1)
         assert metric_match(m, c) < 3e-4
         assert hopf_match(m, c) < 1e-4
         assert mean_match(m, c) < 2.5e-4
 
     def test_shifted_matches_closed_form(self, measured_cylinder, cyl_frame_101):
         _, m = measured_cylinder
-        c = closed_form_shifted(cylinder_data(cyl_frame_101.grid), 0.5)
+        c = closed_form(cylinder_data(cyl_frame_101.grid), 0.5, -1)
         assert metric_match(m, c) < 3e-4
         assert hopf_match(m, c) < 1e-4
         assert mean_match(m, c) < 2.5e-4
@@ -197,8 +207,8 @@ class TestMeasureCylinder:
 
     def test_second_order_convergence(self, measured_cylinder, cyl_frame_51):
         coarse = measure(surface_primary(cyl_frame_51), normal_field(cyl_frame_51))
-        c = closed_form_primary(cylinder_data(cyl_frame_51.grid), 0.5)
-        c_fine = closed_form_primary(cylinder_data(measured_cylinder[0].grid), 0.5)
+        c = closed_form(cylinder_data(cyl_frame_51.grid), 0.5, 1)
+        c_fine = closed_form(cylinder_data(measured_cylinder[0].grid), 0.5, 1)
         ratio = metric_match(coarse, c) / metric_match(measured_cylinder[0], c_fine)
         assert 3.5 < ratio < 4.5
 
@@ -210,7 +220,7 @@ class TestMeasureCylinder:
 class TestMeasureDelaunay:
     def test_mean_constant_despite_varying_u(self, del_frame_101, del_data_101):
         m = measure(surface_primary(del_frame_101), normal_field(del_frame_101))
-        c = closed_form_primary(del_data_101, 0.5)
+        c = closed_form(del_data_101, 0.5, 1)
         assert mean_constancy(m) < 1e-4
         assert mean_match(m, c) < 5e-3
         assert metric_match(m, c) < 5e-3
@@ -244,7 +254,7 @@ class TestMeasureValidation:
         from cmclab.surfaces import H3SurfaceGrid
         from cmclab.frames import SpectralParam
 
-        s = H3SurfaceGrid(g, pts, SpectralParam(0.5), "primary-surface")
+        s = H3SurfaceGrid(g, pts, SpectralParam(0.5), "primary")
         n = NormalField(g, np.tile([0.0, 0.0, 1.0, 0.0], (9, 9, 1)))
         m = measure(s, n)
         assert m.conformal_warning

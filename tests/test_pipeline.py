@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cmclab.config import config_from_mapping
-from cmclab.errors import ConfigError, InvalidInputError
+from cmclab.errors import ConfigError, InvalidInputError, OutOfDomainError
 from cmclab.frames import SpectralParam, integrate_frame, shift_frame
 from cmclab.measure import measure
 from cmclab.minkowski import from_hermitian, conj_transpose
@@ -116,6 +116,34 @@ class TestFramePersistence:
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="frame.dat: grids need nx, ny >= 5"):
                 load_frame(path)
+
+
+    @pytest.fixture
+    def frame_21(self, tmp_path):
+        """A stored 21 x 21 cylinder frame, based at its center (10, 10)."""
+        path = tmp_path / "frame.dat"
+        data = cylinder_data(GridSpec(-1, 1, -1, 1, 21, 21))
+        save_frame(path, integrate_frame(data, SpectralParam(0.5)))
+        return path, path.read_text().splitlines(keepends=True)
+
+    def test_base_outside_grid(self, frame_21):
+        path, lines = frame_21
+        assert lines[1] == "0.5 0.25 21 21 10 10\n"
+        lines[1] = "0.5 0.25 21 21 21 0\n"
+        path.write_text("".join(lines))
+        with pytest.raises(OutOfDomainError, match=r"base index \(21, 0\) outside grid"):
+            load_frame(path)
+
+    @pytest.mark.parametrize(
+        "line, extra, width", [(1, " 9 9", 6), (2, " junk", 4)], ids=["head", "extents"]
+    )
+    def test_extra_header_fields_refused(self, frame_21, line, extra, width):
+        path, lines = frame_21
+        lines[line] = lines[line].rstrip("\n") + extra + "\n"
+        path.write_text("".join(lines))
+        expected = f"frame.dat: line {line + 1}: expected {width} header fields"
+        with pytest.raises(InvalidInputError, match=expected):
+            load_frame(path)
 
 
 class TestRun:

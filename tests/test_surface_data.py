@@ -217,6 +217,17 @@ class TestFileRoundTrip:
         with pytest.raises(InvalidInputError):
             load_surface_data(path)
 
+    def test_extra_header_fields_refused(self, tmp_path):
+        path = tmp_path / "surface.dat"
+        save_surface_data(path, cylinder_data(small_grid(n=5)))
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[1] == "0.25 0.5 5 5\n"
+        lines[1] = "0.25 0.5 5 5 junk 7\n"
+        path.write_text("".join(lines))
+        expected = "surface.dat: line 2: expected 4 header fields"
+        with pytest.raises(InvalidInputError, match=expected):
+            load_surface_data(path)
+
     @pytest.mark.parametrize(
         "text", ["0.25 0.5 0 0\n", "0.25 0.5 -1 -1\n0 0 0\n"], ids=["empty", "negative"]
     )
@@ -274,7 +285,7 @@ class TestTableIO:
         with open(path, "w") as fh:
             fh.write("# header then rows\nh1 h2\n")
             write_table(fh, table)
-        (head,), body = read_table(path, 1, 3)
+        (head,), body = read_table(path, (2,), 3)
         assert head == ["h1", "h2"]
         rows = table.swapaxes(0, 1).reshape(-1, 3)  # x fastest
         assert np.array_equal(body.view(np.int64), rows.view(np.int64))
@@ -282,7 +293,7 @@ class TestTableIO:
     def test_reader_takes_every_spelling_float_takes(self, tmp_path):
         path = tmp_path / "t.dat"
         path.write_text("h\n1_0 -inf 2.5\n")
-        _, body = read_table(path, 1, 3)
+        _, body = read_table(path, (1,), 3)
         assert body.tolist() == [[10.0, -np.inf, 2.5]]
 
 

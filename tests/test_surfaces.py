@@ -72,13 +72,13 @@ class TestSurfacePoints:
         g = GridSpec(-1, 1, -1, 1, 5, 5)
         pts = np.tile([0.0, 0.0, 0.0, -1.0], (5, 5, 1))
         with pytest.raises(InternalConsistencyError):
-            H3SurfaceGrid(g, pts, SpectralParam(0.5), "primary-surface")
+            H3SurfaceGrid(g, pts, SpectralParam(0.5), "primary")
 
     def test_off_sheet_points_rejected(self):
         g = GridSpec(-1, 1, -1, 1, 5, 5)
         pts = np.tile([0.0, 0.0, 0.0, 2.0], (5, 5, 1))
         with pytest.raises(InvalidInputError):
-            H3SurfaceGrid(g, pts, SpectralParam(0.5), "primary-surface")
+            H3SurfaceGrid(g, pts, SpectralParam(0.5), "primary")
 
     def test_unknown_kind_rejected(self):
         g = GridSpec(-1, 1, -1, 1, 5, 5)

@@ -1,4 +1,4 @@
-"""The benchmark's tracing targets still name functions of the package."""
+"""The benchmark's tracing targets and the package's exports still name its code."""
 
 import importlib
 import importlib.util
@@ -21,3 +21,10 @@ def test_perfbench_span_targets_resolve(monkeypatch):
     ]
     assert spans.TARGETS
     assert missing == []
+
+
+def test_package_exports_resolve_once():
+    # a name left in __all__ after its function is deleted breaks `import *`
+    cmclab = importlib.import_module("cmclab")
+    assert len(cmclab.__all__) == len(set(cmclab.__all__))
+    assert [name for name in cmclab.__all__ if not hasattr(cmclab, name)] == []
