@@ -13,8 +13,6 @@ corresponding points to be -q everywhere.
 
 import math
 
-import numpy as np
-
 from cmclab import (
     GridSpec,
     SpectralParam,

@@ -7,8 +7,6 @@ Closed forms make this checkable to rounding error; finite differences
 make it checkable on the actual integrated surfaces at O(h^2).
 """
 
-import numpy as np
-
 from cmclab import (
     GridSpec,
     SpectralParam,

@@ -1,17 +1,20 @@
 """End-to-end orchestration: data -> frame -> surfaces -> measurement -> report.
 
-All output files are plain text with numbers at 17 significant digits, so a
-repeated run with the same config is bitwise identical except for the human
-report, which carries a generation timestamp.  The machine report and the
-diagnostics table never do.  Every grid table goes through
-`surface_data.write_table` and comes back through `surface_data.read_table`,
-which parses the stored text to the same doubles and refuses the same rows;
-the formats carry no version of their own.
+The frame goes to `frame.dat` as an exact binary numpy archive (see
+`save_frame`); every other output file is plain text with numbers at 17
+significant digits.  A repeated run with the same config is bitwise
+identical except for the human report, which carries a generation
+timestamp.  The machine report and the diagnostics table never do.  Every
+text grid table is spelled by `surface_data.table_lines`, and `surface.dat`
+comes back through `surface_data.read_table`, which parses the stored text
+to the same doubles and refuses the same rows; the formats carry no version
+of their own.
 """
 
 from __future__ import annotations
 
 import datetime
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +31,8 @@ from .surface_data import (
     delaunay_data,
     gauss_residual,
     load_surface_data,
-    read_table,
-    require_grid_size,
     save_surface_data,
+    table_lines,
     write_table,
 )
 from .surfaces import distance_grid, surface_primary, surface_shifted
@@ -42,10 +44,18 @@ SURFACE_FILE = "surface.dat"
 FRAME_FILE = "frame.dat"
 # one mesh file per side, in side order
 MESH_FILES = tuple(f"mesh_{side}.obj" for side in SIDES)
-MESH_PRIMARY_FILE, MESH_SHIFTED_FILE = MESH_FILES
 DIAGNOSTICS_FILE = "diagnostics.dat"
 REPORT_TEXT_FILE = "report.txt"
 REPORT_MACHINE_FILE = "report.kv"
+
+# the members of a frame file: name -> (dtype, shape), None taking any length
+FRAME_MEMBERS = {
+    "F": (np.complex128, (None, None, 2, 2)),
+    "lam": (np.float64, ()),
+    "r": (np.float64, ()),
+    "extents": (np.float64, (4,)),  # x_min x_max y_min y_max
+    "base_index": (np.int64, (2,)),
+}
 
 
 def poincare_ball(p):
@@ -69,28 +79,37 @@ def generate_data(config: RunConfig) -> SurfaceData:
     return load_surface_data(config.input_path)
 
 
-def write_mesh(path, points, what="surface"):
+def _mesh_faces(nx, ny) -> list[str]:
+    """The 'f' lines of a grid mesh, one string per grid line: 1-based quads
+    over each cell, x fastest."""
+    # a[i, j] is the 1-based number of vertex (i, j), first corner of cell (i, j)
+    a = np.arange(1, nx * ny + 1).reshape(ny, nx).T[:-1, :-1]
+    faces = np.stack([a, a + 1, a + 1 + nx, a + nx], axis=-1)
+    return list(table_lines(faces, prefix="f "))
+
+
+def write_mesh(path, points, faces, what="surface"):
     """Wavefront-style quad mesh of ball-projected grid points.
 
-    points has shape (nx, ny, 4); vertices are emitted x fastest, faces as
-    1-based quads over each grid cell.
+    points has shape (nx, ny, 4); vertices are emitted x fastest, followed
+    by `faces`, the lines `_mesh_faces(nx, ny)` returns.
     """
-    b = poincare_ball(points)
-    nx, ny = b.shape[0], b.shape[1]
     with open(path, "w") as fh:
         fh.write(f"# {what}: Poincare ball vertices, quad faces, row-major in y\n")
-        write_table(fh, b, prefix="v ")
-        # a[i, j] is the 1-based number of vertex (i, j), first corner of cell (i, j)
-        a = np.arange(1, nx * ny + 1).reshape(ny, nx).T[:-1, :-1]
-        faces = np.stack([a, a + 1, a + 1 + nx, a + nx], axis=-1)
-        write_table(fh, faces, prefix="f ")
+        write_table(fh, poincare_ball(points), prefix="v ")
+        fh.writelines(faces)
 
 
 def _write_meshes(out: Path, surfaces) -> list[Path]:
-    """One mesh file per side, from the (primary, shifted) surfaces."""
+    """One mesh file per side, from the (primary, shifted) surfaces.
+
+    Both sides live on one grid, so they share one face table.
+    """
     paths = [out / name for name in MESH_FILES]
+    surfaces = list(surfaces)
+    faces = _mesh_faces(*surfaces[0].points.shape[:2])
     for path, surface in zip(paths, surfaces):
-        write_mesh(path, surface.points, f"{surface.kind} surface")
+        write_mesh(path, surface.points, faces, f"{surface.kind} surface")
     return paths
 
 
@@ -122,40 +141,71 @@ def write_diagnostics(path, data, sides: tuple[Side, Side]):
 
 
 def save_frame(path, frame: ExtendedFrame):
-    """Frame file: header, grid line, then 8 reals per point (x fastest)."""
+    """Frame file: an uncompressed numpy archive (npz) of FRAME_MEMBERS.
+
+    Doubles are stored as their bits, so `load_frame` returns the very frame
+    written, and the archive carries no timestamp, so equal frames give
+    equal bytes.
+    """
     g = frame.grid
-    sp = frame.spectral
-    with open(path, "w") as fh:
-        fh.write(
-            "# extended frame: 'lambda r nx ny base_i base_j', "
-            "'x_min x_max y_min y_max', rows Re/Im of F00 F01 F10 F11\n"
+    with open(path, "wb") as fh:  # np.savez appends ".npz" to a path it opens
+        np.savez(
+            fh,
+            F=frame.F,
+            lam=float(frame.spectral.lam),
+            r=float(frame.spectral.r),
+            extents=[float(v) for v in (g.x_min, g.x_max, g.y_min, g.y_max)],
+            base_index=np.array(frame.base_index, dtype=np.int64),
         )
-        fh.write(
-            f"{sp.lam:.17g} {sp.r:.17g} {g.nx} {g.ny} "
-            f"{frame.base_index[0]} {frame.base_index[1]}\n"
-        )
-        fh.write(f"{g.x_min:.17g} {g.x_max:.17g} {g.y_min:.17g} {g.y_max:.17g}\n")
-        re_im = np.stack([frame.F.real, frame.F.imag], axis=-1)
-        write_table(fh, re_im.reshape(g.nx, g.ny, 8))
 
 
 def load_frame(path) -> ExtendedFrame:
-    (head, extents), flat = read_table(path, (6, 4), 8)
-    try:
-        lam, r = float(head[0]), float(head[1])
-        nx, ny = int(head[2]), int(head[3])
-        bi, bj = int(head[4]), int(head[5])
-        x_min, x_max, y_min, y_max = (float(v) for v in extents)
-    except ValueError as exc:
-        raise InvalidInputError(f"{path}: malformed frame header") from exc
-    require_grid_size(nx, ny, path)
-    if len(flat) != nx * ny:
+    """The frame `save_frame` wrote to `path`.
+
+    Anything but an archive of exactly FRAME_MEMBERS, with their dtypes and
+    shapes and finite entries, raises InvalidInputError naming the file; so
+    do a grid below MIN_NODES per axis, bad extents and a bad lam or r.  A
+    base index outside the grid raises OutOfDomainError.
+    """
+    members = None
+    with open(path, "rb") as fh:
+        try:
+            z = np.load(fh, allow_pickle=False)
+            if isinstance(z, np.lib.npyio.NpzFile):  # not a bare .npy array
+                with z:
+                    members = {name: z[name] for name in z.files}
+        except (ValueError, EOFError, zipfile.BadZipFile):
+            pass
+    if members is None:
         raise InvalidInputError(
-            f"{path}: expected {nx * ny} frame rows, found {len(flat)}"
+            f"{path}: not a binary frame file; runs stored as text by earlier "
+            "versions must be generated again"
         )
-    F = (flat[:, 0::2] + 1j * flat[:, 1::2]).reshape(ny, nx, 2, 2).transpose(1, 0, 2, 3)
-    grid = GridSpec(x_min, x_max, y_min, y_max, nx, ny)
-    return ExtendedFrame(grid, F, SpectralParam(lam, r), (bi, bj))
+    if members.keys() != FRAME_MEMBERS.keys():
+        raise InvalidInputError(
+            f"{path}: frame members {sorted(members)}, expected {sorted(FRAME_MEMBERS)}"
+        )
+    for name, (dtype, shape) in FRAME_MEMBERS.items():
+        a = members[name]
+        if a.dtype != dtype or len(a.shape) != len(shape) or any(
+            n not in (None, m) for n, m in zip(shape, a.shape)
+        ):
+            raise InvalidInputError(
+                f"{path}: {name} is {a.dtype} of shape {a.shape}, expected "
+                f"{np.dtype(dtype)} of shape {shape}"
+            )
+        bad = ~np.isfinite(a)
+        if bad.any():
+            k = tuple(int(i) for i in np.unravel_index(np.argmax(bad), a.shape))
+            where = f"{name}{list(k)}" if k else name
+            raise InvalidInputError(f"{path}: {where} = {a[k]} is not finite")
+    F = members["F"]
+    try:
+        grid = GridSpec(*members["extents"].tolist(), *F.shape[:2])
+        spectral = SpectralParam(float(members["lam"]), float(members["r"]))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
+    return ExtendedFrame(grid, F, spectral, tuple(members["base_index"].tolist()))
 
 
 def _write_report_files(out: Path, report: VerificationReport):

@@ -322,17 +322,23 @@ def _scan(path, header_widths, width):
     return np.array(body)
 
 
-def write_table(fh, table, prefix=""):
-    """Write a (nx, ny, k) grid table as one line of k numbers per point, x
-    fastest, at 17 significant digits so doubles round-trip exactly.
+def table_lines(table, prefix=""):
+    """The text of a (nx, ny, k) grid table, one string per grid line.
 
-    Integer tables print as integers, as "%.17g" prints them below 2**53,
-    without the detour through float.
+    Each point is one line of k numbers, x fastest, at 17 significant
+    digits so doubles round-trip exactly.  Integer tables print as
+    integers, as "%.17g" prints them below 2**53, without the detour
+    through float.
     """
     field = "%d" if table.dtype.kind in "iu" else "%.17g"
     row = prefix + " ".join([field] * table.shape[-1]) + "\n"
     for line in table.swapaxes(0, 1):  # one grid line at a time bounds memory
-        fh.writelines([row % tuple(r) for r in line.tolist()])
+        yield "".join([row % tuple(r) for r in line.tolist()])
+
+
+def write_table(fh, table, prefix=""):
+    """Write a (nx, ny, k) grid table as `table_lines` spells it."""
+    fh.writelines(table_lines(table, prefix))
 
 
 def save_surface_data(path, data):
@@ -349,9 +355,9 @@ def load_surface_data(path):
     Format: optional '#' comment lines, one header line `Q H nx ny`, then
     nx*ny rows `x y u` with x varying fastest.  The first and last rows of
     the first x line and of the first y column give the grid extents, and
-    every row must lie on its grid node.  H and Q are taken as given,
-    so loaded data may be non-normalized; check `SurfaceData.normalized`
-    before verification runs.
+    every row must lie on its grid node.  Every number must be finite.  H
+    and Q are taken as given, so loaded data may be non-normalized; check
+    `SurfaceData.normalized` before verification runs.
     """
     (head,), table = read_table(path, (4,), 3)
     try:
@@ -359,10 +365,19 @@ def load_surface_data(path):
         nx, ny = int(head[2]), int(head[3])
     except ValueError as exc:
         raise InvalidInputError(f"{path}: malformed header line") from exc
+    if not (math.isfinite(Q) and math.isfinite(H)):
+        raise InvalidInputError(f"{path}: header Q = {Q}, H = {H} must be finite")
     require_grid_size(nx, ny, path)
     if len(table) != nx * ny:
         raise InvalidInputError(
             f"{path}: expected {nx * ny} data rows, found {len(table)}"
+        )
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InvalidInputError(
+            f"{path}: data row {k + 1} has (x, y, u) = {tuple(table[k].tolist())}, "
+            "not all finite"
         )
     xs = table[:nx, 0]
     ys = table[::nx, 1]

@@ -1,13 +1,14 @@
 """Shared fixtures: frames and surfaces reused across test modules.
 
 Session-scoped because integration on the finer grids is the expensive part
-of the suite; everything downstream of a frame is cheap.
+of the suite; everything downstream of a frame is cheap.  `edit_frame`
+rewrites a stored frame file for the tests that refuse a bad one.
 """
 
 import numpy as np
 import pytest
 
-from cmclab.frames import SpectralParam, integrate_frame, shift_frame
+from cmclab.frames import SpectralParam, integrate_frame
 from cmclab.surface_data import GridSpec, cylinder_data, delaunay_data
 
 
@@ -53,3 +54,18 @@ def del_frame_101(del_data_101, sp_half):
 @pytest.fixture(scope="session")
 def del_frame_201(del_data_201, sp_half):
     return integrate_frame(del_data_201, sp_half)
+
+
+@pytest.fixture(scope="session")
+def edit_frame():
+    """edit(path, **members): rewrite a stored frame file with `members`
+    replaced; a member given as None is deleted."""
+
+    def edit(path, **members):
+        with np.load(path) as z:
+            stored = dict(z)
+        stored.update(members)
+        with open(path, "wb") as fh:
+            np.savez(fh, **{k: v for k, v in stored.items() if v is not None})
+
+    return edit

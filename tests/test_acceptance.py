@@ -36,7 +36,6 @@ from cmclab.surface_data import (
     GridSpec,
     SurfaceData,
     cylinder_data,
-    delaunay_data,
     delaunay_profile,
     dual_data,
     gauss_residual,

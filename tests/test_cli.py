@@ -1,11 +1,12 @@
 import json
 import shutil
+import time
 
 import numpy as np
 import pytest
 
 from cmclab.cli import main
-from cmclab.pipeline import DIAGNOSTICS_FILE, REPORT_MACHINE_FILE
+from cmclab.pipeline import DIAGNOSTICS_FILE, FRAME_FILE, REPORT_MACHINE_FILE
 from cmclab.surface_data import GridSpec, SurfaceData, save_surface_data
 
 
@@ -44,6 +45,17 @@ def test_generate_is_deterministic(generated, tmp_path):
     assert main(["generate", "--config", str(cfg2)]) == 0
     assert (out / DIAGNOSTICS_FILE).read_bytes() == (out2 / DIAGNOSTICS_FILE).read_bytes()
     assert (out / REPORT_MACHINE_FILE).read_bytes() == (out2 / REPORT_MACHINE_FILE).read_bytes()
+
+
+def test_generate_writes_identical_frame_bytes(generated, tmp_path, monkeypatch):
+    _, out, _ = generated
+    # a day later: no clock reading may reach the binary frame file
+    later = time.time() + 86400
+    monkeypatch.setattr(time, "time", lambda: later)
+    out2 = tmp_path / "run2"
+    cfg2 = write_config(tmp_path / "cfg.json", out_dir=str(out2))
+    assert main(["generate", "--config", str(cfg2)]) == 0
+    assert (out / FRAME_FILE).read_bytes() == (out2 / FRAME_FILE).read_bytes()
 
 
 def test_verify_subcommand(generated, capsys):
@@ -112,20 +124,76 @@ def _short_row(fields):
     return fields[:-1]
 
 
+def _bad_frame(path, corrupt, edit_frame):
+    """The binary frame.dat's counterpart of a bad text row; returns the error."""
+    if corrupt is _non_numeric:
+        edit_frame(path, F=np.full((41, 41, 2, 2), "abc"))
+        return "frame.dat: F is <U3 of shape (41, 41, 2, 2), expected complex128"
+    path.write_bytes(path.read_bytes()[:-16])  # cut short by one entry
+    return "frame.dat: not a binary frame file"
+
+
 @pytest.mark.parametrize("name", ["frame.dat", "surface.dat"])
 @pytest.mark.parametrize("corrupt", [_non_numeric, _short_row])
-def test_bad_stored_row_exits_2(generated, tmp_path, capsys, name, corrupt):
+def test_bad_stored_row_exits_2(generated, tmp_path, capsys, edit_frame, name, corrupt):
     _, out, _ = generated
     run_dir = tmp_path / "run"
     shutil.copytree(out, run_dir)
     path = run_dir / name
-    lines = path.read_text().splitlines(keepends=True)
-    lines[-1] = " ".join(corrupt(lines[-1].split())) + "\n"
-    path.write_text("".join(lines))
+    if name == "frame.dat":
+        expected = _bad_frame(path, corrupt, edit_frame)
+    else:
+        lines = path.read_text().splitlines(keepends=True)
+        lines[-1] = " ".join(corrupt(lines[-1].split())) + "\n"
+        path.write_text("".join(lines))
+        expected = f"{name}: line {len(lines)}:"
     assert main(["verify", "--in", str(run_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and err.count("\n") == 1
-    assert f"{name}: line {len(lines)}:" in err
+    assert expected in err
+
+
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_old_text_frame_exits_2(generated, tmp_path, capsys, command):
+    _, out, _ = generated
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    (run_dir / "frame.dat").write_text(
+        "# extended frame: 'lambda r nx ny base_i base_j', "
+        "'x_min x_max y_min y_max', rows Re/Im of F00 F01 F10 F11\n"
+        "0.5 0.25 41 41 20 20\n-1 1 -1 1\n1 0 0 0 0 0 1 0\n"
+    )
+    assert main([command, "--in", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert "frame.dat: not a binary frame file" in err
+
+
+@pytest.mark.parametrize(
+    "command, name", [("verify", "frame.dat"), ("export", "frame.dat"), ("verify", "surface.dat")]
+)
+def test_non_finite_stored_entry_exits_2(generated, tmp_path, capsys, edit_frame, command, name):
+    _, out, _ = generated
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    path = run_dir / name
+    if name == "frame.dat":
+        with np.load(path) as z:
+            F = z["F"].copy()
+        F[40, 0, 1, 1] = np.nan
+        edit_frame(path, F=F)
+        expected = "frame.dat: F[40, 0, 1, 1] = (nan+0j) is not finite"
+    else:
+        lines = path.read_text().splitlines(keepends=True)
+        lines[6] = " ".join(lines[6].split()[:2] + ["nan"]) + "\n"
+        path.write_text("".join(lines))
+        expected = "surface.dat: data row 5 has (x, y, u) = (-0.8, -1.0, nan), not all finite"
+    before = {p.name: p.read_bytes() for p in run_dir.glob("mesh_*.obj")}
+    assert main([command, "--in", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert expected in err
+    assert {p.name: p.read_bytes() for p in run_dir.glob("mesh_*.obj")} == before
 
 
 def test_stored_row_off_the_grid_exits_2(generated, tmp_path, capsys):
@@ -145,29 +213,36 @@ def test_stored_row_off_the_grid_exits_2(generated, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name, width", [("frame.dat", 6), ("surface.dat", 4)])
-def test_stored_header_with_extra_fields_exits_2(generated, tmp_path, capsys, name, width):
+def test_stored_header_with_extra_fields_exits_2(
+    generated, tmp_path, capsys, edit_frame, name, width
+):
     _, out, _ = generated
     run_dir = tmp_path / "run"
     shutil.copytree(out, run_dir)
     path = run_dir / name
-    lines = path.read_text().splitlines(keepends=True)
-    lines[1] = lines[1].rstrip("\n") + " junk 7\n"
-    path.write_text("".join(lines))
+    if name == "frame.dat":
+        # the binary frame's header: its four extents and two extra entries
+        edit_frame(path, extents=np.array([-1.0, 1.0, -1.0, 1.0, 0.0, 7.0]))
+        expected = f"frame.dat: extents is float64 of shape ({width},), expected"
+    else:
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].rstrip("\n") + " junk 7\n"
+        path.write_text("".join(lines))
+        expected = f"{name}: line 2: expected {width} header fields"
     assert main(["verify", "--in", str(run_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and err.count("\n") == 1
-    assert f"{name}: line 2: expected {width} header fields" in err
+    assert expected in err
 
 
-def test_stored_base_outside_the_grid_exits_2(generated, tmp_path, capsys):
+def test_stored_base_outside_the_grid_exits_2(generated, tmp_path, capsys, edit_frame):
     _, out, _ = generated
     run_dir = tmp_path / "run"
     shutil.copytree(out, run_dir)
     path = run_dir / "frame.dat"
-    lines = path.read_text().splitlines(keepends=True)
-    assert lines[1].endswith(" 41 41 20 20\n")
-    lines[1] = lines[1].replace(" 41 41 20 20\n", " 41 41 41 0\n")
-    path.write_text("".join(lines))
+    with np.load(path) as z:
+        assert z["base_index"].tolist() == [20, 20]
+    edit_frame(path, base_index=np.array([41, 0]))
     assert main(["verify", "--in", str(run_dir)]) == 2
     err = capsys.readouterr().err
     assert err == "error: config: base index (41, 0) outside grid\n"

@@ -12,7 +12,6 @@ from cmclab.minkowski import (
     minkowski_inner,
     mink_dot,
     require_h3,
-    require_hermitian,
     to_hermitian,
 )
 

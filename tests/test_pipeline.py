@@ -8,14 +8,13 @@ import pytest
 
 from cmclab.config import config_from_mapping
 from cmclab.errors import ConfigError, InvalidInputError, OutOfDomainError
-from cmclab.frames import SpectralParam, integrate_frame, shift_frame
+from cmclab.frames import ExtendedFrame, SpectralParam, integrate_frame, shift_frame
 from cmclab.measure import measure
 from cmclab.minkowski import from_hermitian, conj_transpose
 from cmclab.pipeline import (
     DIAGNOSTICS_FILE,
     FRAME_FILE,
-    MESH_PRIMARY_FILE,
-    MESH_SHIFTED_FILE,
+    MESH_FILES,
     REPORT_MACHINE_FILE,
     REPORT_TEXT_FILE,
     SURFACE_FILE,
@@ -41,8 +40,7 @@ from cmclab.verify import verify_theorem
 ALL_FILES = (
     SURFACE_FILE,
     FRAME_FILE,
-    MESH_PRIMARY_FILE,
-    MESH_SHIFTED_FILE,
+    *MESH_FILES,
     DIAGNOSTICS_FILE,
     REPORT_TEXT_FILE,
     REPORT_MACHINE_FILE,
@@ -90,6 +88,14 @@ class TestPoincareBall:
 
 
 class TestFramePersistence:
+    @pytest.fixture
+    def frame_21(self, tmp_path):
+        """A stored 21 x 21 cylinder frame, based at its center (10, 10)."""
+        path = tmp_path / "frame.dat"
+        data = cylinder_data(GridSpec(-1, 1, -1, 1, 21, 21))
+        save_frame(path, integrate_frame(data, SpectralParam(0.5)))
+        return path
+
     def test_round_trip_exact(self, tmp_path):
         # small extents keep h fine enough for the determinant monitor
         data = cylinder_data(GridSpec(-0.2, 0.2, -0.2, 0.2, 9, 9))
@@ -97,53 +103,110 @@ class TestFramePersistence:
         path = tmp_path / "frame.dat"
         save_frame(path, frame)
         back = load_frame(path)
-        # 17 significant digits round-trip doubles exactly
         assert np.array_equal(back.F, frame.F)
         assert back.spectral == frame.spectral
         assert back.base_index == frame.base_index
         assert back.grid == frame.grid
 
-    def test_truncated_file_rejected(self, tmp_path):
+    def test_round_trip_keeps_every_bit(self, tmp_path):
+        # values whose bits a lossy or text format easily changes
+        awkward = [-0.0, 5e-324, 1e300, 1 / 3, 0.1, -1.7976931348623157e308, 2.0**-1022]
+        rng = np.random.default_rng(3)
+        F = rng.choice(awkward, size=(5, 6, 2, 2)) + 1j * rng.choice(awkward, size=(5, 6, 2, 2))
+        grid = GridSpec(-1 / 3, 0.1, -2.0**-1022, 1e300, 5, 6)
+        frame = ExtendedFrame(grid, F, SpectralParam(1 / 3, 0.1 / 3), (4, 0))
         path = tmp_path / "frame.dat"
-        path.write_text("# header only\n0.5 0.25 9 9 4 4\n-1 1 -1 1\n1 0\n")
-        with pytest.raises(InvalidInputError):
-            load_frame(path)
+        save_frame(path, frame)
+        back = load_frame(path)
+        assert np.array_equal(back.F.view(np.int64), frame.F.view(np.int64))
+        assert back.grid == frame.grid and back.spectral == frame.spectral
+        assert back.base_index == (4, 0)
 
-    def test_empty_grid_header_refused(self, tmp_path):
-        path = tmp_path / "frame.dat"
-        path.write_text("0.5 0.25 0 0 0 0\n-1 1 -1 1\n")
+    def test_truncated_file_rejected(self, frame_21):
+        whole = frame_21.read_bytes()
+        for size in (0, 3, 100, len(whole) // 2, len(whole) - 1):
+            frame_21.write_bytes(whole[:size])
+            with pytest.raises(InvalidInputError, match="frame.dat: not a binary frame file"):
+                load_frame(frame_21)
+
+    def test_empty_grid_header_refused(self, frame_21, edit_frame):
+        edit_frame(frame_21, F=np.zeros((0, 0, 2, 2), dtype=complex))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="frame.dat: grids need nx, ny >= 5"):
-                load_frame(path)
+                load_frame(frame_21)
 
-
-    @pytest.fixture
-    def frame_21(self, tmp_path):
-        """A stored 21 x 21 cylinder frame, based at its center (10, 10)."""
-        path = tmp_path / "frame.dat"
-        data = cylinder_data(GridSpec(-1, 1, -1, 1, 21, 21))
-        save_frame(path, integrate_frame(data, SpectralParam(0.5)))
-        return path, path.read_text().splitlines(keepends=True)
-
-    def test_base_outside_grid(self, frame_21):
-        path, lines = frame_21
-        assert lines[1] == "0.5 0.25 21 21 10 10\n"
-        lines[1] = "0.5 0.25 21 21 21 0\n"
-        path.write_text("".join(lines))
+    def test_base_outside_grid(self, frame_21, edit_frame):
+        assert load_frame(frame_21).base_index == (10, 10)
+        edit_frame(frame_21, base_index=np.array([21, 0]))
         with pytest.raises(OutOfDomainError, match=r"base index \(21, 0\) outside grid"):
-            load_frame(path)
+            load_frame(frame_21)
 
     @pytest.mark.parametrize(
-        "line, extra, width", [(1, " 9 9", 6), (2, " junk", 4)], ids=["head", "extents"]
+        "member, value",
+        [("base_index", np.array([10, 10, 9])), ("extents", np.array([-1.0, 1, -1, 1, 0]))],
+        ids=["head", "extents"],
     )
-    def test_extra_header_fields_refused(self, frame_21, line, extra, width):
-        path, lines = frame_21
-        lines[line] = lines[line].rstrip("\n") + extra + "\n"
-        path.write_text("".join(lines))
-        expected = f"frame.dat: line {line + 1}: expected {width} header fields"
+    def test_extra_header_fields_refused(self, frame_21, edit_frame, member, value):
+        edit_frame(frame_21, **{member: value})
+        expected = rf"frame.dat: {member} is \w+ of shape \({len(value)},\), expected"
         with pytest.raises(InvalidInputError, match=expected):
-            load_frame(path)
+            load_frame(frame_21)
+
+    @pytest.mark.parametrize(
+        "member, value",
+        [
+            ("F", np.ones((21, 21, 2, 2))),  # real, not complex
+            ("F", np.ones((21, 21, 4), dtype=complex)),
+            ("lam", np.array([0.5])),
+            ("r", np.float32(0.25)),
+            ("base_index", np.array([10.0, 10.0])),
+        ],
+        ids=["F-real", "F-shape", "lam-shape", "r-float32", "base_index-float"],
+    )
+    def test_wrong_member_type_refused(self, frame_21, edit_frame, member, value):
+        edit_frame(frame_21, **{member: value})
+        with pytest.raises(InvalidInputError, match=f"frame.dat: {member} is .* expected"):
+            load_frame(frame_21)
+
+    @pytest.mark.parametrize(
+        "members", [{"lam": None}, {"note": np.zeros(1)}], ids=["missing", "extra"]
+    )
+    def test_members_must_match(self, frame_21, edit_frame, members):
+        edit_frame(frame_21, **members)
+        with pytest.raises(InvalidInputError, match="frame.dat: frame members"):
+            load_frame(frame_21)
+
+    @pytest.mark.parametrize(
+        "member, entry, value, shown",
+        [
+            ("F", (20, 3, 1, 0), np.nan, r"F\[20, 3, 1, 0\] = \(nan\+0j\)"),
+            ("extents", (1,), np.inf, r"extents\[1\] = inf"),
+            ("lam", (), np.nan, "lam = nan"),
+        ],
+        ids=["F", "extents", "lam"],
+    )
+    def test_non_finite_entry_refused(self, frame_21, edit_frame, member, entry, value, shown):
+        with np.load(frame_21) as z:
+            edited = z[member].copy()
+        edited[entry] = value
+        edit_frame(frame_21, **{member: edited})
+        with pytest.raises(InvalidInputError, match=f"frame.dat: {shown} is not finite"):
+            load_frame(frame_21)
+
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            ({"extents": np.array([1.0, -1, -1, 1])}, "grid extents must have positive length"),
+            ({"lam": np.array(1.5)}, "need 0 < r < lambda < 1"),
+            ({"r": np.array(0.0)}, "need 0 < r < lambda < 1"),
+        ],
+        ids=["extents", "lam", "r"],
+    )
+    def test_bad_grid_or_spectral_value_refused(self, frame_21, edit_frame, members, message):
+        edit_frame(frame_21, **members)
+        with pytest.raises(InvalidInputError, match=f"frame.dat: {message}"):
+            load_frame(frame_21)
 
 
 class TestRun:
@@ -194,7 +257,7 @@ class TestRun:
 
     def test_mesh_shape(self, run_dir):
         out, cfg, _ = run_dir
-        for name in (MESH_PRIMARY_FILE, MESH_SHIFTED_FILE):
+        for name in MESH_FILES:
             verts, faces = [], []
             for ln in (out / name).read_text().splitlines():
                 if ln.startswith("v "):
@@ -245,16 +308,16 @@ class TestStoredOutputs:
 
     def test_export_rewrites_meshes(self, run_dir):
         out, _, _ = run_dir
-        before = (out / MESH_PRIMARY_FILE).read_bytes()
+        before = (out / MESH_FILES[0]).read_bytes()
         paths = export_meshes(out, model="poincare")
-        assert [p.name for p in paths] == [MESH_PRIMARY_FILE, MESH_SHIFTED_FILE]
-        assert (out / MESH_PRIMARY_FILE).read_bytes() == before
+        assert [p.name for p in paths] == list(MESH_FILES)
+        assert (out / MESH_FILES[0]).read_bytes() == before
 
     def test_export_reads_only_the_frame_file(self, run_dir, tmp_path):
         out, _, _ = run_dir
         (tmp_path / FRAME_FILE).write_bytes((out / FRAME_FILE).read_bytes())
         export_meshes(tmp_path)
-        for name in (MESH_PRIMARY_FILE, MESH_SHIFTED_FILE):
+        for name in MESH_FILES:
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
         (tmp_path / FRAME_FILE).unlink()
         with pytest.raises(FileNotFoundError, match="frame.dat"):
@@ -280,8 +343,8 @@ GOLDEN_CONFIG = {
 GOLDEN_SHA256 = {
     REPORT_MACHINE_FILE: "22db20a8db58d8d9b7ba209f4b1ecbe6cc5c4af64588e3a420ec2bc448d969f5",
     DIAGNOSTICS_FILE: "b9c468b9cc9dc23bffeb8e159ea4c6fae212fd73503e93d5eadb9eb85e8acc8e",
-    MESH_PRIMARY_FILE: "80e747c4da6609ab22ea9927194e943b093af68187607de10205b3930976af46",
-    MESH_SHIFTED_FILE: "4c3ad2ebf7812801318df26e4bfd7b9326167b585945bdb9f45d6f5b38315cc6",
+    MESH_FILES[0]: "80e747c4da6609ab22ea9927194e943b093af68187607de10205b3930976af46",
+    MESH_FILES[1]: "4c3ad2ebf7812801318df26e4bfd7b9326167b585945bdb9f45d6f5b38315cc6",
 }
 
 

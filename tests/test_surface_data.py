@@ -211,6 +211,28 @@ class TestFileRoundTrip:
         with pytest.raises(InvalidInputError, match=f"surface.dat: data row {row + 1} "):
             load_surface_data(path)
 
+    @pytest.mark.parametrize(
+        "row, column, value, message",
+        [
+            (-1, 0, "nan", "header Q = nan, H = 0.5 must be finite"),
+            (-1, 1, "inf", "header Q = 0.25, H = inf must be finite"),
+            (0, 0, "nan", r"data row 1 has \(x, y, u\) = \(nan, -1.0, 0.0\), not all finite"),
+            (40, 1, "-inf", r"data row 41 has \(x, y, u\) = \(0.0, -inf, 0.0\), not all finite"),
+            (80, 2, "nan", r"data row 81 has \(x, y, u\) = \(1.0, 1.0, nan\), not all finite"),
+        ],
+        ids=["Q", "H", "x", "y", "u"],
+    )
+    def test_non_finite_entry_refused(self, tmp_path, row, column, value, message):
+        path = tmp_path / "surface.dat"
+        save_surface_data(path, cylinder_data(small_grid(n=9)))
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[2 + row].split()  # row -1 is the header line
+        fields[column] = value
+        lines[2 + row] = " ".join(fields) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(InvalidInputError, match=f"surface.dat: {message}"):
+            load_surface_data(path)
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.dat"
         path.write_text("0.25 0.5\n")

@@ -1,11 +1,14 @@
-"""The benchmark's tracing targets and the package's exports still name its code."""
+"""The benchmark's tracing targets and the package's exports still name its code,
+and no module imports a name it never uses."""
 
+import ast
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_perfbench_span_targets_resolve(monkeypatch):
@@ -28,3 +31,34 @@ def test_package_exports_resolve_once():
     cmclab = importlib.import_module("cmclab")
     assert len(cmclab.__all__) == len(set(cmclab.__all__))
     assert [name for name in cmclab.__all__ if not hasattr(cmclab, name)] == []
+
+
+def _unused_imports(path):
+    """Names `path` imports but never mentions, `__all__` entries counting."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for name, line in imported.items()
+        if name not in used
+    ]
+
+
+def test_no_unused_imports():
+    files = sorted(
+        path for top in ("src/cmclab", "tests", "demos") for path in (ROOT / top).rglob("*.py")
+    )
+    assert files
+    assert [entry for path in files for entry in _unused_imports(path)] == []
