@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -94,6 +95,11 @@ class ExtendedFrame:
         return np.abs(np.linalg.det(self.F) - 1.0)
 
     def max_det_drift(self) -> float:
+        """Largest |det F - 1|, taken once per frame: F is read-only."""
+        return self._max_det_drift
+
+    @cached_property
+    def _max_det_drift(self) -> float:
         return float(self.det_drift().max())
 
 
@@ -194,21 +200,20 @@ def _half_samples(a: np.ndarray, axis: int) -> np.ndarray:
 def _coefficient_arrays(data: SurfaceData, lam: float):
     """A_x, A_y at grid nodes plus midpoint arrays along each direction."""
 
-    def build(u, ux, uy):
+    def lax(u, ux, uy):
         uz = 0.5 * (ux - 1j * uy)
         uzb = 0.5 * (ux + 1j * uy)
-        U, V = lax_matrices(u, uz, uzb, data.Q, data.H, lam)
-        return U + V, 1j * (U - V)
+        return lax_matrices(u, uz, uzb, data.Q, data.H, lam)
 
     ux, uy = grid_derivatives(data.u, data.grid.hx, data.grid.hy)
-    Ax, Ay = build(data.u, ux, uy)
-    # coefficients at half-steps come from interpolated u, u_x, u_y
-    Axm, _ = build(
-        _half_samples(data.u, 0), _half_samples(ux, 0), _half_samples(uy, 0)
-    )
-    _, Aym = build(
-        _half_samples(data.u, 1), _half_samples(ux, 1), _half_samples(uy, 1)
-    )
+    nodes = (data.u, ux, uy)
+    U, V = lax(*nodes)
+    Ax, Ay = U + V, 1j * (U - V)
+    del U, V
+    # coefficients at half-steps come from interpolated u, u_x, u_y; each
+    # direction builds only its own
+    Axm = np.add(*lax(*(_half_samples(a, 0) for a in nodes)))
+    Aym = 1j * np.subtract(*lax(*(_half_samples(a, 1) for a in nodes)))
     return Ax, Ay, Axm, Aym
 
 
@@ -224,12 +229,19 @@ def _rk4_cell(A0, Am, A1, h):
 
 
 def _march(F, A, Am, h, k0):
-    """Fill F outward along axis 0 from the known slice F[k0], one RK4 cell
-    per step; A holds the coefficient at the nodes, Am at the midpoints."""
+    """Fill F outward along axis 0 from the known slice F[k0]; A holds the
+    coefficient at the nodes, Am at the midpoints.
+
+    The RK4 transitions of each direction come from one batched call; only
+    the products F[k +- 1] = F[k] T stay in the loop.
+    """
+    T = _rk4_cell(A[k0:-1], Am[k0:], A[k0 + 1 :], h)
     for k in range(k0, len(F) - 1):
-        F[k + 1] = F[k] @ _rk4_cell(A[k], Am[k], A[k + 1], h)
+        F[k + 1] = F[k] @ T[k - k0]
+    # T[k - 1] carries F[k] to F[k - 1]
+    T = _rk4_cell(A[1 : k0 + 1], Am[:k0], A[:k0], -h)
     for k in range(k0, 0, -1):
-        F[k - 1] = F[k] @ _rk4_cell(A[k], Am[k - 1], A[k - 1], -h)
+        F[k - 1] = F[k] @ T[k - 1]
 
 
 def _sweep(Ax, Ay, Axm, Aym, grid: GridSpec, base, x_first: bool) -> np.ndarray:
@@ -269,9 +281,9 @@ def integrate_frame(data: SurfaceData, spectral: SpectralParam) -> ExtendedFrame
         )
     F = _sweep(*_coefficient_arrays(data, spectral.lam), grid, base, True)
     frame = ExtendedFrame(grid=grid, F=F, spectral=spectral, base_index=base)
-    drift = frame.det_drift()
-    worst = float(drift.max())
+    worst = frame.max_det_drift()
     if worst > DET_DRIFT_TOL:
+        drift = frame.det_drift()
         i, j = np.unravel_index(int(np.argmax(drift)), drift.shape)
         raise IntegrationFailureError(
             f"determinant drift {worst:.3e} at grid index ({i}, {j}) "

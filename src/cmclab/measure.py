@@ -96,8 +96,10 @@ def measure(surface: H3SurfaceGrid, normal: NormalField) -> MeasuredData:
     E = mink_dot(fx, fx)
     Fc = mink_dot(fx, fy)
     G = mink_dot(fy, fy)
+    del fx, fy  # each derivative grid goes once used, to bound peak memory
     f_zz = 0.25 * (fxx - fyy - 2.0j * fxy)
     f_zzb = 0.25 * (fxx + fyy)
+    del fxx, fyy, fxy
     Qm = mink_dot(f_zz, N)
     Hm = 2.0 * mink_dot(f_zzb, N) / E
 

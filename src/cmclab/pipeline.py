@@ -116,7 +116,7 @@ def _write_meshes(out: Path, surfaces) -> list[Path]:
 def write_diagnostics(path, data, sides: tuple[Side, Side]):
     """Per-point table of measured quantities on the interior grid.
 
-    `sides` is the (primary, shifted) pair from `evaluate`; the measured
+    `sides` is the (primary, shifted) pair `evaluate` built; the measured
     columns are the primary side's.  The boundary ring carries no
     second-order measurements and is omitted.
     Columns: i j x y E Fc G |Qm| Hm distance-to-shifted gauss-residual.
@@ -226,10 +226,10 @@ def run(config: RunConfig) -> VerificationReport:
     frame = integrate_frame(data, config.spectral())
     save_surface_data(out / SURFACE_FILE, data)
     save_frame(out / FRAME_FILE, frame)
-    sides = evaluate(frame)
-    _write_meshes(out, (side.surface for side in sides))
-    write_diagnostics(out / DIAGNOSTICS_FILE, data, sides)
-    report = _report(data, sides, config.tolerances or None)
+    evaluation = evaluate(frame)
+    _write_meshes(out, (side.surface for side in evaluation.sides))
+    write_diagnostics(out / DIAGNOSTICS_FILE, data, evaluation.sides)
+    report = _report(data, evaluation, config.tolerances or None)
     _write_report_files(out, report)
     return report
 

@@ -260,26 +260,23 @@ def grid_derivatives(u, hx, hy):
     return ux, uy
 
 
-def read_table(path, header_widths, width):
-    """Header rows and float body of a text table; '#' and blank lines skip.
+def read_table(path, header_width, width):
+    """Header line and float body of a text table; '#' and blank lines skip.
 
-    Returns the first len(header_widths) rows as lists of fields, header row
-    k holding exactly header_widths[k] of them, and the rest as an array of
-    shape (rows, width).  A row of any other length, or a body row that is
-    not all numbers, raises InvalidInputError naming the file and the line.
-    The body goes through numpy's parser, which reads 17-digit text back bit
-    for bit; whatever it or the header check refuses is scanned again line
-    by line by `_scan`.
+    Returns the first line as its list of fields, exactly header_width of
+    them, and the rest as an array of shape (rows, width).  A line of any
+    other length, or a body row that is not all numbers, raises
+    InvalidInputError naming the file and the line.  The body goes through
+    numpy's parser, which reads 17-digit text back bit for bit; whatever it
+    or the header check refuses is scanned again line by line by `_scan`.
     """
     with open(path) as fh:
         kept = [ln for ln in fh if ln[0] != "#" and not ln.isspace()]
-    n_header = len(header_widths)
-    if len(kept) < n_header:
+    if not kept:
         raise InvalidInputError(f"{path}: truncated file, header missing")
-    header = [ln.split() for ln in kept[:n_header]]
-    body = kept[n_header:]
+    header, body = kept[0].split(), kept[1:]
     table = None
-    if [len(fields) for fields in header] == list(header_widths):
+    if len(header) == header_width:
         if not body:  # np.loadtxt would warn "input contained no data"
             return header, np.empty((0, width))
         try:
@@ -287,29 +284,28 @@ def read_table(path, header_widths, width):
         except ValueError:
             pass
     if table is None or table.shape[1] != width:
-        table = _scan(path, header_widths, width)
+        table = _scan(path, header_width, width)
     return header, table
 
 
-def _scan(path, header_widths, width):
+def _scan(path, header_width, width):
     """The body of `read_table`, parsed one line at a time with float().
 
-    Raises on the first header row of the wrong length or body row that is
-    not exactly `width` numbers, naming its line.  A file with none returns
-    its body as parsed: float() also takes spellings numpy's parser refuses,
-    such as "1_0".
+    Raises on a header line of the wrong length or the first body row that
+    is not exactly `width` numbers, naming its line.  A file with none
+    returns its body as parsed: float() also takes spellings numpy's parser
+    refuses, such as "1_0".
     """
-    body, seen = [], 0
+    body, header_seen = [], False
     with open(path) as fh:
         for n, ln in enumerate(fh, 1):
             if ln[0] == "#" or ln.isspace():
                 continue
             fields = ln.split()
-            if seen < len(header_widths):
-                w = header_widths[seen]
-                seen += 1
-                if len(fields) != w:
-                    msg = f"{path}: line {n}: expected {w} header fields"
+            if not header_seen:
+                header_seen = True
+                if len(fields) != header_width:
+                    msg = f"{path}: line {n}: expected {header_width} header fields"
                     raise InvalidInputError(msg)
                 continue
             if len(fields) != width:
@@ -333,7 +329,7 @@ def table_lines(table, prefix=""):
     field = "%d" if table.dtype.kind in "iu" else "%.17g"
     row = prefix + " ".join([field] * table.shape[-1]) + "\n"
     for line in table.swapaxes(0, 1):  # one grid line at a time bounds memory
-        yield "".join([row % tuple(r) for r in line.tolist()])
+        yield (row * len(line)) % tuple(line.ravel().tolist())
 
 
 def write_table(fh, table, prefix=""):
@@ -359,7 +355,7 @@ def load_surface_data(path):
     and Q are taken as given, so loaded data may be non-normalized; check
     `SurfaceData.normalized` before verification runs.
     """
-    (head,), table = read_table(path, (4,), 3)
+    head, table = read_table(path, 4, 3)
     try:
         Q, H = float(head[0]), float(head[1])
         nx, ny = int(head[2]), int(head[3])
@@ -381,11 +377,14 @@ def load_surface_data(path):
         )
     xs = table[:nx, 0]
     ys = table[::nx, 1]
-    grid = GridSpec(
-        x_min=float(xs[0]), x_max=float(xs[-1]),
-        y_min=float(ys[0]), y_max=float(ys[-1]),
-        nx=nx, ny=ny,
-    )
+    try:
+        grid = GridSpec(
+            x_min=float(xs[0]), x_max=float(xs[-1]),
+            y_min=float(ys[0]), y_max=float(ys[-1]),
+            nx=nx, ny=ny,
+        )
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
     # every row must sit on its node of the grid the corner rows span
     xs, ys = grid.xs(), grid.ys()
     off = np.abs(table[:, 0].reshape(ny, nx) - xs) > GRID_NODE_RTOL * grid.hx

@@ -9,6 +9,13 @@ Writing lam = e^q, the two satisfy the exact pointwise identity
 where N = F diag(1, -1) conj(F)^t is the unit normal of the primary
 surface, so the shifted surface lies at constant geodesic distance -q
 along the normal.
+
+`_surface` and `_normal` return, with a surface or a normal, the matrices
+it was read from.  `verify.evaluate` passes the matrices F conj(F)^t, N and
+(FD) conj(FD)^t of its two sides to `_identity_residual`, which
+`parallel_identity_residual(frame)` also calls on matrices it builds
+itself; so the report checks the identity on the very matrices the
+surfaces are read from, and none is built twice.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .frames import ExtendedFrame, SpectralParam, shift_frame, spectral_shift_matrix
+from .frames import ExtendedFrame, SpectralParam, shift_frame
 from .minkowski import conj_transpose, from_hermitian, mink_dot, require_h3
 from .report import SIDES
 from .surface_data import GridSpec, _locked
@@ -70,22 +77,22 @@ class NormalField:
         object.__setattr__(self, "vectors", _locked(v))
 
 
-def _surface(frame: ExtendedFrame, kind: str) -> H3SurfaceGrid:
-    """The surface F conj(F)^t of `frame` on side `kind`; on a shifted
-    frame FD this is the shifted surface."""
+def _surface(frame: ExtendedFrame, kind: str) -> tuple[H3SurfaceGrid, np.ndarray]:
+    """The surface of `frame` on side `kind` and the matrices F conj(F)^t
+    it is read from; on a shifted frame FD this is the shifted surface."""
     F = frame.F
-    points = from_hermitian(F @ conj_transpose(F))
-    return H3SurfaceGrid(frame.grid, points, frame.spectral, kind)
+    M = F @ conj_transpose(F)
+    return H3SurfaceGrid(frame.grid, from_hermitian(M), frame.spectral, kind), M
 
 
 def surface_primary(frame: ExtendedFrame) -> H3SurfaceGrid:
     """The surface F conj(F)^t as hyperboloid points."""
-    return _surface(frame, SIDES[0])
+    return _surface(frame, SIDES[0])[0]
 
 
 def surface_shifted(frame: ExtendedFrame) -> H3SurfaceGrid:
     """The parallel surface (FD) conj(FD)^t as hyperboloid points."""
-    return _surface(shift_frame(frame), SIDES[1])
+    return _surface(shift_frame(frame), SIDES[1])[0]
 
 
 def _normal_matrices(F: np.ndarray) -> np.ndarray:
@@ -95,12 +102,19 @@ def _normal_matrices(F: np.ndarray) -> np.ndarray:
     return Fs @ conj_transpose(F)
 
 
+def _normal(frame: ExtendedFrame) -> tuple[NormalField, np.ndarray]:
+    """The normal of the frame's surface and the matrices
+    F diag(1, -1) conj(F)^t it is read from."""
+    N = _normal_matrices(frame.F)
+    return NormalField(grid=frame.grid, vectors=from_hermitian(N)), N
+
+
 def normal_field(frame: ExtendedFrame) -> NormalField:
     """Unit normal N = F diag(1, -1) conj(F)^t of the frame's surface.
 
     Applied to a shifted frame this gives the shifted surface's normal.
     """
-    return NormalField(grid=frame.grid, vectors=from_hermitian(_normal_matrices(frame.F)))
+    return _normal(frame)[0]
 
 
 def normal_unit_defect(normal: NormalField) -> float:
@@ -116,6 +130,14 @@ def normal_orthogonality_defect(surface: H3SurfaceGrid, normal: NormalField) -> 
     return float(np.max(np.abs(mink_dot(normal.vectors, surface.points))))
 
 
+def _identity_residual(M_primary, M_shifted, N, q: float) -> float:
+    """The parallel identity's residual on the matrices F conj(F)^t,
+    (FD) conj(FD)^t and F diag(1, -1) conj(F)^t of one frame F."""
+    R = M_shifted - (np.cosh(q) * M_primary - np.sinh(q) * N)
+    scale = float(np.max(np.abs(M_shifted)))
+    return float(np.max(np.abs(R))) / scale
+
+
 def parallel_identity_residual(frame: ExtendedFrame) -> float:
     """Grid maximum of |(FD)conj(FD)^t - (cosh q F conj(F)^t - sinh q N)|,
     relative to the largest matrix entry.
@@ -123,15 +145,10 @@ def parallel_identity_residual(frame: ExtendedFrame) -> float:
     The identity is exact matrix algebra (D^2 = cosh q I - sinh q diag(1,-1)),
     so the result must sit at round-off scale for any unimodular frame.
     """
-    q = frame.spectral.q
-    F = frame.F
+    F, FD = frame.F, shift_frame(frame).F
     M_primary = F @ conj_transpose(F)
-    FD = F @ spectral_shift_matrix(frame.lam)
     M_shifted = FD @ conj_transpose(FD)
-    N = _normal_matrices(F)
-    R = M_shifted - (np.cosh(q) * M_primary - np.sinh(q) * N)
-    scale = float(np.max(np.abs(M_shifted)))
-    return float(np.max(np.abs(R))) / scale
+    return _identity_residual(M_primary, M_shifted, _normal_matrices(F), frame.spectral.q)
 
 
 def hyperbolic_distance(p, s):

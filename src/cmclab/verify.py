@@ -13,6 +13,12 @@ constancy, Lawson homothety) in one loop over the two sides and takes
 frame unimodularity and the normal-field algebra as a maximum over it;
 compatibility, the exact parallel identity, equidistance and the opposite
 mean-curvature signs complete the registry.
+
+Every frame-derived array is built once per evaluation: the parallel
+identity's residual comes from the matrices the two surfaces and the
+primary normal are read from (see `evaluate`), and each frame's
+|det F - 1| maximum is taken once, so the report reuses the one
+`integrate_frame` checked.
 """
 
 from __future__ import annotations
@@ -49,12 +55,12 @@ from .surface_data import SurfaceData, dual_data, max_gauss_residual
 from .surfaces import (
     H3SurfaceGrid,
     NormalField,
+    _identity_residual,
+    _normal,
     _surface,
     equidistance_defect,
-    normal_field,
     normal_orthogonality_defect,
     normal_unit_defect,
-    parallel_identity_residual,
 )
 
 
@@ -72,17 +78,40 @@ class Side:
     measured: MeasuredData
 
 
-def _side(name: str, sign: int, frame: ExtendedFrame) -> Side:
-    surface = _surface(frame, name)
-    normal = normal_field(frame)
+@dataclass(frozen=True, eq=False)
+class Evaluation:
+    """The (primary, shifted) pair of sides built from one frame, with the
+    parallel identity's residual taken from the sides' own matrices."""
+
+    sides: tuple[Side, Side]
+    parallel_identity_residual: float
+
+
+def _side(name, sign, frame, surface, normal) -> Side:
     return Side(name, sign, frame, surface, normal, measure(surface, normal))
 
 
-def evaluate(frame: ExtendedFrame) -> tuple[Side, Side]:
-    """The (primary, shifted) pair, each member built once; the shifted
-    side's surface and normal both come from one shifted frame FD."""
+def evaluate(frame: ExtendedFrame) -> Evaluation:
+    """Both sides, each member built once; the shifted side's surface and
+    normal both come from one shifted frame FD.
+
+    The matrices F F*, F diag(1, -1) F* and (FD)(FD)* that the two surfaces
+    and the primary normal are read from also give the parallel identity's
+    residual; they are let go before the measurements run.
+    """
     primary, shifted = SIDES
-    return _side(primary, 1, frame), _side(shifted, -1, shift_frame(frame))
+    FD = shift_frame(frame)
+    surface, M = _surface(frame, primary)
+    normal, N = _normal(frame)
+    surface_fd, M_fd = _surface(FD, shifted)
+    residual = _identity_residual(M, M_fd, N, frame.spectral.q)
+    del M, N, M_fd  # gone before the measurements allocate theirs
+    normal_fd, _ = _normal(FD)
+    sides = (
+        _side(primary, 1, frame, surface, normal),
+        _side(shifted, -1, FD, surface_fd, normal_fd),
+    )
+    return Evaluation(sides, residual)
 
 
 def resolve_tolerances(overrides: dict[str, float] | None = None) -> dict[str, float]:
@@ -128,10 +157,11 @@ def _require_normalized(data: SurfaceData) -> None:
 
 def _report(
     data: SurfaceData,
-    sides: tuple[Side, Side],
+    evaluation: Evaluation,
     tolerances: dict[str, float] | None,
 ) -> VerificationReport:
-    """The report on the two sides `evaluate` built from one frame."""
+    """The report on what `evaluate` built from one frame."""
+    sides = evaluation.sides
     primary, shifted = sides
     frame = primary.frame
     tols = resolve_tolerances(tolerances)
@@ -145,7 +175,7 @@ def _report(
         "normal_orthogonality_max_dev": max(
             normal_orthogonality_defect(s.surface, s.normal) for s in sides
         ),
-        "parallel_identity_residual": parallel_identity_residual(frame),
+        "parallel_identity_residual": evaluation.parallel_identity_residual,
         "equidistance_max_dev": equidistance_defect(primary.surface, shifted.surface),
     }
     signs = {}

@@ -308,6 +308,26 @@ def test_custom_file_with_empty_grid_exits_2(tmp_path, capsys):
     assert "empty.dat: grids need nx, ny >= 5" in err
 
 
+def test_custom_file_with_empty_extent_exits_2(tmp_path, capsys):
+    src = tmp_path / "flat.dat"
+    rows = [f"0 {y} 0\n" for y in np.linspace(-1.0, 1.0, 5) for _ in range(5)]
+    src.write_text("0.25 0.5 5 5\n" + "".join(rows))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "family": "custom-file",
+                "input": str(src),
+                "lambda": 0.5,
+                "out_dir": str(tmp_path / "o"),
+            }
+        )
+    )
+    assert main(["generate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config: {src}: grid extents must have positive length\n"
+
+
 def test_tolerance_override_can_fail_run(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = write_config(

@@ -8,7 +8,13 @@ import pytest
 
 from cmclab.config import config_from_mapping
 from cmclab.errors import ConfigError, InvalidInputError, OutOfDomainError
-from cmclab.frames import ExtendedFrame, SpectralParam, integrate_frame, shift_frame
+from cmclab.frames import (
+    ExtendedFrame,
+    SpectralParam,
+    integrate_frame,
+    shift_frame,
+    spectral_shift_matrix,
+)
 from cmclab.measure import measure
 from cmclab.minkowski import from_hermitian, conj_transpose
 from cmclab.pipeline import (
@@ -31,10 +37,16 @@ from cmclab.surface_data import (
     GridSpec,
     SurfaceData,
     cylinder_data,
+    delaunay_data,
     load_surface_data,
     save_surface_data,
 )
-from cmclab.surfaces import _surface, normal_field
+from cmclab.surfaces import (
+    _normal,
+    _normal_matrices,
+    _surface,
+    parallel_identity_residual,
+)
 from cmclab.verify import verify_theorem
 
 ALL_FILES = (
@@ -354,6 +366,34 @@ def test_golden_output_hashes(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+# more configs whose report and diagnostics bytes are pinned: a small lambda
+# with negative u0, and the cylinder
+GOLDEN_RUNS = {
+    "delaunay-small-lambda": (
+        {"family": "delaunay", "H": 0.5, "u0": -0.5, "du0": 0.0, "lambda": 0.1},
+        {
+            REPORT_MACHINE_FILE: "9a06475e99070892f21ca957e44de5dc2dd98f13c51f63fd77add25cb0683227",
+            DIAGNOSTICS_FILE: "1265eee9c7a7d3d1ae75be9966f8a0a1af9cabf5f0028882a224d89ccb1ae823",
+        },
+    ),
+    "cylinder": (
+        {"family": "cylinder", "H": 0.5, "lambda": 0.5},
+        {
+            REPORT_MACHINE_FILE: "1e18ef257145fec85183f3ec9bcc9089e0b832b65ee448d1d1d89f47076fb3c8",
+            DIAGNOSTICS_FILE: "3ebf99ab04751b2e4883670c9f5fe48e599587ee66f7c61cb721ba531557f10d",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_more_golden_output_hashes(tmp_path, name):
+    config, digests = GOLDEN_RUNS[name]
+    run(config_from_mapping({**config, "nx": 41, "ny": 41, "out_dir": str(tmp_path)}))
+    for file, digest in digests.items():
+        assert hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() == digest, file
+
+
 def count_calls(monkeypatch, *fns):
     """Count calls to each function under every name cmclab looks it up by.
 
@@ -377,13 +417,47 @@ def count_calls(monkeypatch, *fns):
 
 
 def test_run_builds_each_side_once(tmp_path, monkeypatch):
-    # _surface is the one builder behind surface_primary and surface_shifted
-    counts = count_calls(monkeypatch, _surface, shift_frame, normal_field, measure)
+    # _surface and _normal are the one builders behind surface_primary,
+    # surface_shifted and normal_field; spectral_shift_matrix is taken once
+    # per F @ D shift
+    counts = count_calls(
+        monkeypatch,
+        _surface,
+        shift_frame,
+        _normal,
+        measure,
+        _normal_matrices,
+        spectral_shift_matrix,
+    )
+    det_drift = ExtendedFrame.det_drift
+
+    def counted_det_drift(frame):
+        counts["det_drift"] += 1
+        return det_drift(frame)
+
+    counts["det_drift"] = 0
+    monkeypatch.setattr(ExtendedFrame, "det_drift", counted_det_drift)
     run(config_from_mapping({**GOLDEN_CONFIG, "out_dir": str(tmp_path)}))
     assert counts["_surface"] == 2
     assert counts["shift_frame"] == 1
-    assert counts["normal_field"] == 2
+    assert counts["_normal"] == 2
     assert counts["measure"] == 2
+    # the parallel identity reuses the sides' matrices, and each frame's
+    # determinant is taken once: the primary's by integrate_frame
+    assert counts["_normal_matrices"] == 2
+    assert counts["spectral_shift_matrix"] == 1
+    assert counts["det_drift"] == 2
+
+
+def test_report_residual_is_the_frame_residual():
+    grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41)
+    data = delaunay_data(grid, 0.5, -0.4, 0.1)
+    frame = integrate_frame(data, SpectralParam(0.3))
+    expected = parallel_identity_residual(frame)
+    assert 0.0 < expected < 1e-13
+    report = verify_theorem(data, frame)
+    value = {r.name: r.value for r in report.records}["parallel_identity_residual"]
+    assert np.float64(value).view(np.int64) == np.float64(expected).view(np.int64)
 
 
 def test_cylinder_family_is_normalized_at_any_H(tmp_path):

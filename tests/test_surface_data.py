@@ -307,7 +307,7 @@ class TestTableIO:
         with open(path, "w") as fh:
             fh.write("# header then rows\nh1 h2\n")
             write_table(fh, table)
-        (head,), body = read_table(path, (2,), 3)
+        head, body = read_table(path, 2, 3)
         assert head == ["h1", "h2"]
         rows = table.swapaxes(0, 1).reshape(-1, 3)  # x fastest
         assert np.array_equal(body.view(np.int64), rows.view(np.int64))
@@ -315,7 +315,7 @@ class TestTableIO:
     def test_reader_takes_every_spelling_float_takes(self, tmp_path):
         path = tmp_path / "t.dat"
         path.write_text("h\n1_0 -inf 2.5\n")
-        _, body = read_table(path, (1,), 3)
+        _, body = read_table(path, 1, 3)
         assert body.tolist() == [[10.0, -np.inf, 2.5]]
 
 
