@@ -11,6 +11,11 @@ surface_data.gauss_residual.  Integration runs in real coordinates,
     F_x = F (U + V),   F_y = F i (U - V),
 
 by classical RK4 along the base row and then up and down each column.
+
+Every 2x2 product (the RK4 stages, the F[k] T recurrence, the shift F D and
+a gauge G F) goes through minkowski.mul2 and every determinant through
+minkowski.det2: whole-array entrywise arithmetic, not one BLAS call per
+matrix of a stack.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .errors import (
     InvalidInputError,
     OutOfDomainError,
 )
+from .minkowski import det2, mul2
 from .surface_data import (
     GridSpec,
     SurfaceData,
@@ -92,7 +98,7 @@ class ExtendedFrame:
 
     def det_drift(self) -> np.ndarray:
         """|det F - 1| at every grid point."""
-        return np.abs(np.linalg.det(self.F) - 1.0)
+        return np.abs(det2(self.F) - 1.0)
 
     def max_det_drift(self) -> float:
         """Largest |det F - 1|, taken once per frame: F is read-only."""
@@ -222,9 +228,9 @@ def _rk4_cell(A0, Am, A1, h):
     leading axes."""
     eye = np.eye(2, dtype=complex)
     k1 = A0
-    k2 = (eye + (0.5 * h) * k1) @ Am
-    k3 = (eye + (0.5 * h) * k2) @ Am
-    k4 = (eye + h * k3) @ A1
+    k2 = mul2(eye + (0.5 * h) * k1, Am)
+    k3 = mul2(eye + (0.5 * h) * k2, Am)
+    k4 = mul2(eye + h * k3, A1)
     return eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
@@ -237,11 +243,11 @@ def _march(F, A, Am, h, k0):
     """
     T = _rk4_cell(A[k0:-1], Am[k0:], A[k0 + 1 :], h)
     for k in range(k0, len(F) - 1):
-        F[k + 1] = F[k] @ T[k - k0]
+        F[k + 1] = mul2(F[k], T[k - k0])
     # T[k - 1] carries F[k] to F[k - 1]
     T = _rk4_cell(A[1 : k0 + 1], Am[:k0], A[:k0], -h)
     for k in range(k0, 0, -1):
-        F[k - 1] = F[k] @ T[k - 1]
+        F[k - 1] = mul2(F[k], T[k - 1])
 
 
 def _sweep(Ax, Ay, Axm, Aym, grid: GridSpec, base, x_first: bool) -> np.ndarray:
@@ -313,7 +319,7 @@ def shift_frame(frame: ExtendedFrame) -> ExtendedFrame:
     det D = 1, so unimodularity is preserved exactly; the value at the base
     index becomes D instead of the identity.
     """
-    return replace(frame, F=frame.F @ spectral_shift_matrix(frame.lam))
+    return replace(frame, F=mul2(frame.F, spectral_shift_matrix(frame.lam)))
 
 
 def frame_left_multiply(frame: ExtendedFrame, G) -> ExtendedFrame:
@@ -321,7 +327,7 @@ def frame_left_multiply(frame: ExtendedFrame, G) -> ExtendedFrame:
     G = np.asarray(G, dtype=complex)
     if G.shape != (2, 2):
         raise InvalidInputError(f"gauge must be 2x2, got shape {G.shape}")
-    detG = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
+    detG = det2(G)
     if abs(detG - 1.0) > 1e-9:
         raise InvalidInputError(f"gauge must be unimodular, det = {detG}")
-    return replace(frame, F=G @ frame.F)
+    return replace(frame, F=mul2(G, frame.F))

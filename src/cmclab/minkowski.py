@@ -41,6 +41,29 @@ def mat2(a, b, c, d):
     return out
 
 
+def mul2(A, B):
+    """Product of 2x2 matrices on the trailing axes, formed entry by entry.
+
+    Each entry is A[i, 0] B[0, j] + A[i, 1] B[1, j] in elementwise numpy
+    arithmetic, so a stack costs a few whole-array operations instead of
+    one BLAS call per matrix; the leading axes broadcast, so a single 2x2
+    multiplies a whole stack.  The bits do not depend on memory layout.
+    """
+    A = np.asarray(A)
+    B = np.asarray(B)
+    out = np.empty(np.broadcast_shapes(A.shape, B.shape), dtype=np.result_type(A, B))
+    for i in (0, 1):
+        for j in (0, 1):
+            np.add(A[..., i, 0] * B[..., 0, j], A[..., i, 1] * B[..., 1, j], out=out[..., i, j])
+    return out
+
+
+def det2(A):
+    """Determinant a d - b c of 2x2 matrices on the trailing axes."""
+    A = np.asarray(A)
+    return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+
+
 def conj_transpose(M):
     """Conjugate transpose over the trailing matrix axes."""
     return np.conj(np.swapaxes(M, -1, -2))

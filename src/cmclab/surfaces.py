@@ -8,7 +8,8 @@ Writing lam = e^q, the two satisfy the exact pointwise identity
 
 where N = F diag(1, -1) conj(F)^t is the unit normal of the primary
 surface, so the shifted surface lies at constant geodesic distance -q
-along the normal.
+along the normal.  Each product F conj(F)^t is mul2(F, conj_transpose(F)),
+the entrywise 2x2 kernel of the minkowski module.
 
 `_surface` and `_normal` return, with a surface or a normal, the matrices
 it was read from.  `verify.evaluate` passes the matrices F conj(F)^t, N and
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .frames import ExtendedFrame, SpectralParam, shift_frame
-from .minkowski import conj_transpose, from_hermitian, mink_dot, require_h3
+from .minkowski import conj_transpose, from_hermitian, mink_dot, mul2, require_h3
 from .report import SIDES
 from .surface_data import GridSpec, _locked
 
@@ -81,7 +82,7 @@ def _surface(frame: ExtendedFrame, kind: str) -> tuple[H3SurfaceGrid, np.ndarray
     """The surface of `frame` on side `kind` and the matrices F conj(F)^t
     it is read from; on a shifted frame FD this is the shifted surface."""
     F = frame.F
-    M = F @ conj_transpose(F)
+    M = mul2(F, conj_transpose(F))
     return H3SurfaceGrid(frame.grid, from_hermitian(M), frame.spectral, kind), M
 
 
@@ -99,7 +100,7 @@ def _normal_matrices(F: np.ndarray) -> np.ndarray:
     # F diag(1,-1) conj(F)^t without forming diag explicitly
     Fs = F.copy()
     Fs[..., :, 1] = -Fs[..., :, 1]
-    return Fs @ conj_transpose(F)
+    return mul2(Fs, conj_transpose(F))
 
 
 def _normal(frame: ExtendedFrame) -> tuple[NormalField, np.ndarray]:
@@ -146,8 +147,8 @@ def parallel_identity_residual(frame: ExtendedFrame) -> float:
     so the result must sit at round-off scale for any unimodular frame.
     """
     F, FD = frame.F, shift_frame(frame).F
-    M_primary = F @ conj_transpose(F)
-    M_shifted = FD @ conj_transpose(FD)
+    M_primary = mul2(F, conj_transpose(F))
+    M_shifted = mul2(FD, conj_transpose(FD))
     return _identity_residual(M_primary, M_shifted, _normal_matrices(F), frame.spectral.q)
 
 

@@ -6,12 +6,15 @@ import pytest
 from cmclab.errors import InternalConsistencyError, InvalidInputError
 from cmclab.minkowski import (
     conj_transpose,
+    det2,
     from_hermitian,
     h3_defect,
     mat2,
     minkowski_inner,
     mink_dot,
+    mul2,
     require_h3,
+    require_hermitian,
     to_hermitian,
 )
 
@@ -131,6 +134,66 @@ class TestMatrixHelpers:
         M = mat2(1.0, 2.0, 3.0, 4.0)
         np.testing.assert_array_equal(M, np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert M.dtype == complex
+
+
+def random_stack(rng, shape):
+    return rng.standard_normal(shape + (2, 2)) + 1j * rng.standard_normal(shape + (2, 2))
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+class TestProductKernel:
+    def test_mul2_matches_matmul_to_a_few_ulps(self):
+        rng = np.random.default_rng(13)
+        A = random_stack(rng, (10_000,))
+        B = random_stack(rng, (10_000,))
+        # each entry sums two complex products: a few ulps of |A||B| bound
+        # any correctly rounded ordering of them
+        bound = 4 * np.finfo(float).eps * (np.abs(A) @ np.abs(B))
+        assert np.all(np.abs(mul2(A, B) - A @ B) <= bound)
+
+    def test_single_matrix_broadcasts_against_a_stack(self):
+        rng = np.random.default_rng(14)
+        S = random_stack(rng, (7, 5))
+        lam = 0.37
+        D = np.diag([lam**-0.5, lam**0.5]).astype(complex)
+        G = random_unimodular(rng)[0]
+        eye = np.eye(2, dtype=complex)
+        for single in (D, G, eye):
+            right = mul2(S, single)
+            left = mul2(single, S)
+            assert right.shape == left.shape == S.shape
+            for idx in np.ndindex(7, 5):
+                assert same_bits(right[idx], mul2(S[idx], single))
+                assert same_bits(left[idx], mul2(single, S[idx]))
+        np.testing.assert_array_equal(mul2(S, eye), S)
+
+    def test_strided_view_gives_the_bits_of_a_copy(self):
+        # the y sweep of the integrator multiplies rows of a moveaxis view
+        rng = np.random.default_rng(15)
+        F = random_stack(rng, (9, 11))
+        T = random_stack(rng, (9, 11))
+        Fy, Ty = np.moveaxis(F, 1, 0), np.moveaxis(T, 1, 0)
+        assert not Fy.flags.c_contiguous
+        for k in range(len(Fy)):
+            copy = mul2(np.ascontiguousarray(Fy[k]), np.ascontiguousarray(Ty[k]))
+            assert same_bits(mul2(Fy[k], Ty[k]), copy)
+        assert same_bits(mul2(Fy, Ty), mul2(Fy.copy(), Ty.copy()))
+
+    def test_det2_matches_linalg_det(self):
+        rng = np.random.default_rng(16)
+        A = random_stack(rng, (10_000,))
+        scale = np.abs(A[:, 0, 0] * A[:, 1, 1]) + np.abs(A[:, 0, 1] * A[:, 1, 0])
+        assert np.all(np.abs(det2(A) - np.linalg.det(A)) <= 8 * np.finfo(float).eps * scale)
+        np.testing.assert_allclose(det2(random_unimodular(rng, 50)), 1.0, atol=1e-13)
+
+    def test_frame_times_its_conjugate_transpose_is_hermitian(self):
+        rng = np.random.default_rng(17)
+        F = random_unimodular(rng, 10_000)
+        M = require_hermitian(mul2(F, conj_transpose(F)))
+        assert np.all(M[:, 0, 0].real > 0.0)
 
 
 class TestH3Validation:

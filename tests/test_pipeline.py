@@ -353,10 +353,10 @@ GOLDEN_CONFIG = {
     "ny": 41,
 }
 GOLDEN_SHA256 = {
-    REPORT_MACHINE_FILE: "22db20a8db58d8d9b7ba209f4b1ecbe6cc5c4af64588e3a420ec2bc448d969f5",
-    DIAGNOSTICS_FILE: "b9c468b9cc9dc23bffeb8e159ea4c6fae212fd73503e93d5eadb9eb85e8acc8e",
-    MESH_FILES[0]: "80e747c4da6609ab22ea9927194e943b093af68187607de10205b3930976af46",
-    MESH_FILES[1]: "4c3ad2ebf7812801318df26e4bfd7b9326167b585945bdb9f45d6f5b38315cc6",
+    REPORT_MACHINE_FILE: "bb9288efee07e083ef1be3296dc0bb7a4ab768b7a21c70ef8faa19cccb9450cb",
+    DIAGNOSTICS_FILE: "7f15fabe6fb0463eb1630068a785ee5985bf83c94e494b5d9e93d282761361a2",
+    MESH_FILES[0]: "f8c57b516ee4a92051be978610b49274c5636cb741b8c7c22ba5725244c8f79f",
+    MESH_FILES[1]: "a2f7118dd457edbaebf93688a7bbb8caa074908812b6f49ecc57b161fc3f06ac",
 }
 
 
@@ -372,15 +372,15 @@ GOLDEN_RUNS = {
     "delaunay-small-lambda": (
         {"family": "delaunay", "H": 0.5, "u0": -0.5, "du0": 0.0, "lambda": 0.1},
         {
-            REPORT_MACHINE_FILE: "9a06475e99070892f21ca957e44de5dc2dd98f13c51f63fd77add25cb0683227",
-            DIAGNOSTICS_FILE: "1265eee9c7a7d3d1ae75be9966f8a0a1af9cabf5f0028882a224d89ccb1ae823",
+            REPORT_MACHINE_FILE: "a95484e59ff2ccaac818fa1c1db30ab073b085bbd1ca1ca294ce4da75491b8cd",
+            DIAGNOSTICS_FILE: "d2c85583dd35109aab658214c1b288e0dc503c9913d2f283be0b719f4cdeff97",
         },
     ),
     "cylinder": (
         {"family": "cylinder", "H": 0.5, "lambda": 0.5},
         {
-            REPORT_MACHINE_FILE: "1e18ef257145fec85183f3ec9bcc9089e0b832b65ee448d1d1d89f47076fb3c8",
-            DIAGNOSTICS_FILE: "3ebf99ab04751b2e4883670c9f5fe48e599587ee66f7c61cb721ba531557f10d",
+            REPORT_MACHINE_FILE: "24796ca9bba9b6f4e5965d49530e8f51c9513ec64e491460cc3a4a297b59fc3f",
+            DIAGNOSTICS_FILE: "e9dd39ace0c171e95de4ef4c352ac310ebd5a99b866e54ac93dd2e20fc44f888",
         },
     ),
 }

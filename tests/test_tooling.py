@@ -1,5 +1,6 @@
 """The benchmark's tracing targets and the package's exports still name its code,
-and no module imports a name it never uses."""
+no module imports a name it never uses, and the frame modules form 2x2
+products only through the entrywise kernel."""
 
 import ast
 import importlib
@@ -62,3 +63,29 @@ def test_no_unused_imports():
     )
     assert files
     assert [entry for path in files for entry in _unused_imports(path)] == []
+
+
+def _per_matrix_blas_calls(path):
+    """`@` operators and `matmul`/`linalg.det` references in `path`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno} @")
+        elif isinstance(node, ast.Attribute) and (
+            node.attr == "matmul"
+            or (
+                node.attr == "det"
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"
+            )
+        ):
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.attr}")
+    return found
+
+
+def test_frame_products_use_the_entrywise_kernel():
+    # np.matmul and np.linalg.det make one BLAS/LAPACK call per 2x2 matrix of
+    # a stack; minkowski.mul2 and det2 form every entry in whole-array steps
+    files = [ROOT / "src" / "cmclab" / name for name in ("frames.py", "surfaces.py")]
+    assert [entry for path in files for entry in _per_matrix_blas_calls(path)] == []
