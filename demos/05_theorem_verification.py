@@ -31,12 +31,12 @@ print("measured E (center):", m.E[50, 50])
 print("measured |Qm| (center):", abs(m.Qm[50, 50]))
 print("measured Hm (center):", m.Hm[50, 50])
 
-c = closed_form(data, sp.lam, 1)  # sign +1: the primary side
+c = closed_form(data, sp, 1)  # sign +1: the primary side
 print("closed-form metric factor:", float(c.metric_factor[0, 0]))
 print("closed-form |hopf|:", abs(c.hopf), " mean:", c.mean)
 
 # The homothety scale that links the Lawson data to the measured data.
-print("homothety scale s:", homothety_scale(data.H, sp.lam))
+print("homothety scale s:", homothety_scale(data.H, sp))
 
 # The one-call version: every check, one record each, pass/fail per line.
 report = verify_theorem(data, frame)

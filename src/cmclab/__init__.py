@@ -11,14 +11,12 @@ finite differences and checked against closed forms.
 from .errors import (
     CmcLabError,
     ConfigError,
-    DegenerateSpectralValueError,
     IncompatibleDataError,
     IntegrationBlowupError,
     IntegrationFailureError,
     InternalConsistencyError,
     InvalidInputError,
     NumericalError,
-    OutOfDomainError,
 )
 from .minkowski import (
     from_hermitian,
@@ -85,14 +83,12 @@ from .pipeline import poincare_ball, run
 __all__ = [
     "CmcLabError",
     "ConfigError",
-    "DegenerateSpectralValueError",
     "IncompatibleDataError",
     "IntegrationBlowupError",
     "IntegrationFailureError",
     "InternalConsistencyError",
     "InvalidInputError",
     "NumericalError",
-    "OutOfDomainError",
     "from_hermitian",
     "h3_defect",
     "hermitian_defect",

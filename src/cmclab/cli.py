@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .errors import ConfigError, InvalidInputError, NumericalError, OutOfDomainError
+from .errors import ConfigError, InvalidInputError, NumericalError
 from .pipeline import (
     REPORT_MACHINE_FILE,
     export_meshes,
@@ -100,7 +100,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, InvalidInputError, OutOfDomainError, FileNotFoundError) as exc:
+    except (ConfigError, InvalidInputError, FileNotFoundError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -2,8 +2,9 @@
 
 Allowed keys: family, H, u0, du0, lambda, r, x_min, x_max, y_min, y_max,
 nx, ny, step, out_dir, input, tolerances.  "tolerances" is the only nested
-value, a map from registered check names to positive numbers.  Unknown keys
-are rejected so typos cannot silently disable an override.
+value, a map from registered check names to positive numbers, which
+`report.resolve_tolerances` validates when the RunConfig is built.  Unknown
+keys are rejected so typos cannot silently disable an override.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from pathlib import Path
 
 from .errors import ConfigError, InvalidInputError
 from .frames import SpectralParam
+from .report import resolve_tolerances
 from .surface_data import GridSpec
 
 FAMILIES = ("cylinder", "delaunay", "custom-file")
@@ -72,6 +74,7 @@ class RunConfig:
             raise ConfigError("profile step must be positive")
         if self.family == "custom-file" and not self.input_path:
             raise ConfigError("custom-file family requires an 'input' path")
+        resolve_tolerances(self.tolerances)
 
     def grid(self) -> GridSpec:
         return GridSpec(
@@ -102,13 +105,8 @@ def config_from_mapping(obj: dict) -> RunConfig:
     for key, kind in _SCALAR_KEYS.items():
         if key in obj:
             kwargs[rename.get(key, key)] = _coerce(key, obj[key], kind)
-    tols = obj.get("tolerances", {})
-    if not isinstance(tols, dict):
-        raise ConfigError("'tolerances' must be a map of check name to number")
-    for name, val in tols.items():
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"tolerance {name!r} must be a number, got {val!r}")
-    kwargs["tolerances"] = {k: float(v) for k, v in tols.items()}
+    if "tolerances" in obj:
+        kwargs["tolerances"] = obj["tolerances"]
     for required in ("family", "lam", "out_dir"):
         json_name = {"lam": "lambda"}.get(required, required)
         if required not in kwargs:

@@ -13,10 +13,6 @@ class InvalidInputError(CmcLabError, ValueError):
     """An argument violates an operation's precondition."""
 
 
-class OutOfDomainError(CmcLabError, IndexError):
-    """A grid index lies outside the domain an operation supports."""
-
-
 class ConfigError(CmcLabError):
     """A run configuration is malformed or violates its invariants."""
 
@@ -46,7 +42,3 @@ class IntegrationFailureError(NumericalError):
 
 class InternalConsistencyError(NumericalError):
     """An invariant that should hold by construction was violated."""
-
-
-class DegenerateSpectralValueError(InvalidInputError):
-    """Spectral value at which the constructed metric collapses."""

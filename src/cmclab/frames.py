@@ -26,12 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    IncompatibleDataError,
-    IntegrationFailureError,
-    InvalidInputError,
-    OutOfDomainError,
-)
+from .errors import IncompatibleDataError, IntegrationFailureError, InvalidInputError
 from .minkowski import det2, mul2
 from .surface_data import (
     GridSpec,
@@ -47,7 +42,8 @@ COMPAT_TOL = 0.1
 
 @dataclass(frozen=True)
 class SpectralParam:
-    """Spectral value lam with annulus radius r, constrained to 0 < r < lam < 1."""
+    """Spectral value lam with annulus radius r, constrained to 0 < r < lam < 1;
+    the one check of lam for closed_form and homothety_scale."""
 
     lam: float
     r: float | None = None
@@ -71,14 +67,13 @@ class ExtendedFrame:
     """Grid of unimodular 2x2 frames at one spectral value.
 
     F has shape (nx, ny, 2, 2).  Frames produced by integrate_frame equal the
-    identity at base_index; frames produced by shift_frame carry the constant
-    right factor D there instead.
+    identity at base_index, the grid center; frames produced by shift_frame
+    carry the constant right factor D there instead.
     """
 
     grid: GridSpec
     F: np.ndarray
     spectral: SpectralParam
-    base_index: tuple[int, int]
 
     def __post_init__(self):
         F = np.asarray(self.F, dtype=complex)
@@ -88,9 +83,11 @@ class ExtendedFrame:
                 f"({self.grid.nx}, {self.grid.ny}, 2, 2)"
             )
         object.__setattr__(self, "F", _locked(F, dtype=complex))
-        i, j = self.base_index
-        if not (0 <= i < self.grid.nx and 0 <= j < self.grid.ny):
-            raise OutOfDomainError(f"base index {self.base_index} outside grid")
+
+    @property
+    def base_index(self) -> tuple[int, int]:
+        """The grid center, where integration starts from the identity."""
+        return self.grid.center_index()
 
     @property
     def lam(self) -> float:
@@ -250,10 +247,10 @@ def _march(F, A, Am, h, k0):
         F[k - 1] = mul2(F[k], T[k - 1])
 
 
-def _sweep(Ax, Ay, Axm, Aym, grid: GridSpec, base, x_first: bool) -> np.ndarray:
-    """Frames from the identity at `base`: along the base line of the first
-    direction, then across the grid in the other one."""
-    i0, j0 = base
+def _sweep(Ax, Ay, Axm, Aym, grid: GridSpec, x_first: bool) -> np.ndarray:
+    """Frames from the identity at the grid center: along the base line of
+    the first direction, then across the grid in the other one."""
+    i0, j0 = grid.center_index()
     F = np.empty((grid.nx, grid.ny, 2, 2), dtype=complex)
     F[i0, j0] = np.eye(2)
     # F and the y coefficients with y moved to the front march along y
@@ -278,15 +275,14 @@ def integrate_frame(data: SurfaceData, spectral: SpectralParam) -> ExtendedFrame
     is monitored against DET_DRIFT_TOL, never restored by projection.
     """
     grid = data.grid
-    base = grid.center_index()
     res = max_gauss_residual(data)
     if not res <= COMPAT_TOL:
         raise IncompatibleDataError(
             f"compatibility residual {res:.3e} exceeds {COMPAT_TOL:.3e}; "
             "the frame system would not be integrable"
         )
-    F = _sweep(*_coefficient_arrays(data, spectral.lam), grid, base, True)
-    frame = ExtendedFrame(grid=grid, F=F, spectral=spectral, base_index=base)
+    F = _sweep(*_coefficient_arrays(data, spectral.lam), grid, True)
+    frame = ExtendedFrame(grid=grid, F=F, spectral=spectral)
     worst = frame.max_det_drift()
     if worst > DET_DRIFT_TOL:
         drift = frame.det_drift()
@@ -307,9 +303,8 @@ def two_path_discrepancy(data: SurfaceData, spectral: SpectralParam) -> float:
     """
     grid = data.grid
     coefficients = _coefficient_arrays(data, spectral.lam)
-    base = grid.center_index()
-    F_xy = _sweep(*coefficients, grid, base, True)[-1, -1]
-    F_yx = _sweep(*coefficients, grid, base, False)[-1, -1]
+    F_xy = _sweep(*coefficients, grid, True)[-1, -1]
+    F_yx = _sweep(*coefficients, grid, False)[-1, -1]
     return float(np.max(np.abs(F_xy - F_yx)))
 
 

@@ -15,11 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpectralValueError,
-    InvalidInputError,
-    NumericalError,
-)
+from .errors import InvalidInputError, NumericalError
+from .frames import SpectralParam
 from .minkowski import mink_dot
 from .surface_data import GridSpec, SurfaceData, _locked
 from .surfaces import H3SurfaceGrid, NormalField
@@ -120,28 +117,20 @@ def measure(surface: H3SurfaceGrid, normal: NormalField) -> MeasuredData:
     )
 
 
-def _check_lam(lam: float) -> None:
-    if not lam > 0:
-        raise InvalidInputError("spectral value must be positive")
-    if lam == 1.0:
-        raise DegenerateSpectralValueError(
-            "spectral value 1 collapses the metric factor"
-        )
-
-
-def closed_form(data: SurfaceData, lam: float, sign: int) -> ClosedFormData:
-    """Closed-form data of one side at spectral value lam: sign +1 for the
-    primary surface, -1 for the shifted one.
+def closed_form(data: SurfaceData, spectral: SpectralParam, sign: int) -> ClosedFormData:
+    """Closed-form data of one side at the spectral value lam of `spectral`:
+    sign +1 for the primary surface, -1 for the shifted one.
 
     Metric factor Q^2 e^{-2 sign u} (lam - 1/lam)^2, Hopf value
     sign QH(1/lam - lam)/2, mean curvature
     sign (1/lam + lam)/(1/lam - lam).  The sign multiplies exactly, so the
     two sides differ by no rounding.  The formulas describe the measured
-    surfaces under the H = 2Q normalization.
+    surfaces under the H = 2Q normalization; SpectralParam keeps lam in
+    (0, 1), away from the value 1 at which the metric factor collapses.
     """
     if sign not in (1, -1):
         raise InvalidInputError(f"side sign must be +1 or -1, got {sign!r}")
-    _check_lam(lam)
+    lam = spectral.lam
     d = lam - 1.0 / lam
     return ClosedFormData(
         metric_factor=data.Q**2 * np.exp(-2.0 * sign * data.u) * d**2,
@@ -150,13 +139,13 @@ def closed_form(data: SurfaceData, lam: float, sign: int) -> ClosedFormData:
     )
 
 
-def homothety_scale(H: float, lam: float) -> float:
-    """The scale s = H(1/lam - lam)/2 relating the hyperbolic surface's data
-    to Euclidean data; the shifted side uses -s."""
+def homothety_scale(H: float, spectral: SpectralParam) -> float:
+    """The scale s = H(1/lam - lam)/2 at the spectral value lam of
+    `spectral`, relating the hyperbolic surface's data to Euclidean data;
+    the shifted side uses -s."""
     if H == 0:
         raise InvalidInputError("mean curvature H must be nonzero")
-    if not 0.0 < lam < 1.0:
-        raise InvalidInputError(f"spectral value must lie in (0, 1), got {lam}")
+    lam = spectral.lam
     return 0.5 * H * (1.0 / lam - lam)
 
 

@@ -21,9 +21,15 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 from .config import RunConfig
-from .frames import ExtendedFrame, SpectralParam, integrate_frame
+from .frames import DET_DRIFT_TOL, ExtendedFrame, SpectralParam, integrate_frame
 from .minkowski import require_h3
-from .report import SIDES, VerificationReport, render_machine, render_text
+from .report import (
+    SIDES,
+    VerificationReport,
+    render_machine,
+    render_text,
+    resolve_tolerances,
+)
 from .surface_data import (
     GridSpec,
     SurfaceData,
@@ -37,8 +43,6 @@ from .surface_data import (
 )
 from .surfaces import distance_grid, surface_primary, surface_shifted
 from .verify import Side, _report, _require_normalized, evaluate, verify_theorem
-
-BALL_TOL = 1e-8
 
 SURFACE_FILE = "surface.dat"
 FRAME_FILE = "frame.dat"
@@ -54,7 +58,6 @@ FRAME_MEMBERS = {
     "lam": (np.float64, ()),
     "r": (np.float64, ()),
     "extents": (np.float64, (4,)),  # x_min x_max y_min y_max
-    "base_index": (np.int64, (2,)),
 }
 
 
@@ -64,7 +67,8 @@ def poincare_ball(p):
     b = (x1, x2, x3)/(1 + x0).  Accepts a single point or an array of them.
     """
     p = np.asarray(p, dtype=float)
-    require_h3(p, tol=BALL_TOL, what="ball projection input")
+    # the points are surface points F F*, held to the same bound as those
+    require_h3(p, tol=DET_DRIFT_TOL, what="ball projection input")
     return p[..., :3] / (1.0 + p[..., 3:4])
 
 
@@ -155,7 +159,6 @@ def save_frame(path, frame: ExtendedFrame):
             lam=float(frame.spectral.lam),
             r=float(frame.spectral.r),
             extents=[float(v) for v in (g.x_min, g.x_max, g.y_min, g.y_max)],
-            base_index=np.array(frame.base_index, dtype=np.int64),
         )
 
 
@@ -164,8 +167,9 @@ def load_frame(path) -> ExtendedFrame:
 
     Anything but an archive of exactly FRAME_MEMBERS, with their dtypes and
     shapes and finite entries, raises InvalidInputError naming the file; so
-    do a grid below MIN_NODES per axis, bad extents and a bad lam or r.  A
-    base index outside the grid raises OutOfDomainError.
+    do a grid below MIN_NODES per axis, bad extents and a bad lam or r.
+    Frames of earlier versions (text, or with a `base_index` member) are
+    refused too, with a hint to generate the run again.
     """
     members = None
     with open(path, "rb") as fh:
@@ -183,7 +187,8 @@ def load_frame(path) -> ExtendedFrame:
         )
     if members.keys() != FRAME_MEMBERS.keys():
         raise InvalidInputError(
-            f"{path}: frame members {sorted(members)}, expected {sorted(FRAME_MEMBERS)}"
+            f"{path}: frame members {sorted(members)}, expected {sorted(FRAME_MEMBERS)}; "
+            "runs stored by earlier versions must be generated again"
         )
     for name, (dtype, shape) in FRAME_MEMBERS.items():
         a = members[name]
@@ -205,7 +210,7 @@ def load_frame(path) -> ExtendedFrame:
         spectral = SpectralParam(float(members["lam"]), float(members["r"]))
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
-    return ExtendedFrame(grid, F, spectral, tuple(members["base_index"].tolist()))
+    return ExtendedFrame(grid, F, spectral)
 
 
 def _write_report_files(out: Path, report: VerificationReport):
@@ -218,18 +223,19 @@ def _write_report_files(out: Path, report: VerificationReport):
 
 
 def run(config: RunConfig) -> VerificationReport:
-    """Full pipeline; writes every output file and returns the report."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Full pipeline; writes every output file and returns the report.
+    A run refused before its frame exists leaves no `out_dir` behind."""
     data = generate_data(config)
     _require_normalized(data)
     frame = integrate_frame(data, config.spectral())
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     save_surface_data(out / SURFACE_FILE, data)
     save_frame(out / FRAME_FILE, frame)
     evaluation = evaluate(frame)
     _write_meshes(out, (side.surface for side in evaluation.sides))
     write_diagnostics(out / DIAGNOSTICS_FILE, data, evaluation.sides)
-    report = _report(data, evaluation, config.tolerances or None)
+    report = _report(data, evaluation, resolve_tolerances(config.tolerances))
     _write_report_files(out, report)
     return report
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidInputError
+from .errors import ConfigError, InvalidInputError
 
 SIDES = ("primary", "shifted")
 
@@ -50,6 +50,27 @@ def registry_names() -> tuple[str, ...]:
 
 def default_tolerances() -> dict[str, float]:
     return dict(REGISTRY)
+
+
+def resolve_tolerances(overrides: dict | None = None) -> dict[str, float]:
+    """Default tolerances with `overrides` applied; the one check of an
+    override map: registered names only, each with a positive number."""
+    tols = default_tolerances()
+    if overrides is None:
+        return tols
+    if not isinstance(overrides, dict):
+        raise ConfigError("'tolerances' must be a map of check name to number")
+    unknown = sorted(set(overrides) - set(tols))
+    if unknown:
+        raise ConfigError(f"unknown tolerance names: {', '.join(unknown)}")
+    for name, val in overrides.items():
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ConfigError(f"tolerance {name!r} must be a number, got {val!r}")
+        val = float(val)
+        if not val > 0.0:
+            raise ConfigError(f"tolerance {name} must be positive, got {val}")
+        tols[name] = val
+    return tols
 
 
 @dataclass(frozen=True)

@@ -201,10 +201,9 @@ def delaunay_data(grid, H, u0, du0, step=1e-3):
     """Sample a Delaunay-type profile onto a grid, constant in y.
 
     The ODE is integrated with a step that lands exactly on every grid
-    node, so the sampled values carry no interpolation error.
+    node, so the sampled values carry no interpolation error.  H = 0 is
+    refused by SurfaceData once the (then flat) profile is sampled.
     """
-    if H == 0.0:
-        raise InvalidInputError("H must be nonzero")
     if step <= 0.0:
         raise InvalidInputError("step must be positive")
     per_cell = max(1, math.ceil(grid.hx / step))

@@ -26,13 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .frames import ExtendedFrame, SpectralParam, shift_frame
+from .frames import DET_DRIFT_TOL, ExtendedFrame, SpectralParam, shift_frame
 from .minkowski import conj_transpose, from_hermitian, mink_dot, mul2, require_h3
 from .report import SIDES
 from .surface_data import GridSpec, _locked
-
-# |det - 1| allowed for surface points; inherited from frame det drift
-SURFACE_DET_TOL = 1e-8
 
 # -<p,s> this far below 1 means the points are not an H3 pair
 DISTANCE_CLAMP_TOL = 1e-9
@@ -57,7 +54,9 @@ class H3SurfaceGrid:
                 f"points shape {pts.shape} does not match grid "
                 f"({self.grid.nx}, {self.grid.ny}, 4)"
             )
-        require_h3(pts, tol=SURFACE_DET_TOL, what=f"{self.kind} surface")
+        # a point F F* misses the hyperboloid by |det F|^2 - 1, so it answers
+        # to the bound the integrator holds |det F - 1| to
+        require_h3(pts, tol=DET_DRIFT_TOL, what=f"{self.kind} surface")
         object.__setattr__(self, "points", _locked(pts))
 
 

@@ -5,27 +5,30 @@ the primary surface F conj(F)^t and the shifted surface (FD) conj(FD)^t,
 each with its frame, algebraic normal and measured geometry.  A side is a
 name from `report.SIDES` and a sign, +1 on the primary side and -1 on the
 shifted one, and the sign is all that tells the per-side checks apart: the
-closed form carries it (`closed_form(data, lam, sign)`), and the Lawson
-partner is taken at the scale sign * s, with s = H(1/lam - lam)/2, from
-the Christoffel dual on the primary side and from the data itself on the
-shifted one.  The report runs the per-side checks (closed forms,
-constancy, Lawson homothety) in one loop over the two sides and takes
-frame unimodularity and the normal-field algebra as a maximum over it;
-compatibility, the exact parallel identity, equidistance and the opposite
-mean-curvature signs complete the registry.
+closed form carries it (`closed_form(data, frame.spectral, sign)`), and
+the Lawson partner is taken at the scale sign * s, with
+s = homothety_scale(H, frame.spectral) = H(1/lam - lam)/2, from the
+Christoffel dual on the primary side and from the data itself on the
+shifted one; the frame's SpectralParam is the one check on lam.  The
+report runs the per-side checks (closed forms, constancy, Lawson
+homothety) in one loop over the two sides and takes frame unimodularity
+and the normal-field algebra as a maximum over it; compatibility, the
+exact parallel identity, equidistance and the opposite mean-curvature
+signs complete the registry.
 
 Every frame-derived array is built once per evaluation: the parallel
 identity's residual comes from the matrices the two surfaces and the
 primary normal are read from (see `evaluate`), and each frame's
 |det F - 1| maximum is taken once, so the report reuses the one
-`integrate_frame` checked.
+`integrate_frame` checked.  `_report` takes the tolerance map that
+`report.resolve_tolerances` validated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, InvalidInputError
+from .errors import InvalidInputError
 from .frames import ExtendedFrame, shift_frame
 from .measure import (
     MeasuredData,
@@ -48,8 +51,8 @@ from .report import (
     SIDES,
     CheckRecord,
     VerificationReport,
-    default_tolerances,
     registry_names,
+    resolve_tolerances,
 )
 from .surface_data import SurfaceData, dual_data, max_gauss_residual
 from .surfaces import (
@@ -114,21 +117,6 @@ def evaluate(frame: ExtendedFrame) -> Evaluation:
     return Evaluation(sides, residual)
 
 
-def resolve_tolerances(overrides: dict[str, float] | None = None) -> dict[str, float]:
-    """Default tolerances with overrides applied; unknown names are refused."""
-    tols = default_tolerances()
-    if overrides:
-        unknown = sorted(set(overrides) - set(tols))
-        if unknown:
-            raise ConfigError(f"unknown tolerance names: {', '.join(unknown)}")
-        for name, val in overrides.items():
-            val = float(val)
-            if not val > 0.0:
-                raise ConfigError(f"tolerance {name} must be positive, got {val}")
-            tols[name] = val
-    return tols
-
-
 def verify_theorem(
     data: SurfaceData,
     frame: ExtendedFrame,
@@ -137,13 +125,14 @@ def verify_theorem(
     """Run every registered check and return the report.
 
     Failures are carried in the report, never raised; only structural
-    problems (mismatched grids, non-normalized data, unknown tolerance
-    names) raise.
+    problems (mismatched grids, non-normalized data, tolerance overrides
+    that `resolve_tolerances` refuses) raise.
     """
+    tols = resolve_tolerances(tolerances)
     _require_normalized(data)
     if data.grid != frame.grid:
         raise InvalidInputError("data and frame live on different grids")
-    return _report(data, evaluate(frame), tolerances)
+    return _report(data, evaluate(frame), tols)
 
 
 def _require_normalized(data: SurfaceData) -> None:
@@ -158,15 +147,14 @@ def _require_normalized(data: SurfaceData) -> None:
 def _report(
     data: SurfaceData,
     evaluation: Evaluation,
-    tolerances: dict[str, float] | None,
+    tols: dict[str, float],
 ) -> VerificationReport:
-    """The report on what `evaluate` built from one frame."""
+    """The report on what `evaluate` built from one frame, judged against
+    `tols`, the resolved tolerance of every registered check."""
     sides = evaluation.sides
     primary, shifted = sides
     frame = primary.frame
-    tols = resolve_tolerances(tolerances)
-    lam = frame.lam
-    scale = homothety_scale(data.H, lam)
+    scale = homothety_scale(data.H, frame.spectral)
 
     values = {
         "gauss_residual_max": max_gauss_residual(data),
@@ -181,7 +169,7 @@ def _report(
     signs = {}
     for side in sides:
         m = side.measured
-        clo = closed_form(data, lam, side.sign)
+        clo = closed_form(data, frame.spectral, side.sign)
         partner = dual_data(data) if side.sign == 1 else data
         lawson = lawson_data(partner, side.sign * scale)
         side_values = {
@@ -205,7 +193,7 @@ def _report(
     )
     g = data.grid
     metadata = {
-        "lambda": f"{lam:.17g}",
+        "lambda": f"{frame.lam:.17g}",
         "q": f"{frame.spectral.q:.17g}",
         "r": f"{frame.spectral.r:.17g}",
         "H": f"{data.H:.17g}",

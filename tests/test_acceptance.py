@@ -113,8 +113,8 @@ def test_criterion_3_parallel_exact_identities(capsys, del_data_101):
 def test_criterion_4_measured_vs_closed_form(capsys, cyl_frame_101, cyl_frame_201):
     checks = {}
     # closed-form targets at lambda = 1/2: metric 0.140625, |Hopf| 3/32, mean 5/3
-    t_fine = closed_form(cylinder_data(square_grid(201)), 0.5, 1)
-    t_coarse = closed_form(cylinder_data(square_grid(101)), 0.5, 1)
+    t_fine = closed_form(cylinder_data(square_grid(201)), SpectralParam(0.5), 1)
+    t_coarse = closed_form(cylinder_data(square_grid(101)), SpectralParam(0.5), 1)
     m_fine = measure(surface_primary(cyl_frame_201), normal_field(cyl_frame_201))
     m_coarse = measure(surface_primary(cyl_frame_101), normal_field(cyl_frame_101))
     fine = {
@@ -144,14 +144,15 @@ def test_criterion_5_lawson_identities(capsys):
         lam = rng.uniform(0.1, 0.9)
         g = GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5)
         d = SurfaceData(g, np.full((5, 5), rng.uniform(-1.0, 1.0)), Q=Q, H=2.0 * Q)
-        s = homothety_scale(d.H, lam)
+        sp = SpectralParam(lam)
+        s = homothety_scale(d.H, sp)
         worst_dual = max(
             worst_dual,
-            closed_form_max_diff(lawson_data(dual_data(d), s), closed_form(d, lam, 1)),
+            closed_form_max_diff(lawson_data(dual_data(d), s), closed_form(d, sp, 1)),
         )
         worst_f = max(
             worst_f,
-            closed_form_max_diff(lawson_data(d, -s), closed_form(d, lam, -1)),
+            closed_form_max_diff(lawson_data(d, -s), closed_form(d, sp, -1)),
         )
     checks["dual-side identity <= 1e-12 on 100 tuples"] = worst_dual <= 1e-12
     checks["f-side identity <= 1e-12 on 100 tuples"] = worst_f <= 1e-12
@@ -163,9 +164,9 @@ def test_criterion_5_lawson_identities(capsys):
         GridSpec(-1, 1, -1, 1, 5, 5), np.full((5, 5), 0.2), Q=0.25, H=0.9
     )
     s_metric = bad.Q * (1.0 / lam - lam)
-    s_hom = homothety_scale(bad.H, lam)
+    s_hom = homothety_scale(bad.H, SpectralParam(lam))
     L = lawson_data(dual_data(bad), s_metric)
-    C = closed_form(bad, lam, 1)
+    C = closed_form(bad, SpectralParam(lam), 1)
     checks["non-normalized: scales disagree"] = abs(s_metric - s_hom) > 1e-2
     checks["non-normalized: metric identity forced"] = (
         float(np.max(np.abs(L.metric_factor - C.metric_factor))) <= 1e-13
@@ -179,7 +180,7 @@ def test_criterion_6_cmc_on_delaunay(capsys, del_data_201, del_frame_201):
     checks["u genuinely non-constant"] = float(np.ptp(del_data_201.u)) > 0.1
     m = measure(surface_primary(del_frame_201), normal_field(del_frame_201))
     checks["mean curvature std dev <= 5e-3"] = mean_constancy(m) <= 5e-3
-    target = closed_form(del_data_201, 0.5, 1)
+    target = closed_form(del_data_201, SpectralParam(0.5), 1)
     # target mean is (1/lam + lam)/(1/lam - lam) = 5/3 at lam = 1/2
     checks["mean equals closed form within 5e-3"] = mean_match(m, target) <= 5e-3
     emit(capsys, 6, "constant mean curvature on delaunay data", checks)

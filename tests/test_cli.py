@@ -235,17 +235,20 @@ def test_stored_header_with_extra_fields_exits_2(
     assert expected in err
 
 
-def test_stored_base_outside_the_grid_exits_2(generated, tmp_path, capsys, edit_frame):
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_frame_with_stored_base_index_exits_2(
+    generated, tmp_path, capsys, edit_frame, command
+):
+    # earlier binary frames also stored their base, always the grid center
     _, out, _ = generated
     run_dir = tmp_path / "run"
     shutil.copytree(out, run_dir)
-    path = run_dir / "frame.dat"
-    with np.load(path) as z:
-        assert z["base_index"].tolist() == [20, 20]
-    edit_frame(path, base_index=np.array([41, 0]))
-    assert main(["verify", "--in", str(run_dir)]) == 2
+    edit_frame(run_dir / "frame.dat", base_index=np.array([20, 20]))
+    assert main([command, "--in", str(run_dir)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: config: base index (41, 0) outside grid\n"
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert "frame.dat: frame members ['F', 'base_index', 'extents', 'lam', 'r']" in err
+    assert "runs stored by earlier versions must be generated again" in err
 
 
 def test_incompatible_data_exits_3(tmp_path, capsys):
@@ -326,6 +329,40 @@ def test_custom_file_with_empty_extent_exits_2(tmp_path, capsys):
     assert main(["generate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: config: {src}: grid extents must have positive length\n"
+
+
+def _non_normalized_input(tmp_path):
+    """Config keys that read a custom file with H = 0.9 != 2Q."""
+    src = tmp_path / "custom.dat"
+    g = GridSpec(-1, 1, -1, 1, 9, 9)
+    save_surface_data(src, SurfaceData(g, np.zeros((9, 9)), Q=0.25, H=0.9))
+    return {"family": "custom-file", "input": str(src)}
+
+
+@pytest.mark.parametrize(
+    "fault, expected",
+    [
+        ({"metric_match_primry": 1e-3}, "unknown tolerance names: metric_match_primry"),
+        ({"metric_match_primary": -1}, "tolerance metric_match_primary must be positive"),
+        ({"metric_match_primary": "1e-3"}, "must be a number, got '1e-3'"),
+        (_non_normalized_input, "H = 2Q"),
+    ],
+    ids=["unknown-name", "non-positive", "non-number", "H-not-2Q"],
+)
+def test_refused_run_writes_nothing(tmp_path, capsys, fault, expected):
+    # each is refused before any work, so out_dir is never made
+    out = tmp_path / "run"
+    obj = {"family": "delaunay", "H": 0.5, "u0": 0.3, "du0": 0.0, "out_dir": str(out)}
+    if callable(fault):
+        obj.update(fault(tmp_path))
+    else:
+        obj["tolerances"] = fault
+    cfg = write_config(tmp_path / "cfg.json", **obj)
+    assert main(["generate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert expected in err
+    assert not out.exists()
 
 
 def test_tolerance_override_can_fail_run(tmp_path, capsys):

@@ -47,7 +47,9 @@ class TestSpectralParam:
     def test_default_radius(self):
         assert SpectralParam(0.5).r == 0.25
 
-    @pytest.mark.parametrize("lam,r", [(1.0, 0.5), (0.0, None), (-0.5, None), (0.5, 0.7), (0.5, 0.0)])
+    @pytest.mark.parametrize(
+        "lam,r", [(1.0, 0.5), (1.2, None), (0.0, None), (-0.5, None), (0.5, 0.7), (0.5, 0.0)]
+    )
     def test_rejects_bad_values(self, lam, r):
         with pytest.raises(InvalidInputError):
             SpectralParam(lam, r)
@@ -247,7 +249,12 @@ class TestExtendedFrameType:
     def test_shape_validated(self):
         g = square_grid(5)
         with pytest.raises(InvalidInputError):
-            ExtendedFrame(g, np.zeros((4, 5, 2, 2)), SpectralParam(0.5), (2, 2))
+            ExtendedFrame(g, np.zeros((4, 5, 2, 2)), SpectralParam(0.5))
+
+    def test_base_is_grid_center(self):
+        g = GridSpec(-1.0, 1.0, -1.0, 1.0, 7, 6)
+        frame = ExtendedFrame(g, np.zeros((7, 6, 2, 2)), SpectralParam(0.5))
+        assert frame.base_index == (3, 3) == g.center_index()
 
     def test_array_locked(self, cylinder_frame_51):
         with pytest.raises(ValueError):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from cmclab.errors import DegenerateSpectralValueError, InvalidInputError
-from cmclab.frames import shift_frame
+from cmclab.errors import InvalidInputError
+from cmclab.frames import SpectralParam, shift_frame
 from cmclab.measure import (
     ClosedFormData,
     closed_form,
@@ -42,48 +42,44 @@ def measured_cylinder(cyl_frame_101):
 
 class TestClosedForms:
     def test_cylinder_primary_values(self):
-        c = closed_form(cylinder_data(GridSpec(-1, 1, -1, 1, 5, 5)), 0.5, 1)
+        c = closed_form(cylinder_data(GridSpec(-1, 1, -1, 1, 5, 5)), SpectralParam(0.5), 1)
         assert np.allclose(c.metric_factor, 0.140625, atol=1e-15)
         assert c.hopf == pytest.approx(0.09375, abs=1e-15)
         assert c.mean == pytest.approx(5.0 / 3.0, abs=1e-15)
 
     def test_cylinder_shifted_values(self):
-        c = closed_form(cylinder_data(GridSpec(-1, 1, -1, 1, 5, 5)), 0.5, -1)
+        c = closed_form(cylinder_data(GridSpec(-1, 1, -1, 1, 5, 5)), SpectralParam(0.5), -1)
         assert np.allclose(c.metric_factor, 0.140625, atol=1e-15)
         assert c.hopf == pytest.approx(-0.09375, abs=1e-15)
         assert c.mean == pytest.approx(-5.0 / 3.0, abs=1e-15)
-
-    def test_degenerate_spectral_value(self):
-        d = constant_data(0.0, 0.25, 0.5)
-        with pytest.raises(DegenerateSpectralValueError):
-            closed_form(d, 1.0, 1)
-        with pytest.raises(DegenerateSpectralValueError):
-            closed_form(d, 1.0, -1)
 
     def test_unknown_sign_rejected(self):
         d = constant_data(0.0, 0.25, 0.5)
         for sign in (0, 2, 0.5, -1.5):
             with pytest.raises(InvalidInputError, match="side sign must be"):
-                closed_form(d, 0.5, sign)
+                closed_form(d, SpectralParam(0.5), sign)
 
     def test_dual_swaps_metrics(self):
         d = constant_data(0.4, 0.25, 0.5)
-        p, s = closed_form(d, 0.5, 1), closed_form(d, 0.5, -1)
-        pd = closed_form(dual_data(d), 0.5, 1)
-        sd = closed_form(dual_data(d), 0.5, -1)
+        sp = SpectralParam(0.5)
+        p, s = closed_form(d, sp, 1), closed_form(d, sp, -1)
+        pd = closed_form(dual_data(d), sp, 1)
+        sd = closed_form(dual_data(d), sp, -1)
         np.testing.assert_allclose(pd.metric_factor, s.metric_factor, rtol=1e-15)
         np.testing.assert_allclose(sd.metric_factor, p.metric_factor, rtol=1e-15)
         assert pd.hopf == p.hopf and pd.mean == p.mean
 
     def test_shifted_negates_hopf_and_mean(self):
         d = constant_data(-0.2, 0.3, 0.6)
-        p, s = closed_form(d, 0.7, 1), closed_form(d, 0.7, -1)
+        sp = SpectralParam(0.7)
+        p, s = closed_form(d, sp, 1), closed_form(d, sp, -1)
         assert s.hopf == pytest.approx(-p.hopf, abs=1e-15)
         assert s.mean == pytest.approx(-p.mean, abs=1e-15)
 
     def test_metric_ratio(self):
         d = constant_data(0.3, 0.25, 0.5)
-        p, s = closed_form(d, 0.5, 1), closed_form(d, 0.5, -1)
+        sp = SpectralParam(0.5)
+        p, s = closed_form(d, sp, 1), closed_form(d, sp, -1)
         np.testing.assert_allclose(
             s.metric_factor / p.metric_factor, np.exp(4 * d.u), rtol=1e-13
         )
@@ -95,16 +91,14 @@ class TestClosedForms:
 
 class TestHomothetyScale:
     def test_value(self):
-        assert homothety_scale(0.5, 0.5) == pytest.approx(0.375, abs=1e-16)
+        assert homothety_scale(0.5, SpectralParam(0.5)) == pytest.approx(0.375, abs=1e-16)
 
     def test_small_near_one(self):
-        assert abs(homothety_scale(0.5, 0.999)) < 1e-3
+        assert abs(homothety_scale(0.5, SpectralParam(0.999))) < 1e-3
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidInputError):
-            homothety_scale(0.0, 0.5)
-        with pytest.raises(InvalidInputError):
-            homothety_scale(0.5, 1.2)
+            homothety_scale(0.0, SpectralParam(0.5))
 
 
 class TestLawsonData:
@@ -153,12 +147,12 @@ class TestLawsonData:
             Q = rng.uniform(0.1, 1.5)
             lam = rng.uniform(0.1, 0.9)
             d = constant_data(rng.uniform(-1.0, 1.0), Q, 2.0 * Q)
-            s = homothety_scale(d.H, lam)
+            s = homothety_scale(d.H, SpectralParam(lam))
             assert closed_form_max_diff(
-                lawson_data(dual_data(d), s), closed_form(d, lam, 1)
+                lawson_data(dual_data(d), s), closed_form(d, SpectralParam(lam), 1)
             ) <= 1e-12
             assert closed_form_max_diff(
-                lawson_data(d, -s), closed_form(d, lam, -1)
+                lawson_data(d, -s), closed_form(d, SpectralParam(lam), -1)
             ) <= 1e-12
 
     def test_metric_forced_scale_breaks_mean_without_normalization(self):
@@ -168,7 +162,7 @@ class TestLawsonData:
         bad = constant_data(0.2, 0.25, 0.9)  # H != 2Q
         s_metric = bad.Q * (1.0 / lam - lam)
         L = lawson_data(dual_data(bad), s_metric)
-        C = closed_form(bad, lam, 1)
+        C = closed_form(bad, SpectralParam(lam), 1)
         assert np.max(np.abs(L.metric_factor - C.metric_factor)) <= 1e-15
         assert abs(abs(L.mean) - abs(C.mean)) > 0.1
 
@@ -176,14 +170,14 @@ class TestLawsonData:
 class TestMeasureCylinder:
     def test_primary_matches_closed_form(self, measured_cylinder, cyl_frame_101):
         m, _ = measured_cylinder
-        c = closed_form(cylinder_data(cyl_frame_101.grid), 0.5, 1)
+        c = closed_form(cylinder_data(cyl_frame_101.grid), SpectralParam(0.5), 1)
         assert metric_match(m, c) < 3e-4
         assert hopf_match(m, c) < 1e-4
         assert mean_match(m, c) < 2.5e-4
 
     def test_shifted_matches_closed_form(self, measured_cylinder, cyl_frame_101):
         _, m = measured_cylinder
-        c = closed_form(cylinder_data(cyl_frame_101.grid), 0.5, -1)
+        c = closed_form(cylinder_data(cyl_frame_101.grid), SpectralParam(0.5), -1)
         assert metric_match(m, c) < 3e-4
         assert hopf_match(m, c) < 1e-4
         assert mean_match(m, c) < 2.5e-4
@@ -207,8 +201,9 @@ class TestMeasureCylinder:
 
     def test_second_order_convergence(self, measured_cylinder, cyl_frame_51):
         coarse = measure(surface_primary(cyl_frame_51), normal_field(cyl_frame_51))
-        c = closed_form(cylinder_data(cyl_frame_51.grid), 0.5, 1)
-        c_fine = closed_form(cylinder_data(measured_cylinder[0].grid), 0.5, 1)
+        c = closed_form(cylinder_data(cyl_frame_51.grid), cyl_frame_51.spectral, 1)
+        fine_grid = measured_cylinder[0].grid
+        c_fine = closed_form(cylinder_data(fine_grid), cyl_frame_51.spectral, 1)
         ratio = metric_match(coarse, c) / metric_match(measured_cylinder[0], c_fine)
         assert 3.5 < ratio < 4.5
 
@@ -220,7 +215,7 @@ class TestMeasureCylinder:
 class TestMeasureDelaunay:
     def test_mean_constant_despite_varying_u(self, del_frame_101, del_data_101):
         m = measure(surface_primary(del_frame_101), normal_field(del_frame_101))
-        c = closed_form(del_data_101, 0.5, 1)
+        c = closed_form(del_data_101, SpectralParam(0.5), 1)
         assert mean_constancy(m) < 1e-4
         assert mean_match(m, c) < 5e-3
         assert metric_match(m, c) < 5e-3

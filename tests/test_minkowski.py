@@ -9,6 +9,7 @@ from cmclab.minkowski import (
     det2,
     from_hermitian,
     h3_defect,
+    hermitian_defect,
     mat2,
     minkowski_inner,
     mink_dot,
@@ -194,6 +195,36 @@ class TestProductKernel:
         F = random_unimodular(rng, 10_000)
         M = require_hermitian(mul2(F, conj_transpose(F)))
         assert np.all(M[:, 0, 0].real > 0.0)
+
+
+def _full_hermitian_defect(M):
+    """The defect as the whole grid M - conj(M)^t spells it."""
+    return float(np.max(np.abs(M - conj_transpose(M))))
+
+
+class TestHermitianDefect:
+    # the defect read off four entries has the bits of the whole-grid one
+    def test_frame_products(self, del_frame_101):
+        F = del_frame_101.F
+        N = F.copy()
+        N[..., :, 1] *= -1  # F diag(1, -1)
+        for M in (mul2(F, conj_transpose(F)), mul2(N, conj_transpose(F))):
+            assert same_bits(hermitian_defect(M), _full_hermitian_defect(M))
+
+    def test_random_stacks(self):
+        rng = np.random.default_rng(18)
+        for shape in ((1,), (7,), (40, 30)):
+            A = random_stack(rng, shape)
+            H = A + conj_transpose(A)
+            for M in (A, H, H + 1e-12 * random_stack(rng, shape)):
+                assert same_bits(hermitian_defect(M), _full_hermitian_defect(M))
+
+    def test_diagonal_and_off_diagonal_defects_both_count(self):
+        M = np.zeros((3, 2, 2), dtype=complex)
+        M[1, 1, 1] = 1.0 + 3e-7j  # diagonal: defect 6e-7
+        assert hermitian_defect(M) == 6e-7
+        M[2, 0, 1], M[2, 1, 0] = 2.0 + 1j, 2.0 + 1j  # off-diagonal: defect 2
+        assert hermitian_defect(M) == 2.0
 
 
 class TestH3Validation:

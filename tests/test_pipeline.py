@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cmclab.config import config_from_mapping
-from cmclab.errors import ConfigError, InvalidInputError, OutOfDomainError
+from cmclab.errors import ConfigError, InvalidInputError
 from cmclab.frames import (
     ExtendedFrame,
     SpectralParam,
@@ -126,13 +126,13 @@ class TestFramePersistence:
         rng = np.random.default_rng(3)
         F = rng.choice(awkward, size=(5, 6, 2, 2)) + 1j * rng.choice(awkward, size=(5, 6, 2, 2))
         grid = GridSpec(-1 / 3, 0.1, -2.0**-1022, 1e300, 5, 6)
-        frame = ExtendedFrame(grid, F, SpectralParam(1 / 3, 0.1 / 3), (4, 0))
+        frame = ExtendedFrame(grid, F, SpectralParam(1 / 3, 0.1 / 3))
         path = tmp_path / "frame.dat"
         save_frame(path, frame)
         back = load_frame(path)
         assert np.array_equal(back.F.view(np.int64), frame.F.view(np.int64))
         assert back.grid == frame.grid and back.spectral == frame.spectral
-        assert back.base_index == (4, 0)
+        assert back.base_index == (2, 3)
 
     def test_truncated_file_rejected(self, frame_21):
         whole = frame_21.read_bytes()
@@ -148,16 +148,8 @@ class TestFramePersistence:
             with pytest.raises(InvalidInputError, match="frame.dat: grids need nx, ny >= 5"):
                 load_frame(frame_21)
 
-    def test_base_outside_grid(self, frame_21, edit_frame):
-        assert load_frame(frame_21).base_index == (10, 10)
-        edit_frame(frame_21, base_index=np.array([21, 0]))
-        with pytest.raises(OutOfDomainError, match=r"base index \(21, 0\) outside grid"):
-            load_frame(frame_21)
-
     @pytest.mark.parametrize(
-        "member, value",
-        [("base_index", np.array([10, 10, 9])), ("extents", np.array([-1.0, 1, -1, 1, 0]))],
-        ids=["head", "extents"],
+        "member, value", [("extents", np.array([-1.0, 1, -1, 1, 0]))], ids=["extents"]
     )
     def test_extra_header_fields_refused(self, frame_21, edit_frame, member, value):
         edit_frame(frame_21, **{member: value})
@@ -172,9 +164,8 @@ class TestFramePersistence:
             ("F", np.ones((21, 21, 4), dtype=complex)),
             ("lam", np.array([0.5])),
             ("r", np.float32(0.25)),
-            ("base_index", np.array([10.0, 10.0])),
         ],
-        ids=["F-real", "F-shape", "lam-shape", "r-float32", "base_index-float"],
+        ids=["F-real", "F-shape", "lam-shape", "r-float32"],
     )
     def test_wrong_member_type_refused(self, frame_21, edit_frame, member, value):
         edit_frame(frame_21, **{member: value})

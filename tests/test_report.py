@@ -12,9 +12,10 @@ from cmclab.report import (
     registry_names,
     render_machine,
     render_text,
+    resolve_tolerances,
 )
 from cmclab.surface_data import GridSpec, SurfaceData, cylinder_data
-from cmclab.verify import resolve_tolerances, verify_theorem
+from cmclab.verify import verify_theorem
 
 
 class TestCheckRecord:

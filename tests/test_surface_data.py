@@ -104,6 +104,16 @@ class TestDelaunayProfile:
         with pytest.raises(InvalidInputError):
             delaunay_profile(0.0, (0.0, 1.0), 0.1, 0.0)
 
+    def test_data_rejects_zero_h(self):
+        # the profile integrates flat; SurfaceData refuses H = 0
+        with pytest.raises(InvalidInputError, match="mean curvature H must be nonzero"):
+            delaunay_data(small_grid(n=9), 0.0, 0.3, 0.1)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3])
+    def test_data_rejects_nonpositive_step(self, step):
+        with pytest.raises(InvalidInputError, match="step must be positive"):
+            delaunay_data(small_grid(n=9), 0.5, 0.3, 0.0, step=step)
+
 
 class TestGaussResidual:
     def test_delaunay_residual_small(self):

@@ -31,7 +31,7 @@ from cmclab.surfaces import (
 def identity_frame(n=5, lam=0.5):
     g = GridSpec(-1.0, 1.0, -1.0, 1.0, n, n)
     F = np.broadcast_to(np.eye(2, dtype=complex), (n, n, 2, 2)).copy()
-    return ExtendedFrame(g, F, SpectralParam(lam), (n // 2, n // 2))
+    return ExtendedFrame(g, F, SpectralParam(lam))
 
 
 def random_unimodular(rng):
@@ -61,7 +61,7 @@ class TestSurfacePoints:
         rng = np.random.default_rng(4)
         n = 5
         F = np.stack([random_unimodular(rng) for _ in range(n * n)]).reshape(n, n, 2, 2)
-        fr = ExtendedFrame(GridSpec(-1, 1, -1, 1, n, n), F, SpectralParam(0.5), (2, 2))
+        fr = ExtendedFrame(GridSpec(-1, 1, -1, 1, n, n), F, SpectralParam(0.5))
         for s in (surface_primary(fr), surface_shifted(fr)):
             assert np.all(s.points[..., 3] > 0.0)
             sq = s.points
