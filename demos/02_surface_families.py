@@ -52,4 +52,4 @@ assert np.array_equal(dd.u, dela.u)
 print("dual involution ok")
 
 r = gauss_residual(dela)
-print("residual is NaN on the boundary ring:", bool(np.all(np.isnan(r[0, :]))))
+print("residual lives on the interior nodes, shape:", r.shape, "of grid", dela.u.shape)

@@ -4,12 +4,16 @@ Allowed keys: family, H, u0, du0, lambda, r, x_min, x_max, y_min, y_max,
 nx, ny, step, out_dir, input, tolerances.  "tolerances" is the only nested
 value, a map from registered check names to positive numbers, which
 `report.resolve_tolerances` validates when the RunConfig is built.  Unknown
-keys are rejected so typos cannot silently disable an override.
+keys are rejected so typos cannot silently disable an override, and so are
+the NaN and Infinity that Python's json reads.  H and step are checked by
+the data they shape (`SurfaceData`, `delaunay_data`), not here: a
+custom-file run reads neither.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,10 +72,6 @@ class RunConfig:
             self.grid()
         except InvalidInputError as exc:
             raise ConfigError(str(exc)) from None
-        if self.H == 0:
-            raise ConfigError("H must be nonzero")
-        if not self.step > 0:
-            raise ConfigError("profile step must be positive")
         if self.family == "custom-file" and not self.input_path:
             raise ConfigError("custom-file family requires an 'input' path")
         resolve_tolerances(self.tolerances)
@@ -91,7 +91,13 @@ def _coerce(key: str, value, kind):
     if isinstance(value, bool) or not isinstance(value, accepted):
         got = "boolean" if isinstance(value, bool) else repr(value)
         raise ConfigError(f"key {key!r} must be {kind.__name__}, got {got}")
-    return kind(value)
+    try:
+        value = kind(value)
+    except OverflowError:  # an integer beyond the largest double
+        value = math.inf
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"key {key!r} must be a finite number")
+    return value
 
 
 def config_from_mapping(obj: dict) -> RunConfig:

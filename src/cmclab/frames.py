@@ -76,13 +76,8 @@ class ExtendedFrame:
     spectral: SpectralParam
 
     def __post_init__(self):
-        F = np.asarray(self.F, dtype=complex)
-        if F.shape != (self.grid.nx, self.grid.ny, 2, 2):
-            raise InvalidInputError(
-                f"frame shape {F.shape} does not match grid "
-                f"({self.grid.nx}, {self.grid.ny}, 2, 2)"
-            )
-        object.__setattr__(self, "F", _locked(F, dtype=complex))
+        shape = (self.grid.nx, self.grid.ny, 2, 2)
+        object.__setattr__(self, "F", _locked(self.F, complex, shape, "frame"))
 
     @property
     def base_index(self) -> tuple[int, int]:

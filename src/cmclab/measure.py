@@ -27,7 +27,9 @@ CONFORMAL_WARN_RATIO = 0.05
 
 @dataclass(frozen=True, eq=False)
 class MeasuredData:
-    """Per-point measured geometry; boundary ring is NaN."""
+    """Per-point measured geometry on the interior nodes, where the
+    second-order stencils exist: each array has shape (nx - 2, ny - 2), and
+    entry (i, j) belongs to grid node (i + 1, j + 1)."""
 
     grid: GridSpec
     E: np.ndarray
@@ -38,16 +40,11 @@ class MeasuredData:
     conformal_warning: bool
 
     def __post_init__(self):
-        shape = (self.grid.nx, self.grid.ny)
-        for name in ("E", "Fc", "G", "Hm"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != shape:
-                raise InvalidInputError(f"{name} shape {a.shape} != {shape}")
-            object.__setattr__(self, name, _locked(a))
-        Qm = np.asarray(self.Qm, dtype=complex)
-        if Qm.shape != shape:
-            raise InvalidInputError(f"Qm shape {Qm.shape} != {shape}")
-        object.__setattr__(self, "Qm", _locked(Qm, dtype=complex))
+        shape = (self.grid.nx - 2, self.grid.ny - 2)
+        for name in ("E", "Fc", "G", "Qm", "Hm"):
+            dtype = complex if name == "Qm" else float
+            a = _locked(getattr(self, name), dtype, shape, name)
+            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,10 +61,6 @@ class ClosedFormData:
         if np.any(mf <= 0.0):
             raise InvalidInputError("metric factor must be positive")
         object.__setattr__(self, "metric_factor", _locked(mf))
-
-
-def _interior(a: np.ndarray) -> np.ndarray:
-    return a[1:-1, 1:-1]
 
 
 def measure(surface: H3SurfaceGrid, normal: NormalField) -> MeasuredData:
@@ -89,7 +82,7 @@ def measure(surface: H3SurfaceGrid, normal: NormalField) -> MeasuredData:
     fyy = (f[1:-1, 2:] - 2.0 * f[1:-1, 1:-1] + f[1:-1, :-2]) / hy**2
     fxy = (f[2:, 2:] - f[2:, :-2] - f[:-2, 2:] + f[:-2, :-2]) / (4.0 * hx * hy)
 
-    N = _interior(normal.vectors)
+    N = normal.vectors[1:-1, 1:-1]
     E = mink_dot(fx, fx)
     Fc = mink_dot(fx, fy)
     G = mink_dot(fy, fy)
@@ -100,21 +93,8 @@ def measure(surface: H3SurfaceGrid, normal: NormalField) -> MeasuredData:
     Qm = mink_dot(f_zz, N)
     Hm = 2.0 * mink_dot(f_zzb, N) / E
 
-    def full(interior, dtype=float):
-        out = np.full((g.nx, g.ny), np.nan, dtype=dtype)
-        out[1:-1, 1:-1] = interior
-        return out
-
     warn = bool(np.max(np.abs(Fc) / E) > CONFORMAL_WARN_RATIO)
-    return MeasuredData(
-        grid=g,
-        E=full(E),
-        Fc=full(Fc),
-        G=full(G),
-        Qm=full(Qm, dtype=complex),
-        Hm=full(Hm.real),
-        conformal_warning=warn,
-    )
+    return MeasuredData(g, E, Fc, G, Qm, Hm, conformal_warning=warn)
 
 
 def closed_form(data: SurfaceData, spectral: SpectralParam, sign: int) -> ClosedFormData:
@@ -175,15 +155,15 @@ def closed_form_max_diff(a: ClosedFormData, b: ClosedFormData) -> float:
 
 def metric_match(measured: MeasuredData, closed: ClosedFormData) -> float:
     """Max relative deviation of measured E from the closed-form factor."""
-    E = _interior(measured.E)
-    mf = _interior(np.broadcast_to(closed.metric_factor, measured.E.shape))
-    return float(np.max(np.abs(E - mf) / mf))
+    g = measured.grid
+    mf = np.broadcast_to(closed.metric_factor, (g.nx, g.ny))[1:-1, 1:-1]
+    return float(np.max(np.abs(measured.E - mf) / mf))
 
 
 def hopf_match(measured: MeasuredData, closed: ClosedFormData) -> float:
     """Max relative deviation of |Qm| from the closed-form Hopf modulus."""
     target = abs(closed.hopf)
-    return float(np.max(np.abs(np.abs(_interior(measured.Qm)) - target)) / target)
+    return float(np.max(np.abs(np.abs(measured.Qm) - target)) / target)
 
 
 def mean_match(measured: MeasuredData, closed: ClosedFormData) -> float:
@@ -193,28 +173,27 @@ def mean_match(measured: MeasuredData, closed: ClosedFormData) -> float:
     reported separately.
     """
     target = abs(closed.mean)
-    return float(np.max(np.abs(np.abs(_interior(measured.Hm)) - target)) / target)
+    return float(np.max(np.abs(np.abs(measured.Hm) - target)) / target)
 
 
 def conformality_defect(measured: MeasuredData) -> float:
-    """Max |Fc| / E over the interior."""
-    return float(np.max(np.abs(_interior(measured.Fc)) / _interior(measured.E)))
+    """Max |Fc| / E."""
+    return float(np.max(np.abs(measured.Fc) / measured.E))
 
 
 def isothermic_defect(measured: MeasuredData) -> float:
-    """Max |E - G| / E over the interior."""
-    E = _interior(measured.E)
-    return float(np.max(np.abs(E - _interior(measured.G)) / E))
+    """Max |E - G| / E."""
+    return float(np.max(np.abs(measured.E - measured.G) / measured.E))
 
 
 def mean_constancy(measured: MeasuredData) -> float:
-    """Standard deviation of Hm over the interior."""
-    return float(np.std(_interior(measured.Hm)))
+    """Standard deviation of Hm."""
+    return float(np.std(measured.Hm))
 
 
 def hopf_constancy(measured: MeasuredData) -> float:
-    """Standard deviation of |Qm| over the interior."""
-    return float(np.std(np.abs(_interior(measured.Qm))))
+    """Standard deviation of |Qm|."""
+    return float(np.std(np.abs(measured.Qm)))
 
 
 def hopf_phase_defect(measured: MeasuredData) -> float:
@@ -223,7 +202,7 @@ def hopf_phase_defect(measured: MeasuredData) -> float:
     The angle is doubled before averaging so that a phase jump of pi (an
     orientation artifact of the discretization) does not register.
     """
-    w = _interior(measured.Qm) ** 2
+    w = measured.Qm**2
     mags = np.abs(w)
     if np.min(mags) == 0.0:
         raise NumericalError("vanishing Hopf value; phase undefined")
@@ -234,32 +213,31 @@ def hopf_phase_defect(measured: MeasuredData) -> float:
 
 
 def mean_sign(measured: MeasuredData) -> float:
-    """Sign of the interior average of Hm."""
-    return float(np.sign(np.mean(_interior(measured.Hm))))
+    """Sign of the average of Hm."""
+    return float(np.sign(np.mean(measured.Hm)))
 
 
 def numeric_normal(surface: H3SurfaceGrid) -> np.ndarray:
     """Reconstruct the unit normal from the surface grid alone.
 
     Solves <N, f> = <N, f_x> = <N, f_y> = 0, <N, N> = 1 per interior point
-    via the null space of a 3x4 system; boundary ring is NaN.  The sign is
-    whatever the solver returns; compare with numeric_normal_max_deviation.
+    via the null space of a 3x4 system.  Like the measured data it exists
+    on the interior nodes only: shape (nx - 2, ny - 2, 4), entry (i, j) at
+    grid node (i + 1, j + 1).  The sign is whatever the solver returns;
+    compare with numeric_normal_max_deviation.
     """
     g = surface.grid
     f = surface.points
     fx = (f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * g.hx)
     fy = (f[1:-1, 2:] - f[1:-1, :-2]) / (2.0 * g.hy)
     eta = np.array([1.0, 1.0, 1.0, -1.0])
-    rows = np.stack([_interior(f) * eta, fx * eta, fy * eta], axis=-2)
+    rows = np.stack([f[1:-1, 1:-1] * eta, fx * eta, fy * eta], axis=-2)
     _, _, vh = np.linalg.svd(rows)
     null = vh[..., -1, :]
     nn = mink_dot(null, null)
     if np.any(nn <= 0.0):
         raise NumericalError("reconstructed normal is not spacelike")
-    null = null / np.sqrt(nn)[..., None]
-    out = np.full((g.nx, g.ny, 4), np.nan)
-    out[1:-1, 1:-1] = null
-    return out
+    return null / np.sqrt(nn)[..., None]
 
 
 def numeric_normal_max_deviation(surface: H3SurfaceGrid, normal: NormalField) -> float:
@@ -267,8 +245,8 @@ def numeric_normal_max_deviation(surface: H3SurfaceGrid, normal: NormalField) ->
     after aligning the reconstruction's per-point sign."""
     if surface.grid != normal.grid:
         raise InvalidInputError("surface and normal live on different grids")
-    Nn = numeric_normal(surface)[1:-1, 1:-1]
-    Nr = _interior(normal.vectors)
+    Nn = numeric_normal(surface)
+    Nr = normal.vectors[1:-1, 1:-1]
     sign = np.sign(mink_dot(Nn, Nr))
     sign[sign == 0.0] = 1.0
     return float(np.max(np.abs(Nn * sign[..., None] - Nr)))

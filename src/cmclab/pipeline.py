@@ -26,6 +26,8 @@ from .minkowski import require_h3
 from .report import (
     SIDES,
     VerificationReport,
+    parse_machine,
+    registry_names,
     render_machine,
     render_text,
     resolve_tolerances,
@@ -121,27 +123,26 @@ def write_diagnostics(path, data, sides: tuple[Side, Side]):
     """Per-point table of measured quantities on the interior grid.
 
     `sides` is the (primary, shifted) pair `evaluate` built; the measured
-    columns are the primary side's.  The boundary ring carries no
-    second-order measurements and is omitted.
+    columns are the primary side's.  The measurements and the Gauss residual
+    exist on the interior nodes only, so the grid-aligned columns (node
+    index, coordinates, distance) are cut to the interior to match them.
     Columns: i j x y E Fc G |Qm| Hm distance-to-shifted gauss-residual.
     """
     primary, shifted = sides
     m = primary.measured
     g = data.grid
+    distance = distance_grid(primary.surface, shifted.surface)
+    i, j, x, y, distance = (
+        a[1:-1, 1:-1] for a in (*np.indices((g.nx, g.ny)), *g.mesh(), distance)
+    )
     columns = (
-        *np.indices((g.nx, g.ny)),
-        *g.mesh(),
-        m.E,
-        m.Fc,
-        m.G,
+        i, j, x, y, m.E, m.Fc, m.G,
         np.hypot(m.Qm.real, m.Qm.imag),  # bitwise abs() of each entry; np.abs is not
-        m.Hm,
-        distance_grid(primary.surface, shifted.surface),
-        gauss_residual(data),
+        m.Hm, distance, gauss_residual(data),
     )
     with open(path, "w") as fh:
         fh.write("# columns: i j x y E Fc G |Qm| Hm distance-to-shifted gauss-residual\n")
-        write_table(fh, np.stack(columns, axis=-1)[1:-1, 1:-1])
+        write_table(fh, np.stack(columns, axis=-1))
 
 
 def save_frame(path, frame: ExtendedFrame):
@@ -255,10 +256,22 @@ def load_outputs(in_dir):
 
 
 def verify_outputs(in_dir) -> VerificationReport:
-    """Re-run the theorem checks on stored outputs and refresh the reports."""
+    """Re-run the theorem checks on stored outputs and refresh the reports.
+
+    Each check is judged against the tolerance the stored `report.kv` gives
+    it, so a run generated with overrides keeps them.  A report.kv that is
+    missing, malformed or lacks a registered check is refused, and so is one
+    whose check names or tolerances `resolve_tolerances` refuses.
+    """
+    in_dir = Path(in_dir)
+    path = require_output(in_dir / REPORT_MACHINE_FILE)
+    tols = {r.name: r.tolerance for r in parse_machine(path.read_text()).records}
+    missing = [name for name in registry_names() if name not in tols]
+    if missing:
+        raise InvalidInputError(f"{path}: no stored tolerance for {', '.join(missing)}")
     data, frame = load_outputs(in_dir)
-    report = verify_theorem(data, frame)
-    _write_report_files(Path(in_dir), report)
+    report = verify_theorem(data, frame, tols)
+    _write_report_files(in_dir, report)
     return report
 
 

@@ -32,8 +32,11 @@ GRID_NODE_RTOL = 1e-6
 MIN_NODES = 5
 
 
-def _locked(a, dtype=float):
+def _locked(a, dtype=float, shape=None, what=None):
+    """A read-only copy of `a`; refused unless of `shape`, when one is given."""
     a = np.array(a, dtype=dtype)
+    if shape is not None and a.shape != shape:
+        raise InvalidInputError(f"{what} has shape {a.shape}, expected {shape}")
     a.flags.writeable = False
     return a
 
@@ -95,12 +98,8 @@ class SurfaceData:
     def __post_init__(self):
         if self.H == 0.0:
             raise InvalidInputError("mean curvature H must be nonzero")
-        u = np.asarray(self.u, dtype=float)
-        if u.shape != (self.grid.nx, self.grid.ny):
-            raise InvalidInputError(
-                f"u has shape {u.shape}, expected {(self.grid.nx, self.grid.ny)}"
-            )
-        object.__setattr__(self, "u", _locked(u))
+        shape = (self.grid.nx, self.grid.ny)
+        object.__setattr__(self, "u", _locked(self.u, float, shape, "u"))
 
     @property
     def normalized(self):
@@ -184,7 +183,7 @@ def delaunay_profile(H, x_range, u0, du0, step=1e-3):
     """
     if H == 0.0:
         raise InvalidInputError("H must be nonzero")
-    if step <= 0.0:
+    if not step > 0.0:
         raise InvalidInputError("step must be positive")
     x0, x1 = float(x_range[0]), float(x_range[1])
     if not x1 > x0:
@@ -204,7 +203,7 @@ def delaunay_data(grid, H, u0, du0, step=1e-3):
     node, so the sampled values carry no interpolation error.  H = 0 is
     refused by SurfaceData once the (then flat) profile is sampled.
     """
-    if step <= 0.0:
+    if not step > 0.0:
         raise InvalidInputError("step must be positive")
     per_cell = max(1, math.ceil(grid.hx / step))
     n = per_cell * (grid.nx - 1)
@@ -217,24 +216,21 @@ def delaunay_data(grid, H, u0, du0, step=1e-3):
 def gauss_residual(data):
     """Gauss-equation residual (u_xx + u_yy) - 4Q^2 e^{-2u} + H^2 e^{2u}.
 
-    Second-order central differences on interior points; the boundary ring
-    is NaN so that reports exclude it uniformly.
+    Second-order central differences, so it exists on the interior nodes
+    only: shape (nx - 2, ny - 2), entry (i, j) at grid node (i + 1, j + 1).
     """
     u, Q, H = data.u, data.Q, data.H
     hx, hy = data.grid.hx, data.grid.hy
-    out = np.full(u.shape, np.nan)
-    lap = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / hx**2 + (
-        u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]
-    ) / hy**2
     core = u[1:-1, 1:-1]
-    out[1:-1, 1:-1] = lap - 4.0 * Q**2 * np.exp(-2.0 * core) + H**2 * np.exp(2.0 * core)
-    return out
+    lap = (u[2:, 1:-1] - 2.0 * core + u[:-2, 1:-1]) / hx**2 + (
+        u[1:-1, 2:] - 2.0 * core + u[1:-1, :-2]
+    ) / hy**2
+    return lap - 4.0 * Q**2 * np.exp(-2.0 * core) + H**2 * np.exp(2.0 * core)
 
 
 def max_gauss_residual(data):
-    """Largest interior residual magnitude."""
-    r = gauss_residual(data)
-    return float(np.max(np.abs(r[1:-1, 1:-1])))
+    """Largest residual magnitude."""
+    return float(np.max(np.abs(gauss_residual(data))))
 
 
 def dual_data(data):

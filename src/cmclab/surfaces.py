@@ -48,16 +48,11 @@ class H3SurfaceGrid:
     def __post_init__(self):
         if self.kind not in SIDES:
             raise InvalidInputError(f"unknown surface kind {self.kind!r}")
-        pts = np.asarray(self.points, dtype=float)
-        if pts.shape != (self.grid.nx, self.grid.ny, 4):
-            raise InvalidInputError(
-                f"points shape {pts.shape} does not match grid "
-                f"({self.grid.nx}, {self.grid.ny}, 4)"
-            )
+        pts = _locked(self.points, float, (self.grid.nx, self.grid.ny, 4), "points")
         # a point F F* misses the hyperboloid by |det F|^2 - 1, so it answers
         # to the bound the integrator holds |det F - 1| to
         require_h3(pts, tol=DET_DRIFT_TOL, what=f"{self.kind} surface")
-        object.__setattr__(self, "points", _locked(pts))
+        object.__setattr__(self, "points", pts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,13 +63,8 @@ class NormalField:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=float)
-        if v.shape != (self.grid.nx, self.grid.ny, 4):
-            raise InvalidInputError(
-                f"vectors shape {v.shape} does not match grid "
-                f"({self.grid.nx}, {self.grid.ny}, 4)"
-            )
-        object.__setattr__(self, "vectors", _locked(v))
+        v = _locked(self.vectors, float, (self.grid.nx, self.grid.ny, 4), "vectors")
+        object.__setattr__(self, "vectors", v)
 
 
 def _surface(frame: ExtendedFrame, kind: str) -> tuple[H3SurfaceGrid, np.ndarray]:

@@ -339,6 +339,11 @@ def _non_normalized_input(tmp_path):
     return {"family": "custom-file", "input": str(src)}
 
 
+def _keys(**keys):
+    """Config keys that replace the delaunay defaults."""
+    return lambda tmp_path: keys
+
+
 @pytest.mark.parametrize(
     "fault, expected",
     [
@@ -346,8 +351,20 @@ def _non_normalized_input(tmp_path):
         ({"metric_match_primary": -1}, "tolerance metric_match_primary must be positive"),
         ({"metric_match_primary": "1e-3"}, "must be a number, got '1e-3'"),
         (_non_normalized_input, "H = 2Q"),
+        (_keys(H=0.0), "mean curvature H must be nonzero"),
+        (_keys(step=0.0), "step must be positive"),
+        (_keys(step=-1e-3), "step must be positive"),
+        (_keys(u0=float("nan")), "key 'u0' must be a finite number"),
+        (_keys(du0=float("nan")), "key 'du0' must be a finite number"),
+        (_keys(u0=float("inf")), "key 'u0' must be a finite number"),
+        (_keys(H=float("inf")), "key 'H' must be a finite number"),
+        (_keys(H=10**400), "key 'H' must be a finite number"),
     ],
-    ids=["unknown-name", "non-positive", "non-number", "H-not-2Q"],
+    ids=[
+        "unknown-name", "non-positive", "non-number", "H-not-2Q", "H-zero",
+        "step-zero", "step-negative", "u0-nan", "du0-nan", "u0-inf", "H-inf",
+        "H-huge-int",
+    ],
 )
 def test_refused_run_writes_nothing(tmp_path, capsys, fault, expected):
     # each is refused before any work, so out_dir is never made
@@ -374,6 +391,57 @@ def test_tolerance_override_can_fail_run(tmp_path, capsys):
     )
     assert main(["generate", "--config", str(cfg)]) == 1
     assert "FAIL" in capsys.readouterr().out
+    # verify judges the stored run by its own tolerances, not the defaults
+    before = (out / REPORT_MACHINE_FILE).read_bytes()
+    assert main(["verify", "--in", str(out)]) == 1
+    assert (out / REPORT_MACHINE_FILE).read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "tamper, expected",
+    [
+        (lambda text: text + "metric_match_primry 0.001 0.005 PASS\n",
+         "unknown tolerance names: metric_match_primry"),
+        (lambda text: "".join(
+            "metric_match_primary 1 -1 FAIL\n" if ln.startswith("metric_match_primary ") else ln
+            for ln in text.splitlines(keepends=True)
+        ), "tolerance metric_match_primary must be positive"),
+        (lambda text: "".join(
+            ln for ln in text.splitlines(keepends=True)
+            if not ln.startswith("metric_match_primary ")
+        ), "report.kv: no stored tolerance for metric_match_primary"),
+        (None, "report.kv"),
+    ],
+    ids=["unknown-name", "non-positive", "dropped-check", "missing"],
+)
+def test_verify_refuses_a_tampered_report(generated, tmp_path, capsys, tamper, expected):
+    _, out, _ = generated
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    path = run_dir / REPORT_MACHINE_FILE
+    if tamper is None:
+        path.unlink()
+    else:
+        path.write_text(tamper(path.read_text()))
+    assert main(["verify", "--in", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert expected in err
+
+
+def test_custom_file_ignores_config_h(tmp_path, capsys):
+    # the family takes H from its input file; the config's H goes unread
+    src = tmp_path / "custom.dat"
+    g = GridSpec(-1, 1, -1, 1, 41, 41)
+    save_surface_data(src, SurfaceData(g, np.zeros((41, 41)), Q=0.25, H=0.5))
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        family="custom-file",
+        input=str(src),
+        H=0.0,
+        out_dir=str(tmp_path / "o"),
+    )
+    assert main(["generate", "--config", str(cfg)]) == 0
 
 
 def test_delaunay_family_end_to_end(tmp_path):

@@ -52,11 +52,8 @@ def test_unknown_family():
         ("lambda", 1.2),
         ("lambda", 0.0),
         ("r", 0.7),  # r >= lambda
-        ("H", 0.0),
         ("nx", 4),
         ("ny", 3),
-        ("step", 0.0),
-        ("step", -1e-3),
     ],
 )
 def test_invalid_numeric_ranges(key, value):

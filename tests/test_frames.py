@@ -246,11 +246,6 @@ class TestGauge:
 
 
 class TestExtendedFrameType:
-    def test_shape_validated(self):
-        g = square_grid(5)
-        with pytest.raises(InvalidInputError):
-            ExtendedFrame(g, np.zeros((4, 5, 2, 2)), SpectralParam(0.5))
-
     def test_base_is_grid_center(self):
         g = GridSpec(-1.0, 1.0, -1.0, 1.0, 7, 6)
         frame = ExtendedFrame(g, np.zeros((7, 6, 2, 2)), SpectralParam(0.5))

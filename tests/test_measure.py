@@ -1,12 +1,15 @@
 """Tests for discrete measurement and the closed-form target data."""
 
+import re
+
 import numpy as np
 import pytest
 
 from cmclab.errors import InvalidInputError
-from cmclab.frames import SpectralParam, shift_frame
+from cmclab.frames import ExtendedFrame, SpectralParam, shift_frame
 from cmclab.measure import (
     ClosedFormData,
+    MeasuredData,
     closed_form,
     closed_form_max_diff,
     conformality_defect,
@@ -24,7 +27,13 @@ from cmclab.measure import (
     numeric_normal_max_deviation,
 )
 from cmclab.surface_data import GridSpec, SurfaceData, cylinder_data, dual_data
-from cmclab.surfaces import NormalField, normal_field, surface_primary, surface_shifted
+from cmclab.surfaces import (
+    H3SurfaceGrid,
+    NormalField,
+    normal_field,
+    surface_primary,
+    surface_shifted,
+)
 
 
 def constant_data(u_value, Q, H, n=5):
@@ -207,9 +216,50 @@ class TestMeasureCylinder:
         ratio = metric_match(coarse, c) / metric_match(measured_cylinder[0], c_fine)
         assert 3.5 < ratio < 4.5
 
-    def test_nan_rim(self, measured_cylinder):
+    def test_interior_shape(self, measured_cylinder):
         m = measured_cylinder[0]
-        assert np.all(np.isnan(m.E[0, :])) and np.all(np.isnan(m.Hm[:, -1]))
+        interior = (m.grid.nx - 2, m.grid.ny - 2)
+        assert all(a.shape == interior for a in (m.E, m.Fc, m.G, m.Qm, m.Hm))
+
+
+GRID5 = GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5)
+ORIGIN = np.array([0.0, 0.0, 0.0, 1.0])  # a point of H^3
+
+
+@pytest.mark.parametrize(
+    "build, good, bad, attr",
+    [
+        (lambda a: SurfaceData(GRID5, a, Q=0.25, H=0.5), np.zeros((5, 5)), np.zeros((5, 4)), "u"),
+        (
+            lambda a: ExtendedFrame(GRID5, a, SpectralParam(0.5)),
+            np.zeros((5, 5, 2, 2)),
+            np.zeros((4, 5, 2, 2)),
+            "F",
+        ),
+        (
+            lambda a: H3SurfaceGrid(GRID5, a, SpectralParam(0.5), "primary"),
+            np.broadcast_to(ORIGIN, (5, 5, 4)),
+            np.broadcast_to(ORIGIN, (5, 4, 4)),
+            "points",
+        ),
+        (lambda a: NormalField(GRID5, a), np.zeros((5, 5, 4)), np.zeros((4, 5, 4)), "vectors"),
+        # measured data lives on the interior nodes; the full grid is refused
+        (
+            lambda a: MeasuredData(GRID5, a, a, a, a, a, conformal_warning=False),
+            np.ones((3, 3)),
+            np.ones((5, 5)),
+            "Qm",
+        ),
+    ],
+    ids=["SurfaceData", "ExtendedFrame", "H3SurfaceGrid", "NormalField", "MeasuredData"],
+)
+def test_container_checks_shape_and_locks(build, good, bad, attr):
+    with pytest.raises(InvalidInputError, match=re.escape(f"has shape {bad.shape}, expected")):
+        build(bad)
+    held = getattr(build(good), attr)
+    assert held.shape == good.shape and not np.shares_memory(held, good)
+    with pytest.raises(ValueError):
+        held[(0,) * held.ndim] = 1.0
 
 
 class TestMeasureDelaunay:

@@ -15,7 +15,6 @@ from cmclab.minkowski import to_hermitian
 from cmclab.surface_data import GridSpec, cylinder_data
 from cmclab.surfaces import (
     H3SurfaceGrid,
-    NormalField,
     distance_grid,
     equidistance_defect,
     hyperbolic_distance,
@@ -179,10 +178,3 @@ class TestIsometryEquivariance:
         d0 = distance_grid(surface_primary(cylinder_frame), surface_shifted(cylinder_frame))
         d1 = distance_grid(surface_primary(moved), surface_shifted(moved))
         np.testing.assert_allclose(d1, d0, atol=1e-10)
-
-
-class TestNormalFieldType:
-    def test_shape_validated(self):
-        g = GridSpec(-1, 1, -1, 1, 5, 5)
-        with pytest.raises(InvalidInputError):
-            NormalField(g, np.zeros((4, 5, 4)))
