@@ -32,8 +32,8 @@ print("both traceless:", abs(np.trace(U)) + abs(np.trace(V)))
 grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 101, 101)
 data = cylinder_data(grid)
 frame = integrate_frame(data, sp)
-print("frame at the base point:\n", frame.F[frame.base_index])
-print("worst |det F - 1| on the grid:", frame.max_det_drift())
+print("frame at the base point:\n", frame.F[frame.grid.center_index()])
+print("worst |det F - 1| on the grid:", frame.max_det_drift)
 
 # Compare with the closed-form cylinder frame.
 X, Y = grid.mesh()

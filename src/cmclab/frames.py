@@ -67,7 +67,7 @@ class ExtendedFrame:
     """Grid of unimodular 2x2 frames at one spectral value.
 
     F has shape (nx, ny, 2, 2).  Frames produced by integrate_frame equal the
-    identity at base_index, the grid center; frames produced by shift_frame
+    identity at grid.center_index(); frames produced by shift_frame
     carry the constant right factor D there instead.
     """
 
@@ -80,11 +80,6 @@ class ExtendedFrame:
         object.__setattr__(self, "F", _locked(self.F, complex, shape, "frame"))
 
     @property
-    def base_index(self) -> tuple[int, int]:
-        """The grid center, where integration starts from the identity."""
-        return self.grid.center_index()
-
-    @property
     def lam(self) -> float:
         return self.spectral.lam
 
@@ -92,12 +87,9 @@ class ExtendedFrame:
         """|det F - 1| at every grid point."""
         return np.abs(det2(self.F) - 1.0)
 
+    @cached_property
     def max_det_drift(self) -> float:
         """Largest |det F - 1|, taken once per frame: F is read-only."""
-        return self._max_det_drift
-
-    @cached_property
-    def _max_det_drift(self) -> float:
         return float(self.det_drift().max())
 
 
@@ -278,7 +270,7 @@ def integrate_frame(data: SurfaceData, spectral: SpectralParam) -> ExtendedFrame
         )
     F = _sweep(*_coefficient_arrays(data, spectral.lam), grid, True)
     frame = ExtendedFrame(grid=grid, F=F, spectral=spectral)
-    worst = frame.max_det_drift()
+    worst = frame.max_det_drift
     if worst > DET_DRIFT_TOL:
         drift = frame.det_drift()
         i, j = np.unravel_index(int(np.argmax(drift)), drift.shape)
@@ -306,8 +298,8 @@ def two_path_discrepancy(data: SurfaceData, spectral: SpectralParam) -> float:
 def shift_frame(frame: ExtendedFrame) -> ExtendedFrame:
     """Right-multiply every frame by D = diag(lam^{-1/2}, lam^{1/2}).
 
-    det D = 1, so unimodularity is preserved exactly; the value at the base
-    index becomes D instead of the identity.
+    det D = 1, so unimodularity is preserved exactly; the value at the grid
+    center becomes D instead of the identity.
     """
     return replace(frame, F=mul2(frame.F, spectral_shift_matrix(frame.lam)))
 

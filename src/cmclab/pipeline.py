@@ -233,10 +233,10 @@ def run(config: RunConfig) -> VerificationReport:
     out.mkdir(parents=True, exist_ok=True)
     save_surface_data(out / SURFACE_FILE, data)
     save_frame(out / FRAME_FILE, frame)
-    evaluation = evaluate(frame)
-    _write_meshes(out, (side.surface for side in evaluation.sides))
-    write_diagnostics(out / DIAGNOSTICS_FILE, data, evaluation.sides)
-    report = _report(data, evaluation, resolve_tolerances(config.tolerances))
+    sides = evaluate(frame)
+    _write_meshes(out, (side.surface for side in sides))
+    write_diagnostics(out / DIAGNOSTICS_FILE, data, sides)
+    report = _report(data, sides, resolve_tolerances(config.tolerances))
     _write_report_files(out, report)
     return report
 

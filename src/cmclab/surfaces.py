@@ -9,14 +9,9 @@ Writing lam = e^q, the two satisfy the exact pointwise identity
 where N = F diag(1, -1) conj(F)^t is the unit normal of the primary
 surface, so the shifted surface lies at constant geodesic distance -q
 along the normal.  Each product F conj(F)^t is mul2(F, conj_transpose(F)),
-the entrywise 2x2 kernel of the minkowski module.
-
-`_surface` and `_normal` return, with a surface or a normal, the matrices
-it was read from.  `verify.evaluate` passes the matrices F conj(F)^t, N and
-(FD) conj(FD)^t of its two sides to `_identity_residual`, which
-`parallel_identity_residual(frame)` also calls on matrices it builds
-itself; so the report checks the identity on the very matrices the
-surfaces are read from, and none is built twice.
+the entrywise 2x2 kernel of the minkowski module.  from_hermitian is
+linear, so `parallel_identity_defect` checks the identity on the
+hyperboloid coordinates the two sides already hold.
 """
 
 from __future__ import annotations
@@ -67,36 +62,21 @@ class NormalField:
         object.__setattr__(self, "vectors", v)
 
 
-def _surface(frame: ExtendedFrame, kind: str) -> tuple[H3SurfaceGrid, np.ndarray]:
-    """The surface of `frame` on side `kind` and the matrices F conj(F)^t
-    it is read from; on a shifted frame FD this is the shifted surface."""
-    F = frame.F
-    M = mul2(F, conj_transpose(F))
-    return H3SurfaceGrid(frame.grid, from_hermitian(M), frame.spectral, kind), M
+def _surface(frame: ExtendedFrame, kind: str) -> H3SurfaceGrid:
+    """The surface F conj(F)^t of `frame` on side `kind`; on a shifted
+    frame FD this is the shifted surface."""
+    points = from_hermitian(mul2(frame.F, conj_transpose(frame.F)))
+    return H3SurfaceGrid(frame.grid, points, frame.spectral, kind)
 
 
 def surface_primary(frame: ExtendedFrame) -> H3SurfaceGrid:
     """The surface F conj(F)^t as hyperboloid points."""
-    return _surface(frame, SIDES[0])[0]
+    return _surface(frame, SIDES[0])
 
 
 def surface_shifted(frame: ExtendedFrame) -> H3SurfaceGrid:
     """The parallel surface (FD) conj(FD)^t as hyperboloid points."""
-    return _surface(shift_frame(frame), SIDES[1])[0]
-
-
-def _normal_matrices(F: np.ndarray) -> np.ndarray:
-    # F diag(1,-1) conj(F)^t without forming diag explicitly
-    Fs = F.copy()
-    Fs[..., :, 1] = -Fs[..., :, 1]
-    return mul2(Fs, conj_transpose(F))
-
-
-def _normal(frame: ExtendedFrame) -> tuple[NormalField, np.ndarray]:
-    """The normal of the frame's surface and the matrices
-    F diag(1, -1) conj(F)^t it is read from."""
-    N = _normal_matrices(frame.F)
-    return NormalField(grid=frame.grid, vectors=from_hermitian(N)), N
+    return _surface(shift_frame(frame), SIDES[1])
 
 
 def normal_field(frame: ExtendedFrame) -> NormalField:
@@ -104,7 +84,10 @@ def normal_field(frame: ExtendedFrame) -> NormalField:
 
     Applied to a shifted frame this gives the shifted surface's normal.
     """
-    return _normal(frame)[0]
+    # F diag(1,-1) without forming diag explicitly
+    Fs = frame.F.copy()
+    Fs[..., :, 1] = -Fs[..., :, 1]
+    return NormalField(frame.grid, from_hermitian(mul2(Fs, conj_transpose(frame.F))))
 
 
 def normal_unit_defect(normal: NormalField) -> float:
@@ -120,25 +103,29 @@ def normal_orthogonality_defect(surface: H3SurfaceGrid, normal: NormalField) -> 
     return float(np.max(np.abs(mink_dot(normal.vectors, surface.points))))
 
 
-def _identity_residual(M_primary, M_shifted, N, q: float) -> float:
-    """The parallel identity's residual on the matrices F conj(F)^t,
-    (FD) conj(FD)^t and F diag(1, -1) conj(F)^t of one frame F."""
-    R = M_shifted - (np.cosh(q) * M_primary - np.sinh(q) * N)
-    scale = float(np.max(np.abs(M_shifted)))
-    return float(np.max(np.abs(R))) / scale
+def parallel_identity_defect(
+    primary: H3SurfaceGrid, normal: NormalField, shifted: H3SurfaceGrid
+) -> float:
+    """Grid maximum of |s - (cosh q f - sinh q N)| over the primary points f,
+    their normal N and the shifted points s, relative to the largest shifted
+    coordinate; q = ln(lam) is the primary's."""
+    if not primary.grid == normal.grid == shifted.grid:
+        raise InvalidInputError("surfaces and normal live on different grids")
+    q = primary.spectral.q
+    R = shifted.points - (np.cosh(q) * primary.points - np.sinh(q) * normal.vectors)
+    return float(np.max(np.abs(R))) / float(np.max(np.abs(shifted.points)))
 
 
 def parallel_identity_residual(frame: ExtendedFrame) -> float:
-    """Grid maximum of |(FD)conj(FD)^t - (cosh q F conj(F)^t - sinh q N)|,
-    relative to the largest matrix entry.
+    """`parallel_identity_defect` of the two surfaces and the primary normal
+    of `frame`.
 
     The identity is exact matrix algebra (D^2 = cosh q I - sinh q diag(1,-1)),
     so the result must sit at round-off scale for any unimodular frame.
     """
-    F, FD = frame.F, shift_frame(frame).F
-    M_primary = mul2(F, conj_transpose(F))
-    M_shifted = mul2(FD, conj_transpose(FD))
-    return _identity_residual(M_primary, M_shifted, _normal_matrices(F), frame.spectral.q)
+    return parallel_identity_defect(
+        surface_primary(frame), normal_field(frame), surface_shifted(frame)
+    )
 
 
 def hyperbolic_distance(p, s):

@@ -17,9 +17,8 @@ exact parallel identity, equidistance and the opposite mean-curvature
 signs complete the registry.
 
 Every frame-derived array is built once per evaluation: the parallel
-identity's residual comes from the matrices the two surfaces and the
-primary normal are read from (see `evaluate`), and each frame's
-|det F - 1| maximum is taken once, so the report reuses the one
+identity is checked on the points and normal the two sides hold, and each
+frame's |det F - 1| maximum is taken once, so the report reuses the one
 `integrate_frame` checked.  `_report` takes the tolerance map that
 `report.resolve_tolerances` validated.
 """
@@ -58,12 +57,12 @@ from .surface_data import SurfaceData, dual_data, max_gauss_residual
 from .surfaces import (
     H3SurfaceGrid,
     NormalField,
-    _identity_residual,
-    _normal,
     _surface,
     equidistance_defect,
+    normal_field,
     normal_orthogonality_defect,
     normal_unit_defect,
+    parallel_identity_defect,
 )
 
 
@@ -81,40 +80,17 @@ class Side:
     measured: MeasuredData
 
 
-@dataclass(frozen=True, eq=False)
-class Evaluation:
-    """The (primary, shifted) pair of sides built from one frame, with the
-    parallel identity's residual taken from the sides' own matrices."""
-
-    sides: tuple[Side, Side]
-    parallel_identity_residual: float
-
-
-def _side(name, sign, frame, surface, normal) -> Side:
+def _side(name: str, sign: int, frame: ExtendedFrame) -> Side:
+    surface = _surface(frame, name)
+    normal = normal_field(frame)
     return Side(name, sign, frame, surface, normal, measure(surface, normal))
 
 
-def evaluate(frame: ExtendedFrame) -> Evaluation:
-    """Both sides, each member built once; the shifted side's surface and
-    normal both come from one shifted frame FD.
-
-    The matrices F F*, F diag(1, -1) F* and (FD)(FD)* that the two surfaces
-    and the primary normal are read from also give the parallel identity's
-    residual; they are let go before the measurements run.
-    """
-    primary, shifted = SIDES
-    FD = shift_frame(frame)
-    surface, M = _surface(frame, primary)
-    normal, N = _normal(frame)
-    surface_fd, M_fd = _surface(FD, shifted)
-    residual = _identity_residual(M, M_fd, N, frame.spectral.q)
-    del M, N, M_fd  # gone before the measurements allocate theirs
-    normal_fd, _ = _normal(FD)
-    sides = (
-        _side(primary, 1, frame, surface, normal),
-        _side(shifted, -1, FD, surface_fd, normal_fd),
-    )
-    return Evaluation(sides, residual)
+def evaluate(frame: ExtendedFrame) -> tuple[Side, Side]:
+    """The (primary, shifted) pair of sides, each member built once; the
+    shifted side's surface and normal both come from one shifted frame FD."""
+    frames = (frame, shift_frame(frame))
+    return tuple(_side(*args) for args in zip(SIDES, (1, -1), frames))
 
 
 def verify_theorem(
@@ -146,24 +122,25 @@ def _require_normalized(data: SurfaceData) -> None:
 
 def _report(
     data: SurfaceData,
-    evaluation: Evaluation,
+    sides: tuple[Side, Side],
     tols: dict[str, float],
 ) -> VerificationReport:
-    """The report on what `evaluate` built from one frame, judged against
-    `tols`, the resolved tolerance of every registered check."""
-    sides = evaluation.sides
+    """The report on the sides `evaluate` built from one frame, judged
+    against `tols`, the resolved tolerance of every registered check."""
     primary, shifted = sides
     frame = primary.frame
     scale = homothety_scale(data.H, frame.spectral)
 
     values = {
         "gauss_residual_max": max_gauss_residual(data),
-        "det_drift_max": max(s.frame.max_det_drift() for s in sides),
+        "det_drift_max": max(s.frame.max_det_drift for s in sides),
         "normal_unit_max_dev": max(normal_unit_defect(s.normal) for s in sides),
         "normal_orthogonality_max_dev": max(
             normal_orthogonality_defect(s.surface, s.normal) for s in sides
         ),
-        "parallel_identity_residual": evaluation.parallel_identity_residual,
+        "parallel_identity_residual": parallel_identity_defect(
+            primary.surface, primary.normal, shifted.surface
+        ),
         "equidistance_max_dev": equidistance_defect(primary.surface, shifted.surface),
     }
     signs = {}

@@ -88,7 +88,7 @@ def test_criterion_2_frame_oracle(capsys, cyl_frame_101, cyl_frame_201, sp_half)
     checks["closed-form error <= 1e-6 at h = 0.01"] = err_fine <= 1e-6
     # fourth-order integrator: one halving shrinks the error about 16x
     checks["error ratio in [10, 24] per halving"] = 10.0 <= err_coarse / err_fine <= 24.0
-    checks["det F within 1e-8 of 1 grid-wide"] = cyl_frame_201.max_det_drift() <= 1e-8
+    checks["det F within 1e-8 of 1 grid-wide"] = cyl_frame_201.max_det_drift <= 1e-8
     disc = two_path_discrepancy(cylinder_data(square_grid(201)), sp_half)
     checks["two-path discrepancy <= 1e-6"] = disc <= 1e-6
     emit(capsys, 2, "frame integration against the closed form", checks)

@@ -9,7 +9,6 @@ from cmclab.errors import (
     InvalidInputError,
 )
 from cmclab.frames import (
-    ExtendedFrame,
     SpectralParam,
     cylinder_frame_closed_form,
     cylinder_frame_lax_gauge,
@@ -147,7 +146,7 @@ def cylinder_frame_51():
 
 class TestIntegrateFrame:
     def test_identity_at_base(self, cylinder_frame_51):
-        i0, j0 = cylinder_frame_51.base_index
+        i0, j0 = cylinder_frame_51.grid.center_index()
         assert np.array_equal(cylinder_frame_51.F[i0, j0], np.eye(2, dtype=complex))
 
     def test_matches_closed_form(self, cylinder_frame_51):
@@ -166,11 +165,11 @@ class TestIntegrateFrame:
         assert 12.0 < errs[0] / errs[1] < 20.0
 
     def test_unimodular(self, cylinder_frame_51):
-        assert cylinder_frame_51.max_det_drift() < 1e-9
+        assert cylinder_frame_51.max_det_drift < 1e-9
 
     def test_delaunay_det_drift(self):
         fr = integrate_frame(delaunay_data(square_grid(101), 0.5, 0.3, 0.0), SpectralParam(0.5))
-        assert fr.max_det_drift() < 1e-8
+        assert fr.max_det_drift < 1e-8
 
     def test_incompatible_data_refused(self):
         g = square_grid(11)
@@ -215,15 +214,15 @@ class TestPathIndependence:
 class TestShiftFrame:
     def test_base_value_and_det(self, cylinder_frame_51):
         shifted = shift_frame(cylinder_frame_51)
-        i0, j0 = shifted.base_index
+        i0, j0 = shifted.grid.center_index()
         D = spectral_shift_matrix(0.5)
         np.testing.assert_allclose(shifted.F[i0, j0], D, atol=1e-15)
-        assert shifted.max_det_drift() < 1e-9
+        assert shifted.max_det_drift < 1e-9
 
     def test_base_product_is_diagonal_exponential(self, cylinder_frame_51):
         # (FD)(FD)^bar-t at the base point with F = I is diag(e^{-q}, e^q)
         shifted = shift_frame(cylinder_frame_51)
-        i0, j0 = shifted.base_index
+        i0, j0 = shifted.grid.center_index()
         FD = shifted.F[i0, j0]
         q = cylinder_frame_51.spectral.q
         np.testing.assert_allclose(
@@ -238,7 +237,7 @@ class TestGauge:
         G /= np.sqrt(np.linalg.det(G))
         moved = frame_left_multiply(cylinder_frame_51, G)
         np.testing.assert_allclose(moved.F[7, 3], G @ cylinder_frame_51.F[7, 3], atol=1e-14)
-        assert moved.max_det_drift() < 1e-8
+        assert moved.max_det_drift < 1e-8
 
     def test_rejects_non_unimodular(self, cylinder_frame_51):
         with pytest.raises(InvalidInputError):
@@ -247,9 +246,8 @@ class TestGauge:
 
 class TestExtendedFrameType:
     def test_base_is_grid_center(self):
-        g = GridSpec(-1.0, 1.0, -1.0, 1.0, 7, 6)
-        frame = ExtendedFrame(g, np.zeros((7, 6, 2, 2)), SpectralParam(0.5))
-        assert frame.base_index == (3, 3) == g.center_index()
+        # integration starts at the node halving each axis, rounded down
+        assert GridSpec(-1.0, 1.0, -1.0, 1.0, 7, 6).center_index() == (3, 3)
 
     def test_array_locked(self, cylinder_frame_51):
         with pytest.raises(ValueError):

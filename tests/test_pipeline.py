@@ -41,12 +41,7 @@ from cmclab.surface_data import (
     load_surface_data,
     save_surface_data,
 )
-from cmclab.surfaces import (
-    _normal,
-    _normal_matrices,
-    _surface,
-    parallel_identity_residual,
-)
+from cmclab.surfaces import _surface, normal_field, parallel_identity_residual
 from cmclab.verify import verify_theorem
 
 ALL_FILES = (
@@ -117,7 +112,6 @@ class TestFramePersistence:
         back = load_frame(path)
         assert np.array_equal(back.F, frame.F)
         assert back.spectral == frame.spectral
-        assert back.base_index == frame.base_index
         assert back.grid == frame.grid
 
     def test_round_trip_keeps_every_bit(self, tmp_path):
@@ -132,7 +126,6 @@ class TestFramePersistence:
         back = load_frame(path)
         assert np.array_equal(back.F.view(np.int64), frame.F.view(np.int64))
         assert back.grid == frame.grid and back.spectral == frame.spectral
-        assert back.base_index == (2, 3)
 
     def test_truncated_file_rejected(self, frame_21):
         whole = frame_21.read_bytes()
@@ -344,7 +337,7 @@ GOLDEN_CONFIG = {
     "ny": 41,
 }
 GOLDEN_SHA256 = {
-    REPORT_MACHINE_FILE: "bb9288efee07e083ef1be3296dc0bb7a4ab768b7a21c70ef8faa19cccb9450cb",
+    REPORT_MACHINE_FILE: "cb5de8d1b5c9687ca8f9671fcf0e8b3e6bfaf9d3204f9d4d263f3d2a9a2dc7d6",
     DIAGNOSTICS_FILE: "7f15fabe6fb0463eb1630068a785ee5985bf83c94e494b5d9e93d282761361a2",
     MESH_FILES[0]: "f8c57b516ee4a92051be978610b49274c5636cb741b8c7c22ba5725244c8f79f",
     MESH_FILES[1]: "a2f7118dd457edbaebf93688a7bbb8caa074908812b6f49ecc57b161fc3f06ac",
@@ -363,14 +356,14 @@ GOLDEN_RUNS = {
     "delaunay-small-lambda": (
         {"family": "delaunay", "H": 0.5, "u0": -0.5, "du0": 0.0, "lambda": 0.1},
         {
-            REPORT_MACHINE_FILE: "a95484e59ff2ccaac818fa1c1db30ab073b085bbd1ca1ca294ce4da75491b8cd",
+            REPORT_MACHINE_FILE: "a00dbeb3a1e5e0fe5d3bf46314693729b66dd42e8dbd818f0d5eef1468acef98",
             DIAGNOSTICS_FILE: "d2c85583dd35109aab658214c1b288e0dc503c9913d2f283be0b719f4cdeff97",
         },
     ),
     "cylinder": (
         {"family": "cylinder", "H": 0.5, "lambda": 0.5},
         {
-            REPORT_MACHINE_FILE: "24796ca9bba9b6f4e5965d49530e8f51c9513ec64e491460cc3a4a297b59fc3f",
+            REPORT_MACHINE_FILE: "f6bfcf0364b51bd86029d7df75991e2505e89d0da5cc455892aafce14ebd58c8",
             DIAGNOSTICS_FILE: "e9dd39ace0c171e95de4ef4c352ac310ebd5a99b866e54ac93dd2e20fc44f888",
         },
     ),
@@ -408,17 +401,10 @@ def count_calls(monkeypatch, *fns):
 
 
 def test_run_builds_each_side_once(tmp_path, monkeypatch):
-    # _surface and _normal are the one builders behind surface_primary,
-    # surface_shifted and normal_field; spectral_shift_matrix is taken once
-    # per F @ D shift
+    # _surface is the one builder behind surface_primary and surface_shifted;
+    # spectral_shift_matrix is taken once per F @ D shift
     counts = count_calls(
-        monkeypatch,
-        _surface,
-        shift_frame,
-        _normal,
-        measure,
-        _normal_matrices,
-        spectral_shift_matrix,
+        monkeypatch, _surface, shift_frame, normal_field, measure, spectral_shift_matrix
     )
     det_drift = ExtendedFrame.det_drift
 
@@ -431,11 +417,10 @@ def test_run_builds_each_side_once(tmp_path, monkeypatch):
     run(config_from_mapping({**GOLDEN_CONFIG, "out_dir": str(tmp_path)}))
     assert counts["_surface"] == 2
     assert counts["shift_frame"] == 1
-    assert counts["_normal"] == 2
+    assert counts["normal_field"] == 2
     assert counts["measure"] == 2
-    # the parallel identity reuses the sides' matrices, and each frame's
-    # determinant is taken once: the primary's by integrate_frame
-    assert counts["_normal_matrices"] == 2
+    # the parallel identity reuses the sides' points and normal, and each
+    # frame's determinant is taken once: the primary's by integrate_frame
     assert counts["spectral_shift_matrix"] == 1
     assert counts["det_drift"] == 2
 

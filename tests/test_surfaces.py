@@ -1,5 +1,7 @@
 """Tests for the parallel surface pair, normals, and hyperbolic distance."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from cmclab.surfaces import (
     normal_field,
     normal_orthogonality_defect,
     normal_unit_defect,
+    parallel_identity_defect,
     parallel_identity_residual,
     surface_primary,
     surface_shifted,
@@ -121,6 +124,17 @@ class TestParallelIdentity:
         rng = np.random.default_rng(6)
         moved = frame_left_multiply(cylinder_frame, random_unimodular(rng))
         assert parallel_identity_residual(moved) < 1e-12
+
+    @pytest.mark.parametrize("family", ["cyl_frame_101", "del_frame_101"])
+    def test_planted_spectral_error_is_seen(self, request, family):
+        # a shifted surface built at lam (1 + 1e-6) sits about 1e-6 off the
+        # parallel one; both round-off checks must see that, far above their
+        # tolerances, or they have become vacuous
+        frame = request.getfixturevalue(family)
+        wrong = replace(frame, spectral=SpectralParam(frame.lam * (1 + 1e-6)))
+        primary, shifted = surface_primary(frame), surface_shifted(wrong)
+        assert parallel_identity_defect(primary, normal_field(frame), shifted) > 1e-11
+        assert equidistance_defect(primary, shifted) > 1e-9
 
 
 class TestHyperbolicDistance:
