@@ -238,21 +238,31 @@ def dual_data(data):
     return SurfaceData(data.grid, -data.u, Q=data.Q, H=data.H)
 
 
-def grid_derivatives(u, hx, hy):
-    """Second-order u_x and u_y on the whole grid.
+# one-sided fourth-order weights (times 12 h) at the first and the second
+# node of a line, over its first five nodes; the last two nodes mirror them
+# with the sign flipped (Fornberg 1988, Math. Comp. 51)
+_EDGE_WEIGHTS = ((-25.0, 48.0, -36.0, 16.0, -3.0), (-3.0, -10.0, 18.0, -6.0, 1.0))
 
-    Central differences inside, one-sided three-point stencils on the two
-    boundary lines of each axis.
+
+def _d1(u, h):
+    """Fourth-order derivative of u along axis 0, on the whole axis."""
+    out = np.empty_like(u)
+    out[2:-2] = u[:-4] - u[4:] + 8.0 * (u[3:-1] - u[1:-3])
+    head, tail = u[:5], u[:-6:-1]  # tail: the last five nodes, last first
+    for k, w in enumerate(_EDGE_WEIGHTS):
+        out[k] = sum(wi * ui for wi, ui in zip(w, head))
+        out[-1 - k] = -sum(wi * ui for wi, ui in zip(w, tail))
+    return out / (12.0 * h)
+
+
+def grid_derivatives(u, hx, hy):
+    """Fourth-order u_x and u_y on the whole grid.
+
+    Central differences (1, -8, 8, -1)/12h inside, one-sided five-point
+    stencils on the two outer lines of each axis; MIN_NODES guarantees the
+    five points.
     """
-    ux = np.empty_like(u)
-    uy = np.empty_like(u)
-    ux[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2.0 * hx)
-    ux[0, :] = (-3.0 * u[0, :] + 4.0 * u[1, :] - u[2, :]) / (2.0 * hx)
-    ux[-1, :] = (3.0 * u[-1, :] - 4.0 * u[-2, :] + u[-3, :]) / (2.0 * hx)
-    uy[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * hy)
-    uy[:, 0] = (-3.0 * u[:, 0] + 4.0 * u[:, 1] - u[:, 2]) / (2.0 * hy)
-    uy[:, -1] = (3.0 * u[:, -1] - 4.0 * u[:, -2] + u[:, -3]) / (2.0 * hy)
-    return ux, uy
+    return _d1(u, hx), _d1(u.T, hy).T
 
 
 def read_table(path, header_width, width):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cmclab.errors import InvalidInputError
-from cmclab.frames import ExtendedFrame, SpectralParam, shift_frame
+from cmclab.frames import ExtendedFrame, SpectralParam, integrate_frame, shift_frame
 from cmclab.measure import (
     ClosedFormData,
     MeasuredData,
@@ -26,7 +26,7 @@ from cmclab.measure import (
     metric_match,
     numeric_normal_max_deviation,
 )
-from cmclab.surface_data import GridSpec, SurfaceData, cylinder_data, dual_data
+from cmclab.surface_data import GridSpec, SurfaceData, cylinder_data, delaunay_data, dual_data
 from cmclab.surfaces import (
     H3SurfaceGrid,
     NormalField,
@@ -208,18 +208,29 @@ class TestMeasureCylinder:
         assert mean_sign(primary) == 1.0
         assert mean_sign(shifted) == -1.0
 
-    def test_second_order_convergence(self, measured_cylinder, cyl_frame_51):
-        coarse = measure(surface_primary(cyl_frame_51), normal_field(cyl_frame_51))
-        c = closed_form(cylinder_data(cyl_frame_51.grid), cyl_frame_51.spectral, 1)
-        fine_grid = measured_cylinder[0].grid
-        c_fine = closed_form(cylinder_data(fine_grid), cyl_frame_51.spectral, 1)
-        ratio = metric_match(coarse, c) / metric_match(measured_cylinder[0], c_fine)
-        assert 3.5 < ratio < 4.5
-
     def test_interior_shape(self, measured_cylinder):
         m = measured_cylinder[0]
         interior = (m.grid.nx - 2, m.grid.ny - 2)
         assert all(a.shape == interior for a in (m.E, m.Fc, m.G, m.Qm, m.Hm))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [cylinder_data, lambda g: delaunay_data(g, 0.5, 1.0, 0.0)],
+    ids=["cylinder", "delaunay"],
+)
+def test_second_order_convergence(build):
+    # every measured match converges at second order on every family, the
+    # boundary nodes included: halving h shrinks each error about 4x
+    errors = []
+    for n in (51, 101):
+        data = build(GridSpec(-1.0, 1.0, -1.0, 1.0, n, n))
+        frame = integrate_frame(data, SpectralParam(0.5))
+        m = measure(surface_primary(frame), normal_field(frame))
+        c = closed_form(data, frame.spectral, 1)
+        errors.append(np.array([metric_match(m, c), hopf_match(m, c), mean_match(m, c)]))
+    ratios = errors[0] / errors[1]
+    assert np.all((3.5 < ratios) & (ratios < 4.5)), ratios
 
 
 GRID5 = GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5)

@@ -337,10 +337,10 @@ GOLDEN_CONFIG = {
     "ny": 41,
 }
 GOLDEN_SHA256 = {
-    REPORT_MACHINE_FILE: "cb5de8d1b5c9687ca8f9671fcf0e8b3e6bfaf9d3204f9d4d263f3d2a9a2dc7d6",
-    DIAGNOSTICS_FILE: "7f15fabe6fb0463eb1630068a785ee5985bf83c94e494b5d9e93d282761361a2",
-    MESH_FILES[0]: "f8c57b516ee4a92051be978610b49274c5636cb741b8c7c22ba5725244c8f79f",
-    MESH_FILES[1]: "a2f7118dd457edbaebf93688a7bbb8caa074908812b6f49ecc57b161fc3f06ac",
+    REPORT_MACHINE_FILE: "61e318185bdb5a56dad974a7c0af6ee295656ef42fc9fb4bfd9105847e210c2a",
+    DIAGNOSTICS_FILE: "1086ac08e889d22a983cebfbad5991f91a32ee6194c22567e581b3c9e14a718b",
+    MESH_FILES[0]: "c558d789307cf7b3662df1595b57c8dfc87c9557c60293a37d31daf8dfacd560",
+    MESH_FILES[1]: "a1477b847605cc89f68df450569046ddd4660f26e96b73e1cf704734b6d0a030",
 }
 
 
@@ -356,8 +356,8 @@ GOLDEN_RUNS = {
     "delaunay-small-lambda": (
         {"family": "delaunay", "H": 0.5, "u0": -0.5, "du0": 0.0, "lambda": 0.1},
         {
-            REPORT_MACHINE_FILE: "a00dbeb3a1e5e0fe5d3bf46314693729b66dd42e8dbd818f0d5eef1468acef98",
-            DIAGNOSTICS_FILE: "d2c85583dd35109aab658214c1b288e0dc503c9913d2f283be0b719f4cdeff97",
+            REPORT_MACHINE_FILE: "71f4321a584dbd235bd1b9cec76222234d4e661e327a89b227df83e7c7b5f2d8",
+            DIAGNOSTICS_FILE: "1d0e444946f76cba83be46474ad0fdae74a6806da0cc9ae43ed4f6be2a217bd6",
         },
     ),
     "cylinder": (
