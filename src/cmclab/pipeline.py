@@ -5,10 +5,12 @@ The frame goes to `frame.dat` as an exact binary numpy archive (see
 significant digits.  A repeated run with the same config is bitwise
 identical except for the human report, which carries a generation
 timestamp.  The machine report and the diagnostics table never do.  Every
-text grid table is spelled by `surface_data.table_lines`, and `surface.dat`
-comes back through `surface_data.read_table`, which parses the stored text
-to the same doubles and refuses the same rows; the formats carry no version
-of their own.
+text grid table (`surface.dat`, both meshes and `diagnostics.dat`) is
+spelled by `surface_data.table_lines`, whose whole-array kernel writes the
+very bytes of '%.17g' a block of grid lines at a time; `surface.dat` comes
+back through `surface_data.read_table`, which parses the stored text to the
+same doubles and refuses the same rows.  The formats carry no version of
+their own.
 """
 
 from __future__ import annotations
@@ -85,25 +87,24 @@ def generate_data(config: RunConfig) -> SurfaceData:
     return load_surface_data(config.input_path)
 
 
-def _mesh_faces(nx, ny) -> list[str]:
-    """The 'f' lines of a grid mesh, one string per grid line: 1-based quads
-    over each cell, x fastest."""
+def _mesh_faces(nx, ny) -> str:
+    """The 'f' lines of a grid mesh: 1-based quads over each cell, x fastest."""
     # a[i, j] is the 1-based number of vertex (i, j), first corner of cell (i, j)
     a = np.arange(1, nx * ny + 1).reshape(ny, nx).T[:-1, :-1]
     faces = np.stack([a, a + 1, a + 1 + nx, a + nx], axis=-1)
-    return list(table_lines(faces, prefix="f "))
+    return "".join(table_lines(faces, prefix="f "))
 
 
 def write_mesh(path, points, faces, what="surface"):
     """Wavefront-style quad mesh of ball-projected grid points.
 
     points has shape (nx, ny, 4); vertices are emitted x fastest, followed
-    by `faces`, the lines `_mesh_faces(nx, ny)` returns.
+    by `faces`, the text `_mesh_faces(nx, ny)` returns.
     """
     with open(path, "w") as fh:
         fh.write(f"# {what}: Poincare ball vertices, quad faces, row-major in y\n")
         write_table(fh, poincare_ball(points), prefix="v ")
-        fh.writelines(faces)
+        fh.write(faces)
 
 
 def _write_meshes(out: Path, surfaces) -> list[Path]:

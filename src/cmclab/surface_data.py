@@ -16,7 +16,7 @@ Arrays are indexed [i, j] with i along x and j along y.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -323,18 +323,209 @@ def _scan(path, header_width, width):
     return np.array(body)
 
 
-def table_lines(table, prefix=""):
-    """The text of a (nx, ny, k) grid table, one string per grid line.
+# -- exact 17-digit text, spelled in whole-array steps ------------------------
+#
+# A double x with 1e-28 <= |x| < 1e16 and decimal exponent X = floor(log10|x|)
+# has the 17 significant digits N = round(|x| 10^p), p = 16 - X.  Each power
+# 10^p (p <= 45, so 5^p < 2^106) is exactly the sum of two doubles P + P', and
+# Dekker's TwoProduct (Dekker 1971, Numer. Math. 18) splits |x| P into
+# hi + e with no error at all.  So |x| 10^p = hi + lo with lo = e + |x| P',
+# up to the roundings of |x| P', of that sum and of frac(lo): together at
+# most 2^-106 |x| 10^p + 2^-49 + 2^-54 < 3.1e-15 while |x| 10^p < 1e17
+# (|e| <= 8, |x| P' < 12, so |lo| < 32).  hi is an integer past 2^53, so
+# N = hi + floor(lo) + (frac(lo) > 1/2).  CPython's own _FALLBACK spells,
+# in one batched % per block,
+#   - values whose computed frac(lo) lies within _TIE_BAND of 1/2, over
+#     3000 times that bound, where the rounding could go either way; exact
+#     decimal ties are among them;
+#   - values whose N is not strictly between 10^16 and 10^17 - 1, where X
+#     may be one off (log10 rounds) or N may carry into an 18th digit;
+#   - zero, non-finite values and magnitudes outside [1e-28, 1e16).
+_TIE_BAND = 1e-11
+_X_MIN, _X_MAX = -28, 15
+_FALLBACK = b"%.17g"
+_SPLITTER = 134217729.0  # 2**27 + 1
 
-    Each point is one line of k numbers, x fastest, at 17 significant
-    digits so doubles round-trip exactly.  Integer tables print as
-    integers, as "%.17g" prints them below 2**53, without the detour
-    through float.
+
+def _split(a):
+    """a as hi + lo exactly, each with at most 26 significant bits."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _word(text):
+    """Up to four ASCII bytes as one little-endian word, NUL padded."""
+    return int.from_bytes(text.ljust(4, b"\0"), "little")
+
+
+_P10 = np.array([float(10**p) for p in range(46)])
+_P10_REST = np.array([float(10**p - int(_P10[p])) for p in range(46)])
+_P10_HI, _P10_LO = _split(_P10)  # P's halves for TwoProduct
+
+
+def _group_words():
+    """Every 4-digit group as a word, in three runs of 10000: plain, leading
+    zeros blanked (the top group of an integer part) and trailing zeros
+    blanked (the last group of a fraction); the last two blank 0000."""
+    digits = np.frombuffer(b"".join(b"%04d" % g for g in range(10000)), np.uint8)
+    digits = digits.reshape(10000, 4)
+    lit = digits != ord("0")
+    leading = np.logical_or.accumulate(lit, axis=1)
+    trailing = np.logical_or.accumulate(lit[:, ::-1], axis=1)[:, ::-1]
+    runs = [digits, np.where(leading, digits, 0), np.where(trailing, digits, 0)]
+    return np.concatenate(runs).astype(np.uint8).view("<u4").ravel()
+
+
+_GROUPS = _group_words()
+_LEADING, _TRAILING = 10000, 20000  # where those runs start in _GROUPS
+
+# Exponent classes X_MIN..X_MAX, then the fallback class.  A number of class
+# X is spelled, after its separator and sign, in the words
+#   integer   N // E, 4 digits a word, leading zeros blanked (X >= 0; the
+#             last word also carries "0." for -4 <= X < 0)
+#   point     "." (X >= 0), "d." (X < -4) or "0..0d" (-4 <= X < 0), with d
+#             the leading digit N // E; no "." when the fraction is zero
+#   fraction  (N % E) M, 16 places, trailing zeros blanked
+#   exponent  "e-XX" (X < -4)
+# The fallback class is blank in all of them; its text, at most 24
+# characters, goes in the first _FALLBACK_WORDS digit words instead.
+_FALLBACK_CLASS = _X_MAX - _X_MIN + 1
+_FALLBACK_WORDS = 7  # one integer word at least, point, 4 fraction, exponent
+
+
+def _class_tables():
+    """Per class: E, M, whether N // E is the leading digit d, and the words
+    of the units ("0."), the point (indexed [class, d, fraction is zero])
+    and the exponent."""
+    n = _FALLBACK_CLASS + 1
+    E = np.full(n, 10**16, np.int64)
+    M = np.ones(n, np.int64)
+    lead_digit = np.zeros(n, np.int64)
+    units = np.zeros(n, np.uint32)
+    point = np.zeros((n, 10, 2), np.uint32)  # [class, d, fraction is zero]
+    exp = np.zeros(n, np.uint32)
+    for c, X in enumerate(range(_X_MIN, _X_MAX + 1)):
+        if X >= 0:
+            E[c], M[c] = 10 ** (16 - X), 10**X
+            point[c, :, 0] = _word(b".")
+            continue
+        lead_digit[c] = 1
+        for d in range(1, 10):
+            if X < -4:
+                point[c, d] = _word(b"%d." % d), _word(b"%d" % d)
+            else:
+                point[c, d] = _word(b"0" * (-X - 1) + b"%d" % d)
+        if X < -4:
+            exp[c] = _word(b"e-%02d" % -X)
+        else:
+            units[c] = _word(b"0.".rjust(4, b"\0"))
+    return E, M, lead_digit, units, point.ravel(), exp
+
+
+_C_E, _C_M, _C_LEAD_DIGIT, _C_UNITS, _C_POINT, _C_EXP = _class_tables()
+_MINUS = np.uint32(ord("-") << 24)
+
+# numbers per block: enough to amortise numpy's per-call cost, few enough
+# that the block's arrays stay small next to the tables being written
+_BLOCK_VALUES = 8192
+
+
+def _digits(x):
+    """(class, N) of each double of the 1-d array x.
+
+    The class is X - _X_MIN for a number whose 17 significant digits N and
+    decimal exponent X the kernel found (see above), _FALLBACK_CLASS with
+    N = 0 for every other number.
     """
-    field = "%d" if table.dtype.kind in "iu" else "%.17g"
-    row = prefix + " ".join([field] * table.shape[-1]) + "\n"
-    for line in table.swapaxes(0, 1):  # one grid line at a time bounds memory
-        yield (row * len(line)) % tuple(line.ravel().tolist())
+    a = np.abs(x)
+    ok = (a >= 1e-28) & (a < 1e16)
+    a = np.where(ok, a, 2.0)
+    X = np.floor(np.log10(a)).astype(np.intp)
+    p = 16 - X
+    hi = a * _P10[p]
+    ah, al = _split(a)
+    bh, bl = _P10_HI[p], _P10_LO[p]
+    lo = (((ah * bh - hi) + ah * bl + al * bh) + al * bl) + a * _P10_REST[p]
+    fl = np.floor(lo)
+    frac = lo - fl
+    N = hi.astype(np.int64) + (fl + (frac > 0.5)).astype(np.int64)
+    ok &= (np.abs(frac - 0.5) > _TIE_BAND) & (N > 10**16) & (N < 10**17 - 1)
+    return np.where(ok, X - _X_MIN, _FALLBACK_CLASS), np.where(ok, N, 0)
+
+
+def _words(x, k, c, N, prefix):
+    """The 4-byte words that spell the numbers x, in rows of k, as a
+    (words, numbers) array; `_digits` gives c and N.
+
+    Each number's first words hold its separator and sign: a space, or at
+    a row's first number the newline that ends the row above and `prefix`.
+    The digit words follow (see _class_tables).  Words blank for every
+    number are left out.
+    """
+    I, F = np.divmod(N, _C_E[c])
+    F *= _C_M[c]
+    d = I * _C_LEAD_DIGIT[c]
+    I -= d
+    fallback = np.flatnonzero(c == _FALLBACK_CLASS)
+
+    head = b"\n" + prefix.encode()
+    size = 4 * ((len(head) + 4) // 4)  # whole words, the sign in the last byte
+    lead = np.repeat(np.frombuffer(b" ".ljust(size, b"\0"), "<u4")[:, None], len(x), 1)
+    lead[:, ::k] = np.frombuffer(head.ljust(size, b"\0"), "<u4")[:, None]
+    lead[-1] |= np.where((x < 0) & (c != _FALLBACK_CLASS), _MINUS, np.uint32(0))
+    words = list(lead)
+    for g in range((len(str(I.max())) - 1) // 4, -1, -1):
+        unit = 10 ** (4 * g)
+        words.append(_GROUPS[I // unit % 10000 + _LEADING * (I < 10000 * unit)])
+    words[-1] |= _C_UNITS[c]
+    words.append(_C_POINT[(c * 10 + d) * 2 + (F == 0)])
+    hi8, lo8 = np.divmod(F, 10**8)
+    for g8, rest_zero in ((hi8, lo8 == 0), (lo8, True)):
+        g4, g4_rest = np.divmod(g8, 10000)
+        words.append(_GROUPS[g4 + _TRAILING * (rest_zero & (g4_rest == 0))])
+        words.append(_GROUPS[g4_rest + _TRAILING * rest_zero])
+    words.append(_C_EXP[c])
+    words = np.stack(words)
+    if fallback.size:
+        text = b" ".join([_FALLBACK] * fallback.size) % tuple(x[fallback].tolist())
+        spelled = np.array(text.split(), f"S{4 * _FALLBACK_WORDS}").view("<u4")
+        rows = slice(len(lead), len(lead) + _FALLBACK_WORDS)
+        words[rows, fallback] = spelled.reshape(-1, _FALLBACK_WORDS).T
+    return words[words.any(axis=1)].astype("<u4", copy=False)
+
+
+def _spell_block(block, prefix):
+    """The text '%.17g' gives the rows of the (m, k) float block.
+
+    Every row is `prefix`, its numbers joined by spaces, and a newline.
+    The numbers are laid out in fixed 4-byte words with NUL bytes where they
+    have no character, and bytes.translate deletes the NULs.
+    """
+    x = block.ravel()
+    words = _words(x, block.shape[1], *_digits(x), prefix)
+    text = words.T.tobytes().translate(None, b"\0")
+    return str(memoryview(text)[1:], "ascii") + "\n"
+
+
+def table_lines(table, prefix=""):
+    """The text of a (nx, ny, k) grid table, a few grid lines at a time.
+
+    Each point is one line: `prefix`, then its k numbers, x fastest.  The
+    whole-array kernel `_spell_block` spells every number byte for byte as
+    '%.17g' does, so doubles round-trip exactly.  Integer tables go through
+    it as doubles, which '%.17g' prints as integers below 2**53; larger
+    entries are refused.
+    """
+    if table.dtype.kind in "iu" and table.size:
+        if int(table.min()) <= -(2**53) or int(table.max()) >= 2**53:
+            raise ValueError("integer table entries must lie below 2**53 in magnitude")
+    nx, _, k = table.shape
+    step = max(1, _BLOCK_VALUES // max(1, nx * k))
+    lines = table.swapaxes(0, 1)
+    for start in range(0, lines.shape[0], step):
+        block = lines[start:start + step].reshape(-1, k).astype(float, copy=False)
+        yield _spell_block(block, prefix)
 
 
 def write_table(fh, table, prefix=""):
@@ -344,10 +535,11 @@ def write_table(fh, table, prefix=""):
 
 def save_surface_data(path, data):
     """Write the plain text tabular format read by `load_surface_data`."""
+    g = data.grid
     with open(path, "w") as fh:
         fh.write("# surface data: header 'Q H nx ny', then rows 'x y u' (x fastest)\n")
-        fh.write(f"{data.Q:.17g} {data.H:.17g} {data.grid.nx} {data.grid.ny}\n")
-        write_table(fh, np.stack([*data.grid.mesh(), data.u], axis=-1))
+        write_table(fh, np.array([[[data.Q, data.H, g.nx, g.ny]]]))  # the header
+        write_table(fh, np.stack([*g.mesh(), data.u], axis=-1))
 
 
 def load_surface_data(path):

@@ -24,6 +24,7 @@ from cmclab.pipeline import (
     REPORT_MACHINE_FILE,
     REPORT_TEXT_FILE,
     SURFACE_FILE,
+    _mesh_faces,
     export_meshes,
     generate_data,
     load_frame,
@@ -266,6 +267,13 @@ class TestRun:
             assert f.shape == ((cfg.nx - 1) * (cfg.ny - 1), 4)
             assert f.min() >= 1 and f.max() <= len(verts)
             assert np.linalg.norm(v, axis=1).max() < 1.0
+
+    def test_face_lines_spell_integers(self):
+        # the face table goes through the float kernel; 1-based quads, x fastest
+        assert _mesh_faces(3, 2) == "f 1 2 5 4\nf 2 3 6 5\n"
+        lines = _mesh_faces(101, 12).splitlines()
+        assert len(lines) == 100 * 11
+        assert lines[-1] == "f %d %d %d %d" % (1110, 1111, 1212, 1211)
 
     def test_machine_report_has_no_timestamp(self, run_dir):
         out, _, _ = run_dir

@@ -1,5 +1,6 @@
 """Tests for grid data generation, the Gauss residual, and duality."""
 
+import decimal
 import io
 import warnings
 
@@ -312,6 +313,12 @@ class TestTableIO:
         assert fh.getvalue() == per_float_text(table, prefix="f ")
         assert fh.getvalue().startswith("f 0 12345 24690 37035\n")
 
+    @pytest.mark.parametrize("entry", [2**53, -(2**53)])
+    def test_integers_beyond_exact_doubles_refused(self, entry):
+        table = np.array([[[1, entry]]])
+        with pytest.raises(ValueError, match="below 2\\*\\*53"):
+            write_table(io.StringIO(), table)
+
     def test_reader_returns_the_written_bits(self, tmp_path):
         table = self.awkward_table()
         path = tmp_path / "t.dat"
@@ -328,6 +335,81 @@ class TestTableIO:
         path.write_text("h\n1_0 -inf 2.5\n")
         _, body = read_table(path, 1, 3)
         assert body.tolist() == [[10.0, -np.inf, 2.5]]
+
+
+def _ties(rng, per_exponent=200):
+    """Doubles k 2^-j whose exact decimal k 5^j 10^-j has 18 significant
+    digits, the last a 5: each lies exactly halfway between two 17-digit
+    spellings."""
+    out = []
+    for j in range(3, 26):
+        lo, hi = -(-(10**17) // 5**j), min((10**18 - 1) // 5**j, 2**53 - 1)
+        ks = rng.integers(lo, hi + 1, per_exponent) | 1  # odd: no factor 10
+        out += [float(k) / 2**j for k in ks.tolist() if len(str(k * 5**j)) == 18]
+    return np.array(out)
+
+
+def _powers_of_ten():
+    """Every double power of ten and its neighbours either side."""
+    p = np.array([float(f"1e{e}") for e in range(-323, 309)] + [1e-28, 1e16])
+    return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+
+
+class TestSeventeenDigitKernel:
+    """The table writer spells every double byte for byte as '%.17g' does."""
+
+    def sample(self):
+        rng = np.random.default_rng(20261018)
+        n = 100_000
+        parts = [
+            rng.normal(size=n),
+            rng.uniform(-1.0, 1.0, n),
+            np.exp(rng.uniform(np.log(1e-120), np.log(1e17), n)),
+            rng.integers(-(10**9), 10**9, n).astype(float),
+            rng.integers(1, 2**20, n) * 2.0 ** rng.integers(-60, 40, n),
+            _ties(rng),
+            _powers_of_ten(),
+            np.array(AWKWARD + [0.0, np.nan, np.inf, 2.0**-1074 * 3, 2.0**-1022 * 0.75]),
+        ]
+        values = np.concatenate(parts)
+        return np.concatenate([values, -values])
+
+    def test_sample_covers_exact_ties(self):
+        # the ties are what a rounding shortcut gets wrong
+        ties = _ties(np.random.default_rng(20261018)).tolist()
+        assert len(ties) > 3000
+        for v in ties:
+            digits = decimal.Decimal(v).normalize().as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+
+    def test_matches_percent_17g_byte_for_byte(self):
+        values = self.sample()
+        assert len(values) > 1_000_000
+        rows = values[: len(values) // 4 * 4].reshape(-1, 4)
+        fh = io.StringIO()
+        write_table(fh, rows[None], prefix="v ")  # one point per grid line
+        got = fh.getvalue().splitlines(keepends=True)
+        expected = ["v %.17g %.17g %.17g %.17g\n" % row for row in map(tuple, rows.tolist())]
+        assert len(got) == len(expected)
+        assert [(g, e) for g, e in zip(got, expected) if g != e][:5] == []
+
+    def test_mixed_table_with_fallback_columns(self):
+        # columns the kernel spells, columns it hands to CPython, and a mix
+        rng = np.random.default_rng(7)
+        nx, ny = 37, 5
+        columns = [
+            rng.normal(size=(nx, ny)),
+            np.zeros((nx, ny)),
+            rng.choice([np.nan, np.inf, -np.inf, -0.0, 1e300, 5e-324], size=(nx, ny)),
+            rng.choice(_ties(rng, 10), size=(nx, ny)),
+            np.indices((nx, ny))[0].astype(float),
+            np.where(rng.uniform(size=(nx, ny)) < 0.5, 1e-30, rng.uniform(size=(nx, ny))),
+        ]
+        table = np.stack(columns, axis=-1)
+        for prefix in ("", "v ", "100% of row: "):
+            fh = io.StringIO()
+            write_table(fh, table, prefix=prefix)
+            assert fh.getvalue() == per_float_text(table, prefix=prefix)
 
 
 def _insert_skipped_lines(lines):

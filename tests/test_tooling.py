@@ -1,6 +1,7 @@
 """The benchmark's tracing targets and the package's exports still name its code,
-no module imports a name it never uses, and the frame modules form 2x2
-products only through the entrywise kernel."""
+no module imports a name it never uses, the frame modules form 2x2 products
+only through the entrywise kernel, and grid tables are spelled only by the
+whole-array text kernel."""
 
 import ast
 import importlib
@@ -89,3 +90,40 @@ def test_frame_products_use_the_entrywise_kernel():
     # a stack; minkowski.mul2 and det2 form every entry in whole-array steps
     files = [ROOT / "src" / "cmclab" / name for name in ("frames.py", "surfaces.py")]
     assert [entry for path in files for entry in _per_matrix_blas_calls(path)] == []
+
+
+def _seventeen_digit_spellings(path):
+    """The top-level definition holding each string constant in `path`,
+    docstrings aside, that spells '.17g': one entry per constant."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    docstrings = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    }
+    found = []
+    for stmt in tree.body:
+        names = [t.id for t in getattr(stmt, "targets", ()) if isinstance(t, ast.Name)]
+        owner = getattr(stmt, "name", None) or ",".join(names)
+        for node in ast.walk(stmt):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, (str, bytes))
+                and id(node) not in docstrings
+                and ".17g" in str(node.value)
+            ):
+                found.append(owner)
+    return found
+
+
+def test_seventeen_digit_spelling_only_in_the_kernel_fallback_and_scalar_fields():
+    # grid tables are spelled by the whole-array kernel in surface_data; a
+    # writer that formats numbers one by one would be a second, slower path
+    found = {
+        path.name: _seventeen_digit_spellings(path)
+        for path in sorted((ROOT / "src" / "cmclab").rglob("*.py"))
+    }
+    assert found.pop("surface_data.py") == ["_FALLBACK"]
+    assert set(found.pop("report.py")) == {"render_machine"}
+    assert set(found.pop("verify.py")) == {"_report"}
+    assert {name: owners for name, owners in found.items() if owners} == {}
