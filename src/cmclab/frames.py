@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IncompatibleDataError, IntegrationFailureError, InvalidInputError
-from .minkowski import det2, mul2
+from .minkowski import det2, empty_planes, mat2, mul2
 from .surface_data import (
     GridSpec,
     SurfaceData,
@@ -77,7 +77,7 @@ class ExtendedFrame:
 
     def __post_init__(self):
         shape = (self.grid.nx, self.grid.ny, 2, 2)
-        object.__setattr__(self, "F", _locked(self.F, complex, shape, "frame"))
+        object.__setattr__(self, "F", _locked(self.F, complex, shape, "frame", entries=2))
 
     @property
     def lam(self) -> float:
@@ -112,12 +112,7 @@ def cylinder_frame_closed_form(z, lam):
     sq = math.sqrt(lam)
     g = 0.25j * (z / sq + sq * np.conj(z))
     ch, sh = np.cosh(g), np.sinh(g)
-    F = np.empty(z.shape + (2, 2), dtype=complex)
-    F[..., 0, 0] = ch
-    F[..., 0, 1] = sh / sq
-    F[..., 1, 0] = sq * sh
-    F[..., 1, 1] = ch
-    return F
+    return mat2(ch, sh / sq, sq * sh, ch)
 
 
 def cylinder_frame_lax_gauge(z, lam):
@@ -130,10 +125,7 @@ def cylinder_frame_lax_gauge(z, lam):
     initial value as the reference form.
     """
     F = cylinder_frame_closed_form(z, lam)
-    out = F.copy()
-    out[..., 0, 1] *= -1j
-    out[..., 1, 0] *= 1j
-    return out
+    return mat2(F[..., 0, 0], F[..., 0, 1] * -1j, F[..., 1, 0] * 1j, F[..., 1, 1])
 
 
 def spectral_shift_matrix(lam: float) -> np.ndarray:
@@ -144,6 +136,18 @@ def spectral_shift_matrix(lam: float) -> np.ndarray:
     return np.array([[1.0 / sq, 0.0], [0.0, sq]], dtype=complex)
 
 
+def _lax_entries(u, u_z, u_zbar, Q, H, lam):
+    """The entries (U00, U01, U10, U11), (V00, V01, V10, V11) of
+    `lax_matrices`, each a scalar or one grid plane."""
+    if lam == 0:
+        raise InvalidInputError("spectral value must be nonzero")
+    eu = np.exp(u)
+    emu = np.exp(-u)
+    U = (-0.5 * u_z, emu * Q / lam, -0.5 * H * eu, 0.5 * u_z)
+    V = (0.5 * u_zbar, 0.5 * H * eu, -emu * lam * Q, -0.5 * u_zbar)
+    return U, V
+
+
 def lax_matrices(u, u_z, u_zbar, Q, H, lam):
     """The frame-system coefficient matrices (U, V), shape u.shape + (2, 2).
 
@@ -151,21 +155,8 @@ def lax_matrices(u, u_z, u_zbar, Q, H, lam):
     lam may be complex; on the unit circle with real u the pair satisfies
     V = -conj(U)^t, the unitary-frame relation.
     """
-    if lam == 0:
-        raise InvalidInputError("spectral value must be nonzero")
-    eu = np.exp(u)
-    emu = np.exp(-u)
-    U = np.empty(np.shape(u) + (2, 2), dtype=complex)
-    U[..., 0, 0] = -0.5 * u_z
-    U[..., 0, 1] = emu * Q / lam
-    U[..., 1, 0] = -0.5 * H * eu
-    U[..., 1, 1] = 0.5 * u_z
-    V = np.empty_like(U)
-    V[..., 0, 0] = 0.5 * u_zbar
-    V[..., 0, 1] = 0.5 * H * eu
-    V[..., 1, 0] = -emu * lam * Q
-    V[..., 1, 1] = -0.5 * u_zbar
-    return U, V
+    U, V = _lax_entries(u, u_z, u_zbar, Q, H, lam)
+    return mat2(*U), mat2(*V)
 
 
 # cubic-interpolation weights for values at cell midpoints
@@ -188,23 +179,32 @@ def _half_samples(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _coefficient_arrays(data: SurfaceData, lam: float):
-    """A_x, A_y at grid nodes plus midpoint arrays along each direction."""
+    """A_x = U + V and A_y = i (U - V) at the grid nodes, then A_x at the
+    x-midpoints and A_y at the y-midpoints, each assembled entry by entry
+    from the Lax entries: no U or V stack is formed."""
 
-    def lax(u, ux, uy):
+    def lax_pairs(u, ux, uy):
         uz = 0.5 * (ux - 1j * uy)
         uzb = 0.5 * (ux + 1j * uy)
-        return lax_matrices(u, uz, uzb, data.Q, data.H, lam)
+        return list(zip(*_lax_entries(u, uz, uzb, data.Q, data.H, lam)))
+
+    def a_x(pairs):
+        return mat2(*(a + b for a, b in pairs))
+
+    def a_y(pairs):
+        return mat2(*(1j * (a - b) for a, b in pairs))
 
     ux, uy = grid_derivatives(data.u, data.grid.hx, data.grid.hy)
     nodes = (data.u, ux, uy)
-    U, V = lax(*nodes)
-    Ax, Ay = U + V, 1j * (U - V)
-    del U, V
+    at_nodes = lax_pairs(*nodes)
     # coefficients at half-steps come from interpolated u, u_x, u_y; each
     # direction builds only its own
-    Axm = np.add(*lax(*(_half_samples(a, 0) for a in nodes)))
-    Aym = 1j * np.subtract(*lax(*(_half_samples(a, 1) for a in nodes)))
-    return Ax, Ay, Axm, Aym
+    return (
+        a_x(at_nodes),
+        a_y(at_nodes),
+        a_x(lax_pairs(*(_half_samples(a, 0) for a in nodes))),
+        a_y(lax_pairs(*(_half_samples(a, 1) for a in nodes))),
+    )
 
 
 def _rk4_cell(A0, Am, A1, h):
@@ -238,7 +238,7 @@ def _sweep(Ax, Ay, Axm, Aym, grid: GridSpec, x_first: bool) -> np.ndarray:
     """Frames from the identity at the grid center: along the base line of
     the first direction, then across the grid in the other one."""
     i0, j0 = grid.center_index()
-    F = np.empty((grid.nx, grid.ny, 2, 2), dtype=complex)
+    F = empty_planes((grid.nx, grid.ny), (2, 2))
     F[i0, j0] = np.eye(2)
     # F and the y coefficients with y moved to the front march along y
     Fy, Ay, Aym = (np.moveaxis(a, 1, 0) for a in (F, Ay, Aym))

@@ -16,6 +16,11 @@ The Minkowski product in matrix form is
 
 where Y^T is the plain transpose.  Matrices are numpy complex arrays with
 the two matrix axes last; every routine broadcasts over leading grid axes.
+
+Stacks of matrices and grids of 4-vectors are laid out entry-major
+(`empty_planes`): each entry [..., i, j] or [..., c] is one contiguous plane
+over the grid axes, so the entrywise kernels read and write whole planes
+rather than gathering every fourth or second number.
 """
 
 import numpy as np
@@ -30,10 +35,24 @@ HERMITIAN_RTOL = 1e-9
 H3_TOL = 1e-9
 
 
+def empty_planes(shape, entries, dtype=complex):
+    """An uninitialised array of shape `shape + entries` laid out entry-major:
+    each entry [..., i, j] (or [..., c]) is one C-contiguous plane of `shape`.
+
+    The one allocator of 2x2 stacks and 4-vector grids; indexing is as for
+    any array of that shape, only the strides differ.
+    """
+    shape, entries = tuple(shape), tuple(entries)
+    k, n = len(entries), len(shape)
+    return np.empty(entries + shape, dtype=dtype).transpose(
+        (*range(k, k + n), *range(k))
+    )
+
+
 def mat2(a, b, c, d):
     """Assemble [[a, b], [c, d]] as a complex array (entries may broadcast)."""
     a, b, c, d = np.broadcast_arrays(a, b, c, d)
-    out = np.empty(a.shape + (2, 2), dtype=complex)
+    out = empty_planes(a.shape, (2, 2))
     out[..., 0, 0] = a
     out[..., 0, 1] = b
     out[..., 1, 0] = c
@@ -47,11 +66,22 @@ def mul2(A, B):
     Each entry is A[i, 0] B[0, j] + A[i, 1] B[1, j] in elementwise numpy
     arithmetic, so a stack costs a few whole-array operations instead of
     one BLAS call per matrix; the leading axes broadcast, so a single 2x2
-    multiplies a whole stack.  The bits do not depend on memory layout.
+    multiplies a whole stack.  The bits do not depend on memory layout, and
+    the product comes out entry-major.
+
+    Operand order is part of the result: numpy's vectorised complex `*` is
+    not bitwise commutative (on AVX-512, z * w and w * z differ in the last
+    bit of the imaginary part for about a third of random inputs), so every
+    product here is A-entry * B-entry, both operands existing arrays.  A
+    temporary operand is not safe: numpy may evaluate `x * f(y)` in place
+    in the temporary f(y), that is as f(y) * x, once it is large enough
+    (256 KiB).  Code that forms these entries another way keeps the
+    A-first order, with np.multiply where an operand is a temporary.
     """
     A = np.asarray(A)
     B = np.asarray(B)
-    out = np.empty(np.broadcast_shapes(A.shape, B.shape), dtype=np.result_type(A, B))
+    shape = np.broadcast_shapes(A.shape, B.shape)
+    out = empty_planes(shape[:-2], (2, 2), np.result_type(A, B))
     for i in (0, 1):
         for j in (0, 1):
             np.add(A[..., i, 0] * B[..., 0, j], A[..., i, 1] * B[..., 1, j], out=out[..., i, j])
@@ -111,7 +141,7 @@ def from_hermitian(M):
     d = M[..., 1, 1].real
     b = M[..., 0, 1]
     c = M[..., 1, 0]
-    out = np.empty(M.shape[:-2] + (4,), dtype=float)
+    out = empty_planes(M.shape[:-2], (4,), float)
     out[..., 0] = 0.5 * (b + c).real
     out[..., 1] = 0.5 * (c - b).imag
     out[..., 2] = 0.5 * (a - d)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationBlowupError, InvalidInputError
+from .minkowski import empty_planes
 
 # |u| beyond this makes e^{2u} useless in double precision; treat as blowup.
 BLOWUP_LIMIT = 200.0
@@ -32,11 +33,20 @@ GRID_NODE_RTOL = 1e-6
 MIN_NODES = 5
 
 
-def _locked(a, dtype=float, shape=None, what=None):
-    """A read-only copy of `a`; refused unless of `shape`, when one is given."""
-    a = np.array(a, dtype=dtype)
+def _locked(a, dtype=float, shape=None, what=None, entries=0):
+    """A read-only copy of `a`; refused unless of `shape`, when one is given.
+
+    With `entries` = k the copy is entry-major in its last k axes
+    (`minkowski.empty_planes`), whatever layout `a` comes in.
+    """
+    a = np.asarray(a, dtype=dtype) if entries else np.array(a, dtype=dtype)
     if shape is not None and a.shape != shape:
         raise InvalidInputError(f"{what} has shape {a.shape}, expected {shape}")
+    if entries:
+        k = a.ndim - entries
+        planes = empty_planes(a.shape[:k], a.shape[k:], dtype)
+        planes[...] = a
+        a = planes
     a.flags.writeable = False
     return a
 

@@ -8,10 +8,11 @@ Writing lam = e^q, the two satisfy the exact pointwise identity
 
 where N = F diag(1, -1) conj(F)^t is the unit normal of the primary
 surface, so the shifted surface lies at constant geodesic distance -q
-along the normal.  Each product F conj(F)^t is mul2(F, conj_transpose(F)),
-the entrywise 2x2 kernel of the minkowski module.  from_hermitian is
-linear, so `parallel_identity_defect` checks the identity on the
-hyperboloid coordinates the two sides already hold.
+along the normal.  Each product F S conj(F)^t (S = I or diag(1, -1)) is
+formed entry by entry on the frame's planes by `_frame_product`, with the
+bits of mul2(F S, conj_transpose(F)) and without copying the frame.
+from_hermitian is linear, so `parallel_identity_defect` checks the identity
+on the hyperboloid coordinates the two sides already hold.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .frames import DET_DRIFT_TOL, ExtendedFrame, SpectralParam, shift_frame
-from .minkowski import conj_transpose, from_hermitian, mink_dot, mul2, require_h3
+from .minkowski import empty_planes, from_hermitian, mink_dot, require_h3
 from .report import SIDES
 from .surface_data import GridSpec, _locked
 
@@ -43,7 +44,9 @@ class H3SurfaceGrid:
     def __post_init__(self):
         if self.kind not in SIDES:
             raise InvalidInputError(f"unknown surface kind {self.kind!r}")
-        pts = _locked(self.points, float, (self.grid.nx, self.grid.ny, 4), "points")
+        pts = _locked(
+            self.points, float, (self.grid.nx, self.grid.ny, 4), "points", entries=1
+        )
         # a point F F* misses the hyperboloid by |det F|^2 - 1, so it answers
         # to the bound the integrator holds |det F - 1| to
         require_h3(pts, tol=DET_DRIFT_TOL, what=f"{self.kind} surface")
@@ -58,14 +61,37 @@ class NormalField:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = _locked(self.vectors, float, (self.grid.nx, self.grid.ny, 4), "vectors")
+        v = _locked(
+            self.vectors, float, (self.grid.nx, self.grid.ny, 4), "vectors", entries=1
+        )
         object.__setattr__(self, "vectors", v)
+
+
+def _frame_product(F, flip=False):
+    """F S conj(F)^t with S = diag(1, -1) if `flip`, else the identity,
+    entry by entry and with the bits of mul2(F S, conj_transpose(F)).
+
+    No copy of F, of F S or of conj(F)^t is made: each conjugate row and
+    each negated column is one plane.  mul2's operand order is kept with
+    np.multiply, since `x * np.conj(y)` may be computed as conj(y) * x.
+    """
+    out = empty_planes(F.shape[:-2], (2, 2))
+    column1 = [np.negative(F[..., i, 1]) if flip else F[..., i, 1] for i in (0, 1)]
+    for j in (0, 1):
+        conj0, conj1 = np.conj(F[..., j, 0]), np.conj(F[..., j, 1])
+        for i in (0, 1):
+            np.add(
+                np.multiply(F[..., i, 0], conj0),
+                np.multiply(column1[i], conj1),
+                out=out[..., i, j],
+            )
+    return out
 
 
 def _surface(frame: ExtendedFrame, kind: str) -> H3SurfaceGrid:
     """The surface F conj(F)^t of `frame` on side `kind`; on a shifted
     frame FD this is the shifted surface."""
-    points = from_hermitian(mul2(frame.F, conj_transpose(frame.F)))
+    points = from_hermitian(_frame_product(frame.F))
     return H3SurfaceGrid(frame.grid, points, frame.spectral, kind)
 
 
@@ -84,10 +110,7 @@ def normal_field(frame: ExtendedFrame) -> NormalField:
 
     Applied to a shifted frame this gives the shifted surface's normal.
     """
-    # F diag(1,-1) without forming diag explicitly
-    Fs = frame.F.copy()
-    Fs[..., :, 1] = -Fs[..., :, 1]
-    return NormalField(frame.grid, from_hermitian(mul2(Fs, conj_transpose(frame.F))))
+    return NormalField(frame.grid, from_hermitian(_frame_product(frame.F, flip=True)))
 
 
 def normal_unit_defect(normal: NormalField) -> float:

@@ -142,7 +142,9 @@ def random_stack(rng, shape):
 
 
 def same_bits(a, b):
-    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+    # the words in C order: exact for any layout, and .view needs a
+    # contiguous last axis, which an entry-major stack does not have
+    return np.array_equal(*(np.ascontiguousarray(x).view(np.int64) for x in (a, b)))
 
 
 class TestProductKernel:

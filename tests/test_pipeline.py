@@ -125,7 +125,9 @@ class TestFramePersistence:
         path = tmp_path / "frame.dat"
         save_frame(path, frame)
         back = load_frame(path)
-        assert np.array_equal(back.F.view(np.int64), frame.F.view(np.int64))
+        # frames are entry-major: compare the words in C order
+        words = [np.ascontiguousarray(f.F).view(np.int64) for f in (back, frame)]
+        assert np.array_equal(*words)
         assert back.grid == frame.grid and back.spectral == frame.spectral
 
     def test_truncated_file_rejected(self, frame_21):
@@ -349,12 +351,33 @@ GOLDEN_SHA256 = {
     DIAGNOSTICS_FILE: "1086ac08e889d22a983cebfbad5991f91a32ee6194c22567e581b3c9e14a718b",
     MESH_FILES[0]: "c558d789307cf7b3662df1595b57c8dfc87c9557c60293a37d31daf8dfacd560",
     MESH_FILES[1]: "a1477b847605cc89f68df450569046ddd4660f26e96b73e1cf704734b6d0a030",
+    SURFACE_FILE: "389c13f04942a7813db022d51c45861545bf87a44ef9d166e80acf0c746a40f4",
+    FRAME_FILE: "a8df58ec05cade6e7c795b9fe1b786aeaf270e087220351a66c0f77ba8d582c3",
 }
 
 
 def test_golden_output_hashes(tmp_path):
     run(config_from_mapping({**GOLDEN_CONFIG, "out_dir": str(tmp_path)}))
     for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# the README default at 201 x 201: rows long enough for numpy's vectorised
+# loops to take every path the 41 x 41 goldens leave out
+GOLDEN_SHA256_201 = {
+    REPORT_MACHINE_FILE: "b55b5430e87051290313da5d6ad63b0940a6006ed987b4cd7053473ef50699f8",
+    DIAGNOSTICS_FILE: "a7b20df97fad43deaa5b56a94c81bab7c61a5110cde01d5c2d42dc1a447a23cf",
+    MESH_FILES[0]: "460dc26168f0344ce2c087393c70eeadf076db79a9ea4b7e78585f9639b733b6",
+    MESH_FILES[1]: "d08b1f075e9e0c795fea1badaf8bd0b3c4e95684f9adf48fb634865161bb1404",
+    SURFACE_FILE: "b4a3ece4a97b7d678ed82d14e50d0afb86da171f62c5ff066d248f2e0ba65b79",
+    FRAME_FILE: "6ff5257a657e9f19b2a693a1a9f26b04b9274f0256f34493797ac3dc1d4018ea",
+}
+
+
+def test_golden_output_hashes_at_201(tmp_path):
+    config = {**GOLDEN_CONFIG, "nx": 201, "ny": 201, "out_dir": str(tmp_path)}
+    run(config_from_mapping(config))
+    for name, digest in GOLDEN_SHA256_201.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 

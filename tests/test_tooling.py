@@ -1,6 +1,7 @@
 """The benchmark's tracing targets and the package's exports still name its code,
 no module imports a name it never uses, the frame modules form 2x2 products
-only through the entrywise kernel, and grid tables are spelled only by the
+only through the entrywise kernel, 2x2 stacks and 4-vector grids are
+allocated only entry-major, and grid tables are spelled only by the
 whole-array text kernel."""
 
 import ast
@@ -90,6 +91,74 @@ def test_frame_products_use_the_entrywise_kernel():
     # a stack; minkowski.mul2 and det2 form every entry in whole-array steps
     files = [ROOT / "src" / "cmclab" / name for name in ("frames.py", "surfaces.py")]
     assert [entry for path in files for entry in _per_matrix_blas_calls(path)] == []
+
+
+_ALLOCATORS = {"empty", "zeros", "ones", "full"}
+# functions whose `_like` allocations are of scalar grids: _d1 keeps the
+# layout of the transposed grid it differentiates
+_LIKE_ON_PLANES = {("surface_data.py", "_d1")}
+
+
+def _entry_shape(node):
+    """Whether `node` holds a tuple literal ending in (2, 2) or in (4,)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Tuple):
+            tail = [e.value if isinstance(e, ast.Constant) else None for e in sub.elts]
+            if tail[-2:] == [2, 2] or tail[-1:] == [4]:
+                return True
+    return False
+
+
+def _stack_allocations(path):
+    """numpy allocations in `path` that lay out a 2x2 stack or 4-vector grid
+    themselves rather than through minkowski.empty_planes: an empty, zeros,
+    ones or full call that spells a (2, 2) or (4,) entry shape, and any
+    `_like` call, whose shape and layout follow an argument the lint cannot
+    see, outside _LIKE_ON_PLANES."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "np"
+            ):
+                continue
+            name = node.func.attr
+            args = [*node.args, *(k.value for k in node.keywords)]
+            like = name.endswith("_like") and name[: -len("_like")] in _ALLOCATORS
+            if (name in _ALLOCATORS and any(_entry_shape(a) for a in args)) or (
+                like and (path.name, owner) not in _LIKE_ON_PLANES
+            ):
+                found.append(f"{path.name}:{node.lineno} np.{name}")
+    return found
+
+
+def test_stacks_are_allocated_entry_major():
+    # each entry of a stack is one contiguous plane; a C-ordered stack makes
+    # every entrywise kernel gather each fourth number instead
+    files = sorted((ROOT / "src" / "cmclab").rglob("*.py"))
+    assert [entry for path in files for entry in _stack_allocations(path)] == []
+
+
+def test_stack_allocation_lint_sees_each_form(tmp_path):
+    path = tmp_path / "frames.py"
+    path.write_text(
+        "import numpy as np\n"
+        "def f(n, u):\n"
+        "    F = np.empty((n, n, 2, 2), dtype=complex)\n"
+        "    p = np.zeros(shape=F.shape[:-2] + (4,))\n"
+        "    plane = np.empty((n, n))\n"
+        "    return F, p, np.empty_like(F), plane\n"
+    )
+    assert _stack_allocations(path) == [
+        "frames.py:3 np.empty",
+        "frames.py:4 np.zeros",
+        "frames.py:6 np.empty_like",
+    ]
 
 
 def _seventeen_digit_spellings(path):
