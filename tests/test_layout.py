@@ -50,10 +50,11 @@ def unimodular_stack(seed, shape):
     return M / np.sqrt(det2(M))[..., None, None]
 
 
+# each takes an array and the number k of its trailing entry axes
 LAYOUTS = {
-    "C": np.ascontiguousarray,
-    "Fortran": np.asfortranarray,
-    "entry-major": lambda a: as_entry_major(a, 1 if a.shape[-1] == 4 else 2),
+    "C": lambda a, k: np.ascontiguousarray(a),
+    "Fortran": lambda a, k: np.asfortranarray(a),
+    "entry-major": as_entry_major,
 }
 
 
@@ -95,10 +96,10 @@ def test_containers_store_entry_major_arrays(layout):
     grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 7, 5)
     sp = SpectralParam(0.5)
     F = unimodular_stack(5, (7, 5))
-    frame = ExtendedFrame(grid, to_layout(F), sp)
+    frame = ExtendedFrame(grid, to_layout(F, 2), sp)
     points = from_hermitian(mul2(F, conj_transpose(F)))
-    surface = H3SurfaceGrid(grid, to_layout(points), sp, "primary")
-    normal = NormalField(grid, to_layout(points))
+    surface = H3SurfaceGrid(grid, to_layout(points, 1), sp, "primary")
+    normal = NormalField(grid, to_layout(points, 1))
     held = ((frame.F, F, 2), (surface.points, points, 1), (normal.vectors, points, 1))
     for stored, given, k in held:
         assert entry_major(stored, k) and same_bits(stored, given)
@@ -116,7 +117,9 @@ def test_sides_keep_the_operand_order_of_the_products(del_frame_201):
     # complex `*` is not bitwise commutative in numpy's vectorised kernel, and
     # numpy may evaluate x * np.conj(y) in the temporary, as conj(y) * x, once
     # it is large: the sides must have the bits of mul2(F S, conj(F)^t) with
-    # S = I, and S = diag(1, -1) as the negated column of a copy of F
+    # S = I, and S = diag(1, -1) as the negated column of a copy of F.  (A
+    # swap in every product cancels in the coordinates from_hermitian reads;
+    # a swap in some of them moves the last bits.)
     for frame in (del_frame_201, shift_frame(del_frame_201)):
         F = np.ascontiguousarray(frame.F)
         B = conj_transpose(F)
