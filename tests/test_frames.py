@@ -210,6 +210,20 @@ class TestPathIndependence:
         assert discs[0] < discs[1] < discs[2]
         assert 5.0 < discs[2] / discs[1] < 20.0
 
+    @pytest.mark.parametrize(
+        "data, bits",
+        [
+            (lambda g: cylinder_data(g), "0x1.82fd05f129838p-51"),
+            (lambda g: delaunay_data(g, 0.5, 0.3, 0.0), "0x1.f1128b942a0c5p-29"),
+        ],
+        ids=["cylinder", "delaunay"],
+    )
+    def test_both_sweep_orders_keep_their_bits(self, data, bits):
+        # the golden hashes cover only the x-first sweep; the discrepancy
+        # pins the y-first one too, to the last bit
+        disc = two_path_discrepancy(data(square_grid(101)), SpectralParam(0.5))
+        assert disc.hex() == bits
+
 
 class TestShiftFrame:
     def test_base_value_and_det(self, cylinder_frame_51):
