@@ -164,9 +164,8 @@ _MID_CENTER = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
 _MID_LEFT = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
 
 
-def _half_samples(a: np.ndarray, axis: int) -> np.ndarray:
-    """Midpoint values along one axis via cubic interpolation, O(h^4)."""
-    a = np.moveaxis(a, axis, 0)
+def _half_samples(a: np.ndarray) -> np.ndarray:
+    """Midpoint values along axis 0 via cubic interpolation, O(h^4)."""
     n = a.shape[0]
     out = np.empty((n - 1,) + a.shape[1:], dtype=a.dtype)
     w = _MID_CENTER
@@ -175,36 +174,7 @@ def _half_samples(a: np.ndarray, axis: int) -> np.ndarray:
     w = _MID_LEFT
     out[0] = w[0] * a[0] + w[1] * a[1] + w[2] * a[2] + w[3] * a[3]
     out[n - 2] = w[3] * a[n - 4] + w[2] * a[n - 3] + w[1] * a[n - 2] + w[0] * a[n - 1]
-    return np.moveaxis(out, 0, axis)
-
-
-def _coefficient_arrays(data: SurfaceData, lam: float):
-    """A_x = U + V and A_y = i (U - V) at the grid nodes, then A_x at the
-    x-midpoints and A_y at the y-midpoints, each assembled entry by entry
-    from the Lax entries: no U or V stack is formed."""
-
-    def lax_pairs(u, ux, uy):
-        uz = 0.5 * (ux - 1j * uy)
-        uzb = 0.5 * (ux + 1j * uy)
-        return list(zip(*_lax_entries(u, uz, uzb, data.Q, data.H, lam)))
-
-    def a_x(pairs):
-        return mat2(*(a + b for a, b in pairs))
-
-    def a_y(pairs):
-        return mat2(*(1j * (a - b) for a, b in pairs))
-
-    ux, uy = grid_derivatives(data.u, data.grid.hx, data.grid.hy)
-    nodes = (data.u, ux, uy)
-    at_nodes = lax_pairs(*nodes)
-    # coefficients at half-steps come from interpolated u, u_x, u_y; each
-    # direction builds only its own
-    return (
-        a_x(at_nodes),
-        a_y(at_nodes),
-        a_x(lax_pairs(*(_half_samples(a, 0) for a in nodes))),
-        a_y(lax_pairs(*(_half_samples(a, 1) for a in nodes))),
-    )
+    return out
 
 
 def _rk4_cell(A0, Am, A1, h):
@@ -234,20 +204,32 @@ def _march(F, A, Am, h, k0):
         F[k - 1] = mul2(F[k], T[k - 1])
 
 
-def _sweep(Ax, Ay, Axm, Aym, grid: GridSpec, x_first: bool) -> np.ndarray:
-    """Frames from the identity at the grid center: along the base line of
-    the first direction, then across the grid in the other one."""
-    i0, j0 = grid.center_index()
+def _coefficient(data: SurfaceData, lam: float, axis: int, u, ux, uy):
+    """A = U + V along x (axis 0) or i (U - V) along y, entry by entry from
+    the Lax entries at u, u_x, u_y: no U or V stack is formed."""
+    uz, uzb = 0.5 * (ux - 1j * uy), 0.5 * (ux + 1j * uy)
+    U, V = _lax_entries(u, uz, uzb, data.Q, data.H, lam)
+    return mat2(*(a + b if axis == 0 else 1j * (a - b) for a, b in zip(U, V)))
+
+
+def _sweep(data: SurfaceData, lam: float, first: int) -> np.ndarray:
+    """Frames from the identity at the grid center: along the line of axis
+    `first` through the center, then across the grid along the other axis.
+
+    Each march moves its axis to the front and builds A only at the nodes
+    and midpoints it crosses.
+    """
+    grid = data.grid
+    center = grid.center_index()
+    nodes = (data.u, *grid_derivatives(data.u, grid.hx, grid.hy))
     F = empty_planes((grid.nx, grid.ny), (2, 2))
-    F[i0, j0] = np.eye(2)
-    # F and the y coefficients with y moved to the front march along y
-    Fy, Ay, Aym = (np.moveaxis(a, 1, 0) for a in (F, Ay, Aym))
-    if x_first:
-        _march(F[:, j0], Ax[:, j0], Axm[:, j0], grid.hx, i0)
-        _march(Fy, Ay, Aym, grid.hy, j0)
-    else:
-        _march(Fy[:, i0], Ay[:, i0], Aym[:, i0], grid.hy, j0)
-        _march(F, Ax, Axm, grid.hx, i0)
+    F[center] = np.eye(2)
+    for axis, line in ((first, center[1 - first]), (1 - first, slice(None))):
+        on_line = [np.moveaxis(a, axis, 0)[:, line] for a in nodes]
+        A = _coefficient(data, lam, axis, *on_line)
+        Am = _coefficient(data, lam, axis, *map(_half_samples, on_line))
+        F_line = np.moveaxis(F, axis, 0)[:, line]
+        _march(F_line, A, Am, (grid.hx, grid.hy)[axis], center[axis])
     return F
 
 
@@ -268,10 +250,10 @@ def integrate_frame(data: SurfaceData, spectral: SpectralParam) -> ExtendedFrame
             f"compatibility residual {res:.3e} exceeds {COMPAT_TOL:.3e}; "
             "the frame system would not be integrable"
         )
-    F = _sweep(*_coefficient_arrays(data, spectral.lam), grid, True)
+    F = _sweep(data, spectral.lam, 0)
     frame = ExtendedFrame(grid=grid, F=F, spectral=spectral)
     worst = frame.max_det_drift
-    if worst > DET_DRIFT_TOL:
+    if not worst <= DET_DRIFT_TOL:
         drift = frame.det_drift()
         i, j = np.unravel_index(int(np.argmax(drift)), drift.shape)
         raise IntegrationFailureError(
@@ -288,10 +270,8 @@ def two_path_discrepancy(data: SurfaceData, spectral: SpectralParam) -> float:
     Vanishes (to integrator order) exactly when the data satisfies the
     compatibility condition, so no residual precondition is applied here.
     """
-    grid = data.grid
-    coefficients = _coefficient_arrays(data, spectral.lam)
-    F_xy = _sweep(*coefficients, grid, True)[-1, -1]
-    F_yx = _sweep(*coefficients, grid, False)[-1, -1]
+    F_xy = _sweep(data, spectral.lam, 0)[-1, -1]
+    F_yx = _sweep(data, spectral.lam, 1)[-1, -1]
     return float(np.max(np.abs(F_xy - F_yx)))
 
 
@@ -310,6 +290,6 @@ def frame_left_multiply(frame: ExtendedFrame, G) -> ExtendedFrame:
     if G.shape != (2, 2):
         raise InvalidInputError(f"gauge must be 2x2, got shape {G.shape}")
     detG = det2(G)
-    if abs(detG - 1.0) > 1e-9:
+    if not abs(detG - 1.0) <= 1e-9:
         raise InvalidInputError(f"gauge must be unimodular, det = {detG}")
     return replace(frame, F=mul2(G, frame.F))

@@ -116,7 +116,7 @@ def require_hermitian(M, what="matrix"):
     M = np.asarray(M, dtype=complex)
     scale = 1.0 + float(np.max(np.abs(M))) if M.size else 1.0
     defect = hermitian_defect(M) if M.size else 0.0
-    if defect > HERMITIAN_RTOL * scale:
+    if not defect <= HERMITIAN_RTOL * scale:
         raise InvalidInputError(
             f"{what} is not Hermitian: defect {defect:.3e} exceeds "
             f"{HERMITIAN_RTOL * scale:.3e}"
@@ -188,7 +188,7 @@ def require_h3(p, tol=H3_TOL, what="point"):
     if np.any(p[..., 3] <= 0.0):
         raise InternalConsistencyError(f"{what} has non-positive x0")
     defect = h3_defect(p)
-    if defect > tol:
+    if not defect <= tol:
         raise InvalidInputError(
             f"{what} is off the unit hyperboloid: defect {defect:.3e} > {tol:.3e}"
         )

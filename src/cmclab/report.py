@@ -99,9 +99,6 @@ class VerificationReport:
                 return r
         raise InvalidInputError(f"no check named {name!r} in report")
 
-    def values(self) -> dict[str, float]:
-        return {r.name: r.value for r in self.records}
-
 
 def render_text(report: VerificationReport) -> str:
     lines = ["verification report", "==================="]

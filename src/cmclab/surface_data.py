@@ -26,6 +26,9 @@ from .minkowski import empty_planes
 # |u| beyond this makes e^{2u} useless in double precision; treat as blowup.
 BLOWUP_LIMIT = 200.0
 
+# most RK4 steps one profile may take; each is a Python-level step
+MAX_PROFILE_STEPS = 10**7
+
 # a loaded row's x or y may miss its grid node by this share of the spacing
 GRID_NODE_RTOL = 1e-6
 
@@ -162,6 +165,11 @@ def _profile_step(u, v, h, Q, H):
 
 
 def _integrate_profile(H, x0, x1, u0, du0, n_steps):
+    if n_steps > MAX_PROFILE_STEPS:
+        raise InvalidInputError(
+            f"step too small: the profile would take {n_steps:.3g} steps, "
+            f"more than {MAX_PROFILE_STEPS:.0e}"
+        )
     Q = 0.5 * H
     h = (x1 - x0) / n_steps
     us = np.empty(n_steps + 1)

@@ -272,6 +272,20 @@ def test_incompatible_data_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: numerical:")
 
 
+def test_nan_frame_exits_3(tmp_path, capsys):
+    # at lambda = 1e-20 the cylinder frame overflows to NaN; its drift is
+    # NaN, which is a numerical failure, not a verification FAIL
+    out = tmp_path / "run"
+    keys = {"lambda": 1e-20, "nx": 21, "ny": 21, "out_dir": str(out)}
+    cfg = write_config(tmp_path / "cfg.json", **keys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["generate", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical: determinant drift nan")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_non_normalized_custom_file_exits_2(tmp_path, capsys):
     g = GridSpec(-1, 1, -1, 1, 9, 9)
     src = tmp_path / "custom.dat"
@@ -354,6 +368,7 @@ def _keys(**keys):
         (_keys(H=0.0), "mean curvature H must be nonzero"),
         (_keys(step=0.0), "step must be positive"),
         (_keys(step=-1e-3), "step must be positive"),
+        (_keys(step=1e-300), "step too small"),
         (_keys(u0=float("nan")), "key 'u0' must be a finite number"),
         (_keys(du0=float("nan")), "key 'du0' must be a finite number"),
         (_keys(u0=float("inf")), "key 'u0' must be a finite number"),
@@ -362,8 +377,8 @@ def _keys(**keys):
     ],
     ids=[
         "unknown-name", "non-positive", "non-number", "H-not-2Q", "H-zero",
-        "step-zero", "step-negative", "u0-nan", "du0-nan", "u0-inf", "H-inf",
-        "H-huge-int",
+        "step-zero", "step-negative", "step-tiny", "u0-nan", "du0-nan", "u0-inf",
+        "H-inf", "H-huge-int",
     ],
 )
 def test_refused_run_writes_nothing(tmp_path, capsys, fault, expected):

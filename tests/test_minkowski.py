@@ -228,6 +228,11 @@ class TestHermitianDefect:
         M[2, 0, 1], M[2, 1, 0] = 2.0 + 1j, 2.0 + 1j  # off-diagonal: defect 2
         assert hermitian_defect(M) == 2.0
 
+    def test_nan_is_refused(self):
+        # a NaN defect is no pass: the gate reads `not defect <= tol`
+        with pytest.raises(InvalidInputError, match="defect nan"):
+            require_hermitian(np.full((3, 2, 2), np.nan, dtype=complex))
+
 
 class TestH3Validation:
     def test_identity_point(self):
@@ -240,6 +245,10 @@ class TestH3Validation:
     def test_rejects_off_sheet(self):
         with pytest.raises(InvalidInputError):
             require_h3(np.array([0.0, 0.0, 0.0, 2.0]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(InvalidInputError, match="defect nan"):
+            require_h3(np.full((5, 4), np.nan))
 
     def test_defect_of_boosted_point(self):
         t = 0.8

@@ -1,8 +1,8 @@
 """The benchmark's tracing targets and the package's exports still name its code,
 no module imports a name it never uses, the frame modules form 2x2 products
 only through the entrywise kernel, 2x2 stacks and 4-vector grids are
-allocated only entry-major, and grid tables are spelled only by the
-whole-array text kernel."""
+allocated only entry-major, tolerance gates refuse NaN, and grid tables are
+spelled only by the whole-array text kernel."""
 
 import ast
 import importlib
@@ -159,6 +159,50 @@ def test_stack_allocation_lint_sees_each_form(tmp_path):
         "frames.py:4 np.zeros",
         "frames.py:6 np.empty_like",
     ]
+
+
+def _nan_blind_gates(path):
+    """Each `if a > b:` (or `>=`) in `path` whose b names a tolerance: a NaN
+    makes the comparison false, so a NaN value would pass that gate."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        test = node.test if isinstance(node, ast.If) else None
+        if (
+            isinstance(test, ast.Compare)
+            and len(test.ops) == 1
+            and isinstance(test.ops[0], (ast.Gt, ast.GtE))
+            and any(
+                "tol" in (sub.id if isinstance(sub, ast.Name) else sub.attr).lower()
+                for sub in ast.walk(test.comparators[0])
+                if isinstance(sub, (ast.Name, ast.Attribute))
+            )
+        ):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_tolerance_gates_are_nan_safe():
+    # `if not value <= tol:` refuses a NaN value; `if value > tol:` lets it by
+    files = sorted((ROOT / "src" / "cmclab").rglob("*.py"))
+    assert [entry for path in files for entry in _nan_blind_gates(path)] == []
+
+
+def test_nan_gate_lint_sees_each_form(tmp_path):
+    path = tmp_path / "frames.py"
+    path.write_text(
+        "def f(worst, defect, scale, tol, n):\n"
+        "    if worst > DET_DRIFT_TOL:\n"
+        "        raise ValueError\n"
+        "    if defect >= HERMITIAN_RTOL * scale:\n"
+        "        raise ValueError\n"
+        "    elif defect > tol:\n"
+        "        raise ValueError\n"
+        "    if not worst <= DET_DRIFT_TOL or n > 3:\n"
+        "        raise ValueError\n"
+        "    return n > tol\n"
+    )
+    assert _nan_blind_gates(path) == ["frames.py:2", "frames.py:4", "frames.py:6"]
 
 
 def _seventeen_digit_spellings(path):
