@@ -41,7 +41,7 @@ print("residual ratio under h-halving:", max_gauss_residual(dela) / max_gauss_re
 
 # The ODE conserves an energy; its drift is a sanity check on the
 # integrator itself, independent of any grid.
-prof = delaunay_profile(0.5, (0.0, 10.0), 0.3, 0.0, step=1e-3)
+prof = delaunay_profile(0.5, (0.0, 10.0), 0.3, 0.0)
 print("profile energy drift over length 10:", prof.energy_drift())
 
 # Christoffel duality flips the sign of u and keeps Q, H.  Applying it

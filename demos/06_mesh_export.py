@@ -4,7 +4,7 @@ The same pipeline is reachable from the shell:
 
     cmclab generate --config run.json
     cmclab verify   --in out/
-    cmclab export   --in out/ --model poincare
+    cmclab export   --in out/
     cmclab report   --in out/ --machine
 """
 

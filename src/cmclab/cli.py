@@ -45,7 +45,6 @@ def _parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("export", help="rewrite ball-model meshes from stored frames")
     e.add_argument("--in", dest="in_dir", required=True, help="run output directory")
-    e.add_argument("--model", default="poincare", help="projection model name")
 
     r = sub.add_parser("report", help="print a stored verification report")
     r.add_argument("--in", dest="in_dir", required=True, help="run output directory")
@@ -70,7 +69,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    for path in export_meshes(args.in_dir, model=args.model):
+    for path in export_meshes(args.in_dir):
         print(f"wrote {path}")
     return EXIT_PASS
 

@@ -1,13 +1,12 @@
 """Run configuration: a flat JSON object with one optional nested map.
 
-Allowed keys: family, H, u0, du0, lambda, r, x_min, x_max, y_min, y_max,
-nx, ny, step, out_dir, input, tolerances.  "tolerances" is the only nested
-value, a map from registered check names to positive numbers, which
+Allowed keys: family, H, u0, du0, lambda, x_min, x_max, y_min, y_max, nx,
+ny, out_dir, input, tolerances.  "tolerances" is the only nested value, a
+map from registered check names to positive numbers, which
 `report.resolve_tolerances` validates when the RunConfig is built.  Unknown
 keys are rejected so typos cannot silently disable an override, and so are
-the NaN and Infinity that Python's json reads.  H and step are checked by
-the data they shape (`SurfaceData`, `delaunay_data`), not here: a
-custom-file run reads neither.
+the NaN and Infinity that Python's json reads.  H is checked by the data it
+shapes (`SurfaceData`), not here: a custom-file run does not read it.
 """
 
 from __future__ import annotations
@@ -30,14 +29,12 @@ _SCALAR_KEYS = {
     "u0": float,
     "du0": float,
     "lambda": float,
-    "r": float,
     "x_min": float,
     "x_max": float,
     "y_min": float,
     "y_max": float,
     "nx": int,
     "ny": int,
-    "step": float,
     "out_dir": str,
     "input": str,
 }
@@ -48,7 +45,6 @@ class RunConfig:
     family: str
     lam: float
     out_dir: str
-    r: float | None = None
     H: float = 0.5
     u0: float = 0.3
     du0: float = 0.0
@@ -58,7 +54,6 @@ class RunConfig:
     y_max: float = 1.0
     nx: int = 101
     ny: int = 101
-    step: float = 1e-3
     input_path: str | None = None
     tolerances: dict = field(default_factory=dict)
 
@@ -68,7 +63,7 @@ class RunConfig:
                 f"unknown family {self.family!r}; expected one of {', '.join(FAMILIES)}"
             )
         try:
-            object.__setattr__(self, "r", self.spectral().r)
+            self.spectral()
             self.grid()
         except InvalidInputError as exc:
             raise ConfigError(str(exc)) from None
@@ -82,7 +77,7 @@ class RunConfig:
         )
 
     def spectral(self) -> SpectralParam:
-        return SpectralParam(self.lam, self.r)
+        return SpectralParam(self.lam)
 
 
 def _coerce(key: str, value, kind):

@@ -42,19 +42,14 @@ COMPAT_TOL = 0.1
 
 @dataclass(frozen=True)
 class SpectralParam:
-    """Spectral value lam with annulus radius r, constrained to 0 < r < lam < 1;
-    the one check of lam for closed_form and homothety_scale."""
+    """Spectral value lam, constrained to 0 < lam < 1; the one check of lam
+    for closed_form and homothety_scale."""
 
     lam: float
-    r: float | None = None
 
     def __post_init__(self):
-        if self.r is None:
-            object.__setattr__(self, "r", 0.5 * self.lam)
-        if not 0.0 < self.r < self.lam < 1.0:
-            raise InvalidInputError(
-                f"need 0 < r < lambda < 1, got r = {self.r}, lambda = {self.lam}"
-            )
+        if not 0.0 < self.lam < 1.0:
+            raise InvalidInputError(f"need 0 < lambda < 1, got lambda = {self.lam}")
 
     @property
     def q(self) -> float:

@@ -68,7 +68,8 @@ def measure(surface: H3SurfaceGrid, normal: NormalField) -> MeasuredData:
 
     Uses f_zz = (f_xx - f_yy - 2i f_xy)/4 and f_zzbar = (f_xx + f_yy)/4,
     then Qm = <f_zz, N> and Hm = 2 <f_zzbar, N> / E with the conformal
-    factor read off from the measured E.
+    factor read off from the measured E.  An E that is not positive at some
+    node raises NumericalError.
     """
     if surface.grid != normal.grid:
         raise InvalidInputError("surface and normal live on different grids")
@@ -84,6 +85,14 @@ def measure(surface: H3SurfaceGrid, normal: NormalField) -> MeasuredData:
 
     N = normal.vectors[1:-1, 1:-1]
     E = mink_dot(fx, fx)
+    # Hm and the conformality and isothermic defects divide by E; an E that
+    # is not positive (or NaN) would make those checks a quiet pass
+    if not np.all(E > 0.0):
+        i, j = np.unravel_index(np.argmin(E), E.shape)
+        raise NumericalError(
+            f"measured metric E = {E[i, j]:.3g} is not positive at grid node "
+            f"({i + 1}, {j + 1})"
+        )
     Fc = mink_dot(fx, fy)
     G = mink_dot(fy, fy)
     del fx, fy  # each derivative grid goes once used, to bound peak memory

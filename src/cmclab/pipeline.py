@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError
+from .errors import InvalidInputError
 from .config import RunConfig
 from .frames import DET_DRIFT_TOL, ExtendedFrame, SpectralParam, integrate_frame
 from .minkowski import require_h3
@@ -60,7 +60,6 @@ REPORT_MACHINE_FILE = "report.kv"
 FRAME_MEMBERS = {
     "F": (np.complex128, (None, None, 2, 2)),
     "lam": (np.float64, ()),
-    "r": (np.float64, ()),
     "extents": (np.float64, (4,)),  # x_min x_max y_min y_max
 }
 
@@ -81,9 +80,7 @@ def generate_data(config: RunConfig) -> SurfaceData:
     if config.family == "cylinder":
         return cylinder_data(config.grid(), config.H)
     if config.family == "delaunay":
-        return delaunay_data(
-            config.grid(), config.H, config.u0, config.du0, step=config.step
-        )
+        return delaunay_data(config.grid(), config.H, config.u0, config.du0)
     return load_surface_data(config.input_path)
 
 
@@ -159,7 +156,6 @@ def save_frame(path, frame: ExtendedFrame):
             fh,
             F=frame.F,
             lam=float(frame.spectral.lam),
-            r=float(frame.spectral.r),
             extents=[float(v) for v in (g.x_min, g.x_max, g.y_min, g.y_max)],
         )
 
@@ -169,8 +165,8 @@ def load_frame(path) -> ExtendedFrame:
 
     Anything but an archive of exactly FRAME_MEMBERS, with their dtypes and
     shapes and finite entries, raises InvalidInputError naming the file; so
-    do a grid below MIN_NODES per axis, bad extents and a bad lam or r.
-    Frames of earlier versions (text, or with a `base_index` member) are
+    do a grid below MIN_NODES per axis, bad extents and a bad lam.  Frames
+    of earlier versions (text, or with a `base_index` or `r` member) are
     refused too, with a hint to generate the run again.
     """
     members = None
@@ -209,7 +205,7 @@ def load_frame(path) -> ExtendedFrame:
     F = members["F"]
     try:
         grid = GridSpec(*members["extents"].tolist(), *F.shape[:2])
-        spectral = SpectralParam(float(members["lam"]), float(members["r"]))
+        spectral = SpectralParam(float(members["lam"]))
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
     return ExtendedFrame(grid, F, spectral)
@@ -226,18 +222,20 @@ def _write_report_files(out: Path, report: VerificationReport):
 
 def run(config: RunConfig) -> VerificationReport:
     """Full pipeline; writes every output file and returns the report.
-    A run refused before its frame exists leaves no `out_dir` behind."""
+
+    Everything is computed before `out_dir` is made, so a refused run
+    leaves no `out_dir` behind."""
     data = generate_data(config)
     _require_normalized(data)
     frame = integrate_frame(data, config.spectral())
+    sides = evaluate(frame)
+    report = _report(data, sides, resolve_tolerances(config.tolerances))
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_surface_data(out / SURFACE_FILE, data)
     save_frame(out / FRAME_FILE, frame)
-    sides = evaluate(frame)
     _write_meshes(out, (side.surface for side in sides))
     write_diagnostics(out / DIAGNOSTICS_FILE, data, sides)
-    report = _report(data, sides, resolve_tolerances(config.tolerances))
     _write_report_files(out, report)
     return report
 
@@ -276,10 +274,8 @@ def verify_outputs(in_dir) -> VerificationReport:
     return report
 
 
-def export_meshes(in_dir, model="poincare"):
-    """Re-project stored frames to ball meshes; only one model exists."""
-    if model != "poincare":
-        raise ConfigError(f"unknown export model {model!r}; only 'poincare' exists")
+def export_meshes(in_dir):
+    """Re-project stored frames to Poincare ball meshes."""
     in_dir = Path(in_dir)
     frame = load_frame(require_output(in_dir / FRAME_FILE))
     return _write_meshes(in_dir, (surface_primary(frame), surface_shifted(frame)))

@@ -26,6 +26,9 @@ from .minkowski import empty_planes
 # |u| beyond this makes e^{2u} useless in double precision; treat as blowup.
 BLOWUP_LIMIT = 200.0
 
+# the Delaunay profile's RK4 step, shrunk to divide each span evenly
+PROFILE_STEP = 1e-3
+
 # most RK4 steps one profile may take; each is a Python-level step
 MAX_PROFILE_STEPS = 10**7
 
@@ -167,8 +170,8 @@ def _profile_step(u, v, h, Q, H):
 def _integrate_profile(H, x0, x1, u0, du0, n_steps):
     if n_steps > MAX_PROFILE_STEPS:
         raise InvalidInputError(
-            f"step too small: the profile would take {n_steps:.3g} steps, "
-            f"more than {MAX_PROFILE_STEPS:.0e}"
+            f"x range too wide: the profile would take {n_steps:.3g} RK4 steps "
+            f"of at most {PROFILE_STEP:g}, more than {MAX_PROFILE_STEPS:.0e}"
         )
     Q = 0.5 * H
     h = (x1 - x0) / n_steps
@@ -193,20 +196,18 @@ def _integrate_profile(H, x0, x1, u0, du0, n_steps):
     return us, dus
 
 
-def delaunay_profile(H, x_range, u0, du0, step=1e-3):
+def delaunay_profile(H, x_range, u0, du0):
     """Integrate the translation-invariant Gauss equation along x.
 
     Initial data (u0, du0) is imposed at x_range[0]; Q = H/2 is forced by
-    the normalization.  The step is shrunk so the range divides evenly.
+    the normalization.  PROFILE_STEP is shrunk so the range divides evenly.
     """
     if H == 0.0:
         raise InvalidInputError("H must be nonzero")
-    if not step > 0.0:
-        raise InvalidInputError("step must be positive")
     x0, x1 = float(x_range[0]), float(x_range[1])
     if not x1 > x0:
         raise InvalidInputError("x_range must be increasing")
-    n = max(1, math.ceil((x1 - x0) / step))
+    n = max(1, math.ceil((x1 - x0) / PROFILE_STEP))
     us, dus = _integrate_profile(H, x0, x1, u0, du0, n)
     xs = np.linspace(x0, x1, n + 1)
     return DelaunayProfile(
@@ -214,16 +215,14 @@ def delaunay_profile(H, x_range, u0, du0, step=1e-3):
     )
 
 
-def delaunay_data(grid, H, u0, du0, step=1e-3):
+def delaunay_data(grid, H, u0, du0):
     """Sample a Delaunay-type profile onto a grid, constant in y.
 
-    The ODE is integrated with a step that lands exactly on every grid
-    node, so the sampled values carry no interpolation error.  H = 0 is
-    refused by SurfaceData once the (then flat) profile is sampled.
+    The ODE is integrated with PROFILE_STEP shrunk to land exactly on every
+    grid node, so the sampled values carry no interpolation error.  H = 0
+    is refused by SurfaceData once the (then flat) profile is sampled.
     """
-    if not step > 0.0:
-        raise InvalidInputError("step must be positive")
-    per_cell = max(1, math.ceil(grid.hx / step))
+    per_cell = max(1, math.ceil(grid.hx / PROFILE_STEP))
     n = per_cell * (grid.nx - 1)
     us, _ = _integrate_profile(H, grid.x_min, grid.x_max, u0, du0, n)
     profile = us[::per_cell]

@@ -27,9 +27,6 @@ from .minkowski import empty_planes, from_hermitian, mink_dot, require_h3
 from .report import SIDES
 from .surface_data import GridSpec, _locked
 
-# -<p,s> this far below 1 means the points are not an H3 pair
-DISTANCE_CLAMP_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class H3SurfaceGrid:
@@ -155,16 +152,17 @@ def hyperbolic_distance(p, s):
     """Geodesic distance arccosh(-<p, s>) between hyperboloid points.
 
     Accepts single coordinate 4-vectors or broadcastable batches.  Values of
-    -<p, s> within DISTANCE_CLAMP_TOL below 1 (round-off at coincident
-    points) are clamped to distance zero; anything lower is rejected.
+    -<p, s> within DET_DRIFT_TOL below 1 (coincident points as far off the
+    hyperboloid as H3SurfaceGrid admits them) are clamped to distance zero;
+    anything lower, or NaN, is rejected.
     """
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)
     c = -mink_dot(p, s)
-    if np.any(c < 1.0 - DISTANCE_CLAMP_TOL):
+    if not np.all(c >= 1.0 - DET_DRIFT_TOL):
         worst = float(np.min(c))
         raise InvalidInputError(
-            f"-<p, s> = {worst:.12g} < 1; points are not a hyperboloid pair"
+            f"-<p, s> = {worst:.12g}, not >= 1; points are not a hyperboloid pair"
         )
     out = np.arccosh(np.maximum(c, 1.0))
     return float(out) if out.ndim == 0 else out

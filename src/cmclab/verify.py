@@ -172,7 +172,6 @@ def _report(
     metadata = {
         "lambda": f"{frame.lam:.17g}",
         "q": f"{frame.spectral.q:.17g}",
-        "r": f"{frame.spectral.r:.17g}",
         "H": f"{data.H:.17g}",
         "Q": f"{data.Q:.17g}",
         "nx": str(g.nx),

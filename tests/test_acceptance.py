@@ -66,7 +66,7 @@ def test_criterion_1_compatibility(capsys, del_data_101, del_data_201):
     checks = {}
     res = gauss_residual(cylinder_data(square_grid(51)))
     checks["cylinder residual exactly zero"] = float(np.max(np.abs(res))) == 0.0
-    prof = delaunay_profile(0.5, (0.0, 10.0), 0.3, 0.0, step=1e-3)
+    prof = delaunay_profile(0.5, (0.0, 10.0), 0.3, 0.0)
     checks["profile energy drift <= 1e-8"] = prof.energy_drift() <= 1e-8
     r_coarse = max_gauss_residual(del_data_101)
     r_fine = max_gauss_residual(del_data_201)

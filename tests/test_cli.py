@@ -84,13 +84,7 @@ def test_report_machine_format(generated, capsys):
 
 def test_export_subcommand(generated, capsys):
     _, out, _ = generated
-    assert main(["export", "--in", str(out), "--model", "poincare"]) == 0
-
-
-def test_export_unknown_model_exits_2(generated, capsys):
-    _, out, _ = generated
-    assert main(["export", "--in", str(out), "--model", "klein"]) == 2
-    assert capsys.readouterr().err.startswith("error: config:")
+    assert main(["export", "--in", str(out)]) == 0
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -239,16 +233,19 @@ def test_stored_header_with_extra_fields_exits_2(
 def test_frame_with_stored_base_index_exits_2(
     generated, tmp_path, capsys, edit_frame, command
 ):
-    # earlier binary frames also stored their base, always the grid center
+    # earlier binary frames also stored their base, always the grid center,
+    # or a radius r that no computation read
     _, out, _ = generated
-    run_dir = tmp_path / "run"
-    shutil.copytree(out, run_dir)
-    edit_frame(run_dir / "frame.dat", base_index=np.array([20, 20]))
-    assert main([command, "--in", str(run_dir)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: config:") and err.count("\n") == 1
-    assert "frame.dat: frame members ['F', 'base_index', 'extents', 'lam', 'r']" in err
-    assert "runs stored by earlier versions must be generated again" in err
+    for member, value in (("base_index", np.array([20, 20])), ("r", np.array(0.25))):
+        run_dir = tmp_path / member
+        shutil.copytree(out, run_dir)
+        edit_frame(run_dir / "frame.dat", **{member: value})
+        assert main([command, "--in", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and err.count("\n") == 1
+        stored = sorted(["F", "extents", "lam", member])
+        assert f"frame.dat: frame members {stored}, expected ['F', 'extents', 'lam']" in err
+        assert "runs stored by earlier versions must be generated again" in err
 
 
 def test_incompatible_data_exits_3(tmp_path, capsys):
@@ -282,6 +279,20 @@ def test_nan_frame_exits_3(tmp_path, capsys):
         assert main(["generate", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: numerical: determinant drift nan")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_vanishing_metric_near_lambda_one_exits_3(tmp_path, capsys):
+    # at lambda = 1 - 1e-9 the primary surface spans about 2e-9, so its
+    # measured metric E is round-off, <= 0 at most nodes, and the ratios over
+    # it would pass; the run is refused before out_dir is made
+    out = tmp_path / "run"
+    keys = {"lambda": 0.999999999, "nx": 21, "ny": 21, "out_dir": str(out)}
+    cfg = write_config(tmp_path / "cfg.json", **keys)
+    assert main(["generate", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical: measured metric E = ")
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -366,9 +377,9 @@ def _keys(**keys):
         ({"metric_match_primary": "1e-3"}, "must be a number, got '1e-3'"),
         (_non_normalized_input, "H = 2Q"),
         (_keys(H=0.0), "mean curvature H must be nonzero"),
-        (_keys(step=0.0), "step must be positive"),
-        (_keys(step=-1e-3), "step must be positive"),
-        (_keys(step=1e-300), "step too small"),
+        (_keys(r=0.25), "unknown config keys: r"),
+        (_keys(step=1e-3), "unknown config keys: step"),
+        (_keys(x_min=-1e4, x_max=1e4), "x range too wide"),
         (_keys(u0=float("nan")), "key 'u0' must be a finite number"),
         (_keys(du0=float("nan")), "key 'du0' must be a finite number"),
         (_keys(u0=float("inf")), "key 'u0' must be a finite number"),
@@ -377,7 +388,7 @@ def _keys(**keys):
     ],
     ids=[
         "unknown-name", "non-positive", "non-number", "H-not-2Q", "H-zero",
-        "step-zero", "step-negative", "step-tiny", "u0-nan", "du0-nan", "u0-inf",
+        "r-key", "step-key", "x-extent-wide", "u0-nan", "du0-nan", "u0-inf",
         "H-inf", "H-huge-int",
     ],
 )

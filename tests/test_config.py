@@ -12,20 +12,17 @@ def test_minimal_config_defaults():
     cfg = config_from_mapping(dict(MINIMAL))
     assert cfg.family == "cylinder"
     assert cfg.lam == 0.5
-    assert cfg.r == 0.25
     assert cfg.H == 0.5
     assert (cfg.nx, cfg.ny) == (101, 101)
     assert (cfg.x_min, cfg.x_max, cfg.y_min, cfg.y_max) == (-1.0, 1.0, -1.0, 1.0)
-    assert cfg.step == 1e-3
     assert cfg.tolerances == {}
 
 
 def test_grid_and_spectral_builders():
-    cfg = config_from_mapping({**MINIMAL, "nx": 11, "ny": 7, "r": 0.1})
+    cfg = config_from_mapping({**MINIMAL, "nx": 11, "ny": 7})
     g = cfg.grid()
     assert (g.nx, g.ny) == (11, 7)
-    sp = cfg.spectral()
-    assert (sp.lam, sp.r) == (0.5, 0.1)
+    assert cfg.spectral().lam == 0.5
 
 
 def test_unknown_keys_refused_by_name():
@@ -51,7 +48,6 @@ def test_unknown_family():
     [
         ("lambda", 1.2),
         ("lambda", 0.0),
-        ("r", 0.7),  # r >= lambda
         ("nx", 4),
         ("ny", 3),
     ],

@@ -43,15 +43,10 @@ class TestSpectralParam:
     def test_q(self):
         assert SpectralParam(0.5).q == pytest.approx(np.log(0.5))
 
-    def test_default_radius(self):
-        assert SpectralParam(0.5).r == 0.25
-
-    @pytest.mark.parametrize(
-        "lam,r", [(1.0, 0.5), (1.2, None), (0.0, None), (-0.5, None), (0.5, 0.7), (0.5, 0.0)]
-    )
-    def test_rejects_bad_values(self, lam, r):
+    @pytest.mark.parametrize("lam", [1.0, 1.2, 0.0, -0.5])
+    def test_rejects_bad_values(self, lam):
         with pytest.raises(InvalidInputError):
-            SpectralParam(lam, r)
+            SpectralParam(lam)
 
 
 class TestLaxMatrices:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from cmclab.errors import InvalidInputError
+from cmclab.errors import InvalidInputError, NumericalError
 from cmclab.frames import ExtendedFrame, SpectralParam, integrate_frame, shift_frame
 from cmclab.measure import (
     ClosedFormData,
@@ -314,3 +314,17 @@ class TestMeasureValidation:
         n = NormalField(g, np.tile([0.0, 0.0, 1.0, 0.0], (9, 9, 1)))
         m = measure(s, n)
         assert m.conformal_warning
+
+    def test_non_positive_metric_refused(self):
+        # geodesic strip along v = y + x^2: f_x vanishes on the column x = 0,
+        # grid node 4, so E = 0 there and every ratio over E is undefined
+        g = GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 9)
+        X, Y = g.mesh()
+        v = Y + X**2
+        pts = np.stack(
+            [np.sinh(v), np.zeros_like(v), np.zeros_like(v), np.cosh(v)], axis=-1
+        )
+        s = H3SurfaceGrid(g, pts, SpectralParam(0.5), "primary")
+        n = NormalField(g, np.tile([0.0, 0.0, 1.0, 0.0], (9, 9, 1)))
+        with pytest.raises(NumericalError, match=r"E = 0 is not positive at grid node \(4, 1\)"):
+            measure(s, n)

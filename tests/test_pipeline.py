@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cmclab.config import config_from_mapping
-from cmclab.errors import ConfigError, InvalidInputError
+from cmclab.errors import InvalidInputError
 from cmclab.frames import (
     ExtendedFrame,
     SpectralParam,
@@ -121,7 +121,7 @@ class TestFramePersistence:
         rng = np.random.default_rng(3)
         F = rng.choice(awkward, size=(5, 6, 2, 2)) + 1j * rng.choice(awkward, size=(5, 6, 2, 2))
         grid = GridSpec(-1 / 3, 0.1, -2.0**-1022, 1e300, 5, 6)
-        frame = ExtendedFrame(grid, F, SpectralParam(1 / 3, 0.1 / 3))
+        frame = ExtendedFrame(grid, F, SpectralParam(1 / 3))
         path = tmp_path / "frame.dat"
         save_frame(path, frame)
         back = load_frame(path)
@@ -159,9 +159,8 @@ class TestFramePersistence:
             ("F", np.ones((21, 21, 2, 2))),  # real, not complex
             ("F", np.ones((21, 21, 4), dtype=complex)),
             ("lam", np.array([0.5])),
-            ("r", np.float32(0.25)),
         ],
-        ids=["F-real", "F-shape", "lam-shape", "r-float32"],
+        ids=["F-real", "F-shape", "lam-shape"],
     )
     def test_wrong_member_type_refused(self, frame_21, edit_frame, member, value):
         edit_frame(frame_21, **{member: value})
@@ -197,10 +196,9 @@ class TestFramePersistence:
         "members, message",
         [
             ({"extents": np.array([1.0, -1, -1, 1])}, "grid extents must have positive length"),
-            ({"lam": np.array(1.5)}, "need 0 < r < lambda < 1"),
-            ({"r": np.array(0.0)}, "need 0 < r < lambda < 1"),
+            ({"lam": np.array(1.5)}, "need 0 < lambda < 1"),
         ],
-        ids=["extents", "lam", "r"],
+        ids=["extents", "lam"],
     )
     def test_bad_grid_or_spectral_value_refused(self, frame_21, edit_frame, members, message):
         edit_frame(frame_21, **members)
@@ -315,7 +313,7 @@ class TestStoredOutputs:
     def test_export_rewrites_meshes(self, run_dir):
         out, _, _ = run_dir
         before = (out / MESH_FILES[0]).read_bytes()
-        paths = export_meshes(out, model="poincare")
+        paths = export_meshes(out)
         assert [p.name for p in paths] == list(MESH_FILES)
         assert (out / MESH_FILES[0]).read_bytes() == before
 
@@ -328,11 +326,6 @@ class TestStoredOutputs:
         (tmp_path / FRAME_FILE).unlink()
         with pytest.raises(FileNotFoundError, match="frame.dat"):
             export_meshes(tmp_path)
-
-    def test_export_unknown_model(self, run_dir):
-        out, _, _ = run_dir
-        with pytest.raises(ConfigError, match="poincare"):
-            export_meshes(out, model="klein")
 
 
 # sha256 of the deterministic outputs of a small Delaunay run; any change
@@ -347,12 +340,12 @@ GOLDEN_CONFIG = {
     "ny": 41,
 }
 GOLDEN_SHA256 = {
-    REPORT_MACHINE_FILE: "61e318185bdb5a56dad974a7c0af6ee295656ef42fc9fb4bfd9105847e210c2a",
+    REPORT_MACHINE_FILE: "2fde02dd6834e5ceecbec4475ac333f74fcb31c9fccc2cfab2866fe98d24e679",
     DIAGNOSTICS_FILE: "1086ac08e889d22a983cebfbad5991f91a32ee6194c22567e581b3c9e14a718b",
     MESH_FILES[0]: "c558d789307cf7b3662df1595b57c8dfc87c9557c60293a37d31daf8dfacd560",
     MESH_FILES[1]: "a1477b847605cc89f68df450569046ddd4660f26e96b73e1cf704734b6d0a030",
     SURFACE_FILE: "389c13f04942a7813db022d51c45861545bf87a44ef9d166e80acf0c746a40f4",
-    FRAME_FILE: "a8df58ec05cade6e7c795b9fe1b786aeaf270e087220351a66c0f77ba8d582c3",
+    FRAME_FILE: "46688900887dba618fb6c0b4649ba5883ec601db2428d37e494ff69d06846ebc",
 }
 
 
@@ -365,12 +358,12 @@ def test_golden_output_hashes(tmp_path):
 # the README default at 201 x 201: rows long enough for numpy's vectorised
 # loops to take every path the 41 x 41 goldens leave out
 GOLDEN_SHA256_201 = {
-    REPORT_MACHINE_FILE: "b55b5430e87051290313da5d6ad63b0940a6006ed987b4cd7053473ef50699f8",
+    REPORT_MACHINE_FILE: "4175cc4561f1e7df7b76957732a452b413201a2706ff7a6f391476c8c1bc778f",
     DIAGNOSTICS_FILE: "a7b20df97fad43deaa5b56a94c81bab7c61a5110cde01d5c2d42dc1a447a23cf",
     MESH_FILES[0]: "460dc26168f0344ce2c087393c70eeadf076db79a9ea4b7e78585f9639b733b6",
     MESH_FILES[1]: "d08b1f075e9e0c795fea1badaf8bd0b3c4e95684f9adf48fb634865161bb1404",
     SURFACE_FILE: "b4a3ece4a97b7d678ed82d14e50d0afb86da171f62c5ff066d248f2e0ba65b79",
-    FRAME_FILE: "6ff5257a657e9f19b2a693a1a9f26b04b9274f0256f34493797ac3dc1d4018ea",
+    FRAME_FILE: "c2b6b9b41e5581707d8c7dfef2efd1f5ac2cf1a172fba5c93dd5f7362c0ca02f",
 }
 
 
@@ -387,14 +380,14 @@ GOLDEN_RUNS = {
     "delaunay-small-lambda": (
         {"family": "delaunay", "H": 0.5, "u0": -0.5, "du0": 0.0, "lambda": 0.1},
         {
-            REPORT_MACHINE_FILE: "71f4321a584dbd235bd1b9cec76222234d4e661e327a89b227df83e7c7b5f2d8",
+            REPORT_MACHINE_FILE: "d1ece08fb1f70a2e0eda541e2a9dd8cf1cee1ea08270476e0ddfa63a9a24457f",
             DIAGNOSTICS_FILE: "1d0e444946f76cba83be46474ad0fdae74a6806da0cc9ae43ed4f6be2a217bd6",
         },
     ),
     "cylinder": (
         {"family": "cylinder", "H": 0.5, "lambda": 0.5},
         {
-            REPORT_MACHINE_FILE: "f6bfcf0364b51bd86029d7df75991e2505e89d0da5cc455892aafce14ebd58c8",
+            REPORT_MACHINE_FILE: "685c46578adf6c91a92c59b5f93b744a138b79818a8631a898ad3cd444834efe",
             DIAGNOSTICS_FILE: "e9dd39ace0c171e95de4ef4c352ac310ebd5a99b866e54ac93dd2e20fc44f888",
         },
     ),

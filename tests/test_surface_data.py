@@ -75,15 +75,15 @@ class TestCylinderData:
 
 class TestDelaunayProfile:
     def test_equilibrium_stays_constant(self):
-        p = delaunay_profile(0.5, (0.0, 5.0), 0.0, 0.0, step=1e-2)
+        p = delaunay_profile(0.5, (0.0, 5.0), 0.0, 0.0)
         assert np.max(np.abs(p.us)) < 1e-14
 
     def test_energy_conservation(self):
-        p = delaunay_profile(0.5, (0.0, 10.0), 0.3, 0.0, step=1e-3)
+        p = delaunay_profile(0.5, (0.0, 10.0), 0.3, 0.0)
         assert p.energy_drift() <= 1e-8
 
     def test_oscillation_extrema_match_bisection(self):
-        p = delaunay_profile(0.5, (0.0, 20.0), 0.3, 0.0, step=1e-3)
+        p = delaunay_profile(0.5, (0.0, 20.0), 0.3, 0.0)
         assert np.max(p.us) == pytest.approx(0.3, abs=1e-6)
         # independent oracle: the lower turning point solves
         # 2 Q^2 e^{-2u} + H^2 e^{2u} / 2 = E(0) for u < 0
@@ -99,7 +99,7 @@ class TestDelaunayProfile:
 
     def test_blowup_is_reported_with_location(self):
         with pytest.raises(IntegrationBlowupError) as err:
-            delaunay_profile(0.5, (0.0, 400.0), 150.0, 0.0, step=1e-2)
+            delaunay_profile(0.5, (0.0, 400.0), 150.0, 0.0)
         assert err.value.x > 0.0
 
     def test_rejects_zero_h(self):
@@ -110,11 +110,6 @@ class TestDelaunayProfile:
         # the profile integrates flat; SurfaceData refuses H = 0
         with pytest.raises(InvalidInputError, match="mean curvature H must be nonzero"):
             delaunay_data(small_grid(n=9), 0.0, 0.3, 0.1)
-
-    @pytest.mark.parametrize("step", [0.0, -1e-3])
-    def test_data_rejects_nonpositive_step(self, step):
-        with pytest.raises(InvalidInputError, match="step must be positive"):
-            delaunay_data(small_grid(n=9), 0.5, 0.3, 0.0, step=step)
 
 
 class TestGaussResidual:

@@ -159,6 +159,15 @@ class TestHyperbolicDistance:
         with pytest.raises(InvalidInputError):
             hyperbolic_distance([0, 0, 0, 0.5], [0, 0, 0, 1.0])
 
+    def test_clamped_at_the_bound_points_are_admitted_under(self):
+        # H3SurfaceGrid admits points DET_DRIFT_TOL off the hyperboloid, so
+        # coincident points may show -<p, s> that far below 1
+        assert hyperbolic_distance([0, 0, 0, 1.0], [0, 0, 0, 1.0 - 5e-9]) == 0.0
+
+    def test_nan_point_rejected(self):
+        with pytest.raises(InvalidInputError, match="not a hyperboloid pair"):
+            hyperbolic_distance([0, 0, 0, 1.0], [0, 0, np.nan, 1.0])
+
 
 class TestEquidistance:
     def test_cylinder(self, cylinder_frame):

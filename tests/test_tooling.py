@@ -162,28 +162,38 @@ def test_stack_allocation_lint_sees_each_form(tmp_path):
 
 
 def _nan_blind_gates(path):
-    """Each `if a > b:` (or `>=`) in `path` whose b names a tolerance: a NaN
-    makes the comparison false, so a NaN value would pass that gate."""
+    """Each `if a > b:` (or `>=`) and each `if np.any(a < b):` (or `<=`) in
+    `path` whose b names a tolerance: a NaN makes the comparison false, so a
+    NaN value would pass that gate."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
         test = node.test if isinstance(node, ast.If) else None
+        ops = (ast.Gt, ast.GtE)
+        if (
+            isinstance(test, ast.Call)
+            and isinstance(test.func, ast.Attribute)
+            and test.func.attr == "any"
+            and len(test.args) == 1
+        ):
+            test, ops = test.args[0], (ast.Lt, ast.LtE)
         if (
             isinstance(test, ast.Compare)
             and len(test.ops) == 1
-            and isinstance(test.ops[0], (ast.Gt, ast.GtE))
+            and isinstance(test.ops[0], ops)
             and any(
                 "tol" in (sub.id if isinstance(sub, ast.Name) else sub.attr).lower()
                 for sub in ast.walk(test.comparators[0])
                 if isinstance(sub, (ast.Name, ast.Attribute))
             )
         ):
-            found.append(f"{path.name}:{node.lineno}")
-    return found
+            found.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
 
 
 def test_tolerance_gates_are_nan_safe():
-    # `if not value <= tol:` refuses a NaN value; `if value > tol:` lets it by
+    # `if not value <= tol:` refuses a NaN value; `if value > tol:` lets it
+    # by, and so does `if np.any(values < 1 - tol):`
     files = sorted((ROOT / "src" / "cmclab").rglob("*.py"))
     assert [entry for path in files for entry in _nan_blind_gates(path)] == []
 
@@ -200,9 +210,17 @@ def test_nan_gate_lint_sees_each_form(tmp_path):
         "        raise ValueError\n"
         "    if not worst <= DET_DRIFT_TOL or n > 3:\n"
         "        raise ValueError\n"
+        "    if np.any(defect < 1.0 - DET_DRIFT_TOL):\n"
+        "        raise ValueError\n"
+        "    if np.any(defect <= tol):\n"
+        "        raise ValueError\n"
+        "    if not np.all(defect >= 1.0 - tol) or np.any(worst <= 0.0):\n"
+        "        raise ValueError\n"
         "    return n > tol\n"
     )
-    assert _nan_blind_gates(path) == ["frames.py:2", "frames.py:4", "frames.py:6"]
+    assert _nan_blind_gates(path) == [
+        "frames.py:2", "frames.py:4", "frames.py:6", "frames.py:10", "frames.py:12"
+    ]
 
 
 def _seventeen_digit_spellings(path):
