@@ -25,12 +25,11 @@ data = cylinder_data(GridSpec(-1, 1, -1, 1, 101, 101))
 frame = integrate_frame(data, sp)
 
 # Direct measurement: metric coefficients, Hopf quantity, mean curvature.
-# The arrays hold the interior nodes only, so grid node (50, 50), the
-# centre, is entry [49, 49].
+# The arrays have the grid's shape, so the centre is entry [50, 50].
 m = measure(surface_primary(frame), normal_field(frame))
-print("measured E (center):", m.E[49, 49])
-print("measured |Qm| (center):", abs(m.Qm[49, 49]))
-print("measured Hm (center):", m.Hm[49, 49])
+print("measured E (center):", m.E[50, 50])
+print("measured |Qm| (center):", abs(m.Qm[50, 50]))
+print("measured Hm (center):", m.Hm[50, 50])
 
 c = closed_form(data, sp, 1)  # sign +1: the primary side
 print("closed-form metric factor:", float(c.metric_factor[0, 0]))

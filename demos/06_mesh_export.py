@@ -47,8 +47,8 @@ verts = np.array(verts)
 print("vertex count:", len(verts))
 print("largest vertex norm:", np.linalg.norm(verts, axis=1).max(), "(must stay below 1)")
 
-# The diagnostics table carries one row per interior grid point with the
-# measured quantities; 17 significant digits make reruns bitwise equal.
+# The diagnostics table carries one row per grid node with the measured
+# quantities; 17 significant digits make reruns bitwise equal.
 head = (out / "diagnostics.dat").read_text().splitlines()[:3]
 for ln in head:
     print(ln[:100])

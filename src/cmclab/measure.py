@@ -1,9 +1,10 @@
 """Discrete measurement of surface geometry and the closed-form targets.
 
 First fundamental form, Hopf differential function and mean curvature are
-recovered from a surface grid by second-order central differences, using the
-exact algebraic normal rather than a reconstructed one so that all
-finite-difference error is isolated in derivatives of the position f.
+recovered on every node of a surface grid by the fourth-order difference
+kernel of `surface_data`, using the exact algebraic normal rather than a
+reconstructed one so that all finite-difference error is isolated in
+derivatives of the position f.
 Because <f, N> = 0, the ambient second derivatives may be paired with N
 directly: the components along f that distinguish ambient from intrinsic
 second derivatives are annihilated.
@@ -18,7 +19,8 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 from .frames import SpectralParam
 from .minkowski import mink_dot
-from .surface_data import GridSpec, SurfaceData, _locked
+from .surface_data import GridSpec, SurfaceData, _locked, grid_derivatives
+from .surface_data import grid_second_derivatives
 from .surfaces import H3SurfaceGrid, NormalField
 
 # |Fc|/E beyond this marks the parametrization as visibly non-conformal
@@ -27,9 +29,7 @@ CONFORMAL_WARN_RATIO = 0.05
 
 @dataclass(frozen=True, eq=False)
 class MeasuredData:
-    """Per-point measured geometry on the interior nodes, where the
-    second-order stencils exist: each array has shape (nx - 2, ny - 2), and
-    entry (i, j) belongs to grid node (i + 1, j + 1)."""
+    """Per-point measured geometry, each array of the grid's shape (nx, ny)."""
 
     grid: GridSpec
     E: np.ndarray
@@ -40,7 +40,7 @@ class MeasuredData:
     conformal_warning: bool
 
     def __post_init__(self):
-        shape = (self.grid.nx - 2, self.grid.ny - 2)
+        shape = (self.grid.nx, self.grid.ny)
         for name in ("E", "Fc", "G", "Qm", "Hm"):
             dtype = complex if name == "Qm" else float
             a = _locked(getattr(self, name), dtype, shape, name)
@@ -58,18 +58,18 @@ class ClosedFormData:
 
     def __post_init__(self):
         mf = np.asarray(self.metric_factor, dtype=float)
-        if np.any(mf <= 0.0):
+        if not np.all(mf > 0.0):
             raise InvalidInputError("metric factor must be positive")
         object.__setattr__(self, "metric_factor", _locked(mf))
 
 
 def measure(surface: H3SurfaceGrid, normal: NormalField) -> MeasuredData:
-    """Measure E, Fc, G, Qm, Hm on the interior of a surface grid.
+    """Measure E, Fc, G, Qm, Hm on every node of a surface grid.
 
     Uses f_zz = (f_xx - f_yy - 2i f_xy)/4 and f_zzbar = (f_xx + f_yy)/4,
-    then Qm = <f_zz, N> and Hm = 2 <f_zzbar, N> / E with the conformal
-    factor read off from the measured E.  An E that is not positive at some
-    node raises NumericalError.
+    then Qm = <f_zz, N> and Hm = 2 <f_zzbar, N> / E (formed from <f_xx, N>,
+    <f_yy, N> and <f_xy, N>) with the conformal factor read off from the
+    measured E.  An E that is not positive at some node raises NumericalError.
     """
     if surface.grid != normal.grid:
         raise InvalidInputError("surface and normal live on different grids")
@@ -77,30 +77,22 @@ def measure(surface: H3SurfaceGrid, normal: NormalField) -> MeasuredData:
     f = surface.points
     hx, hy = g.hx, g.hy
 
-    fx = (f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * hx)
-    fy = (f[1:-1, 2:] - f[1:-1, :-2]) / (2.0 * hy)
-    fxx = (f[2:, 1:-1] - 2.0 * f[1:-1, 1:-1] + f[:-2, 1:-1]) / hx**2
-    fyy = (f[1:-1, 2:] - 2.0 * f[1:-1, 1:-1] + f[1:-1, :-2]) / hy**2
-    fxy = (f[2:, 2:] - f[2:, :-2] - f[:-2, 2:] + f[:-2, :-2]) / (4.0 * hx * hy)
-
-    N = normal.vectors[1:-1, 1:-1]
+    fx, fy = grid_derivatives(f, hx, hy)
     E = mink_dot(fx, fx)
     # Hm and the conformality and isothermic defects divide by E; an E that
     # is not positive (or NaN) would make those checks a quiet pass
     if not np.all(E > 0.0):
         i, j = np.unravel_index(np.argmin(E), E.shape)
         raise NumericalError(
-            f"measured metric E = {E[i, j]:.3g} is not positive at grid node "
-            f"({i + 1}, {j + 1})"
+            f"measured metric E = {E[i, j]:.3g} is not positive at grid node ({i}, {j})"
         )
     Fc = mink_dot(fx, fy)
     G = mink_dot(fy, fy)
-    del fx, fy  # each derivative grid goes once used, to bound peak memory
-    f_zz = 0.25 * (fxx - fyy - 2.0j * fxy)
-    f_zzb = 0.25 * (fxx + fyy)
-    del fxx, fyy, fxy
-    Qm = mink_dot(f_zz, N)
-    Hm = 2.0 * mink_dot(f_zzb, N) / E
+    del fy  # each derivative grid goes once used, to bound peak memory
+    N = normal.vectors
+    fxx_n, fyy_n, fxy_n = (mink_dot(d, N) for d in grid_second_derivatives(f, fx, hx, hy))
+    Qm = 0.25 * (fxx_n - fyy_n - 2.0j * fxy_n)
+    Hm = 0.5 * (fxx_n + fyy_n) / E
 
     warn = bool(np.max(np.abs(Fc) / E) > CONFORMAL_WARN_RATIO)
     return MeasuredData(g, E, Fc, G, Qm, Hm, conformal_warning=warn)
@@ -164,8 +156,7 @@ def closed_form_max_diff(a: ClosedFormData, b: ClosedFormData) -> float:
 
 def metric_match(measured: MeasuredData, closed: ClosedFormData) -> float:
     """Max relative deviation of measured E from the closed-form factor."""
-    g = measured.grid
-    mf = np.broadcast_to(closed.metric_factor, (g.nx, g.ny))[1:-1, 1:-1]
+    mf = closed.metric_factor
     return float(np.max(np.abs(measured.E - mf) / mf))
 
 
@@ -229,18 +220,16 @@ def mean_sign(measured: MeasuredData) -> float:
 def numeric_normal(surface: H3SurfaceGrid) -> np.ndarray:
     """Reconstruct the unit normal from the surface grid alone.
 
-    Solves <N, f> = <N, f_x> = <N, f_y> = 0, <N, N> = 1 per interior point
-    via the null space of a 3x4 system.  Like the measured data it exists
-    on the interior nodes only: shape (nx - 2, ny - 2, 4), entry (i, j) at
-    grid node (i + 1, j + 1).  The sign is whatever the solver returns;
-    compare with numeric_normal_max_deviation.
+    Solves <N, f> = <N, f_x> = <N, f_y> = 0, <N, N> = 1 at every node
+    via the null space of a 3x4 system, with f_x and f_y from
+    `grid_derivatives`: shape (nx, ny, 4).  The sign is whatever the solver
+    returns; compare with numeric_normal_max_deviation.
     """
     g = surface.grid
     f = surface.points
-    fx = (f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * g.hx)
-    fy = (f[1:-1, 2:] - f[1:-1, :-2]) / (2.0 * g.hy)
+    fx, fy = grid_derivatives(f, g.hx, g.hy)
     eta = np.array([1.0, 1.0, 1.0, -1.0])
-    rows = np.stack([f[1:-1, 1:-1] * eta, fx * eta, fy * eta], axis=-2)
+    rows = np.stack([f * eta, fx * eta, fy * eta], axis=-2)
     _, _, vh = np.linalg.svd(rows)
     null = vh[..., -1, :]
     nn = mink_dot(null, null)
@@ -255,7 +244,7 @@ def numeric_normal_max_deviation(surface: H3SurfaceGrid, normal: NormalField) ->
     if surface.grid != normal.grid:
         raise InvalidInputError("surface and normal live on different grids")
     Nn = numeric_normal(surface)
-    Nr = normal.vectors[1:-1, 1:-1]
+    Nr = normal.vectors
     sign = np.sign(mink_dot(Nn, Nr))
     sign[sign == 0.0] = 1.0
     return float(np.max(np.abs(Nn * sign[..., None] - Nr)))

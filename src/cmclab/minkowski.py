@@ -30,9 +30,8 @@ from .errors import InternalConsistencyError, InvalidInputError
 SIGMA = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 # Hermiticity slack absorbs accumulated RK4 round-off without masking
-# logic errors; H3 checks share the same scale.
+# logic errors.
 HERMITIAN_RTOL = 1e-9
-H3_TOL = 1e-9
 
 
 def empty_planes(shape, entries, dtype=complex):
@@ -182,7 +181,7 @@ def h3_defect(p):
     return float(np.max(np.abs(mink_dot(p, p) + 1.0)))
 
 
-def require_h3(p, tol=H3_TOL, what="point"):
+def require_h3(p, tol, what="point"):
     """Validate hyperboloid membership: x0 > 0 and <p, p> = -1 within tol."""
     p = np.asarray(p, dtype=float)
     if np.any(p[..., 3] <= 0.0):

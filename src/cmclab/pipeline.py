@@ -118,25 +118,19 @@ def _write_meshes(out: Path, surfaces) -> list[Path]:
 
 
 def write_diagnostics(path, data, sides: tuple[Side, Side]):
-    """Per-point table of measured quantities on the interior grid.
+    """Per-point table of measured quantities, one row per grid node.
 
     `sides` is the (primary, shifted) pair `evaluate` built; the measured
-    columns are the primary side's.  The measurements and the Gauss residual
-    exist on the interior nodes only, so the grid-aligned columns (node
-    index, coordinates, distance) are cut to the interior to match them.
-    Columns: i j x y E Fc G |Qm| Hm distance-to-shifted gauss-residual.
+    columns are the primary side's.  Columns: i j x y E Fc G |Qm| Hm
+    distance-to-shifted gauss-residual.
     """
     primary, shifted = sides
     m = primary.measured
     g = data.grid
-    distance = distance_grid(primary.surface, shifted.surface)
-    i, j, x, y, distance = (
-        a[1:-1, 1:-1] for a in (*np.indices((g.nx, g.ny)), *g.mesh(), distance)
-    )
     columns = (
-        i, j, x, y, m.E, m.Fc, m.G,
+        *np.indices((g.nx, g.ny)), *g.mesh(), m.E, m.Fc, m.G,
         np.hypot(m.Qm.real, m.Qm.imag),  # bitwise abs() of each entry; np.abs is not
-        m.Hm, distance, gauss_residual(data),
+        m.Hm, distance_grid(primary.surface, shifted.surface), gauss_residual(data),
     )
     with open(path, "w") as fh:
         fh.write("# columns: i j x y E Fc G |Qm| Hm distance-to-shifted gauss-residual\n")

@@ -35,8 +35,8 @@ MAX_PROFILE_STEPS = 10**7
 # a loaded row's x or y may miss its grid node by this share of the spacing
 GRID_NODE_RTOL = 1e-6
 
-# fewest nodes per axis that leave an interior for the second-order stencils
-MIN_NODES = 5
+# fewest nodes per axis that carry the derivative kernel's six-point edge rows
+MIN_NODES = 6
 
 
 def _locked(a, dtype=float, shape=None, what=None, entries=0):
@@ -60,7 +60,7 @@ def _locked(a, dtype=float, shape=None, what=None, entries=0):
 def require_grid_size(nx, ny, where=None):
     """Refuse node counts below MIN_NODES, naming `where` (a file) if given."""
     if nx < MIN_NODES or ny < MIN_NODES:
-        msg = f"grids need nx, ny >= {MIN_NODES} for interior stencils, got {nx} x {ny}"
+        msg = f"grids need nx, ny >= {MIN_NODES} for the derivative stencils, got {nx} x {ny}"
         raise InvalidInputError(msg if where is None else f"{where}: {msg}")
 
 
@@ -231,18 +231,11 @@ def delaunay_data(grid, H, u0, du0):
 
 
 def gauss_residual(data):
-    """Gauss-equation residual (u_xx + u_yy) - 4Q^2 e^{-2u} + H^2 e^{2u}.
-
-    Second-order central differences, so it exists on the interior nodes
-    only: shape (nx - 2, ny - 2), entry (i, j) at grid node (i + 1, j + 1).
-    """
+    """Gauss-equation residual (u_xx + u_yy) - 4Q^2 e^{-2u} + H^2 e^{2u} on
+    every node, with the fourth-order second differences of `_d2`."""
     u, Q, H = data.u, data.Q, data.H
-    hx, hy = data.grid.hx, data.grid.hy
-    core = u[1:-1, 1:-1]
-    lap = (u[2:, 1:-1] - 2.0 * core + u[:-2, 1:-1]) / hx**2 + (
-        u[1:-1, 2:] - 2.0 * core + u[1:-1, :-2]
-    ) / hy**2
-    return lap - 4.0 * Q**2 * np.exp(-2.0 * core) + H**2 * np.exp(2.0 * core)
+    lap = _d2(u, data.grid.hx) + _along_y(_d2, u, data.grid.hy)
+    return lap - 4.0 * Q**2 * np.exp(-2.0 * u) + H**2 * np.exp(2.0 * u)
 
 
 def max_gauss_residual(data):
@@ -255,31 +248,55 @@ def dual_data(data):
     return SurfaceData(data.grid, -data.u, Q=data.Q, H=data.H)
 
 
-# one-sided fourth-order weights (times 12 h) at the first and the second
-# node of a line, over its first five nodes; the last two nodes mirror them
-# with the sign flipped (Fornberg 1988, Math. Comp. 51)
-_EDGE_WEIGHTS = ((-25.0, 48.0, -36.0, 16.0, -3.0), (-3.0, -10.0, 18.0, -6.0, 1.0))
+# one-sided weights at the first two nodes of a line, over its first six.  The
+# d1 rows (times 12 h) share the central rule's error term -h^4 u^(5)/30: the
+# frame integrates u_x and `measure` differentiates the frame, so a jump in
+# that error where the rows meet would cost an order.  The d2 rows (times
+# 12 h^2) are Fornberg's (1988, Math. Comp. 51).
+_D1_EDGES = ((-27.0, 58.0, -56.0, 36.0, -13.0, 2.0), (-2.0, -15.0, 28.0, -16.0, 6.0, -1.0))
+_D2_EDGES = ((45.0, -154.0, 214.0, -156.0, 61.0, -10.0), (10.0, -15.0, -4.0, 14.0, -6.0, 1.0))
+
+
+def _edges(out, u, weights, sign):
+    """Fill the two outer nodes at each end of axis 0 of `out` from the six
+    one-sided `weights` over u, mirrored at the far end with `sign`."""
+    head, tail = u[:6], u[:-7:-1]  # tail: the last six nodes, last first
+    for k, w in enumerate(weights):
+        out[k] = sum(wi * ui for wi, ui in zip(w, head))
+        out[-1 - k] = sign * sum(wi * ui for wi, ui in zip(w, tail))
+    return out
 
 
 def _d1(u, h):
-    """Fourth-order derivative of u along axis 0, on the whole axis."""
+    """Fourth-order first derivative of u along axis 0, on the whole axis."""
     out = np.empty_like(u)
     out[2:-2] = u[:-4] - u[4:] + 8.0 * (u[3:-1] - u[1:-3])
-    head, tail = u[:5], u[:-6:-1]  # tail: the last five nodes, last first
-    for k, w in enumerate(_EDGE_WEIGHTS):
-        out[k] = sum(wi * ui for wi, ui in zip(w, head))
-        out[-1 - k] = -sum(wi * ui for wi, ui in zip(w, tail))
-    return out / (12.0 * h)
+    return _edges(out, u, _D1_EDGES, -1.0) / (12.0 * h)
 
 
-def grid_derivatives(u, hx, hy):
-    """Fourth-order u_x and u_y on the whole grid.
+def _d2(u, h):
+    """Fourth-order second derivative of u along axis 0, on the whole axis."""
+    out = np.empty_like(u)
+    out[2:-2] = 16.0 * (u[1:-3] + u[3:-1]) - (u[:-4] + u[4:]) - 30.0 * u[2:-2]
+    return _edges(out, u, _D2_EDGES, 1.0) / (12.0 * h * h)
 
-    Central differences (1, -8, 8, -1)/12h inside, one-sided five-point
-    stencils on the two outer lines of each axis; MIN_NODES guarantees the
-    five points.
-    """
-    return _d1(u, hx), _d1(u.T, hy).T
+
+def _along_y(kernel, f, h):
+    """`kernel` along axis 1 of f (swapaxes, not .T: entry axes stay last)."""
+    return kernel(f.swapaxes(0, 1), h).swapaxes(0, 1)
+
+
+def grid_derivatives(f, hx, hy):
+    """Fourth-order f_x and f_y of a field of shape (nx, ny, ...), on every
+    node: central differences (1, -8, 8, -1)/12h inside, six-point one-sided
+    rows on the two outer lines of each axis."""
+    return _d1(f, hx), _along_y(_d1, f, hy)
+
+
+def grid_second_derivatives(f, fx, hx, hy):
+    """Fourth-order f_xx, f_yy and f_xy of a field of shape (nx, ny, ...), on
+    every node; f_xy is the y derivative of the f_x the caller holds."""
+    return _d2(f, hx), _along_y(_d2, f, hy), _along_y(_d1, fx, hy)
 
 
 def read_table(path, header_width, width):

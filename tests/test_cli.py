@@ -7,7 +7,7 @@ import pytest
 
 from cmclab.cli import main
 from cmclab.pipeline import DIAGNOSTICS_FILE, FRAME_FILE, REPORT_MACHINE_FILE
-from cmclab.surface_data import GridSpec, SurfaceData, save_surface_data
+from cmclab.surface_data import MIN_NODES, GridSpec, SurfaceData, save_surface_data
 
 
 def write_config(path, **overrides):
@@ -333,13 +333,24 @@ def test_custom_file_with_empty_grid_exits_2(tmp_path, capsys):
     assert main(["generate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and err.count("\n") == 1
-    assert "empty.dat: grids need nx, ny >= 5" in err
+    assert f"empty.dat: grids need nx, ny >= {MIN_NODES}" in err
+
+
+def test_grid_below_the_minimum_exits_2(tmp_path, capsys):
+    # a 5 x 5 grid cannot carry the six-point edge rows of the derivative
+    # kernel; it is refused before out_dir is made
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "cfg.json", nx=5, ny=5, out_dir=str(out))
+    assert main(["generate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config: grids need nx, ny >= {MIN_NODES} for the derivative stencils, got 5 x 5\n"
+    assert not out.exists()
 
 
 def test_custom_file_with_empty_extent_exits_2(tmp_path, capsys):
     src = tmp_path / "flat.dat"
-    rows = [f"0 {y} 0\n" for y in np.linspace(-1.0, 1.0, 5) for _ in range(5)]
-    src.write_text("0.25 0.5 5 5\n" + "".join(rows))
+    rows = [f"0 {y} 0\n" for y in np.linspace(-1.0, 1.0, 6) for _ in range(6)]
+    src.write_text("0.25 0.5 6 6\n" + "".join(rows))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
         json.dumps(

@@ -209,7 +209,7 @@ class TestPathIndependence:
         "data, bits",
         [
             (lambda g: cylinder_data(g), "0x1.82fd05f129838p-51"),
-            (lambda g: delaunay_data(g, 0.5, 0.3, 0.0), "0x1.f1128b942a0c5p-29"),
+            (lambda g: delaunay_data(g, 0.5, 0.3, 0.0), "0x1.305b24474a7bcp-30"),
         ],
         ids=["cylinder", "delaunay"],
     )

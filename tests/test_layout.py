@@ -93,9 +93,9 @@ def test_kernel_outputs_are_entry_major():
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_containers_store_entry_major_arrays(layout):
     to_layout = LAYOUTS[layout]
-    grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 7, 5)
+    grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 7, 6)
     sp = SpectralParam(0.5)
-    F = unimodular_stack(5, (7, 5))
+    F = unimodular_stack(5, (7, 6))
     frame = ExtendedFrame(grid, to_layout(F, 2), sp)
     points = from_hermitian(mul2(F, conj_transpose(F)))
     surface = H3SurfaceGrid(grid, to_layout(points, 1), sp, "primary")

@@ -236,19 +236,19 @@ class TestHermitianDefect:
 
 class TestH3Validation:
     def test_identity_point(self):
-        require_h3(np.array([0.0, 0.0, 0.0, 1.0]))
+        require_h3(np.array([0.0, 0.0, 0.0, 1.0]), tol=1e-9)
 
     def test_rejects_negative_x0(self):
         with pytest.raises(InternalConsistencyError):
-            require_h3(np.array([0.0, 0.0, 0.0, -1.0]))
+            require_h3(np.array([0.0, 0.0, 0.0, -1.0]), tol=1e-9)
 
     def test_rejects_off_sheet(self):
         with pytest.raises(InvalidInputError):
-            require_h3(np.array([0.0, 0.0, 0.0, 2.0]))
+            require_h3(np.array([0.0, 0.0, 0.0, 2.0]), tol=1e-9)
 
     def test_rejects_nan(self):
         with pytest.raises(InvalidInputError, match="defect nan"):
-            require_h3(np.full((5, 4), np.nan))
+            require_h3(np.full((5, 4), np.nan), tol=1e-9)
 
     def test_defect_of_boosted_point(self):
         t = 0.8

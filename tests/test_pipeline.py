@@ -35,6 +35,7 @@ from cmclab.pipeline import (
     verify_outputs,
 )
 from cmclab.surface_data import (
+    MIN_NODES,
     GridSpec,
     SurfaceData,
     cylinder_data,
@@ -119,8 +120,8 @@ class TestFramePersistence:
         # values whose bits a lossy or text format easily changes
         awkward = [-0.0, 5e-324, 1e300, 1 / 3, 0.1, -1.7976931348623157e308, 2.0**-1022]
         rng = np.random.default_rng(3)
-        F = rng.choice(awkward, size=(5, 6, 2, 2)) + 1j * rng.choice(awkward, size=(5, 6, 2, 2))
-        grid = GridSpec(-1 / 3, 0.1, -2.0**-1022, 1e300, 5, 6)
+        F = rng.choice(awkward, size=(6, 7, 2, 2)) + 1j * rng.choice(awkward, size=(6, 7, 2, 2))
+        grid = GridSpec(-1 / 3, 0.1, -2.0**-1022, 1e300, 6, 7)
         frame = ExtendedFrame(grid, F, SpectralParam(1 / 3))
         path = tmp_path / "frame.dat"
         save_frame(path, frame)
@@ -141,7 +142,7 @@ class TestFramePersistence:
         edit_frame(frame_21, F=np.zeros((0, 0, 2, 2), dtype=complex))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidInputError, match="frame.dat: grids need nx, ny >= 5"):
+            with pytest.raises(InvalidInputError, match=f"frame.dat: grids need nx, ny >= {MIN_NODES}"):
                 load_frame(frame_21)
 
     @pytest.mark.parametrize(
@@ -237,7 +238,7 @@ class TestRun:
             for ln in (out / DIAGNOSTICS_FILE).read_text().splitlines()
             if not ln.startswith("#")
         ]
-        assert len(lines) == (cfg.nx - 2) * (cfg.ny - 2)
+        assert len(lines) == cfg.nx * cfg.ny
         table = np.array([[float(v) for v in ln.split()] for ln in lines])
         assert np.all(np.isfinite(table))
         assert table.shape[1] == 11
@@ -340,12 +341,12 @@ GOLDEN_CONFIG = {
     "ny": 41,
 }
 GOLDEN_SHA256 = {
-    REPORT_MACHINE_FILE: "2fde02dd6834e5ceecbec4475ac333f74fcb31c9fccc2cfab2866fe98d24e679",
-    DIAGNOSTICS_FILE: "1086ac08e889d22a983cebfbad5991f91a32ee6194c22567e581b3c9e14a718b",
-    MESH_FILES[0]: "c558d789307cf7b3662df1595b57c8dfc87c9557c60293a37d31daf8dfacd560",
-    MESH_FILES[1]: "a1477b847605cc89f68df450569046ddd4660f26e96b73e1cf704734b6d0a030",
+    REPORT_MACHINE_FILE: "1a271775d80741f0fc20f892111646c4aebb3ac596da35e153ac075039e33e3a",
+    DIAGNOSTICS_FILE: "eaf9effe9dc29768b0f14eb334fbfa9926c6bc2a4261348c1e5138913b55ca13",
+    MESH_FILES[0]: "3e439f233ab1428aeb0ed9ff459e542c3a9560d20432843327db225568e4ee29",
+    MESH_FILES[1]: "989eaedd14b4446845f24d57ef0445fad82d7acff2f14b36bfdf8a1f8519cd0d",
     SURFACE_FILE: "389c13f04942a7813db022d51c45861545bf87a44ef9d166e80acf0c746a40f4",
-    FRAME_FILE: "46688900887dba618fb6c0b4649ba5883ec601db2428d37e494ff69d06846ebc",
+    FRAME_FILE: "1346a339bc3b0213020415250c2f60811ffff426595f65c92ea9cbd98e33660b",
 }
 
 
@@ -358,12 +359,12 @@ def test_golden_output_hashes(tmp_path):
 # the README default at 201 x 201: rows long enough for numpy's vectorised
 # loops to take every path the 41 x 41 goldens leave out
 GOLDEN_SHA256_201 = {
-    REPORT_MACHINE_FILE: "4175cc4561f1e7df7b76957732a452b413201a2706ff7a6f391476c8c1bc778f",
-    DIAGNOSTICS_FILE: "a7b20df97fad43deaa5b56a94c81bab7c61a5110cde01d5c2d42dc1a447a23cf",
-    MESH_FILES[0]: "460dc26168f0344ce2c087393c70eeadf076db79a9ea4b7e78585f9639b733b6",
-    MESH_FILES[1]: "d08b1f075e9e0c795fea1badaf8bd0b3c4e95684f9adf48fb634865161bb1404",
+    REPORT_MACHINE_FILE: "6155538bd337fa4e25d55a0fa5d38152c4240afe3a804bdd8b8705754b565109",
+    DIAGNOSTICS_FILE: "f3e9acca5df26bd8151e6a71f0d2fbaf92189e70feaf2eccaafdbf300e34d79d",
+    MESH_FILES[0]: "8d17456bea1ebbbf40fbbf0c892f5ddc68b0c79383c8f005a9e892a9373bb9b0",
+    MESH_FILES[1]: "56b0146e8727e98511cb7716df8879aa2cfbe9e574af93ca8fbbd6593cd54f97",
     SURFACE_FILE: "b4a3ece4a97b7d678ed82d14e50d0afb86da171f62c5ff066d248f2e0ba65b79",
-    FRAME_FILE: "c2b6b9b41e5581707d8c7dfef2efd1f5ac2cf1a172fba5c93dd5f7362c0ca02f",
+    FRAME_FILE: "c3f2be942ea7b6e3370540ab68708ede0fe3f1086a67bb5f7c8e8c03bf293b40",
 }
 
 
@@ -380,15 +381,15 @@ GOLDEN_RUNS = {
     "delaunay-small-lambda": (
         {"family": "delaunay", "H": 0.5, "u0": -0.5, "du0": 0.0, "lambda": 0.1},
         {
-            REPORT_MACHINE_FILE: "d1ece08fb1f70a2e0eda541e2a9dd8cf1cee1ea08270476e0ddfa63a9a24457f",
-            DIAGNOSTICS_FILE: "1d0e444946f76cba83be46474ad0fdae74a6806da0cc9ae43ed4f6be2a217bd6",
+            REPORT_MACHINE_FILE: "4adf5d536f434ef2c7faffb4c86996b9c5633d3604966f7b62c67cefc2eb810d",
+            DIAGNOSTICS_FILE: "1509553d1a3f08d560f5fd79935589eec2ff49a7917287df1e1a70cec4b64d66",
         },
     ),
     "cylinder": (
         {"family": "cylinder", "H": 0.5, "lambda": 0.5},
         {
-            REPORT_MACHINE_FILE: "685c46578adf6c91a92c59b5f93b744a138b79818a8631a898ad3cd444834efe",
-            DIAGNOSTICS_FILE: "e9dd39ace0c171e95de4ef4c352ac310ebd5a99b866e54ac93dd2e20fc44f888",
+            REPORT_MACHINE_FILE: "ecb3dc312b0c006eee05a788d8d497a148dc6104a8f73dd5b822ffc506b1dde3",
+            DIAGNOSTICS_FILE: "2788cad1ce2feb3d1135f2d4ccf2dabb84e7793aeaf159c7b0b88a0dbc0e3a37",
         },
     ),
 }

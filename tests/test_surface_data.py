@@ -9,6 +9,7 @@ import pytest
 
 from cmclab.errors import IntegrationBlowupError, InvalidInputError
 from cmclab.surface_data import (
+    MIN_NODES,
     GridSpec,
     SurfaceData,
     cylinder_data,
@@ -17,6 +18,7 @@ from cmclab.surface_data import (
     dual_data,
     gauss_residual,
     grid_derivatives,
+    grid_second_derivatives,
     load_surface_data,
     max_gauss_residual,
     read_table,
@@ -70,7 +72,7 @@ class TestCylinderData:
         g = small_grid()
         r = gauss_residual(cylinder_data(g))
         assert np.all(r == 0.0)
-        assert r.shape == (g.nx - 2, g.ny - 2)
+        assert r.shape == (g.nx, g.ny)
 
 
 class TestDelaunayProfile:
@@ -129,9 +131,12 @@ class TestGaussResidual:
         u[5, 5] += 0.1
         perturbed = SurfaceData(d.grid, u, Q=d.Q, H=d.H)
         r = gauss_residual(perturbed)
-        nonzero = np.argwhere(np.abs(r) > 0.0) + 1
-        touched = {tuple(ij) for ij in nonzero}
-        assert touched == {(5, 5), (4, 5), (6, 5), (5, 4), (5, 6)}
+        touched = {tuple(ij) for ij in np.argwhere(np.abs(r) > 0.0)}
+        # on an 11-node line node 5 enters the central rows of nodes 3 to 7
+        # and the six-point edge rows of nodes 0, 1, 9 and 10, not those of
+        # nodes 2 and 8
+        line = (0, 1, 3, 4, 5, 6, 7, 9, 10)
+        assert touched == {(k, 5) for k in line} | {(5, k) for k in line}
 
 
 class TestDualData:
@@ -188,6 +193,38 @@ class TestDerivativeSamples:
         uz, uzb = wirtinger(d)
         np.testing.assert_array_equal(uzb, np.conj(uz))
 
+    def test_exact_on_quartics_on_every_node(self):
+        # both kernels are fourth order, their edge rows included, so they
+        # differentiate a polynomial of degree 4 exactly up to round-off
+        g = small_grid(n=9)
+        X, Y = g.mesh()
+        f = X**4 - 2.0 * X**3 * Y + X * Y**2 + Y**4
+        fx, fy = grid_derivatives(f, g.hx, g.hy)
+        got = (fx, fy, *grid_second_derivatives(f, fx, g.hx, g.hy))
+        want = (
+            4.0 * X**3 - 6.0 * X**2 * Y + Y**2,
+            -2.0 * X**3 + 2.0 * X * Y + 4.0 * Y**3,
+            12.0 * X**2 - 12.0 * X * Y,
+            2.0 * X + 12.0 * Y**2,
+            -6.0 * X**2 + 2.0 * Y,
+        )
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-11)
+
+    def test_vector_fields_are_differentiated_per_entry(self):
+        # the y kernels swap the two grid axes only, never the entry axis
+        d = delaunay_data(small_grid(n=9), 0.5, 0.2, 0.1)
+        X, Y = d.grid.mesh()
+        planes = (d.u, X * Y, np.sin(X + 2.0 * Y), Y**3)
+        f = np.stack(planes, axis=-1)
+        fx, fy = grid_derivatives(f, d.grid.hx, d.grid.hy)
+        got = (fx, fy, *grid_second_derivatives(f, fx, d.grid.hx, d.grid.hy))
+        for c, plane in enumerate(planes):
+            px, py = grid_derivatives(plane, d.grid.hx, d.grid.hy)
+            want = (px, py, *grid_second_derivatives(plane, px, d.grid.hx, d.grid.hy))
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a[..., c], b)
+
 
 class TestFileRoundTrip:
     def test_round_trip_exact(self, tmp_path):
@@ -202,8 +239,8 @@ class TestFileRoundTrip:
 
     def test_non_normalized_is_flagged(self, tmp_path):
         path = tmp_path / "surface.dat"
-        g = small_grid(n=5)
-        save_surface_data(path, SurfaceData(g, np.zeros((5, 5)), Q=0.3, H=0.5))
+        g = small_grid(n=6)
+        save_surface_data(path, SurfaceData(g, np.zeros((6, 6)), Q=0.3, H=0.5))
         assert not load_surface_data(path).normalized
 
     @pytest.mark.parametrize("row, column, value", [(4, 0, "0.9"), (41, 1, "-5")])
@@ -248,10 +285,10 @@ class TestFileRoundTrip:
 
     def test_extra_header_fields_refused(self, tmp_path):
         path = tmp_path / "surface.dat"
-        save_surface_data(path, cylinder_data(small_grid(n=5)))
+        save_surface_data(path, cylinder_data(small_grid(n=6)))
         lines = path.read_text().splitlines(keepends=True)
-        assert lines[1] == "0.25 0.5 5 5\n"
-        lines[1] = "0.25 0.5 5 5 junk 7\n"
+        assert lines[1] == "0.25 0.5 6 6\n"
+        lines[1] = "0.25 0.5 6 6 junk 7\n"
         path.write_text("".join(lines))
         expected = "surface.dat: line 2: expected 4 header fields"
         with pytest.raises(InvalidInputError, match=expected):
@@ -265,15 +302,15 @@ class TestFileRoundTrip:
         path.write_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidInputError, match="surface.dat: grids need nx, ny >= 5"):
+            with pytest.raises(InvalidInputError, match=f"surface.dat: grids need nx, ny >= {MIN_NODES}"):
                 load_surface_data(path)
 
     def test_empty_body_counts_rows_without_warning(self, tmp_path):
         path = tmp_path / "surface.dat"
-        path.write_text("0.25 0.5 5 5\n")
+        path.write_text("0.25 0.5 6 6\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidInputError, match="expected 25 data rows, found 0"):
+            with pytest.raises(InvalidInputError, match="expected 36 data rows, found 0"):
                 load_surface_data(path)
 
 

@@ -30,7 +30,7 @@ from cmclab.surfaces import (
 )
 
 
-def identity_frame(n=5, lam=0.5):
+def identity_frame(n=6, lam=0.5):
     g = GridSpec(-1.0, 1.0, -1.0, 1.0, n, n)
     F = np.broadcast_to(np.eye(2, dtype=complex), (n, n, 2, 2)).copy()
     return ExtendedFrame(g, F, SpectralParam(lam))
@@ -61,7 +61,7 @@ class TestSurfacePoints:
 
     def test_random_frames_land_on_hyperboloid(self):
         rng = np.random.default_rng(4)
-        n = 5
+        n = 6
         F = np.stack([random_unimodular(rng) for _ in range(n * n)]).reshape(n, n, 2, 2)
         fr = ExtendedFrame(GridSpec(-1, 1, -1, 1, n, n), F, SpectralParam(0.5))
         for s in (surface_primary(fr), surface_shifted(fr)):
@@ -71,20 +71,20 @@ class TestSurfacePoints:
             np.testing.assert_allclose(norm, -1.0, atol=1e-12)
 
     def test_negative_x0_is_internal_corruption(self):
-        g = GridSpec(-1, 1, -1, 1, 5, 5)
-        pts = np.tile([0.0, 0.0, 0.0, -1.0], (5, 5, 1))
+        g = GridSpec(-1, 1, -1, 1, 6, 6)
+        pts = np.tile([0.0, 0.0, 0.0, -1.0], (6, 6, 1))
         with pytest.raises(InternalConsistencyError):
             H3SurfaceGrid(g, pts, SpectralParam(0.5), "primary")
 
     def test_off_sheet_points_rejected(self):
-        g = GridSpec(-1, 1, -1, 1, 5, 5)
-        pts = np.tile([0.0, 0.0, 0.0, 2.0], (5, 5, 1))
+        g = GridSpec(-1, 1, -1, 1, 6, 6)
+        pts = np.tile([0.0, 0.0, 0.0, 2.0], (6, 6, 1))
         with pytest.raises(InvalidInputError):
             H3SurfaceGrid(g, pts, SpectralParam(0.5), "primary")
 
     def test_unknown_kind_rejected(self):
-        g = GridSpec(-1, 1, -1, 1, 5, 5)
-        pts = np.tile([0.0, 0.0, 0.0, 1.0], (5, 5, 1))
+        g = GridSpec(-1, 1, -1, 1, 6, 6)
+        pts = np.tile([0.0, 0.0, 0.0, 1.0], (6, 6, 1))
         with pytest.raises(InvalidInputError):
             H3SurfaceGrid(g, pts, SpectralParam(0.5), "other")
 

@@ -94,9 +94,9 @@ def test_frame_products_use_the_entrywise_kernel():
 
 
 _ALLOCATORS = {"empty", "zeros", "ones", "full"}
-# functions whose `_like` allocations are of scalar grids: _d1 keeps the
-# layout of the transposed grid it differentiates
-_LIKE_ON_PLANES = {("surface_data.py", "_d1")}
+# functions whose `_like` allocations follow the grid they differentiate:
+# _d1 and _d2 keep its layout, entry-major 4-vector grids included
+_LIKE_ON_PLANES = {("surface_data.py", "_d1"), ("surface_data.py", "_d2")}
 
 
 def _entry_shape(node):
