@@ -27,8 +27,6 @@ import numpy as np
 
 from .errors import InternalConsistencyError, InvalidInputError
 
-SIGMA = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-
 # Hermiticity slack absorbs accumulated RK4 round-off without masking
 # logic errors.
 HERMITIAN_RTOL = 1e-9
@@ -151,13 +149,12 @@ def from_hermitian(M):
 def minkowski_inner(X, Y):
     """Minkowski product -1/2 tr(X s Y^T s) of two Hermitian matrices.
 
-    Equals x1*y1 + x2*y2 + x3*y3 - x0*y0 in coordinates.  Both arguments
-    must be Hermitian within tolerance.
+    Equals x1*y1 + x2*y2 + x3*y3 - x0*y0 in coordinates, which is how it is
+    computed.  Both arguments must be Hermitian within tolerance.
     """
     X = require_hermitian(X, "first argument")
     Y = require_hermitian(Y, "second argument")
-    T = X @ SIGMA @ np.swapaxes(Y, -1, -2) @ SIGMA
-    return np.real(-0.5 * (T[..., 0, 0] + T[..., 1, 1]))
+    return mink_dot(from_hermitian(X), from_hermitian(Y))
 
 
 def mink_dot(p, q):

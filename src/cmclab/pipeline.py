@@ -7,10 +7,13 @@ identical except for the human report, which carries a generation
 timestamp.  The machine report and the diagnostics table never do.  Every
 text grid table (`surface.dat`, both meshes and `diagnostics.dat`) is
 spelled by `surface_data.table_lines`, whose whole-array kernel writes the
-very bytes of '%.17g' a block of grid lines at a time; `surface.dat` comes
-back through `surface_data.read_table`, which parses the stored text to the
-same doubles and refuses the same rows.  The formats carry no version of
-their own.
+very bytes of '%.17g' a block of grid lines at a time.  The writers hand it
+each column at its own shape, so grid coordinates and indices are spelled
+once per distinct value, not once per node, and integers as integers; they
+write its bytes to files opened in binary mode.  `surface.dat` comes back
+through `surface_data.read_table`, which parses the stored text to the same
+doubles and refuses the same rows.  The formats carry no version of their
+own.
 """
 
 from __future__ import annotations
@@ -84,23 +87,22 @@ def generate_data(config: RunConfig) -> SurfaceData:
     return load_surface_data(config.input_path)
 
 
-def _mesh_faces(nx, ny) -> str:
+def _mesh_faces(nx, ny) -> bytes:
     """The 'f' lines of a grid mesh: 1-based quads over each cell, x fastest."""
     # a[i, j] is the 1-based number of vertex (i, j), first corner of cell (i, j)
     a = np.arange(1, nx * ny + 1).reshape(ny, nx).T[:-1, :-1]
-    faces = np.stack([a, a + 1, a + 1 + nx, a + nx], axis=-1)
-    return "".join(table_lines(faces, prefix="f "))
+    return b"".join(table_lines((a, a + 1, a + 1 + nx, a + nx), prefix="f "))
 
 
 def write_mesh(path, points, faces, what="surface"):
     """Wavefront-style quad mesh of ball-projected grid points.
 
     points has shape (nx, ny, 4); vertices are emitted x fastest, followed
-    by `faces`, the text `_mesh_faces(nx, ny)` returns.
+    by `faces`, the bytes `_mesh_faces(nx, ny)` returns.
     """
-    with open(path, "w") as fh:
-        fh.write(f"# {what}: Poincare ball vertices, quad faces, row-major in y\n")
-        write_table(fh, poincare_ball(points), prefix="v ")
+    with open(path, "wb") as fh:
+        fh.write(f"# {what}: Poincare ball vertices, quad faces, row-major in y\n".encode())
+        write_table(fh, np.moveaxis(poincare_ball(points), -1, 0), prefix="v ")
         fh.write(faces)
 
 
@@ -128,13 +130,14 @@ def write_diagnostics(path, data, sides: tuple[Side, Side]):
     m = primary.measured
     g = data.grid
     columns = (
-        *np.indices((g.nx, g.ny)), *g.mesh(), m.E, m.Fc, m.G,
+        np.arange(g.nx)[:, None], np.arange(g.ny)[None, :], g.xs()[:, None], g.ys()[None, :],
+        m.E, m.Fc, m.G,
         np.hypot(m.Qm.real, m.Qm.imag),  # bitwise abs() of each entry; np.abs is not
         m.Hm, distance_grid(primary.surface, shifted.surface), gauss_residual(data),
     )
-    with open(path, "w") as fh:
-        fh.write("# columns: i j x y E Fc G |Qm| Hm distance-to-shifted gauss-residual\n")
-        write_table(fh, np.stack(columns, axis=-1))
+    with open(path, "wb") as fh:
+        fh.write(b"# columns: i j x y E Fc G |Qm| Hm distance-to-shifted gauss-residual\n")
+        write_table(fh, columns)
 
 
 def save_frame(path, frame: ExtendedFrame):

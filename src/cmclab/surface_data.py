@@ -458,10 +458,13 @@ def _class_tables():
 
 
 _C_E, _C_M, _C_LEAD_DIGIT, _C_UNITS, _C_POINT, _C_EXP = _class_tables()
-_MINUS = np.uint32(ord("-") << 24)
+_MINUS = np.uint32(ord("-") << 24)  # in the last byte of a lead word
+_ZERO = np.uint32(ord("0") << 24)  # an integer's "0", last in its word
+_BLANK = np.uint32(0)
 
-# numbers per block: enough to amortise numpy's per-call cost, few enough
-# that the block's arrays stay small next to the tables being written
+# numbers of the full columns per block: enough to amortise numpy's per-call
+# cost, few enough that the block's arrays stay small next to the tables
+# being written
 _BLOCK_VALUES = 8192
 
 
@@ -488,92 +491,144 @@ def _digits(x):
     return np.where(ok, X - _X_MIN, _FALLBACK_CLASS), np.where(ok, N, 0)
 
 
-def _words(x, k, c, N, prefix):
-    """The 4-byte words that spell the numbers x, in rows of k, as a
-    (words, numbers) array; `_digits` gives c and N.
+def _divmod(a, b):
+    """np.divmod(a, b) for integers a >= 0 and b > 0, at about half its cost."""
+    q = a // b
+    return q, a - q * b
 
-    Each number's first words hold its separator and sign: a space, or at
-    a row's first number the newline that ends the row above and `prefix`.
-    The digit words follow (see _class_tables).  Words blank for every
-    number are left out.
+
+def _number_words(x, lead):
+    """The 4-byte words that spell the numbers of the 1-d array x, as a
+    (words, numbers) array.
+
+    Each number's first words are `lead`, a (words, 1) or (words, numbers)
+    array: its separator, with a minus in the last byte of the last word when
+    the number is negative.  The digit words follow (see _class_tables): a
+    double as '%.17g' spells it, through `_digits`; an integer, which must
+    lie below 2**53 in magnitude, in its integer words alone, with zero as
+    "0".  Words blank for every number are left out.
     """
-    I, F = np.divmod(N, _C_E[c])
-    F *= _C_M[c]
-    d = I * _C_LEAD_DIGIT[c]
-    I -= d
-    fallback = np.flatnonzero(c == _FALLBACK_CLASS)
-
-    head = b"\n" + prefix.encode()
-    size = 4 * ((len(head) + 4) // 4)  # whole words, the sign in the last byte
-    lead = np.repeat(np.frombuffer(b" ".ljust(size, b"\0"), "<u4")[:, None], len(x), 1)
-    lead[:, ::k] = np.frombuffer(head.ljust(size, b"\0"), "<u4")[:, None]
-    lead[-1] |= np.where((x < 0) & (c != _FALLBACK_CLASS), _MINUS, np.uint32(0))
-    words = list(lead)
-    for g in range((len(str(I.max())) - 1) // 4, -1, -1):
-        unit = 10 ** (4 * g)
-        words.append(_GROUPS[I // unit % 10000 + _LEADING * (I < 10000 * unit)])
+    integer = x.dtype.kind in "iu"
+    if integer:
+        I = np.abs(x).astype(np.int64, copy=False)
+        negative = x < 0
+    else:
+        c, N = _digits(x)
+        I, F = _divmod(N, _C_E[c])
+        F *= _C_M[c]
+        d = I * _C_LEAD_DIGIT[c]
+        I -= d
+        negative = (x < 0) & (c != _FALLBACK_CLASS)
+    lead = np.broadcast_to(lead, (len(lead), len(x)))
+    words = [*lead[:-1], lead[-1] | np.where(negative, _MINUS, _BLANK)]
+    rest = I
+    for g in range((len(str(I.max())) - 1) // 4, 0, -1):
+        group, rest = _divmod(rest, 10 ** (4 * g))
+        words.append(_GROUPS[group + _LEADING * (I < 10 ** (4 * g + 4))])
+    words.append(_GROUPS[rest + _LEADING * (I < 10000)])
+    if integer:
+        words[-1] |= np.where(I == 0, _ZERO, _BLANK)
+        return np.stack([w for w in words if w.any()])
     words[-1] |= _C_UNITS[c]
     words.append(_C_POINT[(c * 10 + d) * 2 + (F == 0)])
-    hi8, lo8 = np.divmod(F, 10**8)
+    hi8, lo8 = _divmod(F, 10**8)
     for g8, rest_zero in ((hi8, lo8 == 0), (lo8, True)):
-        g4, g4_rest = np.divmod(g8, 10000)
+        g4, g4_rest = _divmod(g8, 10000)
         words.append(_GROUPS[g4 + _TRAILING * (rest_zero & (g4_rest == 0))])
         words.append(_GROUPS[g4_rest + _TRAILING * rest_zero])
     words.append(_C_EXP[c])
-    words = np.stack(words)
+    fallback = np.flatnonzero(c == _FALLBACK_CLASS)
     if fallback.size:
         text = b" ".join([_FALLBACK] * fallback.size) % tuple(x[fallback].tolist())
         spelled = np.array(text.split(), f"S{4 * _FALLBACK_WORDS}").view("<u4")
-        rows = slice(len(lead), len(lead) + _FALLBACK_WORDS)
-        words[rows, fallback] = spelled.reshape(-1, _FALLBACK_WORDS).T
-    return words[words.any(axis=1)].astype("<u4", copy=False)
+        for row, fill in zip(words[len(lead):], spelled.reshape(-1, _FALLBACK_WORDS).T):
+            row[fallback] = fill
+    return np.stack([w for w in words if w.any()])
 
 
-def _spell_block(block, prefix):
-    """The text '%.17g' gives the rows of the (m, k) float block.
+def table_lines(columns, prefix=""):
+    """The bytes of a grid table, a few grid lines at a time.
 
-    Every row is `prefix`, its numbers joined by spaces, and a newline.
-    The numbers are laid out in fixed 4-byte words with NUL bytes where they
-    have no character, and bytes.translate deletes the NULs.
+    `columns` are k arrays that broadcast to one (nx, ny) grid; a stacked
+    (nx, ny, k) table passes as `np.moveaxis(table, -1, 0)`.  Each grid
+    point is one line: `prefix`, then its k numbers joined by spaces, x
+    fastest.  Doubles are spelled byte for byte as '%.17g' does, so they
+    round-trip exactly.  Integer columns are spelled as integers, which
+    '%.17g' prints alike below 2**53; larger entries are refused.
+
+    Each column is spelled at its own shape.  One of shape (nx, 1), (1, ny)
+    or (1, 1) is spelled once, whole, and its words are broadcast into every
+    block.  The full columns of one kind, integer or double, go through one
+    `_number_words` call per block of grid lines.  Every number sits in
+    fixed 4-byte words with NUL bytes where it has no character, each line
+    of a block in one row of words, and bytes.translate deletes the NULs.
+    A line's first number leads with the newline that ends the line above,
+    and `prefix`.
     """
-    x = block.ravel()
-    words = _words(x, block.shape[1], *_digits(x), prefix)
-    text = words.T.tobytes().translate(None, b"\0")
-    return str(memoryview(text)[1:], "ascii") + "\n"
-
-
-def table_lines(table, prefix=""):
-    """The text of a (nx, ny, k) grid table, a few grid lines at a time.
-
-    Each point is one line: `prefix`, then its k numbers, x fastest.  The
-    whole-array kernel `_spell_block` spells every number byte for byte as
-    '%.17g' does, so doubles round-trip exactly.  Integer tables go through
-    it as doubles, which '%.17g' prints as integers below 2**53; larger
-    entries are refused.
-    """
-    if table.dtype.kind in "iu" and table.size:
-        if int(table.min()) <= -(2**53) or int(table.max()) >= 2**53:
+    columns = [np.atleast_2d(c) for c in columns]
+    columns = [c if c.dtype.kind in "iu" else c.astype(float, copy=False) for c in columns]
+    nx, ny = np.broadcast_shapes(*(c.shape for c in columns))
+    head = b"\n" + prefix.encode()
+    size = 4 * ((len(head) + 4) // 4)  # whole words, the sign in the last byte
+    lead = [np.frombuffer(text.ljust(size, b"\0"), "<u4")[:, None]
+            for text in [head] + [b" "] * (len(columns) - 1)]
+    groups = {}  # "int" or "float": the full columns of that kind
+    once = {}  # column number: its words, (ny, nx, 1, words), broadcast
+    runs = []  # [key, first, stop]: adjacent columns one key's words hold
+    for n, c in enumerate(columns):
+        integer = c.dtype.kind in "iu"
+        if integer and c.size and (int(c.min()) <= -(2**53) or int(c.max()) >= 2**53):
             raise ValueError("integer table entries must lie below 2**53 in magnitude")
-    nx, _, k = table.shape
-    step = max(1, _BLOCK_VALUES // max(1, nx * k))
-    lines = table.swapaxes(0, 1)
-    for start in range(0, lines.shape[0], step):
-        block = lines[start:start + step].reshape(-1, k).astype(float, copy=False)
-        yield _spell_block(block, prefix)
+        if c.shape == (nx, ny):
+            key = "int" if integer else "float"
+            group = groups.setdefault(key, [])
+            if runs and runs[-1][0] == key and runs[-1][2] == len(group):
+                runs[-1][2] += 1
+            else:
+                runs.append([key, len(group), len(group) + 1])
+            group.append(n)
+        else:
+            w = _number_words(c.T.ravel(), lead[n])
+            once[n] = np.broadcast_to(w.T.reshape(*c.T.shape, 1, len(w)), (ny, nx, 1, len(w)))
+            runs.append([n, 0, 1])
+    full = sum(len(group) for group in groups.values())
+    step = max(1, _BLOCK_VALUES // max(1, nx * full))
+    group_lead = {key: np.tile(np.hstack([lead[n] for n in group]), step * nx)
+                  for key, group in groups.items()}
+    for j0 in range(0, ny, step):
+        lines = slice(j0, j0 + step)
+        spelled = {n: w[lines] for n, w in once.items()}
+        m = min(step, ny - j0)
+        for key, group in groups.items():
+            x = np.empty((m, nx, len(group)), np.int64 if key == "int" else float)
+            for q, n in enumerate(group):
+                x[:, :, q] = columns[n][:, lines].T
+            w = _number_words(x.ravel(), group_lead[key][:, :x.size])
+            spelled[key] = w.reshape(len(w), m, nx, len(group)).transpose(1, 2, 3, 0)
+        widths = [(stop - first) * spelled[key].shape[3] for key, first, stop in runs]
+        out = np.empty((m, nx, sum(widths)), np.uint32)
+        a = 0
+        for (key, first, stop), width in zip(runs, widths):
+            w = spelled[key][:, :, first:stop]
+            out[:, :, a:a + width].reshape(w.shape)[...] = w  # a view: splits the word axis
+            a += width
+        text = out.tobytes().translate(None, b"\0")
+        yield text[1:] if j0 == 0 else text
+    yield b"\n"
 
 
-def write_table(fh, table, prefix=""):
-    """Write a (nx, ny, k) grid table as `table_lines` spells it."""
-    fh.writelines(table_lines(table, prefix))
+def write_table(fh, columns, prefix=""):
+    """Write the grid table `table_lines` spells to the binary file fh."""
+    fh.writelines(table_lines(columns, prefix))
 
 
 def save_surface_data(path, data):
     """Write the plain text tabular format read by `load_surface_data`."""
     g = data.grid
-    with open(path, "w") as fh:
-        fh.write("# surface data: header 'Q H nx ny', then rows 'x y u' (x fastest)\n")
-        write_table(fh, np.array([[[data.Q, data.H, g.nx, g.ny]]]))  # the header
-        write_table(fh, np.stack([*g.mesh(), data.u], axis=-1))
+    with open(path, "wb") as fh:
+        fh.write(b"# surface data: header 'Q H nx ny', then rows 'x y u' (x fastest)\n")
+        write_table(fh, (data.Q, data.H, g.nx, g.ny))  # the header
+        write_table(fh, (g.xs()[:, None], g.ys()[None, :], data.u))
 
 
 def load_surface_data(path):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cmclab import surface_data
 from cmclab.config import config_from_mapping
 from cmclab.errors import InvalidInputError
 from cmclab.frames import (
@@ -33,6 +34,7 @@ from cmclab.pipeline import (
     run,
     save_frame,
     verify_outputs,
+    write_diagnostics,
 )
 from cmclab.surface_data import (
     MIN_NODES,
@@ -44,7 +46,7 @@ from cmclab.surface_data import (
     save_surface_data,
 )
 from cmclab.surfaces import _surface, normal_field, parallel_identity_residual
-from cmclab.verify import verify_theorem
+from cmclab.verify import evaluate, verify_theorem
 
 ALL_FILES = (
     SURFACE_FILE,
@@ -270,11 +272,27 @@ class TestRun:
             assert np.linalg.norm(v, axis=1).max() < 1.0
 
     def test_face_lines_spell_integers(self):
-        # the face table goes through the float kernel; 1-based quads, x fastest
-        assert _mesh_faces(3, 2) == "f 1 2 5 4\nf 2 3 6 5\n"
+        # the face table goes through the integer path; 1-based quads, x fastest
+        assert _mesh_faces(3, 2) == b"f 1 2 5 4\nf 2 3 6 5\n"
         lines = _mesh_faces(101, 12).splitlines()
         assert len(lines) == 100 * 11
-        assert lines[-1] == "f %d %d %d %d" % (1110, 1111, 1212, 1211)
+        assert lines[-1] == b"f %d %d %d %d" % (1110, 1111, 1212, 1211)
+
+    def test_diagnostics_spell_each_distinct_number_once(self, tmp_path, monkeypatch):
+        # x and y once per distinct value, the measured columns once per node and
+        # the integer columns i j never through the double kernel
+        seen = []
+        digits = surface_data._digits
+
+        def counted(x):
+            seen.append(x.size)
+            return digits(x)
+
+        data = cylinder_data(GridSpec(-1, 1, -1, 1, N, N))
+        sides = evaluate(integrate_frame(data, SpectralParam(0.5)))
+        monkeypatch.setattr(surface_data, "_digits", counted)
+        write_diagnostics(tmp_path / DIAGNOSTICS_FILE, data, sides)
+        assert sum(seen) == 7 * N * N + 2 * N
 
     def test_machine_report_has_no_timestamp(self, run_dir):
         out, _, _ = run_dir

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cmclab import surface_data
 from cmclab.errors import IntegrationBlowupError, InvalidInputError
 from cmclab.surface_data import (
     MIN_NODES,
@@ -23,6 +24,7 @@ from cmclab.surface_data import (
     max_gauss_residual,
     read_table,
     save_surface_data,
+    table_lines,
     write_table,
 )
 
@@ -334,29 +336,29 @@ class TestTableIO:
 
     def test_writer_matches_per_float_format(self):
         table = self.awkward_table()
-        fh = io.StringIO()
-        write_table(fh, table, prefix="v ")
-        assert fh.getvalue() == per_float_text(table, prefix="v ")
+        fh = io.BytesIO()
+        write_table(fh, np.moveaxis(table, -1, 0), prefix="v ")
+        assert fh.getvalue().decode() == per_float_text(table, prefix="v ")
 
     def test_writer_matches_per_float_format_on_ints(self):
         table = np.arange(24).reshape(2, 3, 4) * 12345
-        fh = io.StringIO()
-        write_table(fh, table, prefix="f ")
-        assert fh.getvalue() == per_float_text(table, prefix="f ")
-        assert fh.getvalue().startswith("f 0 12345 24690 37035\n")
+        fh = io.BytesIO()
+        write_table(fh, np.moveaxis(table, -1, 0), prefix="f ")
+        assert fh.getvalue().decode() == per_float_text(table, prefix="f ")
+        assert fh.getvalue().decode().startswith("f 0 12345 24690 37035\n")
 
     @pytest.mark.parametrize("entry", [2**53, -(2**53)])
     def test_integers_beyond_exact_doubles_refused(self, entry):
         table = np.array([[[1, entry]]])
         with pytest.raises(ValueError, match="below 2\\*\\*53"):
-            write_table(io.StringIO(), table)
+            write_table(io.BytesIO(), np.moveaxis(table, -1, 0))
 
     def test_reader_returns_the_written_bits(self, tmp_path):
         table = self.awkward_table()
         path = tmp_path / "t.dat"
-        with open(path, "w") as fh:
-            fh.write("# header then rows\nh1 h2\n")
-            write_table(fh, table)
+        with open(path, "wb") as fh:
+            fh.write(b"# header then rows\nh1 h2\n")
+            write_table(fh, np.moveaxis(table, -1, 0))
         head, body = read_table(path, 2, 3)
         assert head == ["h1", "h2"]
         rows = table.swapaxes(0, 1).reshape(-1, 3)  # x fastest
@@ -418,9 +420,9 @@ class TestSeventeenDigitKernel:
         values = self.sample()
         assert len(values) > 1_000_000
         rows = values[: len(values) // 4 * 4].reshape(-1, 4)
-        fh = io.StringIO()
-        write_table(fh, rows[None], prefix="v ")  # one point per grid line
-        got = fh.getvalue().splitlines(keepends=True)
+        fh = io.BytesIO()
+        write_table(fh, np.moveaxis(rows[None], -1, 0), prefix="v ")  # one point per grid line
+        got = fh.getvalue().decode().splitlines(keepends=True)
         expected = ["v %.17g %.17g %.17g %.17g\n" % row for row in map(tuple, rows.tolist())]
         assert len(got) == len(expected)
         assert [(g, e) for g, e in zip(got, expected) if g != e][:5] == []
@@ -439,9 +441,80 @@ class TestSeventeenDigitKernel:
         ]
         table = np.stack(columns, axis=-1)
         for prefix in ("", "v ", "100% of row: "):
-            fh = io.StringIO()
-            write_table(fh, table, prefix=prefix)
-            assert fh.getvalue() == per_float_text(table, prefix=prefix)
+            fh = io.BytesIO()
+            write_table(fh, np.moveaxis(table, -1, 0), prefix=prefix)
+            assert fh.getvalue().decode() == per_float_text(table, prefix=prefix)
+
+
+def spelled(columns, prefix=""):
+    return b"".join(table_lines(columns, prefix)).decode()
+
+
+def stacked_text(columns, prefix=""):
+    """`per_float_text` of the columns broadcast to one grid and stacked."""
+    grid = np.broadcast_arrays(*(np.atleast_2d(c) for c in columns))
+    return per_float_text(np.stack(grid, axis=-1), prefix)
+
+
+# the integer words split at 10^4 and 10^8; 2^53 - 1 is the largest taken
+INT_EDGES = [
+    0, 1, -1, 9, 10, 9999, 10000, 10001, -9999, -10000, 99_999_999, 10**8,
+    10**8 + 1, -(10**8), 10**12, 10**15 + 1, 2**53 - 1, -(2**53 - 1),
+]
+
+
+class TestColumnShapes:
+    """Columns spelled at their own shape, integers without `_digits`."""
+
+    @pytest.mark.parametrize("prefix", ["", "v "])
+    def test_integer_columns_at_the_group_edges(self, prefix):
+        a = np.array(INT_EDGES).reshape(6, 3)
+        columns = [
+            a, -a, a[::-1], np.zeros((6, 3), int), np.abs(a).astype(np.uint64),
+            np.arange(18, dtype=np.uint8).reshape(6, 3), (a // 10**7).astype(np.int32),
+        ]
+        assert spelled(columns, prefix) == stacked_text(columns, prefix)
+        assert spelled([np.zeros((2, 2), int)], prefix) == f"{prefix}0\n" * 4
+
+    @pytest.mark.parametrize("prefix", ["", "v "])
+    @pytest.mark.parametrize("shape", [(37, 1), (1, 150), (1, 1)])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    @pytest.mark.parametrize("kind", ["int", "float"])
+    def test_a_broadcast_column_anywhere(self, prefix, shape, where, kind):
+        rng = np.random.default_rng(11)
+        nx, ny = 37, 150
+        # four full columns, so a block holds this many grid lines
+        assert ny % (surface_data._BLOCK_VALUES // (nx * 4)) != 0
+        columns = [
+            rng.normal(size=(nx, ny)),
+            rng.integers(-(10**6), 10**6, (nx, ny)),
+            rng.choice(AWKWARD + [0.0, np.nan, -np.inf, 12.5], size=(nx, ny)),
+            np.indices((nx, ny))[1],
+        ]
+        values = INT_EDGES if kind == "int" else AWKWARD + [0.0, np.nan, 0.25]
+        columns.insert(where, np.resize(np.array(values), shape))
+        assert spelled(columns, prefix) == stacked_text(columns, prefix)
+
+    @pytest.mark.parametrize("prefix", ["", "v "])
+    def test_only_broadcast_columns(self, prefix):
+        rng = np.random.default_rng(12)
+        nx, ny = 300, 45
+        columns = [
+            np.arange(nx)[:, None], np.arange(ny)[None, :], rng.normal(size=(nx, 1)),
+            rng.normal(size=(1, ny)), -7, 0.5,
+        ]
+        assert spelled(columns, prefix) == stacked_text(columns, prefix)
+
+    def test_the_diagnostics_layout(self):
+        # broadcast i j x y first, then full float columns, as write_diagnostics
+        rng = np.random.default_rng(13)
+        nx, ny = 41, 63
+        xs, ys = np.linspace(-1.0, 1.0, nx), np.linspace(-2.0, 2.0, ny)
+        columns = [
+            np.arange(nx)[:, None], np.arange(ny)[None, :], xs[:, None], ys[None, :],
+            *rng.normal(size=(7, nx, ny)),
+        ]
+        assert spelled(columns) == stacked_text(columns)
 
 
 def _insert_skipped_lines(lines):
