@@ -121,6 +121,6 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         obj = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: config is not valid JSON: {e}") from None
     return config_from_mapping(obj)

@@ -72,8 +72,7 @@ def mul2(A, B):
     product here is A-entry * B-entry, both operands existing arrays.  A
     temporary operand is not safe: numpy may evaluate `x * f(y)` in place
     in the temporary f(y), that is as f(y) * x, once it is large enough
-    (256 KiB).  Code that forms these entries another way keeps the
-    A-first order, with np.multiply where an operand is a temporary.
+    (256 KiB).
     """
     A = np.asarray(A)
     B = np.asarray(B)

@@ -94,15 +94,16 @@ def _mesh_faces(nx, ny) -> bytes:
     return b"".join(table_lines((a, a + 1, a + 1 + nx, a + nx), prefix="f "))
 
 
-def write_mesh(path, points, faces, what="surface"):
-    """Wavefront-style quad mesh of ball-projected grid points.
+def write_mesh(path, surface, faces):
+    """Wavefront-style quad mesh of an H3SurfaceGrid's ball-projected points.
 
-    points has shape (nx, ny, 4); vertices are emitted x fastest, followed
-    by `faces`, the bytes `_mesh_faces(nx, ny)` returns.
+    The header names the surface's kind; vertices are emitted x fastest,
+    followed by `faces`, the bytes `_mesh_faces(nx, ny)` returns.
     """
     with open(path, "wb") as fh:
-        fh.write(f"# {what}: Poincare ball vertices, quad faces, row-major in y\n".encode())
-        write_table(fh, np.moveaxis(poincare_ball(points), -1, 0), prefix="v ")
+        fh.write(f"# {surface.kind} surface: Poincare ball vertices, quad faces, "
+                 "row-major in y\n".encode())
+        write_table(fh, np.moveaxis(poincare_ball(surface.points), -1, 0), prefix="v ")
         fh.write(faces)
 
 
@@ -112,10 +113,9 @@ def _write_meshes(out: Path, surfaces) -> list[Path]:
     Both sides live on one grid, so they share one face table.
     """
     paths = [out / name for name in MESH_FILES]
-    surfaces = list(surfaces)
     faces = _mesh_faces(*surfaces[0].points.shape[:2])
     for path, surface in zip(paths, surfaces):
-        write_mesh(path, surface.points, faces, f"{surface.kind} surface")
+        write_mesh(path, surface, faces)
     return paths
 
 
@@ -231,7 +231,7 @@ def run(config: RunConfig) -> VerificationReport:
     out.mkdir(parents=True, exist_ok=True)
     save_surface_data(out / SURFACE_FILE, data)
     save_frame(out / FRAME_FILE, frame)
-    _write_meshes(out, (side.surface for side in sides))
+    _write_meshes(out, [side.surface for side in sides])
     write_diagnostics(out / DIAGNOSTICS_FILE, data, sides)
     _write_report_files(out, report)
     return report

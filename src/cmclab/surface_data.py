@@ -305,11 +305,12 @@ def read_table(path, header_width, width):
     Returns the first line as its list of fields, exactly header_width of
     them, and the rest as an array of shape (rows, width).  A line of any
     other length, or a body row that is not all numbers, raises
-    InvalidInputError naming the file and the line.  The body goes through
+    InvalidInputError naming the file and the line; a byte that is not
+    UTF-8 reads as a character that no number holds.  The body goes through
     numpy's parser, which reads 17-digit text back bit for bit; whatever it
     or the header check refuses is scanned again line by line by `_scan`.
     """
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         kept = [ln for ln in fh if ln[0] != "#" and not ln.isspace()]
     if not kept:
         raise InvalidInputError(f"{path}: truncated file, header missing")
@@ -336,7 +337,7 @@ def _scan(path, header_width, width):
     refuses, such as "1_0".
     """
     body, header_seen = [], False
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         for n, ln in enumerate(fh, 1):
             if ln[0] == "#" or ln.isspace():
                 continue
@@ -556,14 +557,16 @@ def table_lines(columns, prefix=""):
     round-trip exactly.  Integer columns are spelled as integers, which
     '%.17g' prints alike below 2**53; larger entries are refused.
 
-    Each column is spelled at its own shape.  One of shape (nx, 1), (1, ny)
-    or (1, 1) is spelled once, whole, and its words are broadcast into every
-    block.  The full columns of one kind, integer or double, go through one
-    `_number_words` call per block of grid lines.  Every number sits in
-    fixed 4-byte words with NUL bytes where it has no character, each line
-    of a block in one row of words, and bytes.translate deletes the NULs.
-    A line's first number leads with the newline that ends the line above,
-    and `prefix`.
+    The trailing run, the full (nx, ny) columns at the end that share the
+    last column's kind (integer or double), goes through one `_number_words`
+    call per block of grid lines.  Every column before it is spelled once,
+    whole, at its own shape, and its words are broadcast into every block:
+    once per distinct value for an (nx, 1), (1, ny) or (1, 1) column, once
+    per node for a full column (the writers put none there).  Every number
+    sits in fixed 4-byte words with NUL bytes where it has no character,
+    each line of a block in one row of words, and bytes.translate deletes
+    the NULs.  A line's first number leads with the newline that ends the
+    line above, and `prefix`.
     """
     columns = [np.atleast_2d(c) for c in columns]
     columns = [c if c.dtype.kind in "iu" else c.astype(float, copy=False) for c in columns]
@@ -572,44 +575,35 @@ def table_lines(columns, prefix=""):
     size = 4 * ((len(head) + 4) // 4)  # whole words, the sign in the last byte
     lead = [np.frombuffer(text.ljust(size, b"\0"), "<u4")[:, None]
             for text in [head] + [b" "] * (len(columns) - 1)]
-    groups = {}  # "int" or "float": the full columns of that kind
-    once = {}  # column number: its words, (ny, nx, 1, words), broadcast
-    runs = []  # [key, first, stop]: adjacent columns one key's words hold
-    for n, c in enumerate(columns):
-        integer = c.dtype.kind in "iu"
-        if integer and c.size and (int(c.min()) <= -(2**53) or int(c.max()) >= 2**53):
+    integer = [c.dtype.kind in "iu" for c in columns]
+    for c, i in zip(columns, integer):
+        if i and c.size and (int(c.min()) <= -(2**53) or int(c.max()) >= 2**53):
             raise ValueError("integer table entries must lie below 2**53 in magnitude")
-        if c.shape == (nx, ny):
-            key = "int" if integer else "float"
-            group = groups.setdefault(key, [])
-            if runs and runs[-1][0] == key and runs[-1][2] == len(group):
-                runs[-1][2] += 1
-            else:
-                runs.append([key, len(group), len(group) + 1])
-            group.append(n)
-        else:
-            w = _number_words(c.T.ravel(), lead[n])
-            once[n] = np.broadcast_to(w.T.reshape(*c.T.shape, 1, len(w)), (ny, nx, 1, len(w)))
-            runs.append([n, 0, 1])
-    full = sum(len(group) for group in groups.values())
-    step = max(1, _BLOCK_VALUES // max(1, nx * full))
-    group_lead = {key: np.tile(np.hstack([lead[n] for n in group]), step * nx)
-                  for key, group in groups.items()}
+    k = len(columns)  # the trailing run is columns[k:]
+    while k and columns[k - 1].shape == (nx, ny) and integer[k - 1] == integer[-1]:
+        k -= 1
+    once = []  # the words of each column before the run, (ny, nx, 1, words)
+    for n, c in enumerate(columns[:k]):
+        w = _number_words(c.T.ravel(), lead[n])
+        once.append(np.broadcast_to(w.T.reshape(*c.T.shape, 1, len(w)), (ny, nx, 1, len(w))))
+    run = columns[k:]
+    step = max(1, _BLOCK_VALUES // max(1, nx * len(run)))
+    if run:
+        run_lead = np.tile(np.hstack(lead[k:]), step * nx)
     for j0 in range(0, ny, step):
         lines = slice(j0, j0 + step)
-        spelled = {n: w[lines] for n, w in once.items()}
         m = min(step, ny - j0)
-        for key, group in groups.items():
-            x = np.empty((m, nx, len(group)), np.int64 if key == "int" else float)
-            for q, n in enumerate(group):
-                x[:, :, q] = columns[n][:, lines].T
-            w = _number_words(x.ravel(), group_lead[key][:, :x.size])
-            spelled[key] = w.reshape(len(w), m, nx, len(group)).transpose(1, 2, 3, 0)
-        widths = [(stop - first) * spelled[key].shape[3] for key, first, stop in runs]
-        out = np.empty((m, nx, sum(widths)), np.uint32)
+        spelled = [w[lines] for w in once]
+        if run:
+            x = np.empty((m, nx, len(run)), np.int64 if integer[-1] else float)
+            for q, c in enumerate(run):
+                x[:, :, q] = c[:, lines].T
+            w = _number_words(x.ravel(), run_lead[:, :x.size])
+            spelled.append(w.reshape(len(w), m, nx, len(run)).transpose(1, 2, 3, 0))
+        out = np.empty((m, nx, sum(w.shape[2] * w.shape[3] for w in spelled)), np.uint32)
         a = 0
-        for (key, first, stop), width in zip(runs, widths):
-            w = spelled[key][:, :, first:stop]
+        for w in spelled:
+            width = w.shape[2] * w.shape[3]
             out[:, :, a:a + width].reshape(w.shape)[...] = w  # a view: splits the word axis
             a += width
         text = out.tobytes().translate(None, b"\0")

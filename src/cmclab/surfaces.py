@@ -9,8 +9,8 @@ Writing lam = e^q, the two satisfy the exact pointwise identity
 where N = F diag(1, -1) conj(F)^t is the unit normal of the primary
 surface, so the shifted surface lies at constant geodesic distance -q
 along the normal.  Each product F S conj(F)^t (S = I or diag(1, -1)) is
-formed entry by entry on the frame's planes by `_frame_product`, with the
-bits of mul2(F S, conj_transpose(F)) and without copying the frame.
+mul2(F, S conj(F)^t), S applied by negating a row of conj_transpose(F) in
+place; a product's bits do not depend on which factor carries a sign.
 from_hermitian is linear, so `parallel_identity_defect` checks the identity
 on the hyperboloid coordinates the two sides already hold.
 """
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .frames import DET_DRIFT_TOL, ExtendedFrame, SpectralParam, shift_frame
-from .minkowski import empty_planes, from_hermitian, mink_dot, require_h3
+from .minkowski import conj_transpose, from_hermitian, mink_dot, mul2, require_h3
 from .report import SIDES
 from .surface_data import GridSpec, _locked
 
@@ -64,31 +64,10 @@ class NormalField:
         object.__setattr__(self, "vectors", v)
 
 
-def _frame_product(F, flip=False):
-    """F S conj(F)^t with S = diag(1, -1) if `flip`, else the identity,
-    entry by entry and with the bits of mul2(F S, conj_transpose(F)).
-
-    No copy of F, of F S or of conj(F)^t is made: each conjugate row and
-    each negated column is one plane.  mul2's operand order is kept with
-    np.multiply, since `x * np.conj(y)` may be computed as conj(y) * x.
-    """
-    out = empty_planes(F.shape[:-2], (2, 2))
-    column1 = [np.negative(F[..., i, 1]) if flip else F[..., i, 1] for i in (0, 1)]
-    for j in (0, 1):
-        conj0, conj1 = np.conj(F[..., j, 0]), np.conj(F[..., j, 1])
-        for i in (0, 1):
-            np.add(
-                np.multiply(F[..., i, 0], conj0),
-                np.multiply(column1[i], conj1),
-                out=out[..., i, j],
-            )
-    return out
-
-
 def _surface(frame: ExtendedFrame, kind: str) -> H3SurfaceGrid:
     """The surface F conj(F)^t of `frame` on side `kind`; on a shifted
     frame FD this is the shifted surface."""
-    points = from_hermitian(_frame_product(frame.F))
+    points = from_hermitian(mul2(frame.F, conj_transpose(frame.F)))
     return H3SurfaceGrid(frame.grid, points, frame.spectral, kind)
 
 
@@ -107,7 +86,9 @@ def normal_field(frame: ExtendedFrame) -> NormalField:
 
     Applied to a shifted frame this gives the shifted surface's normal.
     """
-    return NormalField(frame.grid, from_hermitian(_frame_product(frame.F, flip=True)))
+    SF = conj_transpose(frame.F)
+    np.negative(SF[..., 1, :], out=SF[..., 1, :])  # diag(1, -1) conj(F)^t
+    return NormalField(frame.grid, from_hermitian(mul2(frame.F, SF)))
 
 
 def normal_unit_defect(normal: NormalField) -> float:

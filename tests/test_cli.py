@@ -110,6 +110,66 @@ def test_verify_without_run_exits_2(tmp_path, capsys):
     assert main(["verify", "--in", str(tmp_path)]) == 2
 
 
+def _config_not_utf8(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "o"))
+    cfg.write_bytes(cfg.read_bytes().replace(b"cylinder", b"cyl\xffinder"))
+    return cfg, "cfg.json: config is not valid JSON"
+
+
+def _config_is_a_directory(tmp_path):
+    return tmp_path, str(tmp_path)
+
+
+def _input_is_a_directory(tmp_path):
+    src = tmp_path / "input"
+    src.mkdir()
+    keys = {"family": "custom-file", "input": str(src), "out_dir": str(tmp_path / "o")}
+    return write_config(tmp_path / "cfg.json", **keys), str(src)
+
+
+def _out_dir_is_a_file(tmp_path):
+    out = tmp_path / "o"
+    out.write_text("")
+    return write_config(tmp_path / "cfg.json", out_dir=str(out)), str(out)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [_config_not_utf8, _config_is_a_directory, _input_is_a_directory, _out_dir_is_a_file],
+    ids=["config-not-utf8", "config-directory", "input-directory", "out-dir-file"],
+)
+def test_unreadable_input_exits_2(tmp_path, capsys, fault):
+    # exit 1 means a verification failure; a file that cannot be read is bad input
+    cfg, named = fault(tmp_path)
+    assert main(["generate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert named in err
+
+
+@pytest.mark.parametrize(
+    "command, name, expected",
+    [
+        ("verify", "surface.dat", "surface.dat: line 3: non-numeric entry"),
+        ("verify", "report.kv", "can't decode byte 0xff"),
+        ("report", "report.kv", "can't decode byte 0xff"),
+    ],
+    ids=["verify-surface", "verify-report", "report-report"],
+)
+def test_stored_byte_not_utf8_exits_2(generated, tmp_path, capsys, command, name, expected):
+    _, out, _ = generated
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    path = run_dir / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"".join(lines))
+    assert main([command, "--in", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert expected in err
+
+
 def _non_numeric(fields):
     return ["abc"] + fields[1:]
 

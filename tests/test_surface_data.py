@@ -483,7 +483,9 @@ class TestColumnShapes:
     def test_a_broadcast_column_anywhere(self, prefix, shape, where, kind):
         rng = np.random.default_rng(11)
         nx, ny = 37, 150
-        # four full columns, so a block holds this many grid lines
+        # only the trailing run is blocked: here the index column alone, or no
+        # column when the broadcast one comes last.  Four full columns would
+        # make blocks of this many grid lines, and ny is no multiple of it
         assert ny % (surface_data._BLOCK_VALUES // (nx * 4)) != 0
         columns = [
             rng.normal(size=(nx, ny)),
@@ -494,6 +496,25 @@ class TestColumnShapes:
         values = INT_EDGES if kind == "int" else AWKWARD + [0.0, np.nan, 0.25]
         columns.insert(where, np.resize(np.array(values), shape))
         assert spelled(columns, prefix) == stacked_text(columns, prefix)
+
+    @pytest.mark.parametrize(
+        "kind, width, blocks", [("int", 4, (55, 55, 40)), ("float", 3, (73, 73, 4))]
+    )
+    def test_a_trailing_run_across_blocks(self, kind, width, blocks):
+        # a faces-like table: an (nx, 1) column spelled once, then a run of
+        # full columns of one kind over three blocks, the last one short
+        rng = np.random.default_rng(14)
+        nx, ny = 37, 150
+        step = surface_data._BLOCK_VALUES // (nx * width)
+        assert (step, step, ny - 2 * step) == blocks
+        shape = (width, nx, ny)
+        if kind == "int":
+            run = rng.choice(INT_EDGES, shape)
+        else:
+            awkward = rng.choice(AWKWARD, shape)
+            run = np.where(rng.random(shape) < 0.5, rng.normal(size=shape), awkward)
+        columns = [rng.integers(-(10**6), 10**6, (nx, 1)), *run]
+        assert spelled(columns, "f ") == stacked_text(columns, "f ")
 
     @pytest.mark.parametrize("prefix", ["", "v "])
     def test_only_broadcast_columns(self, prefix):

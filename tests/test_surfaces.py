@@ -13,7 +13,7 @@ from cmclab.frames import (
     integrate_frame,
     shift_frame,
 )
-from cmclab.minkowski import to_hermitian
+from cmclab.minkowski import conj_transpose, from_hermitian, mul2, to_hermitian
 from cmclab.surface_data import GridSpec, cylinder_data
 from cmclab.surfaces import (
     H3SurfaceGrid,
@@ -107,6 +107,21 @@ class TestNormalField:
             normal_orthogonality_defect(surface_shifted(cylinder_frame), normal_field(shifted))
             < 1e-9
         )
+
+    def test_zero_signs_of_the_column_negated_product(self):
+        # N is (F S) conj(F)^t with the column S negates negated exactly; a
+        # product by -1 + 0j instead would turn some -0 parts into +0
+        rng = np.random.default_rng(19)
+        n = 16
+        F = np.empty((n, n, 2, 2), complex)
+        F.real, F.imag = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, 0.5], (2, n, n, 2, 2))
+        FS = F.copy()
+        FS[..., 1] = -F[..., 1]
+        expected = from_hermitian(mul2(FS, conj_transpose(F)))
+        frame = ExtendedFrame(GridSpec(-1.0, 1.0, -1.0, 1.0, n, n), F, SpectralParam(0.5))
+        got = normal_field(frame).vectors
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     def test_normal_matrices_hermitian(self):
         rng = np.random.default_rng(12)

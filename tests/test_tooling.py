@@ -67,13 +67,14 @@ def test_no_unused_imports():
     assert [entry for path in files for entry in _unused_imports(path)] == []
 
 
-def _per_matrix_blas_calls(path):
-    """`@` operators and `matmul`/`linalg.det` references in `path`."""
+def _products_outside_mul2(path):
+    """`@` operators and `matmul`, `linalg.det`, `np.multiply` and `np.add`
+    references in `path`."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-            found.append(f"{path.relative_to(ROOT)}:{node.lineno} @")
+            found.append(f"{path.name}:{node.lineno} @")
         elif isinstance(node, ast.Attribute) and (
             node.attr == "matmul"
             or (
@@ -81,16 +82,44 @@ def _per_matrix_blas_calls(path):
                 and isinstance(node.value, ast.Attribute)
                 and node.value.attr == "linalg"
             )
+            or (
+                node.attr in ("multiply", "add")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "np"
+            )
         ):
-            found.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.attr}")
+            found.append(f"{path.name}:{node.lineno} {node.attr}")
     return found
 
 
 def test_frame_products_use_the_entrywise_kernel():
     # np.matmul and np.linalg.det make one BLAS/LAPACK call per 2x2 matrix of
-    # a stack; minkowski.mul2 and det2 form every entry in whole-array steps
+    # a stack; minkowski.mul2 and det2 form every entry in whole-array steps.
+    # An entry formed by hand with np.multiply and np.add is a second kernel
+    # whose operand order, and so whose bits, mul2 no longer fixes
     files = [ROOT / "src" / "cmclab" / name for name in ("frames.py", "surfaces.py")]
-    assert [entry for path in files for entry in _per_matrix_blas_calls(path)] == []
+    assert [entry for path in files for entry in _products_outside_mul2(path)] == []
+
+
+def test_frame_product_lint_sees_each_form(tmp_path):
+    path = tmp_path / "surfaces.py"
+    path.write_text(
+        "import numpy as np\n"
+        "def f(F, G, n):\n"
+        "    A = np.matmul(F, G) @ G\n"
+        "    d = np.linalg.det(F)\n"
+        "    e = np.add(np.multiply(F[..., 0, 0], G[..., 0, 0]), F[..., 0, 1])\n"
+        "    F @= G\n"
+        "    return A * d, e, mul2(F, G), det2(G), np.negative(F), n + 1\n"
+    )
+    assert sorted(_products_outside_mul2(path)) == [
+        "surfaces.py:3 @",
+        "surfaces.py:3 matmul",
+        "surfaces.py:4 det",
+        "surfaces.py:5 add",
+        "surfaces.py:5 multiply",
+        "surfaces.py:6 @",
+    ]
 
 
 _ALLOCATORS = {"empty", "zeros", "ones", "full"}
