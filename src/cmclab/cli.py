@@ -11,18 +11,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .config import load_config
 from .errors import ConfigError, InvalidInputError, NumericalError
-from .pipeline import (
-    REPORT_MACHINE_FILE,
-    export_meshes,
-    require_output,
-    run,
-    verify_outputs,
-)
-from .report import parse_machine, render_text
+from .pipeline import export_meshes, read_machine_report, run, verify_outputs
+from .report import render_text
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -75,8 +68,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    text = require_output(Path(args.in_dir) / REPORT_MACHINE_FILE).read_text()
-    report = parse_machine(text)
+    text, report = read_machine_report(args.in_dir)
     if args.machine:
         print(text, end="")
     else:

@@ -12,17 +12,26 @@ surface_data.gauss_residual.  Integration runs in real coordinates,
 
 by classical RK4 along the base row and then up and down each column.
 
+The RK4 transitions are built a block of cells at a time, about
+_BLOCK_MATRICES matrices, from that block's node and midpoint samples of
+u, u_x and u_y; no coefficient or transition stack of a whole line is
+formed.  Blocks split only the march axis and every transition is the same
+elementwise arithmetic on the same numbers, so the bits do not depend on
+the block size.  The march writes each product F[k] T straight into F.
+
 Every 2x2 product (the RK4 stages, the F[k] T recurrence, the shift F D and
 a gauge G F) goes through minkowski.mul2 and every determinant through
 minkowski.det2: whole-array entrywise arithmetic, not one BLAS call per
-matrix of a stack.
+matrix of a stack.  The frames these functions return are handed to
+ExtendedFrame read-only (`surface_data._frozen`), which holds them without
+a copy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -31,6 +40,7 @@ from .minkowski import det2, empty_planes, mat2, mul2
 from .surface_data import (
     GridSpec,
     SurfaceData,
+    _frozen,
     _locked,
     grid_derivatives,
     max_gauss_residual,
@@ -183,20 +193,42 @@ def _rk4_cell(A0, Am, A1, h):
     return eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _march(F, A, Am, h, k0):
-    """Fill F outward along axis 0 from the known slice F[k0]; A holds the
-    coefficient at the nodes, Am at the midpoints.
+# matrices per block of RK4 transitions: enough to amortise numpy's per-call
+# cost, few enough that a block's stacks stay small next to the frame
+_BLOCK_MATRICES = 4096
 
-    The RK4 transitions of each direction come from one batched call; only
-    the products F[k +- 1] = F[k] T stay in the loop.
+
+def _transitions(coefficient, nodes, mids, c0, c1, h):
+    """RK4 transitions across cells c0..c1-1 of axis 0 from `coefficient`
+    at their nodes and midpoints; with h < 0 each carries its cell's far
+    node to the near one."""
+    A = coefficient(*(a[c0 : c1 + 1] for a in nodes))
+    Am = coefficient(*(a[c0:c1] for a in mids))
+    if h > 0:
+        return _rk4_cell(A[:-1], Am, A[1:], h)
+    return _rk4_cell(A[1:], Am, A[:-1], h)
+
+
+def _march(F, coefficient, nodes, mids, h, k0):
+    """Fill F outward along axis 0 from the known slice F[k0].
+
+    `coefficient(u, u_x, u_y)` gives A from samples of `nodes` (at the
+    nodes) or of `mids` (at the midpoints).  The transitions come a block
+    of cells at a time; each product F[k +- 1] = F[k] T is written into F.
     """
-    T = _rk4_cell(A[k0:-1], Am[k0:], A[k0 + 1 :], h)
-    for k in range(k0, len(F) - 1):
-        F[k + 1] = mul2(F[k], T[k - k0])
-    # T[k - 1] carries F[k] to F[k - 1]
-    T = _rk4_cell(A[1 : k0 + 1], Am[:k0], A[:k0], -h)
-    for k in range(k0, 0, -1):
-        F[k - 1] = mul2(F[k], T[k - 1])
+    n = len(F)
+    step = max(1, _BLOCK_MATRICES // (F[0].size // 4))
+    for c0 in range(k0, n - 1, step):
+        c1 = min(c0 + step, n - 1)
+        T = _transitions(coefficient, nodes, mids, c0, c1, h)
+        for k in range(c0, c1):
+            mul2(F[k], T[k - c0], out=F[k + 1])
+    for c1 in range(k0, 0, -step):
+        c0 = max(c1 - step, 0)
+        # T[k - 1 - c0] carries F[k] to F[k - 1]
+        T = _transitions(coefficient, nodes, mids, c0, c1, -h)
+        for k in range(c1, c0, -1):
+            mul2(F[k], T[k - 1 - c0], out=F[k - 1])
 
 
 def _coefficient(data: SurfaceData, lam: float, axis: int, u, ux, uy):
@@ -211,8 +243,8 @@ def _sweep(data: SurfaceData, lam: float, first: int) -> np.ndarray:
     """Frames from the identity at the grid center: along the line of axis
     `first` through the center, then across the grid along the other axis.
 
-    Each march moves its axis to the front and builds A only at the nodes
-    and midpoints it crosses.
+    Each march moves its axis to the front, takes the midpoint samples of
+    u, u_x and u_y on the nodes it crosses, and builds A a block at a time.
     """
     grid = data.grid
     center = grid.center_index()
@@ -221,10 +253,10 @@ def _sweep(data: SurfaceData, lam: float, first: int) -> np.ndarray:
     F[center] = np.eye(2)
     for axis, line in ((first, center[1 - first]), (1 - first, slice(None))):
         on_line = [np.moveaxis(a, axis, 0)[:, line] for a in nodes]
-        A = _coefficient(data, lam, axis, *on_line)
-        Am = _coefficient(data, lam, axis, *map(_half_samples, on_line))
+        mids = [_half_samples(a) for a in on_line]
+        coefficient = partial(_coefficient, data, lam, axis)
         F_line = np.moveaxis(F, axis, 0)[:, line]
-        _march(F_line, A, Am, (grid.hx, grid.hy)[axis], center[axis])
+        _march(F_line, coefficient, on_line, mids, (grid.hx, grid.hy)[axis], center[axis])
     return F
 
 
@@ -238,15 +270,14 @@ def integrate_frame(data: SurfaceData, spectral: SpectralParam) -> ExtendedFrame
     Data whose Gauss residual exceeds COMPAT_TOL is refused; unimodularity
     is monitored against DET_DRIFT_TOL, never restored by projection.
     """
-    grid = data.grid
     res = max_gauss_residual(data)
     if not res <= COMPAT_TOL:
         raise IncompatibleDataError(
             f"compatibility residual {res:.3e} exceeds {COMPAT_TOL:.3e}; "
             "the frame system would not be integrable"
         )
-    F = _sweep(data, spectral.lam, 0)
-    frame = ExtendedFrame(grid=grid, F=F, spectral=spectral)
+    F = _frozen(_sweep(data, spectral.lam, 0))
+    frame = ExtendedFrame(grid=data.grid, F=F, spectral=spectral)
     worst = frame.max_det_drift
     if not worst <= DET_DRIFT_TOL:
         drift = frame.det_drift()
@@ -276,7 +307,7 @@ def shift_frame(frame: ExtendedFrame) -> ExtendedFrame:
     det D = 1, so unimodularity is preserved exactly; the value at the grid
     center becomes D instead of the identity.
     """
-    return replace(frame, F=mul2(frame.F, spectral_shift_matrix(frame.lam)))
+    return replace(frame, F=_frozen(mul2(frame.F, spectral_shift_matrix(frame.lam))))
 
 
 def frame_left_multiply(frame: ExtendedFrame, G) -> ExtendedFrame:
@@ -287,4 +318,4 @@ def frame_left_multiply(frame: ExtendedFrame, G) -> ExtendedFrame:
     detG = det2(G)
     if not abs(detG - 1.0) <= 1e-9:
         raise InvalidInputError(f"gauge must be unimodular, det = {detG}")
-    return replace(frame, F=mul2(G, frame.F))
+    return replace(frame, F=_frozen(mul2(G, frame.F)))

@@ -8,6 +8,11 @@ derivatives of the position f.
 Because <f, N> = 0, the ambient second derivatives may be paired with N
 directly: the components along f that distinguish ambient from intrinsic
 second derivatives are annihilated.
+
+`measure` differentiates one coordinate plane of f at a time and adds that
+plane's term to each Minkowski product in `mink_dot`'s order,
+((t0 + t1) + t2) - t3, so it holds no derivative grid of all four
+coordinates and its results keep `mink_dot`'s bits.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 from .frames import SpectralParam
 from .minkowski import mink_dot
-from .surface_data import GridSpec, SurfaceData, _locked, grid_derivatives
+from .surface_data import GridSpec, SurfaceData, _frozen, _locked, grid_derivatives
 from .surface_data import grid_second_derivatives
 from .surfaces import H3SurfaceGrid, NormalField
 
@@ -63,22 +68,42 @@ class ClosedFormData:
         object.__setattr__(self, "metric_factor", _locked(mf))
 
 
+def _add_term(total, c, term):
+    """`total` with coordinate c's `term` of a Minkowski product added in
+    `mink_dot`'s order, ((t0 + t1) + t2) - t3; `term` starts it at c = 0."""
+    if c == 0:
+        return term
+    if c < 3:
+        total += term
+    else:
+        total -= term
+    return total
+
+
 def measure(surface: H3SurfaceGrid, normal: NormalField) -> MeasuredData:
     """Measure E, Fc, G, Qm, Hm on every node of a surface grid.
 
     Uses f_zz = (f_xx - f_yy - 2i f_xy)/4 and f_zzbar = (f_xx + f_yy)/4,
     then Qm = <f_zz, N> and Hm = 2 <f_zzbar, N> / E (formed from <f_xx, N>,
     <f_yy, N> and <f_xy, N>) with the conformal factor read off from the
-    measured E.  An E that is not positive at some node raises NumericalError.
+    measured E.  An E that is not positive at some node raises NumericalError
+    before any second derivative is taken.
     """
     if surface.grid != normal.grid:
         raise InvalidInputError("surface and normal live on different grids")
     g = surface.grid
-    f = surface.points
+    f, N = surface.points, normal.vectors
     hx, hy = g.hx, g.hy
 
-    fx, fy = grid_derivatives(f, hx, hy)
-    E = mink_dot(fx, fx)
+    E = Fc = G = None
+    fxs = []  # each plane's f_x, kept for its f_xy
+    for c in range(4):
+        fx, fy = grid_derivatives(f[..., c], hx, hy)
+        E = _add_term(E, c, fx * fx)
+        Fc = _add_term(Fc, c, fx * fy)
+        G = _add_term(G, c, fy * fy)
+        fxs.append(fx)
+    del fx, fy
     # Hm and the conformality and isothermic defects divide by E; an E that
     # is not positive (or NaN) would make those checks a quiet pass
     if not np.all(E > 0.0):
@@ -86,16 +111,20 @@ def measure(surface: H3SurfaceGrid, normal: NormalField) -> MeasuredData:
         raise NumericalError(
             f"measured metric E = {E[i, j]:.3g} is not positive at grid node ({i}, {j})"
         )
-    Fc = mink_dot(fx, fy)
-    G = mink_dot(fy, fy)
-    del fy  # each derivative grid goes once used, to bound peak memory
-    N = normal.vectors
-    fxx_n, fyy_n, fxy_n = (mink_dot(d, N) for d in grid_second_derivatives(f, fx, hx, hy))
+    fxx_n = fyy_n = fxy_n = None
+    for c in range(4):
+        fxx, fyy, fxy = grid_second_derivatives(f[..., c], fxs[c], hx, hy)
+        fxs[c] = None
+        Nc = N[..., c]
+        fxx_n = _add_term(fxx_n, c, fxx * Nc)
+        fyy_n = _add_term(fyy_n, c, fyy * Nc)
+        fxy_n = _add_term(fxy_n, c, fxy * Nc)
+        del fxx, fyy, fxy
     Qm = 0.25 * (fxx_n - fyy_n - 2.0j * fxy_n)
     Hm = 0.5 * (fxx_n + fyy_n) / E
 
     warn = bool(np.max(np.abs(Fc) / E) > CONFORMAL_WARN_RATIO)
-    return MeasuredData(g, E, Fc, G, Qm, Hm, conformal_warning=warn)
+    return MeasuredData(g, *map(_frozen, (E, Fc, G, Qm, Hm)), conformal_warning=warn)
 
 
 def closed_form(data: SurfaceData, spectral: SpectralParam, sign: int) -> ClosedFormData:

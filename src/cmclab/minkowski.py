@@ -57,14 +57,28 @@ def mat2(a, b, c, d):
     return out
 
 
-def mul2(A, B):
+def entry2(row, col, out=None):
+    """One entry of a 2x2 product, row[0] col[0] + row[1] col[1]: `row` is
+    the pair of a left factor's row entries, `col` that of a right factor's
+    column, each entry a scalar or a plane (they broadcast).
+
+    The one kernel of every 2x2 product: `mul2` forms its four entries with
+    it, and the surfaces form each entry of F S conj(F)^t with it alone, so
+    no product stack is held.  The products are row entry * column entry,
+    in that order (see `mul2`).
+    """
+    return np.add(row[0] * col[0], row[1] * col[1], out=out)
+
+
+def mul2(A, B, out=None):
     """Product of 2x2 matrices on the trailing axes, formed entry by entry.
 
-    Each entry is A[i, 0] B[0, j] + A[i, 1] B[1, j] in elementwise numpy
-    arithmetic, so a stack costs a few whole-array operations instead of
-    one BLAS call per matrix; the leading axes broadcast, so a single 2x2
-    multiplies a whole stack.  The bits do not depend on memory layout, and
-    the product comes out entry-major.
+    Each entry is `entry2` of a row of A and a column of B, A[i, 0] B[0, j]
+    + A[i, 1] B[1, j] in elementwise numpy arithmetic, so a stack costs a
+    few whole-array operations instead of one BLAS call per matrix; the
+    leading axes broadcast, so a single 2x2 multiplies a whole stack.  The
+    bits do not depend on memory layout.  The product comes out entry-major,
+    or is written into `out`, which must not overlap A or B.
 
     Operand order is part of the result: numpy's vectorised complex `*` is
     not bitwise commutative (on AVX-512, z * w and w * z differ in the last
@@ -76,11 +90,13 @@ def mul2(A, B):
     """
     A = np.asarray(A)
     B = np.asarray(B)
-    shape = np.broadcast_shapes(A.shape, B.shape)
-    out = empty_planes(shape[:-2], (2, 2), np.result_type(A, B))
+    if out is None:
+        shape = np.broadcast_shapes(A.shape, B.shape)
+        out = empty_planes(shape[:-2], (2, 2), np.result_type(A, B))
     for i in (0, 1):
         for j in (0, 1):
-            np.add(A[..., i, 0] * B[..., 0, j], A[..., i, 1] * B[..., 1, j], out=out[..., i, j])
+            row, col = (A[..., i, 0], A[..., i, 1]), (B[..., 0, j], B[..., 1, j])
+            entry2(row, col, out=out[..., i, j])
     return out
 
 
@@ -95,13 +111,34 @@ def conj_transpose(M):
     return np.conj(np.swapaxes(M, -1, -2))
 
 
+def _off_diagonal_defect(b, c):
+    """Largest |b - conj(c)| of a matrix grid's off-diagonal entries b, c."""
+    return np.max(np.abs(b - np.conj(c)), initial=0.0)
+
+
+def _diagonal_defect(a):
+    """Largest |2 Im a| of a matrix grid's diagonal entry a."""
+    return 2.0 * np.max(np.abs(a.imag), initial=0.0)
+
+
 def hermitian_defect(M):
     """Largest entrywise deviation of M from its conjugate transpose, read
     off |b - conj(c)| and the diagonal's |2 Im|: the same bits, no copy."""
     M = np.asarray(M)
-    off = np.max(np.abs(M[..., 0, 1] - np.conj(M[..., 1, 0])))
-    diag = 2.0 * np.max(np.abs(np.diagonal(M, axis1=-2, axis2=-1).imag))
-    return float(np.maximum(off, diag))  # a NaN in either propagates
+    diag = np.maximum(_diagonal_defect(M[..., 0, 0]), _diagonal_defect(M[..., 1, 1]))
+    # a NaN in any term propagates
+    return float(np.maximum(_off_diagonal_defect(M[..., 0, 1], M[..., 1, 0]), diag))
+
+
+def _require_within(defect, largest, what):
+    """Refuse a Hermitian defect above HERMITIAN_RTOL * (1 + largest entry
+    magnitude); a NaN is refused too."""
+    scale = 1.0 + float(largest)
+    if not defect <= HERMITIAN_RTOL * scale:
+        raise InvalidInputError(
+            f"{what} is not Hermitian: defect {defect:.3e} exceeds "
+            f"{HERMITIAN_RTOL * scale:.3e}"
+        )
 
 
 def require_hermitian(M, what="matrix"):
@@ -110,13 +147,7 @@ def require_hermitian(M, what="matrix"):
     Tolerance is HERMITIAN_RTOL * (1 + max entry magnitude).
     """
     M = np.asarray(M, dtype=complex)
-    scale = 1.0 + float(np.max(np.abs(M))) if M.size else 1.0
-    defect = hermitian_defect(M) if M.size else 0.0
-    if not defect <= HERMITIAN_RTOL * scale:
-        raise InvalidInputError(
-            f"{what} is not Hermitian: defect {defect:.3e} exceeds "
-            f"{HERMITIAN_RTOL * scale:.3e}"
-        )
+    _require_within(hermitian_defect(M), np.max(np.abs(M), initial=0.0), what)
     return M
 
 
@@ -127,22 +158,46 @@ def to_hermitian(p):
     return mat2(x0 + x3, x1 - 1j * x2, x1 + 1j * x2, x0 - x3)
 
 
+def hermitian_points(entry, shape, what="matrix"):
+    """The coordinates (x1, x2, x3, x0) of a grid of `shape` of Hermitian
+    matrices M given entry by entry: entry(i, j) returns the plane M[..., i, j].
+
+    Each entry is reduced as soon as it is formed, to its share of the
+    coordinates and of the Hermitian check, and dropped, so at most two
+    entries are held at once and no matrix stack at all.  The check is
+    `require_hermitian`'s, with the same bits: defect and largest magnitude
+    over all four entries.  Imaginary round-off within the tolerance is
+    discarded.
+    """
+    out = empty_planes(shape, (4,), float)
+    largest = []  # each entry's largest magnitude
+
+    def formed(i, j):
+        m = entry(i, j)
+        largest.append(np.max(np.abs(m), initial=0.0))
+        return m
+
+    a, d = formed(0, 0), formed(1, 1)
+    diag = np.maximum(_diagonal_defect(a), _diagonal_defect(d))
+    a, d = a.real, d.real
+    out[..., 2] = 0.5 * (a - d)
+    out[..., 3] = 0.5 * (a + d)
+    del a, d
+    c, b = formed(1, 0), formed(0, 1)
+    defect = float(np.maximum(_off_diagonal_defect(b, c), diag))
+    _require_within(defect, np.max(largest), what)
+    out[..., 0] = 0.5 * (b + c).real
+    out[..., 1] = 0.5 * (c - b).imag
+    return out
+
+
 def from_hermitian(M):
     """Invert `to_hermitian`, validating hermiticity first.
 
     Imaginary round-off within the Hermitian tolerance is discarded.
     """
-    M = require_hermitian(M)
-    a = M[..., 0, 0].real
-    d = M[..., 1, 1].real
-    b = M[..., 0, 1]
-    c = M[..., 1, 0]
-    out = empty_planes(M.shape[:-2], (4,), float)
-    out[..., 0] = 0.5 * (b + c).real
-    out[..., 1] = 0.5 * (c - b).imag
-    out[..., 2] = 0.5 * (a - d)
-    out[..., 3] = 0.5 * (a + d)
-    return out
+    M = np.asarray(M, dtype=complex)
+    return hermitian_points(lambda i, j: M[..., i, j], M.shape[:-2])
 
 
 def minkowski_inner(X, Y):

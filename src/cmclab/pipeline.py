@@ -40,6 +40,7 @@ from .report import (
 from .surface_data import (
     GridSpec,
     SurfaceData,
+    _frozen,
     cylinder_data,
     delaunay_data,
     gauss_residual,
@@ -199,7 +200,7 @@ def load_frame(path) -> ExtendedFrame:
             k = tuple(int(i) for i in np.unravel_index(np.argmax(bad), a.shape))
             where = f"{name}{list(k)}" if k else name
             raise InvalidInputError(f"{path}: {where} = {a[k]} is not finite")
-    F = members["F"]
+    F = _frozen(members["F"])
     try:
         grid = GridSpec(*members["extents"].tolist(), *F.shape[:2])
         spectral = SpectralParam(float(members["lam"]))
@@ -217,17 +218,28 @@ def _write_report_files(out: Path, report: VerificationReport):
     (out / REPORT_MACHINE_FILE).write_text(render_machine(report))
 
 
+def _require_directory_path(out: Path) -> None:
+    """Refuse an `out` that is an existing file or lies under one."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise InvalidInputError(f"out_dir {out}: {path} is not a directory")
+            return
+
+
 def run(config: RunConfig) -> VerificationReport:
     """Full pipeline; writes every output file and returns the report.
 
-    Everything is computed before `out_dir` is made, so a refused run
-    leaves no `out_dir` behind."""
+    An `out_dir` that is a file, or lies under one, is refused before any
+    work; everything else is computed before `out_dir` is made, so a refused
+    run leaves no `out_dir` behind."""
+    out = Path(config.out_dir)
+    _require_directory_path(out)
     data = generate_data(config)
     _require_normalized(data)
     frame = integrate_frame(data, config.spectral())
     sides = evaluate(frame)
     report = _report(data, sides, resolve_tolerances(config.tolerances))
-    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_surface_data(out / SURFACE_FILE, data)
     save_frame(out / FRAME_FILE, frame)
@@ -251,6 +263,20 @@ def load_outputs(in_dir):
     return load_surface_data(paths[0]), load_frame(paths[1])
 
 
+def read_machine_report(in_dir) -> tuple[str, VerificationReport]:
+    """The text of a run directory's `report.kv` and the report it holds.
+
+    The one reader of a stored `report.kv`: a file that is missing, is not
+    UTF-8 or does not parse is refused, an encoding error with the file's
+    path."""
+    path = require_output(Path(in_dir) / REPORT_MACHINE_FILE)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
+    return text, parse_machine(text)
+
+
 def verify_outputs(in_dir) -> VerificationReport:
     """Re-run the theorem checks on stored outputs and refresh the reports.
 
@@ -260,10 +286,10 @@ def verify_outputs(in_dir) -> VerificationReport:
     whose check names or tolerances `resolve_tolerances` refuses.
     """
     in_dir = Path(in_dir)
-    path = require_output(in_dir / REPORT_MACHINE_FILE)
-    tols = {r.name: r.tolerance for r in parse_machine(path.read_text()).records}
+    tols = {r.name: r.tolerance for r in read_machine_report(in_dir)[1].records}
     missing = [name for name in registry_names() if name not in tols]
     if missing:
+        path = in_dir / REPORT_MACHINE_FILE
         raise InvalidInputError(f"{path}: no stored tolerance for {', '.join(missing)}")
     data, frame = load_outputs(in_dir)
     report = verify_theorem(data, frame, tols)

@@ -39,12 +39,44 @@ GRID_NODE_RTOL = 1e-6
 MIN_NODES = 6
 
 
-def _locked(a, dtype=float, shape=None, what=None, entries=0):
-    """A read-only copy of `a`; refused unless of `shape`, when one is given.
+def _frozen(a):
+    """`a`, marked read-only down its whole `base` chain: how a builder hands
+    a container the array it has just made, so that `_locked` holds it
+    without a copy.  Only for arrays nothing else refers to."""
+    b = a
+    while isinstance(b, np.ndarray):
+        b.flags.writeable = False
+        b = b.base
+    return a
 
-    With `entries` = k the copy is entry-major in its last k axes
-    (`minkowski.empty_planes`), whatever layout `a` comes in.
+
+def _read_only(a):
+    """Whether `a` and every array down its `base` chain are read-only, the
+    chain ending in an array that owns its memory."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
+def _locked(a, dtype=float, shape=None, what=None, entries=0):
+    """`a` as a read-only array of `dtype`; refused unless of `shape`, when
+    one is given.  With `entries` = k it is entry-major in its last k axes
+    (`minkowski.empty_planes`), otherwise C-contiguous.
+
+    An array is held as it is when nothing can write it, that is when it
+    and every array down its `base` chain are read-only (`_frozen` marks a
+    builder's fresh arrays so), and when it already has `dtype` and that
+    layout.  Any other array is copied, a caller's writeable array and a
+    read-only view of one included, so the container never shares memory
+    that someone may still write.
     """
+    if isinstance(a, np.ndarray) and a.dtype == dtype and _read_only(a):
+        k = a.ndim - entries
+        planes = a.transpose((*range(k, a.ndim), *range(k)))
+        if planes.flags.c_contiguous and (shape is None or a.shape == shape):
+            return a
     a = np.asarray(a, dtype=dtype) if entries else np.array(a, dtype=dtype)
     if shape is not None and a.shape != shape:
         raise InvalidInputError(f"{what} has shape {a.shape}, expected {shape}")
@@ -125,7 +157,7 @@ class SurfaceData:
 
 def cylinder_data(grid, H=0.5):
     """Round-cylinder data: u = 0 and normalized Q = H/2 on the whole grid."""
-    return SurfaceData(grid, np.zeros((grid.nx, grid.ny)), Q=0.5 * H, H=H)
+    return SurfaceData(grid, _frozen(np.zeros((grid.nx, grid.ny))), Q=0.5 * H, H=H)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,48 +183,51 @@ class DelaunayProfile:
         return float(np.max(np.abs(e - e[0])))
 
 
-def _profile_rhs(u, v, Q, H):
-    return v, 4.0 * Q**2 * math.exp(-2.0 * u) - H**2 * math.exp(2.0 * u)
-
-
-def _profile_step(u, v, h, Q, H):
-    # classical RK4 on (u, v)
-    k1u, k1v = _profile_rhs(u, v, Q, H)
-    k2u, k2v = _profile_rhs(u + 0.5 * h * k1u, v + 0.5 * h * k1v, Q, H)
-    k3u, k3v = _profile_rhs(u + 0.5 * h * k2u, v + 0.5 * h * k2v, Q, H)
-    k4u, k4v = _profile_rhs(u + h * k3u, v + h * k3v, Q, H)
-    return (
-        u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
-        v + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
-    )
-
-
 def _integrate_profile(H, x0, x1, u0, du0, n_steps):
+    """Classical RK4 on (u, u') for u'' = 4Q^2 e^{-2u} - H^2 e^{2u}, Q = H/2,
+    in n_steps equal steps from x0 to x1; the steps run inline, with the
+    constants 4Q^2, H^2, h/2 and h/6 taken once."""
     if n_steps > MAX_PROFILE_STEPS:
         raise InvalidInputError(
             f"x range too wide: the profile would take {n_steps:.3g} RK4 steps "
             f"of at most {PROFILE_STEP:g}, more than {MAX_PROFILE_STEPS:.0e}"
         )
-    Q = 0.5 * H
     h = (x1 - x0) / n_steps
+    half, sixth = 0.5 * h, h / 6.0
+    exp = math.exp
     us = np.empty(n_steps + 1)
     dus = np.empty(n_steps + 1)
     us[0], dus[0] = u0, du0
     u, v = u0, du0
-    for k in range(n_steps):
-        try:
-            u, v = _profile_step(u, v, h, Q, H)
-        except OverflowError:
-            raise IntegrationBlowupError(
-                f"profile overflowed near x = {x0 + (k + 1) * h:.6g}",
-                x=x0 + (k + 1) * h,
-            ) from None
-        if abs(u) > BLOWUP_LIMIT:
-            raise IntegrationBlowupError(
-                f"profile left the representable range near x = {x0 + (k + 1) * h:.6g}",
-                x=x0 + (k + 1) * h,
+    k = 0
+    try:
+        Q = 0.5 * H
+        # like exp, ** raises OverflowError: a huge H blows up at the first step
+        four_q2, h2 = 4.0 * Q**2, H**2
+        for k in range(n_steps):
+            # stage s has the slopes (ks_u, ks_v); k1_u is v itself
+            k1v = four_q2 * exp(-2.0 * u) - h2 * exp(2.0 * u)
+            k2u, w = v + half * k1v, u + half * v
+            k2v = four_q2 * exp(-2.0 * w) - h2 * exp(2.0 * w)
+            k3u, w = v + half * k2v, u + half * k2u
+            k3v = four_q2 * exp(-2.0 * w) - h2 * exp(2.0 * w)
+            k4u, w = v + h * k3v, u + h * k3u
+            k4v = four_q2 * exp(-2.0 * w) - h2 * exp(2.0 * w)
+            u, v = (
+                u + sixth * (v + 2.0 * k2u + 2.0 * k3u + k4u),
+                v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
             )
-        us[k + 1], dus[k + 1] = u, v
+            if abs(u) > BLOWUP_LIMIT:
+                raise IntegrationBlowupError(
+                    f"profile left the representable range near x = {x0 + (k + 1) * h:.6g}",
+                    x=x0 + (k + 1) * h,
+                )
+            us[k + 1], dus[k + 1] = u, v
+    except OverflowError:
+        raise IntegrationBlowupError(
+            f"profile overflowed near x = {x0 + (k + 1) * h:.6g}",
+            x=x0 + (k + 1) * h,
+        ) from None
     return us, dus
 
 
@@ -227,7 +262,7 @@ def delaunay_data(grid, H, u0, du0):
     us, _ = _integrate_profile(H, grid.x_min, grid.x_max, u0, du0, n)
     profile = us[::per_cell]
     u = np.repeat(profile[:, None], grid.ny, axis=1)
-    return SurfaceData(grid, u, Q=0.5 * H, H=H)
+    return SurfaceData(grid, _frozen(u), Q=0.5 * H, H=H)
 
 
 def gauss_residual(data):
@@ -245,7 +280,7 @@ def max_gauss_residual(data):
 
 def dual_data(data):
     """Christoffel-dual data: u -> -u with Q and H unchanged (involution)."""
-    return SurfaceData(data.grid, -data.u, Q=data.Q, H=data.H)
+    return SurfaceData(data.grid, _frozen(-data.u), Q=data.Q, H=data.H)
 
 
 # one-sided weights at the first two nodes of a line, over its first six.  The

@@ -9,8 +9,13 @@ Writing lam = e^q, the two satisfy the exact pointwise identity
 where N = F diag(1, -1) conj(F)^t is the unit normal of the primary
 surface, so the shifted surface lies at constant geodesic distance -q
 along the normal.  Each product F S conj(F)^t (S = I or diag(1, -1)) is
-mul2(F, S conj(F)^t), S applied by negating a row of conj_transpose(F) in
-place; a product's bits do not depend on which factor carries a sign.
+formed one entry at a time (`_hermitian_product`): entry (i, j) is
+`minkowski.entry2` of row i of F and column j of S conj(F)^t, S applied by
+negating that column's second entry, and `minkowski.hermitian_points`
+reduces it at once to its share of the hyperboloid coordinates and of the
+Hermitian check, then drops it.  So neither conj(F)^t nor the product is
+ever held as a stack; the bits are those of mul2(F, S conj(F)^t), and a
+product's bits do not depend on which factor carries a sign.
 from_hermitian is linear, so `parallel_identity_defect` checks the identity
 on the hyperboloid coordinates the two sides already hold.
 """
@@ -23,9 +28,9 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .frames import DET_DRIFT_TOL, ExtendedFrame, SpectralParam, shift_frame
-from .minkowski import conj_transpose, from_hermitian, mink_dot, mul2, require_h3
+from .minkowski import entry2, hermitian_points, mink_dot, require_h3
 from .report import SIDES
-from .surface_data import GridSpec, _locked
+from .surface_data import GridSpec, _frozen, _locked
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,11 +69,23 @@ class NormalField:
         object.__setattr__(self, "vectors", v)
 
 
+def _hermitian_product(F, sign):
+    """The coordinates from_hermitian(F S conj(F)^t) with S = diag(1, sign),
+    formed one entry at a time by `entry2`, read-only for a container."""
+
+    def entry(i, j):
+        col = np.conj(F[..., j, 0]), np.conj(F[..., j, 1])  # column j of conj(F)^t
+        if sign < 0:
+            np.negative(col[1], out=col[1])
+        return entry2((F[..., i, 0], F[..., i, 1]), col)
+
+    return _frozen(hermitian_points(entry, F.shape[:-2]))
+
+
 def _surface(frame: ExtendedFrame, kind: str) -> H3SurfaceGrid:
     """The surface F conj(F)^t of `frame` on side `kind`; on a shifted
     frame FD this is the shifted surface."""
-    points = from_hermitian(mul2(frame.F, conj_transpose(frame.F)))
-    return H3SurfaceGrid(frame.grid, points, frame.spectral, kind)
+    return H3SurfaceGrid(frame.grid, _hermitian_product(frame.F, 1), frame.spectral, kind)
 
 
 def surface_primary(frame: ExtendedFrame) -> H3SurfaceGrid:
@@ -86,9 +103,7 @@ def normal_field(frame: ExtendedFrame) -> NormalField:
 
     Applied to a shifted frame this gives the shifted surface's normal.
     """
-    SF = conj_transpose(frame.F)
-    np.negative(SF[..., 1, :], out=SF[..., 1, :])  # diag(1, -1) conj(F)^t
-    return NormalField(frame.grid, from_hermitian(mul2(frame.F, SF)))
+    return NormalField(frame.grid, _hermitian_product(frame.F, -1))
 
 
 def normal_unit_defect(normal: NormalField) -> float:

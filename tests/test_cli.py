@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from cmclab import pipeline
 from cmclab.cli import main
 from cmclab.pipeline import DIAGNOSTICS_FILE, FRAME_FILE, REPORT_MACHINE_FILE
 from cmclab.surface_data import MIN_NODES, GridSpec, SurfaceData, save_surface_data
@@ -145,6 +146,38 @@ def test_unreadable_input_exits_2(tmp_path, capsys, fault):
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_out_dir_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch, under):
+    # the whole run used to be computed first and thrown away at mkdir
+    def never(*args, **kwargs):
+        raise AssertionError("a refused out_dir must not be integrated")
+
+    monkeypatch.setattr(pipeline, "integrate_frame", never)
+    blocker = tmp_path / "o"
+    blocker.write_text("")
+    out = blocker / "run" if under else blocker
+    cfg = write_config(tmp_path / "cfg.json", out_dir=str(out))
+    assert main(["generate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert str(out) in err and "not a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "o"]
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_report_kv_not_utf8_names_the_file(generated, tmp_path, capsys, command):
+    _, out, _ = generated
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    path = run_dir / REPORT_MACHINE_FILE
+    path.write_bytes(b"\xff" + path.read_bytes())
+    assert main([command, "--in", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert f"{path}: " in err and "can't decode byte 0xff" in err
 
 
 @pytest.mark.parametrize(
