@@ -31,6 +31,12 @@ from .errors import InternalConsistencyError, InvalidInputError
 # logic errors.
 HERMITIAN_RTOL = 1e-9
 
+# the integrator holds |det F - 1| to DET_DRIFT_TOL; a point F conj(F)^t
+# then misses the sheet by | |det F|^2 - 1 | <= H3_TOL, the one bound on
+# hyperboloid points
+DET_DRIFT_TOL = 1e-8
+H3_TOL = DET_DRIFT_TOL * (2.0 + DET_DRIFT_TOL)
+
 
 def empty_planes(shape, entries, dtype=complex):
     """An uninitialised array of shape `shape + entries` laid out entry-major:
@@ -130,27 +136,6 @@ def hermitian_defect(M):
     return float(np.maximum(_off_diagonal_defect(M[..., 0, 1], M[..., 1, 0]), diag))
 
 
-def _require_within(defect, largest, what):
-    """Refuse a Hermitian defect above HERMITIAN_RTOL * (1 + largest entry
-    magnitude); a NaN is refused too."""
-    scale = 1.0 + float(largest)
-    if not defect <= HERMITIAN_RTOL * scale:
-        raise InvalidInputError(
-            f"{what} is not Hermitian: defect {defect:.3e} exceeds "
-            f"{HERMITIAN_RTOL * scale:.3e}"
-        )
-
-
-def require_hermitian(M, what="matrix"):
-    """Raise InvalidInputError unless M is Hermitian within tolerance.
-
-    Tolerance is HERMITIAN_RTOL * (1 + max entry magnitude).
-    """
-    M = np.asarray(M, dtype=complex)
-    _require_within(hermitian_defect(M), np.max(np.abs(M), initial=0.0), what)
-    return M
-
-
 def to_hermitian(p):
     """Map coordinate points (..., 4) = (x1, x2, x3, x0) to Hermitian matrices."""
     p = np.asarray(p, dtype=float)
@@ -164,10 +149,11 @@ def hermitian_points(entry, shape, what="matrix"):
 
     Each entry is reduced as soon as it is formed, to its share of the
     coordinates and of the Hermitian check, and dropped, so at most two
-    entries are held at once and no matrix stack at all.  The check is
-    `require_hermitian`'s, with the same bits: defect and largest magnitude
-    over all four entries.  Imaginary round-off within the tolerance is
-    discarded.
+    entries are held at once and no matrix stack at all.  The one Hermitian
+    gate: the defect over all four entries (`hermitian_defect`'s bits) may
+    not exceed HERMITIAN_RTOL * (1 + largest entry magnitude), and a NaN is
+    refused, with InvalidInputError naming `what`.  Imaginary round-off
+    within the tolerance is discarded.
     """
     out = empty_planes(shape, (4,), float)
     largest = []  # each entry's largest magnitude
@@ -185,30 +171,34 @@ def hermitian_points(entry, shape, what="matrix"):
     del a, d
     c, b = formed(1, 0), formed(0, 1)
     defect = float(np.maximum(_off_diagonal_defect(b, c), diag))
-    _require_within(defect, np.max(largest), what)
+    tol = HERMITIAN_RTOL * (1.0 + float(np.max(largest)))
+    if not defect <= tol:
+        raise InvalidInputError(
+            f"{what} is not Hermitian: defect {defect:.3e} exceeds {tol:.3e}"
+        )
     out[..., 0] = 0.5 * (b + c).real
     out[..., 1] = 0.5 * (c - b).imag
     return out
 
 
-def from_hermitian(M):
-    """Invert `to_hermitian`, validating hermiticity first.
+def from_hermitian(M, what="matrix"):
+    """Invert `to_hermitian` through the Hermitian gate of `hermitian_points`,
+    whose refusal names `what`.
 
     Imaginary round-off within the Hermitian tolerance is discarded.
     """
     M = np.asarray(M, dtype=complex)
-    return hermitian_points(lambda i, j: M[..., i, j], M.shape[:-2])
+    return hermitian_points(lambda i, j: M[..., i, j], M.shape[:-2], what)
 
 
 def minkowski_inner(X, Y):
     """Minkowski product -1/2 tr(X s Y^T s) of two Hermitian matrices.
 
     Equals x1*y1 + x2*y2 + x3*y3 - x0*y0 in coordinates, which is how it is
-    computed.  Both arguments must be Hermitian within tolerance.
+    computed.  Both arguments must be Hermitian within tolerance; each is
+    checked once, by `from_hermitian`.
     """
-    X = require_hermitian(X, "first argument")
-    Y = require_hermitian(Y, "second argument")
-    return mink_dot(from_hermitian(X), from_hermitian(Y))
+    return mink_dot(from_hermitian(X, "first argument"), from_hermitian(Y, "second argument"))
 
 
 def mink_dot(p, q):
@@ -232,14 +222,14 @@ def h3_defect(p):
     return float(np.max(np.abs(mink_dot(p, p) + 1.0)))
 
 
-def require_h3(p, tol, what="point"):
-    """Validate hyperboloid membership: x0 > 0 and <p, p> = -1 within tol."""
+def require_h3(p, what="point"):
+    """Validate hyperboloid membership: x0 > 0 and <p, p> = -1 within H3_TOL."""
     p = np.asarray(p, dtype=float)
     if np.any(p[..., 3] <= 0.0):
         raise InternalConsistencyError(f"{what} has non-positive x0")
     defect = h3_defect(p)
-    if not defect <= tol:
+    if not defect <= H3_TOL:
         raise InvalidInputError(
-            f"{what} is off the unit hyperboloid: defect {defect:.3e} > {tol:.3e}"
+            f"{what} is off the unit hyperboloid: defect {defect:.3e} > {H3_TOL:.3e}"
         )
     return p

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .config import RunConfig
-from .frames import DET_DRIFT_TOL, ExtendedFrame, SpectralParam, integrate_frame
+from .frames import ExtendedFrame, SpectralParam, integrate_frame
 from .minkowski import require_h3
 from .report import (
     SIDES,
@@ -75,7 +75,7 @@ def poincare_ball(p):
     """
     p = np.asarray(p, dtype=float)
     # the points are surface points F F*, held to the same bound as those
-    require_h3(p, tol=DET_DRIFT_TOL, what="ball projection input")
+    require_h3(p, what="ball projection input")
     return p[..., :3] / (1.0 + p[..., 3:4])
 
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .frames import DET_DRIFT_TOL, ExtendedFrame, SpectralParam, shift_frame
-from .minkowski import entry2, hermitian_points, mink_dot, require_h3
+from .frames import ExtendedFrame, SpectralParam, shift_frame
+from .minkowski import H3_TOL, entry2, hermitian_points, mink_dot, require_h3
 from .report import SIDES
 from .surface_data import GridSpec, _frozen, _locked
 
@@ -49,9 +49,9 @@ class H3SurfaceGrid:
         pts = _locked(
             self.points, float, (self.grid.nx, self.grid.ny, 4), "points", entries=1
         )
-        # a point F F* misses the hyperboloid by |det F|^2 - 1, so it answers
-        # to the bound the integrator holds |det F - 1| to
-        require_h3(pts, tol=DET_DRIFT_TOL, what=f"{self.kind} surface")
+        # a point F F* misses the hyperboloid by |det F|^2 - 1, so require_h3
+        # holds it to H3_TOL, derived from the integrator's bound on |det F - 1|
+        require_h3(pts, what=f"{self.kind} surface")
         object.__setattr__(self, "points", pts)
 
 
@@ -148,14 +148,14 @@ def hyperbolic_distance(p, s):
     """Geodesic distance arccosh(-<p, s>) between hyperboloid points.
 
     Accepts single coordinate 4-vectors or broadcastable batches.  Values of
-    -<p, s> within DET_DRIFT_TOL below 1 (coincident points as far off the
+    -<p, s> within H3_TOL below 1 (coincident points as far off the
     hyperboloid as H3SurfaceGrid admits them) are clamped to distance zero;
     anything lower, or NaN, is rejected.
     """
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)
     c = -mink_dot(p, s)
-    if not np.all(c >= 1.0 - DET_DRIFT_TOL):
+    if not np.all(c >= 1.0 - H3_TOL):
         worst = float(np.min(c))
         raise InvalidInputError(
             f"-<p, s> = {worst:.12g}, not >= 1; points are not a hyperboloid pair"

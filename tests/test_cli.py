@@ -7,7 +7,14 @@ import pytest
 
 from cmclab import pipeline
 from cmclab.cli import main
-from cmclab.pipeline import DIAGNOSTICS_FILE, FRAME_FILE, REPORT_MACHINE_FILE
+from cmclab.pipeline import (
+    DIAGNOSTICS_FILE,
+    FRAME_FILE,
+    MESH_FILES,
+    REPORT_MACHINE_FILE,
+    REPORT_TEXT_FILE,
+    SURFACE_FILE,
+)
 from cmclab.surface_data import MIN_NODES, GridSpec, SurfaceData, save_surface_data
 
 
@@ -592,3 +599,32 @@ def test_delaunay_family_end_to_end(tmp_path):
         )
     )
     assert main(["generate", "--config", str(cfg)]) == 0
+
+
+# the README's example config, less its grid size and out_dir
+README_DELAUNAY = {
+    "family": "delaunay", "H": 0.5, "u0": 0.3, "du0": 0.0, "lambda": 0.5,
+    "tolerances": {"metric_match_primary": 1e-3},
+}
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [dict(README_DELAUNAY, nx=18, ny=18), {"family": "cylinder", "lambda": 0.5, "nx": 17, "ny": 17}],
+    ids=["delaunay-18", "cylinder-17"],
+)
+def test_frame_within_the_drift_bound_is_reported_not_refused(tmp_path, keys):
+    # these frames pass the determinant monitor with drift just under 1e-8,
+    # so their points, about twice that off the sheet, are within the bound
+    # derived from it: the run is written and its round-off checks FAIL
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "cfg.json", out_dir=str(out), **keys)
+    assert main(["generate", "--config", str(cfg)]) == 1
+    written = {SURFACE_FILE, FRAME_FILE, *MESH_FILES, DIAGNOSTICS_FILE,
+               REPORT_TEXT_FILE, REPORT_MACHINE_FILE}
+    assert {p.name for p in out.iterdir()} == written and len(written) == 7
+    lines = (out / REPORT_MACHINE_FILE).read_text().splitlines()
+    failed = {ln.split()[0] for ln in lines if ln.endswith(" FAIL")}
+    assert failed == {"normal_unit_max_dev", "equidistance_max_dev"}
+    assert main(["verify", "--in", str(out)]) == 1
+    assert main(["export", "--in", str(out)]) == 0

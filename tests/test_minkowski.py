@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cmclab import minkowski
 from cmclab.errors import InternalConsistencyError, InvalidInputError
 from cmclab.minkowski import (
     conj_transpose,
@@ -15,7 +16,6 @@ from cmclab.minkowski import (
     mink_dot,
     mul2,
     require_h3,
-    require_hermitian,
     to_hermitian,
 )
 
@@ -82,8 +82,21 @@ class TestTraceForm:
 
     def test_rejects_non_hermitian(self):
         M = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="first argument is not Hermitian"):
             minkowski_inner(M, IDENTITY)
+        with pytest.raises(InvalidInputError, match="second argument is not Hermitian"):
+            minkowski_inner(IDENTITY, M)
+
+    def test_runs_the_hermitian_gate_once_per_argument(self, monkeypatch):
+        # the gate reads each argument's off-diagonal defect; a second
+        # check before the coordinates are read would read it again
+        calls = []
+        defect = minkowski._off_diagonal_defect
+        monkeypatch.setattr(
+            minkowski, "_off_diagonal_defect", lambda b, c: calls.append(1) or defect(b, c)
+        )
+        minkowski_inner(IDENTITY, DIAG_1_M1)
+        assert len(calls) == 2
 
 
 class TestHermitianMap:
@@ -195,8 +208,8 @@ class TestProductKernel:
     def test_frame_times_its_conjugate_transpose_is_hermitian(self):
         rng = np.random.default_rng(17)
         F = random_unimodular(rng, 10_000)
-        M = require_hermitian(mul2(F, conj_transpose(F)))
-        assert np.all(M[:, 0, 0].real > 0.0)
+        p = from_hermitian(mul2(F, conj_transpose(F)))
+        assert np.all(p[:, 3] > 0.0)
 
 
 def _full_hermitian_defect(M):
@@ -231,24 +244,24 @@ class TestHermitianDefect:
     def test_nan_is_refused(self):
         # a NaN defect is no pass: the gate reads `not defect <= tol`
         with pytest.raises(InvalidInputError, match="defect nan"):
-            require_hermitian(np.full((3, 2, 2), np.nan, dtype=complex))
+            from_hermitian(np.full((3, 2, 2), np.nan, dtype=complex))
 
 
 class TestH3Validation:
     def test_identity_point(self):
-        require_h3(np.array([0.0, 0.0, 0.0, 1.0]), tol=1e-9)
+        require_h3(np.array([0.0, 0.0, 0.0, 1.0]))
 
     def test_rejects_negative_x0(self):
         with pytest.raises(InternalConsistencyError):
-            require_h3(np.array([0.0, 0.0, 0.0, -1.0]), tol=1e-9)
+            require_h3(np.array([0.0, 0.0, 0.0, -1.0]))
 
     def test_rejects_off_sheet(self):
         with pytest.raises(InvalidInputError):
-            require_h3(np.array([0.0, 0.0, 0.0, 2.0]), tol=1e-9)
+            require_h3(np.array([0.0, 0.0, 0.0, 2.0]))
 
     def test_rejects_nan(self):
         with pytest.raises(InvalidInputError, match="defect nan"):
-            require_h3(np.full((5, 4), np.nan), tol=1e-9)
+            require_h3(np.full((5, 4), np.nan))
 
     def test_defect_of_boosted_point(self):
         t = 0.8

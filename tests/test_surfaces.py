@@ -9,11 +9,20 @@ from cmclab.errors import InternalConsistencyError, InvalidInputError
 from cmclab.frames import (
     ExtendedFrame,
     SpectralParam,
+    cylinder_frame_lax_gauge,
     frame_left_multiply,
     integrate_frame,
     shift_frame,
 )
-from cmclab.minkowski import conj_transpose, from_hermitian, mul2, to_hermitian
+from cmclab.minkowski import (
+    DET_DRIFT_TOL,
+    H3_TOL,
+    conj_transpose,
+    from_hermitian,
+    h3_defect,
+    mul2,
+    to_hermitian,
+)
 from cmclab.surface_data import GridSpec, cylinder_data
 from cmclab.surfaces import (
     H3SurfaceGrid,
@@ -28,6 +37,7 @@ from cmclab.surfaces import (
     surface_primary,
     surface_shifted,
 )
+from cmclab.verify import evaluate
 
 
 def identity_frame(n=6, lam=0.5):
@@ -81,6 +91,18 @@ class TestSurfacePoints:
         pts = np.tile([0.0, 0.0, 0.0, 2.0], (6, 6, 1))
         with pytest.raises(InvalidInputError):
             H3SurfaceGrid(g, pts, SpectralParam(0.5), "primary")
+
+    def test_frame_at_the_drift_bound_builds_both_sides(self):
+        # det(c F) = c^2 det F: a real root scales the unimodular closed-form
+        # cylinder frame to det 1 + 0.9 DET_DRIFT_TOL, which the integrator
+        # admits; its points miss the sheet by about twice that
+        g = GridSpec(-1, 1, -1, 1, 41, 41)
+        z = g.xs()[:, None] + 1j * g.ys()[None, :]
+        F = np.sqrt(1.0 + 0.9 * DET_DRIFT_TOL) * cylinder_frame_lax_gauge(z, 0.5)
+        frame = ExtendedFrame(g, F, SpectralParam(0.5))
+        assert frame.max_det_drift == pytest.approx(0.9 * DET_DRIFT_TOL, abs=1e-15)
+        for side in evaluate(frame):
+            assert DET_DRIFT_TOL < h3_defect(side.surface.points) <= H3_TOL
 
     def test_unknown_kind_rejected(self):
         g = GridSpec(-1, 1, -1, 1, 6, 6)
@@ -175,9 +197,10 @@ class TestHyperbolicDistance:
             hyperbolic_distance([0, 0, 0, 0.5], [0, 0, 0, 1.0])
 
     def test_clamped_at_the_bound_points_are_admitted_under(self):
-        # H3SurfaceGrid admits points DET_DRIFT_TOL off the hyperboloid, so
-        # coincident points may show -<p, s> that far below 1
-        assert hyperbolic_distance([0, 0, 0, 1.0], [0, 0, 0, 1.0 - 5e-9]) == 0.0
+        # H3SurfaceGrid admits points H3_TOL (about 2e-8) off the hyperboloid,
+        # so coincident points may show -<p, s> that far below 1
+        for below in (5e-9, 1.5e-8):
+            assert hyperbolic_distance([0, 0, 0, 1.0], [0, 0, 0, 1.0 - below]) == 0.0
 
     def test_nan_point_rejected(self):
         with pytest.raises(InvalidInputError, match="not a hyperboloid pair"):

@@ -1,8 +1,9 @@
 """The benchmark's tracing targets and the package's exports still name its code,
 no module imports a name it never uses, the frame modules form 2x2 products
 only through the entrywise kernel, 2x2 stacks and 4-vector grids are
-allocated only entry-major, tolerance gates refuse NaN, and grid tables are
-spelled only by the whole-array text kernel."""
+allocated only entry-major, tolerance gates refuse NaN, the hyperboloid
+bound is written once, and grid tables are spelled only by the whole-array
+text kernel."""
 
 import ast
 import importlib
@@ -249,6 +250,80 @@ def test_nan_gate_lint_sees_each_form(tmp_path):
     )
     assert _nan_blind_gates(path) == [
         "frames.py:2", "frames.py:4", "frames.py:6", "frames.py:10", "frames.py:12"
+    ]
+
+
+# the modules that hold the integrator's determinant bound and derive the
+# hyperboloid bound from it
+_FRAME_BOUND_MODULES = ("minkowski.py", "frames.py")
+
+
+def _names_tolerance(node):
+    """Whether the expression `node` is a number or names a tolerance."""
+    return any(
+        (isinstance(sub, ast.Constant) and isinstance(sub.value, (int, float)))
+        or "tol" in (getattr(sub, "id", None) or getattr(sub, "attr", "")).lower()
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Constant, ast.Name, ast.Attribute))
+    )
+
+
+def _hyperboloid_bound_leaks(path):
+    """Each call in `path` that passes require_h3 a tolerance (anything but
+    its points and `what`), and, outside _FRAME_BOUND_MODULES, each name of
+    DET_DRIFT_TOL: require_h3 holds every point to H3_TOL, which minkowski
+    derives from DET_DRIFT_TOL once."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        func = node.func if isinstance(node, ast.Call) else None
+        if (getattr(func, "id", None) or getattr(func, "attr", None)) == "require_h3" and (
+            len(node.args) > 2
+            or any(k.arg != "what" for k in node.keywords)
+            or any(_names_tolerance(a) for a in node.args[1:])
+        ):
+            found.append((node.lineno, "require_h3"))
+        named = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(
+            node, "name", None
+        )
+        if named == "DET_DRIFT_TOL" and path.name not in _FRAME_BOUND_MODULES:
+            found.append((node.lineno, "DET_DRIFT_TOL"))
+    return [f"{path.name}:{line} {what}" for line, what in sorted(found)]
+
+
+def test_hyperboloid_bound_is_written_once():
+    files = sorted((ROOT / "src" / "cmclab").rglob("*.py"))
+    assert [entry for path in files for entry in _hyperboloid_bound_leaks(path)] == []
+
+
+def test_hyperboloid_bound_lint_sees_each_form(tmp_path):
+    source = (
+        "from .minkowski import DET_DRIFT_TOL, require_h3\n"
+        "def f(p, tol, label):\n"
+        "    require_h3(p, tol=DET_DRIFT_TOL, what='x')\n"
+        "    require_h3(p, tol)\n"
+        "    minkowski.require_h3(p, 1e-8)\n"
+        "    require_h3(p, 'x', H3_TOL)\n"
+        "    require_h3(p, what=f'{label} surface')\n"
+        "    require_h3(p, label)\n"
+        "    return minkowski.DET_DRIFT_TOL\n"
+    )
+    path = tmp_path / "surfaces.py"
+    path.write_text(source)
+    assert _hyperboloid_bound_leaks(path) == [
+        "surfaces.py:1 DET_DRIFT_TOL",
+        "surfaces.py:3 DET_DRIFT_TOL",
+        "surfaces.py:3 require_h3",
+        "surfaces.py:4 require_h3",
+        "surfaces.py:5 require_h3",
+        "surfaces.py:6 require_h3",
+        "surfaces.py:9 DET_DRIFT_TOL",
+    ]
+    # the modules that hold the frame bound may name it, not pass it on
+    path = tmp_path / "frames.py"
+    path.write_text(source)
+    assert _hyperboloid_bound_leaks(path) == [
+        f"frames.py:{line} require_h3" for line in (3, 4, 5, 6)
     ]
 
 
