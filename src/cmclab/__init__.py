@@ -21,7 +21,6 @@ from .errors import (
 from .minkowski import (
     from_hermitian,
     h3_defect,
-    hermitian_defect,
     minkowski_inner,
     to_hermitian,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "NumericalError",
     "from_hermitian",
     "h3_defect",
-    "hermitian_defect",
     "minkowski_inner",
     "to_hermitian",
     "GridSpec",

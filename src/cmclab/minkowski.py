@@ -21,14 +21,19 @@ Stacks of matrices and grids of 4-vectors are laid out entry-major
 (`empty_planes`): each entry [..., i, j] or [..., c] is one contiguous plane
 over the grid axes, so the entrywise kernels read and write whole planes
 rather than gathering every fourth or second number.
+
+`mul2` and `det2` multiply 2x2 stacks and take their determinants;
+`surface_and_normal` forms F conj(F)^t and F diag(1, -1) conj(F)^t as real
+quadratic forms in F's entries, and `from_hermitian` holds the one
+Hermitian gate for matrices formed anywhere else.
 """
 
 import numpy as np
 
 from .errors import InternalConsistencyError, InvalidInputError
 
-# Hermiticity slack absorbs accumulated RK4 round-off without masking
-# logic errors.
+# Hermiticity slack absorbs the round-off of a computed matrix without
+# masking logic errors.
 HERMITIAN_RTOL = 1e-9
 
 # the integrator holds |det F - 1| to DET_DRIFT_TOL; a point F conj(F)^t
@@ -63,28 +68,15 @@ def mat2(a, b, c, d):
     return out
 
 
-def entry2(row, col, out=None):
-    """One entry of a 2x2 product, row[0] col[0] + row[1] col[1]: `row` is
-    the pair of a left factor's row entries, `col` that of a right factor's
-    column, each entry a scalar or a plane (they broadcast).
-
-    The one kernel of every 2x2 product: `mul2` forms its four entries with
-    it, and the surfaces form each entry of F S conj(F)^t with it alone, so
-    no product stack is held.  The products are row entry * column entry,
-    in that order (see `mul2`).
-    """
-    return np.add(row[0] * col[0], row[1] * col[1], out=out)
-
-
 def mul2(A, B, out=None):
     """Product of 2x2 matrices on the trailing axes, formed entry by entry.
 
-    Each entry is `entry2` of a row of A and a column of B, A[i, 0] B[0, j]
-    + A[i, 1] B[1, j] in elementwise numpy arithmetic, so a stack costs a
-    few whole-array operations instead of one BLAS call per matrix; the
-    leading axes broadcast, so a single 2x2 multiplies a whole stack.  The
-    bits do not depend on memory layout.  The product comes out entry-major,
-    or is written into `out`, which must not overlap A or B.
+    Each entry is A[i, 0] B[0, j] + A[i, 1] B[1, j] in elementwise numpy
+    arithmetic, so a stack costs a few whole-array operations instead of one
+    BLAS call per matrix; the leading axes broadcast, so a single 2x2
+    multiplies a whole stack.  The bits do not depend on memory layout.  The
+    product comes out entry-major, or is written into `out`, which must not
+    overlap A or B.
 
     Operand order is part of the result: numpy's vectorised complex `*` is
     not bitwise commutative (on AVX-512, z * w and w * z differ in the last
@@ -99,10 +91,8 @@ def mul2(A, B, out=None):
     if out is None:
         shape = np.broadcast_shapes(A.shape, B.shape)
         out = empty_planes(shape[:-2], (2, 2), np.result_type(A, B))
-    for i in (0, 1):
-        for j in (0, 1):
-            row, col = (A[..., i, 0], A[..., i, 1]), (B[..., 0, j], B[..., 1, j])
-            entry2(row, col, out=out[..., i, j])
+    for i, j in np.ndindex(2, 2):
+        np.add(A[..., i, 0] * B[..., 0, j], A[..., i, 1] * B[..., 1, j], out=out[..., i, j])
     return out
 
 
@@ -127,15 +117,6 @@ def _diagonal_defect(a):
     return 2.0 * np.max(np.abs(a.imag), initial=0.0)
 
 
-def hermitian_defect(M):
-    """Largest entrywise deviation of M from its conjugate transpose, read
-    off |b - conj(c)| and the diagonal's |2 Im|: the same bits, no copy."""
-    M = np.asarray(M)
-    diag = np.maximum(_diagonal_defect(M[..., 0, 0]), _diagonal_defect(M[..., 1, 1]))
-    # a NaN in any term propagates
-    return float(np.maximum(_off_diagonal_defect(M[..., 0, 1], M[..., 1, 0]), diag))
-
-
 def to_hermitian(p):
     """Map coordinate points (..., 4) = (x1, x2, x3, x0) to Hermitian matrices."""
     p = np.asarray(p, dtype=float)
@@ -143,52 +124,64 @@ def to_hermitian(p):
     return mat2(x0 + x3, x1 - 1j * x2, x1 + 1j * x2, x0 - x3)
 
 
-def hermitian_points(entry, shape, what="matrix"):
-    """The coordinates (x1, x2, x3, x0) of a grid of `shape` of Hermitian
-    matrices M given entry by entry: entry(i, j) returns the plane M[..., i, j].
+def from_hermitian(M, what="matrix"):
+    """Invert `to_hermitian`: the coordinates (x1, x2, x3, x0) of a grid of
+    Hermitian matrices M, read off its four entry planes.
 
-    Each entry is reduced as soon as it is formed, to its share of the
-    coordinates and of the Hermitian check, and dropped, so at most two
-    entries are held at once and no matrix stack at all.  The one Hermitian
-    gate: the defect over all four entries (`hermitian_defect`'s bits) may
-    not exceed HERMITIAN_RTOL * (1 + largest entry magnitude), and a NaN is
-    refused, with InvalidInputError naming `what`.  Imaginary round-off
-    within the tolerance is discarded.
+    The one Hermitian gate: the defect, |b - conj(c)| over the off-diagonal
+    entries and |2 Im| over the diagonal ones, may not exceed HERMITIAN_RTOL
+    * (1 + largest entry magnitude), and a NaN is refused, with
+    InvalidInputError naming `what`.  Imaginary round-off within the
+    tolerance is discarded.
     """
-    out = empty_planes(shape, (4,), float)
-    largest = []  # each entry's largest magnitude
-
-    def formed(i, j):
-        m = entry(i, j)
-        largest.append(np.max(np.abs(m), initial=0.0))
-        return m
-
-    a, d = formed(0, 0), formed(1, 1)
+    M = np.asarray(M, dtype=complex)
+    a, b, c, d = (M[..., i, j] for i, j in np.ndindex(2, 2))
     diag = np.maximum(_diagonal_defect(a), _diagonal_defect(d))
-    a, d = a.real, d.real
-    out[..., 2] = 0.5 * (a - d)
-    out[..., 3] = 0.5 * (a + d)
-    del a, d
-    c, b = formed(1, 0), formed(0, 1)
     defect = float(np.maximum(_off_diagonal_defect(b, c), diag))
-    tol = HERMITIAN_RTOL * (1.0 + float(np.max(largest)))
+    largest = max(float(np.max(np.abs(m), initial=0.0)) for m in (a, b, c, d))
+    tol = HERMITIAN_RTOL * (1.0 + largest)
     if not defect <= tol:
         raise InvalidInputError(
             f"{what} is not Hermitian: defect {defect:.3e} exceeds {tol:.3e}"
         )
+    out = empty_planes(M.shape[:-2], (4,), float)
     out[..., 0] = 0.5 * (b + c).real
     out[..., 1] = 0.5 * (c - b).imag
+    out[..., 2] = 0.5 * (a.real - d.real)
+    out[..., 3] = 0.5 * (a.real + d.real)
     return out
 
 
-def from_hermitian(M, what="matrix"):
-    """Invert `to_hermitian` through the Hermitian gate of `hermitian_points`,
-    whose refusal names `what`.
+def surface_and_normal(F):
+    """The coordinates (x1, x2, x3, x0) of the surface F conj(F)^t and of its
+    normal F diag(1, -1) conj(F)^t over a grid of frames F, in that order,
+    each entry-major and read-only for a container.
 
-    Imaginary round-off within the Hermitian tolerance is discarded.
+    With F = [[a, b], [c, d]], x1 + i x2 = c conj(a) +- d conj(b) and x0, x3
+    = ((|a|^2 +- |b|^2) +- (|c|^2 +- |d|^2))/2: real quadratic forms, formed
+    in plain `+ - *` on the `.real`/`.imag` views of F's entry planes, so
+    both are Hermitian by construction and no complex product is formed.
+    Real `*` and `+` commute bitwise; the grouping written fixes the bits.
     """
-    M = np.asarray(M, dtype=complex)
-    return hermitian_points(lambda i, j: M[..., i, j], M.shape[:-2], what)
+    F = np.asarray(F)
+    a, b, c, d = (F[..., i, j] for i, j in np.ndindex(2, 2))
+    surface, normal = (empty_planes(F.shape[:-2], (4,), float) for _ in range(2))
+    re = c.real * a.real + c.imag * a.imag, d.real * b.real + d.imag * b.imag
+    im = c.imag * a.real - c.real * a.imag, d.imag * b.real - d.real * b.imag
+    for k, (ca, db) in enumerate((re, im)):
+        np.add(ca, db, out=surface[..., k])
+        np.subtract(ca, db, out=normal[..., k])
+    del re, im, ca, db
+    rows = []  # (|z|^2 + |w|^2, |z|^2 - |w|^2) of the rows (a, b) and (c, d)
+    for z, w in ((a, b), (c, d)):
+        zz, ww = (v.real * v.real + v.imag * v.imag for v in (z, w))
+        rows.append((zz + ww, np.subtract(zz, ww, out=zz)))
+    for out, top, bottom in zip((surface, normal), *rows):
+        np.multiply(0.5, top - bottom, out=out[..., 2])
+        np.multiply(0.5, np.add(top, bottom, out=top), out=out[..., 3])
+    for out in (surface, normal):
+        out.flags.writeable = out.base.flags.writeable = False
+    return surface, normal
 
 
 def minkowski_inner(X, Y):

@@ -43,14 +43,13 @@ from .surface_data import (
     _frozen,
     cylinder_data,
     delaunay_data,
-    gauss_residual,
     load_surface_data,
     save_surface_data,
     table_lines,
     write_table,
 )
-from .surfaces import distance_grid, surface_primary, surface_shifted
-from .verify import Side, _report, _require_normalized, evaluate, verify_theorem
+from .surfaces import surface_primary, surface_shifted
+from .verify import Sides, _report, _require_normalized, evaluate, verify_theorem
 
 SURFACE_FILE = "surface.dat"
 FRAME_FILE = "frame.dat"
@@ -120,21 +119,20 @@ def _write_meshes(out: Path, surfaces) -> list[Path]:
     return paths
 
 
-def write_diagnostics(path, data, sides: tuple[Side, Side]):
+def write_diagnostics(path, data, sides: Sides):
     """Per-point table of measured quantities, one row per grid node.
 
     `sides` is the (primary, shifted) pair `evaluate` built; the measured
     columns are the primary side's.  Columns: i j x y E Fc G |Qm| Hm
     distance-to-shifted gauss-residual.
     """
-    primary, shifted = sides
-    m = primary.measured
+    m = sides[0].measured
     g = data.grid
     columns = (
         np.arange(g.nx)[:, None], np.arange(g.ny)[None, :], g.xs()[:, None], g.ys()[None, :],
         m.E, m.Fc, m.G,
         np.hypot(m.Qm.real, m.Qm.imag),  # bitwise abs() of each entry; np.abs is not
-        m.Hm, distance_grid(primary.surface, shifted.surface), gauss_residual(data),
+        m.Hm, sides.distance, data.residual,
     )
     with open(path, "wb") as fh:
         fh.write(b"# columns: i j x y E Fc G |Qm| Hm distance-to-shifted gauss-residual\n")

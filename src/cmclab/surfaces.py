@@ -8,16 +8,11 @@ Writing lam = e^q, the two satisfy the exact pointwise identity
 
 where N = F diag(1, -1) conj(F)^t is the unit normal of the primary
 surface, so the shifted surface lies at constant geodesic distance -q
-along the normal.  Each product F S conj(F)^t (S = I or diag(1, -1)) is
-formed one entry at a time (`_hermitian_product`): entry (i, j) is
-`minkowski.entry2` of row i of F and column j of S conj(F)^t, S applied by
-negating that column's second entry, and `minkowski.hermitian_points`
-reduces it at once to its share of the hyperboloid coordinates and of the
-Hermitian check, then drops it.  So neither conj(F)^t nor the product is
-ever held as a stack; the bits are those of mul2(F, S conj(F)^t), and a
-product's bits do not depend on which factor carries a sign.
-from_hermitian is linear, so `parallel_identity_defect` checks the identity
-on the hyperboloid coordinates the two sides already hold.
+along the normal.  Both products come from one pass of
+`minkowski.surface_and_normal` over F's entries; `_surface` keeps the
+points and `normal_field` the normal.  from_hermitian is linear, so
+`parallel_identity_defect` checks the identity on the hyperboloid
+coordinates the two sides already hold.
 """
 
 from __future__ import annotations
@@ -28,9 +23,9 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .frames import ExtendedFrame, SpectralParam, shift_frame
-from .minkowski import H3_TOL, entry2, hermitian_points, mink_dot, require_h3
+from .minkowski import H3_TOL, mink_dot, require_h3, surface_and_normal
 from .report import SIDES
-from .surface_data import GridSpec, _frozen, _locked
+from .surface_data import GridSpec, _locked
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +52,8 @@ class H3SurfaceGrid:
 
 @dataclass(frozen=True, eq=False)
 class NormalField:
-    """Grid of spacelike unit vectors normal to a surface grid."""
+    """Grid of spacelike unit vectors normal to a surface grid; a vector
+    that is not finite is refused."""
 
     grid: GridSpec
     vectors: np.ndarray
@@ -66,26 +62,15 @@ class NormalField:
         v = _locked(
             self.vectors, float, (self.grid.nx, self.grid.ny, 4), "vectors", entries=1
         )
+        if not np.isfinite(v).all():
+            raise InvalidInputError("normal field has a vector that is not finite")
         object.__setattr__(self, "vectors", v)
-
-
-def _hermitian_product(F, sign):
-    """The coordinates from_hermitian(F S conj(F)^t) with S = diag(1, sign),
-    formed one entry at a time by `entry2`, read-only for a container."""
-
-    def entry(i, j):
-        col = np.conj(F[..., j, 0]), np.conj(F[..., j, 1])  # column j of conj(F)^t
-        if sign < 0:
-            np.negative(col[1], out=col[1])
-        return entry2((F[..., i, 0], F[..., i, 1]), col)
-
-    return _frozen(hermitian_points(entry, F.shape[:-2]))
 
 
 def _surface(frame: ExtendedFrame, kind: str) -> H3SurfaceGrid:
     """The surface F conj(F)^t of `frame` on side `kind`; on a shifted
     frame FD this is the shifted surface."""
-    return H3SurfaceGrid(frame.grid, _hermitian_product(frame.F, 1), frame.spectral, kind)
+    return H3SurfaceGrid(frame.grid, surface_and_normal(frame.F)[0], frame.spectral, kind)
 
 
 def surface_primary(frame: ExtendedFrame) -> H3SurfaceGrid:
@@ -103,7 +88,7 @@ def normal_field(frame: ExtendedFrame) -> NormalField:
 
     Applied to a shifted frame this gives the shifted surface's normal.
     """
-    return NormalField(frame.grid, _hermitian_product(frame.F, -1))
+    return NormalField(frame.grid, surface_and_normal(frame.F)[1])
 
 
 def normal_unit_defect(normal: NormalField) -> float:
@@ -173,5 +158,9 @@ def distance_grid(primary: H3SurfaceGrid, shifted: H3SurfaceGrid) -> np.ndarray:
 
 def equidistance_defect(primary: H3SurfaceGrid, shifted: H3SurfaceGrid) -> float:
     """Max deviation of the pointwise distance from -q = -ln(lam)."""
-    expected = -primary.spectral.q
-    return float(np.max(np.abs(distance_grid(primary, shifted) - expected)))
+    return _distance_defect(distance_grid(primary, shifted), primary.spectral)
+
+
+def _distance_defect(distance: np.ndarray, spectral: SpectralParam) -> float:
+    """Max deviation of a grid of distances from -q."""
+    return float(np.max(np.abs(distance + spectral.q)))

@@ -16,8 +16,10 @@ and the normal-field algebra as a maximum over it; compatibility, the
 exact parallel identity, equidistance and the opposite mean-curvature
 signs complete the registry.
 
-Every frame-derived array is built once per evaluation: the parallel
-identity is checked on the points and normal the two sides hold, and each
+Every frame-derived array is built once per evaluation: each side's
+surface and normal come from one pass over its frame, the report and the
+diagnostics share one distance grid (`Sides.distance`), the parallel
+identity is checked on the points and normal the sides hold, and each
 frame's |det F - 1| maximum is taken once, so the report reuses the one
 `integrate_frame` checked.  `_report` takes the tolerance map that
 `report.resolve_tolerances` validated.
@@ -26,9 +28,11 @@ frame's |det F - 1| maximum is taken once, so the report reuses the one
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidInputError
 from .frames import ExtendedFrame, shift_frame
+from .minkowski import surface_and_normal
 from .measure import (
     MeasuredData,
     closed_form,
@@ -53,13 +57,12 @@ from .report import (
     registry_names,
     resolve_tolerances,
 )
-from .surface_data import SurfaceData, dual_data, max_gauss_residual
+from .surface_data import SurfaceData, _frozen, dual_data, max_gauss_residual
 from .surfaces import (
     H3SurfaceGrid,
     NormalField,
-    _surface,
-    equidistance_defect,
-    normal_field,
+    _distance_defect,
+    distance_grid,
     normal_orthogonality_defect,
     normal_unit_defect,
     parallel_identity_defect,
@@ -81,16 +84,26 @@ class Side:
 
 
 def _side(name: str, sign: int, frame: ExtendedFrame) -> Side:
-    surface = _surface(frame, name)
-    normal = normal_field(frame)
+    points, vectors = surface_and_normal(frame.F)
+    surface = H3SurfaceGrid(frame.grid, points, frame.spectral, name)
+    normal = NormalField(frame.grid, vectors)
     return Side(name, sign, frame, surface, normal, measure(surface, normal))
 
 
-def evaluate(frame: ExtendedFrame) -> tuple[Side, Side]:
+class Sides(tuple):
+    """The (primary, shifted) pair of sides `evaluate` builds."""
+
+    @cached_property
+    def distance(self):
+        """The pointwise distance between the two surfaces, taken once."""
+        return _frozen(distance_grid(self[0].surface, self[1].surface))
+
+
+def evaluate(frame: ExtendedFrame) -> Sides:
     """The (primary, shifted) pair of sides, each member built once; the
     shifted side's surface and normal both come from one shifted frame FD."""
     frames = (frame, shift_frame(frame))
-    return tuple(_side(*args) for args in zip(SIDES, (1, -1), frames))
+    return Sides(_side(*args) for args in zip(SIDES, (1, -1), frames))
 
 
 def verify_theorem(
@@ -122,7 +135,7 @@ def _require_normalized(data: SurfaceData) -> None:
 
 def _report(
     data: SurfaceData,
-    sides: tuple[Side, Side],
+    sides: Sides,
     tols: dict[str, float],
 ) -> VerificationReport:
     """The report on the sides `evaluate` built from one frame, judged
@@ -141,7 +154,7 @@ def _report(
         "parallel_identity_residual": parallel_identity_defect(
             primary.surface, primary.normal, shifted.surface
         ),
-        "equidistance_max_dev": equidistance_defect(primary.surface, shifted.surface),
+        "equidistance_max_dev": _distance_defect(sides.distance, frame.spectral),
     }
     signs = {}
     for side in sides:

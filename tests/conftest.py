@@ -1,4 +1,5 @@
-"""Shared fixtures: frames and surfaces reused across test modules.
+"""Shared fixtures: frames and surfaces reused across test modules, and the
+plain formula of a frame's surface and normal.
 
 Session-scoped because integration on the finer grids is the expensive part
 of the suite; everything downstream of a frame is cheap.  `edit_frame`
@@ -14,6 +15,23 @@ from cmclab.surface_data import GridSpec, cylinder_data, delaunay_data
 
 def square_grid(n: int) -> GridSpec:
     return GridSpec(-1.0, 1.0, -1.0, 1.0, n, n)
+
+
+def plain_sides(F):
+    """The surface and normal coordinates (x1, x2, x3, x0) of frames F by
+    the plain real formula, in the grouping `minkowski.surface_and_normal`
+    documents: the bits it must give, spelled here on a C-ordered copy."""
+    F = np.ascontiguousarray(F)
+    (ar, br), (cr, dr) = np.moveaxis(F.real, (-2, -1), (0, 1))
+    (ai, bi), (ci, di) = np.moveaxis(F.imag, (-2, -1), (0, 1))
+    aa, bb, cc, dd = ar * ar + ai * ai, br * br + bi * bi, cr * cr + ci * ci, dr * dr + di * di
+    ca = cr * ar + ci * ai, ci * ar - cr * ai  # c conj(a)
+    db = dr * br + di * bi, di * br - dr * bi  # d conj(b)
+    top, bottom = aa + bb, cc + dd
+    surface = (ca[0] + db[0], ca[1] + db[1], 0.5 * (top - bottom), 0.5 * (top + bottom))
+    top, bottom = aa - bb, cc - dd
+    normal = (ca[0] - db[0], ca[1] - db[1], 0.5 * (top - bottom), 0.5 * (top + bottom))
+    return np.stack(surface, axis=-1), np.stack(normal, axis=-1)
 
 
 @pytest.fixture(scope="session")

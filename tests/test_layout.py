@@ -1,10 +1,11 @@
 """Entry-major layout: every 2x2 stack and 4-vector grid holds each entry as
 one contiguous plane over the grid axes.  The kernels give the same bits for
 either layout, their outputs and the containers are entry-major, and the
-sides keep the operand order of the products they replace."""
+sides have the bits of the plain real formula, whatever F's layout."""
 
 import numpy as np
 import pytest
+from conftest import plain_sides
 
 from cmclab.frames import ExtendedFrame, SpectralParam, shift_frame
 from cmclab.minkowski import (
@@ -19,6 +20,7 @@ from cmclab.minkowski import (
 from cmclab.pipeline import load_frame, save_frame
 from cmclab.surface_data import GridSpec
 from cmclab.surfaces import H3SurfaceGrid, NormalField, _surface, normal_field
+from cmclab.verify import evaluate
 
 # long rows, so numpy's vectorised loops run on both layouts
 SHAPE = (201, 90)
@@ -113,17 +115,13 @@ def test_frame_file_round_trip_is_bit_equal_and_entry_major(tmp_path, del_frame_
     assert entry_major(back.F, 2) and same_bits(back.F, del_frame_101.F)
 
 
-def test_sides_keep_the_operand_order_of_the_products(del_frame_201):
-    # complex `*` is not bitwise commutative in numpy's vectorised kernel, and
-    # numpy may evaluate x * np.conj(y) in the temporary, as conj(y) * x, once
-    # it is large: the sides must have the bits of mul2(F S, conj(F)^t) with
-    # S = I, and S = diag(1, -1) as the negated column of a copy of F.  (A
-    # swap in every product cancels in the coordinates from_hermitian reads;
-    # a swap in some of them moves the last bits.)
-    for frame in (del_frame_201, shift_frame(del_frame_201)):
-        F = np.ascontiguousarray(frame.F)
-        B = conj_transpose(F)
-        FS = F.copy()
-        FS[..., :, 1] = -FS[..., :, 1]
-        assert same_bits(_surface(frame, "primary").points, from_hermitian(mul2(F, B)))
-        assert same_bits(normal_field(frame).vectors, from_hermitian(mul2(FS, B)))
+def test_sides_have_the_bits_of_the_real_formula(del_frame_201):
+    # every coordinate of a side is a real quadratic form in F's entries,
+    # and real `*` and `+` commute bitwise, so only the grouping of the sums
+    # fixes the bits: the sides built from an entry-major frame have those
+    # of the plain formula on a C-ordered copy, the evaluated sides included
+    for frame, side in zip((del_frame_201, shift_frame(del_frame_201)), evaluate(del_frame_201)):
+        points, vectors = plain_sides(frame.F)
+        assert same_bits(_surface(frame, side.name).points, points)
+        assert same_bits(normal_field(frame).vectors, vectors)
+        assert same_bits(side.surface.points, points) and same_bits(side.normal.vectors, vectors)

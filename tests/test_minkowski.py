@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import plain_sides
 
 from cmclab import minkowski
 from cmclab.errors import InternalConsistencyError, InvalidInputError
@@ -10,12 +11,12 @@ from cmclab.minkowski import (
     det2,
     from_hermitian,
     h3_defect,
-    hermitian_defect,
     mat2,
     minkowski_inner,
     mink_dot,
     mul2,
     require_h3,
+    surface_and_normal,
     to_hermitian,
 )
 
@@ -210,6 +211,40 @@ class TestProductKernel:
         F = random_unimodular(rng, 10_000)
         p = from_hermitian(mul2(F, conj_transpose(F)))
         assert np.all(p[:, 3] > 0.0)
+
+
+class TestSurfaceAndNormal:
+    def test_dyadic_frames_give_the_bits_of_the_complex_products(self):
+        # dyadic entries of a few bits: every product and sum is exact, so
+        # the real forms equal from_hermitian(mul2(F S, conj(F)^t))
+        rng = np.random.default_rng(20)
+        F = (rng.integers(-8, 9, (40, 30, 2, 2)) + 1j * rng.integers(-8, 9, (40, 30, 2, 2))) / 4
+        FS = F.copy()
+        FS[..., 1] = -F[..., 1]  # F diag(1, -1)
+        surface, normal = surface_and_normal(F)
+        assert same_bits(surface, from_hermitian(mul2(F, conj_transpose(F))))
+        assert same_bits(normal, from_hermitian(mul2(FS, conj_transpose(F))))
+
+    @pytest.mark.parametrize("shape", [(1,), (7, 5), (201, 90)])
+    def test_bits_of_the_plain_real_formula(self, shape):
+        rng = np.random.default_rng(21)
+        F = random_stack(rng, shape)
+        for got, want in zip(surface_and_normal(F), plain_sides(F)):
+            assert got.shape == shape + (4,) and same_bits(got, want)
+
+    def test_outputs_are_entry_major_and_read_only(self):
+        F = random_unimodular(np.random.default_rng(22), 12).reshape(3, 4, 2, 2)
+        for out in surface_and_normal(F):
+            assert all(out[..., k].flags.c_contiguous for k in range(4))
+            assert not out.flags.writeable and not out.base.flags.writeable
+
+
+def hermitian_defect(M):
+    """The defect the Hermitian gate of `from_hermitian` reads off four
+    entries: |b - conj(c)| and the diagonal's |2 Im|, a NaN propagating."""
+    diag = minkowski._diagonal_defect(M[..., 0, 0]), minkowski._diagonal_defect(M[..., 1, 1])
+    off = minkowski._off_diagonal_defect(M[..., 0, 1], M[..., 1, 0])
+    return float(np.maximum(off, np.maximum(*diag)))
 
 
 def _full_hermitian_defect(M):

@@ -17,7 +17,7 @@ from cmclab.frames import (
     spectral_shift_matrix,
 )
 from cmclab.measure import measure
-from cmclab.minkowski import from_hermitian, conj_transpose
+from cmclab.minkowski import from_hermitian, conj_transpose, surface_and_normal
 from cmclab.pipeline import (
     DIAGNOSTICS_FILE,
     FRAME_FILE,
@@ -42,10 +42,11 @@ from cmclab.surface_data import (
     SurfaceData,
     cylinder_data,
     delaunay_data,
+    gauss_residual,
     load_surface_data,
     save_surface_data,
 )
-from cmclab.surfaces import _surface, normal_field, parallel_identity_residual
+from cmclab.surfaces import distance_grid, parallel_identity_residual
 from cmclab.verify import evaluate, verify_theorem
 
 ALL_FILES = (
@@ -359,10 +360,10 @@ GOLDEN_CONFIG = {
     "ny": 41,
 }
 GOLDEN_SHA256 = {
-    REPORT_MACHINE_FILE: "1a271775d80741f0fc20f892111646c4aebb3ac596da35e153ac075039e33e3a",
-    DIAGNOSTICS_FILE: "eaf9effe9dc29768b0f14eb334fbfa9926c6bc2a4261348c1e5138913b55ca13",
-    MESH_FILES[0]: "3e439f233ab1428aeb0ed9ff459e542c3a9560d20432843327db225568e4ee29",
-    MESH_FILES[1]: "989eaedd14b4446845f24d57ef0445fad82d7acff2f14b36bfdf8a1f8519cd0d",
+    REPORT_MACHINE_FILE: "5794c7a87520f33391bf72e0d56661ad728263295e41cf507f4a85b09710baf6",
+    DIAGNOSTICS_FILE: "9ae8d754b96ddf33e028b8d7e5211477f58325eaab2551e378336c38b355ab0a",
+    MESH_FILES[0]: "537013f834bd4ae96913be1898d613d1124d1894e3c6c5e83c2b7d952aa11990",
+    MESH_FILES[1]: "1839b3d84713a2e2a85a10575a2f7006c743a9b43e17958b33ca9b76b5fa0bf3",
     SURFACE_FILE: "389c13f04942a7813db022d51c45861545bf87a44ef9d166e80acf0c746a40f4",
     FRAME_FILE: "1346a339bc3b0213020415250c2f60811ffff426595f65c92ea9cbd98e33660b",
 }
@@ -377,10 +378,10 @@ def test_golden_output_hashes(tmp_path):
 # the README default at 201 x 201: rows long enough for numpy's vectorised
 # loops to take every path the 41 x 41 goldens leave out
 GOLDEN_SHA256_201 = {
-    REPORT_MACHINE_FILE: "6155538bd337fa4e25d55a0fa5d38152c4240afe3a804bdd8b8705754b565109",
-    DIAGNOSTICS_FILE: "f3e9acca5df26bd8151e6a71f0d2fbaf92189e70feaf2eccaafdbf300e34d79d",
-    MESH_FILES[0]: "8d17456bea1ebbbf40fbbf0c892f5ddc68b0c79383c8f005a9e892a9373bb9b0",
-    MESH_FILES[1]: "56b0146e8727e98511cb7716df8879aa2cfbe9e574af93ca8fbbd6593cd54f97",
+    REPORT_MACHINE_FILE: "8d8f8206b0c9a0ab0fd7dde3f4c05d6f871c0faa5b9fccbed30e1cd64c9b0f90",
+    DIAGNOSTICS_FILE: "ff7e11026f43d41c80841c480e87726824f96b14561a04c185996504ed1a6798",
+    MESH_FILES[0]: "b87b09d7a710f35cca231591ddeb11a5b608e07442a4c0003400894044a2c7e7",
+    MESH_FILES[1]: "bae137ed73cfe8d7cd52e1d26726baa6ff9b896e155c351e361f1b71be0d8760",
     SURFACE_FILE: "b4a3ece4a97b7d678ed82d14e50d0afb86da171f62c5ff066d248f2e0ba65b79",
     FRAME_FILE: "c3f2be942ea7b6e3370540ab68708ede0fe3f1086a67bb5f7c8e8c03bf293b40",
 }
@@ -399,15 +400,15 @@ GOLDEN_RUNS = {
     "delaunay-small-lambda": (
         {"family": "delaunay", "H": 0.5, "u0": -0.5, "du0": 0.0, "lambda": 0.1},
         {
-            REPORT_MACHINE_FILE: "4adf5d536f434ef2c7faffb4c86996b9c5633d3604966f7b62c67cefc2eb810d",
-            DIAGNOSTICS_FILE: "1509553d1a3f08d560f5fd79935589eec2ff49a7917287df1e1a70cec4b64d66",
+            REPORT_MACHINE_FILE: "0d3af8aa76122e7841b014a9bf8fcaf928e013cae24840720c5e16c0b26fd6c1",
+            DIAGNOSTICS_FILE: "fd671c00e89a8e70051a5f1aafcec126321a02cc807884c862c033f81756ecfc",
         },
     ),
     "cylinder": (
         {"family": "cylinder", "H": 0.5, "lambda": 0.5},
         {
-            REPORT_MACHINE_FILE: "ecb3dc312b0c006eee05a788d8d497a148dc6104a8f73dd5b822ffc506b1dde3",
-            DIAGNOSTICS_FILE: "2788cad1ce2feb3d1135f2d4ccf2dabb84e7793aeaf159c7b0b88a0dbc0e3a37",
+            REPORT_MACHINE_FILE: "4a79563377d284685065dc0ac6451cb36dfb53436464882ba15ed33d7099c6db",
+            DIAGNOSTICS_FILE: "d488b9edb639d69db1eb896e26b47b1424f844b49f96c41ba6540ebe0f68fad5",
         },
     ),
 }
@@ -444,10 +445,18 @@ def count_calls(monkeypatch, *fns):
 
 
 def test_run_builds_each_side_once(tmp_path, monkeypatch):
-    # _surface is the one builder behind surface_primary and surface_shifted;
-    # spectral_shift_matrix is taken once per F @ D shift
+    # surface_and_normal is the one pass behind each side's surface and
+    # normal; spectral_shift_matrix is taken once per F @ D shift; the Gauss
+    # residual and the distance between the sides feed both the report and
+    # the diagnostics table
     counts = count_calls(
-        monkeypatch, _surface, shift_frame, normal_field, measure, spectral_shift_matrix
+        monkeypatch,
+        surface_and_normal,
+        shift_frame,
+        measure,
+        spectral_shift_matrix,
+        gauss_residual,
+        distance_grid,
     )
     det_drift = ExtendedFrame.det_drift
 
@@ -458,14 +467,24 @@ def test_run_builds_each_side_once(tmp_path, monkeypatch):
     counts["det_drift"] = 0
     monkeypatch.setattr(ExtendedFrame, "det_drift", counted_det_drift)
     run(config_from_mapping({**GOLDEN_CONFIG, "out_dir": str(tmp_path)}))
-    assert counts["_surface"] == 2
+    assert counts["surface_and_normal"] == 2
     assert counts["shift_frame"] == 1
-    assert counts["normal_field"] == 2
     assert counts["measure"] == 2
     # the parallel identity reuses the sides' points and normal, and each
     # frame's determinant is taken once: the primary's by integrate_frame
     assert counts["spectral_shift_matrix"] == 1
     assert counts["det_drift"] == 2
+    # the compatibility gate, the report and the diagnostics share one of each
+    assert counts["gauss_residual"] == 1
+    assert counts["distance_grid"] == 1
+
+
+def test_library_tour_takes_each_grid_once(monkeypatch):
+    # integrate_frame's compatibility gate and the report share one residual
+    counts = count_calls(monkeypatch, gauss_residual, distance_grid, surface_and_normal)
+    data = delaunay_data(GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41), 0.5, 0.3, 0.0)
+    verify_theorem(data, integrate_frame(data, SpectralParam(0.5)))
+    assert counts == {"gauss_residual": 1, "distance_grid": 1, "surface_and_normal": 2}
 
 
 def test_report_residual_is_the_frame_residual():

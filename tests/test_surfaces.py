@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import plain_sides
 
 from cmclab.errors import InternalConsistencyError, InvalidInputError
 from cmclab.frames import (
@@ -14,15 +15,7 @@ from cmclab.frames import (
     integrate_frame,
     shift_frame,
 )
-from cmclab.minkowski import (
-    DET_DRIFT_TOL,
-    H3_TOL,
-    conj_transpose,
-    from_hermitian,
-    h3_defect,
-    mul2,
-    to_hermitian,
-)
+from cmclab.minkowski import DET_DRIFT_TOL, H3_TOL, h3_defect, to_hermitian
 from cmclab.surface_data import GridSpec, cylinder_data
 from cmclab.surfaces import (
     H3SurfaceGrid,
@@ -130,20 +123,27 @@ class TestNormalField:
             < 1e-9
         )
 
-    def test_zero_signs_of_the_column_negated_product(self):
-        # N is (F S) conj(F)^t with the column S negates negated exactly; a
-        # product by -1 + 0j instead would turn some -0 parts into +0
+    def test_zero_signs_of_the_real_formula(self):
+        # N's coordinates are sums and differences of real products of F's
+        # parts, so each -0 or +0 among them is that of the plain formula
         rng = np.random.default_rng(19)
         n = 16
         F = np.empty((n, n, 2, 2), complex)
         F.real, F.imag = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, 0.5], (2, n, n, 2, 2))
-        FS = F.copy()
-        FS[..., 1] = -F[..., 1]
-        expected = from_hermitian(mul2(FS, conj_transpose(F)))
+        expected = plain_sides(F)[1]
         frame = ExtendedFrame(GridSpec(-1.0, 1.0, -1.0, 1.0, n, n), F, SpectralParam(0.5))
         got = normal_field(frame).vectors
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_frame_holding_a_nan_is_refused(self):
+        F = identity_frame().F.copy()
+        F[2, 3, 1, 0] = np.nan
+        frame = ExtendedFrame(GridSpec(-1.0, 1.0, -1.0, 1.0, 6, 6), F, SpectralParam(0.5))
+        with pytest.raises(InvalidInputError, match="normal field has a vector that is not finite"):
+            normal_field(frame)
+        with pytest.raises(InvalidInputError, match="defect nan"):
+            surface_primary(frame)
 
     def test_normal_matrices_hermitian(self):
         rng = np.random.default_rng(12)
