@@ -13,14 +13,16 @@ it prints what it checks.
 
 import numpy as np
 
-from cmclab import (
-    from_hermitian,
-    h3_defect,
-    minkowski_inner,
-    poincare_ball,
-    to_hermitian,
-)
-from cmclab.minkowski import conj_transpose
+from cmclab import from_hermitian, h3_defect, poincare_ball, to_hermitian
+from cmclab.minkowski import mink_dot
+from cmclab.reference import conj_transpose
+
+
+def inner(X, Y):
+    """The Minkowski product of two Hermitian matrices: the map to
+    coordinates is linear, so it is the coordinate form of their images."""
+    return mink_dot(from_hermitian(X), from_hermitian(Y))
+
 
 rng = np.random.default_rng(0)
 
@@ -28,7 +30,7 @@ rng = np.random.default_rng(0)
 origin = np.array([0.0, 0.0, 0.0, 1.0])
 X = to_hermitian(origin)
 print("origin as a matrix:\n", X)
-print("self inner product:", minkowski_inner(X, X))
+print("self inner product:", inner(X, X))
 
 # Round trip: coordinates -> matrix -> coordinates is exact.
 p = rng.normal(size=4)
@@ -51,8 +53,8 @@ Xg = G @ to_hermitian(p) @ conj_transpose(G)
 Yg = G @ Y @ conj_transpose(G)
 print(
     "inner product before/after the action:",
-    minkowski_inner(to_hermitian(p), Y),
-    minkowski_inner(Xg, Yg),
+    inner(to_hermitian(p), Y),
+    inner(Xg, Yg),
 )
 
 # For pictures the hyperboloid is projected into the unit ball:

@@ -20,10 +20,11 @@ from cmclab import (
     distance_grid,
     equidistance_defect,
     integrate_frame,
-    parallel_identity_residual,
+    normal_field,
     surface_primary,
     surface_shifted,
 )
+from cmclab.surfaces import parallel_identity_defect
 
 sp = SpectralParam(0.5)
 data = delaunay_data(GridSpec(-1, 1, -1, 1, 101, 101), H=0.5, u0=0.3, du0=0.0)
@@ -34,7 +35,7 @@ shif = surface_shifted(frame)
 
 # The identity is algebra, not analysis: it holds to rounding error on
 # any unimodular frame, integrated or not.
-print("parallel identity residual:", parallel_identity_residual(frame))
+print("parallel identity residual:", parallel_identity_defect(prim, normal_field(frame), shif))
 
 d = distance_grid(prim, shif)
 print("distance min/max:", float(d.min()), float(d.max()))

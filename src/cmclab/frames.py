@@ -26,8 +26,8 @@ bits on a negative-stride view than on a contiguous one (4,613 of 100,001
 random values), while a stride-2 view matches; a march on reversed views
 moved F's bits on a 61 x 83 Delaunay run (lam 0.4, u0 0.5).
 
-Every 2x2 product (the RK4 stages, the F[k] T recurrence, the shift F D and
-a gauge G F) goes through minkowski.mul2 and every determinant through
+Every 2x2 product (the RK4 stages, the F[k] T recurrence and the shift
+F D) goes through minkowski.mul2 and every determinant through
 minkowski.det2: whole-array entrywise arithmetic, not one BLAS call per
 matrix of a stack.  The frames these functions return are handed to
 ExtendedFrame read-only (`surface_data._frozen`), which holds them without
@@ -104,41 +104,6 @@ class ExtendedFrame:
         return float(self.det_drift().max())
 
 
-def cylinder_frame_closed_form(z, lam):
-    """Reference closed form of the flat-cylinder frame.
-
-    Returns [[cosh g, lam^{-1/2} sinh g], [lam^{1/2} sinh g, cosh g]] with
-    g = (i/4)(lam^{-1/2} z + lam^{1/2} zbar).  Determinant is identically 1
-    and F(0) is the identity.
-
-    Note: this form does not itself solve the frame system integrated here;
-    direct substitution leaves constant factors of -i and i on the two
-    off-diagonal entries.  The constant gauge diag(1, i), which fixes the
-    initial value and the determinant, reconciles the two conventions; see
-    cylinder_frame_lax_gauge.
-    """
-    if not lam > 0:
-        raise InvalidInputError("spectral value must be positive")
-    z = np.asarray(z, dtype=complex)
-    sq = math.sqrt(lam)
-    g = 0.25j * (z / sq + sq * np.conj(z))
-    ch, sh = np.cosh(g), np.sinh(g)
-    return mat2(ch, sh / sq, sq * sh, ch)
-
-
-def cylinder_frame_lax_gauge(z, lam):
-    """Cylinder frame in the gauge of the frame system.
-
-    Equals diag(1, i) cylinder_frame_closed_form(z, lam) diag(1, -i), i.e.
-    [[cosh g, -i lam^{-1/2} sinh g], [i lam^{1/2} sinh g, cosh g]]; this is
-    the solution of F_z = F U, F_zbar = F V with F(0) = I for u = 0, H = 2Q
-    (checked by finite-difference substitution).  Same determinant and same
-    initial value as the reference form.
-    """
-    F = cylinder_frame_closed_form(z, lam)
-    return mat2(F[..., 0, 0], F[..., 0, 1] * -1j, F[..., 1, 0] * 1j, F[..., 1, 1])
-
-
 def spectral_shift_matrix(lam: float) -> np.ndarray:
     """D = diag(lam^{-1/2}, lam^{1/2}); det D = 1."""
     if not lam > 0:
@@ -148,26 +113,13 @@ def spectral_shift_matrix(lam: float) -> np.ndarray:
 
 
 def _lax_entries(u, u_z, u_zbar, Q, H, lam):
-    """The entries (U00, U01, U10, U11), (V00, V01, V10, V11) of
-    `lax_matrices`, each a scalar or one grid plane; lam is nonzero."""
+    """The entries (U00, U01, U10, U11), (V00, V01, V10, V11) of the frame
+    system's U and V, each a scalar or one grid plane; lam is nonzero."""
     eu = np.exp(u)
     emu = np.exp(-u)
     U = (-0.5 * u_z, emu * Q / lam, -0.5 * H * eu, 0.5 * u_z)
     V = (0.5 * u_zbar, 0.5 * H * eu, -emu * lam * Q, -0.5 * u_zbar)
     return U, V
-
-
-def lax_matrices(u, u_z, u_zbar, Q, H, lam):
-    """The frame-system coefficient matrices (U, V), shape u.shape + (2, 2).
-
-    u, u_z and u_zbar may be scalars or grids.  Both matrices are traceless.
-    lam may be complex; on the unit circle with real u the pair satisfies
-    V = -conj(U)^t, the unitary-frame relation.
-    """
-    if lam == 0:
-        raise InvalidInputError("spectral value must be nonzero")
-    U, V = _lax_entries(u, u_z, u_zbar, Q, H, lam)
-    return mat2(*U), mat2(*V)
 
 
 # cubic-interpolation weights for values at cell midpoints
@@ -272,7 +224,8 @@ def integrate_frame(data: SurfaceData, spectral: SpectralParam) -> ExtendedFrame
 
     The base row through the grid center is integrated first, then every
     column, so the result is single-valued by construction; path
-    independence is a property to be measured, see two_path_discrepancy.
+    independence is a property to be measured, see
+    reference.two_path_discrepancy.
     Data whose Gauss residual exceeds COMPAT_TOL is refused; unimodularity
     is monitored against DET_DRIFT_TOL, never restored by projection.
     """
@@ -295,18 +248,6 @@ def integrate_frame(data: SurfaceData, spectral: SpectralParam) -> ExtendedFrame
     return frame
 
 
-def two_path_discrepancy(data: SurfaceData, spectral: SpectralParam) -> float:
-    """Max entry difference at the far corner (nx-1, ny-1) between
-    row-first and column-first integration from the grid center.
-
-    Vanishes (to integrator order) exactly when the data satisfies the
-    compatibility condition, so no residual precondition is applied here.
-    """
-    F_xy = _sweep(data, spectral.lam, 0)[-1, -1]
-    F_yx = _sweep(data, spectral.lam, 1)[-1, -1]
-    return float(np.max(np.abs(F_xy - F_yx)))
-
-
 def shift_frame(frame: ExtendedFrame) -> ExtendedFrame:
     """Right-multiply every frame by D = diag(lam^{-1/2}, lam^{1/2}).
 
@@ -315,13 +256,3 @@ def shift_frame(frame: ExtendedFrame) -> ExtendedFrame:
     """
     return replace(frame, F=_frozen(mul2(frame.F, spectral_shift_matrix(frame.lam))))
 
-
-def frame_left_multiply(frame: ExtendedFrame, G) -> ExtendedFrame:
-    """Apply a constant unimodular gauge G on the left: F -> G F pointwise."""
-    G = np.asarray(G, dtype=complex)
-    if G.shape != (2, 2):
-        raise InvalidInputError(f"gauge must be 2x2, got shape {G.shape}")
-    detG = det2(G)
-    if not abs(detG - 1.0) <= 1e-9:
-        raise InvalidInputError(f"gauge must be unimodular, det = {detG}")
-    return replace(frame, F=_frozen(mul2(G, frame.F)))

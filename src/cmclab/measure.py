@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .frames import SpectralParam
-from .minkowski import mink_dot
 from .surface_data import GridSpec, SurfaceData, _frozen, _locked, grid_derivatives
 from .surface_data import grid_second_derivatives
 from .surfaces import H3SurfaceGrid, NormalField
@@ -245,35 +244,3 @@ def mean_sign(measured: MeasuredData) -> float:
     """Sign of the average of Hm."""
     return float(np.sign(np.mean(measured.Hm)))
 
-
-def numeric_normal(surface: H3SurfaceGrid) -> np.ndarray:
-    """Reconstruct the unit normal from the surface grid alone.
-
-    Solves <N, f> = <N, f_x> = <N, f_y> = 0, <N, N> = 1 at every node
-    via the null space of a 3x4 system, with f_x and f_y from
-    `grid_derivatives`: shape (nx, ny, 4).  The sign is whatever the solver
-    returns; compare with numeric_normal_max_deviation.
-    """
-    g = surface.grid
-    f = surface.points
-    fx, fy = grid_derivatives(f, g.hx, g.hy)
-    eta = np.array([1.0, 1.0, 1.0, -1.0])
-    rows = np.stack([f * eta, fx * eta, fy * eta], axis=-2)
-    _, _, vh = np.linalg.svd(rows)
-    null = vh[..., -1, :]
-    nn = mink_dot(null, null)
-    if np.any(nn <= 0.0):
-        raise NumericalError("reconstructed normal is not spacelike")
-    return null / np.sqrt(nn)[..., None]
-
-
-def numeric_normal_max_deviation(surface: H3SurfaceGrid, normal: NormalField) -> float:
-    """Max deviation between the reconstructed normal and the algebraic one,
-    after aligning the reconstruction's per-point sign."""
-    if surface.grid != normal.grid:
-        raise InvalidInputError("surface and normal live on different grids")
-    Nn = numeric_normal(surface)
-    Nr = normal.vectors
-    sign = np.sign(mink_dot(Nn, Nr))
-    sign[sign == 0.0] = 1.0
-    return float(np.max(np.abs(Nn * sign[..., None] - Nr)))

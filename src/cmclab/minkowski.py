@@ -1,40 +1,26 @@
-"""Hermitian-matrix model of Minkowski 4-space and hyperbolic 3-space.
+"""Minkowski 4-space and hyperbolic 3-space in coordinates.
 
 Points of R^{3,1} (signature +++-) are 4-vectors stored in the fixed
-coordinate order (x1, x2, x3, x0), with x0 the timelike coordinate.
-The equivalent Hermitian form is
-
-    X = [[x0 + x3, x1 - i*x2],
-         [x1 + i*x2, x0 - x3]],
-
-so det X = -<X, X>, and the unimodular 2x2 group acts isometrically by
-X -> G X conj(G)^T.  Hyperbolic 3-space is the sheet det X = 1, x0 > 0.
-
-The Minkowski product in matrix form is
-
-    <X, Y> = -1/2 tr(X s Y^T s),   s = [[0, -i], [i, 0]],
-
-where Y^T is the plain transpose.  Matrices are numpy complex arrays with
-the two matrix axes last; every routine broadcasts over leading grid axes.
+coordinate order (x1, x2, x3, x0), with x0 the timelike coordinate, and
+`mink_dot` is their bilinear form.  Hyperbolic 3-space is the sheet
+<p, p> = -1, x0 > 0, which `require_h3` holds to H3_TOL.  Matrices are
+numpy complex arrays with the two matrix axes last; every routine
+broadcasts over leading grid axes.
 
 Stacks of matrices and grids of 4-vectors are laid out entry-major
 (`empty_planes`): each entry [..., i, j] or [..., c] is one contiguous plane
 over the grid axes, so the entrywise kernels read and write whole planes
 rather than gathering every fourth or second number.
 
-`mul2` and `det2` multiply 2x2 stacks and take their determinants;
+`mul2` and `det2` multiply 2x2 stacks and take their determinants, and
 `surface_and_normal` forms F conj(F)^t and F diag(1, -1) conj(F)^t as real
-quadratic forms in F's entries, and `from_hermitian` holds the one
-Hermitian gate for matrices formed anywhere else.
+quadratic forms in F's entries.  The Hermitian matrix model those products
+live in, and its gate, are reference definitions (`cmclab.reference`).
 """
 
 import numpy as np
 
 from .errors import InternalConsistencyError, InvalidInputError
-
-# Hermiticity slack absorbs the round-off of a computed matrix without
-# masking logic errors.
-HERMITIAN_RTOL = 1e-9
 
 # the integrator holds |det F - 1| to DET_DRIFT_TOL; a point F conj(F)^t
 # then misses the sheet by | |det F|^2 - 1 | <= H3_TOL, the one bound on
@@ -102,56 +88,6 @@ def det2(A):
     return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
 
 
-def conj_transpose(M):
-    """Conjugate transpose over the trailing matrix axes."""
-    return np.conj(np.swapaxes(M, -1, -2))
-
-
-def _off_diagonal_defect(b, c):
-    """Largest |b - conj(c)| of a matrix grid's off-diagonal entries b, c."""
-    return np.max(np.abs(b - np.conj(c)), initial=0.0)
-
-
-def _diagonal_defect(a):
-    """Largest |2 Im a| of a matrix grid's diagonal entry a."""
-    return 2.0 * np.max(np.abs(a.imag), initial=0.0)
-
-
-def to_hermitian(p):
-    """Map coordinate points (..., 4) = (x1, x2, x3, x0) to Hermitian matrices."""
-    p = np.asarray(p, dtype=float)
-    x1, x2, x3, x0 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    return mat2(x0 + x3, x1 - 1j * x2, x1 + 1j * x2, x0 - x3)
-
-
-def from_hermitian(M, what="matrix"):
-    """Invert `to_hermitian`: the coordinates (x1, x2, x3, x0) of a grid of
-    Hermitian matrices M, read off its four entry planes.
-
-    The one Hermitian gate: the defect, |b - conj(c)| over the off-diagonal
-    entries and |2 Im| over the diagonal ones, may not exceed HERMITIAN_RTOL
-    * (1 + largest entry magnitude), and a NaN is refused, with
-    InvalidInputError naming `what`.  Imaginary round-off within the
-    tolerance is discarded.
-    """
-    M = np.asarray(M, dtype=complex)
-    a, b, c, d = (M[..., i, j] for i, j in np.ndindex(2, 2))
-    diag = np.maximum(_diagonal_defect(a), _diagonal_defect(d))
-    defect = float(np.maximum(_off_diagonal_defect(b, c), diag))
-    largest = max(float(np.max(np.abs(m), initial=0.0)) for m in (a, b, c, d))
-    tol = HERMITIAN_RTOL * (1.0 + largest)
-    if not defect <= tol:
-        raise InvalidInputError(
-            f"{what} is not Hermitian: defect {defect:.3e} exceeds {tol:.3e}"
-        )
-    out = empty_planes(M.shape[:-2], (4,), float)
-    out[..., 0] = 0.5 * (b + c).real
-    out[..., 1] = 0.5 * (c - b).imag
-    out[..., 2] = 0.5 * (a.real - d.real)
-    out[..., 3] = 0.5 * (a.real + d.real)
-    return out
-
-
 def surface_and_normal(F):
     """The coordinates (x1, x2, x3, x0) of the surface F conj(F)^t and of its
     normal F diag(1, -1) conj(F)^t over a grid of frames F, in that order,
@@ -182,16 +118,6 @@ def surface_and_normal(F):
     for out in (surface, normal):
         out.flags.writeable = out.base.flags.writeable = False
     return surface, normal
-
-
-def minkowski_inner(X, Y):
-    """Minkowski product -1/2 tr(X s Y^T s) of two Hermitian matrices.
-
-    Equals x1*y1 + x2*y2 + x3*y3 - x0*y0 in coordinates, which is how it is
-    computed.  Both arguments must be Hermitian within tolerance; each is
-    checked once, by `from_hermitian`.
-    """
-    return mink_dot(from_hermitian(X, "first argument"), from_hermitian(Y, "second argument"))
 
 
 def mink_dot(p, q):

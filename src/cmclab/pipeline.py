@@ -72,9 +72,12 @@ def poincare_ball(p):
 
     b = (x1, x2, x3)/(1 + x0).  Accepts a single point or an array of them.
     """
-    p = np.asarray(p, dtype=float)
     # the points are surface points F F*, held to the same bound as those
-    require_h3(p, what="ball projection input")
+    return _ball(require_h3(p, what="ball projection input"))
+
+
+def _ball(p):
+    """`poincare_ball` of points already held to the hyperboloid."""
     return p[..., :3] / (1.0 + p[..., 3:4])
 
 
@@ -98,12 +101,13 @@ def write_mesh(path, surface, faces):
     """Wavefront-style quad mesh of an H3SurfaceGrid's ball-projected points.
 
     The header names the surface's kind; vertices are emitted x fastest,
-    followed by `faces`, the bytes `_mesh_faces(nx, ny)` returns.
+    followed by `faces`, the bytes `_mesh_faces(nx, ny)` returns.  The grid
+    held its points to the hyperboloid, so they are projected ungated.
     """
     with open(path, "wb") as fh:
         fh.write(f"# {surface.kind} surface: Poincare ball vertices, quad faces, "
                  "row-major in y\n".encode())
-        write_table(fh, np.moveaxis(poincare_ball(surface.points), -1, 0), prefix="v ")
+        write_table(fh, np.moveaxis(_ball(surface.points), -1, 0), prefix="v ")
         fh.write(faces)
 
 

@@ -9,6 +9,7 @@ exactly.  The text format is for humans and may carry extra header lines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, InvalidInputError
@@ -54,7 +55,8 @@ def default_tolerances() -> dict[str, float]:
 
 def resolve_tolerances(overrides: dict | None = None) -> dict[str, float]:
     """Default tolerances with `overrides` applied; the one check of an
-    override map: registered names only, each with a positive number."""
+    override map: registered names only, each with a finite positive
+    number."""
     tols = default_tolerances()
     if overrides is None:
         return tols
@@ -66,7 +68,12 @@ def resolve_tolerances(overrides: dict | None = None) -> dict[str, float]:
     for name, val in overrides.items():
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ConfigError(f"tolerance {name!r} must be a number, got {val!r}")
-        val = float(val)
+        try:
+            val = float(val)
+        except OverflowError:  # an integer beyond the largest double
+            val = math.inf
+        if not math.isfinite(val):
+            raise ConfigError(f"tolerance {name} must be a finite number, got {val}")
         if not val > 0.0:
             raise ConfigError(f"tolerance {name} must be positive, got {val}")
         tols[name] = val

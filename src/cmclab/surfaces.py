@@ -10,9 +10,9 @@ where N = F diag(1, -1) conj(F)^t is the unit normal of the primary
 surface, so the shifted surface lies at constant geodesic distance -q
 along the normal.  Both products come from one pass of
 `minkowski.surface_and_normal` over F's entries; `_surface` keeps the
-points and `normal_field` the normal.  from_hermitian is linear, so
-`parallel_identity_defect` checks the identity on the hyperboloid
-coordinates the two sides already hold.
+points and `normal_field` the normal.  Coordinates are linear in the
+Hermitian matrices, so `parallel_identity_defect` checks the identity on
+the points and normal the sides of `verify.evaluate` already hold.
 """
 
 from __future__ import annotations
@@ -115,18 +115,6 @@ def parallel_identity_defect(
     q = primary.spectral.q
     R = shifted.points - (np.cosh(q) * primary.points - np.sinh(q) * normal.vectors)
     return float(np.max(np.abs(R))) / float(np.max(np.abs(shifted.points)))
-
-
-def parallel_identity_residual(frame: ExtendedFrame) -> float:
-    """`parallel_identity_defect` of the two surfaces and the primary normal
-    of `frame`.
-
-    The identity is exact matrix algebra (D^2 = cosh q I - sinh q diag(1,-1)),
-    so the result must sit at round-off scale for any unimodular frame.
-    """
-    return parallel_identity_defect(
-        surface_primary(frame), normal_field(frame), surface_shifted(frame)
-    )
 
 
 def hyperbolic_distance(p, s):

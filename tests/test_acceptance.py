@@ -11,13 +11,7 @@ import math
 import numpy as np
 
 from cmclab.cli import main as cli_main
-from cmclab.frames import (
-    SpectralParam,
-    cylinder_frame_lax_gauge,
-    frame_left_multiply,
-    integrate_frame,
-    two_path_discrepancy,
-)
+from cmclab.frames import SpectralParam, integrate_frame
 from cmclab.measure import (
     closed_form,
     closed_form_max_diff,
@@ -31,7 +25,15 @@ from cmclab.measure import (
     measure,
     metric_match,
 )
-from cmclab.minkowski import conj_transpose, minkowski_inner, to_hermitian
+from cmclab.minkowski import mink_dot
+from cmclab.reference import (
+    conj_transpose,
+    cylinder_frame_lax_gauge,
+    frame_left_multiply,
+    from_hermitian,
+    to_hermitian,
+    two_path_discrepancy,
+)
 from cmclab.surface_data import (
     GridSpec,
     SurfaceData,
@@ -45,11 +47,10 @@ from cmclab.surface_data import (
 from cmclab.surfaces import (
     equidistance_defect,
     normal_field,
-    parallel_identity_residual,
+    parallel_identity_defect,
     surface_primary,
-    surface_shifted,
 )
-from cmclab.verify import verify_theorem
+from cmclab.verify import evaluate, verify_theorem
 
 from conftest import square_grid
 
@@ -100,9 +101,9 @@ def test_criterion_3_parallel_exact_identities(capsys, del_data_101):
     for lam in (0.3, 0.5, 0.8):
         sp = SpectralParam(lam)
         for name, data in (("cylinder", cyl), ("delaunay", del_data_101)):
-            frame = integrate_frame(data, sp)
-            rel = parallel_identity_residual(frame)
-            dev = equidistance_defect(surface_primary(frame), surface_shifted(frame))
+            primary, shifted = evaluate(integrate_frame(data, sp))
+            rel = parallel_identity_defect(primary.surface, primary.normal, shifted.surface)
+            dev = equidistance_defect(primary.surface, shifted.surface)
             checks[f"{name} lam={lam} parallel residual <= 1e-11"] = rel <= 1e-11
             checks[f"{name} lam={lam} distance = -q within 1e-9"] = dev <= 1e-9
     emit(capsys, 3, "parallel identity and equidistance", checks)
@@ -203,8 +204,9 @@ def test_criterion_7_invariance(capsys, cyl_frame_101):
         X, Y = to_hermitian(p), to_hermitian(q)
         B = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         G = B / np.sqrt(np.linalg.det(B))
-        lhs = minkowski_inner(G @ X @ conj_transpose(G), G @ Y @ conj_transpose(G))
-        dev = max(dev, abs(lhs - minkowski_inner(X, Y)))
+        GX, GY = G @ X @ conj_transpose(G), G @ Y @ conj_transpose(G)
+        lhs = mink_dot(from_hermitian(GX), from_hermitian(GY))
+        dev = max(dev, abs(lhs - mink_dot(from_hermitian(X), from_hermitian(Y))))
     checks["unimodular action isometric to 1e-10"] = dev <= 1e-10
     emit(capsys, 7, "gauge and isometry invariance", checks)
 

@@ -496,11 +496,15 @@ def _keys(**keys):
         (_keys(u0=float("inf")), "key 'u0' must be a finite number"),
         (_keys(H=float("inf")), "key 'H' must be a finite number"),
         (_keys(H=10**400), "key 'H' must be a finite number"),
+        ({"metric_match_primary": float("inf")},
+         "tolerance metric_match_primary must be a finite number, got inf"),
+        ({"metric_match_primary": 10**400},
+         "tolerance metric_match_primary must be a finite number, got inf"),
     ],
     ids=[
         "unknown-name", "non-positive", "non-number", "H-not-2Q", "H-zero",
         "r-key", "step-key", "x-extent-wide", "u0-nan", "du0-nan", "u0-inf",
-        "H-inf", "H-huge-int",
+        "H-inf", "H-huge-int", "tolerance-inf", "tolerance-huge-int",
     ],
 )
 def test_refused_run_writes_nothing(tmp_path, capsys, fault, expected):
@@ -544,12 +548,17 @@ def test_tolerance_override_can_fail_run(tmp_path, capsys):
             for ln in text.splitlines(keepends=True)
         ), "tolerance metric_match_primary must be positive"),
         (lambda text: "".join(
+            f"metric_match_primary {ln.split()[1]} inf PASS\n"
+            if ln.startswith("metric_match_primary ") else ln
+            for ln in text.splitlines(keepends=True)
+        ), "tolerance metric_match_primary must be a finite number, got inf"),
+        (lambda text: "".join(
             ln for ln in text.splitlines(keepends=True)
             if not ln.startswith("metric_match_primary ")
         ), "report.kv: no stored tolerance for metric_match_primary"),
         (None, "report.kv"),
     ],
-    ids=["unknown-name", "non-positive", "dropped-check", "missing"],
+    ids=["unknown-name", "non-positive", "infinite", "dropped-check", "missing"],
 )
 def test_verify_refuses_a_tampered_report(generated, tmp_path, capsys, tamper, expected):
     _, out, _ = generated

@@ -8,15 +8,12 @@ from cmclab.errors import (
     IntegrationFailureError,
     InvalidInputError,
 )
-from cmclab.frames import (
-    SpectralParam,
+from cmclab.frames import SpectralParam, integrate_frame, shift_frame, spectral_shift_matrix
+from cmclab.reference import (
     cylinder_frame_closed_form,
     cylinder_frame_lax_gauge,
     frame_left_multiply,
-    integrate_frame,
     lax_matrices,
-    shift_frame,
-    spectral_shift_matrix,
     two_path_discrepancy,
 )
 from cmclab.surface_data import GridSpec, SurfaceData, cylinder_data, delaunay_data

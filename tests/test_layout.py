@@ -8,16 +8,9 @@ import pytest
 from conftest import plain_sides
 
 from cmclab.frames import ExtendedFrame, SpectralParam, shift_frame
-from cmclab.minkowski import (
-    conj_transpose,
-    det2,
-    empty_planes,
-    from_hermitian,
-    mat2,
-    mul2,
-    to_hermitian,
-)
+from cmclab.minkowski import det2, empty_planes, mat2, mul2
 from cmclab.pipeline import load_frame, save_frame
+from cmclab.reference import conj_transpose, from_hermitian, to_hermitian
 from cmclab.surface_data import GridSpec
 from cmclab.surfaces import H3SurfaceGrid, NormalField, _surface, normal_field
 from cmclab.verify import evaluate

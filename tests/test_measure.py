@@ -24,8 +24,8 @@ from cmclab.measure import (
     mean_sign,
     measure,
     metric_match,
-    numeric_normal_max_deviation,
 )
+from cmclab.reference import numeric_normal_max_deviation
 from cmclab.surface_data import GridSpec, SurfaceData, cylinder_data, delaunay_data, dual_data
 from cmclab.surfaces import (
     H3SurfaceGrid,

@@ -17,7 +17,7 @@ from cmclab.frames import (
     spectral_shift_matrix,
 )
 from cmclab.measure import measure
-from cmclab.minkowski import from_hermitian, conj_transpose, surface_and_normal
+from cmclab.minkowski import require_h3, surface_and_normal
 from cmclab.pipeline import (
     DIAGNOSTICS_FILE,
     FRAME_FILE,
@@ -46,7 +46,8 @@ from cmclab.surface_data import (
     load_surface_data,
     save_surface_data,
 )
-from cmclab.surfaces import distance_grid, parallel_identity_residual
+from cmclab.reference import conj_transpose, from_hermitian
+from cmclab.surfaces import distance_grid, parallel_identity_defect
 from cmclab.verify import evaluate, verify_theorem
 
 ALL_FILES = (
@@ -479,6 +480,17 @@ def test_run_builds_each_side_once(tmp_path, monkeypatch):
     assert counts["distance_grid"] == 1
 
 
+def test_each_surface_is_gated_onto_the_hyperboloid_once(tmp_path, monkeypatch):
+    # H3SurfaceGrid holds each side's points to the hyperboloid; the mesh
+    # writer projects those points without a second gate
+    counts = count_calls(monkeypatch, require_h3)
+    run(config_from_mapping({**GOLDEN_CONFIG, "out_dir": str(tmp_path)}))
+    assert counts["require_h3"] == 2
+    counts["require_h3"] = 0
+    export_meshes(tmp_path)
+    assert counts["require_h3"] == 2
+
+
 def test_library_tour_takes_each_grid_once(monkeypatch):
     # integrate_frame's compatibility gate and the report share one residual
     counts = count_calls(monkeypatch, gauss_residual, distance_grid, surface_and_normal)
@@ -491,7 +503,8 @@ def test_report_residual_is_the_frame_residual():
     grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41)
     data = delaunay_data(grid, 0.5, -0.4, 0.1)
     frame = integrate_frame(data, SpectralParam(0.3))
-    expected = parallel_identity_residual(frame)
+    primary, shifted = evaluate(frame)
+    expected = parallel_identity_defect(primary.surface, primary.normal, shifted.surface)
     assert 0.0 < expected < 1e-13
     report = verify_theorem(data, frame)
     value = {r.name: r.value for r in report.records}["parallel_identity_residual"]

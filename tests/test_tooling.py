@@ -1,5 +1,6 @@
 """The benchmark's tracing targets and the package's exports still name its code,
-no module imports a name it never uses, the frame modules form 2x2 products
+no module imports a name it never uses, no core module imports the
+reference definitions, the frame modules form 2x2 products
 only through the entrywise kernel, 2x2 stacks and 4-vector grids are
 allocated only entry-major, tolerance gates refuse NaN, the hyperboloid
 bound is written once, and grid tables are spelled only by the whole-array
@@ -66,6 +67,52 @@ def test_no_unused_imports():
     )
     assert files
     assert [entry for path in files for entry in _unused_imports(path)] == []
+
+
+def _reference_imports(path):
+    """Each import in `path` of the `reference` module or of a name from it,
+    in any spelling: `from .reference import x`, `from . import reference`,
+    `import cmclab.reference` and the like."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any("reference" in module.split(".") for module in modules):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_core_never_imports_reference():
+    # the reference definitions are what the program is tested against; a
+    # core module that used one would test itself by itself
+    core = sorted(
+        path
+        for path in (ROOT / "src" / "cmclab").rglob("*.py")
+        if path.name not in ("__init__.py", "reference.py")
+    )
+    assert core
+    assert [entry for path in core for entry in _reference_imports(path)] == []
+
+
+def test_reference_import_lint_sees_each_form(tmp_path):
+    path = tmp_path / "surfaces.py"
+    path.write_text(
+        "from .reference import to_hermitian\n"
+        "from . import reference\n"
+        "import cmclab.reference\n"
+        "from cmclab.reference import from_hermitian as fh\n"
+        "from . import minkowski, reference as ref\n"
+        "from .minkowski import mink_dot\n"
+        "import cmclab.minkowski\n"
+        "from perfbench import spans\n"
+    )
+    assert _reference_imports(path) == [f"surfaces.py:{line}" for line in (1, 2, 3, 4, 5)]
 
 
 def _products_outside_mul2(path):
