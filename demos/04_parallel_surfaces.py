@@ -8,7 +8,8 @@ identity
     f_shift = cosh(q) f - sinh(q) N,    q = ln lambda,
 
 with N the unit normal of f, which forces the hyperbolic distance between
-corresponding points to be -q everywhere.
+corresponding points to be -q everywhere.  Each surface carries its normal
+(`prim.normal`), built in the same pass over the frame as its points.
 """
 
 import math
@@ -20,7 +21,6 @@ from cmclab import (
     distance_grid,
     equidistance_defect,
     integrate_frame,
-    normal_field,
     surface_primary,
     surface_shifted,
 )
@@ -35,7 +35,7 @@ shif = surface_shifted(frame)
 
 # The identity is algebra, not analysis: it holds to rounding error on
 # any unimodular frame, integrated or not.
-print("parallel identity residual:", parallel_identity_defect(prim, normal_field(frame), shif))
+print("parallel identity residual:", parallel_identity_defect(prim, shif))
 
 d = distance_grid(prim, shif)
 print("distance min/max:", float(d.min()), float(d.max()))

@@ -13,7 +13,6 @@ from cmclab import (
     cylinder_data,
     integrate_frame,
     measure,
-    normal_field,
     render_text,
     surface_primary,
     verify_theorem,
@@ -24,9 +23,10 @@ sp = SpectralParam(0.5)
 data = cylinder_data(GridSpec(-1, 1, -1, 1, 101, 101))
 frame = integrate_frame(data, sp)
 
-# Direct measurement: metric coefficients, Hopf quantity, mean curvature.
-# The arrays have the grid's shape, so the centre is entry [50, 50].
-m = measure(surface_primary(frame), normal_field(frame))
+# Direct measurement: metric coefficients, Hopf quantity, mean curvature,
+# against the normal the surface carries.  The arrays have the grid's
+# shape, so the centre is entry [50, 50].
+m = measure(surface_primary(frame))
 print("measured E (center):", m.E[50, 50])
 print("measured |Qm| (center):", abs(m.Qm[50, 50]))
 print("measured Hm (center):", m.Hm[50, 50])

@@ -40,7 +40,6 @@ from .frames import (
 )
 from .surfaces import (
     H3SurfaceGrid,
-    NormalField,
     distance_grid,
     equidistance_defect,
     hyperbolic_distance,
@@ -105,7 +104,6 @@ __all__ = [
     "spectral_shift_matrix",
     "two_path_discrepancy",
     "H3SurfaceGrid",
-    "NormalField",
     "distance_grid",
     "equidistance_defect",
     "hyperbolic_distance",

@@ -12,13 +12,12 @@ shapes (`SurfaceData`), not here: a custom-file run does not read it.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, InvalidInputError
 from .frames import SpectralParam
-from .report import resolve_tolerances
+from .report import finite_number, resolve_tolerances
 from .surface_data import GridSpec
 
 FAMILIES = ("cylinder", "delaunay", "custom-file")
@@ -81,17 +80,12 @@ class RunConfig:
 
 
 def _coerce(key: str, value, kind):
-    # a JSON integer is a valid float; a JSON boolean is never a number
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, accepted):
+    if kind is float:
+        return finite_number(value, f"key {key!r}")
+    # a JSON boolean is never an integer
+    if isinstance(value, bool) or not isinstance(value, kind):
         got = "boolean" if isinstance(value, bool) else repr(value)
         raise ConfigError(f"key {key!r} must be {kind.__name__}, got {got}")
-    try:
-        value = kind(value)
-    except OverflowError:  # an integer beyond the largest double
-        value = math.inf
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"key {key!r} must be a finite number")
     return value
 
 

@@ -2,9 +2,9 @@
 
 First fundamental form, Hopf differential function and mean curvature are
 recovered on every node of a surface grid by the fourth-order difference
-kernel of `surface_data`, using the exact algebraic normal rather than a
-reconstructed one so that all finite-difference error is isolated in
-derivatives of the position f.
+kernel of `surface_data`, using the exact algebraic normal the surface
+carries rather than a reconstructed one so that all finite-difference
+error is isolated in derivatives of the position f.
 Because <f, N> = 0, the ambient second derivatives may be paired with N
 directly: the components along f that distinguish ambient from intrinsic
 second derivatives are annihilated.
@@ -25,7 +25,7 @@ from .errors import InvalidInputError, NumericalError
 from .frames import SpectralParam
 from .surface_data import GridSpec, SurfaceData, _frozen, _locked, grid_derivatives
 from .surface_data import grid_second_derivatives
-from .surfaces import H3SurfaceGrid, NormalField
+from .surfaces import H3SurfaceGrid
 
 # |Fc|/E beyond this marks the parametrization as visibly non-conformal
 CONFORMAL_WARN_RATIO = 0.05
@@ -41,7 +41,6 @@ class MeasuredData:
     G: np.ndarray
     Qm: np.ndarray
     Hm: np.ndarray
-    conformal_warning: bool
 
     def __post_init__(self):
         shape = (self.grid.nx, self.grid.ny)
@@ -79,7 +78,7 @@ def _add_term(total, c, term):
     return total
 
 
-def measure(surface: H3SurfaceGrid, normal: NormalField) -> MeasuredData:
+def measure(surface: H3SurfaceGrid) -> MeasuredData:
     """Measure E, Fc, G, Qm, Hm on every node of a surface grid.
 
     Uses f_zz = (f_xx - f_yy - 2i f_xy)/4 and f_zzbar = (f_xx + f_yy)/4,
@@ -88,10 +87,8 @@ def measure(surface: H3SurfaceGrid, normal: NormalField) -> MeasuredData:
     measured E.  An E that is not positive at some node raises NumericalError
     before any second derivative is taken.
     """
-    if surface.grid != normal.grid:
-        raise InvalidInputError("surface and normal live on different grids")
     g = surface.grid
-    f, N = surface.points, normal.vectors
+    f, N = surface.points, surface.normal
     hx, hy = g.hx, g.hy
 
     E = Fc = G = None
@@ -121,9 +118,7 @@ def measure(surface: H3SurfaceGrid, normal: NormalField) -> MeasuredData:
         del fxx, fyy, fxy
     Qm = 0.25 * (fxx_n - fyy_n - 2.0j * fxy_n)
     Hm = 0.5 * (fxx_n + fyy_n) / E
-
-    warn = bool(np.max(np.abs(Fc) / E) > CONFORMAL_WARN_RATIO)
-    return MeasuredData(g, *map(_frozen, (E, Fc, G, Qm, Hm)), conformal_warning=warn)
+    return MeasuredData(g, *map(_frozen, (E, Fc, G, Qm, Hm)))
 
 
 def closed_form(data: SurfaceData, spectral: SpectralParam, sign: int) -> ClosedFormData:

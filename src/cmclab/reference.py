@@ -20,7 +20,7 @@ from .errors import InvalidInputError, NumericalError
 from .frames import ExtendedFrame, SpectralParam, _lax_entries, _sweep
 from .minkowski import det2, empty_planes, mat2, mink_dot, mul2
 from .surface_data import SurfaceData, _frozen, grid_derivatives
-from .surfaces import H3SurfaceGrid, NormalField
+from .surfaces import H3SurfaceGrid
 
 # Hermiticity slack: the round-off of a computed matrix, not a logic error
 HERMITIAN_RTOL = 1e-9
@@ -169,13 +169,10 @@ def numeric_normal(surface: H3SurfaceGrid) -> np.ndarray:
     return null / np.sqrt(nn)[..., None]
 
 
-def numeric_normal_max_deviation(surface: H3SurfaceGrid, normal: NormalField) -> float:
-    """Max deviation between the reconstructed normal and the algebraic one,
-    after aligning the reconstruction's per-point sign."""
-    if surface.grid != normal.grid:
-        raise InvalidInputError("surface and normal live on different grids")
-    Nn = numeric_normal(surface)
-    Nr = normal.vectors
+def numeric_normal_max_deviation(surface: H3SurfaceGrid) -> float:
+    """Max deviation between the reconstructed normal and the algebraic one
+    the surface carries, after aligning the reconstruction's per-point sign."""
+    Nn, Nr = numeric_normal(surface), surface.normal
     sign = np.sign(mink_dot(Nn, Nr))
     sign[sign == 0.0] = 1.0
     return float(np.max(np.abs(Nn * sign[..., None] - Nr)))

@@ -53,6 +53,21 @@ def default_tolerances() -> dict[str, float]:
     return dict(REGISTRY)
 
 
+def finite_number(value, what: str) -> float:
+    """`value` from outside the program as a finite float, or a ConfigError
+    that names it `what`; a boolean is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        got = "boolean" if isinstance(value, bool) else repr(value)
+        raise ConfigError(f"{what} must be a number, got {got}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the largest double
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be a finite number, got {value}")
+    return value
+
+
 def resolve_tolerances(overrides: dict | None = None) -> dict[str, float]:
     """Default tolerances with `overrides` applied; the one check of an
     override map: registered names only, each with a finite positive
@@ -66,14 +81,7 @@ def resolve_tolerances(overrides: dict | None = None) -> dict[str, float]:
     if unknown:
         raise ConfigError(f"unknown tolerance names: {', '.join(unknown)}")
     for name, val in overrides.items():
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"tolerance {name!r} must be a number, got {val!r}")
-        try:
-            val = float(val)
-        except OverflowError:  # an integer beyond the largest double
-            val = math.inf
-        if not math.isfinite(val):
-            raise ConfigError(f"tolerance {name} must be a finite number, got {val}")
+        val = finite_number(val, f"tolerance {name}")
         if not val > 0.0:
             raise ConfigError(f"tolerance {name} must be positive, got {val}")
         tols[name] = val

@@ -8,11 +8,11 @@ Writing lam = e^q, the two satisfy the exact pointwise identity
 
 where N = F diag(1, -1) conj(F)^t is the unit normal of the primary
 surface, so the shifted surface lies at constant geodesic distance -q
-along the normal.  Both products come from one pass of
-`minkowski.surface_and_normal` over F's entries; `_surface` keeps the
-points and `normal_field` the normal.  Coordinates are linear in the
-Hermitian matrices, so `parallel_identity_defect` checks the identity on
-the points and normal the sides of `verify.evaluate` already hold.
+along the normal.  `_surface`, the one side builder, takes a surface and
+the normal it carries from one pass of `minkowski.surface_and_normal`
+over F's entries.  Coordinates are linear in the Hermitian matrices, so
+`parallel_identity_defect` checks the identity on the points and normal
+the sides of `verify.evaluate` already hold.
 """
 
 from __future__ import annotations
@@ -30,90 +30,75 @@ from .surface_data import GridSpec, _locked
 
 @dataclass(frozen=True, eq=False)
 class H3SurfaceGrid:
-    """Grid of hyperboloid points, coordinates (x1, x2, x3, x0); `kind` is
-    the name in SIDES of the side the surface belongs to."""
+    """Hyperboloid points and their finite unit normals over a grid, in
+    coordinates (x1, x2, x3, x0); `kind` is the surface's side in SIDES."""
 
     grid: GridSpec
     points: np.ndarray
+    normal: np.ndarray
     spectral: SpectralParam
     kind: str
 
     def __post_init__(self):
         if self.kind not in SIDES:
             raise InvalidInputError(f"unknown surface kind {self.kind!r}")
-        pts = _locked(
-            self.points, float, (self.grid.nx, self.grid.ny, 4), "points", entries=1
-        )
+        shape = (self.grid.nx, self.grid.ny, 4)
+        for name in ("points", "normal"):
+            a = _locked(getattr(self, name), float, shape, name, entries=1)
+            object.__setattr__(self, name, a)
         # a point F F* misses the hyperboloid by |det F|^2 - 1, so require_h3
         # holds it to H3_TOL, derived from the integrator's bound on |det F - 1|
-        require_h3(pts, what=f"{self.kind} surface")
-        object.__setattr__(self, "points", pts)
-
-
-@dataclass(frozen=True, eq=False)
-class NormalField:
-    """Grid of spacelike unit vectors normal to a surface grid; a vector
-    that is not finite is refused."""
-
-    grid: GridSpec
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        v = _locked(
-            self.vectors, float, (self.grid.nx, self.grid.ny, 4), "vectors", entries=1
-        )
-        if not np.isfinite(v).all():
-            raise InvalidInputError("normal field has a vector that is not finite")
-        object.__setattr__(self, "vectors", v)
+        require_h3(self.points, what=f"{self.kind} surface")
+        if not np.isfinite(self.normal).all():
+            raise InvalidInputError(f"{self.kind} normal has a vector that is not finite")
 
 
 def _surface(frame: ExtendedFrame, kind: str) -> H3SurfaceGrid:
-    """The surface F conj(F)^t of `frame` on side `kind`; on a shifted
-    frame FD this is the shifted surface."""
-    return H3SurfaceGrid(frame.grid, surface_and_normal(frame.F)[0], frame.spectral, kind)
+    """The surface F conj(F)^t of `frame` on side `kind`, with its normal;
+    on a shifted frame FD this is the shifted surface."""
+    return H3SurfaceGrid(frame.grid, *surface_and_normal(frame.F), frame.spectral, kind)
 
 
 def surface_primary(frame: ExtendedFrame) -> H3SurfaceGrid:
-    """The surface F conj(F)^t as hyperboloid points."""
+    """The surface F conj(F)^t, with its normal."""
     return _surface(frame, SIDES[0])
 
 
 def surface_shifted(frame: ExtendedFrame) -> H3SurfaceGrid:
-    """The parallel surface (FD) conj(FD)^t as hyperboloid points."""
+    """The parallel surface (FD) conj(FD)^t, with its normal."""
     return _surface(shift_frame(frame), SIDES[1])
 
 
-def normal_field(frame: ExtendedFrame) -> NormalField:
-    """Unit normal N = F diag(1, -1) conj(F)^t of the frame's surface.
-
-    Applied to a shifted frame this gives the shifted surface's normal.
-    """
-    return NormalField(frame.grid, surface_and_normal(frame.F)[1])
+def normal_field(frame: ExtendedFrame) -> np.ndarray:
+    """Unit normal N = F diag(1, -1) conj(F)^t of the frame's surface; on a
+    shifted frame FD, the shifted surface's normal."""
+    return _surface(frame, SIDES[0]).normal
 
 
-def normal_unit_defect(normal: NormalField) -> float:
+def _require_same_grid(a: H3SurfaceGrid, b: H3SurfaceGrid) -> None:
+    """Refuse a pair of surfaces on different grids."""
+    if a.grid != b.grid:
+        raise InvalidInputError("surface grids do not match")
+
+
+def normal_unit_defect(surface: H3SurfaceGrid) -> float:
     """Max deviation of <N, N> from +1 over the grid."""
-    v = normal.vectors
+    v = surface.normal
     return float(np.max(np.abs(mink_dot(v, v) - 1.0)))
 
 
-def normal_orthogonality_defect(surface: H3SurfaceGrid, normal: NormalField) -> float:
+def normal_orthogonality_defect(surface: H3SurfaceGrid) -> float:
     """Max deviation of <N, f> from 0 over the grid."""
-    if surface.grid != normal.grid:
-        raise InvalidInputError("surface and normal live on different grids")
-    return float(np.max(np.abs(mink_dot(normal.vectors, surface.points))))
+    return float(np.max(np.abs(mink_dot(surface.normal, surface.points))))
 
 
-def parallel_identity_defect(
-    primary: H3SurfaceGrid, normal: NormalField, shifted: H3SurfaceGrid
-) -> float:
+def parallel_identity_defect(primary: H3SurfaceGrid, shifted: H3SurfaceGrid) -> float:
     """Grid maximum of |s - (cosh q f - sinh q N)| over the primary points f,
     their normal N and the shifted points s, relative to the largest shifted
     coordinate; q = ln(lam) is the primary's."""
-    if not primary.grid == normal.grid == shifted.grid:
-        raise InvalidInputError("surfaces and normal live on different grids")
+    _require_same_grid(primary, shifted)
     q = primary.spectral.q
-    R = shifted.points - (np.cosh(q) * primary.points - np.sinh(q) * normal.vectors)
+    R = shifted.points - (np.cosh(q) * primary.points - np.sinh(q) * primary.normal)
     return float(np.max(np.abs(R))) / float(np.max(np.abs(shifted.points)))
 
 
@@ -139,8 +124,7 @@ def hyperbolic_distance(p, s):
 
 def distance_grid(primary: H3SurfaceGrid, shifted: H3SurfaceGrid) -> np.ndarray:
     """Pointwise hyperbolic distance between two surface grids."""
-    if primary.grid != shifted.grid:
-        raise InvalidInputError("surface grids do not match")
+    _require_same_grid(primary, shifted)
     return hyperbolic_distance(primary.points, shifted.points)
 
 

@@ -17,12 +17,12 @@ exact parallel identity, equidistance and the opposite mean-curvature
 signs complete the registry.
 
 Every frame-derived array is built once per evaluation: each side's
-surface and normal come from one pass over its frame, the report and the
-diagnostics share one distance grid (`Sides.distance`), the parallel
-identity is checked on the points and normal the sides hold, and each
-frame's |det F - 1| maximum is taken once, so the report reuses the one
-`integrate_frame` checked.  `_report` takes the tolerance map that
-`report.resolve_tolerances` validated.
+surface, which carries its normal, comes from one `surfaces._surface`
+pass over its frame, the report and the diagnostics share one distance
+grid (`Sides.distance`), the parallel identity is checked on the points
+and normal the sides hold, and each frame's |det F - 1| maximum is taken
+once, so the report reuses the one `integrate_frame` checked.  `_report`
+takes the tolerance map that `report.resolve_tolerances` validated.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from functools import cached_property
 
 from .errors import InvalidInputError
 from .frames import ExtendedFrame, shift_frame
-from .minkowski import surface_and_normal
 from .measure import (
+    CONFORMAL_WARN_RATIO,
     MeasuredData,
     closed_form,
     closed_form_max_diff,
@@ -60,8 +60,8 @@ from .report import (
 from .surface_data import SurfaceData, _frozen, dual_data, max_gauss_residual
 from .surfaces import (
     H3SurfaceGrid,
-    NormalField,
     _distance_defect,
+    _surface,
     distance_grid,
     normal_orthogonality_defect,
     normal_unit_defect,
@@ -73,21 +73,18 @@ from .surfaces import (
 class Side:
     """One side of the parallel pair: its name in SIDES, its sign (+1
     primary, -1 shifted), `frame` (FD on the shifted side), the surface F F*
-    it spans, its normal and its measured geometry."""
+    it spans with its normal, and its measured geometry."""
 
     name: str
     sign: int
     frame: ExtendedFrame
     surface: H3SurfaceGrid
-    normal: NormalField
     measured: MeasuredData
 
 
 def _side(name: str, sign: int, frame: ExtendedFrame) -> Side:
-    points, vectors = surface_and_normal(frame.F)
-    surface = H3SurfaceGrid(frame.grid, points, frame.spectral, name)
-    normal = NormalField(frame.grid, vectors)
-    return Side(name, sign, frame, surface, normal, measure(surface, normal))
+    surface = _surface(frame, name)
+    return Side(name, sign, frame, surface, measure(surface))
 
 
 class Sides(tuple):
@@ -147,12 +144,12 @@ def _report(
     values = {
         "gauss_residual_max": max_gauss_residual(data),
         "det_drift_max": max(s.frame.max_det_drift for s in sides),
-        "normal_unit_max_dev": max(normal_unit_defect(s.normal) for s in sides),
+        "normal_unit_max_dev": max(normal_unit_defect(s.surface) for s in sides),
         "normal_orthogonality_max_dev": max(
-            normal_orthogonality_defect(s.surface, s.normal) for s in sides
+            normal_orthogonality_defect(s.surface) for s in sides
         ),
         "parallel_identity_residual": parallel_identity_defect(
-            primary.surface, primary.normal, shifted.surface
+            primary.surface, shifted.surface
         ),
         "equidistance_max_dev": _distance_defect(sides.distance, frame.spectral),
     }
@@ -194,7 +191,9 @@ def _report(
         "homothety_scale": f"{scale:.17g}",
         **{f"mean_sign_{s.name}": f"{signs[s.name]:+.0f}" for s in sides},
         **{
-            f"conformal_warning_{s.name}": str(s.measured.conformal_warning).lower()
+            f"conformal_warning_{s.name}": str(
+                values[f"conformality_{s.name}"] > CONFORMAL_WARN_RATIO
+            ).lower()
             for s in sides
         },
     }

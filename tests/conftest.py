@@ -40,11 +40,6 @@ def sp_half():
 
 
 @pytest.fixture(scope="session")
-def cyl_frame_51(sp_half):
-    return integrate_frame(cylinder_data(square_grid(51)), sp_half)
-
-
-@pytest.fixture(scope="session")
 def cyl_frame_101(sp_half):
     return integrate_frame(cylinder_data(square_grid(101)), sp_half)
 

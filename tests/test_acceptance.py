@@ -44,12 +44,7 @@ from cmclab.surface_data import (
     max_gauss_residual,
     save_surface_data,
 )
-from cmclab.surfaces import (
-    equidistance_defect,
-    normal_field,
-    parallel_identity_defect,
-    surface_primary,
-)
+from cmclab.surfaces import equidistance_defect, parallel_identity_defect, surface_primary
 from cmclab.verify import evaluate, verify_theorem
 
 from conftest import square_grid
@@ -102,7 +97,7 @@ def test_criterion_3_parallel_exact_identities(capsys, del_data_101):
         sp = SpectralParam(lam)
         for name, data in (("cylinder", cyl), ("delaunay", del_data_101)):
             primary, shifted = evaluate(integrate_frame(data, sp))
-            rel = parallel_identity_defect(primary.surface, primary.normal, shifted.surface)
+            rel = parallel_identity_defect(primary.surface, shifted.surface)
             dev = equidistance_defect(primary.surface, shifted.surface)
             checks[f"{name} lam={lam} parallel residual <= 1e-11"] = rel <= 1e-11
             checks[f"{name} lam={lam} distance = -q within 1e-9"] = dev <= 1e-9
@@ -114,8 +109,8 @@ def test_criterion_4_measured_vs_closed_form(capsys, cyl_frame_101, cyl_frame_20
     # closed-form targets at lambda = 1/2: metric 0.140625, |Hopf| 3/32, mean 5/3
     t_fine = closed_form(cylinder_data(square_grid(201)), SpectralParam(0.5), 1)
     t_coarse = closed_form(cylinder_data(square_grid(101)), SpectralParam(0.5), 1)
-    m_fine = measure(surface_primary(cyl_frame_201), normal_field(cyl_frame_201))
-    m_coarse = measure(surface_primary(cyl_frame_101), normal_field(cyl_frame_101))
+    m_fine = measure(surface_primary(cyl_frame_201))
+    m_coarse = measure(surface_primary(cyl_frame_101))
     fine = {
         "metric": metric_match(m_fine, t_fine),
         "hopf": hopf_match(m_fine, t_fine),
@@ -177,7 +172,7 @@ def test_criterion_5_lawson_identities(capsys):
 def test_criterion_6_cmc_on_delaunay(capsys, del_data_201, del_frame_201):
     checks = {}
     checks["u genuinely non-constant"] = float(np.ptp(del_data_201.u)) > 0.1
-    m = measure(surface_primary(del_frame_201), normal_field(del_frame_201))
+    m = measure(surface_primary(del_frame_201))
     checks["mean curvature std dev <= 5e-3"] = mean_constancy(m) <= 5e-3
     target = closed_form(del_data_201, SpectralParam(0.5), 1)
     # target mean is (1/lam + lam)/(1/lam - lam) = 5/3 at lam = 1/2

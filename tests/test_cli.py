@@ -500,11 +500,15 @@ def _keys(**keys):
          "tolerance metric_match_primary must be a finite number, got inf"),
         ({"metric_match_primary": 10**400},
          "tolerance metric_match_primary must be a finite number, got inf"),
+        (_keys(H=True), "key 'H' must be a number, got boolean"),
+        ({"metric_match_primary": True},
+         "tolerance metric_match_primary must be a number, got boolean"),
     ],
     ids=[
         "unknown-name", "non-positive", "non-number", "H-not-2Q", "H-zero",
         "r-key", "step-key", "x-extent-wide", "u0-nan", "du0-nan", "u0-inf",
         "H-inf", "H-huge-int", "tolerance-inf", "tolerance-huge-int",
+        "H-boolean", "tolerance-boolean",
     ],
 )
 def test_refused_run_writes_nothing(tmp_path, capsys, fault, expected):

@@ -12,7 +12,7 @@ from cmclab.minkowski import det2, empty_planes, mat2, mul2
 from cmclab.pipeline import load_frame, save_frame
 from cmclab.reference import conj_transpose, from_hermitian, to_hermitian
 from cmclab.surface_data import GridSpec
-from cmclab.surfaces import H3SurfaceGrid, NormalField, _surface, normal_field
+from cmclab.surfaces import H3SurfaceGrid, _surface, normal_field
 from cmclab.verify import evaluate
 
 # long rows, so numpy's vectorised loops run on both layouts
@@ -93,9 +93,9 @@ def test_containers_store_entry_major_arrays(layout):
     F = unimodular_stack(5, (7, 6))
     frame = ExtendedFrame(grid, to_layout(F, 2), sp)
     points = from_hermitian(mul2(F, conj_transpose(F)))
-    surface = H3SurfaceGrid(grid, to_layout(points, 1), sp, "primary")
-    normal = NormalField(grid, to_layout(points, 1))
-    held = ((frame.F, F, 2), (surface.points, points, 1), (normal.vectors, points, 1))
+    normal = plain_sides(F)[1]
+    surface = H3SurfaceGrid(grid, to_layout(points, 1), to_layout(normal, 1), sp, "primary")
+    held = ((frame.F, F, 2), (surface.points, points, 1), (surface.normal, normal, 1))
     for stored, given, k in held:
         assert entry_major(stored, k) and same_bits(stored, given)
         assert not stored.flags.writeable
@@ -115,6 +115,7 @@ def test_sides_have_the_bits_of_the_real_formula(del_frame_201):
     # of the plain formula on a C-ordered copy, the evaluated sides included
     for frame, side in zip((del_frame_201, shift_frame(del_frame_201)), evaluate(del_frame_201)):
         points, vectors = plain_sides(frame.F)
-        assert same_bits(_surface(frame, side.name).points, points)
-        assert same_bits(normal_field(frame).vectors, vectors)
-        assert same_bits(side.surface.points, points) and same_bits(side.normal.vectors, vectors)
+        surface = _surface(frame, side.name)
+        assert same_bits(surface.points, points) and same_bits(surface.normal, vectors)
+        assert same_bits(normal_field(frame), vectors)
+        assert same_bits(side.surface.points, points) and same_bits(side.surface.normal, vectors)

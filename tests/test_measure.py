@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from cmclab.errors import InvalidInputError, NumericalError
-from cmclab.frames import ExtendedFrame, SpectralParam, integrate_frame, shift_frame
+from cmclab.frames import ExtendedFrame, SpectralParam, integrate_frame
 from cmclab.measure import (
+    CONFORMAL_WARN_RATIO,
     ClosedFormData,
     MeasuredData,
     closed_form,
@@ -27,13 +28,7 @@ from cmclab.measure import (
 )
 from cmclab.reference import numeric_normal_max_deviation
 from cmclab.surface_data import GridSpec, SurfaceData, cylinder_data, delaunay_data, dual_data
-from cmclab.surfaces import (
-    H3SurfaceGrid,
-    NormalField,
-    normal_field,
-    surface_primary,
-    surface_shifted,
-)
+from cmclab.surfaces import H3SurfaceGrid, surface_primary, surface_shifted
 
 
 def constant_data(u_value, Q, H, n=6):
@@ -43,10 +38,7 @@ def constant_data(u_value, Q, H, n=6):
 
 @pytest.fixture(scope="module")
 def measured_cylinder(cyl_frame_101):
-    primary = measure(surface_primary(cyl_frame_101), normal_field(cyl_frame_101))
-    shifted_frame = shift_frame(cyl_frame_101)
-    shifted = measure(surface_shifted(cyl_frame_101), normal_field(shifted_frame))
-    return primary, shifted
+    return measure(surface_primary(cyl_frame_101)), measure(surface_shifted(cyl_frame_101))
 
 
 class TestClosedForms:
@@ -198,7 +190,6 @@ class TestMeasureCylinder:
         for m in measured_cylinder:
             assert conformality_defect(m) < 1e-12
             assert isothermic_defect(m) < 3.5e-4
-            assert not m.conformal_warning
 
     def test_constancy(self, measured_cylinder):
         # two lines in from every edge every stencil is central, so each node
@@ -228,7 +219,7 @@ def central_nodes(m):
         g.x_min + 2 * g.hx, g.x_max - 2 * g.hx, g.y_min + 2 * g.hy, g.y_max - 2 * g.hy,
         g.nx - 4, g.ny - 4,
     )
-    return MeasuredData(inner, m.E[k], m.Fc[k], m.G[k], m.Qm[k], m.Hm[k], m.conformal_warning)
+    return MeasuredData(inner, m.E[k], m.Fc[k], m.G[k], m.Qm[k], m.Hm[k])
 
 
 @pytest.mark.parametrize(
@@ -248,13 +239,9 @@ def test_fourth_order_convergence(build):
     for n in (101, 201):
         data = build(GridSpec(-1.0, 1.0, -1.0, 1.0, n, n))
         frame = integrate_frame(data, SpectralParam(0.5))
-        sides = (
-            (surface_primary(frame), normal_field(frame), 1),
-            (surface_shifted(frame), normal_field(shift_frame(frame)), -1),
-        )
         row = []
-        for surface, normal, sign in sides:
-            m = measure(surface, normal)
+        for surface, sign in ((surface_primary(frame), 1), (surface_shifted(frame), -1)):
+            m = measure(surface)
             c = closed_form(data, frame.spectral, sign)
             row += [metric_match(m, c), hopf_match(m, c), mean_match(m, c)]
         errors.append(np.array(row))
@@ -264,6 +251,8 @@ def test_fourth_order_convergence(build):
 
 GRID6 = GridSpec(-1.0, 1.0, -1.0, 1.0, 6, 6)
 ORIGIN = np.array([0.0, 0.0, 0.0, 1.0])  # a point of H^3
+POINTS6 = np.broadcast_to(ORIGIN, (6, 6, 4))
+NORMAL6 = np.zeros((6, 6, 4))
 
 
 @pytest.mark.parametrize(
@@ -277,20 +266,25 @@ ORIGIN = np.array([0.0, 0.0, 0.0, 1.0])  # a point of H^3
             "F",
         ),
         (
-            lambda a: H3SurfaceGrid(GRID6, a, SpectralParam(0.5), "primary"),
-            np.broadcast_to(ORIGIN, (6, 6, 4)),
+            lambda a: H3SurfaceGrid(GRID6, a, NORMAL6, SpectralParam(0.5), "primary"),
+            POINTS6,
             np.broadcast_to(ORIGIN, (6, 5, 4)),
             "points",
         ),
-        (lambda a: NormalField(GRID6, a), np.zeros((6, 6, 4)), np.zeros((5, 6, 4)), "vectors"),
         (
-            lambda a: MeasuredData(GRID6, a, a, a, a, a, conformal_warning=False),
+            lambda a: H3SurfaceGrid(GRID6, POINTS6, a, SpectralParam(0.5), "primary"),
+            NORMAL6,
+            np.zeros((5, 6, 4)),
+            "normal",
+        ),
+        (
+            lambda a: MeasuredData(GRID6, a, a, a, a, a),
             np.ones((6, 6)),
             np.ones((4, 4)),  # the interior of the grid is refused
             "Qm",
         ),
     ],
-    ids=["SurfaceData", "ExtendedFrame", "H3SurfaceGrid", "NormalField", "MeasuredData"],
+    ids=["SurfaceData", "ExtendedFrame", "H3SurfaceGrid", "H3SurfaceGrid-normal", "MeasuredData"],
 )
 def test_container_checks_shape_and_locks(build, good, bad, attr):
     with pytest.raises(InvalidInputError, match=re.escape(f"has shape {bad.shape}, expected")):
@@ -303,7 +297,7 @@ def test_container_checks_shape_and_locks(build, good, bad, attr):
 
 class TestMeasureDelaunay:
     def test_mean_constant_despite_varying_u(self, del_frame_101, del_data_101):
-        m = measure(surface_primary(del_frame_101), normal_field(del_frame_101))
+        m = measure(surface_primary(del_frame_101))
         c = closed_form(del_data_101, SpectralParam(0.5), 1)
         assert mean_constancy(m) < 1e-4
         assert mean_match(m, c) < 5e-3
@@ -311,24 +305,19 @@ class TestMeasureDelaunay:
         assert hopf_match(m, c) < 5e-3
 
     def test_numeric_normal_agrees(self, del_frame_101):
-        s = surface_primary(del_frame_101)
-        assert numeric_normal_max_deviation(s, normal_field(del_frame_101)) < 2e-4
+        assert numeric_normal_max_deviation(surface_primary(del_frame_101)) < 2e-4
 
     def test_numeric_normal_fourth_order(self, del_frame_101, del_frame_201):
         # f_x and f_y come from the fourth-order kernel: 1.9e-8 at 101 x 101
         # and 1.1e-9 at 201 x 201, a ratio of 16.2
         devs = [
-            numeric_normal_max_deviation(surface_primary(fr), normal_field(fr))
+            numeric_normal_max_deviation(surface_primary(fr))
             for fr in (del_frame_101, del_frame_201)
         ]
         assert 14.0 < devs[0] / devs[1] < 18.5
 
 
 class TestMeasureValidation:
-    def test_grid_mismatch(self, cyl_frame_101, cyl_frame_51):
-        with pytest.raises(InvalidInputError):
-            measure(surface_primary(cyl_frame_101), normal_field(cyl_frame_51))
-
     def test_non_conformal_parametrization_flagged(self):
         # sheared geodesic strip: f_y parallel to f_x, so Fc/E = 1/2
         g = GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 9)
@@ -340,10 +329,9 @@ class TestMeasureValidation:
         from cmclab.surfaces import H3SurfaceGrid
         from cmclab.frames import SpectralParam
 
-        s = H3SurfaceGrid(g, pts, SpectralParam(0.5), "primary")
-        n = NormalField(g, np.tile([0.0, 0.0, 1.0, 0.0], (9, 9, 1)))
-        m = measure(s, n)
-        assert m.conformal_warning
+        n = np.tile([0.0, 0.0, 1.0, 0.0], (9, 9, 1))
+        s = H3SurfaceGrid(g, pts, n, SpectralParam(0.5), "primary")
+        assert conformality_defect(measure(s)) > CONFORMAL_WARN_RATIO
 
     def test_non_positive_metric_refused(self):
         # geodesic strip along v = y + x^2: f_x vanishes on the column x = 0,
@@ -355,7 +343,7 @@ class TestMeasureValidation:
         pts = np.stack(
             [np.sinh(v), np.zeros_like(v), np.zeros_like(v), np.cosh(v)], axis=-1
         )
-        s = H3SurfaceGrid(g, pts, SpectralParam(0.5), "primary")
-        n = NormalField(g, np.tile([0.0, 0.0, 1.0, 0.0], (9, 9, 1)))
+        n = np.tile([0.0, 0.0, 1.0, 0.0], (9, 9, 1))
+        s = H3SurfaceGrid(g, pts, n, SpectralParam(0.5), "primary")
         with pytest.raises(NumericalError, match=r"E = 0 is not positive at grid node \(4, 0\)"):
-            measure(s, n)
+            measure(s)

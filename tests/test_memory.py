@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from cmclab.frames import ExtendedFrame, SpectralParam, integrate_frame
-from cmclab.minkowski import empty_planes
+from cmclab.minkowski import empty_planes, surface_and_normal
 from cmclab.surface_data import GridSpec, _frozen, _locked
+from cmclab.surfaces import H3SurfaceGrid
 from cmclab.verify import evaluate
 
 
@@ -62,6 +63,9 @@ def test_containers_hold_a_frozen_entry_major_frame():
     F[...] = np.eye(2)
     frozen = _frozen(F)
     assert ExtendedFrame(grid, frozen, SpectralParam(0.5)).F is frozen
+    points, normal = surface_and_normal(frozen)
+    surface = H3SurfaceGrid(grid, points, normal, SpectralParam(0.5), "primary")
+    assert surface.points is points and surface.normal is normal
     # read-only down its chain but C-ordered: copied into entry-major planes
     c_order = _frozen(np.broadcast_to(np.eye(2, dtype=complex), (7, 6, 2, 2)).copy())
     held = ExtendedFrame(grid, c_order, SpectralParam(0.5)).F

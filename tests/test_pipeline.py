@@ -504,7 +504,7 @@ def test_report_residual_is_the_frame_residual():
     data = delaunay_data(grid, 0.5, -0.4, 0.1)
     frame = integrate_frame(data, SpectralParam(0.3))
     primary, shifted = evaluate(frame)
-    expected = parallel_identity_defect(primary.surface, primary.normal, shifted.surface)
+    expected = parallel_identity_defect(primary.surface, shifted.surface)
     assert 0.0 < expected < 1e-13
     report = verify_theorem(data, frame)
     value = {r.name: r.value for r in report.records}["parallel_identity_residual"]

@@ -11,7 +11,7 @@ import pytest
 from cmclab.frames import SpectralParam, integrate_frame
 from cmclab.measure import closed_form, hopf_match, mean_match, measure, metric_match
 from cmclab.surface_data import cylinder_data, delaunay_data
-from cmclab.surfaces import normal_field, surface_primary
+from cmclab.surfaces import surface_primary
 
 from conftest import square_grid
 
@@ -24,7 +24,7 @@ from conftest import square_grid
 def test_planted_spectral_error_stands_out(build):
     data = build(square_grid(201))
     frame = integrate_frame(data, SpectralParam(0.5))
-    m = measure(surface_primary(frame), normal_field(frame))
+    m = measure(surface_primary(frame))
     honest = closed_form(data, frame.spectral, 1)
     planted = closed_form(data, SpectralParam(0.5 * (1.0 + 1e-3)), 1)
     for check in (metric_match, hopf_match, mean_match):

@@ -8,7 +8,7 @@ from conftest import plain_sides
 
 from cmclab.errors import InternalConsistencyError, InvalidInputError
 from cmclab.frames import ExtendedFrame, SpectralParam, integrate_frame, shift_frame
-from cmclab.minkowski import DET_DRIFT_TOL, H3_TOL, h3_defect
+from cmclab.minkowski import DET_DRIFT_TOL, H3_TOL, h3_defect, surface_and_normal
 from cmclab.reference import cylinder_frame_lax_gauge, frame_left_multiply, to_hermitian
 from cmclab.surface_data import GridSpec, cylinder_data
 from cmclab.surfaces import (
@@ -24,6 +24,10 @@ from cmclab.surfaces import (
     surface_shifted,
 )
 from cmclab.verify import evaluate
+
+
+# the normal (0, 0, 1, 0) of the identity frame on a 6 x 6 grid
+NORMAL6 = np.tile([0.0, 0.0, 1.0, 0.0], (6, 6, 1))
 
 
 def identity_frame(n=6, lam=0.5):
@@ -70,13 +74,13 @@ class TestSurfacePoints:
         g = GridSpec(-1, 1, -1, 1, 6, 6)
         pts = np.tile([0.0, 0.0, 0.0, -1.0], (6, 6, 1))
         with pytest.raises(InternalConsistencyError):
-            H3SurfaceGrid(g, pts, SpectralParam(0.5), "primary")
+            H3SurfaceGrid(g, pts, NORMAL6, SpectralParam(0.5), "primary")
 
     def test_off_sheet_points_rejected(self):
         g = GridSpec(-1, 1, -1, 1, 6, 6)
         pts = np.tile([0.0, 0.0, 0.0, 2.0], (6, 6, 1))
         with pytest.raises(InvalidInputError):
-            H3SurfaceGrid(g, pts, SpectralParam(0.5), "primary")
+            H3SurfaceGrid(g, pts, NORMAL6, SpectralParam(0.5), "primary")
 
     def test_frame_at_the_drift_bound_builds_both_sides(self):
         # det(c F) = c^2 det F: a real root scales the unimodular closed-form
@@ -94,38 +98,36 @@ class TestSurfacePoints:
         g = GridSpec(-1, 1, -1, 1, 6, 6)
         pts = np.tile([0.0, 0.0, 0.0, 1.0], (6, 6, 1))
         with pytest.raises(InvalidInputError):
-            H3SurfaceGrid(g, pts, SpectralParam(0.5), "other")
+            H3SurfaceGrid(g, pts, NORMAL6, SpectralParam(0.5), "other")
 
 
 class TestNormalField:
     def test_identity_frame(self):
-        n = normal_field(identity_frame())
-        assert np.allclose(n.vectors, [0.0, 0.0, 1.0, 0.0])
+        assert np.allclose(normal_field(identity_frame()), [0.0, 0.0, 1.0, 0.0])
 
     def test_unit_and_orthogonal(self, cylinder_frame):
         s = surface_primary(cylinder_frame)
-        n = normal_field(cylinder_frame)
-        assert normal_unit_defect(n) < 1e-9
-        assert normal_orthogonality_defect(s, n) < 1e-9
+        assert normal_unit_defect(s) < 1e-9
+        assert normal_orthogonality_defect(s) < 1e-9
 
     def test_shifted_normal(self, cylinder_frame):
-        shifted = shift_frame(cylinder_frame)
-        assert normal_unit_defect(normal_field(shifted)) < 1e-9
-        assert (
-            normal_orthogonality_defect(surface_shifted(cylinder_frame), normal_field(shifted))
-            < 1e-9
-        )
+        s = surface_shifted(cylinder_frame)
+        assert np.array_equal(s.normal, normal_field(shift_frame(cylinder_frame)))
+        assert normal_unit_defect(s) < 1e-9
+        assert normal_orthogonality_defect(s) < 1e-9
 
     def test_zero_signs_of_the_real_formula(self):
         # N's coordinates are sums and differences of real products of F's
-        # parts, so each -0 or +0 among them is that of the plain formula
+        # parts, so each -0 or +0 among them is that of the plain formula;
+        # these F are not unimodular, so the kernel is called without the
+        # surface container's hyperboloid gate
         rng = np.random.default_rng(19)
         n = 16
         F = np.empty((n, n, 2, 2), complex)
         F.real, F.imag = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, 0.5], (2, n, n, 2, 2))
         expected = plain_sides(F)[1]
         frame = ExtendedFrame(GridSpec(-1.0, 1.0, -1.0, 1.0, n, n), F, SpectralParam(0.5))
-        got = normal_field(frame).vectors
+        got = surface_and_normal(frame.F)[1]
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
 
@@ -133,10 +135,16 @@ class TestNormalField:
         F = identity_frame().F.copy()
         F[2, 3, 1, 0] = np.nan
         frame = ExtendedFrame(GridSpec(-1.0, 1.0, -1.0, 1.0, 6, 6), F, SpectralParam(0.5))
-        with pytest.raises(InvalidInputError, match="normal field has a vector that is not finite"):
+        # the points are checked first, and they hold the NaN too
+        with pytest.raises(InvalidInputError, match="defect nan"):
             normal_field(frame)
         with pytest.raises(InvalidInputError, match="defect nan"):
             surface_primary(frame)
+        points, normal = surface_and_normal(identity_frame().F)
+        normal = normal.copy()
+        normal[2, 3, 0] = np.nan
+        with pytest.raises(InvalidInputError, match="normal has a vector that is not finite"):
+            H3SurfaceGrid(frame.grid, points, normal, frame.spectral, "primary")
 
     def test_normal_matrices_hermitian(self):
         rng = np.random.default_rng(12)
@@ -149,7 +157,7 @@ class TestNormalField:
 def parallel_residual(frame):
     """`parallel_identity_defect` over the sides `evaluate(frame)` builds."""
     primary, shifted = evaluate(frame)
-    return parallel_identity_defect(primary.surface, primary.normal, shifted.surface)
+    return parallel_identity_defect(primary.surface, shifted.surface)
 
 
 class TestParallelIdentity:
@@ -169,7 +177,7 @@ class TestParallelIdentity:
         frame = request.getfixturevalue(family)
         wrong = replace(frame, spectral=SpectralParam(frame.lam * (1 + 1e-6)))
         primary, shifted = surface_primary(frame), surface_shifted(wrong)
-        assert parallel_identity_defect(primary, normal_field(frame), shifted) > 1e-11
+        assert parallel_identity_defect(primary, shifted) > 1e-11
         assert equidistance_defect(primary, shifted) > 1e-9
 
 
@@ -219,8 +227,9 @@ class TestEquidistance:
         other = surface_shifted(
             integrate_frame(cylinder_data(GridSpec(-1, 1, -1, 1, 21, 21)), SpectralParam(0.5))
         )
-        with pytest.raises(InvalidInputError):
-            distance_grid(p, other)
+        for pair_check in (distance_grid, equidistance_defect, parallel_identity_defect):
+            with pytest.raises(InvalidInputError, match="surface grids do not match"):
+                pair_check(p, other)
 
 
 class TestIsometryEquivariance:
