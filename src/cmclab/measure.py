@@ -9,10 +9,12 @@ Because <f, N> = 0, the ambient second derivatives may be paired with N
 directly: the components along f that distinguish ambient from intrinsic
 second derivatives are annihilated.
 
-`measure` differentiates one coordinate plane of f at a time and adds that
-plane's term to each Minkowski product in `mink_dot`'s order,
-((t0 + t1) + t2) - t3, so it holds no derivative grid of all four
-coordinates and its results keep `mink_dot`'s bits.
+`measure` makes one pass per coordinate plane of f: it takes that plane's
+first and second derivatives and adds its term to each Minkowski product
+in `mink_dot`'s order, ((t0 + t1) + t2) - t3, before it moves to the next
+plane.  So it holds the derivatives of one plane at a time, never a
+derivative grid of all four coordinates, and its results keep
+`mink_dot`'s bits.
 """
 
 from __future__ import annotations
@@ -60,10 +62,10 @@ class ClosedFormData:
     mean: float
 
     def __post_init__(self):
-        mf = np.asarray(self.metric_factor, dtype=float)
+        mf = _locked(self.metric_factor)
         if not np.all(mf > 0.0):
             raise InvalidInputError("metric factor must be positive")
-        object.__setattr__(self, "metric_factor", _locked(mf))
+        object.__setattr__(self, "metric_factor", mf)
 
 
 def _add_term(total, c, term):
@@ -85,21 +87,26 @@ def measure(surface: H3SurfaceGrid) -> MeasuredData:
     then Qm = <f_zz, N> and Hm = 2 <f_zzbar, N> / E (formed from <f_xx, N>,
     <f_yy, N> and <f_xy, N>) with the conformal factor read off from the
     measured E.  An E that is not positive at some node raises NumericalError
-    before any second derivative is taken.
+    before Qm and Hm are formed.
     """
     g = surface.grid
     f, N = surface.points, surface.normal
     hx, hy = g.hx, g.hy
 
-    E = Fc = G = None
-    fxs = []  # each plane's f_x, kept for its f_xy
+    E = Fc = G = fxx_n = fyy_n = fxy_n = None
     for c in range(4):
         fx, fy = grid_derivatives(f[..., c], hx, hy)
         E = _add_term(E, c, fx * fx)
         Fc = _add_term(Fc, c, fx * fy)
         G = _add_term(G, c, fy * fy)
-        fxs.append(fx)
-    del fx, fy
+        del fy
+        fxx, fyy, fxy = grid_second_derivatives(f[..., c], fx, hx, hy)
+        del fx
+        Nc = N[..., c]
+        fxx_n = _add_term(fxx_n, c, fxx * Nc)
+        fyy_n = _add_term(fyy_n, c, fyy * Nc)
+        fxy_n = _add_term(fxy_n, c, fxy * Nc)
+        del fxx, fyy, fxy
     # Hm and the conformality and isothermic defects divide by E; an E that
     # is not positive (or NaN) would make those checks a quiet pass
     if not np.all(E > 0.0):
@@ -107,15 +114,6 @@ def measure(surface: H3SurfaceGrid) -> MeasuredData:
         raise NumericalError(
             f"measured metric E = {E[i, j]:.3g} is not positive at grid node ({i}, {j})"
         )
-    fxx_n = fyy_n = fxy_n = None
-    for c in range(4):
-        fxx, fyy, fxy = grid_second_derivatives(f[..., c], fxs[c], hx, hy)
-        fxs[c] = None
-        Nc = N[..., c]
-        fxx_n = _add_term(fxx_n, c, fxx * Nc)
-        fyy_n = _add_term(fyy_n, c, fyy * Nc)
-        fxy_n = _add_term(fxy_n, c, fxy * Nc)
-        del fxx, fyy, fxy
     Qm = 0.25 * (fxx_n - fyy_n - 2.0j * fxy_n)
     Hm = 0.5 * (fxx_n + fyy_n) / E
     return MeasuredData(g, *map(_frozen, (E, Fc, G, Qm, Hm)))
@@ -137,7 +135,7 @@ def closed_form(data: SurfaceData, spectral: SpectralParam, sign: int) -> Closed
     lam = spectral.lam
     d = lam - 1.0 / lam
     return ClosedFormData(
-        metric_factor=data.Q**2 * np.exp(-2.0 * sign * data.u) * d**2,
+        metric_factor=_frozen(data.Q**2 * np.exp(-2.0 * sign * data.u) * d**2),
         hopf=0.5 * data.Q * data.H * (-sign * d),
         mean=sign * (1.0 / lam + lam) / (1.0 / lam - lam),
     )
@@ -161,7 +159,7 @@ def lawson_data(data: SurfaceData, s: float) -> ClosedFormData:
     if s == 0:
         raise InvalidInputError("homothety scale must be nonzero")
     return ClosedFormData(
-        metric_factor=s**2 * np.exp(2.0 * data.u),
+        metric_factor=_frozen(s**2 * np.exp(2.0 * data.u)),
         hopf=s * data.Q,
         mean=float(np.sqrt((data.H / s) ** 2 + 1.0)),
     )
@@ -232,7 +230,8 @@ def hopf_phase_defect(measured: MeasuredData) -> float:
     ref = np.mean(w / mags)
     if ref == 0.0:
         raise NumericalError("Hopf phases cancel; no mean direction")
-    return float(np.max(np.abs(np.angle(w * np.conj(ref)))) / 2.0)
+    w *= np.conj(ref)  # w is fresh: each phase is turned by the mean's in place
+    return float(np.max(np.abs(np.angle(w))) / 2.0)
 
 
 def mean_sign(measured: MeasuredData) -> float:

@@ -1,9 +1,13 @@
 """End-to-end orchestration: data -> frame -> surfaces -> measurement -> report.
 
-The frame goes to `frame.dat` as an exact binary numpy archive (see
-`save_frame`); every other output file is plain text with numbers at 17
-significant digits.  A repeated run with the same config is bitwise
-identical except for the human report, which carries a generation
+The frame goes to `frame.dat` as an exact binary numpy archive of its entry
+planes, F of shape (2, 2, nx, ny), which is how the frame holds F: numpy
+writes it without a C-ordered copy, and the loaded planes become the
+frame's F without one (see `save_frame` and `load_frame`).
+`run` writes it first and lets the frame go, so the other writers run
+beside the two sides only.  Every other output file is plain text with
+numbers at 17 significant digits.  A repeated run with the same config is
+bitwise identical except for the human report, which carries a generation
 timestamp.  The machine report and the diagnostics table never do.  Every
 text grid table (`surface.dat`, both meshes and `diagnostics.dat`) is
 spelled by `surface_data.table_lines`, whose whole-array kernel writes the
@@ -59,12 +63,14 @@ DIAGNOSTICS_FILE = "diagnostics.dat"
 REPORT_TEXT_FILE = "report.txt"
 REPORT_MACHINE_FILE = "report.kv"
 
-# the members of a frame file: name -> (dtype, shape), None taking any length
+# the members of a frame file: name -> (dtype, shape), None taking any length;
+# F is stored as its entry planes, F[i, j, r, c] at [r, c, i, j]
 FRAME_MEMBERS = {
-    "F": (np.complex128, (None, None, 2, 2)),
+    "F": (np.complex128, (2, 2, None, None)),
     "lam": (np.float64, ()),
     "extents": (np.float64, (4,)),  # x_min x_max y_min y_max
 }
+_EARLIER = "runs stored by earlier versions must be generated again"
 
 
 def poincare_ball(p):
@@ -146,7 +152,9 @@ def write_diagnostics(path, data, sides: Sides):
 def save_frame(path, frame: ExtendedFrame):
     """Frame file: an uncompressed numpy archive (npz) of FRAME_MEMBERS.
 
-    Doubles are stored as their bits, so `load_frame` returns the very frame
+    F goes in as its entry planes, shape (2, 2, nx, ny), which is how the
+    frame holds it, so numpy writes it without a C-ordered copy.  Doubles
+    are stored as their bits, so `load_frame` returns the very frame
     written, and the archive carries no timestamp, so equal frames give
     equal bytes.
     """
@@ -154,7 +162,7 @@ def save_frame(path, frame: ExtendedFrame):
     with open(path, "wb") as fh:  # np.savez appends ".npz" to a path it opens
         np.savez(
             fh,
-            F=frame.F,
+            F=frame.F.transpose(2, 3, 0, 1),
             lam=float(frame.spectral.lam),
             extents=[float(v) for v in (g.x_min, g.x_max, g.y_min, g.y_max)],
         )
@@ -165,9 +173,11 @@ def load_frame(path) -> ExtendedFrame:
 
     Anything but an archive of exactly FRAME_MEMBERS, with their dtypes and
     shapes and finite entries, raises InvalidInputError naming the file; so
-    do a grid below MIN_NODES per axis, bad extents and a bad lam.  Frames
-    of earlier versions (text, or with a `base_index` or `r` member) are
-    refused too, with a hint to generate the run again.
+    do a grid below MIN_NODES per axis, bad extents and a bad lam.  A
+    non-finite entry of F is named by its index F[i, j, r, c].  Frames of
+    earlier versions (text, with a `base_index` or `r` member, or with F
+    stored as (nx, ny, 2, 2)) are refused too, with a hint to generate the
+    run again.  The frame holds the loaded planes without a copy.
     """
     members = None
     with open(path, "rb") as fh:
@@ -186,20 +196,25 @@ def load_frame(path) -> ExtendedFrame:
     if members.keys() != FRAME_MEMBERS.keys():
         raise InvalidInputError(
             f"{path}: frame members {sorted(members)}, expected {sorted(FRAME_MEMBERS)}; "
-            "runs stored by earlier versions must be generated again"
+            + _EARLIER
         )
     for name, (dtype, shape) in FRAME_MEMBERS.items():
         a = members[name]
         if a.dtype != dtype or len(a.shape) != len(shape) or any(
             n not in (None, m) for n, m in zip(shape, a.shape)
         ):
+            # earlier versions stored F as (nx, ny, 2, 2)
+            hint = "; " + _EARLIER if name == "F" and a.shape[2:] == (2, 2) else ""
             raise InvalidInputError(
                 f"{path}: {name} is {a.dtype} of shape {a.shape}, expected "
-                f"{np.dtype(dtype)} of shape {shape}"
+                f"{np.dtype(dtype)} of shape {shape}{hint}"
             )
-        bad = ~np.isfinite(a)
-        if bad.any():
-            k = tuple(int(i) for i in np.unravel_index(np.argmax(bad), a.shape))
+    members["F"] = members["F"].transpose(2, 3, 0, 1)  # back to F[i, j, r, c]
+    for name in FRAME_MEMBERS:
+        a = members[name]
+        finite = np.isfinite(a)
+        if not finite.all():
+            k = tuple(int(i) for i in np.unravel_index(np.argmin(finite), a.shape))
             where = f"{name}{list(k)}" if k else name
             raise InvalidInputError(f"{path}: {where} = {a[k]} is not finite")
     F = _frozen(members["F"])
@@ -234,7 +249,8 @@ def run(config: RunConfig) -> VerificationReport:
 
     An `out_dir` that is a file, or lies under one, is refused before any
     work; everything else is computed before `out_dir` is made, so a refused
-    run leaves no `out_dir` behind."""
+    run leaves no `out_dir` behind.  The frame is written first and let go,
+    so no other writer runs beside it."""
     out = Path(config.out_dir)
     _require_directory_path(out)
     data = generate_data(config)
@@ -243,8 +259,9 @@ def run(config: RunConfig) -> VerificationReport:
     sides = evaluate(frame)
     report = _report(data, sides, resolve_tolerances(config.tolerances))
     out.mkdir(parents=True, exist_ok=True)
-    save_surface_data(out / SURFACE_FILE, data)
     save_frame(out / FRAME_FILE, frame)
+    del frame
+    save_surface_data(out / SURFACE_FILE, data)
     _write_meshes(out, [side.surface for side in sides])
     write_diagnostics(out / DIAGNOSTICS_FILE, data, sides)
     _write_report_files(out, report)

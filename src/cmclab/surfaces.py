@@ -95,11 +95,17 @@ def normal_orthogonality_defect(surface: H3SurfaceGrid) -> float:
 def parallel_identity_defect(primary: H3SurfaceGrid, shifted: H3SurfaceGrid) -> float:
     """Grid maximum of |s - (cosh q f - sinh q N)| over the primary points f,
     their normal N and the shifted points s, relative to the largest shifted
-    coordinate; q = ln(lam) is the primary's."""
+    coordinate; q = ln(lam) is the primary's.  It works one coordinate
+    plane at a time, so it holds no residual grid of all four."""
     _require_same_grid(primary, shifted)
     q = primary.spectral.q
-    R = shifted.points - (np.cosh(q) * primary.points - np.sinh(q) * primary.normal)
-    return float(np.max(np.abs(R))) / float(np.max(np.abs(shifted.points)))
+    ch, sh = np.cosh(q), np.sinh(q)
+    f, N, s = primary.points, primary.normal, shifted.points
+    worst, largest = [], []  # each plane's maxima; np.max keeps a NaN
+    for c in range(4):
+        worst.append(np.max(np.abs(s[..., c] - (ch * f[..., c] - sh * N[..., c]))))
+        largest.append(np.max(np.abs(s[..., c])))
+    return float(np.max(worst)) / float(np.max(largest))
 
 
 def hyperbolic_distance(p, s):

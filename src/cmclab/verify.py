@@ -2,19 +2,22 @@
 
 `evaluate` builds each side of the theorem once from an integrated frame:
 the primary surface F conj(F)^t and the shifted surface (FD) conj(FD)^t,
-each with its frame, algebraic normal and measured geometry.  A side is a
-name from `report.SIDES` and a sign, +1 on the primary side and -1 on the
-shifted one, and the sign is all that tells the per-side checks apart: the
-closed form carries it (`closed_form(data, frame.spectral, sign)`), and
-the Lawson partner is taken at the scale sign * s, with
-s = homothety_scale(H, frame.spectral) = H(1/lam - lam)/2, from the
-Christoffel dual on the primary side and from the data itself on the
-shifted one; the frame's SpectralParam is the one check on lam.  The
-report runs the per-side checks (closed forms, constancy, Lawson
-homothety) in one loop over the two sides and takes frame unimodularity
-and the normal-field algebra as a maximum over it; compatibility, the
-exact parallel identity, equidistance and the opposite mean-curvature
-signs complete the registry.
+each with its algebraic normal, its measured geometry and its frame's
+largest |det - 1|.  A side holds no frame: the shifted frame FD is let go
+once its surface and determinant drift are read, before the side is
+measured.  A side's name is its surface's `kind`, a name from
+`report.SIDES`, and its sign is +1 on the primary side and -1 on the
+shifted one; the sign is all that tells the per-side checks apart: the
+closed form carries it (`closed_form(data, spectral, sign)`), and the
+Lawson partner is taken at the scale sign * s, with
+s = homothety_scale(H, spectral) = H(1/lam - lam)/2, from the Christoffel
+dual on the primary side and from the data itself on the shifted one; the
+primary surface's SpectralParam is the one check on lam.  The report runs
+the per-side checks (closed forms, constancy, Lawson homothety) in one
+loop over the two sides and takes frame unimodularity and the
+normal-field algebra as a maximum over it; compatibility, the exact
+parallel identity, equidistance and the opposite mean-curvature signs
+complete the registry.
 
 Every frame-derived array is built once per evaluation: each side's
 surface, which carries its normal, comes from one `surfaces._surface`
@@ -71,20 +74,22 @@ from .surfaces import (
 
 @dataclass(frozen=True, eq=False)
 class Side:
-    """One side of the parallel pair: its name in SIDES, its sign (+1
-    primary, -1 shifted), `frame` (FD on the shifted side), the surface F F*
-    it spans with its normal, and its measured geometry."""
+    """One side of the parallel pair: its sign (+1 primary, -1 shifted), the
+    surface F F* its frame spans (FD on the shifted side), with its normal
+    and its `kind`, the side's name in SIDES; its measured geometry; and its
+    frame's largest |det - 1|."""
 
-    name: str
     sign: int
-    frame: ExtendedFrame
     surface: H3SurfaceGrid
     measured: MeasuredData
+    det_drift: float
 
 
-def _side(name: str, sign: int, frame: ExtendedFrame) -> Side:
-    surface = _surface(frame, name)
-    return Side(name, sign, frame, surface, measure(surface))
+def _side(kind: str, sign: int, frame: ExtendedFrame) -> Side:
+    """The side `kind` spanned by `frame`, which it does not keep."""
+    surface, drift = _surface(frame, kind), frame.max_det_drift
+    del frame  # on the shifted side the last reference to FD
+    return Side(sign, surface, measure(surface), drift)
 
 
 class Sides(tuple):
@@ -98,9 +103,9 @@ class Sides(tuple):
 
 def evaluate(frame: ExtendedFrame) -> Sides:
     """The (primary, shifted) pair of sides, each member built once; the
-    shifted side's surface and normal both come from one shifted frame FD."""
-    frames = (frame, shift_frame(frame))
-    return Sides(_side(*args) for args in zip(SIDES, (1, -1), frames))
+    shifted side's surface and normal both come from one shifted frame FD,
+    which is let go before that side is measured."""
+    return Sides((_side(SIDES[0], 1, frame), _side(SIDES[1], -1, shift_frame(frame))))
 
 
 def verify_theorem(
@@ -138,12 +143,12 @@ def _report(
     """The report on the sides `evaluate` built from one frame, judged
     against `tols`, the resolved tolerance of every registered check."""
     primary, shifted = sides
-    frame = primary.frame
-    scale = homothety_scale(data.H, frame.spectral)
+    spectral = primary.surface.spectral
+    scale = homothety_scale(data.H, spectral)
 
     values = {
         "gauss_residual_max": max_gauss_residual(data),
-        "det_drift_max": max(s.frame.max_det_drift for s in sides),
+        "det_drift_max": max(s.det_drift for s in sides),
         "normal_unit_max_dev": max(normal_unit_defect(s.surface) for s in sides),
         "normal_orthogonality_max_dev": max(
             normal_orthogonality_defect(s.surface) for s in sides
@@ -151,12 +156,12 @@ def _report(
         "parallel_identity_residual": parallel_identity_defect(
             primary.surface, shifted.surface
         ),
-        "equidistance_max_dev": _distance_defect(sides.distance, frame.spectral),
+        "equidistance_max_dev": _distance_defect(sides.distance, spectral),
     }
     signs = {}
     for side in sides:
-        m = side.measured
-        clo = closed_form(data, frame.spectral, side.sign)
+        m, name = side.measured, side.surface.kind
+        clo = closed_form(data, spectral, side.sign)
         partner = dual_data(data) if side.sign == 1 else data
         lawson = lawson_data(partner, side.sign * scale)
         side_values = {
@@ -170,8 +175,8 @@ def _report(
             "hopf_phase": hopf_phase_defect(m),
             "lawson_match": closed_form_max_diff(lawson, clo),
         }
-        values.update((f"{k}_{side.name}", v) for k, v in side_values.items())
-        signs[side.name] = mean_sign(m)
+        values.update((f"{k}_{name}", v) for k, v in side_values.items())
+        signs[name] = mean_sign(m)
     # 0 when the two measured signs are opposite, 2 when equal
     values["mean_sign_opposite"] = abs(sum(signs.values()))
 
@@ -180,8 +185,8 @@ def _report(
     )
     g = data.grid
     metadata = {
-        "lambda": f"{frame.lam:.17g}",
-        "q": f"{frame.spectral.q:.17g}",
+        "lambda": f"{spectral.lam:.17g}",
+        "q": f"{spectral.q:.17g}",
         "H": f"{data.H:.17g}",
         "Q": f"{data.Q:.17g}",
         "nx": str(g.nx),
@@ -189,12 +194,12 @@ def _report(
         "hx": f"{g.hx:.17g}",
         "hy": f"{g.hy:.17g}",
         "homothety_scale": f"{scale:.17g}",
-        **{f"mean_sign_{s.name}": f"{signs[s.name]:+.0f}" for s in sides},
+        **{f"mean_sign_{name}": f"{sign:+.0f}" for name, sign in signs.items()},
         **{
-            f"conformal_warning_{s.name}": str(
-                values[f"conformality_{s.name}"] > CONFORMAL_WARN_RATIO
+            f"conformal_warning_{name}": str(
+                values[f"conformality_{name}"] > CONFORMAL_WARN_RATIO
             ).lower()
-            for s in sides
+            for name in signs
         },
     }
     return VerificationReport(records=records, metadata=metadata)

@@ -221,8 +221,8 @@ def _short_row(fields):
 def _bad_frame(path, corrupt, edit_frame):
     """The binary frame.dat's counterpart of a bad text row; returns the error."""
     if corrupt is _non_numeric:
-        edit_frame(path, F=np.full((41, 41, 2, 2), "abc"))
-        return "frame.dat: F is <U3 of shape (41, 41, 2, 2), expected complex128"
+        edit_frame(path, F=np.full((2, 2, 41, 41), "abc"))
+        return "frame.dat: F is <U3 of shape (2, 2, 41, 41), expected complex128"
     path.write_bytes(path.read_bytes()[:-16])  # cut short by one entry
     return "frame.dat: not a binary frame file"
 
@@ -274,7 +274,7 @@ def test_non_finite_stored_entry_exits_2(generated, tmp_path, capsys, edit_frame
     if name == "frame.dat":
         with np.load(path) as z:
             F = z["F"].copy()
-        F[40, 0, 1, 1] = np.nan
+        F[1, 1, 40, 0] = np.nan  # stored as entry planes: F[40, 0, 1, 1]
         edit_frame(path, F=F)
         expected = "frame.dat: F[40, 0, 1, 1] = (nan+0j) is not finite"
     else:

@@ -115,7 +115,7 @@ def test_sides_have_the_bits_of_the_real_formula(del_frame_201):
     # of the plain formula on a C-ordered copy, the evaluated sides included
     for frame, side in zip((del_frame_201, shift_frame(del_frame_201)), evaluate(del_frame_201)):
         points, vectors = plain_sides(frame.F)
-        surface = _surface(frame, side.name)
+        surface = _surface(frame, side.surface.kind)
         assert same_bits(surface.points, points) and same_bits(surface.normal, vectors)
         assert same_bits(normal_field(frame), vectors)
         assert same_bits(side.surface.points, points) and same_bits(side.surface.normal, vectors)

@@ -1,14 +1,19 @@
-"""Working memory of the numeric layers: the integrator and an evaluation
-hold little more than what they return, and containers hold a builder's
-fresh read-only arrays without copying them."""
+"""Working memory of the numeric layers and of a run: the integrator and an
+evaluation hold little more than what they return, a frame is let go once
+it is read, and containers hold a builder's fresh read-only arrays (a
+loaded frame's included) without copying them."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import cmclab.verify
+from cmclab.config import config_from_mapping
 from cmclab.frames import ExtendedFrame, SpectralParam, integrate_frame
 from cmclab.minkowski import empty_planes, surface_and_normal
+from cmclab.pipeline import load_frame, run, save_frame
 from cmclab.surface_data import GridSpec, _frozen, _locked
 from cmclab.surfaces import H3SurfaceGrid
 from cmclab.verify import evaluate
@@ -37,6 +42,54 @@ def test_evaluation_peaks_near_what_it_keeps(del_frame_201):
     sides, peak, kept = traced(evaluate, del_frame_201)
     assert len(sides) == 2
     assert peak - kept <= 1.5 * del_frame_201.F.nbytes
+    # a side that held its frame kept FD as long as the sides, 4.50 x the
+    # frame in all; the two surfaces and their measurements are 3.50 x
+    assert kept <= 3.6 * del_frame_201.F.nbytes
+
+
+def test_shifted_frame_is_let_go_before_it_is_measured(del_frame_101, monkeypatch):
+    shift_frame, measure = cmclab.verify.shift_frame, cmclab.verify.measure
+    shifted, alive = [], []  # weak references to FD; FD alive at each measure
+
+    def shift(frame):
+        FD = shift_frame(frame)
+        shifted.append(weakref.ref(FD))
+        return FD
+
+    def measure_side(surface):
+        alive.append([ref() is not None for ref in shifted])
+        return measure(surface)
+
+    monkeypatch.setattr(cmclab.verify, "shift_frame", shift)
+    monkeypatch.setattr(cmclab.verify, "measure", measure_side)
+    evaluate(del_frame_101)
+    assert alive == [[], [False]]
+
+
+def test_run_peak_holds_no_spare_frame(tmp_path):
+    # F held through every writer, FD through the report, and C-ordered
+    # copies of F for the archive peaked at 7.9 x the frame; 5.9 x here
+    config = config_from_mapping({
+        "family": "delaunay", "H": 0.5, "u0": 0.3, "du0": 0.0, "lambda": 0.5,
+        "nx": 201, "ny": 201, "out_dir": str(tmp_path),
+    })
+    _, peak, _ = traced(run, config)
+    assert peak <= 6.4 * (201 * 201 * 4 * np.dtype(complex).itemsize)
+
+
+def test_loaded_frame_holds_the_archive_array(tmp_path, del_frame_101, monkeypatch):
+    path = tmp_path / "frame.dat"
+    save_frame(path, del_frame_101)
+    read = {}
+    getitem = np.lib.npyio.NpzFile.__getitem__
+
+    def record(self, key):
+        read[key] = getitem(self, key)
+        return read[key]
+
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", record)
+    F = load_frame(path).F
+    assert np.shares_memory(F, read["F"]) and np.array_equal(F, del_frame_101.F)
 
 
 def test_locked_holds_only_what_nothing_can_write():

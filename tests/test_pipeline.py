@@ -143,11 +143,23 @@ class TestFramePersistence:
                 load_frame(frame_21)
 
     def test_empty_grid_header_refused(self, frame_21, edit_frame):
-        edit_frame(frame_21, F=np.zeros((0, 0, 2, 2), dtype=complex))
+        edit_frame(frame_21, F=np.zeros((2, 2, 0, 0), dtype=complex))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match=f"frame.dat: grids need nx, ny >= {MIN_NODES}"):
                 load_frame(frame_21)
+
+    def test_frame_stored_grid_first_refused(self, frame_21, edit_frame):
+        # earlier versions stored F as (nx, ny, 2, 2), not as its entry planes
+        with np.load(frame_21) as z:
+            edit_frame(frame_21, F=np.ascontiguousarray(z["F"].transpose(2, 3, 0, 1)))
+        expected = (
+            r"frame.dat: F is complex128 of shape \(21, 21, 2, 2\), expected complex128 "
+            r"of shape \(2, 2, None, None\); runs stored by earlier versions must be "
+            "generated again"
+        )
+        with pytest.raises(InvalidInputError, match=expected):
+            load_frame(frame_21)
 
     @pytest.mark.parametrize(
         "member, value", [("extents", np.array([-1.0, 1, -1, 1, 0]))], ids=["extents"]
@@ -161,7 +173,7 @@ class TestFramePersistence:
     @pytest.mark.parametrize(
         "member, value",
         [
-            ("F", np.ones((21, 21, 2, 2))),  # real, not complex
+            ("F", np.ones((2, 2, 21, 21))),  # real, not complex
             ("F", np.ones((21, 21, 4), dtype=complex)),
             ("lam", np.array([0.5])),
         ],
@@ -183,7 +195,8 @@ class TestFramePersistence:
     @pytest.mark.parametrize(
         "member, entry, value, shown",
         [
-            ("F", (20, 3, 1, 0), np.nan, r"F\[20, 3, 1, 0\] = \(nan\+0j\)"),
+            # F is stored as entry planes: [1, 0, 20, 3] holds F[20, 3, 1, 0]
+            ("F", (1, 0, 20, 3), np.nan, r"F\[20, 3, 1, 0\] = \(nan\+0j\)"),
             ("extents", (1,), np.inf, r"extents\[1\] = inf"),
             ("lam", (), np.nan, "lam = nan"),
         ],
@@ -366,7 +379,7 @@ GOLDEN_SHA256 = {
     MESH_FILES[0]: "537013f834bd4ae96913be1898d613d1124d1894e3c6c5e83c2b7d952aa11990",
     MESH_FILES[1]: "1839b3d84713a2e2a85a10575a2f7006c743a9b43e17958b33ca9b76b5fa0bf3",
     SURFACE_FILE: "389c13f04942a7813db022d51c45861545bf87a44ef9d166e80acf0c746a40f4",
-    FRAME_FILE: "1346a339bc3b0213020415250c2f60811ffff426595f65c92ea9cbd98e33660b",
+    FRAME_FILE: "8f25900c0b4d6cbdac1feaafe06ac3f51c55a5ae358eda8698c65d91d5c5d817",
 }
 
 
@@ -384,7 +397,7 @@ GOLDEN_SHA256_201 = {
     MESH_FILES[0]: "b87b09d7a710f35cca231591ddeb11a5b608e07442a4c0003400894044a2c7e7",
     MESH_FILES[1]: "bae137ed73cfe8d7cd52e1d26726baa6ff9b896e155c351e361f1b71be0d8760",
     SURFACE_FILE: "b4a3ece4a97b7d678ed82d14e50d0afb86da171f62c5ff066d248f2e0ba65b79",
-    FRAME_FILE: "c3f2be942ea7b6e3370540ab68708ede0fe3f1086a67bb5f7c8e8c03bf293b40",
+    FRAME_FILE: "d969e4eaa1f808f4122b9be50d8247a01c3e47b99ea90257b95cf3b12e99c8e6",
 }
 
 
