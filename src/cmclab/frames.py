@@ -12,12 +12,14 @@ surface_data.gauss_residual.  Integration runs in real coordinates,
 
 by classical RK4 along the base row and then up and down each column.
 
-The RK4 transitions are built a block of cells at a time, about
-_BLOCK_MATRICES matrices, from that block's node and midpoint samples of
-u, u_x and u_y; no coefficient or transition stack of a whole line is
-formed.  Blocks split only the march axis and every transition is the same
-elementwise arithmetic on the same numbers, so the bits do not depend on
-the block size.  The march writes each product F[k] T straight into F.
+The RK4 transitions are built a block of cells at a time from that block's
+node and midpoint samples of u, u_x and u_y.  A block holds at most
+minkowski.BLOCK_MATRICES matrices (one line, where a line holds more), so
+each RK4 stage is one block of mul2's products, and no coefficient or
+transition stack of a whole line is formed.  Blocks split only the march
+axis and every transition is the same elementwise arithmetic on the same
+numbers, so the bits do not depend on the block size.  The march writes
+each product F[k] T straight into F.
 
 Both marches take forward views: the march toward index 0 reads the same
 increasing slices and swaps each cell's near and far nodes (`_transitions`
@@ -26,12 +28,16 @@ bits on a negative-stride view than on a contiguous one (4,613 of 100,001
 random values), while a stride-2 view matches; a march on reversed views
 moved F's bits on a 61 x 83 Delaunay run (lam 0.4, u0 0.5).
 
-Every 2x2 product (the RK4 stages, the F[k] T recurrence and the shift
-F D) goes through minkowski.mul2 and every determinant through
-minkowski.det2: whole-array entrywise arithmetic, not one BLAS call per
-matrix of a stack.  The frames these functions return are handed to
-ExtendedFrame read-only (`surface_data._frozen`), which holds them without
-a copy.
+Every 2x2 product goes through minkowski.mul2_into, the one product
+kernel, and every determinant through minkowski.det2: whole-array
+entrywise arithmetic, not one BLAS call per matrix of a stack.  The RK4
+stages and the shift F D call it by way of minkowski.mul2.  Each march
+step F[k] T calls it directly, two whole-entry numpy calls on entries-first
+views of F and of its block of transitions, through one scratch the march
+holds.  The RK4 stages add the identity on their two diagonal planes in
+place rather than forming eye + c k stacks.  The frames these functions
+return are handed to ExtendedFrame read-only (`surface_data._frozen`),
+which holds them without a copy.
 """
 
 from __future__ import annotations
@@ -43,7 +49,17 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import IncompatibleDataError, IntegrationFailureError, InvalidInputError
-from .minkowski import DET_DRIFT_TOL, det2, empty_planes, mat2, mul2
+from .minkowski import (
+    BLOCK_MATRICES,
+    DET_DRIFT_TOL,
+    det2,
+    empty_planes,
+    empty_products,
+    entries_first,
+    mat2,
+    mul2,
+    mul2_into,
+)
 from .surface_data import (
     GridSpec,
     SurfaceData,
@@ -140,20 +156,25 @@ def _half_samples(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _plus_identity(s):
+    """s + I, added in place on the two diagonal planes of the stack s.
+
+    The diagonal gets the bits of eye + s, since + commutes bitwise; the
+    off-diagonal entries skip eye's + 0, which could only turn a -0 into +0.
+    """
+    s[..., 0, 0] += 1.0
+    s[..., 1, 1] += 1.0
+    return s
+
+
 def _rk4_cell(A0, Am, A1, h):
     """RK4 transition matrix for F' = F A across one cell; batched over
     leading axes."""
-    eye = np.eye(2, dtype=complex)
     k1 = A0
-    k2 = mul2(eye + (0.5 * h) * k1, Am)
-    k3 = mul2(eye + (0.5 * h) * k2, Am)
-    k4 = mul2(eye + h * k3, A1)
-    return eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
-# matrices per block of RK4 transitions: enough to amortise numpy's per-call
-# cost, few enough that a block's stacks stay small next to the frame
-_BLOCK_MATRICES = 4096
+    k2 = mul2(_plus_identity((0.5 * h) * k1), Am)
+    k3 = mul2(_plus_identity((0.5 * h) * k2), Am)
+    k4 = mul2(_plus_identity(h * k3), A1)
+    return _plus_identity((h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
 
 
 def _transitions(coefficient, nodes, mids, c0, c1, h):
@@ -172,21 +193,25 @@ def _march(F, coefficient, nodes, mids, h, k0):
 
     `coefficient(u, u_x, u_y)` gives A from samples of `nodes` (at the
     nodes) or of `mids` (at the midpoints).  The transitions come a block
-    of cells at a time; each product F[k +- 1] = F[k] T is written into F.
+    of cells at a time; each product F[k +- 1] = F[k] T is written into F
+    by `mul2_into` on entries-first views, through one scratch held for
+    the whole march.
     """
     n = len(F)
-    step = max(1, _BLOCK_MATRICES // (F[0].size // 4))
+    step = max(1, BLOCK_MATRICES // (F[0].size // 4))
+    F = entries_first(F)
+    scratch = empty_products(F[:, :, k0])
     for c0 in range(k0, n - 1, step):
         c1 = min(c0 + step, n - 1)
-        T = _transitions(coefficient, nodes, mids, c0, c1, h)
+        T = entries_first(_transitions(coefficient, nodes, mids, c0, c1, h))
         for k in range(c0, c1):
-            mul2(F[k], T[k - c0], out=F[k + 1])
+            mul2_into(F[:, :, k], T[:, :, k - c0], F[:, :, k + 1], scratch)
     for c1 in range(k0, 0, -step):
         c0 = max(c1 - step, 0)
         # T[k - 1 - c0] carries F[k] to F[k - 1]
-        T = _transitions(coefficient, nodes, mids, c0, c1, -h)
+        T = entries_first(_transitions(coefficient, nodes, mids, c0, c1, -h))
         for k in range(c1, c0, -1):
-            mul2(F[k], T[k - 1 - c0], out=F[k - 1])
+            mul2_into(F[:, :, k], T[:, :, k - 1 - c0], F[:, :, k - 1], scratch)
 
 
 def _coefficient(data: SurfaceData, lam: float, axis: int, u, ux, uy):

@@ -14,8 +14,11 @@ rather than gathering every fourth or second number.
 
 `mul2` and `det2` multiply 2x2 stacks and take their determinants, and
 `surface_and_normal` forms F conj(F)^t and F diag(1, -1) conj(F)^t as real
-quadratic forms in F's entries.  The Hermitian matrix model those products
-live in, and its gate, are reference definitions (`cmclab.reference`).
+quadratic forms in F's entries.  Every product goes through one kernel,
+`mul2_into`, which takes its stacks entries-first (`entries_first`): mul2
+calls it, and so does the integrator's march, on views it holds.  The
+Hermitian matrix model those products live in, and its gate, are reference
+definitions (`cmclab.reference`).
 """
 
 import numpy as np
@@ -54,31 +57,72 @@ def mat2(a, b, c, d):
     return out
 
 
-def mul2(A, B, out=None):
-    """Product of 2x2 matrices on the trailing axes, formed entry by entry.
+def entries_first(A):
+    """View of a stack of 2x2 matrices with its two entry axes in front:
+    entries_first(A)[i, j] is A[..., i, j]."""
+    n = A.ndim - 2
+    return A.transpose((n, n + 1, *range(n)))
 
-    Each entry is A[i, 0] B[0, j] + A[i, 1] B[1, j] in elementwise numpy
-    arithmetic, so a stack costs a few whole-array operations instead of one
-    BLAS call per matrix; the leading axes broadcast, so a single 2x2
-    multiplies a whole stack.  The bits do not depend on memory layout.  The
-    product comes out entry-major, or is written into `out`, which must not
-    overlap A or B.
+
+def empty_products(out):
+    """Scratch for `mul2_into`'s products into the entries-first `out`: one
+    plane per product A[i, m] * B[m, j], shape out.shape[:1] + (2,) +
+    out.shape[1:]."""
+    return np.empty(out.shape[:1] + (2,) + out.shape[1:], out.dtype)
+
+
+def mul2_into(A, B, out, scratch):
+    """The one 2x2 product kernel, on stacks held entries-first.
+
+    For rows A[i, m] (any rows i), columns B[m, j] (any columns j) and
+    scratch from `empty_products(out)`, one broadcast multiply writes every
+    product A[i, m] * B[m, j] into scratch[i, m, j], and one add sums the
+    m = 0 and m = 1 planes into out[i, j].  out and scratch must not overlap
+    A or B.
 
     Operand order is part of the result: numpy's vectorised complex `*` is
     not bitwise commutative (on AVX-512, z * w and w * z differ in the last
     bit of the imaginary part for about a third of random inputs), so every
-    product here is A-entry * B-entry, both operands existing arrays.  A
-    temporary operand is not safe: numpy may evaluate `x * f(y)` in place
-    in the temporary f(y), that is as f(y) * x, once it is large enough
-    (256 KiB).
+    product is A-entry * B-entry, written into the scratch (numpy may form
+    `x * f(y)` in place in a large temporary f(y), that is as f(y) * x),
+    and the m = 1 product is added to the m = 0 one.  Those two orders fix
+    the bits; the broadcast shape did not move them.  On numpy 2.4.6
+    (AVX-512), this full (i, m, j) broadcast, the same kernel taken one
+    output entry at a time, and a row-wise form, A[..., i, 0, None] * B[..., 0, :] summed in the
+    same order, each gave F the bits of one product plane at a time, on the
+    grids tests/test_frames.py pins and at 401 x 401.
+    """
+    np.multiply(A[:, :, None], B[None], out=scratch)
+    np.add(scratch[:, 0], scratch[:, 1], out=out)
+
+
+# matrices per block of products: enough to amortise numpy's per-call cost,
+# few enough that a block's scratch stays small next to a frame, where one
+# sized to the whole stack would take twice the frame's bytes
+BLOCK_MATRICES = 4096
+
+
+def mul2(A, B):
+    """Product of 2x2 matrices on the trailing axes, formed entry by entry.
+
+    Each entry is A[i, 0] B[0, j] + A[i, 1] B[1, j] in elementwise numpy
+    arithmetic (`mul2_into`, a block of BLOCK_MATRICES matrices at a time),
+    so a stack costs a few whole-array operations instead of one BLAS call
+    per matrix; the leading axes broadcast, so a single 2x2 multiplies a
+    whole stack.  The bits do not depend on memory layout or on the block.
+    The product comes out entry-major.
     """
     A = np.asarray(A)
     B = np.asarray(B)
-    if out is None:
-        shape = np.broadcast_shapes(A.shape, B.shape)
-        out = empty_planes(shape[:-2], (2, 2), np.result_type(A, B))
-    for i, j in np.ndindex(2, 2):
-        np.add(A[..., i, 0] * B[..., 0, j], A[..., i, 1] * B[..., 1, j], out=out[..., i, j])
+    shape = np.broadcast_shapes(A.shape, B.shape)
+    out = empty_planes(shape[:-2], (2, 2), np.result_type(A, B))
+    # entries first, then every matrix of the stack along one axis
+    A, B = (entries_first(np.broadcast_to(M, shape)).reshape(2, 2, -1) for M in (A, B))
+    C = entries_first(out).reshape(2, 2, -1)  # a view: out's planes are contiguous
+    scratch = empty_products(C[:, :, :BLOCK_MATRICES])
+    for k in range(0, C.shape[2], BLOCK_MATRICES):
+        block = np.s_[:, :, k : k + BLOCK_MATRICES]
+        mul2_into(A[block], B[block], C[block], scratch[:, :, :, : C.shape[2] - k])
     return out
 
 

@@ -145,7 +145,8 @@ def render_machine(report: VerificationReport) -> str:
 
 
 def parse_machine(text: str) -> VerificationReport:
-    """Invert render_machine; malformed lines are rejected, not skipped."""
+    """Invert render_machine; malformed lines are rejected, not skipped, and
+    so is a check named twice, which no rendered report holds."""
     records = []
     metadata = {}
     for raw in text.splitlines():
@@ -172,5 +173,7 @@ def parse_machine(text: str) -> VerificationReport:
                 f"inconsistent status for {parts[0]}: value {parts[1]} vs "
                 f"tolerance {parts[2]} says {'PASS' if rec.passed else 'FAIL'}"
             )
+        if any(r.name == rec.name for r in records):
+            raise InvalidInputError(f"check {rec.name} is reported twice")
         records.append(rec)
     return VerificationReport(records=tuple(records), metadata=metadata)

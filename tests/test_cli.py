@@ -579,6 +579,21 @@ def test_verify_refuses_a_tampered_report(generated, tmp_path, capsys, tamper, e
     assert expected in err
 
 
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_repeated_check_in_a_stored_report_exits_2(generated, tmp_path, capsys, command):
+    # a second line for a check once set the tolerance verify judged it by
+    _, out, _ = generated
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    path = run_dir / REPORT_MACHINE_FILE
+    text = path.read_text()
+    value = next(ln.split()[1] for ln in text.splitlines() if ln.startswith("mean_match_primary "))
+    path.write_text(text + f"mean_match_primary {value} 0.5 PASS\n")
+    assert main([command, "--in", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config: check mean_match_primary is reported twice\n"
+
+
 def test_custom_file_ignores_config_h(tmp_path, capsys):
     # the family takes H from its input file; the config's H goes unread
     src = tmp_path / "custom.dat"

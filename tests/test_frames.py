@@ -1,5 +1,7 @@
 """Tests for Lax matrices, the cylinder frame oracle, and RK4 integration."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,13 @@ from cmclab.errors import (
     IntegrationFailureError,
     InvalidInputError,
 )
-from cmclab.frames import SpectralParam, integrate_frame, shift_frame, spectral_shift_matrix
+from cmclab.frames import (
+    SpectralParam,
+    _sweep,
+    integrate_frame,
+    shift_frame,
+    spectral_shift_matrix,
+)
 from cmclab.reference import (
     cylinder_frame_closed_form,
     cylinder_frame_lax_gauge,
@@ -215,6 +223,50 @@ class TestPathIndependence:
         # pins the y-first one too, to the last bit
         disc = two_path_discrepancy(data(square_grid(101)), SpectralParam(0.5))
         assert disc.hex() == bits
+
+
+# sha256 of F in C order, x-first sweep, y-first sweep and the shifted frame
+# FD, recorded while every march step still went through mul2: shapes the
+# golden runs miss, so that no change to how the products are formed moves
+# a bit unseen.  61 x 83 is non-square; 40 x 52 is even on both axes, so the
+# two halves of each march differ in length; 6 x 6 is MIN_NODES.
+FRAME_BITS = {
+    "delaunay-61x83": (
+        lambda: delaunay_data(GridSpec(-1.0, 1.0, -1.0, 1.0, 61, 83), 0.5, 0.5, 0.0),
+        0.4,
+        "4ce3b0f1e73e8e5e514dd28bb75e1a9b63a3c93ce996134e85e2b8a9905565c7",
+        "8c28760e0a9ba60cace9a3160a81070950ada3771af84d44f312be393f437b52",
+        "77db0a514716081ba0a8ce9699e9386f37592e856bb7e0e90f3f7511fceb5b51",
+    ),
+    "delaunay-40x52": (
+        lambda: delaunay_data(GridSpec(-1.0, 1.0, -1.0, 1.0, 40, 52), 0.5, 0.3, 0.0),
+        0.5,
+        "ea361d42d46f2c00df7780fb97024958142efe291c8aa3c53bc997f9d3ed43d5",
+        "aa9b301a8082c6e950f079f613518419be4d887b8db6dccd3db5a2a79825edaa",
+        "6f77af84bc28fbd6f9b74150f4158de6901b8026b61c8436715ca2236e29b4b4",
+    ),
+    "cylinder-6x6": (
+        lambda: cylinder_data(GridSpec(-0.1, 0.1, -0.1, 0.1, 6, 6)),
+        0.5,
+        "7980cf437ad777c12d6089198c30ab07d99f64e6756c2a597852d3b7080a0973",
+        "e6a1c3a67cce1c3c14a577b6ca7ee730a4475c2eeb4698226d7284e8bac60c49",
+        "0a4f82e533e3a1acb5deb4df0e1bff7c23ee5653e8e389754f3f15c508d69fb8",
+    ),
+}
+
+
+def frame_digest(F):
+    return hashlib.sha256(np.ascontiguousarray(F).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", FRAME_BITS)
+def test_frames_keep_their_bits_on_uncommon_grids(name):
+    make, lam, x_first, y_first, shifted = FRAME_BITS[name]
+    data = make()
+    frame = integrate_frame(data, SpectralParam(lam))
+    assert frame_digest(frame.F) == x_first
+    assert frame_digest(_sweep(data, lam, 1)) == y_first
+    assert frame_digest(shift_frame(frame).F) == shifted
 
 
 class TestShiftFrame:

@@ -64,6 +64,11 @@ class TestSerialization:
         with pytest.raises(InvalidInputError):
             parse_machine("alpha 0.5 0.001 PASS\n")
 
+    def test_parse_rejects_a_repeated_check(self):
+        # the second line's tolerance would otherwise judge the check
+        with pytest.raises(InvalidInputError, match="check alpha is reported twice"):
+            parse_machine("alpha 1e-05 0.001 PASS\nalpha 1e-05 0.5 PASS\n")
+
     def test_overall_pass(self):
         rep = VerificationReport(records=(CheckRecord("a", 0.0, 1.0),), metadata={})
         assert rep.overall_pass()

@@ -2,7 +2,9 @@
 
 import decimal
 import io
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -212,6 +214,28 @@ class TestDerivativeSamples:
         )
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-11)
+
+    @staticmethod
+    def moments(weights, first, scale, degrees):
+        """sum_m w_m o_m^p / p! over offsets o_m = first, first + 1, ...,
+        with the weights divided by `scale`, for each degree p, exactly."""
+        return [
+            sum(Fraction(w) / scale * Fraction(first + m) ** p for m, w in enumerate(weights))
+            / math.factorial(p)
+            for p in degrees
+        ]
+
+    def test_edge_rows_meet_their_moment_conditions(self):
+        # a row at node k spans offsets -k..5-k; exact through degree d means
+        # moments [p == order] for p <= d.  The d1 rows also match the central
+        # rule's h^4 error term, moment -1/30 at degree 5
+        central_d1 = self.moments((1, -8, 0, 8, -1), -2, 12, [5])
+        assert central_d1 == [Fraction(-1, 30)]
+        for k, row in enumerate(surface_data._D1_EDGES):
+            got = self.moments(row, -k, 12, range(6))
+            assert got == [0, 1, 0, 0, 0] + central_d1, k
+        for k, row in enumerate(surface_data._D2_EDGES):
+            assert self.moments(row, -k, 12, range(6)) == [0, 0, 1, 0, 0, 0], k
 
     def test_vector_fields_are_differentiated_per_entry(self):
         # the y kernels swap the two grid axes only, never the entry axis
