@@ -15,9 +15,9 @@ very bytes of '%.17g' a block of grid lines at a time.  The writers hand it
 each column at its own shape, so grid coordinates and indices are spelled
 once per distinct value, not once per node, and integers as integers; they
 write its bytes to files opened in binary mode.  `surface.dat` comes back
-through `surface_data.read_table`, which parses the stored text to the same
-doubles and refuses the same rows.  The formats carry no version of their
-own.
+through `surface_data.load_surface_data` in one tokenising pass, which
+converts u row by row and each spelling of a grid coordinate once, to the
+very doubles written.  The formats carry no version of their own.
 """
 
 from __future__ import annotations
@@ -286,30 +286,31 @@ def read_machine_report(in_dir) -> tuple[str, VerificationReport]:
     """The text of a run directory's `report.kv` and the report it holds.
 
     The one reader of a stored `report.kv`: a file that is missing, is not
-    UTF-8 or does not parse is refused, an encoding error with the file's
-    path."""
+    UTF-8, does not parse or lacks a registered check is refused, an
+    encoding error and a missing check with the file's path."""
     path = require_output(Path(in_dir) / REPORT_MACHINE_FILE)
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
-    return text, parse_machine(text)
+    report = parse_machine(text)
+    stored = {r.name for r in report.records}
+    missing = [name for name in registry_names() if name not in stored]
+    if missing:
+        raise InvalidInputError(f"{path}: no stored tolerance for {', '.join(missing)}")
+    return text, report
 
 
 def verify_outputs(in_dir) -> VerificationReport:
     """Re-run the theorem checks on stored outputs and refresh the reports.
 
     Each check is judged against the tolerance the stored `report.kv` gives
-    it, so a run generated with overrides keeps them.  A report.kv that is
-    missing, malformed or lacks a registered check is refused, and so is one
-    whose check names or tolerances `resolve_tolerances` refuses.
+    it, so a run generated with overrides keeps them.  A report.kv that
+    `read_machine_report` refuses is refused, and so is one whose check
+    names or tolerances `resolve_tolerances` refuses.
     """
     in_dir = Path(in_dir)
     tols = {r.name: r.tolerance for r in read_machine_report(in_dir)[1].records}
-    missing = [name for name in registry_names() if name not in tols]
-    if missing:
-        path = in_dir / REPORT_MACHINE_FILE
-        raise InvalidInputError(f"{path}: no stored tolerance for {', '.join(missing)}")
     data, frame = load_outputs(in_dir)
     report = verify_theorem(data, frame, tols)
     _write_report_files(in_dir, report)

@@ -15,6 +15,7 @@ loaded from a plain text file (see `load_surface_data`).
 Arrays are indexed [i, j] with i along x and j along y.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -347,26 +348,91 @@ def read_table(path, header_width, width):
     them, and the rest as an array of shape (rows, width).  A line of any
     other length, or a body row that is not all numbers, raises
     InvalidInputError naming the file and the line; a byte that is not
-    UTF-8 reads as a character that no number holds.  The body goes through
-    numpy's parser, which reads 17-digit text back bit for bit; whatever it
-    or the header check refuses is scanned again line by line by `_scan`.
+    UTF-8 reads as a character that no number holds.
+
+    The body is read in one tokenising pass over the open file (numpy's
+    parser), which converts the last column row by row and keeps the other
+    columns as text; `_numbers` converts only the rows of those that do not
+    repeat an earlier spelling, which in a grid table are the first x line
+    and one row per y line.  Both read 17-digit text back bit for bit.
+    Whatever the pass cannot take is scanned again line by line by `_scan`:
+    a file that is not plain ASCII or holds a NUL byte, a header of the
+    wrong length, an empty body or one whose first line is blank, a line
+    that is not `width` numbers (a '#' line inside the body among them) and
+    a text token that fills its field.
     """
+    with open(path, "rb") as fh:
+        plain = _plain(fh)
     with open(path, errors="surrogateescape") as fh:
-        kept = [ln for ln in fh if ln[0] != "#" and not ln.isspace()]
-    if not kept:
-        raise InvalidInputError(f"{path}: truncated file, header missing")
-    header, body = kept[0].split(), kept[1:]
-    table = None
-    if len(header) == header_width:
-        if not body:  # np.loadtxt would warn "input contained no data"
-            return header, np.empty((0, width))
-        try:
-            table = np.loadtxt(body, comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if table is None or table.shape[1] != width:
+        for ln in fh:
+            if ln[0] != "#" and not ln.isspace():
+                break
+        else:
+            raise InvalidInputError(f"{path}: truncated file, header missing")
+        header = ln.split()
+        first = next(fh, "")
+        table = None
+        # an empty body would make np.loadtxt warn "input contained no data"
+        if plain and len(header) == header_width and first and not first.isspace():
+            table = _tokenised(itertools.chain([first], fh), width)
+    if table is None:
         table = _scan(path, header_width, width)
     return header, table
+
+
+def _plain(fh):
+    """Whether the binary file fh is ASCII without a NUL byte: the text the
+    tokenising pass keeps faithfully in fixed-width bytes fields."""
+    while chunk := fh.read(1 << 16):
+        if not chunk.isascii() or b"\0" in chunk:
+            return False
+    return True
+
+
+# '%.17g' spells a double in at most 24 characters; a token that fills its
+# text field may have been cut to fit
+_TOKEN_BYTES = 25
+
+
+def _tokenised(lines, width):
+    """The table in `lines` as floats, or None if `_scan` must read it."""
+    fields = [(f"f{k}", f"S{_TOKEN_BYTES}") for k in range(width - 1)]
+    try:
+        body = np.loadtxt(lines, dtype=fields + [("last", float)], comments=None, ndmin=1)
+        table = np.empty((len(body), width))
+        table[:, -1] = body["last"]
+        for k, (name, _) in enumerate(fields):
+            text = body[name]
+            if (np.char.str_len(text) == _TOKEN_BYTES).any():
+                return None
+            table[:, k] = _numbers(text)
+    except ValueError:
+        return None
+    return table
+
+
+def _numbers(text):
+    """float() of each spelling in the 1-d bytes array text.
+
+    With p the first row that repeats row 0's spelling, a row that repeats
+    the spelling of the row p above it takes that row's number, and only
+    the other rows are converted: in a grid table the first x line for x
+    (p = nx) and the first row of each y line for y (p = 1).  A spelling
+    float() refuses raises ValueError.
+    """
+    n = len(text)
+    repeats = np.flatnonzero(text[1:] == text[0])
+    p = int(repeats[0]) + 1 if repeats.size else n
+    fresh = np.ones(n, bool)
+    fresh[p:] = text[p:] != text[:-p]
+    rows = np.flatnonzero(fresh)
+    values = np.array([float(s) for s in text[rows].tolist()])
+    # each row's index into values: that of the last fresh row up its
+    # column of period p, whose spelling it repeats
+    at = np.zeros(-(-n // p) * p, np.intp)
+    at[rows] = np.arange(len(rows))
+    np.maximum.accumulate(at.reshape(-1, p), axis=0, out=at.reshape(-1, p))
+    return values[at[:n]]
 
 
 def _scan(path, header_width, width):
@@ -375,7 +441,7 @@ def _scan(path, header_width, width):
     Raises on a header line of the wrong length or the first body row that
     is not exactly `width` numbers, naming its line.  A file with none
     returns its body as parsed: float() also takes spellings numpy's parser
-    refuses, such as "1_0".
+    refuses, such as "1_0" or digits outside ASCII.
     """
     body, header_seen = [], False
     with open(path, errors="surrogateescape") as fh:
@@ -396,7 +462,7 @@ def _scan(path, header_width, width):
             except ValueError:
                 msg = f"{path}: line {n}: non-numeric entry"
                 raise InvalidInputError(msg) from None
-    return np.array(body)
+    return np.array(body).reshape(len(body), width)
 
 
 # -- exact 17-digit text, spelled in whole-array steps ------------------------
@@ -675,6 +741,11 @@ def load_surface_data(path):
     every row must lie on its grid node.  Every number must be finite.  H
     and Q are taken as given, so loaded data may be non-normalized; check
     `SurfaceData.normalized` before verification runs.
+
+    The rows come from `read_table`: u is converted row by row, x and y
+    once per spelling of the first x line and of each y line, so a file
+    that spells a coordinate another way on some rows loads the same
+    values and meets the same on-node check.
     """
     head, table = read_table(path, 4, 3)
     try:

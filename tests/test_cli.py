@@ -580,6 +580,30 @@ def test_verify_refuses_a_tampered_report(generated, tmp_path, capsys, tamper, e
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize(
+    "keep, missing",
+    [
+        (lambda ln: ln.startswith(("#", "gauss_residual_max ")), "det_drift_max, "),
+        (lambda ln: False, "gauss_residual_max, det_drift_max, "),
+    ],
+    ids=["one-check-left", "empty"],
+)
+def test_report_without_every_check_exits_2(generated, tmp_path, capsys, command, keep, missing):
+    # `report` once printed "overall: PASS (1/1 checks)" for a report.kv cut
+    # to one passing check, and "PASS (0/0 checks)" for an empty one
+    _, out, _ = generated
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    path = run_dir / REPORT_MACHINE_FILE
+    text = path.read_text()
+    path.write_text("".join(ln for ln in text.splitlines(keepends=True) if keep(ln)))
+    assert main([command, "--in", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {path}: no stored tolerance for {missing}")
+    assert err.endswith(" mean_sign_opposite\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
 def test_repeated_check_in_a_stored_report_exits_2(generated, tmp_path, capsys, command):
     # a second line for a check once set the tolerance verify judged it by
     _, out, _ = generated

@@ -1,6 +1,7 @@
 """Working memory of the numeric layers and of a run: the integrator and an
 evaluation hold little more than what they return, a frame is let go once
-it is read, and containers hold a builder's fresh read-only arrays (a
+it is read, a surface file is read without a list of its lines, and
+containers hold a builder's fresh read-only arrays (a
 loaded frame's included) without copying them."""
 
 import tracemalloc
@@ -14,7 +15,7 @@ from cmclab.config import config_from_mapping
 from cmclab.frames import ExtendedFrame, SpectralParam, integrate_frame
 from cmclab.minkowski import empty_planes, surface_and_normal
 from cmclab.pipeline import load_frame, run, save_frame
-from cmclab.surface_data import GridSpec, _frozen, _locked
+from cmclab.surface_data import GridSpec, _frozen, _locked, load_surface_data, save_surface_data
 from cmclab.surfaces import H3SurfaceGrid
 from cmclab.verify import evaluate
 
@@ -75,6 +76,15 @@ def test_run_peak_holds_no_spare_frame(tmp_path):
     })
     _, peak, _ = traced(run, config)
     assert peak <= 6.4 * (201 * 201 * 4 * np.dtype(complex).itemsize)
+
+
+def test_surface_file_loads_near_its_u(tmp_path, del_data_201):
+    # a list of every body line beside numpy's float table peaked at 18.7 x u
+    path = tmp_path / "surface.dat"
+    save_surface_data(path, del_data_201)
+    data, peak, _ = traced(load_surface_data, path)
+    assert np.array_equal(data.u, del_data_201.u)
+    assert peak <= 14 * data.u.nbytes
 
 
 def test_loaded_frame_holds_the_archive_array(tmp_path, del_frame_101, monkeypatch):

@@ -263,13 +263,48 @@ class TestFileRoundTrip:
         assert back.Q == d.Q and back.H == d.H
         assert back.normalized
 
+    def test_awkward_u_round_trips_bit_for_bit(self, tmp_path):
+        d = delaunay_data(small_grid(n=9), 0.5, 0.2, 0.1)
+        u = np.array(d.u)
+        u[2, :4] = 5e-324, -0.0, 2.0**-1022, 1e300
+        path = tmp_path / "surface.dat"
+        save_surface_data(path, SurfaceData(d.grid, u, Q=d.Q, H=d.H))
+        back = load_surface_data(path)
+        assert back.grid == d.grid
+        assert np.array_equal(back.u.view(np.int64), u.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "rows", [[6], [6, 15, 24], [60]], ids=["one-x", "x-line", "one-y"]
+    )
+    @pytest.mark.parametrize("value", ["5e-1", "0.50000000000000000"])
+    def test_coordinate_spelled_another_way_loads_the_same(self, tmp_path, rows, value):
+        # 0.5 is node 6 of each axis of small_grid(9); rows run x fastest
+        path = tmp_path / "surface.dat"
+        d = delaunay_data(small_grid(n=9), 0.5, 0.2, 0.1)
+        save_surface_data(path, d)
+        lines = path.read_text().splitlines(keepends=True)
+        for row in rows:
+            fields = lines[2 + row].split()  # after the comment and header lines
+            column = 0 if row % 9 == 6 else 1
+            assert float(fields[column]) == 0.5
+            fields[column] = value
+            lines[2 + row] = " ".join(fields) + "\n"
+        path.write_text("".join(lines))
+        back = load_surface_data(path)
+        assert back.grid == d.grid
+        assert np.array_equal(back.u.view(np.int64), d.u.view(np.int64))
+
     def test_non_normalized_is_flagged(self, tmp_path):
         path = tmp_path / "surface.dat"
         g = small_grid(n=6)
         save_surface_data(path, SurfaceData(g, np.zeros((6, 6)), Q=0.3, H=0.5))
         assert not load_surface_data(path).normalized
 
-    @pytest.mark.parametrize("row, column, value", [(4, 0, "0.9"), (41, 1, "-5")])
+    @pytest.mark.parametrize(
+        "row, column, value",
+        [(4, 0, "0.9"), (41, 1, "-5"), (5, 0, "5e-1"), (41, 1, "0.50000000000000000")],
+        ids=["x", "y", "x-respelled", "y-respelled"],
+    )
     def test_row_off_its_grid_node_refused(self, tmp_path, row, column, value):
         path = tmp_path / "surface.dat"
         save_surface_data(path, cylinder_data(small_grid(n=9)))
@@ -588,15 +623,39 @@ class TestTableInputRules:
             (40, lambda ln: ln.rstrip("\n") + " 0\n", "expected 3 fields"),
             (2, lambda ln: "abc" + ln[ln.index(" "):], "non-numeric entry"),
             (2, lambda ln: ln.split(" ", 1)[1], "expected 3 fields"),
+            # the byte 0xff, which no UTF-8 text holds, inside an x field
+            (40, lambda ln: ln[:1] + "\udcff" + ln[1:], "non-numeric entry"),
         ],
-        ids=["inline-comment", "indented-comment", "extra-field", "first-row-word", "first-row-short"],
+        ids=[
+            "inline-comment", "indented-comment", "extra-field", "first-row-word",
+            "first-row-short", "x-not-utf8",
+        ],
     )
     def test_bad_row_refused_with_its_line(self, tmp_path, index, edit, message):
         path, lines = self.saved(tmp_path)
         lines[index] = edit(lines[index])
-        path.write_text("".join(lines))
+        path.write_bytes("".join(lines).encode(errors="surrogateescape"))
         with pytest.raises(InvalidInputError, match=f"surface.dat: line {index + 1}: {message}"):
             load_surface_data(path)
+
+    @pytest.mark.parametrize("rounding", ["ROUND_DOWN", "ROUND_UP"])
+    def test_forty_digit_coordinate_rounds_correctly(self, tmp_path, rounding):
+        # 0.25 (node 5 of x) and the double above it: their midpoint, cut to
+        # 40 significant digits on either side, rounds to the nearer one
+        path, lines = self.saved(tmp_path)
+        above = np.nextafter(0.25, 1.0)
+        exact = decimal.Context(prec=60)  # the midpoint has 55 digits
+        mid = exact.add(decimal.Decimal(0.25), decimal.Decimal((above - 0.25) / 2))
+        context = decimal.Context(prec=40, rounding=getattr(decimal, rounding))
+        token = str(context.plus(mid))
+        assert len(token.replace("0.", "", 1).lstrip("0")) == 40
+        fields = lines[2 + 14].split()  # data row 15: node (5, 1)
+        assert float(fields[0]) == 0.25
+        lines[2 + 14] = " ".join([token, *fields[1:]]) + "\n"
+        path.write_text("".join(lines))
+        _, table = read_table(path, 4, 3)
+        assert table[14, 0] == (above if rounding == "ROUND_UP" else 0.25)
+        assert load_surface_data(path).grid == small_grid(n=9)
 
     def test_line_numbers_count_skipped_lines(self, tmp_path):
         path, lines = self.saved(tmp_path)
