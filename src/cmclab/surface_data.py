@@ -372,7 +372,8 @@ def read_table(path, header_width, width):
         header = ln.split()
         first = next(fh, "")
         table = None
-        # an empty body would make np.loadtxt warn "input contained no data"
+        # a body of blank lines only would make np.loadtxt warn "input
+        # contained no data", so one that starts blank goes to _scan
         if plain and len(header) == header_width and first and not first.isspace():
             table = _tokenised(itertools.chain([first], fh), width)
     if table is None:

@@ -303,7 +303,6 @@ class TestFileRoundTrip:
     @pytest.mark.parametrize(
         "row, column, value",
         [(4, 0, "0.9"), (41, 1, "-5"), (5, 0, "5e-1"), (41, 1, "0.50000000000000000")],
-        ids=["x", "y", "x-respelled", "y-respelled"],
     )
     def test_row_off_its_grid_node_refused(self, tmp_path, row, column, value):
         path = tmp_path / "surface.dat"
@@ -374,6 +373,14 @@ class TestFileRoundTrip:
             with pytest.raises(InvalidInputError, match="expected 36 data rows, found 0"):
                 load_surface_data(path)
 
+    def test_blank_body_counts_rows_without_warning(self, tmp_path):
+        path = tmp_path / "surface.dat"
+        path.write_text("0.25 0.5 6 6\n\n   \n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="expected 36 data rows, found 0"):
+                load_surface_data(path)
+
 
 # values whose 17-digit text is easy to get wrong
 AWKWARD = [-0.0, 5e-324, 1e300, 1 / 3, 2.0, -7.0, 0.1, -1.7976931348623157e308, 2.0**-1022]
@@ -422,6 +429,23 @@ class TestTableIO:
         assert head == ["h1", "h2"]
         rows = table.swapaxes(0, 1).reshape(-1, 3)  # x fastest
         assert np.array_equal(body.view(np.int64), rows.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            ["-1", "0", "1", "-1", "0", "1", "-1", "0", "1"],  # an x column, p = 3
+            ["-1", "-1", "-1", "0", "0", "0", "1", "1", "1"],  # a y column, p = 1
+            ["-1", "0", "1", "-1", "-0", "1", "-1", "-0", "1", "-1"],  # a chain and a short line
+            ["1", "2", "3", "5e-1", "-0", "0.50000000000000000"],  # row 0 never repeats
+            ["4.9406564584124654e-324"] * 4,
+        ],
+        ids=["x", "y", "chain", "no-repeat", "constant"],
+    )
+    def test_numbers_are_float_of_every_row(self, text):
+        # the per-row float() loop is the reference
+        text = np.array(text, "S25")
+        want = np.array([float(s) for s in text.tolist()])
+        assert np.array_equal(surface_data._numbers(text).view(np.int64), want.view(np.int64))
 
     def test_reader_takes_every_spelling_float_takes(self, tmp_path):
         path = tmp_path / "t.dat"
@@ -625,10 +649,12 @@ class TestTableInputRules:
             (2, lambda ln: ln.split(" ", 1)[1], "expected 3 fields"),
             # the byte 0xff, which no UTF-8 text holds, inside an x field
             (40, lambda ln: ln[:1] + "\udcff" + ln[1:], "non-numeric entry"),
+            # a NUL ending an x field, which fixed-width bytes fields drop
+            (40, lambda ln: ln.replace(" ", "\0 ", 1), "non-numeric entry"),
         ],
         ids=[
             "inline-comment", "indented-comment", "extra-field", "first-row-word",
-            "first-row-short", "x-not-utf8",
+            "first-row-short", "x-not-utf8", "x-nul",
         ],
     )
     def test_bad_row_refused_with_its_line(self, tmp_path, index, edit, message):
