@@ -36,7 +36,6 @@ from .frames import (
     SpectralParam,
     integrate_frame,
     shift_frame,
-    spectral_shift_matrix,
 )
 from .surfaces import (
     H3SurfaceGrid,
@@ -69,7 +68,7 @@ from .config import RunConfig, load_config
 from .pipeline import poincare_ball, run
 from .reference import (  # the definitions tests compare against
     cylinder_frame_closed_form, cylinder_frame_lax_gauge, from_hermitian,
-    lax_matrices, to_hermitian, two_path_discrepancy,
+    lax_matrices, spectral_shift_matrix, to_hermitian, two_path_discrepancy,
 )
 
 __all__ = [

@@ -14,8 +14,8 @@ by classical RK4 along the base row and then up and down each column.
 
 The RK4 transitions are built a block of cells at a time from that block's
 node and midpoint samples of u, u_x and u_y.  A block holds at most
-minkowski.BLOCK_MATRICES matrices (one line, where a line holds more), so
-each RK4 stage is one block of mul2's products, and no coefficient or
+BLOCK_MATRICES matrices (one line, where a line holds more), so each RK4
+stage is one call of mul2 on the block, and no coefficient or
 transition stack of a whole line is formed.  Blocks split only the march
 axis and every transition is the same elementwise arithmetic on the same
 numbers, so the bits do not depend on the block size.  The march writes
@@ -31,13 +31,14 @@ moved F's bits on a 61 x 83 Delaunay run (lam 0.4, u0 0.5).
 Every 2x2 product goes through minkowski.mul2_into, the one product
 kernel, and every determinant through minkowski.det2: whole-array
 entrywise arithmetic, not one BLAS call per matrix of a stack.  The RK4
-stages and the shift F D call it by way of minkowski.mul2.  Each march
-step F[k] T calls it directly, two whole-entry numpy calls on entries-first
-views of F and of its block of transitions, through one scratch the march
-holds.  The RK4 stages add the identity on their two diagonal planes in
-place rather than forming eye + c k stacks.  The frames these functions
-return are handed to ExtendedFrame read-only (`surface_data._frozen`),
-which holds them without a copy.
+stages call it by way of minkowski.mul2.  Each march step F[k] T calls it
+directly, two whole-entry numpy calls on entries-first views of F and of
+its block of transitions, through one scratch the march holds.  The RK4
+stages add the identity on their two diagonal planes in place rather than
+forming eye + c k stacks.  The shift F D forms no product: D is diagonal,
+so shift_frame scales F's two columns.  The frames these functions return
+are handed to ExtendedFrame read-only (`surface_data._frozen`), which
+holds them without a copy.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ import numpy as np
 
 from .errors import IncompatibleDataError, IntegrationFailureError, InvalidInputError
 from .minkowski import (
-    BLOCK_MATRICES,
     DET_DRIFT_TOL,
     det2,
     empty_planes,
@@ -93,9 +93,10 @@ class SpectralParam:
 class ExtendedFrame:
     """Grid of unimodular 2x2 frames at one spectral value.
 
-    F has shape (nx, ny, 2, 2).  Frames produced by integrate_frame equal the
-    identity at grid.center_index(); frames produced by shift_frame
-    carry the constant right factor D there instead.
+    F has shape (nx, ny, 2, 2), entry-major.  Frames produced by
+    integrate_frame equal the identity at grid.center_index(); frames
+    produced by shift_frame carry D = diag(lam^{-1/2}, lam^{1/2}) there
+    instead.
     """
 
     grid: GridSpec
@@ -118,14 +119,6 @@ class ExtendedFrame:
     def max_det_drift(self) -> float:
         """Largest |det F - 1|, taken once per frame: F is read-only."""
         return float(self.det_drift().max())
-
-
-def spectral_shift_matrix(lam: float) -> np.ndarray:
-    """D = diag(lam^{-1/2}, lam^{1/2}); det D = 1."""
-    if not lam > 0:
-        raise InvalidInputError("spectral value must be positive")
-    sq = math.sqrt(lam)
-    return np.array([[1.0 / sq, 0.0], [0.0, sq]], dtype=complex)
 
 
 def _lax_entries(u, u_z, u_zbar, Q, H, lam):
@@ -186,6 +179,12 @@ def _transitions(coefficient, nodes, mids, c0, c1, h):
     if h > 0:
         return _rk4_cell(A[:-1], Am, A[1:], h)
     return _rk4_cell(A[1:], Am, A[:-1], h)
+
+
+# matrices per block of RK4 transitions: enough to amortise numpy's
+# per-call cost, few enough that a block's stages and scratch stay small
+# next to a frame
+BLOCK_MATRICES = 4096
 
 
 def _march(F, coefficient, nodes, mids, h, k0):
@@ -276,8 +275,13 @@ def integrate_frame(data: SurfaceData, spectral: SpectralParam) -> ExtendedFrame
 def shift_frame(frame: ExtendedFrame) -> ExtendedFrame:
     """Right-multiply every frame by D = diag(lam^{-1/2}, lam^{1/2}).
 
-    det D = 1, so unimodularity is preserved exactly; the value at the grid
-    center becomes D instead of the identity.
+    D is diagonal, so F D is F with column 0 scaled by lam^{-1/2} and
+    column 1 by lam^{1/2}: one entrywise multiply, F the left operand as in
+    minkowski.mul2_into.  It equals mul2(F, D) in value, and in bits but
+    for the sign of a zero part.  det D = 1, so unimodularity is
+    preserved; the value at the grid center becomes D instead of the
+    identity.
     """
-    return replace(frame, F=_frozen(mul2(frame.F, spectral_shift_matrix(frame.lam))))
+    sq = math.sqrt(frame.lam)
+    return replace(frame, F=_frozen(frame.F * np.array([1.0 / sq, sq], dtype=complex)))
 

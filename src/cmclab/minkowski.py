@@ -16,7 +16,8 @@ rather than gathering every fourth or second number.
 `surface_and_normal` forms F conj(F)^t and F diag(1, -1) conj(F)^t as real
 quadratic forms in F's entries.  Every product goes through one kernel,
 `mul2_into`, which takes its stacks entries-first (`entries_first`): mul2
-calls it, and so does the integrator's march, on views it holds.  The
+calls it once on views of its whole operands, and the integrator's march
+calls it on views it holds.  The
 Hermitian matrix model those products live in, and its gate, are reference
 definitions (`cmclab.reference`).
 """
@@ -96,33 +97,22 @@ def mul2_into(A, B, out, scratch):
     np.add(scratch[:, 0], scratch[:, 1], out=out)
 
 
-# matrices per block of products: enough to amortise numpy's per-call cost,
-# few enough that a block's scratch stays small next to a frame, where one
-# sized to the whole stack would take twice the frame's bytes
-BLOCK_MATRICES = 4096
-
-
 def mul2(A, B):
     """Product of 2x2 matrices on the trailing axes, formed entry by entry.
 
-    Each entry is A[i, 0] B[0, j] + A[i, 1] B[1, j] in elementwise numpy
-    arithmetic (`mul2_into`, a block of BLOCK_MATRICES matrices at a time),
-    so a stack costs a few whole-array operations instead of one BLAS call
-    per matrix; the leading axes broadcast, so a single 2x2 multiplies a
-    whole stack.  The bits do not depend on memory layout or on the block.
-    The product comes out entry-major.
+    Each entry is A[i, 0] B[0, j] + A[i, 1] B[1, j], one `mul2_into` call
+    on entries-first views, so a stack costs two whole-array numpy calls
+    instead of one BLAS call per matrix; the leading axes broadcast, so a
+    single 2x2 multiplies a whole stack.  The bits do not depend on memory
+    layout.  The product comes out entry-major.
     """
     A = np.asarray(A)
     B = np.asarray(B)
     shape = np.broadcast_shapes(A.shape, B.shape)
     out = empty_planes(shape[:-2], (2, 2), np.result_type(A, B))
-    # entries first, then every matrix of the stack along one axis
-    A, B = (entries_first(np.broadcast_to(M, shape)).reshape(2, 2, -1) for M in (A, B))
-    C = entries_first(out).reshape(2, 2, -1)  # a view: out's planes are contiguous
-    scratch = empty_products(C[:, :, :BLOCK_MATRICES])
-    for k in range(0, C.shape[2], BLOCK_MATRICES):
-        block = np.s_[:, :, k : k + BLOCK_MATRICES]
-        mul2_into(A[block], B[block], C[block], scratch[:, :, :, : C.shape[2] - k])
+    A, B = (entries_first(np.broadcast_to(M, shape)) for M in (A, B))
+    C = entries_first(out)
+    mul2_into(A, B, C, empty_products(C))
     return out
 
 

@@ -286,8 +286,9 @@ def read_machine_report(in_dir) -> tuple[str, VerificationReport]:
     """The text of a run directory's `report.kv` and the report it holds.
 
     The one reader of a stored `report.kv`: a file that is missing, is not
-    UTF-8, does not parse or lacks a registered check is refused, an
-    encoding error and a missing check with the file's path."""
+    UTF-8, does not parse, lacks a registered check or holds check names or
+    tolerances that `resolve_tolerances` refuses is refused, an encoding
+    error and a missing check with the file's path."""
     path = require_output(Path(in_dir) / REPORT_MACHINE_FILE)
     try:
         text = path.read_text(encoding="utf-8")
@@ -298,6 +299,7 @@ def read_machine_report(in_dir) -> tuple[str, VerificationReport]:
     missing = [name for name in registry_names() if name not in stored]
     if missing:
         raise InvalidInputError(f"{path}: no stored tolerance for {', '.join(missing)}")
+    resolve_tolerances({r.name: r.tolerance for r in report.records})
     return text, report
 
 
@@ -306,8 +308,7 @@ def verify_outputs(in_dir) -> VerificationReport:
 
     Each check is judged against the tolerance the stored `report.kv` gives
     it, so a run generated with overrides keeps them.  A report.kv that
-    `read_machine_report` refuses is refused, and so is one whose check
-    names or tolerances `resolve_tolerances` refuses.
+    `read_machine_report` refuses is refused.
     """
     in_dir = Path(in_dir)
     tols = {r.name: r.tolerance for r in read_machine_report(in_dir)[1].records}

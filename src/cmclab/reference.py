@@ -1,8 +1,8 @@
 """Reference definitions the theorem's tests and demos compare against.
 
 What no program path runs lives here: the Hermitian model of R^{3,1} and
-its gate, the cylinder frame's closed forms, the Lax pair as matrices, the
-two-path discrepancy, a constant gauge on a frame and the normal rebuilt
+its gate, the cylinder frame's closed forms, the Lax pair and the spectral
+shift D as matrices, the two-path discrepancy, a constant gauge on a frame and the normal rebuilt
 from the surface alone.  Each restates, independently, something the core
 computes, and planted defects and other oracles belong here too.  No core
 module imports this one, which may import core names, private ones
@@ -123,6 +123,15 @@ def lax_matrices(u, u_z, u_zbar, Q, H, lam):
         raise InvalidInputError("spectral value must be nonzero")
     U, V = _lax_entries(u, u_z, u_zbar, Q, H, lam)
     return mat2(*U), mat2(*V)
+
+
+def spectral_shift_matrix(lam: float) -> np.ndarray:
+    """D = diag(lam^{-1/2}, lam^{1/2}); det D = 1.  The right factor that
+    frames.shift_frame applies by scaling F's columns."""
+    if not lam > 0:
+        raise InvalidInputError("spectral value must be positive")
+    sq = math.sqrt(lam)
+    return np.array([[1.0 / sq, 0.0], [0.0, sq]], dtype=complex)
 
 
 def two_path_discrepancy(data: SurfaceData, spectral: SpectralParam) -> float:

@@ -542,29 +542,36 @@ def test_tolerance_override_can_fail_run(tmp_path, capsys):
     assert (out / REPORT_MACHINE_FILE).read_bytes() == before
 
 
+# (id, tamper, expected); a tamper of None deletes report.kv
+_TAMPERED_REPORTS = [
+    ("unknown-name", lambda text: text + "metric_match_primry 0.001 0.005 PASS\n",
+     "unknown tolerance names: metric_match_primry"),
+    ("non-positive", lambda text: "".join(
+        "metric_match_primary 1 -1 FAIL\n" if ln.startswith("metric_match_primary ") else ln
+        for ln in text.splitlines(keepends=True)
+    ), "tolerance metric_match_primary must be positive"),
+    ("infinite", lambda text: "".join(
+        f"metric_match_primary {ln.split()[1]} inf PASS\n"
+        if ln.startswith("metric_match_primary ") else ln
+        for ln in text.splitlines(keepends=True)
+    ), "tolerance metric_match_primary must be a finite number, got inf"),
+    ("dropped-check", lambda text: "".join(
+        ln for ln in text.splitlines(keepends=True)
+        if not ln.startswith("metric_match_primary ")
+    ), "report.kv: no stored tolerance for metric_match_primary"),
+    ("missing", None, "report.kv"),
+]
+
+
 @pytest.mark.parametrize(
-    "tamper, expected",
+    "command, tamper, expected",
     [
-        (lambda text: text + "metric_match_primry 0.001 0.005 PASS\n",
-         "unknown tolerance names: metric_match_primry"),
-        (lambda text: "".join(
-            "metric_match_primary 1 -1 FAIL\n" if ln.startswith("metric_match_primary ") else ln
-            for ln in text.splitlines(keepends=True)
-        ), "tolerance metric_match_primary must be positive"),
-        (lambda text: "".join(
-            f"metric_match_primary {ln.split()[1]} inf PASS\n"
-            if ln.startswith("metric_match_primary ") else ln
-            for ln in text.splitlines(keepends=True)
-        ), "tolerance metric_match_primary must be a finite number, got inf"),
-        (lambda text: "".join(
-            ln for ln in text.splitlines(keepends=True)
-            if not ln.startswith("metric_match_primary ")
-        ), "report.kv: no stored tolerance for metric_match_primary"),
-        (None, "report.kv"),
+        pytest.param(command, tamper, expected, id=name + suffix)
+        for command, suffix in (("verify", ""), ("report", "-report"))
+        for name, tamper, expected in _TAMPERED_REPORTS
     ],
-    ids=["unknown-name", "non-positive", "infinite", "dropped-check", "missing"],
 )
-def test_verify_refuses_a_tampered_report(generated, tmp_path, capsys, tamper, expected):
+def test_verify_refuses_a_tampered_report(generated, tmp_path, capsys, command, tamper, expected):
     _, out, _ = generated
     run_dir = tmp_path / "run"
     shutil.copytree(out, run_dir)
@@ -573,7 +580,7 @@ def test_verify_refuses_a_tampered_report(generated, tmp_path, capsys, tamper, e
         path.unlink()
     else:
         path.write_text(tamper(path.read_text()))
-    assert main(["verify", "--in", str(run_dir)]) == 2
+    assert main([command, "--in", str(run_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and err.count("\n") == 1
     assert expected in err

@@ -11,17 +11,19 @@ from cmclab.errors import (
     InvalidInputError,
 )
 from cmclab.frames import (
+    ExtendedFrame,
     SpectralParam,
     _sweep,
     integrate_frame,
     shift_frame,
-    spectral_shift_matrix,
 )
+from cmclab.minkowski import empty_planes, mul2
 from cmclab.reference import (
     cylinder_frame_closed_form,
     cylinder_frame_lax_gauge,
     frame_left_multiply,
     lax_matrices,
+    spectral_shift_matrix,
     two_path_discrepancy,
 )
 from cmclab.surface_data import GridSpec, SurfaceData, cylinder_data, delaunay_data
@@ -285,6 +287,33 @@ class TestShiftFrame:
         q = cylinder_frame_51.spectral.q
         np.testing.assert_allclose(
             FD @ np.conj(FD.T), np.diag([np.exp(-q), np.exp(q)]), atol=1e-15
+        )
+
+    @pytest.mark.parametrize("lam", [0.02, 0.5, 0.98])
+    def test_scaling_has_the_bits_of_the_product(self, cylinder_frame_51, lam):
+        # the column scaling F D gives the bits of the general product
+        # mul2(F, D), on an integrated frame and on a random stack
+        rng = np.random.default_rng(28)
+        stack = empty_planes((51, 51), (2, 2))
+        stack[...] = rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape)
+        D = spectral_shift_matrix(lam)
+        for F in (cylinder_frame_51.F, stack):
+            frame = ExtendedFrame(cylinder_frame_51.grid, F, SpectralParam(lam))
+            assert frame_digest(shift_frame(frame).F) == frame_digest(mul2(frame.F, D))
+
+    @pytest.mark.parametrize("lam", [0.02, 0.5, 0.98])
+    def test_scaling_equals_the_product_on_zeros_and_subnormals(self, lam):
+        # the product adds a zero term, F[i, 1] * 0 to column 0 and F[i, 0] * 0
+        # to column 1, which can flip the sign of a zero real or imaginary
+        # part; so here only the values must agree
+        rng = np.random.default_rng(28)
+        parts = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300])
+        stack = empty_planes((8, 8), (2, 2))
+        stack.real[...] = rng.choice(parts, stack.shape)
+        stack.imag[...] = rng.choice(parts, stack.shape)
+        frame = ExtendedFrame(square_grid(8), stack, SpectralParam(lam))
+        np.testing.assert_array_equal(
+            shift_frame(frame).F, mul2(frame.F, spectral_shift_matrix(lam))
         )
 
 

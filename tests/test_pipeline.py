@@ -14,7 +14,6 @@ from cmclab.frames import (
     SpectralParam,
     integrate_frame,
     shift_frame,
-    spectral_shift_matrix,
 )
 from cmclab.measure import measure
 from cmclab.minkowski import require_h3, surface_and_normal
@@ -460,15 +459,14 @@ def count_calls(monkeypatch, *fns):
 
 def test_run_builds_each_side_once(tmp_path, monkeypatch):
     # surface_and_normal is the one pass behind each side's surface and
-    # normal; spectral_shift_matrix is taken once per F @ D shift; the Gauss
-    # residual and the distance between the sides feed both the report and
-    # the diagnostics table
+    # normal; one shift F D feeds the shifted side; the Gauss residual and
+    # the distance between the sides feed both the report and the
+    # diagnostics table
     counts = count_calls(
         monkeypatch,
         surface_and_normal,
         shift_frame,
         measure,
-        spectral_shift_matrix,
         gauss_residual,
         distance_grid,
     )
@@ -486,7 +484,6 @@ def test_run_builds_each_side_once(tmp_path, monkeypatch):
     assert counts["measure"] == 2
     # the parallel identity reuses the sides' points and normal, and each
     # frame's determinant is taken once: the primary's by integrate_frame
-    assert counts["spectral_shift_matrix"] == 1
     assert counts["det_drift"] == 2
     # the compatibility gate, the report and the diagnostics share one of each
     assert counts["gauss_residual"] == 1
