@@ -17,9 +17,8 @@ rather than gathering every fourth or second number.
 quadratic forms in F's entries.  Every product goes through one kernel,
 `mul2_into`, which takes its stacks entries-first (`entries_first`): mul2
 calls it once on views of its whole operands, and the integrator's march
-calls it on views it holds.  The
-Hermitian matrix model those products live in, and its gate, are reference
-definitions (`cmclab.reference`).
+calls it on views it holds.  The Hermitian matrix model those products
+live in, and its gate, are reference definitions (`cmclab.reference`).
 """
 
 import numpy as np

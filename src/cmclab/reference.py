@@ -2,11 +2,11 @@
 
 What no program path runs lives here: the Hermitian model of R^{3,1} and
 its gate, the cylinder frame's closed forms, the Lax pair and the spectral
-shift D as matrices, the two-path discrepancy, a constant gauge on a frame and the normal rebuilt
-from the surface alone.  Each restates, independently, something the core
-computes, and planted defects and other oracles belong here too.  No core
-module imports this one, which may import core names, private ones
-included, and does no work at import time.
+shift D as matrices, the two-path discrepancy, a constant gauge on a frame
+and the normal rebuilt from the surface alone.  Each restates,
+independently, something the core computes, and planted defects and other
+oracles belong here too.  No core module imports this one, which may
+import core names, private ones included, and does no work at import time.
 """
 
 from __future__ import annotations
