@@ -91,7 +91,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, InvalidInputError, OSError, UnicodeDecodeError) as exc:
+    except (ConfigError, InvalidInputError, OSError, UnicodeDecodeError, MemoryError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

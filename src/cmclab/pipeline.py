@@ -33,7 +33,6 @@ from .config import RunConfig
 from .frames import ExtendedFrame, SpectralParam, integrate_frame
 from .minkowski import require_h3
 from .report import (
-    SIDES,
     VerificationReport,
     parse_machine,
     registry_names,
@@ -52,7 +51,7 @@ from .surface_data import (
     table_lines,
     write_table,
 )
-from .surfaces import surface_primary, surface_shifted
+from .surfaces import SIDES, surface_primary, surface_shifted
 from .verify import Sides, _report, _require_normalized, evaluate, verify_theorem
 
 SURFACE_FILE = "surface.dat"

@@ -1,4 +1,11 @@
-"""Verification reports: the check registry and two serializations.
+"""Verification reports: the check table and two serializations.
+
+Each check is one row, (name, frozen default tolerance, value).  A
+whole-run row's value takes (data, sides), the SurfaceData and the
+`verify.Sides` of one frame; a per-side row's takes one side's (measured,
+closed form, Lawson data) and is reported as "<name>_<side>" for each side
+in SIDES, primary first.  `registry_names` and `default_tolerances` read
+the rows, and `verify._report` walks them, in the same order.
 
 A report is an ordered list of (name, value, tolerance) records, one per
 registered check, plus free-form metadata.  The machine format is one check
@@ -13,44 +20,80 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, InvalidInputError
-
-SIDES = ("primary", "shifted")
-
-# checks made once per side, with the frozen default tolerance; each emits
-# "<name>_<side>" for every side in SIDES
-SIDE_CHECKS: tuple[tuple[str, float], ...] = (
-    ("metric_match", 5e-3),
-    ("hopf_match", 5e-3),
-    ("mean_match", 5e-3),
-    ("conformality", 5e-3),
-    ("isothermic", 5e-3),
-    ("mean_constancy", 5e-3),
-    ("hopf_constancy", 5e-3),
-    ("hopf_phase", 5e-3),
-    ("lawson_match", 1e-12),
+from .measure import (
+    closed_form_max_diff,
+    conformality_defect,
+    hopf_constancy,
+    hopf_match,
+    hopf_phase_defect,
+    isothermic_defect,
+    mean_constancy,
+    mean_match,
+    mean_sign,
+    metric_match,
+)
+from .surface_data import max_gauss_residual
+from .surfaces import (
+    SIDES,
+    _distance_defect,
+    normal_orthogonality_defect,
+    normal_unit_defect,
+    parallel_identity_defect,
 )
 
-# every check a full verification run emits, in report order, with the
-# frozen default tolerance; measurement bounds are calibrated on the
-# cylinder at two resolutions, identity checks sit at round-off scale
-REGISTRY: tuple[tuple[str, float], ...] = (
-    ("gauss_residual_max", 1e-3),
-    ("det_drift_max", 1e-8),
-    ("normal_unit_max_dev", 1e-9),
-    ("normal_orthogonality_max_dev", 1e-9),
-    ("parallel_identity_residual", 1e-11),
-    ("equidistance_max_dev", 1e-9),
-    *((f"{name}_{side}", tol) for side in SIDES for name, tol in SIDE_CHECKS),
-    ("mean_sign_opposite", 0.5),
+# checks of the whole run, reported first: compatibility, the frames'
+# unimodularity and the normal algebra over both sides, the exact parallel
+# identity and equidistance.  Measurement bounds are calibrated on the
+# cylinder at two resolutions; identity checks sit at round-off scale.
+RUN_CHECKS = (
+    ("gauss_residual_max", 1e-3, lambda data, sides: max_gauss_residual(data)),
+    ("det_drift_max", 1e-8, lambda data, sides: max(s.det_drift for s in sides)),
+    ("normal_unit_max_dev", 1e-9,
+     lambda data, sides: max(normal_unit_defect(s.surface) for s in sides)),
+    ("normal_orthogonality_max_dev", 1e-9,
+     lambda data, sides: max(normal_orthogonality_defect(s.surface) for s in sides)),
+    ("parallel_identity_residual", 1e-11,
+     lambda data, sides: parallel_identity_defect(sides[0].surface, sides[1].surface)),
+    ("equidistance_max_dev", 1e-9,
+     lambda data, sides: _distance_defect(sides.distance, sides[0].surface.spectral)),
 )
+
+# checks made once per side
+SIDE_CHECKS = (
+    ("metric_match", 5e-3, lambda m, closed, lawson: metric_match(m, closed)),
+    ("hopf_match", 5e-3, lambda m, closed, lawson: hopf_match(m, closed)),
+    ("mean_match", 5e-3, lambda m, closed, lawson: mean_match(m, closed)),
+    ("conformality", 5e-3, lambda m, closed, lawson: conformality_defect(m)),
+    ("isothermic", 5e-3, lambda m, closed, lawson: isothermic_defect(m)),
+    ("mean_constancy", 5e-3, lambda m, closed, lawson: mean_constancy(m)),
+    ("hopf_constancy", 5e-3, lambda m, closed, lawson: hopf_constancy(m)),
+    ("hopf_phase", 5e-3, lambda m, closed, lawson: hopf_phase_defect(m)),
+    ("lawson_match", 1e-12,
+     lambda m, closed, lawson: closed_form_max_diff(lawson, closed)),
+)
+
+# checks of the whole run, reported last: 0 when the two measured mean
+# curvature signs are opposite, 2 when equal
+CLOSING_CHECKS = (
+    ("mean_sign_opposite", 0.5,
+     lambda data, sides: abs(sum(mean_sign(s.measured) for s in sides))),
+)
+
+
+def _registry():
+    """(name, default tolerance) of every check, in report order."""
+    yield from ((name, tol) for name, tol, _ in RUN_CHECKS)
+    for side in SIDES:
+        yield from ((f"{name}_{side}", tol) for name, tol, _ in SIDE_CHECKS)
+    yield from ((name, tol) for name, tol, _ in CLOSING_CHECKS)
 
 
 def registry_names() -> tuple[str, ...]:
-    return tuple(name for name, _ in REGISTRY)
+    return tuple(name for name, _ in _registry())
 
 
 def default_tolerances() -> dict[str, float]:
-    return dict(REGISTRY)
+    return dict(_registry())
 
 
 def finite_number(value, what: str) -> float:

@@ -92,10 +92,16 @@ def _locked(a, dtype=float, shape=None, what=None, entries=0):
 
 
 def require_grid_size(nx, ny, where=None):
-    """Refuse node counts below MIN_NODES, naming `where` (a file) if given."""
+    """Refuse node counts below MIN_NODES, or too many for numpy to shape a
+    grid's largest array, its (nx, ny, 2, 2) complex frame; naming `where`
+    (a file) if given."""
     if nx < MIN_NODES or ny < MIN_NODES:
         msg = f"grids need nx, ny >= {MIN_NODES} for the derivative stencils, got {nx} x {ny}"
-        raise InvalidInputError(msg if where is None else f"{where}: {msg}")
+    elif nx * ny * 4 * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        msg = f"a grid of {nx} x {ny} nodes is too large for numpy to shape its frame"
+    else:
+        return
+    raise InvalidInputError(msg if where is None else f"{where}: {msg}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +144,8 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class SurfaceData:
-    """Conformal exponent grid with the constants Q and H (H nonzero)."""
+    """Conformal exponent grid with the constants Q and H: H nonzero, and
+    neither so large that its square overflows a double."""
 
     grid: GridSpec
     u: np.ndarray
@@ -148,6 +155,13 @@ class SurfaceData:
     def __post_init__(self):
         if self.H == 0.0:
             raise InvalidInputError("mean curvature H must be nonzero")
+        for name in ("H", "Q"):
+            value = float(getattr(self, name))
+            try:
+                value**2  # as `gauss_residual` squares it
+            except OverflowError:
+                msg = f"{name} = {value:g} is too large: its square overflows"
+                raise InvalidInputError(msg) from None
         shape = (self.grid.nx, self.grid.ny)
         object.__setattr__(self, "u", _locked(self.u, float, shape, "u"))
 
@@ -739,8 +753,9 @@ def load_surface_data(path):
     Format: optional '#' comment lines, one header line `Q H nx ny`, then
     nx*ny rows `x y u` with x varying fastest.  The first and last rows of
     the first x line and of the first y column give the grid extents, and
-    every row must lie on its grid node.  Every number must be finite.  H
-    and Q are taken as given, so loaded data may be non-normalized; check
+    every row must lie on its grid node.  Every number must be finite, and
+    a Q or H that `SurfaceData` refuses is refused naming the file.  H and
+    Q are taken as given, so loaded data may be non-normalized; check
     `SurfaceData.normalized` before verification runs.
 
     The rows come from `read_table`: u is converted row by row, x and y
@@ -789,4 +804,7 @@ def load_surface_data(path):
             f"not grid node {float(xs[k % nx]), float(ys[k // nx])}"
         )
     u = table[:, 2].reshape(ny, nx).T
-    return SurfaceData(grid, u, Q=Q, H=H)
+    try:
+        return SurfaceData(grid, u, Q=Q, H=H)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None

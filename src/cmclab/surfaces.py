@@ -12,7 +12,8 @@ along the normal.  `_surface`, the one side builder, takes a surface and
 the normal it carries from one pass of `minkowski.surface_and_normal`
 over F's entries.  Coordinates are linear in the Hermitian matrices, so
 `parallel_identity_defect` checks the identity on the points and normal
-the sides of `verify.evaluate` already hold.
+the sides of `verify.evaluate` already hold.  SIDES names the two sides,
+primary first; it is the set of `kind`s an H3SurfaceGrid accepts.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ import numpy as np
 from .errors import InvalidInputError
 from .frames import ExtendedFrame, SpectralParam, shift_frame
 from .minkowski import H3_TOL, mink_dot, require_h3, surface_and_normal
-from .report import SIDES
 from .surface_data import GridSpec, _locked
+
+SIDES = ("primary", "shifted")
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,18 +6,16 @@ each with its algebraic normal, its measured geometry and its frame's
 largest |det - 1|.  A side holds no frame: the shifted frame FD is let go
 once its surface and determinant drift are read, before the side is
 measured.  A side's name is its surface's `kind`, a name from
-`report.SIDES`, and its sign is +1 on the primary side and -1 on the
+`surfaces.SIDES`, and its sign is +1 on the primary side and -1 on the
 shifted one; the sign is all that tells the per-side checks apart: the
 closed form carries it (`closed_form(data, spectral, sign)`), and the
 Lawson partner is taken at the scale sign * s, with
 s = homothety_scale(H, spectral) = H(1/lam - lam)/2, from the Christoffel
 dual on the primary side and from the data itself on the shifted one; the
-primary surface's SpectralParam is the one check on lam.  The report runs
-the per-side checks (closed forms, constancy, Lawson homothety) in one
-loop over the two sides and takes frame unimodularity and the
-normal-field algebra as a maximum over it; compatibility, the exact
-parallel identity, equidistance and the opposite mean-curvature signs
-complete the registry.
+primary surface's SpectralParam is the one check on lam.  `_report` walks
+the check table of `report` in registry order: the whole-run rows read the
+data and both sides, and each side's rows read its measured geometry and
+the closed form and Lawson data built once for that side.
 
 Every frame-derived array is built once per evaluation: each side's
 surface, which carries its normal, comes from one `surfaces._surface`
@@ -30,46 +28,24 @@ takes the tolerance map that `report.resolve_tolerances` validated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
+from . import report
 from .errors import InvalidInputError
 from .frames import ExtendedFrame, shift_frame
 from .measure import (
     CONFORMAL_WARN_RATIO,
     MeasuredData,
     closed_form,
-    closed_form_max_diff,
-    conformality_defect,
     homothety_scale,
-    hopf_constancy,
-    hopf_match,
-    hopf_phase_defect,
-    isothermic_defect,
     lawson_data,
-    mean_constancy,
-    mean_match,
     mean_sign,
     measure,
-    metric_match,
 )
-from .report import (
-    SIDES,
-    CheckRecord,
-    VerificationReport,
-    registry_names,
-    resolve_tolerances,
-)
-from .surface_data import SurfaceData, _frozen, dual_data, max_gauss_residual
-from .surfaces import (
-    H3SurfaceGrid,
-    _distance_defect,
-    _surface,
-    distance_grid,
-    normal_orthogonality_defect,
-    normal_unit_defect,
-    parallel_identity_defect,
-)
+from .report import CheckRecord, VerificationReport, registry_names, resolve_tolerances
+from .surface_data import SurfaceData, _frozen, dual_data
+from .surfaces import SIDES, H3SurfaceGrid, _surface, distance_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,48 +117,23 @@ def _report(
     tols: dict[str, float],
 ) -> VerificationReport:
     """The report on the sides `evaluate` built from one frame, judged
-    against `tols`, the resolved tolerance of every registered check."""
-    primary, shifted = sides
-    spectral = primary.surface.spectral
-    scale = homothety_scale(data.H, spectral)
+    against `tols`, the resolved tolerance of every registered check.
 
-    values = {
-        "gauss_residual_max": max_gauss_residual(data),
-        "det_drift_max": max(s.det_drift for s in sides),
-        "normal_unit_max_dev": max(normal_unit_defect(s.surface) for s in sides),
-        "normal_orthogonality_max_dev": max(
-            normal_orthogonality_defect(s.surface) for s in sides
-        ),
-        "parallel_identity_residual": parallel_identity_defect(
-            primary.surface, shifted.surface
-        ),
-        "equidistance_max_dev": _distance_defect(sides.distance, spectral),
-    }
-    signs = {}
+    It walks the rows of `report` in registry order; each side's closed
+    form and Lawson data are built once, for that side's rows."""
+    spectral = sides[0].surface.spectral
+    scale = homothety_scale(data.H, spectral)
+    values = [value(data, sides) for _, _, value in report.RUN_CHECKS]
     for side in sides:
-        m, name = side.measured, side.surface.kind
-        clo = closed_form(data, spectral, side.sign)
+        closed = closed_form(data, spectral, side.sign)
         partner = dual_data(data) if side.sign == 1 else data
         lawson = lawson_data(partner, side.sign * scale)
-        side_values = {
-            "metric_match": metric_match(m, clo),
-            "hopf_match": hopf_match(m, clo),
-            "mean_match": mean_match(m, clo),
-            "conformality": conformality_defect(m),
-            "isothermic": isothermic_defect(m),
-            "mean_constancy": mean_constancy(m),
-            "hopf_constancy": hopf_constancy(m),
-            "hopf_phase": hopf_phase_defect(m),
-            "lawson_match": closed_form_max_diff(lawson, clo),
-        }
-        values.update((f"{k}_{name}", v) for k, v in side_values.items())
-        signs[name] = mean_sign(m)
-    # 0 when the two measured signs are opposite, 2 when equal
-    values["mean_sign_opposite"] = abs(sum(signs.values()))
-
-    records = tuple(
-        CheckRecord(name, float(values[name]), tols[name]) for name in registry_names()
-    )
+        values += (value(side.measured, closed, lawson) for _, _, value in report.SIDE_CHECKS)
+    values += (value(data, sides) for _, _, value in report.CLOSING_CHECKS)
+    checked = VerificationReport(tuple(
+        CheckRecord(name, float(value), tols[name])
+        for name, value in zip(registry_names(), values, strict=True)
+    ))
     g = data.grid
     metadata = {
         "lambda": f"{spectral.lam:.17g}",
@@ -194,12 +145,13 @@ def _report(
         "hx": f"{g.hx:.17g}",
         "hy": f"{g.hy:.17g}",
         "homothety_scale": f"{scale:.17g}",
-        **{f"mean_sign_{name}": f"{sign:+.0f}" for name, sign in signs.items()},
+        **{f"mean_sign_{s.surface.kind}": f"{mean_sign(s.measured):+.0f}" for s in sides},
         **{
-            f"conformal_warning_{name}": str(
-                values[f"conformality_{name}"] > CONFORMAL_WARN_RATIO
+            f"conformal_warning_{s.surface.kind}": str(
+                checked.record(f"conformality_{s.surface.kind}").value
+                > CONFORMAL_WARN_RATIO
             ).lower()
-            for name in signs
+            for s in sides
         },
     }
-    return VerificationReport(records=records, metadata=metadata)
+    return replace(checked, metadata=metadata)

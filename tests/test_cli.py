@@ -329,6 +329,29 @@ def test_stored_header_with_extra_fields_exits_2(
     assert expected in err
 
 
+def test_stored_header_whose_square_overflows_exits_2(generated, tmp_path, capsys):
+    _, out, _ = generated
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    path = run_dir / "surface.dat"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = "1e200 2e200 41 41\n"
+    path.write_text("".join(lines))
+    assert main(["verify", "--in", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config: {path}: H = 2e+200 is too large: its square overflows\n"
+
+
+def test_delaunay_profile_at_a_huge_h_exits_3(tmp_path, capsys):
+    # the profile squares H before SurfaceData sees it: a numerical failure
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "cfg.json", family="delaunay", H=1e200, out_dir=str(out))
+    assert main(["generate", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical: profile overflowed") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["verify", "export"])
 def test_frame_with_stored_base_index_exits_2(
     generated, tmp_path, capsys, edit_frame, command
@@ -480,6 +503,16 @@ def _keys(**keys):
     return lambda tmp_path: keys
 
 
+def _huge_header_input(tmp_path):
+    """Config keys that read an 8 x 8 custom file whose header holds
+    Q = 1e200 and H = 2e200, normalized but with squares that overflow."""
+    src = tmp_path / "huge.dat"
+    axis = np.linspace(-1.0, 1.0, 8).tolist()
+    rows = [f"{x!r} {y!r} 0\n" for y in axis for x in axis]
+    src.write_text("1e200 2e200 8 8\n" + "".join(rows))
+    return {"family": "custom-file", "input": str(src)}
+
+
 @pytest.mark.parametrize(
     "fault, expected",
     [
@@ -503,12 +536,22 @@ def _keys(**keys):
         (_keys(H=True), "key 'H' must be a number, got boolean"),
         ({"metric_match_primary": True},
          "tolerance metric_match_primary must be a number, got boolean"),
+        # a finite H whose square overflows a double
+        (_keys(family="cylinder", H=1e160), "H = 1e+160 is too large: its square overflows"),
+        (_keys(family="cylinder", H=1e200), "H = 1e+200 is too large: its square overflows"),
+        (_huge_header_input, "huge.dat: H = 2e+200 is too large: its square overflows"),
+        # grids numpy cannot shape, or memory cannot hold
+        (_keys(family="cylinder", nx=10**30),
+         f"a grid of {10**30} x 41 nodes is too large for numpy to shape its frame"),
+        (_keys(family="cylinder", nx=10**8, ny=10**8), "Unable to allocate 71.1 PiB"),
     ],
     ids=[
         "unknown-name", "non-positive", "non-number", "H-not-2Q", "H-zero",
         "r-key", "step-key", "x-extent-wide", "u0-nan", "du0-nan", "u0-inf",
         "H-inf", "H-huge-int", "tolerance-inf", "tolerance-huge-int",
-        "H-boolean", "tolerance-boolean",
+        "H-boolean", "tolerance-boolean", "H-square-overflows-1e160",
+        "H-square-overflows-1e200", "file-H-square-overflows", "grid-beyond-numpy",
+        "grid-beyond-memory",
     ],
 )
 def test_refused_run_writes_nothing(tmp_path, capsys, fault, expected):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cmclab import report
 from cmclab.errors import ConfigError, InvalidInputError
 from cmclab.report import (
     CheckRecord,
@@ -145,3 +146,18 @@ class TestVerifyTheorem:
         rep = verify_theorem(del_data_101, del_frame_101)
         failed = [r.name for r in rep.records if not r.passed]
         assert failed == []
+
+
+def test_one_row_is_the_whole_cost_of_a_check(monkeypatch, cyl_frame_101):
+    # a check is its row in the table, (name, default tolerance, value):
+    # adding one row adds the check everywhere, with nothing else to edit
+    before = registry_names()
+    run_rows = len(report.RUN_CHECKS)
+    row = ("zero_defect", 1.0, lambda data, sides: 0.0)
+    monkeypatch.setattr(report, "RUN_CHECKS", (*report.RUN_CHECKS, row))
+    assert registry_names() == (*before[:run_rows], "zero_defect", *before[run_rows:])
+    assert default_tolerances()["zero_defect"] == 1.0
+    assert resolve_tolerances({"zero_defect": 2.0})["zero_defect"] == 2.0
+    rep = verify_theorem(cylinder_data(cyl_frame_101.grid), cyl_frame_101, {"zero_defect": 2.0})
+    assert [r.name for r in rep.records] == list(registry_names())
+    assert rep.record("zero_defect") == CheckRecord("zero_defect", 0.0, 2.0)

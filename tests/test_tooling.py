@@ -3,14 +3,17 @@ no module imports a name it never uses, no core module imports the
 reference definitions, the frame modules form 2x2 products
 only through the entrywise kernel, 2x2 stacks and 4-vector grids are
 allocated only entry-major, tolerance gates refuse NaN, the hyperboloid
-bound is written once, and grid tables are spelled only by the whole-array
-text kernel."""
+bound is written once, grid tables are spelled only by the whole-array
+text kernel, and each check name is spelled once, in its row."""
 
 import ast
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+from cmclab.report import registry_names
+from cmclab.surfaces import SIDES
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -374,27 +377,31 @@ def test_hyperboloid_bound_lint_sees_each_form(tmp_path):
     ]
 
 
-def _seventeen_digit_spellings(path):
-    """The top-level definition holding each string constant in `path`,
-    docstrings aside, that spells '.17g': one entry per constant."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+def _string_constants(tree):
+    """Each str or bytes constant in `tree` that is not a docstring."""
     docstrings = {
         id(node.value)
         for node in ast.walk(tree)
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
     }
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, (str, bytes))
+            and id(node) not in docstrings
+        ):
+            yield node
+
+
+def _seventeen_digit_spellings(path):
+    """The top-level definition holding each string constant in `path`,
+    docstrings aside, that spells '.17g': one entry per constant."""
+    tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for stmt in tree.body:
         names = [t.id for t in getattr(stmt, "targets", ()) if isinstance(t, ast.Name)]
         owner = getattr(stmt, "name", None) or ",".join(names)
-        for node in ast.walk(stmt):
-            if (
-                isinstance(node, ast.Constant)
-                and isinstance(node.value, (str, bytes))
-                and id(node) not in docstrings
-                and ".17g" in str(node.value)
-            ):
-                found.append(owner)
+        found += [owner for node in _string_constants(stmt) if ".17g" in str(node.value)]
     return found
 
 
@@ -409,3 +416,64 @@ def test_seventeen_digit_spelling_only_in_the_kernel_fallback_and_scalar_fields(
     assert set(found.pop("report.py")) == {"render_machine"}
     assert set(found.pop("verify.py")) == {"_report"}
     assert {name: owners for name, owners in found.items() if owners} == {}
+
+
+def _check_spellings(path, spelled):
+    """'file:line check' for each string constant in `path`, docstrings
+    aside, that `spelled` maps to a check: one entry per constant, in line
+    order."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        (node.lineno, node.col_offset, spelled[node.value])
+        for node in _string_constants(tree)
+        if node.value in spelled
+    ]
+    return [f"{path.name}:{line} {check}" for line, _, check in sorted(found)]
+
+
+def _check_names():
+    """Each spelling of a check name, mapped to its check: a whole-run name
+    to itself; a per-side stem, and the stem with each side, to the stem."""
+    spelled = {}
+    for name in registry_names():
+        stem = next((name[: -len(s) - 1] for s in SIDES if name.endswith(f"_{s}")), name)
+        spelled[name] = spelled[stem] = stem
+    return spelled
+
+
+def test_each_check_name_is_spelled_once():
+    # a check is one row of the table in `report`: its name, default bound
+    # and value; a second spelling elsewhere would have to be kept in step
+    # with the row by hand
+    spelled = _check_names()
+    found = [
+        entry
+        for path in sorted((ROOT / "src" / "cmclab").rglob("*.py"))
+        for entry in _check_spellings(path, spelled)
+    ]
+    checks = [entry.split()[1] for entry in found]
+    assert set(checks) == set(spelled.values())
+    assert [
+        entry
+        for entry, check in zip(found, checks)
+        if checks.count(check) > 1 or not entry.startswith("report.py:")
+    ] == []
+
+
+def test_check_name_lint_sees_each_form(tmp_path):
+    path = tmp_path / "verify.py"
+    path.write_text(
+        '"""metric_match_primary: a docstring is no spelling."""\n'
+        'ROWS = (("metric_match", 5e-3), ("mean_sign_opposite", 0.5))\n'
+        "def f(values, side):\n"
+        '    """hopf_match"""\n'
+        '    values["hopf_match_shifted"] = 1.0  # metric_match\n'
+        '    values[b"isothermic"] = values[f"conformality_{side}"]\n'
+        '    return values.get("det_drift_max"), "metric_match_primary_x"\n'
+    )
+    assert _check_spellings(path, _check_names()) == [
+        "verify.py:2 metric_match",
+        "verify.py:2 mean_sign_opposite",
+        "verify.py:5 hopf_match",
+        "verify.py:7 det_drift_max",
+    ]
