@@ -119,8 +119,9 @@ def _report(
     """The report on the sides `evaluate` built from one frame, judged
     against `tols`, the resolved tolerance of every registered check.
 
-    It walks the rows of `report` in registry order; each side's closed
-    form and Lawson data are built once, for that side's rows."""
+    It walks the rows of `report` in registry order, so `sides` must be in
+    SIDES order, as `evaluate` builds them; each side's closed form and
+    Lawson data are built once, for that side's rows."""
     spectral = sides[0].surface.spectral
     scale = homothety_scale(data.H, spectral)
     values = [value(data, sides) for _, _, value in report.RUN_CHECKS]
