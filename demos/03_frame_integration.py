@@ -32,7 +32,9 @@ print("both traceless:", abs(np.trace(U)) + abs(np.trace(V)))
 grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 101, 101)
 data = cylinder_data(grid)
 frame = integrate_frame(data, sp)
-print("frame at the base point:\n", frame.F[frame.grid.center_index()])
+# F has shape (2, 2, nx, ny): F[:, :, i, j] is the frame at node (i, j).
+i0, j0 = frame.grid.center_index()
+print("frame at the base point:\n", frame.F[:, :, i0, j0])
 print("worst |det F - 1| on the grid:", frame.max_det_drift)
 
 # Compare with the closed-form cylinder frame.

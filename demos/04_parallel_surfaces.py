@@ -49,5 +49,6 @@ for lam in (0.3, 0.8):
     print(f"lambda = {lam}: distance deviation {dev:.3e}, target -q = {-math.log(lam):.6f}")
 
 # Both surfaces live on the hyperboloid sheet x0 > 0.
-print("x0 range primary:", float(prim.points[..., 3].min()), float(prim.points[..., 3].max()))
-print("x0 range shifted:", float(shif.points[..., 3].min()), float(shif.points[..., 3].max()))
+# points have shape (4, nx, ny): points[3] is the grid of x0 coordinates
+print("x0 range primary:", float(prim.points[3].min()), float(prim.points[3].max()))
+print("x0 range shifted:", float(shif.points[3].min()), float(shif.points[3].max()))

@@ -4,13 +4,17 @@ Subcommands: generate (full run from a config), verify (re-check stored
 outputs), export (re-project meshes), report (print a stored report).
 Exit codes: 0 pass, 1 verification failure, 2 configuration error,
 3 numerical failure.  Errors print one line to stderr in the form
-'error: <kind>: <message>'.
+'error: <kind>: <message>'.  Subcommands run with numpy's floating-point
+warnings off: an overflow or a NaN reaches a gate, which refuses it, and
+that gate's message is the one line printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from .config import load_config
 from .errors import ConfigError, InvalidInputError, NumericalError
@@ -87,7 +91,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except NumericalError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

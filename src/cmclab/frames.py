@@ -28,12 +28,13 @@ bits on a negative-stride view than on a contiguous one (4,613 of 100,001
 random values), while a stride-2 view matches; a march on reversed views
 moved F's bits on a 61 x 83 Delaunay run (lam 0.4, u0 0.5).
 
-Every 2x2 product goes through minkowski.mul2_into, the one product
-kernel, and every determinant through minkowski.det2: whole-array
-entrywise arithmetic, not one BLAS call per matrix of a stack.  The RK4
-stages call it by way of minkowski.mul2.  Each march step F[k] T calls it
-directly, two whole-entry numpy calls on entries-first views of F and of
-its block of transitions, through one scratch the march holds.  The RK4
+Frames are stacks of shape (2, 2, nx, ny), entries first
+(`cmclab.minkowski`).  Every 2x2 product goes through minkowski.mul2_into,
+the one product kernel, and every determinant through minkowski.det2:
+whole-array entrywise arithmetic, not one BLAS call per matrix of a stack.
+The RK4 stages call it by way of minkowski.mul2.  Each march step F[k] T
+calls it directly, two whole-entry numpy calls on views of F and of its
+block of transitions, through one scratch the march holds.  The RK4
 stages add the identity on their two diagonal planes in place rather than
 forming eye + c k stacks.  The shift F D forms no product: D is diagonal,
 so shift_frame scales F's two columns.  The frames these functions return
@@ -53,9 +54,7 @@ from .errors import IncompatibleDataError, IntegrationFailureError, InvalidInput
 from .minkowski import (
     DET_DRIFT_TOL,
     det2,
-    empty_planes,
     empty_products,
-    entries_first,
     mat2,
     mul2,
     mul2_into,
@@ -93,10 +92,10 @@ class SpectralParam:
 class ExtendedFrame:
     """Grid of unimodular 2x2 frames at one spectral value.
 
-    F has shape (nx, ny, 2, 2), entry-major.  Frames produced by
-    integrate_frame equal the identity at grid.center_index(); frames
-    produced by shift_frame carry D = diag(lam^{-1/2}, lam^{1/2}) there
-    instead.
+    F has shape (2, 2, nx, ny): F[:, :, i, j] is the frame at node (i, j).
+    Frames produced by integrate_frame equal the identity at
+    grid.center_index(); frames produced by shift_frame carry
+    D = diag(lam^{-1/2}, lam^{1/2}) there instead.
     """
 
     grid: GridSpec
@@ -104,8 +103,8 @@ class ExtendedFrame:
     spectral: SpectralParam
 
     def __post_init__(self):
-        shape = (self.grid.nx, self.grid.ny, 2, 2)
-        object.__setattr__(self, "F", _locked(self.F, complex, shape, "frame", entries=2))
+        shape = (2, 2, self.grid.nx, self.grid.ny)
+        object.__setattr__(self, "F", _locked(self.F, complex, shape, "frame"))
 
     @property
     def lam(self) -> float:
@@ -155,14 +154,14 @@ def _plus_identity(s):
     The diagonal gets the bits of eye + s, since + commutes bitwise; the
     off-diagonal entries skip eye's + 0, which could only turn a -0 into +0.
     """
-    s[..., 0, 0] += 1.0
-    s[..., 1, 1] += 1.0
+    s[0, 0] += 1.0
+    s[1, 1] += 1.0
     return s
 
 
 def _rk4_cell(A0, Am, A1, h):
     """RK4 transition matrix for F' = F A across one cell; batched over
-    leading axes."""
+    trailing axes."""
     k1 = A0
     k2 = mul2(_plus_identity((0.5 * h) * k1), Am)
     k3 = mul2(_plus_identity((0.5 * h) * k2), Am)
@@ -176,9 +175,10 @@ def _transitions(coefficient, nodes, mids, c0, c1, h):
     node to the near one."""
     A = coefficient(*(a[c0 : c1 + 1] for a in nodes))
     Am = coefficient(*(a[c0:c1] for a in mids))
+    near, far = A[:, :, :-1], A[:, :, 1:]
     if h > 0:
-        return _rk4_cell(A[:-1], Am, A[1:], h)
-    return _rk4_cell(A[1:], Am, A[:-1], h)
+        return _rk4_cell(near, Am, far, h)
+    return _rk4_cell(far, Am, near, h)
 
 
 # matrices per block of RK4 transitions: enough to amortise numpy's
@@ -188,27 +188,26 @@ BLOCK_MATRICES = 4096
 
 
 def _march(F, coefficient, nodes, mids, h, k0):
-    """Fill F outward along axis 0 from the known slice F[k0].
+    """Fill the stack F outward along its first grid axis from the known
+    slice F[:, :, k0].
 
     `coefficient(u, u_x, u_y)` gives A from samples of `nodes` (at the
     nodes) or of `mids` (at the midpoints).  The transitions come a block
     of cells at a time; each product F[k +- 1] = F[k] T is written into F
-    by `mul2_into` on entries-first views, through one scratch held for
-    the whole march.
+    by `mul2_into`, through one scratch held for the whole march.
     """
-    n = len(F)
-    step = max(1, BLOCK_MATRICES // (F[0].size // 4))
-    F = entries_first(F)
+    n = F.shape[2]
+    step = max(1, BLOCK_MATRICES // F[0, 0, 0].size)
     scratch = empty_products(F[:, :, k0])
     for c0 in range(k0, n - 1, step):
         c1 = min(c0 + step, n - 1)
-        T = entries_first(_transitions(coefficient, nodes, mids, c0, c1, h))
+        T = _transitions(coefficient, nodes, mids, c0, c1, h)
         for k in range(c0, c1):
             mul2_into(F[:, :, k], T[:, :, k - c0], F[:, :, k + 1], scratch)
     for c1 in range(k0, 0, -step):
         c0 = max(c1 - step, 0)
         # T[k - 1 - c0] carries F[k] to F[k - 1]
-        T = entries_first(_transitions(coefficient, nodes, mids, c0, c1, -h))
+        T = _transitions(coefficient, nodes, mids, c0, c1, -h)
         for k in range(c1, c0, -1):
             mul2_into(F[:, :, k], T[:, :, k - 1 - c0], F[:, :, k - 1], scratch)
 
@@ -231,13 +230,13 @@ def _sweep(data: SurfaceData, lam: float, first: int) -> np.ndarray:
     grid = data.grid
     center = grid.center_index()
     nodes = (data.u, *grid_derivatives(data.u, grid.hx, grid.hy))
-    F = empty_planes((grid.nx, grid.ny), (2, 2))
-    F[center] = np.eye(2)
+    F = np.empty((2, 2, grid.nx, grid.ny), complex)
+    F[:, :, center[0], center[1]] = np.eye(2)
     for axis, line in ((first, center[1 - first]), (1 - first, slice(None))):
         on_line = [np.moveaxis(a, axis, 0)[:, line] for a in nodes]
         mids = [_half_samples(a) for a in on_line]
         coefficient = partial(_coefficient, data, lam, axis)
-        F_line = np.moveaxis(F, axis, 0)[:, line]
+        F_line = np.moveaxis(F, 2 + axis, 2)[:, :, :, line]
         _march(F_line, coefficient, on_line, mids, (grid.hx, grid.hy)[axis], center[axis])
     return F
 
@@ -275,13 +274,14 @@ def integrate_frame(data: SurfaceData, spectral: SpectralParam) -> ExtendedFrame
 def shift_frame(frame: ExtendedFrame) -> ExtendedFrame:
     """Right-multiply every frame by D = diag(lam^{-1/2}, lam^{1/2}).
 
-    D is diagonal, so F D is F with column 0 scaled by lam^{-1/2} and
-    column 1 by lam^{1/2}: one entrywise multiply, F the left operand as in
-    minkowski.mul2_into.  It equals mul2(F, D) in value, and in bits but
+    D is diagonal, so F D is F with column 0 (F[:, 0]) scaled by lam^{-1/2}
+    and column 1 by lam^{1/2}: one entrywise multiply, F the left operand
+    as in minkowski.mul2_into.  It equals mul2(F, D) in value, and in bits but
     for the sign of a zero part.  det D = 1, so unimodularity is
     preserved; the value at the grid center becomes D instead of the
     identity.
     """
     sq = math.sqrt(frame.lam)
-    return replace(frame, F=_frozen(frame.F * np.array([1.0 / sq, sq], dtype=complex)))
+    d = np.array([1.0 / sq, sq], dtype=complex)
+    return replace(frame, F=_frozen(frame.F * d[:, None, None]))
 

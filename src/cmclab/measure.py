@@ -95,17 +95,16 @@ def measure(surface: H3SurfaceGrid) -> MeasuredData:
 
     E = Fc = G = fxx_n = fyy_n = fxy_n = None
     for c in range(4):
-        fx, fy = grid_derivatives(f[..., c], hx, hy)
+        fx, fy = grid_derivatives(f[c], hx, hy)
         E = _add_term(E, c, fx * fx)
         Fc = _add_term(Fc, c, fx * fy)
         G = _add_term(G, c, fy * fy)
         del fy
-        fxx, fyy, fxy = grid_second_derivatives(f[..., c], fx, hx, hy)
+        fxx, fyy, fxy = grid_second_derivatives(f[c], fx, hx, hy)
         del fx
-        Nc = N[..., c]
-        fxx_n = _add_term(fxx_n, c, fxx * Nc)
-        fyy_n = _add_term(fyy_n, c, fyy * Nc)
-        fxy_n = _add_term(fxy_n, c, fxy * Nc)
+        fxx_n = _add_term(fxx_n, c, fxx * N[c])
+        fyy_n = _add_term(fyy_n, c, fyy * N[c])
+        fxy_n = _add_term(fxy_n, c, fxy * N[c])
         del fxx, fyy, fxy
     # Hm and the conformality and isothermic defects divide by E; an E that
     # is not positive (or NaN) would make those checks a quiet pass

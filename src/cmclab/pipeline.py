@@ -1,9 +1,8 @@
 """End-to-end orchestration: data -> frame -> surfaces -> measurement -> report.
 
-The frame goes to `frame.dat` as an exact binary numpy archive of its entry
-planes, F of shape (2, 2, nx, ny), which is how the frame holds F: numpy
-writes it without a C-ordered copy, and the loaded planes become the
-frame's F without one (see `save_frame` and `load_frame`).
+The frame goes to `frame.dat` as an exact binary numpy archive whose F is
+the frame's F, of shape (2, 2, nx, ny), and the loaded F becomes the
+frame's without a copy (see `save_frame` and `load_frame`).
 `run` writes it first and lets the frame go, so the other writers run
 beside the two sides only.  Every other output file is plain text with
 numbers at 17 significant digits.  A repeated run with the same config is
@@ -62,8 +61,7 @@ DIAGNOSTICS_FILE = "diagnostics.dat"
 REPORT_TEXT_FILE = "report.txt"
 REPORT_MACHINE_FILE = "report.kv"
 
-# the members of a frame file: name -> (dtype, shape), None taking any length;
-# F is stored as its entry planes, F[i, j, r, c] at [r, c, i, j]
+# the members of a frame file: name -> (dtype, shape), None taking any length
 FRAME_MEMBERS = {
     "F": (np.complex128, (2, 2, None, None)),
     "lam": (np.float64, ()),
@@ -83,7 +81,7 @@ def poincare_ball(p):
 
 def _ball(p):
     """`poincare_ball` of points already held to the hyperboloid."""
-    return p[..., :3] / (1.0 + p[..., 3:4])
+    return p[:3] / (1.0 + p[3])
 
 
 def generate_data(config: RunConfig) -> SurfaceData:
@@ -112,7 +110,7 @@ def write_mesh(path, surface, faces):
     with open(path, "wb") as fh:
         fh.write(f"# {surface.kind} surface: Poincare ball vertices, quad faces, "
                  "row-major in y\n".encode())
-        write_table(fh, np.moveaxis(_ball(surface.points), -1, 0), prefix="v ")
+        write_table(fh, _ball(surface.points), prefix="v ")
         fh.write(faces)
 
 
@@ -122,7 +120,7 @@ def _write_meshes(out: Path, surfaces) -> list[Path]:
     Both sides live on one grid, so they share one face table.
     """
     paths = [out / name for name in MESH_FILES]
-    faces = _mesh_faces(*surfaces[0].points.shape[:2])
+    faces = _mesh_faces(*surfaces[0].points.shape[1:])
     for path, surface in zip(paths, surfaces):
         write_mesh(path, surface, faces)
     return paths
@@ -151,9 +149,8 @@ def write_diagnostics(path, data, sides: Sides):
 def save_frame(path, frame: ExtendedFrame):
     """Frame file: an uncompressed numpy archive (npz) of FRAME_MEMBERS.
 
-    F goes in as its entry planes, shape (2, 2, nx, ny), which is how the
-    frame holds it, so numpy writes it without a C-ordered copy.  Doubles
-    are stored as their bits, so `load_frame` returns the very frame
+    F goes in as the frame holds it, shape (2, 2, nx, ny).  Doubles are
+    stored as their bits, so `load_frame` returns the very frame
     written, and the archive carries no timestamp, so equal frames give
     equal bytes.
     """
@@ -161,7 +158,7 @@ def save_frame(path, frame: ExtendedFrame):
     with open(path, "wb") as fh:  # np.savez appends ".npz" to a path it opens
         np.savez(
             fh,
-            F=frame.F.transpose(2, 3, 0, 1),
+            F=frame.F,
             lam=float(frame.spectral.lam),
             extents=[float(v) for v in (g.x_min, g.x_max, g.y_min, g.y_max)],
         )
@@ -173,10 +170,10 @@ def load_frame(path) -> ExtendedFrame:
     Anything but an archive of exactly FRAME_MEMBERS, with their dtypes and
     shapes and finite entries, raises InvalidInputError naming the file; so
     do a grid below MIN_NODES per axis, bad extents and a bad lam.  A
-    non-finite entry of F is named by its index F[i, j, r, c].  Frames of
+    non-finite entry of F is named by its index F[r, c, i, j].  Frames of
     earlier versions (text, with a `base_index` or `r` member, or with F
     stored as (nx, ny, 2, 2)) are refused too, with a hint to generate the
-    run again.  The frame holds the loaded planes without a copy.
+    run again.  The frame holds the loaded F without a copy.
     """
     members = None
     with open(path, "rb") as fh:
@@ -208,7 +205,6 @@ def load_frame(path) -> ExtendedFrame:
                 f"{path}: {name} is {a.dtype} of shape {a.shape}, expected "
                 f"{np.dtype(dtype)} of shape {shape}{hint}"
             )
-    members["F"] = members["F"].transpose(2, 3, 0, 1)  # back to F[i, j, r, c]
     for name in FRAME_MEMBERS:
         a = members[name]
         finite = np.isfinite(a)
@@ -218,7 +214,7 @@ def load_frame(path) -> ExtendedFrame:
             raise InvalidInputError(f"{path}: {where} = {a[k]} is not finite")
     F = _frozen(members["F"])
     try:
-        grid = GridSpec(*members["extents"].tolist(), *F.shape[:2])
+        grid = GridSpec(*members["extents"].tolist(), *F.shape[2:])
         spectral = SpectralParam(float(members["lam"]))
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
@@ -281,13 +277,13 @@ def load_outputs(in_dir):
     return load_surface_data(paths[0]), load_frame(paths[1])
 
 
-def read_machine_report(in_dir) -> tuple[str, VerificationReport]:
+def _stored_report(in_dir) -> tuple[str, VerificationReport]:
     """The text of a run directory's `report.kv` and the report it holds.
 
     The one reader of a stored `report.kv`: a file that is missing, is not
-    UTF-8, does not parse, lacks a registered check or holds check names or
-    tolerances that `resolve_tolerances` refuses is refused, an encoding
-    error and a missing check with the file's path."""
+    UTF-8, does not parse or lacks a registered check is refused, an
+    encoding error and a missing check with the file's path.  Its
+    tolerances are left to `resolve_tolerances`."""
     path = require_output(Path(in_dir) / REPORT_MACHINE_FILE)
     try:
         text = path.read_text(encoding="utf-8")
@@ -298,6 +294,13 @@ def read_machine_report(in_dir) -> tuple[str, VerificationReport]:
     missing = [name for name in registry_names() if name not in stored]
     if missing:
         raise InvalidInputError(f"{path}: no stored tolerance for {', '.join(missing)}")
+    return text, report
+
+
+def read_machine_report(in_dir) -> tuple[str, VerificationReport]:
+    """`_stored_report`, also refused when `resolve_tolerances` refuses the
+    check names or tolerances it holds."""
+    text, report = _stored_report(in_dir)
     resolve_tolerances({r.name: r.tolerance for r in report.records})
     return text, report
 
@@ -307,10 +310,11 @@ def verify_outputs(in_dir) -> VerificationReport:
 
     Each check is judged against the tolerance the stored `report.kv` gives
     it, so a run generated with overrides keeps them.  A report.kv that
-    `read_machine_report` refuses is refused.
+    `read_machine_report` would refuse is refused: by `_stored_report`, or
+    by `verify_theorem`, which resolves the stored tolerances once.
     """
     in_dir = Path(in_dir)
-    tols = {r.name: r.tolerance for r in read_machine_report(in_dir)[1].records}
+    tols = {r.name: r.tolerance for r in _stored_report(in_dir)[1].records}
     data, frame = load_outputs(in_dir)
     report = verify_theorem(data, frame, tols)
     _write_report_files(in_dir, report)

@@ -7,6 +7,7 @@ and the normal rebuilt from the surface alone.  Each restates,
 independently, something the core computes, and planted defects and other
 oracles belong here too.  No core module imports this one, which may
 import core names, private ones included, and does no work at import time.
+Matrices and 4-vectors come entries first, as in `cmclab.minkowski`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .frames import ExtendedFrame, SpectralParam, _lax_entries, _sweep
-from .minkowski import det2, empty_planes, mat2, mink_dot, mul2
+from .minkowski import det2, mat2, mink_dot, mul2
 from .surface_data import SurfaceData, _frozen, grid_derivatives
 from .surfaces import H3SurfaceGrid
 
@@ -27,8 +28,8 @@ HERMITIAN_RTOL = 1e-9
 
 
 def conj_transpose(M):
-    """Conjugate transpose over the trailing matrix axes."""
-    return np.conj(np.swapaxes(M, -1, -2))
+    """Conjugate transpose over the two leading matrix axes."""
+    return np.conj(np.swapaxes(M, 0, 1))
 
 
 def _off_diagonal_defect(b, c):
@@ -42,9 +43,9 @@ def _diagonal_defect(a):
 
 
 def to_hermitian(p):
-    """Map coordinate points (..., 4) = (x1, x2, x3, x0) to Hermitian matrices."""
-    p = np.asarray(p, dtype=float)
-    x1, x2, x3, x0 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    """Map coordinate points (4, ...) = (x1, x2, x3, x0) to Hermitian
+    matrices (2, 2, ...)."""
+    x1, x2, x3, x0 = np.asarray(p, dtype=float)
     return mat2(x0 + x3, x1 - 1j * x2, x1 + 1j * x2, x0 - x3)
 
 
@@ -60,7 +61,7 @@ def from_hermitian(M):
     Minkowski product of the two matrices.
     """
     M = np.asarray(M, dtype=complex)
-    a, b, c, d = (M[..., i, j] for i, j in np.ndindex(2, 2))
+    (a, b), (c, d) = M
     diag = np.maximum(_diagonal_defect(a), _diagonal_defect(d))
     defect = float(np.maximum(_off_diagonal_defect(b, c), diag))
     largest = max(float(np.max(np.abs(m), initial=0.0)) for m in (a, b, c, d))
@@ -69,11 +70,11 @@ def from_hermitian(M):
         raise InvalidInputError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.3e}"
         )
-    out = empty_planes(M.shape[:-2], (4,), float)
-    out[..., 0] = 0.5 * (b + c).real
-    out[..., 1] = 0.5 * (c - b).imag
-    out[..., 2] = 0.5 * (a.real - d.real)
-    out[..., 3] = 0.5 * (a.real + d.real)
+    out = np.empty((4,) + M.shape[2:])
+    out[0] = 0.5 * (b + c).real
+    out[1] = 0.5 * (c - b).imag
+    out[2] = 0.5 * (a.real - d.real)
+    out[3] = 0.5 * (a.real + d.real)
     return out
 
 
@@ -109,11 +110,12 @@ def cylinder_frame_lax_gauge(z, lam):
     initial value as the reference form.
     """
     F = cylinder_frame_closed_form(z, lam)
-    return mat2(F[..., 0, 0], F[..., 0, 1] * -1j, F[..., 1, 0] * 1j, F[..., 1, 1])
+    (a, b), (c, d) = F
+    return mat2(a, b * -1j, c * 1j, d)
 
 
 def lax_matrices(u, u_z, u_zbar, Q, H, lam):
-    """The frame-system coefficient matrices (U, V), shape u.shape + (2, 2).
+    """The frame-system coefficient matrices (U, V), shape (2, 2) + u.shape.
 
     u, u_z and u_zbar may be scalars or grids.  Both matrices are traceless.
     lam may be complex; on the unit circle with real u the pair satisfies
@@ -141,8 +143,8 @@ def two_path_discrepancy(data: SurfaceData, spectral: SpectralParam) -> float:
     Vanishes (to integrator order) exactly when the data satisfies the
     compatibility condition, so no residual precondition is applied here.
     """
-    F_xy = _sweep(data, spectral.lam, 0)[-1, -1]
-    F_yx = _sweep(data, spectral.lam, 1)[-1, -1]
+    F_xy = _sweep(data, spectral.lam, 0)[:, :, -1, -1]
+    F_yx = _sweep(data, spectral.lam, 1)[:, :, -1, -1]
     return float(np.max(np.abs(F_xy - F_yx)))
 
 
@@ -162,20 +164,20 @@ def numeric_normal(surface: H3SurfaceGrid) -> np.ndarray:
 
     Solves <N, f> = <N, f_x> = <N, f_y> = 0, <N, N> = 1 at every node
     via the null space of a 3x4 system, with f_x and f_y from
-    `grid_derivatives`: shape (nx, ny, 4).  The sign is whatever the solver
+    `grid_derivatives`: shape (4, nx, ny).  The sign is whatever the solver
     returns; compare with numeric_normal_max_deviation.
     """
     g = surface.grid
-    f = surface.points
+    f = np.moveaxis(surface.points, 0, -1)  # the solver takes (nx, ny, 3, 4) rows
     fx, fy = grid_derivatives(f, g.hx, g.hy)
     eta = np.array([1.0, 1.0, 1.0, -1.0])
     rows = np.stack([f * eta, fx * eta, fy * eta], axis=-2)
     _, _, vh = np.linalg.svd(rows)
-    null = vh[..., -1, :]
+    null = np.moveaxis(vh[..., -1, :], -1, 0)
     nn = mink_dot(null, null)
     if np.any(nn <= 0.0):
         raise NumericalError("reconstructed normal is not spacelike")
-    return null / np.sqrt(nn)[..., None]
+    return null / np.sqrt(nn)
 
 
 def numeric_normal_max_deviation(surface: H3SurfaceGrid) -> float:
@@ -184,4 +186,4 @@ def numeric_normal_max_deviation(surface: H3SurfaceGrid) -> float:
     Nn, Nr = numeric_normal(surface), surface.normal
     sign = np.sign(mink_dot(Nn, Nr))
     sign[sign == 0.0] = 1.0
-    return float(np.max(np.abs(Nn * sign[..., None] - Nr)))
+    return float(np.max(np.abs(Nn * sign - Nr)))

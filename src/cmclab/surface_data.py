@@ -23,7 +23,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IntegrationBlowupError, InvalidInputError
-from .minkowski import empty_planes
 
 # |u| beyond this makes e^{2u} useless in double precision; treat as blowup.
 BLOWUP_LIMIT = 200.0
@@ -62,38 +61,35 @@ def _read_only(a):
     return a is None
 
 
-def _locked(a, dtype=float, shape=None, what=None, entries=0):
-    """`a` as a read-only array of `dtype`; refused unless of `shape`, when
-    one is given.  With `entries` = k it is entry-major in its last k axes
-    (`minkowski.empty_planes`), otherwise C-contiguous.
+def _locked(a, dtype=float, shape=None, what=None):
+    """`a` as a read-only C-contiguous array of `dtype`; refused unless of
+    `shape`, when one is given.
 
     An array is held as it is when nothing can write it, that is when it
     and every array down its `base` chain are read-only (`_frozen` marks a
-    builder's fresh arrays so), and when it already has `dtype` and that
-    layout.  Any other array is copied, a caller's writeable array and a
-    read-only view of one included, so the container never shares memory
-    that someone may still write.
+    builder's fresh arrays so), and when it already has `dtype` and is
+    C-contiguous.  Any other array is copied, a caller's writeable array
+    and a read-only view of one included, so the container never shares
+    memory that someone may still write.
     """
-    if isinstance(a, np.ndarray) and a.dtype == dtype and _read_only(a):
-        k = a.ndim - entries
-        planes = a.transpose((*range(k, a.ndim), *range(k)))
-        if planes.flags.c_contiguous and (shape is None or a.shape == shape):
-            return a
-    a = np.asarray(a, dtype=dtype) if entries else np.array(a, dtype=dtype)
+    if (
+        isinstance(a, np.ndarray)
+        and a.dtype == dtype
+        and a.flags.c_contiguous
+        and _read_only(a)
+        and (shape is None or a.shape == shape)
+    ):
+        return a
+    a = np.array(a, dtype=dtype, order="C")
     if shape is not None and a.shape != shape:
         raise InvalidInputError(f"{what} has shape {a.shape}, expected {shape}")
-    if entries:
-        k = a.ndim - entries
-        planes = empty_planes(a.shape[:k], a.shape[k:], dtype)
-        planes[...] = a
-        a = planes
     a.flags.writeable = False
     return a
 
 
 def require_grid_size(nx, ny, where=None):
     """Refuse node counts below MIN_NODES, or too many for numpy to shape a
-    grid's largest array, its (nx, ny, 2, 2) complex frame; naming `where`
+    grid's largest array, its (2, 2, nx, ny) complex frame; naming `where`
     (a file) if given."""
     if nx < MIN_NODES or ny < MIN_NODES:
         msg = f"grids need nx, ny >= {MIN_NODES} for the derivative stencils, got {nx} x {ny}"
@@ -672,8 +668,8 @@ def _number_words(x, lead):
 def table_lines(columns, prefix=""):
     """The bytes of a grid table, a few grid lines at a time.
 
-    `columns` are k arrays that broadcast to one (nx, ny) grid; a stacked
-    (nx, ny, k) table passes as `np.moveaxis(table, -1, 0)`.  Each grid
+    `columns` are k arrays that broadcast to one (nx, ny) grid, or one
+    (k, nx, ny) array.  Each grid
     point is one line: `prefix`, then its k numbers joined by spaces, x
     fastest.  Doubles are spelled byte for byte as '%.17g' does, so they
     round-trip exactly.  Integer columns are spelled as integers, which

@@ -9,8 +9,8 @@ Writing lam = e^q, the two satisfy the exact pointwise identity
 where N = F diag(1, -1) conj(F)^t is the unit normal of the primary
 surface, so the shifted surface lies at constant geodesic distance -q
 along the normal.  `_surface`, the one side builder, takes a surface and
-the normal it carries from one pass of `minkowski.surface_and_normal`
-over F's entries.  Coordinates are linear in the Hermitian matrices, so
+the normal it carries, each of shape (4, nx, ny), from one pass of
+`minkowski.surface_and_normal` over F's entries.  Coordinates are linear in the Hermitian matrices, so
 `parallel_identity_defect` checks the identity on the points and normal
 the sides of `verify.evaluate` already hold.  SIDES names the two sides,
 primary first; it is the set of `kind`s an H3SurfaceGrid accepts.
@@ -33,7 +33,8 @@ SIDES = ("primary", "shifted")
 @dataclass(frozen=True, eq=False)
 class H3SurfaceGrid:
     """Hyperboloid points and their finite unit normals over a grid, in
-    coordinates (x1, x2, x3, x0); `kind` is the surface's side in SIDES."""
+    coordinates (x1, x2, x3, x0), each of shape (4, nx, ny); `kind` is the
+    surface's side in SIDES."""
 
     grid: GridSpec
     points: np.ndarray
@@ -44,10 +45,9 @@ class H3SurfaceGrid:
     def __post_init__(self):
         if self.kind not in SIDES:
             raise InvalidInputError(f"unknown surface kind {self.kind!r}")
-        shape = (self.grid.nx, self.grid.ny, 4)
+        shape = (4, self.grid.nx, self.grid.ny)
         for name in ("points", "normal"):
-            a = _locked(getattr(self, name), float, shape, name, entries=1)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _locked(getattr(self, name), float, shape, name))
         # a point F F* misses the hyperboloid by |det F|^2 - 1, so require_h3
         # holds it to H3_TOL, derived from the integrator's bound on |det F - 1|
         require_h3(self.points, what=f"{self.kind} surface")
@@ -105,8 +105,8 @@ def parallel_identity_defect(primary: H3SurfaceGrid, shifted: H3SurfaceGrid) -> 
     f, N, s = primary.points, primary.normal, shifted.points
     worst, largest = [], []  # each plane's maxima; np.max keeps a NaN
     for c in range(4):
-        worst.append(np.max(np.abs(s[..., c] - (ch * f[..., c] - sh * N[..., c]))))
-        largest.append(np.max(np.abs(s[..., c])))
+        worst.append(np.max(np.abs(s[c] - (ch * f[c] - sh * N[c]))))
+        largest.append(np.max(np.abs(s[c])))
     return float(np.max(worst)) / float(np.max(largest))
 
 

@@ -22,8 +22,8 @@ def plain_sides(F):
     the plain real formula, in the grouping `minkowski.surface_and_normal`
     documents: the bits it must give, spelled here on a C-ordered copy."""
     F = np.ascontiguousarray(F)
-    (ar, br), (cr, dr) = np.moveaxis(F.real, (-2, -1), (0, 1))
-    (ai, bi), (ci, di) = np.moveaxis(F.imag, (-2, -1), (0, 1))
+    (ar, br), (cr, dr) = F.real
+    (ai, bi), (ci, di) = F.imag
     aa, bb, cc, dd = ar * ar + ai * ai, br * br + bi * bi, cr * cr + ci * ci, dr * dr + di * di
     ca = cr * ar + ci * ai, ci * ar - cr * ai  # c conj(a)
     db = dr * br + di * bi, di * br - dr * bi  # d conj(b)
@@ -31,7 +31,7 @@ def plain_sides(F):
     surface = (ca[0] + db[0], ca[1] + db[1], 0.5 * (top - bottom), 0.5 * (top + bottom))
     top, bottom = aa - bb, cc - dd
     normal = (ca[0] - db[0], ca[1] - db[1], 0.5 * (top - bottom), 0.5 * (top + bottom))
-    return np.stack(surface, axis=-1), np.stack(normal, axis=-1)
+    return np.stack(surface), np.stack(normal)
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,15 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cmclab import pipeline
+from cmclab import pipeline, report, verify
 from cmclab.cli import main
 from cmclab.pipeline import (
     DIAGNOSTICS_FILE,
@@ -15,7 +19,10 @@ from cmclab.pipeline import (
     REPORT_TEXT_FILE,
     SURFACE_FILE,
 )
+from cmclab.report import resolve_tolerances
 from cmclab.surface_data import MIN_NODES, GridSpec, SurfaceData, save_surface_data
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(path, **overrides):
@@ -274,9 +281,9 @@ def test_non_finite_stored_entry_exits_2(generated, tmp_path, capsys, edit_frame
     if name == "frame.dat":
         with np.load(path) as z:
             F = z["F"].copy()
-        F[1, 1, 40, 0] = np.nan  # stored as entry planes: F[40, 0, 1, 1]
+        F[1, 1, 40, 0] = np.nan  # entry (1, 1) at node (40, 0), as in frame.F
         edit_frame(path, F=F)
-        expected = "frame.dat: F[40, 0, 1, 1] = (nan+0j) is not finite"
+        expected = "frame.dat: F[1, 1, 40, 0] = (nan+0j) is not finite"
     else:
         lines = path.read_text().splitlines(keepends=True)
         lines[6] = " ".join(lines[6].split()[:2] + ["nan"]) + "\n"
@@ -398,11 +405,44 @@ def test_nan_frame_exits_3(tmp_path, capsys):
     out = tmp_path / "run"
     keys = {"lambda": 1e-20, "nx": 21, "ny": 21, "out_dir": str(out)}
     cfg = write_config(tmp_path / "cfg.json", **keys)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["generate", "--config", str(cfg)]) == 3
+    # no np.errstate here: under the suite's filterwarnings = error, this
+    # also holds that main lets no floating-point warning out
+    assert main(["generate", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: numerical: determinant drift nan")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# refused runs whose numbers overflow on the way to the gate that refuses
+# them; numpy's floating-point warnings must not print before its one line
+OVERFLOWING_RUNS = {
+    "cylinder-H-1e150": {"H": 1e150},
+    "cylinder-lambda-1e-20": {"lambda": 1e-20},
+    "custom-file-u-400": {"family": "custom-file"},  # exp(2u) overflows
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWING_RUNS)
+def test_overflowing_run_prints_one_error_line(tmp_path, name):
+    out = tmp_path / "run"
+    keys = dict(OVERFLOWING_RUNS[name], nx=21, ny=21, out_dir=str(out))
+    if keys.get("family") == "custom-file":
+        keys["input"] = str(tmp_path / "u400.dat")
+        u = np.full((21, 21), 400.0)
+        save_surface_data(keys["input"], SurfaceData(GridSpec(-1, 1, -1, 1, 21, 21), u, 0.25, 0.5))
+    cfg = write_config(tmp_path / "cfg.json", **keys)
+    # a process of its own, so that its stderr is what a shell would show,
+    # warnings included, not what the suite's warning filter makes of them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmclab", "generate", "--config", str(cfg)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: numerical:"), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
     assert not out.exists()
 
 
@@ -627,6 +667,24 @@ def test_verify_refuses_a_tampered_report(generated, tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and err.count("\n") == 1
     assert expected in err
+
+
+def test_verify_resolves_the_stored_tolerances_once(generated, tmp_path, monkeypatch):
+    # reading report.kv and judging the checks against it once ran the same
+    # map through resolve_tolerances twice
+    _, out, _ = generated
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    calls = []
+
+    def counted(overrides=None):
+        calls.append(overrides)
+        return resolve_tolerances(overrides)
+
+    for module in (report, pipeline, verify):
+        monkeypatch.setattr(module, "resolve_tolerances", counted)
+    assert main(["verify", "--in", str(run_dir)]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])

@@ -17,7 +17,7 @@ from cmclab.frames import (
     integrate_frame,
     shift_frame,
 )
-from cmclab.minkowski import empty_planes, mul2
+from cmclab.minkowski import mul2
 from cmclab.reference import (
     cylinder_frame_closed_form,
     cylinder_frame_lax_gauge,
@@ -94,7 +94,7 @@ class TestCylinderClosedForm:
         rng = np.random.default_rng(2)
         z = rng.normal(size=12) + 1j * rng.normal(size=12)
         F = cylinder_frame_closed_form(z, 0.37)
-        np.testing.assert_allclose(np.linalg.det(F), 1.0, atol=1e-14)
+        np.testing.assert_allclose(np.linalg.det(np.moveaxis(F, (0, 1), (1, 2))), 1.0, atol=1e-14)
 
     def test_unit_spectral_value_on_real_axis(self):
         x = 0.83
@@ -149,7 +149,7 @@ def cylinder_frame_51():
 class TestIntegrateFrame:
     def test_identity_at_base(self, cylinder_frame_51):
         i0, j0 = cylinder_frame_51.grid.center_index()
-        assert np.array_equal(cylinder_frame_51.F[i0, j0], np.eye(2, dtype=complex))
+        assert np.array_equal(cylinder_frame_51.F[:, :, i0, j0], np.eye(2, dtype=complex))
 
     def test_matches_closed_form(self, cylinder_frame_51):
         g = cylinder_frame_51.grid
@@ -258,7 +258,9 @@ FRAME_BITS = {
 
 
 def frame_digest(F):
-    return hashlib.sha256(np.ascontiguousarray(F).tobytes()).hexdigest()
+    """The digest of a stack's bytes in node-major order, (nx, ny, 2, 2)."""
+    node_major = np.moveaxis(F, (0, 1), (2, 3))
+    return hashlib.sha256(np.ascontiguousarray(node_major).tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("name", FRAME_BITS)
@@ -276,14 +278,14 @@ class TestShiftFrame:
         shifted = shift_frame(cylinder_frame_51)
         i0, j0 = shifted.grid.center_index()
         D = spectral_shift_matrix(0.5)
-        np.testing.assert_allclose(shifted.F[i0, j0], D, atol=1e-15)
+        np.testing.assert_allclose(shifted.F[:, :, i0, j0], D, atol=1e-15)
         assert shifted.max_det_drift < 1e-9
 
     def test_base_product_is_diagonal_exponential(self, cylinder_frame_51):
         # (FD)(FD)^bar-t at the base point with F = I is diag(e^{-q}, e^q)
         shifted = shift_frame(cylinder_frame_51)
         i0, j0 = shifted.grid.center_index()
-        FD = shifted.F[i0, j0]
+        FD = shifted.F[:, :, i0, j0]
         q = cylinder_frame_51.spectral.q
         np.testing.assert_allclose(
             FD @ np.conj(FD.T), np.diag([np.exp(-q), np.exp(q)]), atol=1e-15
@@ -294,8 +296,7 @@ class TestShiftFrame:
         # the column scaling F D gives the bits of the general product
         # mul2(F, D), on an integrated frame and on a random stack
         rng = np.random.default_rng(28)
-        stack = empty_planes((51, 51), (2, 2))
-        stack[...] = rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape)
+        stack = rng.normal(size=(2, 2, 51, 51)) + 1j * rng.normal(size=(2, 2, 51, 51))
         D = spectral_shift_matrix(lam)
         for F in (cylinder_frame_51.F, stack):
             frame = ExtendedFrame(cylinder_frame_51.grid, F, SpectralParam(lam))
@@ -308,7 +309,7 @@ class TestShiftFrame:
         # part; so here only the values must agree
         rng = np.random.default_rng(28)
         parts = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300])
-        stack = empty_planes((8, 8), (2, 2))
+        stack = np.empty((2, 2, 8, 8), complex)
         stack.real[...] = rng.choice(parts, stack.shape)
         stack.imag[...] = rng.choice(parts, stack.shape)
         frame = ExtendedFrame(square_grid(8), stack, SpectralParam(lam))
@@ -323,7 +324,9 @@ class TestGauge:
         G = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         G /= np.sqrt(np.linalg.det(G))
         moved = frame_left_multiply(cylinder_frame_51, G)
-        np.testing.assert_allclose(moved.F[7, 3], G @ cylinder_frame_51.F[7, 3], atol=1e-14)
+        np.testing.assert_allclose(
+            moved.F[:, :, 7, 3], G @ cylinder_frame_51.F[:, :, 7, 3], atol=1e-14
+        )
         assert moved.max_det_drift < 1e-8
 
     def test_rejects_non_unimodular(self, cylinder_frame_51):

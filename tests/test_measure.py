@@ -251,8 +251,8 @@ def test_fourth_order_convergence(build):
 
 GRID6 = GridSpec(-1.0, 1.0, -1.0, 1.0, 6, 6)
 ORIGIN = np.array([0.0, 0.0, 0.0, 1.0])  # a point of H^3
-POINTS6 = np.broadcast_to(ORIGIN, (6, 6, 4))
-NORMAL6 = np.zeros((6, 6, 4))
+POINTS6 = np.broadcast_to(ORIGIN[:, None, None], (4, 6, 6))
+NORMAL6 = np.zeros((4, 6, 6))
 
 
 @pytest.mark.parametrize(
@@ -261,20 +261,20 @@ NORMAL6 = np.zeros((6, 6, 4))
         (lambda a: SurfaceData(GRID6, a, Q=0.25, H=0.5), np.zeros((6, 6)), np.zeros((6, 5)), "u"),
         (
             lambda a: ExtendedFrame(GRID6, a, SpectralParam(0.5)),
-            np.zeros((6, 6, 2, 2)),
-            np.zeros((5, 6, 2, 2)),
+            np.zeros((2, 2, 6, 6)),
+            np.zeros((2, 2, 5, 6)),
             "F",
         ),
         (
             lambda a: H3SurfaceGrid(GRID6, a, NORMAL6, SpectralParam(0.5), "primary"),
             POINTS6,
-            np.broadcast_to(ORIGIN, (6, 5, 4)),
+            np.broadcast_to(ORIGIN[:, None, None], (4, 6, 5)),
             "points",
         ),
         (
             lambda a: H3SurfaceGrid(GRID6, POINTS6, a, SpectralParam(0.5), "primary"),
             NORMAL6,
-            np.zeros((5, 6, 4)),
+            np.zeros((4, 5, 6)),
             "normal",
         ),
         (
@@ -323,13 +323,11 @@ class TestMeasureValidation:
         g = GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 9)
         X, Y = g.mesh()
         v = X + 0.5 * Y
-        pts = np.stack(
-            [np.sinh(v), np.zeros_like(v), np.zeros_like(v), np.cosh(v)], axis=-1
-        )
+        pts = np.stack([np.sinh(v), np.zeros_like(v), np.zeros_like(v), np.cosh(v)])
         from cmclab.surfaces import H3SurfaceGrid
         from cmclab.frames import SpectralParam
 
-        n = np.tile([0.0, 0.0, 1.0, 0.0], (9, 9, 1))
+        n = np.broadcast_to(np.array([0.0, 0.0, 1.0, 0.0])[:, None, None], (4, 9, 9))
         s = H3SurfaceGrid(g, pts, n, SpectralParam(0.5), "primary")
         assert conformality_defect(measure(s)) > CONFORMAL_WARN_RATIO
 
@@ -340,10 +338,8 @@ class TestMeasureValidation:
         g = GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 9)
         X, Y = g.mesh()
         v = Y + X**2
-        pts = np.stack(
-            [np.sinh(v), np.zeros_like(v), np.zeros_like(v), np.cosh(v)], axis=-1
-        )
-        n = np.tile([0.0, 0.0, 1.0, 0.0], (9, 9, 1))
+        pts = np.stack([np.sinh(v), np.zeros_like(v), np.zeros_like(v), np.cosh(v)])
+        n = np.broadcast_to(np.array([0.0, 0.0, 1.0, 0.0])[:, None, None], (4, 9, 9))
         s = H3SurfaceGrid(g, pts, n, SpectralParam(0.5), "primary")
         with pytest.raises(NumericalError, match=r"E = 0 is not positive at grid node \(4, 0\)"):
             measure(s)

@@ -13,7 +13,7 @@ import pytest
 import cmclab.verify
 from cmclab.config import config_from_mapping
 from cmclab.frames import ExtendedFrame, SpectralParam, integrate_frame
-from cmclab.minkowski import empty_planes, surface_and_normal
+from cmclab.minkowski import surface_and_normal
 from cmclab.pipeline import load_frame, run, save_frame
 from cmclab.surface_data import GridSpec, _frozen, _locked, load_surface_data, save_surface_data
 from cmclab.surfaces import H3SurfaceGrid
@@ -117,21 +117,23 @@ def test_locked_holds_only_what_nothing_can_write():
     # a read-only array of the wrong dtype or layout is copied too
     assert _locked(fresh, complex) is not fresh
     fortran = _frozen(np.asfortranarray(np.ones((5, 6))))
-    assert _locked(fortran) is not fortran
+    held = _locked(fortran)
+    assert held is not fortran and held.flags.c_contiguous
 
 
 def test_containers_hold_a_frozen_entry_major_frame():
     grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 7, 6)
-    F = empty_planes((7, 6), (2, 2))
-    F[...] = np.eye(2)
+    F = np.empty((2, 2, 7, 6), complex)
+    F[...] = np.eye(2)[:, :, None, None]
     frozen = _frozen(F)
     assert ExtendedFrame(grid, frozen, SpectralParam(0.5)).F is frozen
     points, normal = surface_and_normal(frozen)
     surface = H3SurfaceGrid(grid, points, normal, SpectralParam(0.5), "primary")
     assert surface.points is points and surface.normal is normal
-    # read-only down its chain but C-ordered: copied into entry-major planes
-    c_order = _frozen(np.broadcast_to(np.eye(2, dtype=complex), (7, 6, 2, 2)).copy())
-    held = ExtendedFrame(grid, c_order, SpectralParam(0.5)).F
-    assert held is not c_order and np.array_equal(held, c_order)
+    # read-only down its chain but not C-contiguous: copied into a
+    # C-contiguous array
+    fortran = _frozen(np.asfortranarray(F))
+    held = ExtendedFrame(grid, fortran, SpectralParam(0.5)).F
+    assert held is not fortran and np.array_equal(held, F) and held.flags.c_contiguous
     with pytest.raises(ValueError):
         F[0, 0, 0, 0] = 2.0

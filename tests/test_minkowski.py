@@ -21,16 +21,21 @@ IDENTITY = np.eye(2, dtype=complex)
 DIAG_1_M1 = np.diag([1.0, -1.0]).astype(complex)
 
 
+def node_major(A):
+    """The (..., 2, 2) view of a stack that numpy's matmul and linalg take."""
+    return np.moveaxis(A, (0, 1), (-2, -1))
+
+
 def random_hermitian(rng, n=1):
-    x = rng.standard_normal((n, 4)) * 2.0
+    x = rng.standard_normal((4, n)) * 2.0
     return to_hermitian(x), x
 
 
 def random_unimodular(rng, n=1):
     """Random SL2(C) samples: scale a generic matrix to determinant one."""
-    M = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
-    d = np.linalg.det(M)
-    return M / np.sqrt(d)[..., None, None]
+    M = rng.standard_normal((2, 2, n)) + 1j * rng.standard_normal((2, 2, n))
+    d = np.linalg.det(node_major(M))
+    return M / np.sqrt(d)
 
 
 def inner(X, Y):
@@ -76,8 +81,8 @@ class TestTraceForm:
         X, _ = random_hermitian(rng, 40)
         Y, _ = random_hermitian(rng, 40)
         G = random_unimodular(rng, 40)
-        GX = G @ X @ conj_transpose(G)
-        GY = G @ Y @ conj_transpose(G)
+        GX = mul2(mul2(G, X), conj_transpose(G))
+        GY = mul2(mul2(G, Y), conj_transpose(G))
         before = inner(X, Y)
         after = inner(GX, GY)
         scale = np.max(1.0 + np.abs(before))
@@ -103,13 +108,13 @@ class TestHermitianMap:
 
     def test_round_trip(self):
         rng = np.random.default_rng(10)
-        p = rng.standard_normal((30, 4)) * 3.0
+        p = rng.standard_normal((4, 30)) * 3.0
         np.testing.assert_allclose(from_hermitian(to_hermitian(p)), p, atol=1e-14)
 
     def test_det_is_minus_inner(self):
         rng = np.random.default_rng(11)
-        p = rng.standard_normal((30, 4)) * 2.0
-        d = np.linalg.det(to_hermitian(p)).real
+        p = rng.standard_normal((4, 30)) * 2.0
+        d = np.linalg.det(node_major(to_hermitian(p))).real
         np.testing.assert_allclose(d, -mink_dot(p, p), atol=1e-12)
 
     def test_from_hermitian_rejects_non_hermitian(self):
@@ -128,7 +133,7 @@ class TestMatrixHelpers:
             conj_transpose(M), np.array([[0.0, 0.0], [-1j, 0.0]])
         )
         rng = np.random.default_rng(12)
-        A = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+        A = rng.standard_normal((2, 2, 5)) + 1j * rng.standard_normal((2, 2, 5))
         np.testing.assert_array_equal(conj_transpose(conj_transpose(A)), A)
 
     def test_det_of_spectral_diagonal(self):
@@ -143,12 +148,12 @@ class TestMatrixHelpers:
 
 
 def random_stack(rng, shape):
-    return rng.standard_normal(shape + (2, 2)) + 1j * rng.standard_normal(shape + (2, 2))
+    return rng.standard_normal((2, 2) + shape) + 1j * rng.standard_normal((2, 2) + shape)
 
 
 def same_bits(a, b):
     # the words in C order: exact for any layout, and .view needs a
-    # contiguous last axis, which an entry-major stack does not have
+    # contiguous last axis, which a strided view may not have
     return np.array_equal(*(np.ascontiguousarray(x).view(np.int64) for x in (a, b)))
 
 
@@ -159,23 +164,23 @@ class TestProductKernel:
         B = random_stack(rng, (10_000,))
         # each entry sums two complex products: a few ulps of |A||B| bound
         # any correctly rounded ordering of them
-        bound = 4 * np.finfo(float).eps * (np.abs(A) @ np.abs(B))
-        assert np.all(np.abs(mul2(A, B) - A @ B) <= bound)
+        bound = 4 * np.finfo(float).eps * (node_major(np.abs(A)) @ node_major(np.abs(B)))
+        assert np.all(np.abs(node_major(mul2(A, B)) - node_major(A) @ node_major(B)) <= bound)
 
     def test_single_matrix_broadcasts_against_a_stack(self):
         rng = np.random.default_rng(14)
         S = random_stack(rng, (7, 5))
         lam = 0.37
         D = np.diag([lam**-0.5, lam**0.5]).astype(complex)
-        G = random_unimodular(rng)[0]
+        G = random_unimodular(rng)[:, :, 0]
         eye = np.eye(2, dtype=complex)
         for single in (D, G, eye):
             right = mul2(S, single)
             left = mul2(single, S)
             assert right.shape == left.shape == S.shape
-            for idx in np.ndindex(7, 5):
-                assert same_bits(right[idx], mul2(S[idx], single))
-                assert same_bits(left[idx], mul2(single, S[idx]))
+            for i, j in np.ndindex(7, 5):
+                assert same_bits(right[:, :, i, j], mul2(S[:, :, i, j], single))
+                assert same_bits(left[:, :, i, j], mul2(single, S[:, :, i, j]))
         np.testing.assert_array_equal(mul2(S, eye), S)
 
     def test_strided_view_gives_the_bits_of_a_copy(self):
@@ -183,25 +188,26 @@ class TestProductKernel:
         rng = np.random.default_rng(15)
         F = random_stack(rng, (9, 11))
         T = random_stack(rng, (9, 11))
-        Fy, Ty = np.moveaxis(F, 1, 0), np.moveaxis(T, 1, 0)
+        Fy, Ty = np.moveaxis(F, 3, 2), np.moveaxis(T, 3, 2)
         assert not Fy.flags.c_contiguous
-        for k in range(len(Fy)):
-            copy = mul2(np.ascontiguousarray(Fy[k]), np.ascontiguousarray(Ty[k]))
-            assert same_bits(mul2(Fy[k], Ty[k]), copy)
+        for k in range(Fy.shape[2]):
+            copy = mul2(np.ascontiguousarray(Fy[:, :, k]), np.ascontiguousarray(Ty[:, :, k]))
+            assert same_bits(mul2(Fy[:, :, k], Ty[:, :, k]), copy)
         assert same_bits(mul2(Fy, Ty), mul2(Fy.copy(), Ty.copy()))
 
     def test_det2_matches_linalg_det(self):
         rng = np.random.default_rng(16)
         A = random_stack(rng, (10_000,))
-        scale = np.abs(A[:, 0, 0] * A[:, 1, 1]) + np.abs(A[:, 0, 1] * A[:, 1, 0])
-        assert np.all(np.abs(det2(A) - np.linalg.det(A)) <= 8 * np.finfo(float).eps * scale)
+        scale = np.abs(A[0, 0] * A[1, 1]) + np.abs(A[0, 1] * A[1, 0])
+        err = np.abs(det2(A) - np.linalg.det(node_major(A)))
+        assert np.all(err <= 8 * np.finfo(float).eps * scale)
         np.testing.assert_allclose(det2(random_unimodular(rng, 50)), 1.0, atol=1e-13)
 
     def test_frame_times_its_conjugate_transpose_is_hermitian(self):
         rng = np.random.default_rng(17)
         F = random_unimodular(rng, 10_000)
         p = from_hermitian(mul2(F, conj_transpose(F)))
-        assert np.all(p[:, 3] > 0.0)
+        assert np.all(p[3] > 0.0)
 
 
 class TestSurfaceAndNormal:
@@ -209,9 +215,9 @@ class TestSurfaceAndNormal:
         # dyadic entries of a few bits: every product and sum is exact, so
         # the real forms equal from_hermitian(mul2(F S, conj(F)^t))
         rng = np.random.default_rng(20)
-        F = (rng.integers(-8, 9, (40, 30, 2, 2)) + 1j * rng.integers(-8, 9, (40, 30, 2, 2))) / 4
+        F = (rng.integers(-8, 9, (2, 2, 40, 30)) + 1j * rng.integers(-8, 9, (2, 2, 40, 30))) / 4
         FS = F.copy()
-        FS[..., 1] = -F[..., 1]  # F diag(1, -1)
+        FS[:, 1] = -F[:, 1]  # F diag(1, -1)
         surface, normal = surface_and_normal(F)
         assert same_bits(surface, from_hermitian(mul2(F, conj_transpose(F))))
         assert same_bits(normal, from_hermitian(mul2(FS, conj_transpose(F))))
@@ -221,20 +227,20 @@ class TestSurfaceAndNormal:
         rng = np.random.default_rng(21)
         F = random_stack(rng, shape)
         for got, want in zip(surface_and_normal(F), plain_sides(F)):
-            assert got.shape == shape + (4,) and same_bits(got, want)
+            assert got.shape == (4,) + shape and same_bits(got, want)
 
     def test_outputs_are_entry_major_and_read_only(self):
-        F = random_unimodular(np.random.default_rng(22), 12).reshape(3, 4, 2, 2)
+        F = random_unimodular(np.random.default_rng(22), 12).reshape(2, 2, 3, 4)
         for out in surface_and_normal(F):
-            assert all(out[..., k].flags.c_contiguous for k in range(4))
-            assert not out.flags.writeable and not out.base.flags.writeable
+            assert out.shape == (4, 3, 4) and out.flags.c_contiguous
+            assert not out.flags.writeable
 
 
 def hermitian_defect(M):
     """The defect the Hermitian gate of `from_hermitian` reads off four
     entries: |b - conj(c)| and the diagonal's |2 Im|, a NaN propagating."""
-    diag = reference._diagonal_defect(M[..., 0, 0]), reference._diagonal_defect(M[..., 1, 1])
-    off = reference._off_diagonal_defect(M[..., 0, 1], M[..., 1, 0])
+    diag = reference._diagonal_defect(M[0, 0]), reference._diagonal_defect(M[1, 1])
+    off = reference._off_diagonal_defect(M[0, 1], M[1, 0])
     return float(np.maximum(off, np.maximum(*diag)))
 
 
@@ -248,7 +254,7 @@ class TestHermitianDefect:
     def test_frame_products(self, del_frame_101):
         F = del_frame_101.F
         N = F.copy()
-        N[..., :, 1] *= -1  # F diag(1, -1)
+        N[:, 1] *= -1  # F diag(1, -1)
         for M in (mul2(F, conj_transpose(F)), mul2(N, conj_transpose(F))):
             assert same_bits(hermitian_defect(M), _full_hermitian_defect(M))
 
@@ -261,16 +267,16 @@ class TestHermitianDefect:
                 assert same_bits(hermitian_defect(M), _full_hermitian_defect(M))
 
     def test_diagonal_and_off_diagonal_defects_both_count(self):
-        M = np.zeros((3, 2, 2), dtype=complex)
+        M = np.zeros((2, 2, 3), dtype=complex)
         M[1, 1, 1] = 1.0 + 3e-7j  # diagonal: defect 6e-7
         assert hermitian_defect(M) == 6e-7
-        M[2, 0, 1], M[2, 1, 0] = 2.0 + 1j, 2.0 + 1j  # off-diagonal: defect 2
+        M[0, 1, 2], M[1, 0, 2] = 2.0 + 1j, 2.0 + 1j  # off-diagonal: defect 2
         assert hermitian_defect(M) == 2.0
 
     def test_nan_is_refused(self):
         # a NaN defect is no pass: the gate reads `not defect <= tol`
         with pytest.raises(InvalidInputError, match="defect nan"):
-            from_hermitian(np.full((3, 2, 2), np.nan, dtype=complex))
+            from_hermitian(np.full((2, 2, 3), np.nan, dtype=complex))
 
 
 class TestH3Validation:
@@ -287,7 +293,7 @@ class TestH3Validation:
 
     def test_rejects_nan(self):
         with pytest.raises(InvalidInputError, match="defect nan"):
-            require_h3(np.full((5, 4), np.nan))
+            require_h3(np.full((4, 5), np.nan))
 
     def test_defect_of_boosted_point(self):
         t = 0.8

@@ -123,14 +123,13 @@ class TestFramePersistence:
         # values whose bits a lossy or text format easily changes
         awkward = [-0.0, 5e-324, 1e300, 1 / 3, 0.1, -1.7976931348623157e308, 2.0**-1022]
         rng = np.random.default_rng(3)
-        F = rng.choice(awkward, size=(6, 7, 2, 2)) + 1j * rng.choice(awkward, size=(6, 7, 2, 2))
+        F = rng.choice(awkward, size=(2, 2, 6, 7)) + 1j * rng.choice(awkward, size=(2, 2, 6, 7))
         grid = GridSpec(-1 / 3, 0.1, -2.0**-1022, 1e300, 6, 7)
         frame = ExtendedFrame(grid, F, SpectralParam(1 / 3))
         path = tmp_path / "frame.dat"
         save_frame(path, frame)
         back = load_frame(path)
-        # frames are entry-major: compare the words in C order
-        words = [np.ascontiguousarray(f.F).view(np.int64) for f in (back, frame)]
+        words = [f.F.view(np.int64) for f in (back, frame)]
         assert np.array_equal(*words)
         assert back.grid == frame.grid and back.spectral == frame.spectral
 
@@ -149,7 +148,7 @@ class TestFramePersistence:
                 load_frame(frame_21)
 
     def test_frame_stored_grid_first_refused(self, frame_21, edit_frame):
-        # earlier versions stored F as (nx, ny, 2, 2), not as its entry planes
+        # earlier versions stored F as (nx, ny, 2, 2), not as (2, 2, nx, ny)
         with np.load(frame_21) as z:
             edit_frame(frame_21, F=np.ascontiguousarray(z["F"].transpose(2, 3, 0, 1)))
         expected = (
@@ -194,8 +193,8 @@ class TestFramePersistence:
     @pytest.mark.parametrize(
         "member, entry, value, shown",
         [
-            # F is stored as entry planes: [1, 0, 20, 3] holds F[20, 3, 1, 0]
-            ("F", (1, 0, 20, 3), np.nan, r"F\[20, 3, 1, 0\] = \(nan\+0j\)"),
+            # the stored index is frame.F's: entry (1, 0) at node (20, 3)
+            ("F", (1, 0, 20, 3), np.nan, r"F\[1, 0, 20, 3\] = \(nan\+0j\)"),
             ("extents", (1,), np.inf, r"extents\[1\] = inf"),
             ("lam", (), np.nan, "lam = nan"),
         ],

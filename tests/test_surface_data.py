@@ -216,26 +216,31 @@ class TestDerivativeSamples:
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-11)
 
     @staticmethod
-    def moments(weights, first, scale, degrees):
-        """sum_m w_m o_m^p / p! over offsets o_m = first, first + 1, ...,
-        with the weights divided by `scale`, for each degree p, exactly."""
+    def moments(weights, first, degrees):
+        """M_p = sum_m w_m o_m^p / p! over offsets o_m = first, first + 1, ...,
+        for each degree p, exactly."""
         return [
-            sum(Fraction(w) / scale * Fraction(first + m) ** p for m, w in enumerate(weights))
+            sum(Fraction(w) * Fraction(first + m) ** p for m, w in enumerate(weights))
             / math.factorial(p)
             for p in degrees
         ]
 
     def test_edge_rows_meet_their_moment_conditions(self):
-        # a row at node k spans offsets -k..5-k; exact through degree d means
-        # moments [p == order] for p <= d.  The d1 rows also match the central
-        # rule's h^4 error term, moment -1/30 at degree 5
-        central_d1 = self.moments((1, -8, 0, 8, -1), -2, 12, [5])
-        assert central_d1 == [Fraction(-1, 30)]
+        # the rows as typed, times 12 h (d1) or 12 h^2 (d2); a row at node k
+        # spans offsets -k..5-k.  Exact through degree 4 means moments 12
+        # [p == order]; the d1 rows also match the central rule's h^4 error
+        # moment, -2/5 at degree 5
+        central_d1 = self.moments((1, -8, 0, 8, -1), -2, [5])
+        assert central_d1 == [Fraction(-2, 5)]
         for k, row in enumerate(surface_data._D1_EDGES):
-            got = self.moments(row, -k, 12, range(6))
-            assert got == [0, 1, 0, 0, 0] + central_d1, k
-        for k, row in enumerate(surface_data._D2_EDGES):
-            assert self.moments(row, -k, 12, range(6)) == [0, 0, 1, 0, 0, 0], k
+            assert self.moments(row, -k, range(6)) == [0, 12, 0, 0, 0] + central_d1, k
+        # the d2 rows are exact through degree 5; their h^4 error moments at
+        # degree 6 are 137/2 (68.5) and -13/2 times the central rule's
+        central_d2 = self.moments((-1, 16, -30, 16, -1), -2, [6])
+        assert central_d2 == [Fraction(-2, 15)]
+        for k, (row, m6) in enumerate(zip(surface_data._D2_EDGES, (-137, 13))):
+            assert self.moments(row, -k, range(7)) == [0, 0, 12, 0, 0, 0, Fraction(m6, 15)], k
+        assert Fraction(-137, 15) / central_d2[0] == Fraction(137, 2)
 
     def test_vector_fields_are_differentiated_per_entry(self):
         # the y kernels swap the two grid axes only, never the entry axis

@@ -8,7 +8,7 @@ from conftest import plain_sides
 
 from cmclab.errors import InternalConsistencyError, InvalidInputError
 from cmclab.frames import ExtendedFrame, SpectralParam, integrate_frame, shift_frame
-from cmclab.minkowski import DET_DRIFT_TOL, H3_TOL, h3_defect, surface_and_normal
+from cmclab.minkowski import DET_DRIFT_TOL, H3_TOL, h3_defect, mul2, surface_and_normal
 from cmclab.reference import cylinder_frame_lax_gauge, frame_left_multiply, to_hermitian
 from cmclab.surface_data import GridSpec, cylinder_data
 from cmclab.surfaces import (
@@ -26,13 +26,18 @@ from cmclab.surfaces import (
 from cmclab.verify import evaluate
 
 
+def point_grid(p, n=6):
+    """The 4-vector p at every node of an n x n grid, shape (4, n, n)."""
+    return np.broadcast_to(np.reshape(p, (4, 1, 1)), (4, n, n)).copy()
+
+
 # the normal (0, 0, 1, 0) of the identity frame on a 6 x 6 grid
-NORMAL6 = np.tile([0.0, 0.0, 1.0, 0.0], (6, 6, 1))
+NORMAL6 = point_grid([0.0, 0.0, 1.0, 0.0])
 
 
 def identity_frame(n=6, lam=0.5):
     g = GridSpec(-1.0, 1.0, -1.0, 1.0, n, n)
-    F = np.broadcast_to(np.eye(2, dtype=complex), (n, n, 2, 2)).copy()
+    F = np.broadcast_to(np.eye(2, dtype=complex)[:, :, None, None], (2, 2, n, n)).copy()
     return ExtendedFrame(g, F, SpectralParam(lam))
 
 
@@ -49,36 +54,36 @@ def cylinder_frame():
 class TestSurfacePoints:
     def test_identity_frame_primary(self):
         s = surface_primary(identity_frame())
-        assert np.allclose(s.points, [0.0, 0.0, 0.0, 1.0])
+        assert np.allclose(s.points, point_grid([0.0, 0.0, 0.0, 1.0]))
 
     def test_identity_frame_shifted(self):
         # D D^bar-t = diag(1/lam, lam) = point (0, 0, -sinh q, cosh q)
         s = surface_shifted(identity_frame(lam=0.5))
         q = np.log(0.5)
         np.testing.assert_allclose(
-            s.points[2, 2], [0.0, 0.0, -np.sinh(q), np.cosh(q)], atol=1e-15
+            s.points[:, 2, 2], [0.0, 0.0, -np.sinh(q), np.cosh(q)], atol=1e-15
         )
 
     def test_random_frames_land_on_hyperboloid(self):
         rng = np.random.default_rng(4)
         n = 6
-        F = np.stack([random_unimodular(rng) for _ in range(n * n)]).reshape(n, n, 2, 2)
+        F = np.stack([random_unimodular(rng) for _ in range(n * n)], axis=-1).reshape(2, 2, n, n)
         fr = ExtendedFrame(GridSpec(-1, 1, -1, 1, n, n), F, SpectralParam(0.5))
         for s in (surface_primary(fr), surface_shifted(fr)):
-            assert np.all(s.points[..., 3] > 0.0)
+            assert np.all(s.points[3] > 0.0)
             sq = s.points
-            norm = sq[..., 0] ** 2 + sq[..., 1] ** 2 + sq[..., 2] ** 2 - sq[..., 3] ** 2
+            norm = sq[0] ** 2 + sq[1] ** 2 + sq[2] ** 2 - sq[3] ** 2
             np.testing.assert_allclose(norm, -1.0, atol=1e-12)
 
     def test_negative_x0_is_internal_corruption(self):
         g = GridSpec(-1, 1, -1, 1, 6, 6)
-        pts = np.tile([0.0, 0.0, 0.0, -1.0], (6, 6, 1))
+        pts = point_grid([0.0, 0.0, 0.0, -1.0])
         with pytest.raises(InternalConsistencyError):
             H3SurfaceGrid(g, pts, NORMAL6, SpectralParam(0.5), "primary")
 
     def test_off_sheet_points_rejected(self):
         g = GridSpec(-1, 1, -1, 1, 6, 6)
-        pts = np.tile([0.0, 0.0, 0.0, 2.0], (6, 6, 1))
+        pts = point_grid([0.0, 0.0, 0.0, 2.0])
         with pytest.raises(InvalidInputError):
             H3SurfaceGrid(g, pts, NORMAL6, SpectralParam(0.5), "primary")
 
@@ -96,14 +101,14 @@ class TestSurfacePoints:
 
     def test_unknown_kind_rejected(self):
         g = GridSpec(-1, 1, -1, 1, 6, 6)
-        pts = np.tile([0.0, 0.0, 0.0, 1.0], (6, 6, 1))
+        pts = point_grid([0.0, 0.0, 0.0, 1.0])
         with pytest.raises(InvalidInputError):
             H3SurfaceGrid(g, pts, NORMAL6, SpectralParam(0.5), "other")
 
 
 class TestNormalField:
     def test_identity_frame(self):
-        assert np.allclose(normal_field(identity_frame()), [0.0, 0.0, 1.0, 0.0])
+        assert np.allclose(normal_field(identity_frame()), NORMAL6)
 
     def test_unit_and_orthogonal(self, cylinder_frame):
         s = surface_primary(cylinder_frame)
@@ -123,8 +128,8 @@ class TestNormalField:
         # surface container's hyperboloid gate
         rng = np.random.default_rng(19)
         n = 16
-        F = np.empty((n, n, 2, 2), complex)
-        F.real, F.imag = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, 0.5], (2, n, n, 2, 2))
+        F = np.empty((2, 2, n, n), complex)
+        F.real, F.imag = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, 0.5], (2, 2, 2, n, n))
         expected = plain_sides(F)[1]
         frame = ExtendedFrame(GridSpec(-1.0, 1.0, -1.0, 1.0, n, n), F, SpectralParam(0.5))
         got = surface_and_normal(frame.F)[1]
@@ -133,7 +138,7 @@ class TestNormalField:
 
     def test_frame_holding_a_nan_is_refused(self):
         F = identity_frame().F.copy()
-        F[2, 3, 1, 0] = np.nan
+        F[1, 0, 2, 3] = np.nan
         frame = ExtendedFrame(GridSpec(-1.0, 1.0, -1.0, 1.0, 6, 6), F, SpectralParam(0.5))
         # the points are checked first, and they hold the NaN too
         with pytest.raises(InvalidInputError, match="defect nan"):
@@ -142,7 +147,7 @@ class TestNormalField:
             surface_primary(frame)
         points, normal = surface_and_normal(identity_frame().F)
         normal = normal.copy()
-        normal[2, 3, 0] = np.nan
+        normal[0, 2, 3] = np.nan
         with pytest.raises(InvalidInputError, match="normal has a vector that is not finite"):
             H3SurfaceGrid(frame.grid, points, normal, frame.spectral, "primary")
 
@@ -239,7 +244,7 @@ class TestIsometryEquivariance:
         moved = frame_left_multiply(cylinder_frame, G)
         X = to_hermitian(surface_primary(cylinder_frame).points)
         Y = to_hermitian(surface_primary(moved).points)
-        np.testing.assert_allclose(Y, G @ X @ np.conj(G.T), atol=1e-10)
+        np.testing.assert_allclose(Y, mul2(mul2(G, X), np.conj(G.T)), atol=1e-10)
 
     def test_distances_unchanged(self, cylinder_frame):
         rng = np.random.default_rng(14)

@@ -2,7 +2,7 @@
 no module imports a name it never uses, no core module imports the
 reference definitions, the frame modules form 2x2 products
 only through the entrywise kernel, 2x2 stacks and 4-vector grids are
-allocated only entry-major, tolerance gates refuse NaN, the hyperboloid
+allocated and indexed entries first, tolerance gates refuse NaN, the hyperboloid
 bound is written once, grid tables are spelled only by the whole-array
 text kernel, and each check name is spelled once, in its row."""
 
@@ -17,6 +17,12 @@ from cmclab.surfaces import SIDES
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
+# the modules of the program; reference.py restates them for the tests
+CORE = sorted(
+    path
+    for path in (ROOT / "src" / "cmclab").rglob("*.py")
+    if path.name not in ("__init__.py", "reference.py")
+)
 
 
 def test_perfbench_span_targets_resolve(monkeypatch):
@@ -94,13 +100,8 @@ def _reference_imports(path):
 def test_core_never_imports_reference():
     # the reference definitions are what the program is tested against; a
     # core module that used one would test itself by itself
-    core = sorted(
-        path
-        for path in (ROOT / "src" / "cmclab").rglob("*.py")
-        if path.name not in ("__init__.py", "reference.py")
-    )
-    assert core
-    assert [entry for path in core for entry in _reference_imports(path)] == []
+    assert CORE
+    assert [entry for path in CORE for entry in _reference_imports(path)] == []
 
 
 def test_reference_import_lint_sees_each_form(tmp_path):
@@ -174,70 +175,101 @@ def test_frame_product_lint_sees_each_form(tmp_path):
 
 
 _ALLOCATORS = {"empty", "zeros", "ones", "full"}
-# functions whose `_like` allocations follow the grid they differentiate:
-# _d1 and _d2 keep its layout, entry-major 4-vector grids included
-_LIKE_ON_PLANES = {("surface_data.py", "_d1"), ("surface_data.py", "_d2")}
 
 
-def _entry_shape(node):
-    """Whether `node` holds a tuple literal ending in (2, 2) or in (4,)."""
+def _entry_count(elts):
+    """How many trailing items of a tuple literal spell entry dims: 2 for
+    (..., 2, 2), 1 for (..., 4), else 0."""
+    tail = [e.value if isinstance(e, ast.Constant) else None for e in elts]
+    return 2 if tail[-2:] == [2, 2] else 1 if tail[-1:] == [4] else 0
+
+
+def _entries_last(node):
+    """Whether `node` spells a shape whose entry dims come after grid dims:
+    a tuple literal such as (n, n, 2, 2) or (n, n, 4), or a sum such as
+    shape + (2, 2) or shape + (4,)."""
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Tuple):
-            tail = [e.value if isinstance(e, ast.Constant) else None for e in sub.elts]
-            if tail[-2:] == [2, 2] or tail[-1:] == [4]:
-                return True
+        if isinstance(sub, ast.Tuple) and 0 < _entry_count(sub.elts) < len(sub.elts):
+            return True
+        if (
+            isinstance(sub, ast.BinOp)
+            and isinstance(sub.op, ast.Add)
+            and isinstance(sub.right, ast.Tuple)
+            and _entry_count(sub.right.elts)
+        ):
+            return True
     return False
 
 
-def _stack_allocations(path):
-    """numpy allocations in `path` that lay out a 2x2 stack or 4-vector grid
-    themselves rather than through minkowski.empty_planes: an empty, zeros,
-    ones or full call that spells a (2, 2) or (4,) entry shape, and any
-    `_like` call, whose shape and layout follow an argument the lint cannot
-    see, outside _LIKE_ON_PLANES."""
+def _is_index(node):
+    """Whether `node` is an integer literal, negative ones included."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _entries_last_layouts(path, core=True):
+    """The places in `path` that lay a 2x2 stack or 4-vector grid out with
+    its entry axes last: an empty, zeros, ones or full call whose shape puts
+    (2, 2) or (4,) after the grid dims, and, in a `core` module, a subscript
+    [..., k] with a constant k, which reads an entry off the last axis."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
-    for stmt in tree.body:
-        owner = getattr(stmt, "name", None)
-        for node in ast.walk(stmt):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "np"
-            ):
-                continue
-            name = node.func.attr
-            args = [*node.args, *(k.value for k in node.keywords)]
-            like = name.endswith("_like") and name[: -len("_like")] in _ALLOCATORS
-            if (name in _ALLOCATORS and any(_entry_shape(a) for a in args)) or (
-                like and (path.name, owner) not in _LIKE_ON_PLANES
-            ):
-                found.append(f"{path.name}:{node.lineno} np.{name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np"
+            and node.func.attr in _ALLOCATORS
+            and any(_entries_last(a) for a in [*node.args, *(k.value for k in node.keywords)])
+        ):
+            found.append(f"{path.name}:{node.lineno} np.{node.func.attr}")
+        elif (
+            core
+            and isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Tuple)
+            and isinstance(node.slice.elts[0], ast.Constant)
+            and node.slice.elts[0].value is Ellipsis
+            and any(_is_index(e) for e in node.slice.elts[1:])
+        ):
+            found.append(f"{path.name}:{node.lineno} [..., k]")
     return found
 
 
 def test_stacks_are_allocated_entry_major():
-    # each entry of a stack is one contiguous plane; a C-ordered stack makes
-    # every entrywise kernel gather each fourth number instead
+    # each entry of a stack is one contiguous plane only while the entry
+    # axes come first; with them last every entrywise kernel gathers each
+    # fourth number instead
     files = sorted((ROOT / "src" / "cmclab").rglob("*.py"))
-    assert [entry for path in files for entry in _stack_allocations(path)] == []
+    found = [entry for path in files for entry in _entries_last_layouts(path, path in CORE)]
+    assert found == []
 
 
 def test_stack_allocation_lint_sees_each_form(tmp_path):
     path = tmp_path / "frames.py"
     path.write_text(
         "import numpy as np\n"
-        "def f(n, u):\n"
-        "    F = np.empty((n, n, 2, 2), dtype=complex)\n"
+        "def f(n, u, F, shape):\n"
+        "    G = np.empty((n, n, 2, 2), dtype=complex)\n"
         "    p = np.zeros(shape=F.shape[:-2] + (4,))\n"
+        "    q = np.ones(shape + (2, 2))\n"
         "    plane = np.empty((n, n))\n"
-        "    return F, p, np.empty_like(F), plane\n"
+        "    H = np.empty((2, 2) + shape, complex)\n"
+        "    v = np.full((4,), 1.0) + np.zeros((2, 2)) + np.empty((4, n, n))\n"
+        "    return F[..., 0, 1], p[..., -1], u[..., :3], H[0, 1], F[..., n], G, q, plane, v\n"
     )
-    assert _stack_allocations(path) == [
+    assert _entries_last_layouts(path) == [
         "frames.py:3 np.empty",
         "frames.py:4 np.zeros",
-        "frames.py:6 np.empty_like",
+        "frames.py:5 np.ones",
+        "frames.py:9 [..., k]",
+        "frames.py:9 [..., k]",
+    ]
+    assert _entries_last_layouts(path, core=False) == [
+        "frames.py:3 np.empty",
+        "frames.py:4 np.zeros",
+        "frames.py:5 np.ones",
     ]
 
 
