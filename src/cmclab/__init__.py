@@ -24,7 +24,6 @@ from .surface_data import (
     SurfaceData,
     cylinder_data,
     delaunay_data,
-    delaunay_profile,
     dual_data,
     gauss_residual,
     load_surface_data,
@@ -67,7 +66,7 @@ from .verify import verify_theorem
 from .config import RunConfig, load_config
 from .pipeline import poincare_ball, run
 from .reference import (  # the definitions tests compare against
-    cylinder_frame_closed_form, cylinder_frame_lax_gauge, from_hermitian,
+    cylinder_frame_closed_form, cylinder_frame_lax_gauge, delaunay_profile, from_hermitian,
     lax_matrices, spectral_shift_matrix, to_hermitian, two_path_discrepancy,
 )
 

@@ -41,10 +41,7 @@ from .report import (
 )
 from .surface_data import (
     GridSpec,
-    SurfaceData,
     _frozen,
-    cylinder_data,
-    delaunay_data,
     load_surface_data,
     save_surface_data,
     table_lines,
@@ -82,15 +79,6 @@ def poincare_ball(p):
 def _ball(p):
     """`poincare_ball` of points already held to the hyperboloid."""
     return p[:3] / (1.0 + p[3])
-
-
-def generate_data(config: RunConfig) -> SurfaceData:
-    """Build the SurfaceData a config describes."""
-    if config.family == "cylinder":
-        return cylinder_data(config.grid(), config.H)
-    if config.family == "delaunay":
-        return delaunay_data(config.grid(), config.H, config.u0, config.du0)
-    return load_surface_data(config.input_path)
 
 
 def _mesh_faces(nx, ny) -> bytes:
@@ -248,11 +236,11 @@ def run(config: RunConfig) -> VerificationReport:
     so no other writer runs beside it."""
     out = Path(config.out_dir)
     _require_directory_path(out)
-    data = generate_data(config)
+    data = config.data()
     _require_normalized(data)
     frame = integrate_frame(data, config.spectral())
     sides = evaluate(frame)
-    report = _report(data, sides, resolve_tolerances(config.tolerances))
+    report = _report(data, sides, config.check_tolerances)
     out.mkdir(parents=True, exist_ok=True)
     save_frame(out / FRAME_FILE, frame)
     del frame

@@ -2,25 +2,26 @@
 
 What no program path runs lives here: the Hermitian model of R^{3,1} and
 its gate, the cylinder frame's closed forms, the Lax pair and the spectral
-shift D as matrices, the two-path discrepancy, a constant gauge on a frame
-and the normal rebuilt from the surface alone.  Each restates,
-independently, something the core computes, and planted defects and other
-oracles belong here too.  No core module imports this one, which may
-import core names, private ones included, and does no work at import time.
-Matrices and 4-vectors come entries first, as in `cmclab.minkowski`.
+shift D as matrices, the two-path discrepancy, a constant gauge on a frame,
+the normal rebuilt from the surface alone and the Delaunay profile's energy.
+Each restates, independently, something the core computes; planted defects
+and other oracles belong here too.  No core module imports this one, which
+may import core names, private ones included, and does no work at import
+time.  Matrices and 4-vectors come entries first, as in `cmclab.minkowski`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .frames import ExtendedFrame, SpectralParam, _lax_entries, _sweep
 from .minkowski import det2, mat2, mink_dot, mul2
-from .surface_data import SurfaceData, _frozen, grid_derivatives
+from .surface_data import PROFILE_STEP, SurfaceData, _frozen, _integrate_profile, _locked
+from .surface_data import grid_derivatives
 from .surfaces import H3SurfaceGrid
 
 # Hermiticity slack: the round-off of a computed matrix, not a logic error
@@ -187,3 +188,45 @@ def numeric_normal_max_deviation(surface: H3SurfaceGrid) -> float:
     sign = np.sign(mink_dot(Nn, Nr))
     sign[sign == 0.0] = 1.0
     return float(np.max(np.abs(Nn * sign - Nr)))
+
+
+@dataclass(frozen=True, eq=False)
+class DelaunayProfile:
+    """Dense solution of the reduced Gauss equation u'' = 4Q^2 e^{-2u} - H^2 e^{2u}."""
+
+    xs: np.ndarray
+    us: np.ndarray
+    dus: np.ndarray
+    Q: float
+    H: float
+
+    def energy(self):
+        """Conserved energy (1/2) u'^2 + 2 Q^2 e^{-2u} + (1/2) H^2 e^{2u}."""
+        return (
+            0.5 * self.dus**2
+            + 2.0 * self.Q**2 * np.exp(-2.0 * self.us)
+            + 0.5 * self.H**2 * np.exp(2.0 * self.us)
+        )
+
+    def energy_drift(self):
+        e = self.energy()
+        return float(np.max(np.abs(e - e[0])))
+
+
+def delaunay_profile(H, x_range, u0, du0):
+    """Integrate the translation-invariant Gauss equation along x.
+
+    Initial data (u0, du0) is imposed at x_range[0]; Q = H/2 is forced by
+    the normalization.  PROFILE_STEP is shrunk so the range divides evenly.
+    """
+    if H == 0.0:
+        raise InvalidInputError("H must be nonzero")
+    x0, x1 = float(x_range[0]), float(x_range[1])
+    if not x1 > x0:
+        raise InvalidInputError("x_range must be increasing")
+    n = max(1, math.ceil((x1 - x0) / PROFILE_STEP))
+    us, dus = _integrate_profile(H, x0, x1, u0, du0, n)
+    xs = np.linspace(x0, x1, n + 1)
+    return DelaunayProfile(
+        xs=_locked(xs), us=_locked(us), dus=_locked(dus), Q=0.5 * H, H=H
+    )

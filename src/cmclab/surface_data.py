@@ -177,29 +177,6 @@ def cylinder_data(grid, H=0.5):
     return SurfaceData(grid, _frozen(np.zeros((grid.nx, grid.ny))), Q=0.5 * H, H=H)
 
 
-@dataclass(frozen=True, eq=False)
-class DelaunayProfile:
-    """Dense solution of the reduced Gauss equation u'' = 4Q^2 e^{-2u} - H^2 e^{2u}."""
-
-    xs: np.ndarray
-    us: np.ndarray
-    dus: np.ndarray
-    Q: float
-    H: float
-
-    def energy(self):
-        """Conserved energy (1/2) u'^2 + 2 Q^2 e^{-2u} + (1/2) H^2 e^{2u}."""
-        return (
-            0.5 * self.dus**2
-            + 2.0 * self.Q**2 * np.exp(-2.0 * self.us)
-            + 0.5 * self.H**2 * np.exp(2.0 * self.us)
-        )
-
-    def energy_drift(self):
-        e = self.energy()
-        return float(np.max(np.abs(e - e[0])))
-
-
 def _integrate_profile(H, x0, x1, u0, du0, n_steps):
     """Classical RK4 on (u, u') for u'' = 4Q^2 e^{-2u} - H^2 e^{2u}, Q = H/2,
     in n_steps equal steps from x0 to x1; the steps run inline, with the
@@ -246,25 +223,6 @@ def _integrate_profile(H, x0, x1, u0, du0, n_steps):
             x=x0 + (k + 1) * h,
         ) from None
     return us, dus
-
-
-def delaunay_profile(H, x_range, u0, du0):
-    """Integrate the translation-invariant Gauss equation along x.
-
-    Initial data (u0, du0) is imposed at x_range[0]; Q = H/2 is forced by
-    the normalization.  PROFILE_STEP is shrunk so the range divides evenly.
-    """
-    if H == 0.0:
-        raise InvalidInputError("H must be nonzero")
-    x0, x1 = float(x_range[0]), float(x_range[1])
-    if not x1 > x0:
-        raise InvalidInputError("x_range must be increasing")
-    n = max(1, math.ceil((x1 - x0) / PROFILE_STEP))
-    us, dus = _integrate_profile(H, x0, x1, u0, du0, n)
-    xs = np.linspace(x0, x1, n + 1)
-    return DelaunayProfile(
-        xs=_locked(xs), us=_locked(us), dus=_locked(dus), Q=0.5 * H, H=H
-    )
 
 
 def delaunay_data(grid, H, u0, du0):

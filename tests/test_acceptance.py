@@ -29,6 +29,7 @@ from cmclab.minkowski import mink_dot
 from cmclab.reference import (
     conj_transpose,
     cylinder_frame_lax_gauge,
+    delaunay_profile,
     frame_left_multiply,
     from_hermitian,
     to_hermitian,
@@ -38,7 +39,6 @@ from cmclab.surface_data import (
     GridSpec,
     SurfaceData,
     cylinder_data,
-    delaunay_profile,
     dual_data,
     gauss_residual,
     max_gauss_residual,

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmclab import pipeline, report, verify
+from cmclab import config, pipeline, report, verify
 from cmclab.cli import main
 from cmclab.pipeline import (
     DIAGNOSTICS_FILE,
@@ -685,6 +685,26 @@ def test_verify_resolves_the_stored_tolerances_once(generated, tmp_path, monkeyp
         monkeypatch.setattr(module, "resolve_tolerances", counted)
     assert main(["verify", "--in", str(run_dir)]) == 0
     assert len(calls) == 1
+
+
+def test_generate_resolves_the_configured_tolerances_once(tmp_path, monkeypatch):
+    # building the config refused a bad map, then the run resolved the same
+    # map again for the report
+    calls = []
+
+    def counted(overrides=None):
+        calls.append(overrides)
+        return resolve_tolerances(overrides)
+
+    for module in (config, report, pipeline, verify):
+        monkeypatch.setattr(module, "resolve_tolerances", counted)
+    tols = {"metric_match_primary": 1e-3}
+    cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "run"), tolerances=tols)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    assert calls == [tols]
+    # the report judges by the one resolved map
+    lines = (tmp_path / "run" / REPORT_MACHINE_FILE).read_text().splitlines()
+    assert [ln.split()[2] for ln in lines if ln.startswith("metric_match_primary ")] == ["0.001"]
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])

@@ -12,7 +12,7 @@ def test_minimal_config_defaults():
     cfg = config_from_mapping(dict(MINIMAL))
     assert cfg.family == "cylinder"
     assert cfg.lam == 0.5
-    assert cfg.H == 0.5
+    assert cfg.data().H == 0.5
     assert (cfg.nx, cfg.ny) == (101, 101)
     assert (cfg.x_min, cfg.x_max, cfg.y_min, cfg.y_max) == (-1.0, 1.0, -1.0, 1.0)
     assert cfg.tolerances == {}

@@ -26,7 +26,13 @@ from cmclab.reference import (
     spectral_shift_matrix,
     two_path_discrepancy,
 )
-from cmclab.surface_data import GridSpec, SurfaceData, cylinder_data, delaunay_data
+from cmclab.surface_data import (
+    GridSpec,
+    SurfaceData,
+    cylinder_data,
+    delaunay_data,
+    max_gauss_residual,
+)
 
 
 def square_grid(n):
@@ -179,6 +185,32 @@ class TestIntegrateFrame:
         wild = SurfaceData(g, 4.0 * np.cos(3 * np.pi * X) * np.cos(3 * np.pi * Y), Q=0.25, H=0.5)
         with pytest.raises(IncompatibleDataError):
             integrate_frame(wild, SpectralParam(0.5))
+
+    @pytest.mark.parametrize("residual, refused", [(0.099, False), (0.101, True)])
+    def test_compatibility_bound_is_0_1(self, residual, refused):
+        # u = 0 leaves the constant residual H^2 - 4Q^2 on every node
+        H = 0.5
+        Q = 0.5 * np.sqrt(H**2 - residual)
+        data = SurfaceData(GridSpec(-0.2, 0.2, -0.2, 0.2, 9, 9), np.zeros((9, 9)), Q=Q, H=H)
+        assert max_gauss_residual(data) == pytest.approx(residual, rel=1e-12)
+        if refused:
+            with pytest.raises(IncompatibleDataError, match="1.010e-01 exceeds 1.000e-01"):
+                integrate_frame(data, SpectralParam(0.5))
+        else:
+            integrate_frame(data, SpectralParam(0.5))
+
+    @pytest.mark.parametrize("half_width, drift", [(1.0, 9.42e-9), (1.04, 1.19e-8)])
+    def test_drift_bound_is_1e_8(self, half_width, drift):
+        # a 17 x 17 cylinder drifts 9.42e-9 on [-1, 1]^2 and 1.19e-8 on
+        # [-1.04, 1.04]^2, just either side of the bound
+        w = half_width
+        data = cylinder_data(GridSpec(-w, w, -w, w, 17, 17))
+        if drift < 1e-8:
+            frame = integrate_frame(data, SpectralParam(0.5))
+            assert frame.max_det_drift == pytest.approx(drift, rel=1e-3)
+        else:
+            with pytest.raises(IntegrationFailureError, match="drift 1.192e-08 .* exceeds 1e-08"):
+                integrate_frame(data, SpectralParam(0.5))
 
     def test_det_drift_failure_names_worst_point(self):
         # compatible data on a coarse grid (h = 0.2) drifts 9.9e-8 at (0, 5)

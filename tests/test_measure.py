@@ -1,6 +1,7 @@
 """Tests for discrete measurement and the closed-form target data."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ from cmclab.measure import (
     metric_match,
 )
 from cmclab.reference import numeric_normal_max_deviation
+from cmclab.report import default_tolerances
 from cmclab.surface_data import GridSpec, SurfaceData, cylinder_data, delaunay_data, dual_data
-from cmclab.surfaces import H3SurfaceGrid, surface_primary, surface_shifted
+from cmclab.surfaces import SIDES, H3SurfaceGrid, surface_primary, surface_shifted
+from cmclab.verify import Sides, _report, evaluate
 
 
 def constant_data(u_value, Q, H, n=6):
@@ -91,6 +94,11 @@ class TestClosedForms:
         # a NaN factor compares false both ways; it is refused as well
         with pytest.raises(InvalidInputError, match="metric factor must be positive"):
             ClosedFormData(np.array([[np.nan]]), 0.1, 1.0)
+        # and so is one bad node among good ones
+        factor = np.ones((3, 3))
+        factor[1, 2] = 0.0
+        with pytest.raises(InvalidInputError, match="metric factor must be positive"):
+            ClosedFormData(factor, 0.1, 1.0)
 
 
 class TestHomothetyScale:
@@ -330,6 +338,36 @@ class TestMeasureValidation:
         n = np.broadcast_to(np.array([0.0, 0.0, 1.0, 0.0])[:, None, None], (4, 9, 9))
         s = H3SurfaceGrid(g, pts, n, SpectralParam(0.5), "primary")
         assert conformality_defect(measure(s)) > CONFORMAL_WARN_RATIO
+
+    def test_vanishing_hopf_value_refused(self):
+        ones = np.ones((6, 6))
+        Qm = ones.astype(complex)
+        Qm[2, 3] = 0.0  # one node without a phase
+        with pytest.raises(NumericalError, match="vanishing Hopf value"):
+            hopf_phase_defect(MeasuredData(GRID6, ones, 0.0 * ones, ones, Qm, ones))
+
+    def test_cancelling_hopf_phases_refused(self):
+        # Qm^2 is 1 on half the nodes and -1 on the rest: no mean direction
+        ones = np.ones((6, 6))
+        Qm = ones.astype(complex)
+        Qm[:, 3:] = 1j
+        with pytest.raises(NumericalError, match="Hopf phases cancel"):
+            hopf_phase_defect(MeasuredData(GRID6, ones, 0.0 * ones, ones, Qm, ones))
+
+    @pytest.mark.parametrize("ratio, warned", [(0.045, "false"), (0.06, "true")])
+    def test_conformal_warning_marks_a_ratio_past_0_05(self, ratio, warned):
+        # one node of each side planted at |Fc| / E = ratio
+        data = cylinder_data(GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21))
+        planted = []
+        for side in evaluate(integrate_frame(data, SpectralParam(0.5))):
+            m = side.measured
+            Fc = m.Fc.copy()
+            Fc[7, 12] = ratio * m.E[7, 12]
+            planted.append(replace(side, measured=replace(m, Fc=Fc)))
+        report = _report(data, Sides(planted), default_tolerances())
+        for kind in SIDES:
+            assert report.record(f"conformality_{kind}").value == pytest.approx(ratio, rel=1e-12)
+            assert report.metadata[f"conformal_warning_{kind}"] == warned
 
     def test_non_positive_metric_refused(self):
         # geodesic strip along v = y + x^2: f_x vanishes on the column x = 0,

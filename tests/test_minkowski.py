@@ -299,3 +299,31 @@ class TestH3Validation:
         t = 0.8
         p = np.array([np.sinh(t), 0.0, 0.0, np.cosh(t)])
         assert h3_defect(p) < 1e-12
+
+    @staticmethod
+    def _boosts():
+        """Five points on the upper sheet, boosted along x1."""
+        t = np.linspace(-1.0, 1.0, 5)
+        return np.stack([np.sinh(t), 0.0 * t, 0.0 * t, np.cosh(t)])
+
+    def test_defect_is_the_worst_point_of_a_batch(self):
+        p = self._boosts()
+        p[:, 2] = [0.0, 0.0, 0.0, np.sqrt(1.0 + 1e-3)]  # <p, p> = -(1 + 1e-3)
+        assert h3_defect(p) == pytest.approx(1e-3, rel=1e-9)
+
+    def test_one_point_on_the_lower_sheet_refused(self):
+        p = self._boosts()
+        p[:, 2] = [0.0, 0.0, 0.0, -1.0]  # on the hyperboloid, but x0 < 0
+        with pytest.raises(InternalConsistencyError, match="non-positive x0"):
+            require_h3(p)
+
+    @pytest.mark.parametrize("defect, admitted", [(1.99e-8, True), (2.01e-8, False)])
+    def test_sheet_bound_is_twice_the_drift_bound(self, defect, admitted):
+        # a determinant 1e-8 off 1 puts F F* 1e-8 (2 + 1e-8) off the sheet
+        p = self._boosts()
+        p[:, 2] = [0.0, 0.0, 0.0, np.sqrt(1.0 + defect)]
+        if admitted:
+            require_h3(p)
+        else:
+            with pytest.raises(InvalidInputError, match="defect 2.010e-08 > 2.000e-08"):
+                require_h3(p)

@@ -26,7 +26,6 @@ from cmclab.pipeline import (
     SURFACE_FILE,
     _mesh_faces,
     export_meshes,
-    generate_data,
     load_frame,
     load_outputs,
     poincare_ball,
@@ -524,9 +523,34 @@ def test_cylinder_family_is_normalized_at_any_H(tmp_path):
     cfg = config_from_mapping(
         {"family": "cylinder", "H": 0.8, "lambda": 0.5, "out_dir": str(tmp_path)}
     )
-    data = generate_data(cfg)
+    data = cfg.data()
     assert (data.H, data.Q) == (0.8, 0.4)
     assert not data.u.any()
+
+
+@pytest.mark.parametrize(
+    "family, builder",
+    [("cylinder", "cylinder_data"), ("delaunay", "delaunay_data"),
+     ("custom-file", "load_surface_data")],
+)
+def test_run_calls_its_family_builder_once_by_name(tmp_path, monkeypatch, family, builder):
+    # a family row calls its builder by the module-level name that tracing
+    # and count_calls rebind; a row holding the function itself counts 0
+    src = tmp_path / "custom.dat"
+    save_surface_data(src, cylinder_data(GridSpec(-1.0, 1.0, -1.0, 1.0, N, N)))
+    counts = count_calls(monkeypatch, cylinder_data, delaunay_data, load_surface_data)
+    keys = {**GOLDEN_CONFIG, "family": family, "input": str(src), "out_dir": str(tmp_path / "o")}
+    run(config_from_mapping(keys))
+    assert counts == {name: int(name == builder) for name in counts}
+
+
+def test_a_family_ignores_keys_it_does_not_read(tmp_path):
+    keys = {"family": "cylinder", "lambda": 0.5, "out_dir": str(tmp_path), "nx": 9, "ny": 9}
+    plain = config_from_mapping(keys).data()
+    carrying = config_from_mapping({**keys, "u0": 0.7}).data()
+    assert carrying.grid == plain.grid
+    assert (carrying.Q, carrying.H) == (plain.Q, plain.H)
+    assert carrying.u.tobytes() == plain.u.tobytes()
 
 
 def test_verify_theorem_refuses_like_run(tmp_path):

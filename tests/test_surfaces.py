@@ -218,6 +218,14 @@ class TestHyperbolicDistance:
         with pytest.raises(InvalidInputError, match="not a hyperboloid pair"):
             hyperbolic_distance([0, 0, 0, 1.0], [0, 0, np.nan, 1.0])
 
+    def test_one_far_off_pair_among_good_ones_rejected(self):
+        p = np.zeros((4, 5))
+        p[3] = 1.0
+        s = p.copy()
+        s[3, 2] = 0.5  # -<p, s> = 0.5 at one node only
+        with pytest.raises(InvalidInputError, match="-<p, s> = 0.5, not >= 1"):
+            hyperbolic_distance(p, s)
+
 
 class TestEquidistance:
     def test_cylinder(self, cylinder_frame):
