@@ -4,7 +4,13 @@ The measured first fundamental form of the primary surface should be a
 homothety of the Lawson-partner data of the dual surface, and the shifted
 surface should do the same with the roles of f and its dual exchanged.
 Closed forms make this checkable to rounding error; finite differences
-make it checkable on the actual integrated surfaces at O(h^2).
+make it checkable on the actual integrated surfaces at O(h^4).
+
+The Hopf value and the mean curvature are compared with their signs: the
+shifted side's are the primary side's negated, and a side judged with the
+other side's sign reads 2 in both matches.  Each report line states one
+fact; the identities of the normal and of the parallel pair hold for any
+frame and are tested, not reported (see demo 04).
 """
 
 from cmclab import (
@@ -17,7 +23,7 @@ from cmclab import (
     surface_primary,
     verify_theorem,
 )
-from cmclab.measure import closed_form, homothety_scale
+from cmclab.measure import closed_form, homothety_scale, hopf_match, mean_match
 
 sp = SpectralParam(0.5)
 data = cylinder_data(GridSpec(-1, 1, -1, 1, 101, 101))
@@ -28,12 +34,18 @@ frame = integrate_frame(data, sp)
 # shape, so the centre is entry [50, 50].
 m = measure(surface_primary(frame))
 print("measured E (center):", m.E[50, 50])
-print("measured |Qm| (center):", abs(m.Qm[50, 50]))
+print("measured Qm (center):", m.Qm[50, 50])
 print("measured Hm (center):", m.Hm[50, 50])
 
 c = closed_form(data, sp, 1)  # sign +1: the primary side
 print("closed-form metric factor:", float(c.metric_factor[0, 0]))
-print("closed-form |hopf|:", abs(c.hopf), " mean:", c.mean)
+print("closed-form hopf:", c.hopf, " mean:", c.mean)
+
+# The signed matches: small against the primary side's own targets, 2
+# against the shifted side's, which carry the opposite sign.
+other = closed_form(data, sp, -1)
+print("hopf/mean match, own sign:  ", hopf_match(m, c), mean_match(m, c))
+print("hopf/mean match, other sign:", hopf_match(m, other), mean_match(m, other))
 
 # The homothety scale that links the Lawson data to the measured data.
 print("homothety scale s:", homothety_scale(data.H, sp))

@@ -36,15 +36,7 @@ from .frames import (
     integrate_frame,
     shift_frame,
 )
-from .surfaces import (
-    H3SurfaceGrid,
-    distance_grid,
-    equidistance_defect,
-    hyperbolic_distance,
-    normal_field,
-    surface_primary,
-    surface_shifted,
-)
+from .surfaces import H3SurfaceGrid, normal_field, surface_primary, surface_shifted
 from .measure import (
     ClosedFormData,
     MeasuredData,
@@ -66,8 +58,9 @@ from .verify import verify_theorem
 from .config import RunConfig, load_config
 from .pipeline import poincare_ball, run
 from .reference import (  # the definitions tests compare against
-    cylinder_frame_closed_form, cylinder_frame_lax_gauge, delaunay_profile, from_hermitian,
-    lax_matrices, spectral_shift_matrix, to_hermitian, two_path_discrepancy,
+    cylinder_frame_closed_form, cylinder_frame_lax_gauge, delaunay_profile, distance_grid,
+    equidistance_defect, from_hermitian, hyperbolic_distance, lax_matrices,
+    spectral_shift_matrix, to_hermitian, two_path_discrepancy,
 )
 
 __all__ = [

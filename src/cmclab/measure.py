@@ -29,9 +29,6 @@ from .surface_data import GridSpec, SurfaceData, _frozen, _locked, grid_derivati
 from .surface_data import grid_second_derivatives
 from .surfaces import H3SurfaceGrid
 
-# |Fc|/E beyond this marks the parametrization as visibly non-conformal
-CONFORMAL_WARN_RATIO = 0.05
-
 
 @dataclass(frozen=True, eq=False)
 class MeasuredData:
@@ -181,19 +178,16 @@ def metric_match(measured: MeasuredData, closed: ClosedFormData) -> float:
 
 
 def hopf_match(measured: MeasuredData, closed: ClosedFormData) -> float:
-    """Max relative deviation of |Qm| from the closed-form Hopf modulus."""
-    target = abs(closed.hopf)
-    return float(np.max(np.abs(np.abs(measured.Qm) - target)) / target)
+    """Max relative deviation of Qm from the closed-form Hopf value, sign
+    and phase included: max |Qm - hopf| / |hopf|."""
+    return float(np.max(np.abs(measured.Qm - closed.hopf)) / abs(closed.hopf))
 
 
 def mean_match(measured: MeasuredData, closed: ClosedFormData) -> float:
-    """Max relative deviation of |Hm| from the closed-form mean modulus.
-
-    Moduli are compared; the measured sign relative to the normal choice is
-    reported separately.
-    """
-    target = abs(closed.mean)
-    return float(np.max(np.abs(np.abs(measured.Hm) - target)) / target)
+    """Max relative deviation of Hm from the closed-form mean curvature,
+    sign included: max |Hm - mean| / |mean|.  So a side whose normal points
+    the other way reads 2."""
+    return float(np.max(np.abs(measured.Hm - closed.mean)) / abs(closed.mean))
 
 
 def conformality_defect(measured: MeasuredData) -> float:
@@ -214,26 +208,3 @@ def mean_constancy(measured: MeasuredData) -> float:
 def hopf_constancy(measured: MeasuredData) -> float:
     """Standard deviation of |Qm|."""
     return float(np.std(np.abs(measured.Qm)))
-
-
-def hopf_phase_defect(measured: MeasuredData) -> float:
-    """Max angular deviation of arg(Qm) from its grid mean, modulo pi.
-
-    The angle is doubled before averaging so that a phase jump of pi (an
-    orientation artifact of the discretization) does not register.
-    """
-    w = measured.Qm**2
-    mags = np.abs(w)
-    if np.min(mags) == 0.0:
-        raise NumericalError("vanishing Hopf value; phase undefined")
-    ref = np.mean(w / mags)
-    if ref == 0.0:
-        raise NumericalError("Hopf phases cancel; no mean direction")
-    w *= np.conj(ref)  # w is fresh: each phase is turned by the mean's in place
-    return float(np.max(np.abs(np.angle(w))) / 2.0)
-
-
-def mean_sign(measured: MeasuredData) -> float:
-    """Sign of the average of Hm."""
-    return float(np.sign(np.mean(measured.Hm)))
-

@@ -4,16 +4,19 @@ The frame goes to `frame.dat` as an exact binary numpy archive whose F is
 the frame's F, of shape (2, 2, nx, ny), and the loaded F becomes the
 frame's without a copy (see `save_frame` and `load_frame`).
 `run` writes it first and lets the frame go, so the other writers run
-beside the two sides only.  Every other output file is plain text with
-numbers at 17 significant digits.  A repeated run with the same config is
-bitwise identical except for the human report, which carries a generation
-timestamp.  The machine report and the diagnostics table never do.  Every
-text grid table (`surface.dat`, both meshes and `diagnostics.dat`) is
-spelled by `surface_data.table_lines`, whose whole-array kernel writes the
-very bytes of '%.17g' a block of grid lines at a time.  The writers hand it
-each column at its own shape, so grid coordinates and indices are spelled
-once per distinct value, not once per node, and integers as integers; they
-write its bytes to files opened in binary mode.  `surface.dat` comes back
+beside the two sides only.  `export_meshes` builds the two sides from a
+stored frame just as `run` does, the shifted one by turning the primary
+one through q, so it writes the meshes' very bytes.  Every other output
+file is plain text with numbers at 17 significant digits.  A repeated run
+with the same config is bitwise identical except for the human report,
+which carries a generation timestamp.  The machine report and the
+diagnostics table never do.  Every text grid table (`surface.dat`, both
+meshes and `diagnostics.dat`) is spelled by `surface_data.table_lines`,
+whose whole-array kernel writes the very bytes of '%.17g' a block of grid
+lines at a time.  The writers hand it each column at its own shape, so
+grid coordinates and indices are spelled once per distinct value, not once
+per node, and integers as integers; they write its bytes to files opened
+in binary mode.  `surface.dat` comes back
 through `surface_data.load_surface_data` in one tokenising pass, which
 converts u row by row and each spelling of a grid coordinate once, to the
 very doubles written.  The formats carry no version of their own.
@@ -47,7 +50,7 @@ from .surface_data import (
     table_lines,
     write_table,
 )
-from .surfaces import SIDES, surface_primary, surface_shifted
+from .surfaces import SIDES, _shifted, surface_primary
 from .verify import Sides, _report, _require_normalized, evaluate, verify_theorem
 
 SURFACE_FILE = "surface.dat"
@@ -119,7 +122,7 @@ def write_diagnostics(path, data, sides: Sides):
 
     `sides` is the (primary, shifted) pair `evaluate` built; the measured
     columns are the primary side's.  Columns: i j x y E Fc G |Qm| Hm
-    distance-to-shifted gauss-residual.
+    gauss-residual.
     """
     m = sides[0].measured
     g = data.grid
@@ -127,10 +130,10 @@ def write_diagnostics(path, data, sides: Sides):
         np.arange(g.nx)[:, None], np.arange(g.ny)[None, :], g.xs()[:, None], g.ys()[None, :],
         m.E, m.Fc, m.G,
         np.hypot(m.Qm.real, m.Qm.imag),  # bitwise abs() of each entry; np.abs is not
-        m.Hm, sides.distance, data.residual,
+        m.Hm, data.residual,
     )
     with open(path, "wb") as fh:
-        fh.write(b"# columns: i j x y E Fc G |Qm| Hm distance-to-shifted gauss-residual\n")
+        fh.write(b"# columns: i j x y E Fc G |Qm| Hm gauss-residual\n")
         write_table(fh, columns)
 
 
@@ -310,7 +313,7 @@ def verify_outputs(in_dir) -> VerificationReport:
 
 
 def export_meshes(in_dir):
-    """Re-project stored frames to Poincare ball meshes."""
+    """Re-project a stored frame's two sides to Poincare ball meshes."""
     in_dir = Path(in_dir)
-    frame = load_frame(require_output(in_dir / FRAME_FILE))
-    return _write_meshes(in_dir, (surface_primary(frame), surface_shifted(frame)))
+    primary = surface_primary(load_frame(require_output(in_dir / FRAME_FILE)))
+    return _write_meshes(in_dir, (primary, _shifted(primary)))

@@ -18,11 +18,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .frames import ExtendedFrame, SpectralParam, _lax_entries, _sweep
-from .minkowski import det2, mat2, mink_dot, mul2
+from .frames import ExtendedFrame, SpectralParam, _lax_entries, _sweep, shift_frame
+from .minkowski import H3_TOL, det2, mat2, mink_dot, mul2, surface_and_normal
 from .surface_data import PROFILE_STEP, SurfaceData, _frozen, _integrate_profile, _locked
 from .surface_data import grid_derivatives
-from .surfaces import H3SurfaceGrid
+from .surfaces import SIDES, H3SurfaceGrid
 
 # Hermiticity slack: the round-off of a computed matrix, not a logic error
 HERMITIAN_RTOL = 1e-9
@@ -188,6 +188,80 @@ def numeric_normal_max_deviation(surface: H3SurfaceGrid) -> float:
     sign = np.sign(mink_dot(Nn, Nr))
     sign[sign == 0.0] = 1.0
     return float(np.max(np.abs(Nn * sign - Nr)))
+
+
+def frame_shifted_surface(frame: ExtendedFrame) -> H3SurfaceGrid:
+    """The shifted side by the route through the frame: (FD) conj(FD)^t and
+    its normal FD diag(1, -1) conj(FD)^t, with FD from `frames.shift_frame`.
+    The core turns the primary side through q instead; for every 2x2 F the
+    two agree to rounding (`parallel_identity_defect`)."""
+    FD = shift_frame(frame)
+    return H3SurfaceGrid(frame.grid, *surface_and_normal(FD.F), frame.spectral, SIDES[1])
+
+
+def _require_same_grid(a: H3SurfaceGrid, b: H3SurfaceGrid) -> None:
+    """Refuse a pair of surfaces on different grids."""
+    if a.grid != b.grid:
+        raise InvalidInputError("surface grids do not match")
+
+
+def normal_unit_defect(surface: H3SurfaceGrid) -> float:
+    """Max deviation of <N, N> from +1 over the grid; for N = F diag(1, -1)
+    conj(F)^t, <N, N> = |det F|^2."""
+    v = surface.normal
+    return float(np.max(np.abs(mink_dot(v, v) - 1.0)))
+
+
+def normal_orthogonality_defect(surface: H3SurfaceGrid) -> float:
+    """Max deviation of <N, f> from 0 over the grid."""
+    return float(np.max(np.abs(mink_dot(surface.normal, surface.points))))
+
+
+def parallel_identity_defect(primary: H3SurfaceGrid, shifted: H3SurfaceGrid) -> float:
+    """Grid maximum of |s - (cosh q f - sinh q N)| over the primary points f,
+    their normal N and the shifted points s, relative to the largest shifted
+    coordinate; q = ln(lam) is the primary's.  It works one coordinate
+    plane at a time, so it holds no residual grid of all four."""
+    _require_same_grid(primary, shifted)
+    q = primary.spectral.q
+    ch, sh = np.cosh(q), np.sinh(q)
+    f, N, s = primary.points, primary.normal, shifted.points
+    worst, largest = [], []  # each plane's maxima; np.max keeps a NaN
+    for c in range(4):
+        worst.append(np.max(np.abs(s[c] - (ch * f[c] - sh * N[c]))))
+        largest.append(np.max(np.abs(s[c])))
+    return float(np.max(worst)) / float(np.max(largest))
+
+
+def hyperbolic_distance(p, s):
+    """Geodesic distance arccosh(-<p, s>) between hyperboloid points.
+
+    Accepts single coordinate 4-vectors or broadcastable batches.  Values of
+    -<p, s> within H3_TOL below 1 (coincident points as far off the
+    hyperboloid as H3SurfaceGrid admits them) are clamped to distance zero;
+    anything lower, or NaN, is rejected.
+    """
+    p = np.asarray(p, dtype=float)
+    s = np.asarray(s, dtype=float)
+    c = -mink_dot(p, s)
+    if not np.all(c >= 1.0 - H3_TOL):
+        worst = float(np.min(c))
+        raise InvalidInputError(
+            f"-<p, s> = {worst:.12g}, not >= 1; points are not a hyperboloid pair"
+        )
+    out = np.arccosh(np.maximum(c, 1.0))
+    return float(out) if out.ndim == 0 else out
+
+
+def distance_grid(primary: H3SurfaceGrid, shifted: H3SurfaceGrid) -> np.ndarray:
+    """Pointwise hyperbolic distance between two surface grids."""
+    _require_same_grid(primary, shifted)
+    return hyperbolic_distance(primary.points, shifted.points)
+
+
+def equidistance_defect(primary: H3SurfaceGrid, shifted: H3SurfaceGrid) -> float:
+    """Max deviation of the pointwise distance from -q = -ln(lam)."""
+    return float(np.max(np.abs(distance_grid(primary, shifted) + primary.spectral.q)))
 
 
 @dataclass(frozen=True, eq=False)

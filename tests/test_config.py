@@ -88,6 +88,13 @@ def test_tolerances_must_be_numeric_map():
     assert cfg.tolerances == {"metric_match_primary": 1.0}
 
 
+def test_null_tolerances_refused():
+    # JSON null was once read as "no overrides"; it is refused like a list
+    for tolerances in (None, [1, 2]):
+        with pytest.raises(ConfigError, match="'tolerances' must be a map of check name to number"):
+            config_from_mapping({**MINIMAL, "tolerances": tolerances})
+
+
 def test_direct_constructor_checks_too():
     with pytest.raises(ConfigError):
         RunConfig(family="cylinder", lam=0.5, out_dir="/tmp/x", nx=2)

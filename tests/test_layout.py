@@ -1,14 +1,14 @@
 """Entries first: every 2x2 stack has shape (2, 2, *grid) and every 4-vector
 grid (4, *grid), C-contiguous, so each entry is one contiguous plane over
 the grid axes.  The kernels give the same bits for any layout, their
-outputs and the containers are C-contiguous, and the sides have the bits
-of the plain real formula, whatever F's layout."""
+outputs and the containers are C-contiguous, and the primary side has the
+bits of the plain real formula, whatever F's layout."""
 
 import numpy as np
 import pytest
 from conftest import plain_sides
 
-from cmclab.frames import ExtendedFrame, SpectralParam, shift_frame
+from cmclab.frames import ExtendedFrame, SpectralParam
 from cmclab.minkowski import det2, mat2, mul2
 from cmclab.pipeline import load_frame, save_frame
 from cmclab.reference import conj_transpose, from_hermitian, to_hermitian
@@ -97,13 +97,17 @@ def test_frame_file_round_trip_is_bit_equal_and_entry_major(tmp_path, del_frame_
 
 
 def test_sides_have_the_bits_of_the_real_formula(del_frame_201):
-    # every coordinate of a side is a real quadratic form in F's entries,
-    # and real `*` and `+` commute bitwise, so only the grouping of the sums
-    # fixes the bits: the sides built from a frame have those of the plain
-    # formula on a C-ordered copy, the evaluated sides included
-    for frame, side in zip((del_frame_201, shift_frame(del_frame_201)), evaluate(del_frame_201)):
-        points, vectors = plain_sides(frame.F)
-        surface = _surface(frame, side.surface.kind)
+    # every coordinate of the primary side is a real quadratic form in F's
+    # entries, and real `*` and `+` commute bitwise, so only the grouping of
+    # the sums fixes the bits: the primary side has those of the plain
+    # formula on a C-ordered copy, the evaluated side included, and the
+    # shifted side those of the plain turn of it through q
+    points, vectors = plain_sides(del_frame_201.F)
+    primary, shifted = evaluate(del_frame_201)
+    for surface in (_surface(del_frame_201), primary.surface):
         assert same_bits(surface.points, points) and same_bits(surface.normal, vectors)
-        assert same_bits(normal_field(frame), vectors)
-        assert same_bits(side.surface.points, points) and same_bits(side.surface.normal, vectors)
+    assert same_bits(normal_field(del_frame_201), vectors)
+    lam = del_frame_201.lam
+    ch, sh = 0.5 * (lam + 1.0 / lam), 0.5 * (lam - 1.0 / lam)  # cosh q, sinh q
+    assert same_bits(shifted.surface.points, ch * points - sh * vectors)
+    assert same_bits(shifted.surface.normal, ch * vectors - sh * points)

@@ -1,7 +1,6 @@
 """Tests for discrete measurement and the closed-form target data."""
 
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ import pytest
 from cmclab.errors import InvalidInputError, NumericalError
 from cmclab.frames import ExtendedFrame, SpectralParam, integrate_frame
 from cmclab.measure import (
-    CONFORMAL_WARN_RATIO,
     ClosedFormData,
     MeasuredData,
     closed_form,
@@ -18,20 +16,16 @@ from cmclab.measure import (
     homothety_scale,
     hopf_constancy,
     hopf_match,
-    hopf_phase_defect,
     isothermic_defect,
     lawson_data,
     mean_constancy,
     mean_match,
-    mean_sign,
     measure,
     metric_match,
 )
 from cmclab.reference import numeric_normal_max_deviation
-from cmclab.report import default_tolerances
 from cmclab.surface_data import GridSpec, SurfaceData, cylinder_data, delaunay_data, dual_data
-from cmclab.surfaces import SIDES, H3SurfaceGrid, surface_primary, surface_shifted
-from cmclab.verify import Sides, _report, evaluate
+from cmclab.surfaces import H3SurfaceGrid, surface_primary, surface_shifted
 
 
 def constant_data(u_value, Q, H, n=6):
@@ -207,12 +201,19 @@ class TestMeasureCylinder:
             inner = central_nodes(m)
             assert mean_constancy(inner) < 1e-10
             assert hopf_constancy(inner) < 1e-10
-            assert hopf_phase_defect(inner) < 1e-10
 
-    def test_signs_opposite(self, measured_cylinder):
+    def test_signs_opposite(self, measured_cylinder, cyl_frame_101):
+        # the sides' mean curvatures and Hopf values have opposite signs, and
+        # the signed matches see it: against the other side's target each
+        # reads 2 where it reads below 2.5e-4 against its own
         primary, shifted = measured_cylinder
-        assert mean_sign(primary) == 1.0
-        assert mean_sign(shifted) == -1.0
+        assert np.all(primary.Hm > 0.0) and np.all(shifted.Hm < 0.0)
+        assert np.all(primary.Qm.real > 0.0) and np.all(shifted.Qm.real < 0.0)
+        data = cylinder_data(cyl_frame_101.grid)
+        for m, other_sign in ((primary, -1), (shifted, 1)):
+            other = closed_form(data, SpectralParam(0.5), other_sign)
+            assert mean_match(m, other) == pytest.approx(2.0, abs=5e-4)
+            assert hopf_match(m, other) == pytest.approx(2.0, abs=5e-4)
 
     def test_interior_shape(self, measured_cylinder):
         m = measured_cylinder[0]
@@ -337,37 +338,7 @@ class TestMeasureValidation:
 
         n = np.broadcast_to(np.array([0.0, 0.0, 1.0, 0.0])[:, None, None], (4, 9, 9))
         s = H3SurfaceGrid(g, pts, n, SpectralParam(0.5), "primary")
-        assert conformality_defect(measure(s)) > CONFORMAL_WARN_RATIO
-
-    def test_vanishing_hopf_value_refused(self):
-        ones = np.ones((6, 6))
-        Qm = ones.astype(complex)
-        Qm[2, 3] = 0.0  # one node without a phase
-        with pytest.raises(NumericalError, match="vanishing Hopf value"):
-            hopf_phase_defect(MeasuredData(GRID6, ones, 0.0 * ones, ones, Qm, ones))
-
-    def test_cancelling_hopf_phases_refused(self):
-        # Qm^2 is 1 on half the nodes and -1 on the rest: no mean direction
-        ones = np.ones((6, 6))
-        Qm = ones.astype(complex)
-        Qm[:, 3:] = 1j
-        with pytest.raises(NumericalError, match="Hopf phases cancel"):
-            hopf_phase_defect(MeasuredData(GRID6, ones, 0.0 * ones, ones, Qm, ones))
-
-    @pytest.mark.parametrize("ratio, warned", [(0.045, "false"), (0.06, "true")])
-    def test_conformal_warning_marks_a_ratio_past_0_05(self, ratio, warned):
-        # one node of each side planted at |Fc| / E = ratio
-        data = cylinder_data(GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21))
-        planted = []
-        for side in evaluate(integrate_frame(data, SpectralParam(0.5))):
-            m = side.measured
-            Fc = m.Fc.copy()
-            Fc[7, 12] = ratio * m.E[7, 12]
-            planted.append(replace(side, measured=replace(m, Fc=Fc)))
-        report = _report(data, Sides(planted), default_tolerances())
-        for kind in SIDES:
-            assert report.record(f"conformality_{kind}").value == pytest.approx(ratio, rel=1e-12)
-            assert report.metadata[f"conformal_warning_{kind}"] == warned
+        assert conformality_defect(measure(s)) == pytest.approx(0.5, abs=1e-3)
 
     def test_non_positive_metric_refused(self):
         # geodesic strip along v = y + x^2: f_x vanishes on the column x = 0,
@@ -381,3 +352,103 @@ class TestMeasureValidation:
         s = H3SurfaceGrid(g, pts, n, SpectralParam(0.5), "primary")
         with pytest.raises(NumericalError, match=r"E = 0 is not positive at grid node \(4, 0\)"):
             measure(s)
+
+
+# a varying metric E, far from 1 at every node, so a match that dropped its
+# division by the target would read another value
+E6 = 1.5 + 0.1 * np.arange(36.0).reshape(6, 6)
+BAD = (2, 3)  # the one node a test plants off
+HOPF, MEAN = -0.3, -1.7
+
+
+def side_data(**planted):
+    """MeasuredData on GRID6 that meets the targets `targets()` exactly:
+    conformal (Fc = 0), isothermic (G = E), Qm = HOPF and Hm = MEAN, with
+    the given arrays in place of those."""
+    arrays = {
+        "E": E6, "Fc": np.zeros((6, 6)), "G": E6,
+        "Qm": np.full((6, 6), complex(HOPF)), "Hm": np.full((6, 6), MEAN),
+    }
+    return MeasuredData(GRID6, **{**arrays, **planted})
+
+
+def targets(metric=1.0, value=1.0):
+    """The closed form `side_data()` meets, its metric factor scaled by
+    `metric` and its Hopf value and mean curvature by `value`."""
+    return ClosedFormData(metric * E6, value * HOPF, value * MEAN)
+
+
+def one_off(a, factor):
+    """`a` with the node BAD multiplied by `factor`."""
+    a = a.copy()
+    a[BAD] *= factor
+    return a
+
+
+class TestReducers:
+    """Each check's reduction over the grid: one bad node among good ones
+    sets a max-reduced value, and a relative match divides by its target."""
+
+    def test_exact_data_reads_zero(self):
+        m, c = side_data(), targets()
+        for check in (metric_match, hopf_match, mean_match):
+            assert check(m, c) == 0.0
+        assert conformality_defect(m) == 0.0 and isothermic_defect(m) == 0.0
+
+    @pytest.mark.parametrize(
+        "check, planted",
+        [
+            (metric_match, {"E": one_off(E6, 1.0 + 1e-3)}),
+            (hopf_match, {"Qm": one_off(np.full((6, 6), complex(HOPF)), 1.0 + 1e-3)}),
+            (mean_match, {"Hm": one_off(np.full((6, 6), MEAN), 1.0 + 1e-3)}),
+        ],
+        ids=["metric", "hopf", "mean"],
+    )
+    def test_one_bad_node_sets_a_match(self, check, planted):
+        assert check(side_data(**planted), targets()) == pytest.approx(1e-3, rel=1e-9)
+
+    def test_one_bad_node_sets_the_conformality(self):
+        Fc = np.zeros((6, 6))
+        Fc[BAD] = -1e-3 * E6[BAD]
+        assert conformality_defect(side_data(Fc=Fc)) == pytest.approx(1e-3, rel=1e-12)
+
+    def test_one_bad_node_sets_the_isothermic_defect(self):
+        m = side_data(G=one_off(E6, 1.0 - 1e-3))
+        assert isothermic_defect(m) == pytest.approx(1e-3, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [2.0, 0.5])
+    def test_a_scaled_metric_target_reads_its_relative_gap(self, scale):
+        # E = mf / scale at every node: |1 - scale| / scale
+        got = metric_match(side_data(), targets(metric=scale))
+        assert got == pytest.approx(abs(1.0 - scale) / scale, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [2.0, 0.5, -1.0])
+    def test_a_scaled_hopf_or_mean_target_reads_its_relative_gap(self, scale):
+        # a target scaled by -1 is the other side's sign: the match reads 2
+        for check in (hopf_match, mean_match):
+            got = check(side_data(), targets(value=scale))
+            assert got == pytest.approx(abs(1.0 - scale) / abs(scale), rel=1e-12)
+
+    def test_hopf_match_sees_the_phase(self):
+        # |Qm| = |hopf| at every node, but one node's Qm is turned by 90 degrees
+        Qm = np.full((6, 6), complex(HOPF))
+        Qm[BAD] = 1j * HOPF
+        assert hopf_match(side_data(Qm=Qm), targets()) == pytest.approx(np.sqrt(2.0))
+
+    def test_closed_form_gap_is_set_by_one_bad_node(self):
+        a = targets()
+        b = ClosedFormData(one_off(E6, 1.25), HOPF, MEAN)
+        assert closed_form_max_diff(a, b) == pytest.approx(0.25 * E6[BAD], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "other, gap",
+        [
+            (ClosedFormData(E6, 1.25 * HOPF, MEAN), 0.25 * abs(HOPF)),
+            (ClosedFormData(E6, HOPF, 1.25 * MEAN), 0.25 * abs(MEAN)),
+        ],
+        ids=["hopf", "mean"],
+    )
+    def test_closed_form_gap_is_the_largest_part(self, other, gap):
+        # one part differs and the other two agree: the gap is that part's
+        assert closed_form_max_diff(targets(), other) == pytest.approx(gap, rel=1e-12)
+

@@ -1,16 +1,15 @@
 """Working memory of the numeric layers and of a run: the integrator and an
-evaluation hold little more than what they return, a frame is let go once
-it is read, a surface file is read without a list of its lines, and
+evaluation hold little more than what they return, a run lets its frame go
+once it is written, a surface file is read without a list of its lines, and
 containers hold a builder's fresh read-only arrays (a
 loaded frame's included) without copying them."""
 
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
 
-import cmclab.verify
+import cmclab.surfaces
 from cmclab.config import config_from_mapping
 from cmclab.frames import ExtendedFrame, SpectralParam, integrate_frame
 from cmclab.minkowski import surface_and_normal
@@ -48,23 +47,19 @@ def test_evaluation_peaks_near_what_it_keeps(del_frame_201):
     assert kept <= 3.6 * del_frame_201.F.nbytes
 
 
-def test_shifted_frame_is_let_go_before_it_is_measured(del_frame_101, monkeypatch):
-    shift_frame, measure = cmclab.verify.shift_frame, cmclab.verify.measure
-    shifted, alive = [], []  # weak references to FD; FD alive at each measure
+def test_shifted_side_holds_the_turned_arrays(del_frame_101, monkeypatch):
+    # the turn's fresh arrays go to the container read-only, so it holds
+    # them without a copy, as it holds the primary side's
+    turn, turned = cmclab.surfaces._turn, []
 
-    def shift(frame):
-        FD = shift_frame(frame)
-        shifted.append(weakref.ref(FD))
-        return FD
+    def recorded(*args):
+        turned.append(turn(*args))
+        return turned[-1]
 
-    def measure_side(surface):
-        alive.append([ref() is not None for ref in shifted])
-        return measure(surface)
-
-    monkeypatch.setattr(cmclab.verify, "shift_frame", shift)
-    monkeypatch.setattr(cmclab.verify, "measure", measure_side)
-    evaluate(del_frame_101)
-    assert alive == [[], [False]]
+    monkeypatch.setattr(cmclab.surfaces, "_turn", recorded)
+    _, shifted = evaluate(del_frame_101)
+    (points, normal), = turned
+    assert shifted.surface.points is points and shifted.surface.normal is normal
 
 
 def test_run_peak_holds_no_spare_frame(tmp_path):

@@ -45,7 +45,7 @@ from cmclab.surface_data import (
     save_surface_data,
 )
 from cmclab.reference import conj_transpose, from_hermitian
-from cmclab.surfaces import distance_grid, parallel_identity_defect
+from cmclab.reference import distance_grid
 from cmclab.verify import evaluate, verify_theorem
 
 ALL_FILES = (
@@ -255,17 +255,16 @@ class TestRun:
         assert len(lines) == cfg.nx * cfg.ny
         table = np.array([[float(v) for v in ln.split()] for ln in lines])
         assert np.all(np.isfinite(table))
-        assert table.shape[1] == 11
+        assert table.shape[1] == 10
 
     def test_diagnostics_distance_column(self, run_dir):
-        out, _, _ = run_dir
-        lines = [
-            ln
-            for ln in (out / DIAGNOSTICS_FILE).read_text().splitlines()
-            if not ln.startswith("#")
-        ]
-        dist = np.array([float(ln.split()[9]) for ln in lines])
-        assert np.max(np.abs(dist - math.log(2.0))) < 1e-9
+        # the distance to the shifted surface is -q by construction, so the
+        # table carries no column of it; the last column is the residual
+        out, cfg, _ = run_dir
+        header, *lines = (out / DIAGNOSTICS_FILE).read_text().splitlines()
+        assert header == "# columns: i j x y E Fc G |Qm| Hm gauss-residual"
+        residual = np.array([float(ln.split()[-1]) for ln in lines]).reshape(cfg.ny, cfg.nx)
+        assert np.array_equal(residual.T, cfg.data().residual)
 
     def test_mesh_shape(self, run_dir):
         out, cfg, _ = run_dir
@@ -304,7 +303,7 @@ class TestRun:
         sides = evaluate(integrate_frame(data, SpectralParam(0.5)))
         monkeypatch.setattr(surface_data, "_digits", counted)
         write_diagnostics(tmp_path / DIAGNOSTICS_FILE, data, sides)
-        assert sum(seen) == 7 * N * N + 2 * N
+        assert sum(seen) == 6 * N * N + 2 * N
 
     def test_machine_report_has_no_timestamp(self, run_dir):
         out, _, _ = run_dir
@@ -371,10 +370,10 @@ GOLDEN_CONFIG = {
     "ny": 41,
 }
 GOLDEN_SHA256 = {
-    REPORT_MACHINE_FILE: "5794c7a87520f33391bf72e0d56661ad728263295e41cf507f4a85b09710baf6",
-    DIAGNOSTICS_FILE: "9ae8d754b96ddf33e028b8d7e5211477f58325eaab2551e378336c38b355ab0a",
+    REPORT_MACHINE_FILE: "ae929709661db50ec5611eb8a6865793f1d1a235398a41149b5cb25b4a0e03b5",
+    DIAGNOSTICS_FILE: "a5fe1fbb045e15778a7048f7f68bfa9878dcbe701ba2bf16c3c068f6ac0ef703",
     MESH_FILES[0]: "537013f834bd4ae96913be1898d613d1124d1894e3c6c5e83c2b7d952aa11990",
-    MESH_FILES[1]: "1839b3d84713a2e2a85a10575a2f7006c743a9b43e17958b33ca9b76b5fa0bf3",
+    MESH_FILES[1]: "8a42360575b10bdd1f9881873055f4dcfbcc6f56a1f391d63d9c8bf6033d3a75",
     SURFACE_FILE: "389c13f04942a7813db022d51c45861545bf87a44ef9d166e80acf0c746a40f4",
     FRAME_FILE: "8f25900c0b4d6cbdac1feaafe06ac3f51c55a5ae358eda8698c65d91d5c5d817",
 }
@@ -389,10 +388,10 @@ def test_golden_output_hashes(tmp_path):
 # the README default at 201 x 201: rows long enough for numpy's vectorised
 # loops to take every path the 41 x 41 goldens leave out
 GOLDEN_SHA256_201 = {
-    REPORT_MACHINE_FILE: "8d8f8206b0c9a0ab0fd7dde3f4c05d6f871c0faa5b9fccbed30e1cd64c9b0f90",
-    DIAGNOSTICS_FILE: "ff7e11026f43d41c80841c480e87726824f96b14561a04c185996504ed1a6798",
+    REPORT_MACHINE_FILE: "94a09c655c377d39af50b9a3d09e2b826e92501518564b12d216c67aecc882c1",
+    DIAGNOSTICS_FILE: "621063e84f9c2dd8bbce3080ee1de7bbc823cac68a217a5be6f832377f69ff0f",
     MESH_FILES[0]: "b87b09d7a710f35cca231591ddeb11a5b608e07442a4c0003400894044a2c7e7",
-    MESH_FILES[1]: "bae137ed73cfe8d7cd52e1d26726baa6ff9b896e155c351e361f1b71be0d8760",
+    MESH_FILES[1]: "537520346e446eed90b4d9396c355404fdf02db3aa771aef10566ab91711fc83",
     SURFACE_FILE: "b4a3ece4a97b7d678ed82d14e50d0afb86da171f62c5ff066d248f2e0ba65b79",
     FRAME_FILE: "d969e4eaa1f808f4122b9be50d8247a01c3e47b99ea90257b95cf3b12e99c8e6",
 }
@@ -411,15 +410,15 @@ GOLDEN_RUNS = {
     "delaunay-small-lambda": (
         {"family": "delaunay", "H": 0.5, "u0": -0.5, "du0": 0.0, "lambda": 0.1},
         {
-            REPORT_MACHINE_FILE: "0d3af8aa76122e7841b014a9bf8fcaf928e013cae24840720c5e16c0b26fd6c1",
-            DIAGNOSTICS_FILE: "fd671c00e89a8e70051a5f1aafcec126321a02cc807884c862c033f81756ecfc",
+            REPORT_MACHINE_FILE: "02963e6cc94248171a6bcae2db894a110628682c198dd97874fffbfb2bd6d60e",
+            DIAGNOSTICS_FILE: "0130c30725a700357a9763cd36968dde71b4045d53020153f53fcfc287d399af",
         },
     ),
     "cylinder": (
         {"family": "cylinder", "H": 0.5, "lambda": 0.5},
         {
-            REPORT_MACHINE_FILE: "4a79563377d284685065dc0ac6451cb36dfb53436464882ba15ed33d7099c6db",
-            DIAGNOSTICS_FILE: "d488b9edb639d69db1eb896e26b47b1424f844b49f96c41ba6540ebe0f68fad5",
+            REPORT_MACHINE_FILE: "6c03b0006ee7756d8057c73273a382f00b1175c6c43a1a19d0e4c64bda74c279",
+            DIAGNOSTICS_FILE: "a7fdfd8b9d543cb059d004da5d9daaf5770a95376415978f58dac614fce8f8a0",
         },
     ),
 }
@@ -456,10 +455,10 @@ def count_calls(monkeypatch, *fns):
 
 
 def test_run_builds_each_side_once(tmp_path, monkeypatch):
-    # surface_and_normal is the one pass behind each side's surface and
-    # normal; one shift F D feeds the shifted side; the Gauss residual and
-    # the distance between the sides feed both the report and the
-    # diagnostics table
+    # surface_and_normal is the one pass behind the primary side's surface
+    # and normal, and the shifted side is that side turned through q, so no
+    # shift F D is formed; the Gauss residual feeds both the report and the
+    # diagnostics table, and no distance grid is taken
     counts = count_calls(
         monkeypatch,
         surface_and_normal,
@@ -477,15 +476,15 @@ def test_run_builds_each_side_once(tmp_path, monkeypatch):
     counts["det_drift"] = 0
     monkeypatch.setattr(ExtendedFrame, "det_drift", counted_det_drift)
     run(config_from_mapping({**GOLDEN_CONFIG, "out_dir": str(tmp_path)}))
-    assert counts["surface_and_normal"] == 2
-    assert counts["shift_frame"] == 1
+    assert counts["surface_and_normal"] == 1
+    assert counts["shift_frame"] == 0
     assert counts["measure"] == 2
-    # the parallel identity reuses the sides' points and normal, and each
-    # frame's determinant is taken once: the primary's by integrate_frame
-    assert counts["det_drift"] == 2
-    # the compatibility gate, the report and the diagnostics share one of each
+    # the frame's determinant is taken once, by integrate_frame, and the
+    # report reuses it
+    assert counts["det_drift"] == 1
+    # the compatibility gate, the report and the diagnostics share one
     assert counts["gauss_residual"] == 1
-    assert counts["distance_grid"] == 1
+    assert counts["distance_grid"] == 0
 
 
 def test_each_surface_is_gated_onto_the_hyperboloid_once(tmp_path, monkeypatch):
@@ -504,19 +503,21 @@ def test_library_tour_takes_each_grid_once(monkeypatch):
     counts = count_calls(monkeypatch, gauss_residual, distance_grid, surface_and_normal)
     data = delaunay_data(GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41), 0.5, 0.3, 0.0)
     verify_theorem(data, integrate_frame(data, SpectralParam(0.5)))
-    assert counts == {"gauss_residual": 1, "distance_grid": 1, "surface_and_normal": 2}
+    assert counts == {"gauss_residual": 1, "distance_grid": 0, "surface_and_normal": 1}
 
 
 def test_report_residual_is_the_frame_residual():
+    # the one frame check reads the integrated frame's |det F - 1| maximum,
+    # the value integrate_frame held to its bound, bit for bit
     grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41)
     data = delaunay_data(grid, 0.5, -0.4, 0.1)
     frame = integrate_frame(data, SpectralParam(0.3))
-    primary, shifted = evaluate(frame)
-    expected = parallel_identity_defect(primary.surface, shifted.surface)
-    assert 0.0 < expected < 1e-13
+    expected = float(np.max(np.abs(np.linalg.det(np.moveaxis(frame.F, (0, 1), (2, 3))) - 1.0)))
+    assert 0.0 < expected <= 1e-8
     report = verify_theorem(data, frame)
-    value = {r.name: r.value for r in report.records}["parallel_identity_residual"]
-    assert np.float64(value).view(np.int64) == np.float64(expected).view(np.int64)
+    value = {r.name: r.value for r in report.records}["det_drift_max"]
+    assert np.float64(value).view(np.int64) == np.float64(frame.max_det_drift).view(np.int64)
+    assert value == pytest.approx(expected, rel=1e-3)
 
 
 def test_cylinder_family_is_normalized_at_any_H(tmp_path):

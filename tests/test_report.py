@@ -89,8 +89,8 @@ class TestTolerances:
         assert all(v > 0 for v in tols.values())
 
     def test_override(self):
-        tols = resolve_tolerances({"equidistance_max_dev": 1e-6})
-        assert tols["equidistance_max_dev"] == 1e-6
+        tols = resolve_tolerances({"hopf_match_shifted": 1e-6})
+        assert tols["hopf_match_shifted"] == 1e-6
         assert tols["det_drift_max"] == default_tolerances()["det_drift_max"]
 
     def test_unknown_name_refused(self):
@@ -101,13 +101,36 @@ class TestTolerances:
         with pytest.raises(ConfigError):
             resolve_tolerances({"det_drift_max": 0.0})
 
+    @pytest.mark.parametrize("overrides", [None, [], "metric_match_primary"])
+    def test_anything_but_a_map_refused(self, overrides):
+        # JSON null once passed as "no overrides"
+        with pytest.raises(ConfigError, match="'tolerances' must be a map"):
+            resolve_tolerances(overrides)
+
 
 @pytest.fixture(scope="module")
 def cylinder_report(cyl_frame_101):
     return verify_theorem(cylinder_data(cyl_frame_101.grid), cyl_frame_101)
 
 
+# the checks in report order: one frame check, and the same eight per side
+REGISTRY = (
+    "gauss_residual_max", "det_drift_max",
+    *(
+        f"{name}_{side}"
+        for side in ("primary", "shifted")
+        for name in (
+            "metric_match", "hopf_match", "mean_match", "conformality", "isothermic",
+            "mean_constancy", "hopf_constancy", "lawson_match",
+        )
+    ),
+)
+
+
 class TestVerifyTheorem:
+    def test_registry_is_the_eighteen_checks(self):
+        assert registry_names() == REGISTRY and len(REGISTRY) == 18
+
     def test_registry_complete_and_unique(self, cylinder_report):
         names = [r.name for r in cylinder_report.records]
         assert names == list(registry_names())
@@ -118,8 +141,11 @@ class TestVerifyTheorem:
         assert failed == []
 
     def test_metadata_signs(self, cylinder_report):
-        assert cylinder_report.metadata["mean_sign_primary"] == "+1"
-        assert cylinder_report.metadata["mean_sign_shifted"] == "-1"
+        # the sides' signs are no metadata: the signed Hopf and mean matches
+        # carry them, and a side with the other's sign reads 2 in both
+        assert list(cylinder_report.metadata) == [
+            "lambda", "q", "H", "Q", "nx", "ny", "hx", "hy", "homothety_scale",
+        ]
         assert cylinder_report.metadata["lambda"] == "0.5"
 
     def test_machine_round_trip_of_real_report(self, cylinder_report):

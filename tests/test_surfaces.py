@@ -1,4 +1,10 @@
-"""Tests for the parallel surface pair, normals, and hyperbolic distance."""
+"""Tests for the parallel surface pair, normals, and hyperbolic distance.
+
+The shifted side is the primary side turned through q.  The identities
+behind that, which hold for every 2x2 frame F, unimodular or not, are
+tested here on random stacks against the route through the frame FD
+(`reference.frame_shifted_surface`); the reference definitions of the
+pair's distance and identity defects are tested here too."""
 
 from dataclasses import replace
 
@@ -8,21 +14,29 @@ from conftest import plain_sides
 
 from cmclab.errors import InternalConsistencyError, InvalidInputError
 from cmclab.frames import ExtendedFrame, SpectralParam, integrate_frame, shift_frame
-from cmclab.minkowski import DET_DRIFT_TOL, H3_TOL, h3_defect, mul2, surface_and_normal
-from cmclab.reference import cylinder_frame_lax_gauge, frame_left_multiply, to_hermitian
-from cmclab.surface_data import GridSpec, cylinder_data
-from cmclab.surfaces import (
-    H3SurfaceGrid,
+from cmclab.minkowski import (
+    DET_DRIFT_TOL,
+    H3_TOL,
+    det2,
+    h3_defect,
+    mink_dot,
+    mul2,
+    surface_and_normal,
+)
+from cmclab.reference import (
+    cylinder_frame_lax_gauge,
     distance_grid,
     equidistance_defect,
+    frame_left_multiply,
+    frame_shifted_surface,
     hyperbolic_distance,
-    normal_field,
     normal_orthogonality_defect,
     normal_unit_defect,
     parallel_identity_defect,
-    surface_primary,
-    surface_shifted,
+    to_hermitian,
 )
+from cmclab.surface_data import GridSpec, cylinder_data
+from cmclab.surfaces import H3SurfaceGrid, _turn, normal_field, surface_primary, surface_shifted
 from cmclab.verify import evaluate
 
 
@@ -117,7 +131,8 @@ class TestNormalField:
 
     def test_shifted_normal(self, cylinder_frame):
         s = surface_shifted(cylinder_frame)
-        assert np.array_equal(s.normal, normal_field(shift_frame(cylinder_frame)))
+        fd = frame_shifted_surface(cylinder_frame)
+        assert np.max(np.abs(s.normal - fd.normal)) <= 1e-14 * np.max(np.abs(fd.normal))
         assert normal_unit_defect(s) < 1e-9
         assert normal_orthogonality_defect(s) < 1e-9
 
@@ -160,9 +175,10 @@ class TestNormalField:
 
 
 def parallel_residual(frame):
-    """`parallel_identity_defect` over the sides `evaluate(frame)` builds."""
-    primary, shifted = evaluate(frame)
-    return parallel_identity_defect(primary.surface, shifted.surface)
+    """`parallel_identity_defect` of the primary side `evaluate(frame)`
+    builds against the shifted surface by way of the frame FD."""
+    primary, _ = evaluate(frame)
+    return parallel_identity_defect(primary.surface, frame_shifted_surface(frame))
 
 
 class TestParallelIdentity:
@@ -184,6 +200,69 @@ class TestParallelIdentity:
         primary, shifted = surface_primary(frame), surface_shifted(wrong)
         assert parallel_identity_defect(primary, shifted) > 1e-11
         assert equidistance_defect(primary, shifted) > 1e-9
+
+
+def random_stack(seed, shape=(9, 7)):
+    """Random complex 2x2 frames, shape (2, 2, *shape); det F is not 1."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(2, 2) + shape) + 1j * rng.normal(size=(2, 2) + shape)
+
+
+# random stacks with det F far from 1, and one scaled to det F = 1
+STACKS = {
+    "random": random_stack(40),
+    "random-large": 3.0 * random_stack(41),
+    "unimodular": random_stack(42) / np.sqrt(det2(random_stack(42))),
+}
+
+
+class TestIdentitiesOfAnyFrame:
+    """With f = F F*, N = F diag(1, -1) F* and FD = F diag(lam^-1/2, lam^1/2),
+    for every 2x2 F: (FD)(FD)* and its normal are f and N turned through
+    q = ln(lam); <N, N> = |det F|^2, <N, f> = 0, <f, f> = -|det F|^2 and
+    -<f, (FD)(FD)*> = |det F|^2 cosh q.  Each form is quartic in F, so its
+    rounding is held to the size of |F|^4 at each node."""
+
+    @pytest.fixture(params=list(STACKS), ids=list(STACKS))
+    def stack(self, request):
+        F = STACKS[request.param]
+        grid = GridSpec(-1.0, 1.0, -1.0, 1.0, *F.shape[2:])
+        det_sq = np.abs(det2(F)) ** 2
+        size = np.sum(np.abs(F) ** 2, axis=(0, 1)) ** 2
+        return grid, F, det_sq, size
+
+    @pytest.mark.parametrize("lam", [0.02, 0.3, 0.5, 0.95])
+    def test_the_shift_is_the_turn_through_q(self, stack, lam):
+        grid, F, det_sq, size = stack
+        frame = ExtendedFrame(grid, F, SpectralParam(lam))
+        through_fd = surface_and_normal(shift_frame(frame).F)
+        turned = _turn(*surface_and_normal(F), lam)
+        for got, want in zip(turned, through_fd):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_normal_algebra(self, stack):
+        _, F, det_sq, size = stack
+        f, N = surface_and_normal(F)
+        assert np.all(np.abs(mink_dot(N, N) - det_sq) <= 1e-14 * size)
+        assert np.all(np.abs(mink_dot(N, f)) <= 1e-14 * size)
+        assert np.all(np.abs(mink_dot(f, f) + det_sq) <= 1e-14 * size)
+
+    @pytest.mark.parametrize("lam", [0.02, 0.3, 0.5, 0.95])
+    def test_the_shifted_surface_is_at_distance_minus_q(self, stack, lam):
+        grid, F, det_sq, size = stack
+        q = np.log(lam)
+        f = surface_and_normal(F)[0]
+        shifted = surface_and_normal(shift_frame(ExtendedFrame(grid, F, SpectralParam(lam))).F)[0]
+        assert np.all(np.abs(-mink_dot(f, shifted) - det_sq * np.cosh(q)) <= 1e-14 * size / lam)
+
+    def test_a_wrong_turn_is_seen(self, stack):
+        # the turn at a spectral value off by 1e-3 misses the route through
+        # FD far above rounding, so the comparison above can fail
+        grid, F, _, _ = stack
+        frame = ExtendedFrame(grid, F, SpectralParam(0.5))
+        want = surface_and_normal(shift_frame(frame).F)[0]
+        got = _turn(*surface_and_normal(F), 0.5 * (1.0 + 1e-3))[0]
+        assert np.max(np.abs(got - want)) > 1e-5 * np.max(np.abs(want))
 
 
 class TestHyperbolicDistance:

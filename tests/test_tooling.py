@@ -78,6 +78,28 @@ def test_no_unused_imports():
     assert [entry for path in files for entry in _unused_imports(path)] == []
 
 
+def _called(path, names):
+    """'file:line name' for each call in `path` of a function or method
+    whose name is in `names`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            if name in names:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_core_forms_no_shifted_frame_phase_or_distance():
+    # the shifted side is the primary side turned through q, and the Hopf
+    # and mean matches compare signed values: the route through FD, phases
+    # and distances are reference definitions
+    names = ("shift_frame", "angle", "arccosh")
+    assert [entry for path in CORE for entry in _called(path, names)] == []
+    assert _called(ROOT / "src" / "cmclab" / "reference.py", names) != []
+
+
 def _reference_imports(path):
     """Each import in `path` of the `reference` module or of a name from it,
     in any spelling: `from .reference import x`, `from . import reference`,
@@ -496,7 +518,7 @@ def test_check_name_lint_sees_each_form(tmp_path):
     path = tmp_path / "verify.py"
     path.write_text(
         '"""metric_match_primary: a docstring is no spelling."""\n'
-        'ROWS = (("metric_match", 5e-3), ("mean_sign_opposite", 0.5))\n'
+        'ROWS = (("metric_match", 5e-3), ("gauss_residual_max", 1e-3))\n'
         "def f(values, side):\n"
         '    """hopf_match"""\n'
         '    values["hopf_match_shifted"] = 1.0  # metric_match\n'
@@ -505,7 +527,7 @@ def test_check_name_lint_sees_each_form(tmp_path):
     )
     assert _check_spellings(path, _check_names()) == [
         "verify.py:2 metric_match",
-        "verify.py:2 mean_sign_opposite",
+        "verify.py:2 gauss_residual_max",
         "verify.py:5 hopf_match",
         "verify.py:7 det_drift_max",
     ]
