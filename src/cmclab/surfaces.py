@@ -62,9 +62,10 @@ class H3SurfaceGrid:
 def _turn(f, N, lam):
     """Points f and their normal N, each of shape (4, ...), turned through
     q = ln(lam): (cosh q f - sinh q N, cosh q N - sinh q f).  cosh q and
-    sinh q are (lam + 1/lam)/2 and (lam - 1/lam)/2, the entries of
-    D conj(D)^t = diag(1/lam, lam), formed in plain arithmetic, so their
-    bits do not hang on a transcendental's implementation."""
+    sinh q are (lam + 1/lam)/2 and (lam - 1/lam)/2, the half sum and half
+    difference of the entries of D conj(D)^t = diag(1/lam, lam), formed in
+    plain arithmetic, so their bits do not hang on a transcendental's
+    implementation."""
     ch, sh = 0.5 * (lam + 1.0 / lam), 0.5 * (lam - 1.0 / lam)
     points = ch * f
     points -= sh * N
