@@ -1,8 +1,9 @@
 """End-to-end orchestration: data -> frame -> surfaces -> measurement -> report.
 
 The frame goes to `frame.dat` as an exact binary numpy archive whose F is
-the frame's F, of shape (2, 2, nx, ny), and the loaded F becomes the
-frame's without a copy (see `save_frame` and `load_frame`).
+the frame's F, of shape (2, 2, nx, ny), written from F's own buffer, and
+the loaded F becomes the frame's, both without a copy (see `save_frame`
+and `load_frame`).
 `run` writes it first and lets the frame go, so the other writers run
 beside the two sides only.  `export_meshes` builds the two sides from a
 stored frame just as `run` does, the shifted one by turning the primary
@@ -51,7 +52,7 @@ from .surface_data import (
     write_table,
 )
 from .surfaces import SIDES, _shifted, surface_primary
-from .verify import Sides, _report, _require_normalized, evaluate, verify_theorem
+from .verify import _report, _require_normalized, evaluate, verify_theorem
 
 SURFACE_FILE = "surface.dat"
 FRAME_FILE = "frame.dat"
@@ -117,7 +118,7 @@ def _write_meshes(out: Path, surfaces) -> list[Path]:
     return paths
 
 
-def write_diagnostics(path, data, sides: Sides):
+def write_diagnostics(path, data, sides):
     """Per-point table of measured quantities, one row per grid node.
 
     `sides` is the (primary, shifted) pair `evaluate` built; the measured
@@ -143,16 +144,24 @@ def save_frame(path, frame: ExtendedFrame):
     F goes in as the frame holds it, shape (2, 2, nx, ny).  Doubles are
     stored as their bits, so `load_frame` returns the very frame
     written, and the archive carries no timestamp, so equal frames give
-    equal bytes.
+    equal bytes.  Each member is written as `np.savez` writes it, a stored
+    zip64 entry of an npy header and the array's bytes, but straight from
+    the array's own buffer: `np.savez` hands a zip entry a copy of the
+    whole array.
     """
     g = frame.grid
-    with open(path, "wb") as fh:  # np.savez appends ".npz" to a path it opens
-        np.savez(
-            fh,
-            F=frame.F,
-            lam=float(frame.spectral.lam),
-            extents=[float(v) for v in (g.x_min, g.x_max, g.y_min, g.y_max)],
-        )
+    members = {
+        "F": frame.F,
+        "lam": np.array(float(frame.spectral.lam)),
+        "extents": np.array([float(v) for v in (g.x_min, g.x_max, g.y_min, g.y_max)]),
+    }
+    with open(path, "wb") as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as archive:
+        for name, a in members.items():
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as entry:
+                np.lib.format.write_array_header_1_0(
+                    entry, np.lib.format.header_data_from_array_1_0(a)
+                )
+                entry.write(a.data)
 
 
 def load_frame(path) -> ExtendedFrame:
@@ -243,7 +252,7 @@ def run(config: RunConfig) -> VerificationReport:
     _require_normalized(data)
     frame = integrate_frame(data, config.spectral())
     sides = evaluate(frame)
-    report = _report(data, sides, config.check_tolerances)
+    report = _report(data, frame, sides, config.check_tolerances)
     out.mkdir(parents=True, exist_ok=True)
     save_frame(out / FRAME_FILE, frame)
     del frame

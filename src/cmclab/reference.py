@@ -3,7 +3,8 @@
 What no program path runs lives here: the Hermitian model of R^{3,1} and
 its gate, the cylinder frame's closed forms, the Lax pair and the spectral
 shift D as matrices, the two-path discrepancy, a constant gauge on a frame,
-the normal rebuilt from the surface alone and the Delaunay profile's energy.
+the normal rebuilt from the surface alone, the Delaunay profile's energy
+and the exact weights of a one-sided difference row.
 Each restates, independently, something the core computes; planted defects
 and other oracles belong here too.  No core module imports this one, which
 may import core names, private ones included, and does no work at import
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -304,3 +306,35 @@ def delaunay_profile(H, x_range, u0, du0):
     return DelaunayProfile(
         xs=_locked(xs), us=_locked(us), dus=_locked(dus), Q=0.5 * H, H=H
     )
+
+
+def edge_row(offsets, order, last=None):
+    """The weights w_k of the difference row over the distinct integer
+    `offsets` o_k (in grid steps from the node it serves) for the
+    derivative of `order`, in exact Fraction arithmetic.
+
+    They solve sum_k w_k o_k^m / m! = [m = order] for m = 0, ..., n - 1,
+    n = len(offsets), so that h^-order sum_k w_k u(x + o_k h) is
+    u^(order)(x) up to h^(n - 1 - order) M u^(n - 1)(x), M the last
+    moment; a `last` given fixes M to it in place of [n - 1 = order].
+    Fornberg (1988, Math. Comp. 51) gives the method.
+    """
+    n = len(offsets)
+    if len(set(offsets)) != n or not 0 <= order < n:
+        raise InvalidInputError("a difference row needs distinct offsets, more than its order")
+    rows = [
+        [Fraction(o) ** m / math.factorial(m) for o in offsets] + [Fraction(m == order)]
+        for m in range(n)
+    ]
+    if last is not None:
+        rows[-1][-1] = Fraction(last)
+    # Gauss-Jordan elimination; a Vandermonde system of distinct nodes is
+    # regular, so each column has a pivot
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                rows[r] = [a - rows[r][c] * b for a, b in zip(rows[r], rows[c])]
+    return tuple(row[-1] for row in rows)

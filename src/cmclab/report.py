@@ -1,10 +1,10 @@
 """Verification reports: the check table and two serializations.
 
 Each check is one row, (name, frozen default tolerance, value).  A
-whole-run row's value takes (data, sides), the SurfaceData and the
-`verify.Sides` of one frame; a per-side row's takes one side's (measured,
-closed form, Lawson data) and is reported as "<name>_<side>" for each side
-in SIDES, primary first.  `registry_names` and `default_tolerances` read
+whole-run row's value takes (data, frame), the SurfaceData and the
+ExtendedFrame integrated from it; a per-side row's takes one side's
+(measured, closed form, Lawson data) and is reported as "<name>_<side>"
+for each side in SIDES, primary first.  `registry_names` and `default_tolerances` read
 the rows, and `verify._report` walks them, in the same order.  Each row
 states one fact that no other row's value implies: the Hopf and mean
 matches compare signed values, so they also carry each side's sign.
@@ -40,8 +40,8 @@ from .surfaces import SIDES
 # identity of the normal and of the parallel pair holds for any 2x2 frame,
 # so it reads |det F| and rounding, and is a reference test, not a check
 RUN_CHECKS = (
-    ("gauss_residual_max", 1e-3, lambda data, sides: max_gauss_residual(data)),
-    ("det_drift_max", 1e-8, lambda data, sides: sides.det_drift),
+    ("gauss_residual_max", 1e-3, lambda data, frame: max_gauss_residual(data)),
+    ("det_drift_max", 1e-8, lambda data, frame: frame.max_det_drift),
 )
 
 # checks made once per side; measurement bounds are calibrated on the

@@ -292,14 +292,17 @@ def _d2(u, h):
 
 
 def _along_y(kernel, f, h):
-    """`kernel` along axis 1 of f (swapaxes, not .T: entry axes stay last)."""
+    """`kernel` along axis 1 of f (swapaxes, not .T: entry axes stay last).
+    Core callers pass one (nx, ny) plane; `reference.numeric_normal` passes
+    (nx, ny, 4) vectors."""
     return kernel(f.swapaxes(0, 1), h).swapaxes(0, 1)
 
 
 def grid_derivatives(f, hx, hy):
     """Fourth-order f_x and f_y of a field of shape (nx, ny, ...), on every
     node: central differences (1, -8, 8, -1)/12h inside, six-point one-sided
-    rows on the two outer lines of each axis."""
+    rows on the two outer lines of each axis.  Core callers pass one
+    (nx, ny) plane; `reference.numeric_normal` passes (nx, ny, 4) vectors."""
     return _d1(f, hx), _along_y(_d1, f, hy)
 
 
@@ -539,9 +542,9 @@ _MINUS = np.uint32(ord("-") << 24)  # in the last byte of a lead word
 _ZERO = np.uint32(ord("0") << 24)  # an integer's "0", last in its word
 _BLANK = np.uint32(0)
 
-# numbers of the full columns per block: enough to amortise numpy's per-call
-# cost, few enough that the block's arrays stay small next to the tables
-# being written
+# numbers of the full columns per block, or grid points in a table without
+# one: enough to amortise numpy's per-call cost, few enough that the block's
+# arrays stay small next to the tables being written
 _BLOCK_VALUES = 8192
 
 
@@ -663,7 +666,7 @@ def table_lines(columns, prefix=""):
         w = _number_words(c.T.ravel(), lead[n])
         once.append(np.broadcast_to(w.T.reshape(*c.T.shape, 1, len(w)), (ny, nx, 1, len(w))))
     run = columns[k:]
-    step = max(1, _BLOCK_VALUES // max(1, nx * len(run)))
+    step = max(1, _BLOCK_VALUES // (nx * max(1, len(run))))
     if run:
         run_lead = np.tile(np.hstack(lead[k:]), step * nx)
     for j0 in range(0, ny, step):
@@ -693,12 +696,21 @@ def write_table(fh, columns, prefix=""):
 
 
 def save_surface_data(path, data):
-    """Write the plain text tabular format read by `load_surface_data`."""
+    """Write the plain text tabular format read by `load_surface_data`.
+
+    A u whose y lines are all bitwise equal to the first, as a built-in
+    family's is, goes to the writer as that one line, so each of its values
+    is spelled once per x line, not once per node; the bytes are the same.
+    """
     g = data.grid
+    u = data.u
+    bits = u.view(np.int64)  # bits, so that -0.0 and 0.0 stay apart
+    if (bits == bits[:, :1]).all():
+        u = u[:, :1]
     with open(path, "wb") as fh:
         fh.write(b"# surface data: header 'Q H nx ny', then rows 'x y u' (x fastest)\n")
         write_table(fh, (data.Q, data.H, g.nx, g.ny))  # the header
-        write_table(fh, (g.xs()[:, None], g.ys()[None, :], data.u))
+        write_table(fh, (g.xs()[:, None], g.ys()[None, :], u))
 
 
 def load_surface_data(path):

@@ -1,27 +1,32 @@
 """End-to-end verification of the parallel-surface statement.
 
-`evaluate` builds each side of the theorem once from an integrated frame:
-the primary surface F conj(F)^t with its algebraic normal, from one
-`surfaces._surface` pass over F, and the shifted surface, that side
-turned through q (`surfaces._shifted`), so no shifted frame FD is formed.
-Each side is measured once, and the frame's largest |det F - 1| is read
-once, the maximum `integrate_frame` checked, and kept with the pair
-(`Sides.det_drift`).  A side's name is its surface's `kind`, a name from
-`surfaces.SIDES`, and its sign is +1 on the primary side and -1 on the
-shifted one; the sign is all that tells the per-side checks apart: the
-closed form carries it (`closed_form(data, spectral, sign)`), and the
-Lawson partner is taken at the scale sign * s, with
-s = homothety_scale(H, spectral) = H(1/lam - lam)/2, from the Christoffel
-dual on the primary side and from the data itself on the shifted one; the
-primary surface's SpectralParam is the one check on lam.  `_report` walks
-the check table of `report` in registry order: the whole-run rows read the
-data and the pair, and each side's rows read its measured geometry and
-the closed form and Lawson data built once for that side.  `_report`
-takes the tolerance map that `report.resolve_tolerances` validated.
+`_sides` builds, measures and yields each side of the theorem once from an
+integrated frame, one side at a time: first the primary surface
+F conj(F)^t with its algebraic normal, from one `surfaces._surface` pass
+over F, then the shifted surface, that side turned through q
+(`surfaces._shifted`), so no shifted frame FD is formed.  The primary
+surface is let go as soon as the shifted one is built, and `_report`
+drops every grid of a side before it asks for the next, so the verifier
+holds one side's grids at a time; `evaluate` is the same path kept whole,
+for the writers of a run, which read both sides.  A side's name is its
+surface's `kind`, a name from `surfaces.SIDES`, and its sign is +1 on the
+primary side and -1 on the shifted one; the sign is all that tells the
+per-side checks apart: the closed form carries it
+(`closed_form(data, spectral, sign)`), and the Lawson partner is taken at
+the scale sign * s, with s = homothety_scale(H, spectral) = H(1/lam - lam)/2,
+from the Christoffel dual on the primary side and from the data itself on
+the shifted one; the frame's SpectralParam is the one check on lam.
+`_report` walks the check table of `report` in registry order: the
+whole-run rows read the data and the frame (its largest |det F - 1|, the
+maximum `integrate_frame` checked, is taken once per frame), and each
+side's rows read its measured geometry and the closed form and Lawson data
+built once for that side.  `_report` takes the tolerance map that
+`report.resolve_tolerances` validated.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from . import report
@@ -44,25 +49,20 @@ class Side:
     measured: MeasuredData
 
 
-class Sides(tuple):
-    """The (primary, shifted) pair of sides `evaluate` builds, and
-    `det_drift`, the largest |det F - 1| of the frame they come from."""
-
-    def __new__(cls, sides, det_drift: float):
-        self = super().__new__(cls, sides)
-        self.det_drift = det_drift
-        return self
-
-
-def evaluate(frame: ExtendedFrame) -> Sides:
-    """The (primary, shifted) pair of sides, each member built once: the
-    shifted surface is the primary one turned through q."""
+def _sides(frame: ExtendedFrame) -> Iterator[Side]:
+    """The primary side of `frame`, then the shifted side, the primary
+    surface turned through q; the primary surface is let go once the
+    shifted one is built."""
     primary = _surface(frame)
+    yield Side(1, primary, measure(primary))
     shifted = _shifted(primary)
-    return Sides(
-        (Side(1, primary, measure(primary)), Side(-1, shifted, measure(shifted))),
-        frame.max_det_drift,
-    )
+    del primary
+    yield Side(-1, shifted, measure(shifted))
+
+
+def evaluate(frame: ExtendedFrame) -> tuple[Side, Side]:
+    """The (primary, shifted) pair of sides `_sides` builds, kept whole."""
+    return tuple(_sides(frame))
 
 
 def verify_theorem(
@@ -80,7 +80,7 @@ def verify_theorem(
     _require_normalized(data)
     if data.grid != frame.grid:
         raise InvalidInputError("data and frame live on different grids")
-    return _report(data, evaluate(frame), tols)
+    return _report(data, frame, _sides(frame), tols)
 
 
 def _require_normalized(data: SurfaceData) -> None:
@@ -94,23 +94,27 @@ def _require_normalized(data: SurfaceData) -> None:
 
 def _report(
     data: SurfaceData,
-    sides: Sides,
+    frame: ExtendedFrame,
+    sides: Iterable[Side],
     tols: dict[str, float],
 ) -> VerificationReport:
-    """The report on the sides `evaluate` built from one frame, judged
-    against `tols`, the resolved tolerance of every registered check.
+    """The report on the sides of `frame`, judged against `tols`, the
+    resolved tolerance of every registered check.
 
-    It walks the rows of `report` in registry order, so `sides` must be in
-    SIDES order, as `evaluate` builds them; each side's closed form and
-    Lawson data are built once, for that side's rows."""
-    spectral = sides[0].surface.spectral
+    It walks the rows of `report` in registry order, so `sides` must come
+    in SIDES order, as `_sides` yields them; each side's closed form and
+    Lawson data are built once, for that side's rows, and let go with the
+    side before the next one is asked for."""
+    spectral = frame.spectral
     scale = homothety_scale(data.H, spectral)
-    values = [value(data, sides) for _, _, value in report.RUN_CHECKS]
+    values = [value(data, frame) for _, _, value in report.RUN_CHECKS]
     for side in sides:
         closed = closed_form(data, spectral, side.sign)
         partner = dual_data(data) if side.sign == 1 else data
         lawson = lawson_data(partner, side.sign * scale)
         values += (value(side.measured, closed, lawson) for _, _, value in report.SIDE_CHECKS)
+        # the loop names would keep this side alive while the next is built
+        del side, closed, partner, lawson
     records = tuple(
         CheckRecord(name, float(value), tols[name])
         for name, value in zip(registry_names(), values, strict=True)

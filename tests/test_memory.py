@@ -1,8 +1,9 @@
 """Working memory of the numeric layers and of a run: the integrator and an
-evaluation hold little more than what they return, a run lets its frame go
-once it is written, a surface file is read without a list of its lines, and
-containers hold a builder's fresh read-only arrays (a
-loaded frame's included) without copying them."""
+evaluation hold little more than what they return, the verifier holds one
+side's grids at a time, a run lets its frame go once it is written, the
+frame archive is written without a copy, a surface file is read without a
+list of its lines, and containers hold a builder's fresh read-only arrays
+(a loaded frame's included) without copying them."""
 
 import tracemalloc
 
@@ -13,10 +14,22 @@ import cmclab.surfaces
 from cmclab.config import config_from_mapping
 from cmclab.frames import ExtendedFrame, SpectralParam, integrate_frame
 from cmclab.minkowski import surface_and_normal
-from cmclab.pipeline import load_frame, run, save_frame
+from cmclab.pipeline import load_frame, run, save_frame, verify_outputs
 from cmclab.surface_data import GridSpec, _frozen, _locked, load_surface_data, save_surface_data
 from cmclab.surfaces import H3SurfaceGrid
-from cmclab.verify import evaluate
+from cmclab.verify import evaluate, verify_theorem
+
+
+# F of a 201 x 201 frame
+FRAME_201_BYTES = 201 * 201 * 4 * np.dtype(complex).itemsize
+
+
+def readme_config(out_dir):
+    """The README's default run at 201 x 201, writing to `out_dir`."""
+    return config_from_mapping({
+        "family": "delaunay", "H": 0.5, "u0": 0.3, "du0": 0.0, "lambda": 0.5,
+        "nx": 201, "ny": 201, "out_dir": str(out_dir),
+    })
 
 
 def traced(fn, *args):
@@ -47,6 +60,26 @@ def test_evaluation_peaks_near_what_it_keeps(del_frame_201):
     assert kept <= 3.6 * del_frame_201.F.nbytes
 
 
+def test_verifier_holds_one_side_at_a_time(del_data_201, del_frame_201):
+    # both sides' points, normals and measured grids held through the
+    # report peaked at 4.30 x the frame
+    _, peak, _ = traced(verify_theorem, del_data_201, del_frame_201)
+    assert peak <= 3 * del_frame_201.F.nbytes
+
+
+def test_stored_run_is_verified_one_side_at_a_time(tmp_path):
+    # loaded frame and data beside both sides peaked at 5.61 x the frame
+    run(readme_config(tmp_path))
+    _, peak, _ = traced(verify_outputs, tmp_path)
+    assert peak <= 4.3 * FRAME_201_BYTES
+
+
+def test_frame_archive_is_written_without_a_copy(tmp_path, del_frame_201):
+    # np.savez hands each zip entry a copy of the whole array: 1.00 x the frame
+    _, peak, _ = traced(save_frame, tmp_path / "frame.dat", del_frame_201)
+    assert peak <= 0.05 * del_frame_201.F.nbytes
+
+
 def test_shifted_side_holds_the_turned_arrays(del_frame_101, monkeypatch):
     # the turn's fresh arrays go to the container read-only, so it holds
     # them without a copy, as it holds the primary side's
@@ -64,13 +97,9 @@ def test_shifted_side_holds_the_turned_arrays(del_frame_101, monkeypatch):
 
 def test_run_peak_holds_no_spare_frame(tmp_path):
     # F held through every writer, FD through the report, and C-ordered
-    # copies of F for the archive peaked at 7.9 x the frame; 5.9 x here
-    config = config_from_mapping({
-        "family": "delaunay", "H": 0.5, "u0": 0.3, "du0": 0.0, "lambda": 0.5,
-        "nx": 201, "ny": 201, "out_dir": str(tmp_path),
-    })
-    _, peak, _ = traced(run, config)
-    assert peak <= 6.4 * (201 * 201 * 4 * np.dtype(complex).itemsize)
+    # copies of F for the archive peaked at 7.9 x the frame; 5.6 x here
+    _, peak, _ = traced(run, readme_config(tmp_path))
+    assert peak <= 6.4 * FRAME_201_BYTES
 
 
 def test_surface_file_loads_near_its_u(tmp_path, del_data_201):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import sys
 import warnings
@@ -131,6 +132,21 @@ class TestFramePersistence:
         words = [f.F.view(np.int64) for f in (back, frame)]
         assert np.array_equal(*words)
         assert back.grid == frame.grid and back.spectral == frame.spectral
+
+    def test_archive_is_the_one_np_savez_writes(self, tmp_path, del_frame_101):
+        # save_frame writes each member from the array's own buffer; its bytes
+        # are those of np.savez, which hands each zip entry a copy
+        g = del_frame_101.grid
+        expected = io.BytesIO()
+        np.savez(
+            expected,
+            F=del_frame_101.F,
+            lam=del_frame_101.spectral.lam,
+            extents=[g.x_min, g.x_max, g.y_min, g.y_max],
+        )
+        path = tmp_path / "frame.dat"
+        save_frame(path, del_frame_101)
+        assert path.read_bytes() == expected.getvalue()
 
     def test_truncated_file_rejected(self, frame_21):
         whole = frame_21.read_bytes()

@@ -19,7 +19,7 @@ from cmclab.measure import closed_form, hopf_match, mean_match, measure, metric_
 from cmclab.report import default_tolerances
 from cmclab.surface_data import cylinder_data, delaunay_data
 from cmclab.surfaces import SIDES, surface_primary
-from cmclab.verify import Sides, _report, evaluate
+from cmclab.verify import _report, evaluate
 
 from conftest import square_grid
 
@@ -46,12 +46,10 @@ def test_planted_spectral_error_stands_out(build):
 )
 def test_swapped_side_signs_fail_the_hopf_and_mean_matches(build):
     data = build(square_grid(101))
-    primary, shifted = sides = evaluate(integrate_frame(data, SpectralParam(0.5)))
-    swapped = Sides(
-        (replace(primary, sign=shifted.sign), replace(shifted, sign=primary.sign)),
-        sides.det_drift,
-    )
-    report = _report(data, swapped, default_tolerances())
+    frame = integrate_frame(data, SpectralParam(0.5))
+    primary, shifted = evaluate(frame)
+    swapped = (replace(primary, sign=shifted.sign), replace(shifted, sign=primary.sign))
+    report = _report(data, frame, swapped, default_tolerances())
     for name in ("hopf_match", "mean_match"):
         for side in SIDES:
             record = report.record(f"{name}_{side}")

@@ -11,7 +11,7 @@ import pytest
 
 from cmclab import surface_data
 from cmclab.errors import IntegrationBlowupError, InvalidInputError
-from cmclab.reference import delaunay_profile
+from cmclab.reference import delaunay_profile, edge_row
 from cmclab.surface_data import (
     MIN_NODES,
     GridSpec,
@@ -242,6 +242,22 @@ class TestDerivativeSamples:
             assert self.moments(row, -k, range(7)) == [0, 0, 12, 0, 0, 0, Fraction(m6, 15)], k
         assert Fraction(-137, 15) / central_d2[0] == Fraction(137, 2)
 
+    def test_edge_rows_are_the_solved_rows(self):
+        # the typed rows, times 12, are the exact solutions of their moment
+        # conditions; the d1 rows fix their h^4 moment to the central rule's
+        for k in range(2):
+            offsets = range(-k, 6 - k)
+            d1 = edge_row(offsets, 1, last=Fraction(-1, 30))
+            assert [12 * w for w in d1] == list(surface_data._D1_EDGES[k]), k
+            assert [12 * w for w in edge_row(offsets, 2)] == list(surface_data._D2_EDGES[k]), k
+        # the central rows come out of the same solver
+        assert [12 * w for w in edge_row(range(-2, 3), 1)] == [1, -8, 0, 8, -1]
+        assert [12 * w for w in edge_row(range(-2, 3), 2)] == [-1, 16, -30, 16, -1]
+        with pytest.raises(InvalidInputError):
+            edge_row((0, 1, 1), 1)
+        with pytest.raises(InvalidInputError):
+            edge_row((0, 1), 2)
+
     def test_vector_fields_are_differentiated_per_entry(self):
         # the y kernels swap the two grid axes only, never the entry axis
         d = delaunay_data(small_grid(n=9), 0.5, 0.2, 0.1)
@@ -277,6 +293,38 @@ class TestFileRoundTrip:
         back = load_surface_data(path)
         assert back.grid == d.grid
         assert np.array_equal(back.u.view(np.int64), u.view(np.int64))
+
+    @pytest.mark.parametrize("kind", ["delaunay", "cylinder", "custom", "signed-zero"])
+    def test_a_y_constant_u_is_spelled_once_per_x_line(self, tmp_path, monkeypatch, kind):
+        n = 13
+        g = small_grid(n)
+        if kind == "delaunay":
+            d = delaunay_data(g, 0.5, 0.2, 0.1)
+        else:
+            d = cylinder_data(g)
+            u = np.array(d.u)
+            if kind == "custom":
+                u += np.random.default_rng(5).normal(size=u.shape)
+            elif kind == "signed-zero":
+                u[3, 7] = -0.0  # equal to 0.0, but not bitwise
+            d = SurfaceData(g, u, Q=d.Q, H=d.H)
+        seen = []
+        digits = surface_data._digits
+
+        def counted(x):
+            seen.append(x.size)
+            return digits(x)
+
+        monkeypatch.setattr(surface_data, "_digits", counted)
+        save_surface_data(tmp_path / "surface.dat", d)
+        # Q and H, each x and each y once, then u once per x line or per node
+        assert sum(seen) == 2 + 2 * n + (n * n if kind in ("custom", "signed-zero") else n)
+        # the bytes of u spelled at every node
+        fh = io.BytesIO()
+        fh.write(b"# surface data: header 'Q H nx ny', then rows 'x y u' (x fastest)\n")
+        write_table(fh, (d.Q, d.H, n, n))
+        write_table(fh, (g.xs()[:, None], g.ys()[None, :], d.u))
+        assert (tmp_path / "surface.dat").read_bytes() == fh.getvalue()
 
     @pytest.mark.parametrize(
         "rows", [[6], [6, 15, 24], [60]], ids=["one-x", "x-line", "one-y"]

@@ -4,11 +4,14 @@ reference definitions, the frame modules form 2x2 products
 only through the entrywise kernel, 2x2 stacks and 4-vector grids are
 allocated and indexed entries first, tolerance gates refuse NaN, the hyperboloid
 bound is written once, grid tables are spelled only by the whole-array
-text kernel, and each check name is spelled once, in its row."""
+text kernel, each check name is spelled once, in its row, and every
+committed benchmark record says when, how and where it was measured."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import re
 import sys
 from pathlib import Path
 
@@ -531,3 +534,60 @@ def test_check_name_lint_sees_each_form(tmp_path):
         "verify.py:5 hopf_match",
         "verify.py:7 det_drift_max",
     ]
+
+
+# what a benchmark record must carry to be rerun and compared: its date, the
+# command behind its numbers, the host they were measured on, and the order
+# of the paired runs
+BENCH_KEYS = ("date", "command", "machine", "order")
+
+
+def _bench_record_faults(path):
+    """What the benchmark record `path`, named BENCH_<date>_<what>.json,
+    lacks: JSON that parses to an object, a non-empty string under each of
+    BENCH_KEYS, and a date that is the one its name carries."""
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return [f"{path.name}: {exc}"]
+    if not isinstance(record, dict):
+        return [f"{path.name}: not a JSON object"]
+    faults = [
+        f"{path.name}: no {key}"
+        for key in BENCH_KEYS
+        if not (isinstance(record.get(key), str) and record[key])
+    ]
+    named = re.fullmatch(r"BENCH_(\d{4}-\d{2}-\d{2})_.+\.json", path.name)
+    if named is None or record.get("date") != named[1]:
+        faults.append(f"{path.name}: date {record.get('date')!r} is not the one its name carries")
+    return faults
+
+
+def test_benchmark_records_say_when_how_and_where():
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    assert [fault for path in paths for fault in _bench_record_faults(path)] == []
+
+
+def test_benchmark_record_lint_sees_each_form(tmp_path):
+    whole = {"date": "2026-10-20", "command": "run", "machine": "2 cores", "order": "alternating"}
+    records = {
+        "BENCH_2026-10-20_whole.json": json.dumps(whole),
+        "BENCH_2026-10-20_cut.json": json.dumps(whole)[:-1],
+        "BENCH_2026-10-20_list.json": json.dumps([whole]),
+        "BENCH_2026-10-20_bare.json": json.dumps({**whole, "machine": "", "order": None}),
+        "BENCH_2026-10-21_late.json": json.dumps(whole),
+        "BENCH_undated.json": json.dumps(whole),
+    }
+    faults = {}
+    for name, text in records.items():
+        (tmp_path / name).write_text(text)
+        faults[name] = _bench_record_faults(tmp_path / name)
+    assert faults["BENCH_2026-10-20_whole.json"] == []
+    assert len(faults["BENCH_2026-10-20_cut.json"]) == 1
+    assert faults["BENCH_2026-10-20_list.json"] == ["BENCH_2026-10-20_list.json: not a JSON object"]
+    assert faults["BENCH_2026-10-20_bare.json"] == [
+        "BENCH_2026-10-20_bare.json: no machine", "BENCH_2026-10-20_bare.json: no order",
+    ]
+    for name in ("BENCH_2026-10-21_late.json", "BENCH_undated.json"):
+        assert faults[name] == [f"{name}: date '2026-10-20' is not the one its name carries"]
