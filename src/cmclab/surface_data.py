@@ -698,9 +698,9 @@ def write_table(fh, columns, prefix=""):
 def save_surface_data(path, data):
     """Write the plain text tabular format read by `load_surface_data`.
 
-    A u whose y lines are all bitwise equal to the first, as a built-in
-    family's is, goes to the writer as that one line, so each of its values
-    is spelled once per x line, not once per node; the bytes are the same.
+    A u constant along y bit for bit, as a built-in family's is, goes to
+    the writer as its first x line u[:, :1], so each of its nx values is
+    spelled once, not once per node; the bytes are the same.
     """
     g = data.grid
     u = data.u
