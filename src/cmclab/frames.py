@@ -10,13 +10,19 @@ surface_data.gauss_residual.  Integration runs in real coordinates,
 
     F_x = F (U + V),   F_y = F i (U - V),
 
-by classical RK4 along the base row and then up and down each column.
+by a fourth-order Magnus step along the base row and then up and down each
+column: each cell's transition is exp(Omega) from A's samples at the cell's
+two nodes and midpoint (`minkowski.sl2_transition`).  A is traceless, so
+every transition has determinant 1 to round-off, and det F drifts from 1 by
+round-off only; integrate_frame still monitors the drift against
+DET_DRIFT_TOL and never projects F back.  On constant A (the cylinder) a
+transition is exp(hA) itself.
 
-The RK4 transitions are built a block of cells at a time from that block's
+The transitions are built a block of cells at a time from that block's
 node and midpoint samples of u, u_x and u_y.  A block holds at most
-BLOCK_MATRICES matrices (one line, where a line holds more), so each RK4
-stage is one call of mul2 on the block, and no coefficient or
-transition stack of a whole line is formed.  Blocks split only the march
+BLOCK_MATRICES matrices (one line, where a line holds more), so each step
+of the transition kernel is one numpy call on the block, and no coefficient
+or transition stack of a whole line is formed.  Blocks split only the march
 axis and every transition is the same elementwise arithmetic on the same
 numbers, so the bits do not depend on the block size.  The march writes
 each product F[k] T straight into F.
@@ -29,17 +35,15 @@ random values), while a stride-2 view matches; a march on reversed views
 moved F's bits on a 61 x 83 Delaunay run (lam 0.4, u0 0.5).
 
 Frames are stacks of shape (2, 2, nx, ny), entries first
-(`cmclab.minkowski`).  Every 2x2 product goes through minkowski.mul2_into,
-the one product kernel, and every determinant through minkowski.det2:
+(`cmclab.minkowski`).  Every product F[k] T goes through
+minkowski.mul2_into, the one product kernel, every transition through
+minkowski.sl2_transition and every determinant through minkowski.det2:
 whole-array entrywise arithmetic, not one BLAS call per matrix of a stack.
-The RK4 stages call it by way of minkowski.mul2.  Each march step F[k] T
-calls it directly, two whole-entry numpy calls on views of F and of its
-block of transitions, through one scratch the march holds.  The RK4
-stages add the identity on their two diagonal planes in place rather than
-forming eye + c k stacks.  The shift F D forms no product: D is diagonal,
-so shift_frame scales F's two columns.  The frames these functions return
-are handed to ExtendedFrame read-only (`surface_data._frozen`), which
-holds them without a copy.
+Each march step is two whole-entry numpy calls on views of F and of its
+block of transitions, through one scratch the march holds.  The shift F D
+forms no product: D is diagonal, so shift_frame scales F's two columns.
+The frames these functions return are handed to ExtendedFrame read-only
+(`surface_data._frozen`), which holds them without a copy.
 """
 
 from __future__ import annotations
@@ -55,9 +59,8 @@ from .minkowski import (
     DET_DRIFT_TOL,
     det2,
     empty_products,
-    mat2,
-    mul2,
     mul2_into,
+    sl2_transition,
 )
 from .surface_data import (
     GridSpec,
@@ -120,16 +123,6 @@ class ExtendedFrame:
         return float(self.det_drift().max())
 
 
-def _lax_entries(u, u_z, u_zbar, Q, H, lam):
-    """The entries (U00, U01, U10, U11), (V00, V01, V10, V11) of the frame
-    system's U and V, each a scalar or one grid plane; lam is nonzero."""
-    eu = np.exp(u)
-    emu = np.exp(-u)
-    U = (-0.5 * u_z, emu * Q / lam, -0.5 * H * eu, 0.5 * u_z)
-    V = (0.5 * u_zbar, 0.5 * H * eu, -emu * lam * Q, -0.5 * u_zbar)
-    return U, V
-
-
 # cubic-interpolation weights for values at cell midpoints
 _MID_CENTER = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
 _MID_LEFT = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
@@ -148,42 +141,21 @@ def _half_samples(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _plus_identity(s):
-    """s + I, added in place on the two diagonal planes of the stack s.
-
-    The diagonal gets the bits of eye + s, since + commutes bitwise; the
-    off-diagonal entries skip eye's + 0, which could only turn a -0 into +0.
-    """
-    s[0, 0] += 1.0
-    s[1, 1] += 1.0
-    return s
-
-
-def _rk4_cell(A0, Am, A1, h):
-    """RK4 transition matrix for F' = F A across one cell; batched over
-    trailing axes."""
-    k1 = A0
-    k2 = mul2(_plus_identity((0.5 * h) * k1), Am)
-    k3 = mul2(_plus_identity((0.5 * h) * k2), Am)
-    k4 = mul2(_plus_identity(h * k3), A1)
-    return _plus_identity((h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
-
-
 def _transitions(coefficient, nodes, mids, c0, c1, h):
-    """RK4 transitions across cells c0..c1-1 of axis 0 from `coefficient`
+    """Magnus transitions across cells c0..c1-1 of axis 0 from `coefficient`
     at their nodes and midpoints; with h < 0 each carries its cell's far
     node to the near one."""
     A = coefficient(*(a[c0 : c1 + 1] for a in nodes))
     Am = coefficient(*(a[c0:c1] for a in mids))
     near, far = A[:, :, :-1], A[:, :, 1:]
     if h > 0:
-        return _rk4_cell(near, Am, far, h)
-    return _rk4_cell(far, Am, near, h)
+        return sl2_transition(near, Am, far, h)
+    return sl2_transition(far, Am, near, h)
 
 
-# matrices per block of RK4 transitions: enough to amortise numpy's
-# per-call cost, few enough that a block's stages and scratch stay small
-# next to a frame
+# matrices per block of transitions: enough to amortise numpy's
+# per-call cost, few enough that a block's temporaries stay small next to
+# a frame
 BLOCK_MATRICES = 4096
 
 
@@ -213,11 +185,31 @@ def _march(F, coefficient, nodes, mids, h, k0):
 
 
 def _coefficient(data: SurfaceData, lam: float, axis: int, u, ux, uy):
-    """A = U + V along x (axis 0) or i (U - V) along y, entry by entry from
-    the Lax entries at u, u_x, u_y: no U or V stack is formed."""
-    uz, uzb = 0.5 * (ux - 1j * uy), 0.5 * (ux + 1j * uy)
-    U, V = _lax_entries(u, uz, uzb, data.Q, data.H, lam)
-    return mat2(*(a + b if axis == 0 else 1j * (a - b) for a, b in zip(U, V)))
+    """A = U + V along x (axis 0) or i (U - V) along y at samples of u, u_x
+    and u_y, written plane by plane into its real and imaginary parts.
+
+    With r = H e^u / 2, p = e^{-u} Q / lam and s = e^{-u} lam Q, A is
+    [[i u_y/2, p + r], [-(r + s), -i u_y/2]] along x and
+    [[-i u_x/2, i (p - r)], [i (s - r), i u_x/2]] along y.  Every entry is
+    real or imaginary, so no complex arithmetic is done, and each is
+    rounded as the sum of the entries of `reference.lax_matrices` rounds,
+    but for the sign of a zero part.
+    """
+    eu, emu = np.exp(u), np.exp(-u)
+    r = 0.5 * data.H * eu
+    p = emu * data.Q / lam
+    s = emu * lam * data.Q
+    A = np.zeros((2, 2) + u.shape, complex)
+    if axis == 0:
+        A.imag[0, 0] = 0.5 * uy
+        A.real[0, 1] = p + r
+        A.real[1, 0] = -(r + s)
+    else:
+        A.imag[0, 0] = -0.5 * ux
+        A.imag[0, 1] = p - r
+        A.imag[1, 0] = s - r
+    A.imag[1, 1] = -A.imag[0, 0]
+    return A
 
 
 def _sweep(data: SurfaceData, lam: float, first: int) -> np.ndarray:

@@ -16,10 +16,15 @@ routine broadcasts over the trailing grid axes.  A single matrix is a
 `surface_and_normal` forms F conj(F)^t and F diag(1, -1) conj(F)^t as real
 quadratic forms in F's entries.  Every product goes through one kernel,
 `mul2_into`: mul2 calls it once on its whole operands, and the
-integrator's march calls it on views it holds.  The Hermitian matrix model
+integrator's march calls it on views it holds.  Beside it sits the kernel
+for sl(2) transitions, `sl2_transition`: the fourth-order Magnus step
+exp(Omega) of F' = F A for traceless A, formed from three entries of each
+sample of A, with determinant 1 to round-off.  The Hermitian matrix model
 those products live in, and its gate, are reference definitions
 (`cmclab.reference`).
 """
+
+import math
 
 import numpy as np
 
@@ -74,6 +79,74 @@ def mul2_into(A, B, out, scratch):
     """
     np.multiply(A[:, :, None], B[None], out=scratch)
     np.add(scratch[:, 0], scratch[:, 1], out=out)
+
+
+# cosh s and sinh(s)/s as series in z = s^2, sum_k z^k/(2k)! and
+# sum_k z^k/(2k+1)!, highest power first for Horner's rule: eight terms each,
+# whose first dropped terms, (1/4)^8/16! and (1/4)^8/17!, lie below 2^-53
+# wherever |z| <= SERIES_BOUND
+SERIES_BOUND = 0.25
+_COSH = tuple(1.0 / math.factorial(2 * k) for k in range(7, -1, -1))
+_SINHC = tuple(1.0 / math.factorial(2 * k + 1) for k in range(7, -1, -1))
+
+
+def _horner(terms, z):
+    """sum_k terms[-1 - k] z^k by Horner's rule, in one new array."""
+    out = terms[0] * z
+    out += terms[1]
+    for term in terms[2:]:
+        out *= z
+        out += term
+    return out
+
+
+def sl2_transition(A0, Am, A1, h):
+    """The kernel for sl(2) transitions: exp(Omega) for the fourth-order
+    Magnus step of F' = F A across one cell of signed step h, from the
+    stacks of A at the cells' starts, midpoints and ends, each of shape
+    (2, 2, *grid) with at least one grid axis.
+
+    Omega = (h/6)(A0 + 4 Am + A1) + (h^2/12)[A0, A1], the commutator
+    A0 A1 - A1 A0 in this order because F multiplies on the right
+    (Iserles, Munthe-Kaas, Norsett and Zanna 2000, Acta Numerica; Blanes,
+    Casas, Oteo and Ros 2009, Phys. Rep. 470).  A is traceless, so only the
+    entries [0, 0], [0, 1] and [1, 0] are read; Omega is traceless, Omega^2
+    = s^2 I with s^2 = -det Omega, and exp(Omega) = cosh(s) I + (sinh(s)/s)
+    Omega has determinant cosh^2 s - sinh^2 s = 1.  cosh s and sinh(s)/s
+    are a fixed eight-term series in s^2 wherever |s^2| <= SERIES_BOUND, and
+    np.cosh/np.sinh of the principal root elsewhere.  Every step is the same
+    elementwise arithmetic whatever the stacks' grid axes, so a cell's bits
+    do not depend on the batch it is formed in.
+    """
+    # Omega's entries [0, 0], [0, 1] and [1, 0], stacked on one axis: the
+    # first three of a stack's entries in C order
+    grid = A0.shape[2:]
+    e0, em, e1 = (A.reshape((4,) + grid)[:3] for A in (A0, Am, A1))
+    omega = em * 4.0
+    omega += e0
+    omega += e1
+    omega *= h / 6.0
+    (a0, b0, c0), (a1, b1, c1) = e0, e1
+    v = h * h / 12.0
+    omega[0] += v * (b0 * c1 - b1 * c0)
+    omega[1] += (2.0 * v) * (a0 * b1 - b0 * a1)
+    omega[2] += (2.0 * v) * (c0 * a1 - a0 * c1)
+    a, b, c = omega
+    z = a * a
+    z += b * c
+    cosh, sinhc = _horner(_COSH, z), _horner(_SINHC, z)
+    far = np.abs(z) > SERIES_BOUND
+    if far.any():
+        s = np.sqrt(z[far])
+        cosh[far] = np.cosh(s)
+        sinhc[far] = np.sinh(s) / s
+    T = np.empty((2, 2) + grid, omega.dtype)
+    np.multiply(sinhc, b, out=T[0, 1])
+    np.multiply(sinhc, c, out=T[1, 0])
+    np.multiply(sinhc, a, out=T[1, 1])
+    np.add(cosh, T[1, 1], out=T[0, 0])
+    np.subtract(cosh, T[1, 1], out=T[1, 1])
+    return T
 
 
 def mul2(A, B):

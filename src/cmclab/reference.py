@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .frames import ExtendedFrame, SpectralParam, _lax_entries, _sweep, shift_frame
+from .frames import ExtendedFrame, SpectralParam, _sweep, shift_frame
 from .minkowski import H3_TOL, det2, mat2, mink_dot, mul2, surface_and_normal
 from .surface_data import PROFILE_STEP, SurfaceData, _frozen, _integrate_profile, _locked
 from .surface_data import grid_derivatives
@@ -126,8 +126,11 @@ def lax_matrices(u, u_z, u_zbar, Q, H, lam):
     """
     if lam == 0:
         raise InvalidInputError("spectral value must be nonzero")
-    U, V = _lax_entries(u, u_z, u_zbar, Q, H, lam)
-    return mat2(*U), mat2(*V)
+    eu = np.exp(u)
+    emu = np.exp(-u)
+    U = mat2(-0.5 * u_z, emu * Q / lam, -0.5 * H * eu, 0.5 * u_z)
+    V = mat2(0.5 * u_zbar, 0.5 * H * eu, -emu * lam * Q, -0.5 * u_zbar)
+    return U, V
 
 
 def spectral_shift_matrix(lam: float) -> np.ndarray:

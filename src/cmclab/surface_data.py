@@ -15,7 +15,6 @@ loaded from a plain text file (see `load_surface_data`).
 Arrays are indexed [i, j] with i along x and j along y.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -321,11 +320,12 @@ def read_table(path, header_width, width):
     InvalidInputError naming the file and the line; a byte that is not
     UTF-8 reads as a character that no number holds.
 
-    The body is read in one tokenising pass over the open file (numpy's
-    parser), which converts the last column row by row and keeps the other
-    columns as text; `_numbers` converts only the rows of those that do not
-    repeat an earlier spelling, which in a grid table are the first x line
-    and one row per y line.  Both read 17-digit text back bit for bit.
+    The body is read in one tokenising pass over the file (numpy's parser,
+    handed the path and the count of lines above the body), which converts
+    the last column row by row and keeps the other columns as text;
+    `_numbers` converts only the rows of those that do not repeat an
+    earlier spelling, which in a grid table are the first x line and one
+    row per y line.  Both read 17-digit text back bit for bit.
     Whatever the pass cannot take is scanned again line by line by `_scan`:
     a file that is not plain ASCII or holds a NUL byte, a header of the
     wrong length, an empty body or one whose first line is blank, a line
@@ -335,18 +335,18 @@ def read_table(path, header_width, width):
     with open(path, "rb") as fh:
         plain = _plain(fh)
     with open(path, errors="surrogateescape") as fh:
-        for ln in fh:
+        for above, ln in enumerate(fh, 1):
             if ln[0] != "#" and not ln.isspace():
                 break
         else:
             raise InvalidInputError(f"{path}: truncated file, header missing")
         header = ln.split()
         first = next(fh, "")
-        table = None
-        # a body of blank lines only would make np.loadtxt warn "input
-        # contained no data", so one that starts blank goes to _scan
-        if plain and len(header) == header_width and first and not first.isspace():
-            table = _tokenised(itertools.chain([first], fh), width)
+    table = None
+    # a body of blank lines only would make np.loadtxt warn "input
+    # contained no data", so one that starts blank goes to _scan
+    if plain and len(header) == header_width and first and not first.isspace():
+        table = _tokenised(path, above, width)
     if table is None:
         table = _scan(path, header_width, width)
     return header, table
@@ -366,11 +366,15 @@ def _plain(fh):
 _TOKEN_BYTES = 25
 
 
-def _tokenised(lines, width):
-    """The table in `lines` as floats, or None if `_scan` must read it."""
+def _tokenised(path, above, width):
+    """The table below the first `above` lines of the file at `path` as
+    floats, or None if `_scan` must read it.  numpy reads a path in chunks;
+    any other source it iterates line by line."""
     fields = [(f"f{k}", f"S{_TOKEN_BYTES}") for k in range(width - 1)]
     try:
-        body = np.loadtxt(lines, dtype=fields + [("last", float)], comments=None, ndmin=1)
+        body = np.loadtxt(
+            path, dtype=fields + [("last", float)], comments=None, skiprows=above, ndmin=1
+        )
         table = np.empty((len(body), width))
         table[:, -1] = body["last"]
         for k, (name, _) in enumerate(fields):

@@ -1,10 +1,11 @@
-"""Tests for Lax matrices, the cylinder frame oracle, and RK4 integration."""
+"""Tests for Lax matrices, the cylinder frame oracle, and Magnus integration."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
+import cmclab.frames
 from cmclab.errors import (
     IncompatibleDataError,
     IntegrationFailureError,
@@ -13,11 +14,12 @@ from cmclab.errors import (
 from cmclab.frames import (
     ExtendedFrame,
     SpectralParam,
+    _coefficient,
     _sweep,
     integrate_frame,
     shift_frame,
 )
-from cmclab.minkowski import mul2
+from cmclab.minkowski import DET_DRIFT_TOL, mul2
 from cmclab.reference import (
     cylinder_frame_closed_form,
     cylinder_frame_lax_gauge,
@@ -33,6 +35,7 @@ from cmclab.surface_data import (
     delaunay_data,
     max_gauss_residual,
 )
+from cmclab.verify import verify_theorem
 
 
 def square_grid(n):
@@ -90,6 +93,17 @@ class TestLaxMatrices:
     def test_zero_spectral_value(self):
         with pytest.raises(InvalidInputError):
             lax_matrices(0.0, 0.0, 0.0, 0.25, 0.5, 0.0)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_march_coefficient_is_the_lax_sum(self, axis):
+        # the march forms A plane by plane; it must hold the values of U + V
+        # along x and i (U - V) along y from the reference entries
+        rng = np.random.default_rng(12)
+        u, ux, uy = rng.normal(size=(3, 7, 9))
+        data = SurfaceData(square_grid(6), np.zeros((6, 6)), Q=0.25, H=0.5)
+        U, V = lax_matrices(u, 0.5 * (ux - 1j * uy), 0.5 * (ux + 1j * uy), 0.25, 0.5, 0.37)
+        expected = U + V if axis == 0 else 1j * (U - V)
+        np.testing.assert_array_equal(_coefficient(data, 0.37, axis, u, ux, uy), expected)
 
 
 class TestCylinderClosedForm:
@@ -158,18 +172,23 @@ class TestIntegrateFrame:
         assert np.array_equal(cylinder_frame_51.F[:, :, i0, j0], np.eye(2, dtype=complex))
 
     def test_matches_closed_form(self, cylinder_frame_51):
+        # A is constant on the cylinder and each Magnus cell is exp(hA), so
+        # the frame is its closed form to round-off
         g = cylinder_frame_51.grid
         X, Y = g.mesh()
         exact = cylinder_frame_lax_gauge(X + 1j * Y, 0.5)
-        assert np.max(np.abs(cylinder_frame_51.F - exact)) < 5e-9
+        assert np.max(np.abs(cylinder_frame_51.F - exact)) <= 1e-13
 
-    def test_fourth_order_convergence(self, cylinder_frame_51):
-        fine = integrate_frame(cylinder_data(square_grid(101)), SpectralParam(0.5))
-        errs = []
-        for fr in (cylinder_frame_51, fine):
-            X, Y = fr.grid.mesh()
-            exact = cylinder_frame_lax_gauge(X + 1j * Y, 0.5)
-            errs.append(np.max(np.abs(fr.F - exact)))
+    def test_fourth_order_convergence(self):
+        # A does not commute with itself along the base row of Delaunay data,
+        # which the cylinder's exact cells cannot show; each error is taken
+        # against a run refined 4x, on a box whose centre is no symmetry
+        # point of u
+        def frame(n):
+            data = delaunay_data(GridSpec(0.2, 1.4, -0.3, 0.9, n, n), 0.5, 1.0, 0.0)
+            return integrate_frame(data, SpectralParam(0.5)).F
+
+        errs = [np.max(np.abs(frame(n) - frame(4 * n - 3)[:, :, ::4, ::4])) for n in (25, 49)]
         assert 12.0 < errs[0] / errs[1] < 20.0
 
     def test_unimodular(self, cylinder_frame_51):
@@ -199,24 +218,59 @@ class TestIntegrateFrame:
         else:
             integrate_frame(data, SpectralParam(0.5))
 
-    @pytest.mark.parametrize("half_width, drift", [(1.0, 9.42e-9), (1.04, 1.19e-8)])
-    def test_drift_bound_is_1e_8(self, half_width, drift):
-        # a 17 x 17 cylinder drifts 9.42e-9 on [-1, 1]^2 and 1.19e-8 on
-        # [-1.04, 1.04]^2, just either side of the bound
-        w = half_width
-        data = cylinder_data(GridSpec(-w, w, -w, w, 17, 17))
-        if drift < 1e-8:
+    @pytest.mark.parametrize("u0, lam", [(0.3, 0.5), (0.6, 0.05)], ids=["readme", "small-lambda"])
+    def test_drift_reads_round_off(self, u0, lam):
+        # det T = 1 for every Magnus cell, so det F drifts only by round-off
+        data = delaunay_data(square_grid(201), 0.5, u0, 0.0)
+        assert integrate_frame(data, SpectralParam(lam)).max_det_drift <= 1e-13
+
+    def test_wide_cylinder_passes_every_check(self):
+        # h = 0.12 on [-6, 6]^2, where an RK4 march drifted 4.6e-8 and was
+        # refused
+        data = cylinder_data(GridSpec(-6.0, 6.0, -6.0, 6.0, 101, 101))
+        frame = integrate_frame(data, SpectralParam(0.5))
+        assert frame.max_det_drift <= 1e-13
+        report = verify_theorem(data, frame)
+        assert len(report.records) == 18 and report.overall_pass()
+
+    @pytest.mark.parametrize("drift", [0.99e-8, 1.01e-8])
+    def test_drift_bound_is_1e_8(self, monkeypatch, drift):
+        # a determinant planted just either side of the bound at node (4, 11)
+        # of a 17 x 17 cylinder, whose own drift is round-off
+        plant_determinants(monkeypatch, {(4, 11): 1.0 + drift})
+        data = cylinder_data(square_grid(17))
+        if drift < DET_DRIFT_TOL:
             frame = integrate_frame(data, SpectralParam(0.5))
-            assert frame.max_det_drift == pytest.approx(drift, rel=1e-3)
+            assert frame.max_det_drift == pytest.approx(drift, rel=1e-6)
         else:
-            with pytest.raises(IntegrationFailureError, match="drift 1.192e-08 .* exceeds 1e-08"):
+            with pytest.raises(
+                IntegrationFailureError,
+                match=r"drift 1\.010e-08 at grid index \(4, 11\) exceeds 1e-08",
+            ):
                 integrate_frame(data, SpectralParam(0.5))
 
-    def test_det_drift_failure_names_worst_point(self):
-        # compatible data on a coarse grid (h = 0.2) drifts 9.9e-8 at (0, 5)
+    def test_det_drift_failure_names_worst_point(self, monkeypatch):
+        # of three nodes past the bound, the one that drifts most is named
+        dets = {(0, 0): 1.0 + 2e-8, (0, 5): 1.0 - 9e-8, (10, 3): 1.0 + 5e-8}
+        plant_determinants(monkeypatch, dets)
         with pytest.raises(IntegrationFailureError) as err:
             integrate_frame(cylinder_data(square_grid(11)), SpectralParam(0.5))
-        assert "at grid index (0, 5)" in str(err.value)
+        assert "drift 9.000e-08 at grid index (0, 5)" in str(err.value)
+
+
+def plant_determinants(monkeypatch, dets):
+    """Have integrate_frame's sweep scale F at each node (i, j) of `dets` by
+    the root of its entry, so det F there is that value times the integrated
+    one."""
+    sweep = cmclab.frames._sweep
+
+    def planted(data, lam, first):
+        F = sweep(data, lam, first)
+        for (i, j), det in dets.items():
+            F[:, :, i, j] *= np.sqrt(det)
+        return F
+
+    monkeypatch.setattr(cmclab.frames, "_sweep", planted)
 
 
 class TestPathIndependence:
@@ -247,8 +301,8 @@ class TestPathIndependence:
     @pytest.mark.parametrize(
         "data, bits",
         [
-            (lambda g: cylinder_data(g), "0x1.82fd05f129838p-51"),
-            (lambda g: delaunay_data(g, 0.5, 0.3, 0.0), "0x1.305b24474a7bcp-30"),
+            (lambda g: cylinder_data(g), "0x1.1e3779b97f4a8p-52"),
+            (lambda g: delaunay_data(g, 0.5, 0.3, 0.0), "0x1.2c6b4a7943779p-30"),
         ],
         ids=["cylinder", "delaunay"],
     )
@@ -260,31 +314,31 @@ class TestPathIndependence:
 
 
 # sha256 of F in C order, x-first sweep, y-first sweep and the shifted frame
-# FD, recorded while every march step still went through mul2: shapes the
-# golden runs miss, so that no change to how the products are formed moves
-# a bit unseen.  61 x 83 is non-square; 40 x 52 is even on both axes, so the
+# FD, recorded with the Magnus transitions of minkowski.sl2_transition: shapes
+# the golden runs miss, so that no change to how the transitions or products
+# are formed moves a bit unseen.  61 x 83 is non-square; 40 x 52 is even on both axes, so the
 # two halves of each march differ in length; 6 x 6 is MIN_NODES.
 FRAME_BITS = {
     "delaunay-61x83": (
         lambda: delaunay_data(GridSpec(-1.0, 1.0, -1.0, 1.0, 61, 83), 0.5, 0.5, 0.0),
         0.4,
-        "4ce3b0f1e73e8e5e514dd28bb75e1a9b63a3c93ce996134e85e2b8a9905565c7",
-        "8c28760e0a9ba60cace9a3160a81070950ada3771af84d44f312be393f437b52",
-        "77db0a514716081ba0a8ce9699e9386f37592e856bb7e0e90f3f7511fceb5b51",
+        "fd7882c7ce5e178d686ebeb1abfdc2ede1808a886790c7ba4e32087c7a2ec4b1",
+        "34714473ad76856a08287b335e3fbe3493b7e599eb99655a2c2b3bffe16b7ecf",
+        "6c82c32fbbaab8f15716435b7b2b5b4858a9117e94f7781c24706d7b049fca0c",
     ),
     "delaunay-40x52": (
         lambda: delaunay_data(GridSpec(-1.0, 1.0, -1.0, 1.0, 40, 52), 0.5, 0.3, 0.0),
         0.5,
-        "ea361d42d46f2c00df7780fb97024958142efe291c8aa3c53bc997f9d3ed43d5",
-        "aa9b301a8082c6e950f079f613518419be4d887b8db6dccd3db5a2a79825edaa",
-        "6f77af84bc28fbd6f9b74150f4158de6901b8026b61c8436715ca2236e29b4b4",
+        "de78b798ceb5cd2b8bd12bf71dbd28a6d1b2938969d1dfa042853705f8ad5164",
+        "ea3a65b83fffa1cedd168477be514a64be3a7107ce30ebd7806badf07052bf46",
+        "43addca972be034ea1aead4e343ce09f97fda2923e58697403cfc3eb6d5a2f41",
     ),
     "cylinder-6x6": (
         lambda: cylinder_data(GridSpec(-0.1, 0.1, -0.1, 0.1, 6, 6)),
         0.5,
-        "7980cf437ad777c12d6089198c30ab07d99f64e6756c2a597852d3b7080a0973",
-        "e6a1c3a67cce1c3c14a577b6ca7ee730a4475c2eeb4698226d7284e8bac60c49",
-        "0a4f82e533e3a1acb5deb4df0e1bff7c23ee5653e8e389754f3f15c508d69fb8",
+        "0299b10d07757b0326fe25bb97e0a4b3b976e1eb8dd35082c0cb35d562b88419",
+        "1de8cb0e8e7111eb8b2a1cce8eb1cd611a7ac8d4820c7c478d1633286cfc30d9",
+        "0b607f4210ec4907cb1498778b34f7237c3ab91f10a95cd66fe6637bd20eff44",
     ),
 }
 
@@ -303,6 +357,25 @@ def test_frames_keep_their_bits_on_uncommon_grids(name):
     assert frame_digest(frame.F) == x_first
     assert frame_digest(_sweep(data, lam, 1)) == y_first
     assert frame_digest(shift_frame(frame).F) == shifted
+
+
+@pytest.mark.parametrize("block", [1, 1024, 10**9], ids=["one-line", "1024", "whole-march"])
+@pytest.mark.parametrize(
+    "make, lam",
+    [
+        (lambda: delaunay_data(GridSpec(-1.0, 1.0, -1.0, 1.0, 61, 83), 0.5, 0.5, 0.0), 0.4),
+        (lambda: delaunay_data(square_grid(201), 0.5, 0.3, 0.0), 0.5),
+    ],
+    ids=["delaunay-61x83", "readme-201"],
+)
+def test_frame_bits_do_not_depend_on_the_block_size(monkeypatch, make, lam, block):
+    # each cell's transition is the same elementwise arithmetic in any block,
+    # against the default BLOCK_MATRICES of 4096; a whole-march block of the
+    # 201 x 201 grid has planes past numpy's 256 KiB temporary-elision size
+    data = make()
+    default = [frame_digest(_sweep(data, lam, first)) for first in (0, 1)]
+    monkeypatch.setattr(cmclab.frames, "BLOCK_MATRICES", block)
+    assert [frame_digest(_sweep(data, lam, first)) for first in (0, 1)] == default
 
 
 class TestShiftFrame:

@@ -7,12 +7,17 @@ from conftest import plain_sides
 from cmclab import reference
 from cmclab.errors import InternalConsistencyError, InvalidInputError
 from cmclab.minkowski import (
+    _COSH,
+    _SINHC,
+    SERIES_BOUND,
+    _horner,
     det2,
     h3_defect,
     mat2,
     mink_dot,
     mul2,
     require_h3,
+    sl2_transition,
     surface_and_normal,
 )
 from cmclab.reference import conj_transpose, from_hermitian, to_hermitian
@@ -208,6 +213,92 @@ class TestProductKernel:
         F = random_unimodular(rng, 10_000)
         p = from_hermitian(mul2(F, conj_transpose(F)))
         assert np.all(p[3] > 0.0)
+
+
+EPS = np.finfo(float).eps
+
+
+def random_traceless(rng, n, top):
+    """n random traceless matrices, the k-th scaled by a uniform draw in
+    [0, top): a stack of shape (2, 2, n)."""
+    A = random_stack(rng, (n,)) * rng.uniform(0.0, top, n)
+    A[1, 1] = -A[0, 0]
+    return A
+
+
+def exp_taylor(M, terms=60):
+    """exp of each matrix of a stack by its Taylor series, summed with mul2."""
+    out = np.zeros_like(M)
+    out[0, 0] = out[1, 1] = 1.0
+    term = out.copy()
+    for k in range(1, terms):
+        term = mul2(term, M) / k
+        out = out + term
+    return out
+
+
+class TestTransitionKernel:
+    def test_series_meets_the_closed_form_at_the_bound(self):
+        # on |s^2| = SERIES_BOUND the eight-term series are cosh s and
+        # sinh(s)/s to about an ulp, so the branches meet there
+        z = SERIES_BOUND * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 1001))
+        s = np.sqrt(z)
+        for terms, exact in ((_COSH, np.cosh(s)), (_SINHC, np.sinh(s) / s)):
+            assert np.all(np.abs(_horner(terms, z) - exact) <= 4 * EPS * np.abs(exact))
+
+    def test_det_is_one_to_round_off_on_both_sides_of_the_series_bound(self):
+        rng = np.random.default_rng(31)
+        A0, Am, A1 = (random_traceless(rng, 20_000, 1.0) for _ in range(3))
+        T = sl2_transition(A0, Am, A1, 1.0)
+        # s^2 = -det Omega, Omega formed from the same samples with mul2
+        omega = (A0 + 4 * Am + A1) / 6 + (mul2(A0, A1) - mul2(A1, A0)) / 12
+        s = np.sqrt(-det2(omega))
+        # det T = cosh^2 s - sinh^2 s: round-off on the scale of its two terms
+        scale = np.abs(np.cosh(s)) ** 2 + np.abs(np.sinh(s)) ** 2
+        within = np.abs(det2(T) - 1.0) <= 8 * EPS * scale
+        series = np.abs(s * s) <= SERIES_BOUND
+        assert 5_000 < series.sum() < 15_000
+        assert within[series].all() and within[~series].all()
+
+    @pytest.mark.parametrize("h", [0.7, -0.7])
+    def test_constant_coefficient_cell_is_the_exponential(self, h):
+        # the commutator vanishes, so a cell is exp(hA), here against its
+        # Taylor series, on both sides of the series bound
+        rng = np.random.default_rng(32)
+        A = random_traceless(rng, 5_000, 1.5)
+        assert 0 < np.count_nonzero(np.abs(det2(h * A)) > SERIES_BOUND) < 5_000
+        T = sl2_transition(A, A, A, h)
+        exact = exp_taylor(h * A)
+        size = np.abs(exact).max(axis=(0, 1))
+        assert np.all(np.abs(T - exact).max(axis=(0, 1)) <= 16 * EPS * size)
+
+    def test_fourth_order_on_a_coefficient_that_does_not_commute(self):
+        # F' = F A(t) on [0, 1] with [A(s), A(t)] != 0, each march against one
+        # with 4x the cells: the error falls 16x per halving
+        def A(t):
+            return mat2(1j * np.sin(t), 1.0 + 0.5 * t * t, -0.5 * np.exp(t), -1j * np.sin(t))
+
+        def march(n):
+            t = np.linspace(0.0, 1.0, n + 1)
+            nodes, mids = A(t), A(0.5 * (t[:-1] + t[1:]))
+            T = sl2_transition(nodes[:, :, :-1], mids, nodes[:, :, 1:], 1.0 / n)
+            F = np.eye(2, dtype=complex)
+            for k in range(n):
+                F = mul2(F, T[:, :, k])
+            return F
+
+        errs = [np.max(np.abs(march(n) - march(4 * n))) for n in (10, 20, 40)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 15.0 < coarse / fine < 17.0
+
+    def test_reads_only_three_entries(self):
+        # A[1, 1] = -A[0, 0] is implied, never read
+        rng = np.random.default_rng(33)
+        A0, Am, A1 = (random_traceless(rng, 50, 1.0) for _ in range(3))
+        T = sl2_transition(A0, Am, A1, 0.3)
+        for A in (A0, Am, A1):
+            A[1, 1] = np.nan
+        assert same_bits(sl2_transition(A0, Am, A1, 0.3), T)
 
 
 class TestSurfaceAndNormal:

@@ -59,8 +59,7 @@ ALL_FILES = (
 )
 
 
-# h must stay near 0.05 or the RK4 determinant monitor (1e-8, scales as h^4)
-# rejects the frame; 41 points on [-1,1] keeps runs fast and clean
+# 41 points on [-1,1], h = 0.05, keeps runs fast and clean
 N = 41
 
 
@@ -386,12 +385,12 @@ GOLDEN_CONFIG = {
     "ny": 41,
 }
 GOLDEN_SHA256 = {
-    REPORT_MACHINE_FILE: "ae929709661db50ec5611eb8a6865793f1d1a235398a41149b5cb25b4a0e03b5",
-    DIAGNOSTICS_FILE: "a5fe1fbb045e15778a7048f7f68bfa9878dcbe701ba2bf16c3c068f6ac0ef703",
-    MESH_FILES[0]: "537013f834bd4ae96913be1898d613d1124d1894e3c6c5e83c2b7d952aa11990",
-    MESH_FILES[1]: "8a42360575b10bdd1f9881873055f4dcfbcc6f56a1f391d63d9c8bf6033d3a75",
+    REPORT_MACHINE_FILE: "51461cbcfb4aafcce1ceb2f07c848850c1b9b5ef08fbc861b576d6408b073ebf",
+    DIAGNOSTICS_FILE: "5dd05f24633b356be859182221b6fe4535398c87ee29059db47c1d4b79b8ce2b",
+    MESH_FILES[0]: "0d5343a8331b635855525b5c4255b88b36f71169f9158188ef28471a43df9d2b",
+    MESH_FILES[1]: "94fcd85b2b0de945c1efa511e98811d3ad6bf0ea87b4a64dca1301db45bd52c9",
     SURFACE_FILE: "389c13f04942a7813db022d51c45861545bf87a44ef9d166e80acf0c746a40f4",
-    FRAME_FILE: "8f25900c0b4d6cbdac1feaafe06ac3f51c55a5ae358eda8698c65d91d5c5d817",
+    FRAME_FILE: "11acb10f2f144a47003514f82ed0d102aa65d18ff86d63f8fd832f0bfd4c60a5",
 }
 
 
@@ -404,12 +403,12 @@ def test_golden_output_hashes(tmp_path):
 # the README default at 201 x 201: rows long enough for numpy's vectorised
 # loops to take every path the 41 x 41 goldens leave out
 GOLDEN_SHA256_201 = {
-    REPORT_MACHINE_FILE: "94a09c655c377d39af50b9a3d09e2b826e92501518564b12d216c67aecc882c1",
-    DIAGNOSTICS_FILE: "621063e84f9c2dd8bbce3080ee1de7bbc823cac68a217a5be6f832377f69ff0f",
-    MESH_FILES[0]: "b87b09d7a710f35cca231591ddeb11a5b608e07442a4c0003400894044a2c7e7",
-    MESH_FILES[1]: "537520346e446eed90b4d9396c355404fdf02db3aa771aef10566ab91711fc83",
+    REPORT_MACHINE_FILE: "cb22f33c79b63adec302ad3e1fecdfbeab496e4f6824a1277296a58283d5ebc7",
+    DIAGNOSTICS_FILE: "9098a6f18ef3f4e846216834670c6db0335333142ddf771d0af9565ed4bc7662",
+    MESH_FILES[0]: "2580345b0e51aa02ddaea1743d93d060d739865617e76eb0eff76b26f0900103",
+    MESH_FILES[1]: "f2b163d39639a35d6d317984574f336b44d6daaa41b872b7ff62ec2762716cc7",
     SURFACE_FILE: "b4a3ece4a97b7d678ed82d14e50d0afb86da171f62c5ff066d248f2e0ba65b79",
-    FRAME_FILE: "d969e4eaa1f808f4122b9be50d8247a01c3e47b99ea90257b95cf3b12e99c8e6",
+    FRAME_FILE: "24dac3fa0d06b9d47b62b95d061de4237dd370c57c9e8c64eaa9fc5941ff261d",
 }
 
 
@@ -426,15 +425,15 @@ GOLDEN_RUNS = {
     "delaunay-small-lambda": (
         {"family": "delaunay", "H": 0.5, "u0": -0.5, "du0": 0.0, "lambda": 0.1},
         {
-            REPORT_MACHINE_FILE: "02963e6cc94248171a6bcae2db894a110628682c198dd97874fffbfb2bd6d60e",
-            DIAGNOSTICS_FILE: "0130c30725a700357a9763cd36968dde71b4045d53020153f53fcfc287d399af",
+            REPORT_MACHINE_FILE: "9eaaea2c41090b53bcd812439ad7425a7627583d09a0e9af051af3658034e65a",
+            DIAGNOSTICS_FILE: "09a35db980c2c27e578dfdacda272ec870e437bcc5c1f283fce418d7d3e111d7",
         },
     ),
     "cylinder": (
         {"family": "cylinder", "H": 0.5, "lambda": 0.5},
         {
-            REPORT_MACHINE_FILE: "6c03b0006ee7756d8057c73273a382f00b1175c6c43a1a19d0e4c64bda74c279",
-            DIAGNOSTICS_FILE: "a7fdfd8b9d543cb059d004da5d9daaf5770a95376415978f58dac614fce8f8a0",
+            REPORT_MACHINE_FILE: "afbbc394a59a8edb474c85bc620ea899d8f3d1aee78872778ba13d60a18dbe50",
+            DIAGNOSTICS_FILE: "52572e5598b0420772dbe0e911785297a016281122b302a62cb8e6f21c196bfd",
         },
     ),
 }
