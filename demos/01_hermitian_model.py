@@ -13,9 +13,9 @@ it prints what it checks.
 
 import numpy as np
 
-from cmclab import from_hermitian, h3_defect, poincare_ball, to_hermitian
+from cmclab import h3_defect, poincare_ball
 from cmclab.minkowski import mink_dot
-from cmclab.reference import conj_transpose
+from cmclab.reference import conj_transpose, from_hermitian, to_hermitian
 
 
 def inner(X, Y):

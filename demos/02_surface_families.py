@@ -15,11 +15,11 @@ from cmclab import (
     GridSpec,
     cylinder_data,
     delaunay_data,
-    delaunay_profile,
     dual_data,
     gauss_residual,
     max_gauss_residual,
 )
+from cmclab.reference import delaunay_profile
 
 grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 101, 101)
 

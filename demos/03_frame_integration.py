@@ -12,12 +12,10 @@ from cmclab import (
     GridSpec,
     SpectralParam,
     cylinder_data,
-    cylinder_frame_lax_gauge,
     delaunay_data,
     integrate_frame,
-    lax_matrices,
-    two_path_discrepancy,
 )
+from cmclab.reference import cylinder_frame_lax_gauge, lax_matrices, two_path_discrepancy
 
 sp = SpectralParam(0.5)
 print("lambda:", sp.lam, " q = ln lambda:", sp.q)

@@ -21,13 +21,16 @@ from cmclab import (
     GridSpec,
     SpectralParam,
     delaunay_data,
-    distance_grid,
-    equidistance_defect,
     integrate_frame,
     surface_primary,
     surface_shifted,
 )
-from cmclab.reference import frame_shifted_surface, parallel_identity_defect
+from cmclab.reference import (
+    distance_grid,
+    equidistance_defect,
+    frame_shifted_surface,
+    parallel_identity_defect,
+)
 
 sp = SpectralParam(0.5)
 data = delaunay_data(GridSpec(-1, 1, -1, 1, 101, 101), H=0.5, u0=0.3, du0=0.0)

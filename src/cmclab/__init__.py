@@ -6,6 +6,10 @@ system at a spectral value, then pushed to the hyperboloid model through the
 Hermitian matrix representation.  The geometry of the result (metric, Hopf
 differential, mean curvature, parallel-surface distance) is measured by
 finite differences and checked against closed forms.
+
+The package root re-exports the program's public names.  The closed forms
+and other definitions the tests and demos compare against live in
+`cmclab.reference`, which `import cmclab` does not load.
 """
 
 from .errors import (
@@ -57,11 +61,6 @@ from .report import (
 from .verify import verify_theorem
 from .config import RunConfig, load_config
 from .pipeline import poincare_ball, run
-from .reference import (  # the definitions tests compare against
-    cylinder_frame_closed_form, cylinder_frame_lax_gauge, delaunay_profile, distance_grid,
-    equidistance_defect, from_hermitian, hyperbolic_distance, lax_matrices,
-    spectral_shift_matrix, to_hermitian, two_path_discrepancy,
-)
 
 __all__ = [
     "CmcLabError",
@@ -72,14 +71,11 @@ __all__ = [
     "InternalConsistencyError",
     "InvalidInputError",
     "NumericalError",
-    "from_hermitian",
     "h3_defect",
-    "to_hermitian",
     "GridSpec",
     "SurfaceData",
     "cylinder_data",
     "delaunay_data",
-    "delaunay_profile",
     "dual_data",
     "gauss_residual",
     "load_surface_data",
@@ -87,17 +83,9 @@ __all__ = [
     "save_surface_data",
     "ExtendedFrame",
     "SpectralParam",
-    "cylinder_frame_closed_form",
-    "cylinder_frame_lax_gauge",
     "integrate_frame",
-    "lax_matrices",
     "shift_frame",
-    "spectral_shift_matrix",
-    "two_path_discrepancy",
     "H3SurfaceGrid",
-    "distance_grid",
-    "equidistance_defect",
-    "hyperbolic_distance",
     "normal_field",
     "surface_primary",
     "surface_shifted",

@@ -268,10 +268,13 @@ def shift_frame(frame: ExtendedFrame) -> ExtendedFrame:
 
     D is diagonal, so F D is F with column 0 (F[:, 0]) scaled by lam^{-1/2}
     and column 1 by lam^{1/2}: one entrywise multiply, F the left operand
-    as in minkowski.mul2_into.  It equals mul2(F, D) in value, and in bits but
-    for the sign of a zero part.  det D = 1, so unimodularity is
-    preserved; the value at the grid center becomes D instead of the
-    identity.
+    as in minkowski.mul2_into.  It equals reference.mul2(F, D) in value, and
+    in bits but for the sign of a zero part.  det D = 1, so unimodularity
+    is preserved; the value at the grid center becomes D instead of the
+    identity.  No program path calls it: the shifted side is the primary
+    one turned through q (`surfaces`).  The reference route through FD
+    (`reference.frame_shifted_surface`) and the benchmark's `frames.shift`
+    span, which looks it up by name, do.
     """
     sq = math.sqrt(frame.lam)
     d = np.array([1.0 / sq, sq], dtype=complex)

@@ -29,6 +29,10 @@ from .surface_data import GridSpec, SurfaceData, _frozen, _locked, grid_derivati
 from .surface_data import grid_second_derivatives
 from .surfaces import H3SurfaceGrid
 
+# how far above the round-off floor eps max|f| / min(hx, hy) the square root
+# of the measured metric must lie; see `measure`
+METRIC_FLOOR_FACTOR = 16.0 / 5e-3
+
 
 @dataclass(frozen=True, eq=False)
 class MeasuredData:
@@ -83,8 +87,22 @@ def measure(surface: H3SurfaceGrid) -> MeasuredData:
     Uses f_zz = (f_xx - f_yy - 2i f_xy)/4 and f_zzbar = (f_xx + f_yy)/4,
     then Qm = <f_zz, N> and Hm = 2 <f_zzbar, N> / E (formed from <f_xx, N>,
     <f_yy, N> and <f_xy, N>) with the conformal factor read off from the
-    measured E.  An E that is not positive at some node raises NumericalError
-    before Qm and Hm are formed.
+    measured E.
+
+    E must be resolved above round-off at every node, or NumericalError is
+    raised before Qm and Hm are formed.  Each coordinate of f carries a
+    rounding of up to eps max|f|, and the widest first-derivative row, the
+    one-sided (-27, 58, -56, 36, -13, 2)/12 at a grid edge, carries it into
+    f_x and f_y magnified by sum|w|/12 = 16 over the step.  So a derivative
+    of length sqrt(E) is known to 16 eps max|f| / h, and to the 5e-3
+    default tolerance of the side checks only where sqrt(E) exceeds
+    K = 16 / 5e-3 = 3.2e3 (METRIC_FLOOR_FACTOR) times the floor
+    eps max|f| / min(hx, hy).  Near lam = 1 the surface shrinks toward a
+    point, E with it, and the checks that divide by E would read round-off:
+    on the 21 x 21 cylinder sqrt(min E) is 22 floors at lam = 1 - 1e-13,
+    225 at 1 - 1e-12 and 2.25e4 at 1 - 1e-10; over lam in [0.05, 0.95] it is
+    at least 3e11 on cylinder and Delaunay data (u0 in [-0.6, 0.6]) at
+    201 x 201 and 401 x 401.
     """
     g = surface.grid
     f, N = surface.points, surface.normal
@@ -103,12 +121,16 @@ def measure(surface: H3SurfaceGrid) -> MeasuredData:
         fyy_n = _add_term(fyy_n, c, fyy * N[c])
         fxy_n = _add_term(fxy_n, c, fxy * N[c])
         del fxx, fyy, fxy
-    # Hm and the conformality and isothermic defects divide by E; an E that
-    # is not positive (or NaN) would make those checks a quiet pass
-    if not np.all(E > 0.0):
+    # Hm and the conformality and isothermic defects divide by E; an E at
+    # or below round-off (or NaN) would make those checks read noise.  On
+    # the hyperboloid x0^2 = 1 + x1^2 + x2^2 + x3^2, so max|f| is max x0
+    floor = METRIC_FLOOR_FACTOR * np.finfo(float).eps * float(f[3].max()) / min(hx, hy)
+    if not np.all(E > floor * floor):
         i, j = np.unravel_index(np.argmin(E), E.shape)
         raise NumericalError(
-            f"measured metric E = {E[i, j]:.3g} is not positive at grid node ({i}, {j})"
+            f"measured metric E = {E[i, j]:.3g} at grid node ({i}, {j}) is not above "
+            f"{floor * floor:.3g}, the square of {METRIC_FLOOR_FACTOR:g} times the "
+            "round-off floor eps max|f| / min(hx, hy)"
         )
     Qm = 0.25 * (fxx_n - fyy_n - 2.0j * fxy_n)
     Hm = 0.5 * (fxx_n + fyy_n) / E

@@ -12,15 +12,16 @@ coordinate p[c] is one contiguous plane over the grid axes, and every
 routine broadcasts over the trailing grid axes.  A single matrix is a
 (2, 2) array and a single point a (4,) one.
 
-`mul2` and `det2` multiply 2x2 stacks and take their determinants, and
-`surface_and_normal` forms F conj(F)^t and F diag(1, -1) conj(F)^t as real
-quadratic forms in F's entries.  Every product goes through one kernel,
-`mul2_into`: mul2 calls it once on its whole operands, and the
-integrator's march calls it on views it holds.  Beside it sits the kernel
-for sl(2) transitions, `sl2_transition`: the fourth-order Magnus step
-exp(Omega) of F' = F A for traceless A, formed from three entries of each
-sample of A, with determinant 1 to round-off.  The Hermitian matrix model
-those products live in, and its gate, are reference definitions
+This module holds the kernels that program paths run.  Every 2x2 product
+goes through one kernel, `mul2_into`, which the integrator's march calls
+on views it holds; `det2` takes determinants, and `surface_and_normal`
+forms F conj(F)^t and F diag(1, -1) conj(F)^t as real quadratic forms in
+F's entries.  Beside them sits the kernel for sl(2) transitions,
+`sl2_transition`: the fourth-order Magnus step exp(Omega) of F' = F A for
+traceless A, formed from three entries of each sample of A, with
+determinant 1 to round-off.  The Hermitian matrix model those products
+live in, its gate, and the whole-operand product `mul2` and assembler
+`mat2` that only oracles and tests call are reference definitions
 (`cmclab.reference`).
 """
 
@@ -35,18 +36,6 @@ from .errors import InternalConsistencyError, InvalidInputError
 # hyperboloid points
 DET_DRIFT_TOL = 1e-8
 H3_TOL = DET_DRIFT_TOL * (2.0 + DET_DRIFT_TOL)
-
-
-def mat2(a, b, c, d):
-    """Assemble [[a, b], [c, d]] as a complex array of shape (2, 2) plus the
-    shape the entries broadcast to."""
-    a, b, c, d = np.broadcast_arrays(a, b, c, d)
-    out = np.empty((2, 2) + a.shape, complex)
-    out[0, 0] = a
-    out[0, 1] = b
-    out[1, 0] = c
-    out[1, 1] = d
-    return out
 
 
 def empty_products(out):
@@ -147,24 +136,6 @@ def sl2_transition(A0, Am, A1, h):
     np.add(cosh, T[1, 1], out=T[0, 0])
     np.subtract(cosh, T[1, 1], out=T[1, 1])
     return T
-
-
-def mul2(A, B):
-    """Product of 2x2 matrices on the two leading axes, formed entry by entry.
-
-    Each entry is A[i, 0] B[0, j] + A[i, 1] B[1, j], one `mul2_into` call
-    on the whole operands, so a stack costs two whole-array numpy calls
-    instead of one BLAS call per matrix.  The grid axes broadcast, aligned
-    from the right: the operand with fewer of them gains unit axes after its
-    entry axes, so a single 2x2 multiplies a whole stack.  The bits do not
-    depend on memory layout.
-    """
-    A, B = np.asarray(A), np.asarray(B)
-    n = max(A.ndim, B.ndim)
-    A, B = (M.reshape(M.shape[:2] + (1,) * (n - M.ndim) + M.shape[2:]) for M in (A, B))
-    out = np.empty(np.broadcast_shapes(A.shape, B.shape), np.result_type(A, B))
-    mul2_into(A, B, out, empty_products(out))
-    return out
 
 
 def det2(A):

@@ -1,13 +1,17 @@
 """Reference definitions the theorem's tests and demos compare against.
 
-What no program path runs lives here: the Hermitian model of R^{3,1} and
-its gate, the cylinder frame's closed forms, the Lax pair and the spectral
-shift D as matrices, the two-path discrepancy, a constant gauge on a frame,
-the normal rebuilt from the surface alone, the Delaunay profile's energy
-and the exact weights of a one-sided difference row.
+What no program path runs lives here: the assembler `mat2` and the
+whole-operand product `mul2` of 2x2 stacks, the Hermitian model of R^{3,1}
+and its gate, the cylinder frame's closed forms, the Lax pair and the
+spectral shift D as matrices, the two-path discrepancy, a constant gauge on
+a frame, the normal rebuilt from the surface alone, the distance between
+the two sides, the Delaunay profile's energy and the exact weights of a
+one-sided difference row.
 Each restates, independently, something the core computes; planted defects
-and other oracles belong here too.  No core module imports this one, which
-may import core names, private ones included, and does no work at import
+and other oracles belong here too.  No module of the program imports this
+one, the package root included, so `import cmclab` loads neither it nor
+`fractions`; tests and demos import it as `cmclab.reference`.  It may
+import core names, private ones included, and does no work at import
 time.  Matrices and 4-vectors come entries first, as in `cmclab.minkowski`.
 """
 
@@ -21,13 +25,44 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .frames import ExtendedFrame, SpectralParam, _sweep, shift_frame
-from .minkowski import H3_TOL, det2, mat2, mink_dot, mul2, surface_and_normal
+from .minkowski import H3_TOL, det2, empty_products, mink_dot, mul2_into
+from .minkowski import surface_and_normal
 from .surface_data import PROFILE_STEP, SurfaceData, _frozen, _integrate_profile, _locked
 from .surface_data import grid_derivatives
 from .surfaces import SIDES, H3SurfaceGrid
 
 # Hermiticity slack: the round-off of a computed matrix, not a logic error
 HERMITIAN_RTOL = 1e-9
+
+
+def mat2(a, b, c, d):
+    """Assemble [[a, b], [c, d]] as a complex array of shape (2, 2) plus the
+    shape the entries broadcast to."""
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+    out = np.empty((2, 2) + a.shape, complex)
+    out[0, 0] = a
+    out[0, 1] = b
+    out[1, 0] = c
+    out[1, 1] = d
+    return out
+
+
+def mul2(A, B):
+    """Product of 2x2 matrices on the two leading axes, formed entry by entry.
+
+    Each entry is A[i, 0] B[0, j] + A[i, 1] B[1, j], one
+    `minkowski.mul2_into` call on the whole operands, so a stack costs two
+    whole-array numpy calls instead of one BLAS call per matrix.  The grid
+    axes broadcast, aligned from the right: the operand with fewer of them
+    gains unit axes after its entry axes, so a single 2x2 multiplies a
+    whole stack.  The bits do not depend on memory layout.
+    """
+    A, B = np.asarray(A), np.asarray(B)
+    n = max(A.ndim, B.ndim)
+    A, B = (M.reshape(M.shape[:2] + (1,) * (n - M.ndim) + M.shape[2:]) for M in (A, B))
+    out = np.empty(np.broadcast_shapes(A.shape, B.shape), np.result_type(A, B))
+    mul2_into(A, B, out, empty_products(out))
+    return out
 
 
 def conj_transpose(M):

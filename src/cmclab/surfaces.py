@@ -10,13 +10,15 @@ D diag(1, -1) conj(D)^t = cosh(q) diag(1, -1) - sinh(q) I, so for every
     cosh(q) f - sinh(q) N   and   cosh(q) N - sinh(q) f,
 
 the primary side's points and normal turned through q: the shifted
-surface lies at geodesic distance -q along the normal.  `_surface` builds
-the primary side from one pass of `minkowski.surface_and_normal` over F's
-entries, each of shape (4, nx, ny), and `_shifted` turns it; so the
-shifted side forms no frame FD and no second pass.  The route through FD
-and the identities that hold for any F are reference definitions
-(`cmclab.reference`).  SIDES names the two sides, primary first; it is
-the set of `kind`s an H3SurfaceGrid accepts.
+surface lies at geodesic distance -q along the normal.  `surface_primary`
+builds the primary side from one pass of `minkowski.surface_and_normal`
+over F's entries, each of shape (4, nx, ny), and `_shifted` turns it; so
+the shifted side forms no frame FD and no second pass.  The verifier and
+`cmclab export` call those two.  `surface_shifted` and `normal_field`
+serve no program path; the benchmark's spans look them up by name.  The
+route through FD and the identities that hold for any F are reference
+definitions (`cmclab.reference`).  SIDES names the two sides, primary
+first; it is the set of `kind`s an H3SurfaceGrid accepts.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def _turn(f, N, lam):
     return points, normal
 
 
-def _surface(frame: ExtendedFrame) -> H3SurfaceGrid:
+def surface_primary(frame: ExtendedFrame) -> H3SurfaceGrid:
     """The primary surface F conj(F)^t of `frame`, with its normal."""
     return H3SurfaceGrid(frame.grid, *surface_and_normal(frame.F), frame.spectral, SIDES[0])
 
@@ -86,17 +88,12 @@ def _shifted(primary: H3SurfaceGrid) -> H3SurfaceGrid:
     return H3SurfaceGrid(primary.grid, *turned, primary.spectral, SIDES[1])
 
 
-def surface_primary(frame: ExtendedFrame) -> H3SurfaceGrid:
-    """The surface F conj(F)^t, with its normal."""
-    return _surface(frame)
-
-
 def surface_shifted(frame: ExtendedFrame) -> H3SurfaceGrid:
     """The parallel surface (FD) conj(FD)^t, with its normal, as the primary
     surface turned through q."""
-    return _shifted(_surface(frame))
+    return _shifted(surface_primary(frame))
 
 
 def normal_field(frame: ExtendedFrame) -> np.ndarray:
     """Unit normal N = F diag(1, -1) conj(F)^t of the frame's surface."""
-    return _surface(frame).normal
+    return surface_primary(frame).normal

@@ -2,9 +2,10 @@
 
 `_sides` builds, measures and yields each side of the theorem once from an
 integrated frame, one side at a time: first the primary surface
-F conj(F)^t with its algebraic normal, from one `surfaces._surface` pass
-over F, then the shifted surface, that side turned through q
-(`surfaces._shifted`), so no shifted frame FD is formed.  The primary
+F conj(F)^t with its algebraic normal, from one
+`surfaces.surface_primary` pass over F, then the shifted surface, that
+side turned through q (`surfaces._shifted`), so no shifted frame FD is
+formed.  The primary
 surface is let go as soon as the shifted one is built, and `_report`
 drops every grid of a side before it asks for the next, so the verifier
 holds one side's grids at a time; `evaluate` is the same path kept whole,
@@ -35,7 +36,7 @@ from .frames import ExtendedFrame
 from .measure import MeasuredData, closed_form, homothety_scale, lawson_data, measure
 from .report import CheckRecord, VerificationReport, registry_names, resolve_tolerances
 from .surface_data import SurfaceData, dual_data
-from .surfaces import H3SurfaceGrid, _shifted, _surface
+from .surfaces import H3SurfaceGrid, _shifted, surface_primary
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +54,7 @@ def _sides(frame: ExtendedFrame) -> Iterator[Side]:
     """The primary side of `frame`, then the shifted side, the primary
     surface turned through q; the primary surface is let go once the
     shifted one is built."""
-    primary = _surface(frame)
+    primary = surface_primary(frame)
     yield Side(1, primary, measure(primary))
     shifted = _shifted(primary)
     del primary

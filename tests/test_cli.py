@@ -461,6 +461,21 @@ def test_vanishing_metric_near_lambda_one_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam", [1.0 - 1e-13, 1.0 - 1e-12])
+def test_unresolved_metric_near_lambda_one_exits_3(tmp_path, capsys, lam):
+    # here E is positive, but the smallest sqrt(E) is only 22 and 225 times
+    # its round-off floor, and the checks over E would read noise (12 and 6
+    # FAILs): the run is refused as numerical before out_dir is made
+    out = tmp_path / "run"
+    keys = {"lambda": lam, "nx": 21, "ny": 21, "out_dir": str(out)}
+    cfg = write_config(tmp_path / "cfg.json", **keys)
+    assert main(["generate", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical: measured metric E = ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_non_normalized_custom_file_exits_2(tmp_path, capsys):
     g = GridSpec(-1, 1, -1, 1, 9, 9)
     src = tmp_path / "custom.dat"

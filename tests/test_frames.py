@@ -19,12 +19,13 @@ from cmclab.frames import (
     integrate_frame,
     shift_frame,
 )
-from cmclab.minkowski import DET_DRIFT_TOL, mul2
+from cmclab.minkowski import DET_DRIFT_TOL
 from cmclab.reference import (
     cylinder_frame_closed_form,
     cylinder_frame_lax_gauge,
     frame_left_multiply,
     lax_matrices,
+    mul2,
     spectral_shift_matrix,
     two_path_discrepancy,
 )

@@ -9,11 +9,11 @@ import pytest
 from conftest import plain_sides
 
 from cmclab.frames import ExtendedFrame, SpectralParam
-from cmclab.minkowski import det2, mat2, mul2
+from cmclab.minkowski import det2
 from cmclab.pipeline import load_frame, save_frame
-from cmclab.reference import conj_transpose, from_hermitian, to_hermitian
+from cmclab.reference import conj_transpose, from_hermitian, mat2, mul2, to_hermitian
 from cmclab.surface_data import GridSpec
-from cmclab.surfaces import H3SurfaceGrid, _surface, normal_field
+from cmclab.surfaces import H3SurfaceGrid, normal_field, surface_primary
 from cmclab.verify import evaluate
 
 # long rows, so numpy's vectorised loops run on every layout
@@ -104,7 +104,7 @@ def test_sides_have_the_bits_of_the_real_formula(del_frame_201):
     # shifted side those of the plain turn of it through q
     points, vectors = plain_sides(del_frame_201.F)
     primary, shifted = evaluate(del_frame_201)
-    for surface in (_surface(del_frame_201), primary.surface):
+    for surface in (surface_primary(del_frame_201), primary.surface):
         assert same_bits(surface.points, points) and same_bits(surface.normal, vectors)
     assert same_bits(normal_field(del_frame_201), vectors)
     lam = del_frame_201.lam

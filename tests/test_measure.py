@@ -350,7 +350,7 @@ class TestMeasureValidation:
         pts = np.stack([np.sinh(v), np.zeros_like(v), np.zeros_like(v), np.cosh(v)])
         n = np.broadcast_to(np.array([0.0, 0.0, 1.0, 0.0])[:, None, None], (4, 9, 9))
         s = H3SurfaceGrid(g, pts, n, SpectralParam(0.5), "primary")
-        with pytest.raises(NumericalError, match=r"E = 0 is not positive at grid node \(4, 0\)"):
+        with pytest.raises(NumericalError, match=r"E = 0 at grid node \(4, 0\) is not above"):
             measure(s)
 
 

@@ -13,14 +13,12 @@ from cmclab.minkowski import (
     _horner,
     det2,
     h3_defect,
-    mat2,
     mink_dot,
-    mul2,
     require_h3,
     sl2_transition,
     surface_and_normal,
 )
-from cmclab.reference import conj_transpose, from_hermitian, to_hermitian
+from cmclab.reference import conj_transpose, from_hermitian, mat2, mul2, to_hermitian
 
 IDENTITY = np.eye(2, dtype=complex)
 DIAG_1_M1 = np.diag([1.0, -1.0]).astype(complex)

@@ -20,7 +20,6 @@ from cmclab.minkowski import (
     det2,
     h3_defect,
     mink_dot,
-    mul2,
     surface_and_normal,
 )
 from cmclab.reference import (
@@ -30,6 +29,7 @@ from cmclab.reference import (
     frame_left_multiply,
     frame_shifted_surface,
     hyperbolic_distance,
+    mul2,
     normal_orthogonality_defect,
     normal_unit_defect,
     parallel_identity_defect,

@@ -1,17 +1,20 @@
 """The benchmark's tracing targets and the package's exports still name its code,
 no module imports a name it never uses, no core module imports the
-reference definitions, the frame modules form 2x2 products
-only through the entrywise kernel, 2x2 stacks and 4-vector grids are
-allocated and indexed entries first, tolerance gates refuse NaN, the hyperboloid
-bound is written once, grid tables are spelled only by the whole-array
-text kernel, each check name is spelled once, in its row, and every
-committed benchmark record says when, how and where it was measured."""
+reference definitions and `import cmclab` does not load them, the frame
+modules form 2x2 products only through the entrywise kernel, 2x2 stacks
+and 4-vector grids are allocated and indexed entries first, tolerance
+gates refuse NaN, the hyperboloid bound is written once, grid tables are
+spelled only by the whole-array text kernel, each check name is spelled
+once, in its row, and every committed benchmark record says when, how and
+where it was measured."""
 
 import ast
 import importlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,11 +23,10 @@ from cmclab.surfaces import SIDES
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
-# the modules of the program; reference.py restates them for the tests
+# the modules of the program, the package root included; reference.py
+# restates them for the tests
 CORE = sorted(
-    path
-    for path in (ROOT / "src" / "cmclab").rglob("*.py")
-    if path.name not in ("__init__.py", "reference.py")
+    path for path in (ROOT / "src" / "cmclab").rglob("*.py") if path.name != "reference.py"
 )
 
 
@@ -48,6 +50,28 @@ def test_package_exports_resolve_once():
     cmclab = importlib.import_module("cmclab")
     assert len(cmclab.__all__) == len(set(cmclab.__all__))
     assert [name for name in cmclab.__all__ if not hasattr(cmclab, name)] == []
+
+
+def test_import_loads_no_reference_definitions():
+    # a fresh interpreter, since this one has imported the oracles for
+    # other tests: `import cmclab` loads the program only, neither the
+    # reference definitions nor the `fractions` module they use, and every
+    # name the root exports resolves without them
+    code = (
+        "import json, sys, cmclab\n"
+        "print(json.dumps({\n"
+        "    'loaded': [m for m in ('cmclab.reference', 'fractions') if m in sys.modules],\n"
+        "    'missing': [n for n in cmclab.__all__ if not hasattr(cmclab, n)],\n"
+        "}))\n"
+    )
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"loaded": [], "missing": []}
 
 
 def _unused_imports(path):
@@ -171,9 +195,9 @@ def _products_outside_mul2(path):
 
 def test_frame_products_use_the_entrywise_kernel():
     # np.matmul and np.linalg.det make one BLAS/LAPACK call per 2x2 matrix of
-    # a stack; minkowski.mul2 and det2 form every entry in whole-array steps.
-    # An entry formed by hand with np.multiply and np.add is a second kernel
-    # whose operand order, and so whose bits, mul2 no longer fixes
+    # a stack; minkowski.mul2_into and det2 form every entry in whole-array
+    # steps.  An entry formed by hand with np.multiply and np.add is a second
+    # kernel whose operand order, and so whose bits, mul2_into no longer fixes
     files = [ROOT / "src" / "cmclab" / name for name in ("frames.py", "surfaces.py")]
     assert [entry for path in files for entry in _products_outside_mul2(path)] == []
 
