@@ -15,11 +15,10 @@ from cmclab import (
     GridSpec,
     cylinder_data,
     delaunay_data,
-    dual_data,
     gauss_residual,
     max_gauss_residual,
 )
-from cmclab.reference import delaunay_profile
+from cmclab.reference import delaunay_profile, dual_data
 
 grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 101, 101)
 

@@ -8,8 +8,9 @@ differential, mean curvature, parallel-surface distance) is measured by
 finite differences and checked against closed forms.
 
 The package root re-exports the program's public names.  The closed forms
-and other definitions the tests and demos compare against live in
-`cmclab.reference`, which `import cmclab` does not load.
+and other definitions the tests and demos compare against, the Christoffel
+dual and the Lawson partner's data among them, live in `cmclab.reference`,
+which `import cmclab` does not load.
 """
 
 from .errors import (
@@ -28,7 +29,6 @@ from .surface_data import (
     SurfaceData,
     cylinder_data,
     delaunay_data,
-    dual_data,
     gauss_residual,
     load_surface_data,
     max_gauss_residual,
@@ -46,7 +46,6 @@ from .measure import (
     MeasuredData,
     closed_form,
     homothety_scale,
-    lawson_data,
     measure,
 )
 from .report import (
@@ -76,7 +75,6 @@ __all__ = [
     "SurfaceData",
     "cylinder_data",
     "delaunay_data",
-    "dual_data",
     "gauss_residual",
     "load_surface_data",
     "max_gauss_residual",
@@ -93,7 +91,6 @@ __all__ = [
     "MeasuredData",
     "closed_form",
     "homothety_scale",
-    "lawson_data",
     "measure",
     "CheckRecord",
     "VerificationReport",

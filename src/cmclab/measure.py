@@ -15,6 +15,13 @@ in `mink_dot`'s order, ((t0 + t1) + t2) - t3, before it moves to the next
 plane.  So it holds the derivatives of one plane at a time, never a
 derivative grid of all four coordinates, and its results keep
 `mink_dot`'s bits.
+
+Each reducer takes one fact of a measured side against its closed form:
+the signed matches of E, Qm and Hm and the two defects of the metric.
+The spread of Qm and Hm needs no reducer of its own, since a match bounds
+it (std |Qm| <= max |Qm - hopf|, std Hm <= max |Hm - mean|).  The Lawson
+partner's data and the gap between two closed forms are oracles in
+`cmclab.reference`.
 """
 
 from __future__ import annotations
@@ -169,30 +176,6 @@ def homothety_scale(H: float, spectral: SpectralParam) -> float:
     return 0.5 * H * (1.0 / lam - lam)
 
 
-def lawson_data(data: SurfaceData, s: float) -> ClosedFormData:
-    """Lawson-partner data of the surface `data` describes, scaled by a
-    homothety s: metric factor s^2 e^{2u}, Hopf value sQ, mean curvature
-    sqrt((H/s)^2 + 1).  Pass `dual_data(data)` for the partner built from
-    the Christoffel dual."""
-    if s == 0:
-        raise InvalidInputError("homothety scale must be nonzero")
-    return ClosedFormData(
-        metric_factor=_frozen(s**2 * np.exp(2.0 * data.u)),
-        hopf=s * data.Q,
-        mean=float(np.sqrt((data.H / s) ** 2 + 1.0)),
-    )
-
-
-def closed_form_max_diff(a: ClosedFormData, b: ClosedFormData) -> float:
-    """Largest absolute difference between two closed-form data sets,
-    comparing Hopf and mean curvature by modulus."""
-    return max(
-        float(np.max(np.abs(a.metric_factor - b.metric_factor))),
-        abs(abs(a.hopf) - abs(b.hopf)),
-        abs(abs(a.mean) - abs(b.mean)),
-    )
-
-
 def metric_match(measured: MeasuredData, closed: ClosedFormData) -> float:
     """Max relative deviation of measured E from the closed-form factor."""
     mf = closed.metric_factor
@@ -220,13 +203,3 @@ def conformality_defect(measured: MeasuredData) -> float:
 def isothermic_defect(measured: MeasuredData) -> float:
     """Max |E - G| / E."""
     return float(np.max(np.abs(measured.E - measured.G) / measured.E))
-
-
-def mean_constancy(measured: MeasuredData) -> float:
-    """Standard deviation of Hm."""
-    return float(np.std(measured.Hm))
-
-
-def hopf_constancy(measured: MeasuredData) -> float:
-    """Standard deviation of |Qm|."""
-    return float(np.std(np.abs(measured.Qm)))

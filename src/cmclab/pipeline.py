@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import ConfigError, InvalidInputError
 from .config import RunConfig
 from .frames import ExtendedFrame, SpectralParam, integrate_frame
 from .minkowski import require_h3
@@ -277,31 +277,35 @@ def load_outputs(in_dir):
     return load_surface_data(paths[0]), load_frame(paths[1])
 
 
-def _stored_report(in_dir) -> tuple[str, VerificationReport]:
-    """The text of a run directory's `report.kv` and the report it holds.
+def _stored_report(in_dir) -> tuple[Path, str, VerificationReport]:
+    """The path of a run directory's `report.kv`, its text and the report
+    it holds.
 
     The one reader of a stored `report.kv`: a file that is missing, is not
-    UTF-8, does not parse or lacks a registered check is refused, an
-    encoding error and a missing check with the file's path.  Its
-    tolerances are left to `resolve_tolerances`."""
+    UTF-8, does not parse or lacks a registered check is refused, each with
+    the file's path.  Its tolerances are left to `resolve_tolerances`,
+    whose refusals its callers prefix with the path too."""
     path = require_output(Path(in_dir) / REPORT_MACHINE_FILE)
     try:
         text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
+        report = parse_machine(text)
+        stored = {r.name for r in report.records}
+        missing = [name for name in registry_names() if name not in stored]
+        if missing:
+            raise InvalidInputError(f"no stored tolerance for {', '.join(missing)}")
+    except (UnicodeDecodeError, InvalidInputError) as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
-    report = parse_machine(text)
-    stored = {r.name for r in report.records}
-    missing = [name for name in registry_names() if name not in stored]
-    if missing:
-        raise InvalidInputError(f"{path}: no stored tolerance for {', '.join(missing)}")
-    return text, report
+    return path, text, report
 
 
 def read_machine_report(in_dir) -> tuple[str, VerificationReport]:
-    """`_stored_report`, also refused when `resolve_tolerances` refuses the
-    check names or tolerances it holds."""
-    text, report = _stored_report(in_dir)
-    resolve_tolerances({r.name: r.tolerance for r in report.records})
+    """`_stored_report`'s text and report, also refused when
+    `resolve_tolerances` refuses the check names or tolerances it holds."""
+    path, text, report = _stored_report(in_dir)
+    try:
+        resolve_tolerances({r.name: r.tolerance for r in report.records})
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return text, report
 
 
@@ -310,13 +314,17 @@ def verify_outputs(in_dir) -> VerificationReport:
 
     Each check is judged against the tolerance the stored `report.kv` gives
     it, so a run generated with overrides keeps them.  A report.kv that
-    `read_machine_report` would refuse is refused: by `_stored_report`, or
-    by `verify_theorem`, which resolves the stored tolerances once.
+    `read_machine_report` would refuse is refused, with its path: by
+    `_stored_report`, or by `verify_theorem`, which resolves the stored
+    tolerances once.
     """
     in_dir = Path(in_dir)
-    tols = {r.name: r.tolerance for r in _stored_report(in_dir)[1].records}
+    path, _, stored = _stored_report(in_dir)
     data, frame = load_outputs(in_dir)
-    report = verify_theorem(data, frame, tols)
+    try:
+        report = verify_theorem(data, frame, {r.name: r.tolerance for r in stored.records})
+    except ConfigError as exc:  # only `resolve_tolerances` raises it there
+        raise ConfigError(f"{path}: {exc}") from None
     _write_report_files(in_dir, report)
     return report
 

@@ -5,14 +5,19 @@ whole-operand product `mul2` of 2x2 stacks, the Hermitian model of R^{3,1}
 and its gate, the cylinder frame's closed forms, the Lax pair and the
 spectral shift D as matrices, the two-path discrepancy, a constant gauge on
 a frame, the normal rebuilt from the surface alone, the distance between
-the two sides, the Delaunay profile's energy and the exact weights of a
-one-sided difference row.
+the two sides, the Christoffel dual and the Lawson partner's data with the
+gap between two closed forms, the Delaunay profile's energy and the exact
+weights of a one-sided difference row.
 Each restates, independently, something the core computes; planted defects
-and other oracles belong here too.  No module of the program imports this
-one, the package root included, so `import cmclab` loads neither it nor
-`fractions`; tests and demos import it as `cmclab.reference`.  It may
-import core names, private ones included, and does no work at import
-time.  Matrices and 4-vectors come entries first, as in `cmclab.minkowski`.
+and other oracles belong here too.  The Lawson partner's data equals a
+side's closed form up to the homothety `measure.homothety_scale` (an
+identity of (u, Q, H, lam) alone, which holds for any surface under
+H = 2Q), so the tests check it here and the report does not.  No module
+of the program imports this one, the package root included, so
+`import cmclab` loads neither it nor `fractions`; tests and demos import
+it as `cmclab.reference`.  It may import core names, private ones
+included, and does no work at import time.  Matrices and 4-vectors come
+entries first, as in `cmclab.minkowski`.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .minkowski import H3_TOL, det2, empty_products, mink_dot, mul2_into
 from .minkowski import surface_and_normal
 from .surface_data import PROFILE_STEP, SurfaceData, _frozen, _integrate_profile, _locked
 from .surface_data import grid_derivatives
+from .measure import ClosedFormData
 from .surfaces import SIDES, H3SurfaceGrid
 
 # Hermiticity slack: the round-off of a computed matrix, not a logic error
@@ -302,6 +308,35 @@ def distance_grid(primary: H3SurfaceGrid, shifted: H3SurfaceGrid) -> np.ndarray:
 def equidistance_defect(primary: H3SurfaceGrid, shifted: H3SurfaceGrid) -> float:
     """Max deviation of the pointwise distance from -q = -ln(lam)."""
     return float(np.max(np.abs(distance_grid(primary, shifted) + primary.spectral.q)))
+
+
+def dual_data(data: SurfaceData) -> SurfaceData:
+    """Christoffel-dual data: u -> -u with Q and H unchanged (involution)."""
+    return SurfaceData(data.grid, _frozen(-data.u), Q=data.Q, H=data.H)
+
+
+def lawson_data(data: SurfaceData, s: float) -> ClosedFormData:
+    """Lawson-partner data of the surface `data` describes, scaled by a
+    homothety s: metric factor s^2 e^{2u}, Hopf value sQ, mean curvature
+    sqrt((H/s)^2 + 1).  Pass `dual_data(data)` for the partner built from
+    the Christoffel dual."""
+    if s == 0:
+        raise InvalidInputError("homothety scale must be nonzero")
+    return ClosedFormData(
+        metric_factor=_frozen(s**2 * np.exp(2.0 * data.u)),
+        hopf=s * data.Q,
+        mean=float(np.sqrt((data.H / s) ** 2 + 1.0)),
+    )
+
+
+def closed_form_max_diff(a: ClosedFormData, b: ClosedFormData) -> float:
+    """Largest absolute difference between two closed-form data sets,
+    comparing Hopf and mean curvature by modulus."""
+    return max(
+        float(np.max(np.abs(a.metric_factor - b.metric_factor))),
+        abs(abs(a.hopf) - abs(b.hopf)),
+        abs(abs(a.mean) - abs(b.mean)),
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -252,11 +252,6 @@ def max_gauss_residual(data):
     return float(np.max(np.abs(data.residual)))
 
 
-def dual_data(data):
-    """Christoffel-dual data: u -> -u with Q and H unchanged (involution)."""
-    return SurfaceData(data.grid, _frozen(-data.u), Q=data.Q, H=data.H)
-
-
 # one-sided weights at the first two nodes of a line, over its first six.  The
 # d1 rows (times 12 h) share the central rule's error term -h^4 u^(5)/30: the
 # frame integrates u_x and `measure` differentiates the frame, so a jump in

@@ -13,15 +13,18 @@ for the writers of a run, which read both sides.  A side's name is its
 surface's `kind`, a name from `surfaces.SIDES`, and its sign is +1 on the
 primary side and -1 on the shifted one; the sign is all that tells the
 per-side checks apart: the closed form carries it
-(`closed_form(data, spectral, sign)`), and the Lawson partner is taken at
-the scale sign * s, with s = homothety_scale(H, spectral) = H(1/lam - lam)/2,
-from the Christoffel dual on the primary side and from the data itself on
-the shifted one; the frame's SpectralParam is the one check on lam.
+(`closed_form(data, spectral, sign)`), and the frame's SpectralParam is
+the one check on lam.  That closed form is also the Lawson partner's data
+(Hopf value and mean curvature by modulus) up to the homothety
+s = homothety_scale(H, spectral) = H(1/lam - lam)/2, an identity of
+(u, Q, H, lam) alone that `cmclab.reference` holds and the tests check,
+so the report measures each side against the closed form only and
+records s as metadata.
 `_report` walks the check table of `report` in registry order: the
 whole-run rows read the data and the frame (its largest |det F - 1|, the
 maximum `integrate_frame` checked, is taken once per frame), and each
-side's rows read its measured geometry and the closed form and Lawson data
-built once for that side.  `_report` takes the tolerance map that
+side's rows read its measured geometry and the closed form built once for
+that side.  `_report` takes the tolerance map that
 `report.resolve_tolerances` validated.
 """
 
@@ -33,9 +36,9 @@ from dataclasses import dataclass
 from . import report
 from .errors import InvalidInputError
 from .frames import ExtendedFrame
-from .measure import MeasuredData, closed_form, homothety_scale, lawson_data, measure
+from .measure import MeasuredData, closed_form, homothety_scale, measure
 from .report import CheckRecord, VerificationReport, registry_names, resolve_tolerances
-from .surface_data import SurfaceData, dual_data
+from .surface_data import SurfaceData
 from .surfaces import H3SurfaceGrid, _shifted, surface_primary
 
 
@@ -103,19 +106,16 @@ def _report(
     resolved tolerance of every registered check.
 
     It walks the rows of `report` in registry order, so `sides` must come
-    in SIDES order, as `_sides` yields them; each side's closed form and
-    Lawson data are built once, for that side's rows, and let go with the
-    side before the next one is asked for."""
+    in SIDES order, as `_sides` yields them; each side's closed form is
+    built once, for that side's rows, and let go with the side before the
+    next one is asked for."""
     spectral = frame.spectral
-    scale = homothety_scale(data.H, spectral)
     values = [value(data, frame) for _, _, value in report.RUN_CHECKS]
     for side in sides:
         closed = closed_form(data, spectral, side.sign)
-        partner = dual_data(data) if side.sign == 1 else data
-        lawson = lawson_data(partner, side.sign * scale)
-        values += (value(side.measured, closed, lawson) for _, _, value in report.SIDE_CHECKS)
+        values += (value(side.measured, closed) for _, _, value in report.SIDE_CHECKS)
         # the loop names would keep this side alive while the next is built
-        del side, closed, partner, lawson
+        del side, closed
     records = tuple(
         CheckRecord(name, float(value), tols[name])
         for name, value in zip(registry_names(), values, strict=True)
@@ -130,5 +130,5 @@ def _report(
         "ny": str(g.ny),
         "hx": f"{g.hx:.17g}",
         "hy": f"{g.hy:.17g}",
-        "homothety_scale": f"{scale:.17g}",
+        "homothety_scale": f"{homothety_scale(data.H, spectral):.17g}",
     })

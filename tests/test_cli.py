@@ -476,6 +476,23 @@ def test_unresolved_metric_near_lambda_one_exits_3(tmp_path, capsys, lam):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam, bound", [(0.999, 1e-4), (1.0 - 1e-10, 1e-3)])
+def test_resolved_surface_near_lambda_one_passes(tmp_path, lam, bound):
+    # |mean| = (1/lam + lam)/(1/lam - lam) grows toward lam = 1, so the
+    # absolute spread of Hm the report once held failed here (0.0217 and
+    # 2.5e6 against 5e-3) while the relative mean match reads 6.7e-5 and at
+    # most 8.5e-4 on both sides
+    out = tmp_path / "run"
+    keys = {"lambda": lam, "nx": 21, "ny": 21, "out_dir": str(out)}
+    cfg = write_config(tmp_path / "cfg.json", **keys)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    lines = (out / REPORT_MACHINE_FILE).read_text().splitlines()
+    checks = [ln.split() for ln in lines if not ln.startswith("#")]
+    assert len(checks) == 12 and all(status == "PASS" for *_, status in checks)
+    means = [float(value) for name, value, *_ in checks if name.startswith("mean_match_")]
+    assert len(means) == 2 and max(means) < bound
+
+
 def test_non_normalized_custom_file_exits_2(tmp_path, capsys):
     g = GridSpec(-1, 1, -1, 1, 9, 9)
     src = tmp_path / "custom.dat"
@@ -645,24 +662,56 @@ def test_tolerance_override_can_fail_run(tmp_path, capsys):
     assert (out / REPORT_MACHINE_FILE).read_bytes() == before
 
 
-# (id, tamper, expected); a tamper of None deletes report.kv
+def _replace_line(name, line):
+    """A tamper that puts `line` in place of the stored line of check `name`."""
+    def tamper(text):
+        return "".join(
+            line(ln.split()) if ln.startswith(f"{name} ") else ln
+            for ln in text.splitlines(keepends=True)
+        )
+    return tamper
+
+
+def _parent_format(text):
+    """`text` as the 18-check report.kv of an earlier version wrote it: each
+    side's spread and Lawson lines after its isothermic line."""
+    out = []
+    for ln in text.splitlines(keepends=True):
+        out.append(ln)
+        if ln.startswith("isothermic_"):
+            side = ln.split()[0].removeprefix("isothermic_")
+            out += [
+                f"mean_constancy_{side} 1.0e-08 0.005 PASS\n",
+                f"hopf_constancy_{side} 1.0e-09 0.005 PASS\n",
+                f"lawson_match_{side} 5.5e-17 9.9999999999999998e-13 PASS\n",
+            ]
+    return "".join(out)
+
+
+# (id, tamper, expected message after the path); a tamper of None deletes
+# report.kv
 _TAMPERED_REPORTS = [
     ("unknown-name", lambda text: text + "metric_match_primry 0.001 0.005 PASS\n",
      "unknown tolerance names: metric_match_primry"),
-    ("non-positive", lambda text: "".join(
-        "metric_match_primary 1 -1 FAIL\n" if ln.startswith("metric_match_primary ") else ln
-        for ln in text.splitlines(keepends=True)
-    ), "tolerance metric_match_primary must be positive"),
-    ("infinite", lambda text: "".join(
-        f"metric_match_primary {ln.split()[1]} inf PASS\n"
-        if ln.startswith("metric_match_primary ") else ln
-        for ln in text.splitlines(keepends=True)
-    ), "tolerance metric_match_primary must be a finite number, got inf"),
-    ("dropped-check", lambda text: "".join(
-        ln for ln in text.splitlines(keepends=True)
-        if not ln.startswith("metric_match_primary ")
-    ), "report.kv: no stored tolerance for metric_match_primary"),
-    ("missing", None, "report.kv"),
+    ("non-positive", _replace_line("metric_match_primary", lambda f: f"{f[0]} 1 -1 FAIL\n"),
+     "tolerance metric_match_primary must be positive, got -1.0"),
+    ("infinite", _replace_line("metric_match_primary", lambda f: f"{f[0]} {f[1]} inf PASS\n"),
+     "tolerance metric_match_primary must be a finite number, got inf"),
+    ("dropped-check", _replace_line("metric_match_primary", lambda f: ""),
+     "no stored tolerance for metric_match_primary"),
+    ("malformed-line", _replace_line("metric_match_primary", lambda f: f"{f[0]} 1 PASS\n"),
+     "malformed report line: 'metric_match_primary 1 PASS'"),
+    ("malformed-numbers", _replace_line("metric_match_primary", lambda f: f"{f[0]} x 1 PASS\n"),
+     "malformed report numbers: 'metric_match_primary x 1 PASS'"),
+    ("inconsistent-status",
+     _replace_line("metric_match_primary", lambda f: f"{f[0]} 1 0.005 PASS\n"),
+     "inconsistent status for metric_match_primary: value 1 vs tolerance 0.005 says FAIL"),
+    # every run written before the report went from 18 checks to 12
+    ("parent-format", _parent_format,
+     "unknown tolerance names: hopf_constancy_primary, hopf_constancy_shifted, "
+     "lawson_match_primary, lawson_match_shifted, mean_constancy_primary, "
+     "mean_constancy_shifted"),
+    ("missing", None, None),
 ]
 
 
@@ -675,18 +724,19 @@ _TAMPERED_REPORTS = [
     ],
 )
 def test_verify_refuses_a_tampered_report(generated, tmp_path, capsys, command, tamper, expected):
+    # each refusal names the file; some once printed the bare message
     _, out, _ = generated
     run_dir = tmp_path / "run"
     shutil.copytree(out, run_dir)
     path = run_dir / REPORT_MACHINE_FILE
     if tamper is None:
         path.unlink()
+        expected = f"expected output file not found: {path}"
     else:
         path.write_text(tamper(path.read_text()))
+        expected = f"{path}: {expected}"
     assert main([command, "--in", str(run_dir)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: config:") and err.count("\n") == 1
-    assert expected in err
+    assert capsys.readouterr().err == f"error: config: {expected}\n"
 
 
 def test_verify_resolves_the_stored_tolerances_once(generated, tmp_path, monkeypatch):
@@ -748,7 +798,7 @@ def test_report_without_every_check_exits_2(generated, tmp_path, capsys, command
     assert main([command, "--in", str(run_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config: {path}: no stored tolerance for {missing}")
-    assert err.endswith(" lawson_match_shifted\n") and err.count("\n") == 1
+    assert err.endswith(" isothermic_shifted\n") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])
@@ -763,7 +813,7 @@ def test_repeated_check_in_a_stored_report_exits_2(generated, tmp_path, capsys, 
     path.write_text(text + f"mean_match_primary {value} 0.5 PASS\n")
     assert main([command, "--in", str(run_dir)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: config: check mean_match_primary is reported twice\n"
+    assert err == f"error: config: {path}: check mean_match_primary is reported twice\n"
 
 
 def test_custom_file_ignores_config_h(tmp_path, capsys):

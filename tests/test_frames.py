@@ -232,7 +232,7 @@ class TestIntegrateFrame:
         frame = integrate_frame(data, SpectralParam(0.5))
         assert frame.max_det_drift <= 1e-13
         report = verify_theorem(data, frame)
-        assert len(report.records) == 18 and report.overall_pass()
+        assert len(report.records) == 12 and report.overall_pass()
 
     @pytest.mark.parametrize("drift", [0.99e-8, 1.01e-8])
     def test_drift_bound_is_1e_8(self, monkeypatch, drift):

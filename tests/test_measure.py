@@ -11,21 +11,21 @@ from cmclab.measure import (
     ClosedFormData,
     MeasuredData,
     closed_form,
-    closed_form_max_diff,
     conformality_defect,
     homothety_scale,
-    hopf_constancy,
     hopf_match,
     isothermic_defect,
-    lawson_data,
-    mean_constancy,
     mean_match,
     measure,
     metric_match,
 )
+from cmclab.reference import closed_form_max_diff, dual_data, lawson_data
 from cmclab.reference import numeric_normal_max_deviation
-from cmclab.surface_data import GridSpec, SurfaceData, cylinder_data, delaunay_data, dual_data
+from cmclab.surface_data import GridSpec, SurfaceData, cylinder_data, delaunay_data
 from cmclab.surfaces import H3SurfaceGrid, surface_primary, surface_shifted
+from cmclab.verify import evaluate
+
+from conftest import square_grid
 
 
 def constant_data(u_value, Q, H, n=6):
@@ -199,8 +199,8 @@ class TestMeasureCylinder:
         # the whole-grid values, which test_fourth_order_convergence covers
         for m in measured_cylinder:
             inner = central_nodes(m)
-            assert mean_constancy(inner) < 1e-10
-            assert hopf_constancy(inner) < 1e-10
+            assert np.std(inner.Hm) < 1e-10
+            assert np.std(np.abs(inner.Qm)) < 1e-10
 
     def test_signs_opposite(self, measured_cylinder, cyl_frame_101):
         # the sides' mean curvatures and Hopf values have opposite signs, and
@@ -229,6 +229,24 @@ def central_nodes(m):
         g.nx - 4, g.ny - 4,
     )
     return MeasuredData(inner, m.E[k], m.Fc[k], m.G[k], m.Qm[k], m.Hm[k])
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.02])  # |hopf| 0.094 and 3.1
+@pytest.mark.parametrize(
+    "build",
+    [cylinder_data, lambda g: delaunay_data(g, 0.5, 0.3, 0.0)],
+    ids=["cylinder", "delaunay"],
+)
+def test_the_matches_bound_the_spread(build, lam):
+    # std |Qm| <= max ||Qm| - |hopf|| <= max |Qm - hopf| and std Hm <= max |Hm - mean|:
+    # each side's Hopf and mean matches bound the spread of Qm and Hm, which
+    # the report therefore does not state on lines of its own
+    data = build(square_grid(101))
+    frame = integrate_frame(data, SpectralParam(lam))
+    for side in evaluate(frame):
+        m, closed = side.measured, closed_form(data, frame.spectral, side.sign)
+        assert np.std(np.abs(m.Qm)) <= hopf_match(m, closed) * abs(closed.hopf)
+        assert np.std(m.Hm) <= mean_match(m, closed) * abs(closed.mean)
 
 
 @pytest.mark.parametrize(
@@ -308,7 +326,7 @@ class TestMeasureDelaunay:
     def test_mean_constant_despite_varying_u(self, del_frame_101, del_data_101):
         m = measure(surface_primary(del_frame_101))
         c = closed_form(del_data_101, SpectralParam(0.5), 1)
-        assert mean_constancy(m) < 1e-4
+        assert np.std(m.Hm) < 1e-4
         assert mean_match(m, c) < 5e-3
         assert metric_match(m, c) < 5e-3
         assert hopf_match(m, c) < 5e-3

@@ -385,7 +385,7 @@ GOLDEN_CONFIG = {
     "ny": 41,
 }
 GOLDEN_SHA256 = {
-    REPORT_MACHINE_FILE: "51461cbcfb4aafcce1ceb2f07c848850c1b9b5ef08fbc861b576d6408b073ebf",
+    REPORT_MACHINE_FILE: "c46a4d4ef9fb0b29232934e8fcaf329f82b628f6db8a64bd11f80648125b4b85",
     DIAGNOSTICS_FILE: "5dd05f24633b356be859182221b6fe4535398c87ee29059db47c1d4b79b8ce2b",
     MESH_FILES[0]: "0d5343a8331b635855525b5c4255b88b36f71169f9158188ef28471a43df9d2b",
     MESH_FILES[1]: "94fcd85b2b0de945c1efa511e98811d3ad6bf0ea87b4a64dca1301db45bd52c9",
@@ -403,7 +403,7 @@ def test_golden_output_hashes(tmp_path):
 # the README default at 201 x 201: rows long enough for numpy's vectorised
 # loops to take every path the 41 x 41 goldens leave out
 GOLDEN_SHA256_201 = {
-    REPORT_MACHINE_FILE: "cb22f33c79b63adec302ad3e1fecdfbeab496e4f6824a1277296a58283d5ebc7",
+    REPORT_MACHINE_FILE: "24b395cec8eacae68b468f3af520b2adc929781f869cc72aa1237e65003d35b5",
     DIAGNOSTICS_FILE: "9098a6f18ef3f4e846216834670c6db0335333142ddf771d0af9565ed4bc7662",
     MESH_FILES[0]: "2580345b0e51aa02ddaea1743d93d060d739865617e76eb0eff76b26f0900103",
     MESH_FILES[1]: "f2b163d39639a35d6d317984574f336b44d6daaa41b872b7ff62ec2762716cc7",
@@ -425,14 +425,14 @@ GOLDEN_RUNS = {
     "delaunay-small-lambda": (
         {"family": "delaunay", "H": 0.5, "u0": -0.5, "du0": 0.0, "lambda": 0.1},
         {
-            REPORT_MACHINE_FILE: "9eaaea2c41090b53bcd812439ad7425a7627583d09a0e9af051af3658034e65a",
+            REPORT_MACHINE_FILE: "9512259d6e278af42f1796af928d51ddb4622bcbcdd542709974604f56a1ff8e",
             DIAGNOSTICS_FILE: "09a35db980c2c27e578dfdacda272ec870e437bcc5c1f283fce418d7d3e111d7",
         },
     ),
     "cylinder": (
         {"family": "cylinder", "H": 0.5, "lambda": 0.5},
         {
-            REPORT_MACHINE_FILE: "afbbc394a59a8edb474c85bc620ea899d8f3d1aee78872778ba13d60a18dbe50",
+            REPORT_MACHINE_FILE: "180fa2bbc67a751af02212e03d6147680d10b850d66e97de8b1057e3ddf0b203",
             DIAGNOSTICS_FILE: "52572e5598b0420772dbe0e911785297a016281122b302a62cb8e6f21c196bfd",
         },
     ),

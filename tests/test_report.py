@@ -113,23 +113,23 @@ def cylinder_report(cyl_frame_101):
     return verify_theorem(cylinder_data(cyl_frame_101.grid), cyl_frame_101)
 
 
-# the checks in report order: one frame check, and the same eight per side
+# the checks in report order: one frame check, and the same five per side
 REGISTRY = (
     "gauss_residual_max", "det_drift_max",
     *(
         f"{name}_{side}"
         for side in ("primary", "shifted")
-        for name in (
-            "metric_match", "hopf_match", "mean_match", "conformality", "isothermic",
-            "mean_constancy", "hopf_constancy", "lawson_match",
-        )
+        for name in ("metric_match", "hopf_match", "mean_match", "conformality", "isothermic")
     ),
 )
 
 
 class TestVerifyTheorem:
-    def test_registry_is_the_eighteen_checks(self):
-        assert registry_names() == REGISTRY and len(REGISTRY) == 18
+    def test_registry_is_the_twelve_checks(self):
+        assert registry_names() == REGISTRY and len(REGISTRY) == 12
+        defaults = default_tolerances()
+        assert (defaults["gauss_residual_max"], defaults["det_drift_max"]) == (1e-3, 1e-8)
+        assert {defaults[name] for name in REGISTRY[2:]} == {5e-3}
 
     def test_registry_complete_and_unique(self, cylinder_report):
         names = [r.name for r in cylinder_report.records]

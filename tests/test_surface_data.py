@@ -11,14 +11,13 @@ import pytest
 
 from cmclab import surface_data
 from cmclab.errors import IntegrationBlowupError, InvalidInputError
-from cmclab.reference import delaunay_profile, edge_row
+from cmclab.reference import delaunay_profile, dual_data, edge_row
 from cmclab.surface_data import (
     MIN_NODES,
     GridSpec,
     SurfaceData,
     cylinder_data,
     delaunay_data,
-    dual_data,
     gauss_residual,
     grid_derivatives,
     grid_second_derivatives,

@@ -5,8 +5,8 @@ modules form 2x2 products only through the entrywise kernel, 2x2 stacks
 and 4-vector grids are allocated and indexed entries first, tolerance
 gates refuse NaN, the hyperboloid bound is written once, grid tables are
 spelled only by the whole-array text kernel, each check name is spelled
-once, in its row, and every committed benchmark record says when, how and
-where it was measured."""
+once, in its row, the README's check table is the registry's, and every
+committed benchmark record says when, how and where it was measured."""
 
 import ast
 import importlib
@@ -18,6 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from cmclab import report
 from cmclab.report import registry_names
 from cmclab.surfaces import SIDES
 
@@ -564,6 +565,45 @@ def test_check_name_lint_sees_each_form(tmp_path):
 # command behind its numbers, the host they were measured on, and the order
 # of the paired runs
 BENCH_KEYS = ("date", "command", "machine", "order")
+
+
+def _readme_check_table(text):
+    """(the count "The report holds N checks" states, the rows of the table
+    after it as (check, default tolerance)) of a README's text."""
+    count = re.search(r"^The report holds (\d+) checks", text, re.M)
+    lines = text[count.end():].splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("| check |")) + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip().strip("`") for cell in line.strip("|").split(" | ")]
+        rows.append((cells[0], float(cells[-1])))
+    return int(count.group(1)), rows
+
+
+def test_readme_check_table_is_the_registry():
+    # the README's table is read by people choosing tolerance overrides; a
+    # row the code dropped, or a default it changed, would mislead them
+    count, rows = _readme_check_table((ROOT / "README.md").read_text())
+    assert rows == [
+        *((name, tol) for name, tol, _ in report.RUN_CHECKS),
+        *((f"{name}_<side>", tol) for name, tol, _ in report.SIDE_CHECKS),
+    ]
+    assert count == len(registry_names())
+
+
+def test_readme_check_table_reader_sees_each_form():
+    text = (
+        "The report holds 3 checks, one line each:\n\n"
+        "| check | what it reads | default tolerance |\n| --- | --- | --- |\n"
+        "| `det_drift_max` | the largest `\\|det F - 1\\|` | `1e-8` |\n"
+        "| `metric_match_<side>` | measured `E` | `5e-3` |\n"
+        "\nEach `<side>` row is reported twice.\n| not | a row |\n"
+    )
+    assert _readme_check_table(text) == (
+        3, [("det_drift_max", 1e-8), ("metric_match_<side>", 5e-3)]
+    )
 
 
 def _bench_record_faults(path):
