@@ -72,7 +72,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    text, report = read_machine_report(args.in_dir)
+    text, report, _ = read_machine_report(args.in_dir)
     if args.machine:
         print(text, end="")
     else:

@@ -5,19 +5,20 @@ out_dir, input, tolerances.  A family is one row of FAMILIES and ignores the
 keys of H, u0, du0 and input its row does not name; H is checked by the data
 it shapes (`SurfaceData`).  "tolerances" is the only nested value, a map from
 registered check names to positive numbers, which `report.resolve_tolerances`
-validates when the RunConfig is built.  Unknown keys are rejected so typos
-cannot silently disable an override, and so are the NaN and Infinity that
-Python's json reads.
+resolves.  Unknown keys are rejected so typos cannot silently disable an
+override, and so are the NaN and Infinity that Python's json reads and an
+empty out_dir.  `config_from_mapping` is the one check of a config, and
+the RunConfig holds the GridSpec, SpectralParam and tolerances it built.
+`load_config` names the file when its JSON read fails (`errors.naming`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, naming
 from .frames import SpectralParam
 from .report import finite_number, resolve_tolerances
 from .surface_data import GridSpec, SurfaceData, cylinder_data, delaunay_data, load_surface_data
@@ -47,51 +48,26 @@ _SCALAR_KEYS = {
     "input": str,
 }
 
+# the grid keys, in GridSpec's field order, with their defaults
+_GRID_KEYS = {"x_min": -1.0, "x_max": 1.0, "y_min": -1.0, "y_max": 1.0, "nx": 101, "ny": 101}
+
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A run's inputs as `config_from_mapping` validated them: the family
+    with the keys it reads, the grid, the spectral value, the output
+    directory and the resolved tolerance of every registered check."""
+
     family: str
-    lam: float
+    family_keys: dict
+    grid: GridSpec
+    spectral: SpectralParam
     out_dir: str
-    x_min: float = -1.0
-    x_max: float = 1.0
-    y_min: float = -1.0
-    y_max: float = 1.0
-    nx: int = 101
-    ny: int = 101
-    family_keys: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(
-                f"unknown family {self.family!r}; expected one of {', '.join(FAMILIES)}"
-            )
-        try:
-            self.spectral()
-            self.grid()
-        except InvalidInputError as exc:
-            raise ConfigError(str(exc)) from None
-        for key, default in FAMILIES[self.family][0].items():
-            if default is None and self.family_keys.get(key) in (None, ""):
-                raise ConfigError(f"{self.family} family requires an {key!r} path")
-        self.check_tolerances  # resolved once, here, so a bad map is refused early
-
-    @cached_property
-    def check_tolerances(self) -> dict[str, float]:
-        return resolve_tolerances(self.tolerances)
-
-    def grid(self) -> GridSpec:
-        return GridSpec(
-            self.x_min, self.x_max, self.y_min, self.y_max, self.nx, self.ny
-        )
-
-    def spectral(self) -> SpectralParam:
-        return SpectralParam(self.lam)
+    tolerances: dict[str, float]
 
     def data(self) -> SurfaceData:
         keys, build = FAMILIES[self.family]
-        return build(self.grid(), **{k: self.family_keys.get(k, d) for k, d in keys.items()})
+        return build(self.grid, **{k: self.family_keys.get(k, d) for k, d in keys.items()})
 
 
 def _coerce(key: str, value, kind):
@@ -105,28 +81,46 @@ def _coerce(key: str, value, kind):
 
 
 def config_from_mapping(obj: dict) -> RunConfig:
+    """The RunConfig of the JSON object `obj`.  Refusals come in order: the
+    keys, each value's type, the required keys, an empty out_dir, then the
+    family, lambda, the grid, the family's required keys and tolerances."""
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     unknown = sorted(set(obj) - set(_SCALAR_KEYS) - {"tolerances"})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    kwargs, family_keys = {}, {}
+    values, family_keys = {}, {}
     for key, kind in _SCALAR_KEYS.items():
         if key in obj:
-            into = family_keys if key in _FAMILY_KEYS else kwargs
-            into["lam" if key == "lambda" else key] = _coerce(key, obj[key], kind)
+            into = family_keys if key in _FAMILY_KEYS else values
+            into[key] = _coerce(key, obj[key], kind)
     for required in ("family", "lambda", "out_dir"):
         if required not in obj:
             raise ConfigError(f"missing required config key {required!r}")
-    return RunConfig(**kwargs, family_keys=family_keys, tolerances=obj.get("tolerances", {}))
+    if not values["out_dir"]:
+        raise ConfigError("key 'out_dir' must name a directory, got an empty string")
+    family = values["family"]
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
+    try:
+        spectral = SpectralParam(values["lambda"])
+        grid = GridSpec(**{key: values.get(key, d) for key, d in _GRID_KEYS.items()})
+    except InvalidInputError as exc:
+        raise ConfigError(str(exc)) from None
+    for key, default in FAMILIES[family][0].items():
+        if default is None and family_keys.get(key) in (None, ""):
+            raise ConfigError(f"{family} family requires an {key!r} path")
+    tolerances = resolve_tolerances(obj.get("tolerances", {}))
+    return RunConfig(family, family_keys, grid, spectral, values["out_dir"], tolerances)
 
 
 def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        obj = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise ConfigError(f"{path}: config is not valid JSON: {e}") from None
+    with naming(path):
+        try:
+            obj = json.loads(path.read_text())
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise ConfigError(f"config is not valid JSON: {e}") from None
     return config_from_mapping(obj)

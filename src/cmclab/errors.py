@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and `naming`, the one place
+a refusal names the file it refuses.
 
 The hierarchy matters for the command line front end: ConfigError maps to
 exit code 2, NumericalError (and subclasses) to exit code 3.
@@ -42,3 +43,21 @@ class IntegrationFailureError(NumericalError):
 
 class InternalConsistencyError(NumericalError):
     """An invariant that should hold by construction was violated."""
+
+
+class naming:
+    """Run a reader of the file at `path`: an InvalidInputError or
+    ConfigError raised inside is raised again as "<path>: <message>", of
+    its own type, and a UnicodeDecodeError as an InvalidInputError."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, (InvalidInputError, ConfigError)):
+            raise type(exc)(f"{self.path}: {exc}") from None
+        if isinstance(exc, UnicodeDecodeError):
+            raise InvalidInputError(f"{self.path}: {exc}") from None

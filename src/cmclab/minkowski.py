@@ -31,11 +31,12 @@ import numpy as np
 
 from .errors import InternalConsistencyError, InvalidInputError
 
-# the integrator holds |det F - 1| to DET_DRIFT_TOL; a point F conj(F)^t
-# then misses the sheet by | |det F|^2 - 1 | <= H3_TOL, the one bound on
-# hyperboloid points
+# the integrator holds |det F - 1| to DET_DRIFT_TOL = d; a point F conj(F)^t
+# then misses the sheet by | |det F|^2 - 1 | <= 2 d + d^2.  H3_TOL, the one
+# bound on hyperboloid points, is 2 d: the d^2 term, 1e-16, is below what
+# `h3_defect` resolves near the sheet (half an ulp of 1 is 1.1e-16)
 DET_DRIFT_TOL = 1e-8
-H3_TOL = DET_DRIFT_TOL * (2.0 + DET_DRIFT_TOL)
+H3_TOL = 2.0 * DET_DRIFT_TOL
 
 
 def empty_products(out):

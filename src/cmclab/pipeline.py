@@ -21,6 +21,10 @@ in binary mode.  `surface.dat` comes back
 through `surface_data.load_surface_data` in one tokenising pass, which
 converts u row by row and each spelling of a grid coordinate once, to the
 very doubles written.  The formats carry no version of their own.
+
+Each stored file has one reader, which validates it under `errors.naming`
+(`surface_data.load_surface_data`, `load_frame`, `read_machine_report`);
+`verify_outputs` reads `report.kv` first, so refusing it loads no grid.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError
+from .errors import InvalidInputError, naming
 from .config import RunConfig
 from .frames import ExtendedFrame, SpectralParam, integrate_frame
 from .minkowski import require_h3
@@ -52,7 +56,7 @@ from .surface_data import (
     write_table,
 )
 from .surfaces import SIDES, _shifted, surface_primary
-from .verify import _report, _require_normalized, evaluate, verify_theorem
+from .verify import _judge, _report, _require_normalized, evaluate
 
 SURFACE_FILE = "surface.dat"
 FRAME_FILE = "frame.dat"
@@ -168,15 +172,16 @@ def load_frame(path) -> ExtendedFrame:
     """The frame `save_frame` wrote to `path`.
 
     Anything but an archive of exactly FRAME_MEMBERS, with their dtypes and
-    shapes and finite entries, raises InvalidInputError naming the file; so
-    do a grid below MIN_NODES per axis, bad extents and a bad lam.  A
-    non-finite entry of F is named by its index F[r, c, i, j].  Frames of
-    earlier versions (text, with a `base_index` or `r` member, or with F
-    stored as (nx, ny, 2, 2)) are refused too, with a hint to generate the
-    run again.  The frame holds the loaded F without a copy.
+    shapes and finite entries, raises InvalidInputError led by the file's
+    path (`errors.naming`); so do a grid below MIN_NODES per axis, bad
+    extents and a bad lam.  A non-finite entry of F is named by its index
+    F[r, c, i, j].  Frames of earlier versions (text, with a `base_index`
+    or `r` member, or with F stored as (nx, ny, 2, 2)) are refused too,
+    with a hint to generate the run again.  The frame holds the loaded F
+    without a copy.
     """
     members = None
-    with open(path, "rb") as fh:
+    with naming(path), open(path, "rb") as fh:
         try:
             z = np.load(fh, allow_pickle=False)
             if isinstance(z, np.lib.npyio.NpzFile):  # not a bare .npy array
@@ -184,41 +189,37 @@ def load_frame(path) -> ExtendedFrame:
                     members = {name: z[name] for name in z.files}
         except (ValueError, EOFError, zipfile.BadZipFile):
             pass
-    if members is None:
-        raise InvalidInputError(
-            f"{path}: not a binary frame file; runs stored as text by earlier "
-            "versions must be generated again"
-        )
-    if members.keys() != FRAME_MEMBERS.keys():
-        raise InvalidInputError(
-            f"{path}: frame members {sorted(members)}, expected {sorted(FRAME_MEMBERS)}; "
-            + _EARLIER
-        )
-    for name, (dtype, shape) in FRAME_MEMBERS.items():
-        a = members[name]
-        if a.dtype != dtype or len(a.shape) != len(shape) or any(
-            n not in (None, m) for n, m in zip(shape, a.shape)
-        ):
-            # earlier versions stored F as (nx, ny, 2, 2)
-            hint = "; " + _EARLIER if name == "F" and a.shape[2:] == (2, 2) else ""
+        if members is None:
             raise InvalidInputError(
-                f"{path}: {name} is {a.dtype} of shape {a.shape}, expected "
-                f"{np.dtype(dtype)} of shape {shape}{hint}"
+                "not a binary frame file; runs stored as text by earlier "
+                "versions must be generated again"
             )
-    for name in FRAME_MEMBERS:
-        a = members[name]
-        finite = np.isfinite(a)
-        if not finite.all():
-            k = tuple(int(i) for i in np.unravel_index(np.argmin(finite), a.shape))
-            where = f"{name}{list(k)}" if k else name
-            raise InvalidInputError(f"{path}: {where} = {a[k]} is not finite")
-    F = _frozen(members["F"])
-    try:
+        if members.keys() != FRAME_MEMBERS.keys():
+            raise InvalidInputError(
+                f"frame members {sorted(members)}, expected {sorted(FRAME_MEMBERS)}; "
+                + _EARLIER
+            )
+        for name, (dtype, shape) in FRAME_MEMBERS.items():
+            a = members[name]
+            if a.dtype != dtype or len(a.shape) != len(shape) or any(
+                n not in (None, m) for n, m in zip(shape, a.shape)
+            ):
+                # earlier versions stored F as (nx, ny, 2, 2)
+                hint = "; " + _EARLIER if name == "F" and a.shape[2:] == (2, 2) else ""
+                raise InvalidInputError(
+                    f"{name} is {a.dtype} of shape {a.shape}, expected "
+                    f"{np.dtype(dtype)} of shape {shape}{hint}"
+                )
+        for name in FRAME_MEMBERS:
+            a = members[name]
+            finite = np.isfinite(a)
+            if not finite.all():
+                k = tuple(int(i) for i in np.unravel_index(np.argmin(finite), a.shape))
+                where = f"{name}{list(k)}" if k else name
+                raise InvalidInputError(f"{where} = {a[k]} is not finite")
+        F = _frozen(members["F"])
         grid = GridSpec(*members["extents"].tolist(), *F.shape[2:])
-        spectral = SpectralParam(float(members["lam"]))
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
-    return ExtendedFrame(grid, F, spectral)
+        return ExtendedFrame(grid, F, SpectralParam(float(members["lam"])))
 
 
 def _write_report_files(out: Path, report: VerificationReport):
@@ -250,9 +251,9 @@ def run(config: RunConfig) -> VerificationReport:
     _require_directory_path(out)
     data = config.data()
     _require_normalized(data)
-    frame = integrate_frame(data, config.spectral())
+    frame = integrate_frame(data, config.spectral)
     sides = evaluate(frame)
-    report = _report(data, frame, sides, config.check_tolerances)
+    report = _report(data, frame, sides, config.tolerances)
     out.mkdir(parents=True, exist_ok=True)
     save_frame(out / FRAME_FILE, frame)
     del frame
@@ -277,54 +278,38 @@ def load_outputs(in_dir):
     return load_surface_data(paths[0]), load_frame(paths[1])
 
 
-def _stored_report(in_dir) -> tuple[Path, str, VerificationReport]:
-    """The path of a run directory's `report.kv`, its text and the report
-    it holds.
+def read_machine_report(in_dir) -> tuple[str, VerificationReport, dict[str, float]]:
+    """The text of a run directory's `report.kv`, the report it holds and
+    its tolerances, resolved.
 
     The one reader of a stored `report.kv`: a file that is missing, is not
-    UTF-8, does not parse or lacks a registered check is refused, each with
-    the file's path.  Its tolerances are left to `resolve_tolerances`,
-    whose refusals its callers prefix with the path too."""
+    UTF-8, does not parse, lacks a registered check or holds check names
+    or tolerances that `resolve_tolerances` refuses is refused, each with
+    the file's path."""
     path = require_output(Path(in_dir) / REPORT_MACHINE_FILE)
-    try:
+    with naming(path):
         text = path.read_text(encoding="utf-8")
         report = parse_machine(text)
         stored = {r.name for r in report.records}
         missing = [name for name in registry_names() if name not in stored]
         if missing:
             raise InvalidInputError(f"no stored tolerance for {', '.join(missing)}")
-    except (UnicodeDecodeError, InvalidInputError) as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
-    return path, text, report
-
-
-def read_machine_report(in_dir) -> tuple[str, VerificationReport]:
-    """`_stored_report`'s text and report, also refused when
-    `resolve_tolerances` refuses the check names or tolerances it holds."""
-    path, text, report = _stored_report(in_dir)
-    try:
-        resolve_tolerances({r.name: r.tolerance for r in report.records})
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return text, report
+        tols = resolve_tolerances({r.name: r.tolerance for r in report.records})
+    return text, report, tols
 
 
 def verify_outputs(in_dir) -> VerificationReport:
     """Re-run the theorem checks on stored outputs and refresh the reports.
 
     Each check is judged against the tolerance the stored `report.kv` gives
-    it, so a run generated with overrides keeps them.  A report.kv that
-    `read_machine_report` would refuse is refused, with its path: by
-    `_stored_report`, or by `verify_theorem`, which resolves the stored
-    tolerances once.
+    it, so a run generated with overrides keeps them.  `read_machine_report`
+    reads that file, and resolves its tolerances once, before the grid
+    files are read, so a report.kv it refuses is refused first.
     """
     in_dir = Path(in_dir)
-    path, _, stored = _stored_report(in_dir)
+    _, _, tols = read_machine_report(in_dir)
     data, frame = load_outputs(in_dir)
-    try:
-        report = verify_theorem(data, frame, {r.name: r.tolerance for r in stored.records})
-    except ConfigError as exc:  # only `resolve_tolerances` raises it there
-        raise ConfigError(f"{path}: {exc}") from None
+    report = _judge(data, frame, tols)
     _write_report_files(in_dir, report)
     return report
 

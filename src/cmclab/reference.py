@@ -6,8 +6,9 @@ and its gate, the cylinder frame's closed forms, the Lax pair and the
 spectral shift D as matrices, the two-path discrepancy, a constant gauge on
 a frame, the normal rebuilt from the surface alone, the distance between
 the two sides, the Christoffel dual and the Lawson partner's data with the
-gap between two closed forms, the Delaunay profile's energy and the exact
-weights of a one-sided difference row.
+gap between two closed forms, the Delaunay profile's energy, separated
+sinh-Gordon data with u_y nonzero and the exact weights of a one-sided
+difference row.
 Each restates, independently, something the core computes; planted defects
 and other oracles belong here too.  The Lawson partner's data equals a
 side's closed form up to the homothety `measure.homothety_scale` (an
@@ -337,6 +338,22 @@ def closed_form_max_diff(a: ClosedFormData, b: ClosedFormData) -> float:
         abs(abs(a.hopf) - abs(b.hopf)),
         abs(abs(a.mean) - abs(b.mean)),
     )
+
+
+def sinh_gordon_data(grid, H, k) -> SurfaceData:
+    """Separated sinh-Gordon data, u varying along both axes:
+    u = 2 artanh((k/m) cos(2 H m y) / cosh(2 H k x)) with m^2 = 1 + k^2,
+    and normalized Q = H/2.  With w = 2u, X = 2 H x and Y = 2 H y the Gauss
+    equation is Delta w + sinh w = 0, which tanh(w/4) = f(X) g(Y) with
+    f = (k/m) sech(k X) and g = cos(m Y) solves; |tanh(w/4)| <= k/m < 1,
+    so u is smooth on the whole plane.  Every family has u_y = 0, so this
+    is the data on which the y terms of the Lax matrix are tested; off a
+    line of symmetry of u, since on a box mirrored in y = 0 a wrong sign
+    of u_y mirrors away."""
+    m = math.sqrt(1.0 + k * k)
+    x, y = grid.mesh()
+    u = 2.0 * np.arctanh((k / m) * np.cos(2.0 * H * m * y) / np.cosh(2.0 * H * k * x))
+    return SurfaceData(grid, _frozen(u), Q=0.5 * H, H=H)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IntegrationBlowupError, InvalidInputError
+from .errors import IntegrationBlowupError, InvalidInputError, naming
 
 # |u| beyond this makes e^{2u} useless in double precision; treat as blowup.
 BLOWUP_LIMIT = 200.0
@@ -86,17 +86,16 @@ def _locked(a, dtype=float, shape=None, what=None):
     return a
 
 
-def require_grid_size(nx, ny, where=None):
+def require_grid_size(nx, ny):
     """Refuse node counts below MIN_NODES, or too many for numpy to shape a
-    grid's largest array, its (2, 2, nx, ny) complex frame; naming `where`
-    (a file) if given."""
+    grid's largest array, its (2, 2, nx, ny) complex frame."""
     if nx < MIN_NODES or ny < MIN_NODES:
         msg = f"grids need nx, ny >= {MIN_NODES} for the derivative stencils, got {nx} x {ny}"
     elif nx * ny * 4 * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
         msg = f"a grid of {nx} x {ny} nodes is too large for numpy to shape its frame"
     else:
         return
-    raise InvalidInputError(msg if where is None else f"{where}: {msg}")
+    raise InvalidInputError(msg)
 
 
 @dataclass(frozen=True)
@@ -312,8 +311,9 @@ def read_table(path, header_width, width):
     Returns the first line as its list of fields, exactly header_width of
     them, and the rest as an array of shape (rows, width).  A line of any
     other length, or a body row that is not all numbers, raises
-    InvalidInputError naming the file and the line; a byte that is not
-    UTF-8 reads as a character that no number holds.
+    InvalidInputError naming the line, which a caller running it under
+    `errors.naming` leads with the file; a byte that is not UTF-8 reads as
+    a character that no number holds.
 
     The body is read in one tokenising pass over the file (numpy's parser,
     handed the path and the count of lines above the body), which converts
@@ -334,7 +334,7 @@ def read_table(path, header_width, width):
             if ln[0] != "#" and not ln.isspace():
                 break
         else:
-            raise InvalidInputError(f"{path}: truncated file, header missing")
+            raise InvalidInputError("truncated file, header missing")
         header = ln.split()
         first = next(fh, "")
     table = None
@@ -423,16 +423,14 @@ def _scan(path, header_width, width):
             if not header_seen:
                 header_seen = True
                 if len(fields) != header_width:
-                    msg = f"{path}: line {n}: expected {header_width} header fields"
-                    raise InvalidInputError(msg)
+                    raise InvalidInputError(f"line {n}: expected {header_width} header fields")
                 continue
             if len(fields) != width:
-                raise InvalidInputError(f"{path}: line {n}: expected {width} fields")
+                raise InvalidInputError(f"line {n}: expected {width} fields")
             try:
                 body.append([float(v) for v in fields])
             except ValueError:
-                msg = f"{path}: line {n}: non-numeric entry"
-                raise InvalidInputError(msg) from None
+                raise InvalidInputError(f"line {n}: non-numeric entry") from None
     return np.array(body).reshape(len(body), width)
 
 
@@ -719,8 +717,9 @@ def load_surface_data(path):
     nx*ny rows `x y u` with x varying fastest.  The first and last rows of
     the first x line and of the first y column give the grid extents, and
     every row must lie on its grid node.  Every number must be finite, and
-    a Q or H that `SurfaceData` refuses is refused naming the file.  H and
-    Q are taken as given, so loaded data may be non-normalized; check
+    a Q or H that `SurfaceData` refuses is refused; each refusal is an
+    InvalidInputError led by the file's path (`errors.naming`).  H and Q
+    are taken as given, so loaded data may be non-normalized; check
     `SurfaceData.normalized` before verification runs.
 
     The rows come from `read_table`: u is converted row by row, x and y
@@ -728,48 +727,40 @@ def load_surface_data(path):
     that spells a coordinate another way on some rows loads the same
     values and meets the same on-node check.
     """
-    head, table = read_table(path, 4, 3)
-    try:
-        Q, H = float(head[0]), float(head[1])
-        nx, ny = int(head[2]), int(head[3])
-    except ValueError as exc:
-        raise InvalidInputError(f"{path}: malformed header line") from exc
-    if not (math.isfinite(Q) and math.isfinite(H)):
-        raise InvalidInputError(f"{path}: header Q = {Q}, H = {H} must be finite")
-    require_grid_size(nx, ny, path)
-    if len(table) != nx * ny:
-        raise InvalidInputError(
-            f"{path}: expected {nx * ny} data rows, found {len(table)}"
-        )
-    bad = ~np.isfinite(table).all(axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise InvalidInputError(
-            f"{path}: data row {k + 1} has (x, y, u) = {tuple(table[k].tolist())}, "
-            "not all finite"
-        )
-    xs = table[:nx, 0]
-    ys = table[::nx, 1]
-    try:
+    with naming(path):
+        head, table = read_table(path, 4, 3)
+        try:
+            Q, H = float(head[0]), float(head[1])
+            nx, ny = int(head[2]), int(head[3])
+        except ValueError as exc:
+            raise InvalidInputError("malformed header line") from exc
+        if not (math.isfinite(Q) and math.isfinite(H)):
+            raise InvalidInputError(f"header Q = {Q}, H = {H} must be finite")
+        require_grid_size(nx, ny)
+        if len(table) != nx * ny:
+            raise InvalidInputError(f"expected {nx * ny} data rows, found {len(table)}")
+        bad = ~np.isfinite(table).all(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise InvalidInputError(
+                f"data row {k + 1} has (x, y, u) = {tuple(table[k].tolist())}, not all finite"
+            )
+        xs = table[:nx, 0]
+        ys = table[::nx, 1]
         grid = GridSpec(
             x_min=float(xs[0]), x_max=float(xs[-1]),
             y_min=float(ys[0]), y_max=float(ys[-1]),
             nx=nx, ny=ny,
         )
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
-    # every row must sit on its node of the grid the corner rows span
-    xs, ys = grid.xs(), grid.ys()
-    off = np.abs(table[:, 0].reshape(ny, nx) - xs) > GRID_NODE_RTOL * grid.hx
-    off |= np.abs(table[:, 1].reshape(ny, nx) - ys[:, None]) > GRID_NODE_RTOL * grid.hy
-    if off.any():
-        k = int(np.argmax(off))  # rows run x fastest, as off flattens
-        raise InvalidInputError(
-            f"{path}: data row {k + 1} has (x, y) = {tuple(table[k, :2].tolist())}, "
-            f"not grid node {float(xs[k % nx]), float(ys[k // nx])}"
-        )
-    u = table[:, 2].reshape(ny, nx).T
-    try:
+        # every row must sit on its node of the grid the corner rows span
+        xs, ys = grid.xs(), grid.ys()
+        off = np.abs(table[:, 0].reshape(ny, nx) - xs) > GRID_NODE_RTOL * grid.hx
+        off |= np.abs(table[:, 1].reshape(ny, nx) - ys[:, None]) > GRID_NODE_RTOL * grid.hy
+        if off.any():
+            k = int(np.argmax(off))  # rows run x fastest, as off flattens
+            raise InvalidInputError(
+                f"data row {k + 1} has (x, y) = {tuple(table[k, :2].tolist())}, "
+                f"not grid node {float(xs[k % nx]), float(ys[k // nx])}"
+            )
+        u = table[:, 2].reshape(ny, nx).T
         return SurfaceData(grid, u, Q=Q, H=H)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None

@@ -24,8 +24,9 @@ records s as metadata.
 whole-run rows read the data and the frame (its largest |det F - 1|, the
 maximum `integrate_frame` checked, is taken once per frame), and each
 side's rows read its measured geometry and the closed form built once for
-that side.  `_report` takes the tolerance map that
-`report.resolve_tolerances` validated.
+that side.  `_judge` takes a map `report.resolve_tolerances` resolved:
+`verify_theorem`'s overrides, or those `pipeline.verify_outputs` read
+from `report.kv`, so each command resolves its tolerances once.
 """
 
 from __future__ import annotations
@@ -80,7 +81,11 @@ def verify_theorem(
     problems (mismatched grids, non-normalized data, tolerance overrides
     that `resolve_tolerances` refuses) raise.
     """
-    tols = resolve_tolerances({} if tolerances is None else tolerances)
+    return _judge(data, frame, resolve_tolerances({} if tolerances is None else tolerances))
+
+
+def _judge(data: SurfaceData, frame: ExtendedFrame, tols: dict) -> VerificationReport:
+    """`verify_theorem` with `tols`, the resolved tolerance of every check."""
     _require_normalized(data)
     if data.grid != frame.grid:
         raise InvalidInputError("data and frame live on different grids")

@@ -1,5 +1,6 @@
-"""Shared fixtures: frames and surfaces reused across test modules, and the
-plain formula of a frame's surface and normal.
+"""Shared fixtures: frames and surfaces reused across test modules, the
+sinh-Gordon run whose u varies along y, and the plain formula of a frame's
+surface and normal.
 
 Session-scoped because integration on the finer grids is the expensive part
 of the suite; everything downstream of a frame is cheap.  `edit_frame`
@@ -10,11 +11,21 @@ import numpy as np
 import pytest
 
 from cmclab.frames import SpectralParam, integrate_frame
+from cmclab.reference import sinh_gordon_data
 from cmclab.surface_data import GridSpec, cylinder_data, delaunay_data
 
 
 def square_grid(n: int) -> GridSpec:
     return GridSpec(-1.0, 1.0, -1.0, 1.0, n, n)
+
+
+def sinh_gordon_run(n: int):
+    """(data, frame) of the separated sinh-Gordon data at H 0.5, k 0.5 and
+    lambda 0.5 on n x n nodes of [-1, 1] x [-0.7, 1.3]: u_y is nonzero
+    there, and the box is off y = 0, the line u is mirrored in, on which a
+    wrong sign of u_y would mirror away."""
+    data = sinh_gordon_data(GridSpec(-1.0, 1.0, -0.7, 1.3, n, n), 0.5, 0.5)
+    return data, integrate_frame(data, SpectralParam(0.5))
 
 
 def plain_sides(F):

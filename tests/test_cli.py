@@ -182,6 +182,24 @@ def test_out_dir_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch, 
     assert blocker.read_text() == ""
 
 
+def test_empty_out_dir_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    # an empty out_dir once ran the whole pipeline, wrote all seven files
+    # into the working directory and printed "outputs written to "
+    def never(*args, **kwargs):
+        raise AssertionError("a refused out_dir must not be integrated")
+
+    monkeypatch.setattr(pipeline, "integrate_frame", never)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "cfg.json", out_dir="")
+    assert main(["generate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: config: key 'out_dir' must name a directory, got an empty string\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("command", ["verify", "report"])
 def test_report_kv_not_utf8_names_the_file(generated, tmp_path, capsys, command):
     _, out, _ = generated
@@ -814,6 +832,37 @@ def test_repeated_check_in_a_stored_report_exits_2(generated, tmp_path, capsys, 
     assert main([command, "--in", str(run_dir)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: config: {path}: check mean_match_primary is reported twice\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_bad_report_is_refused_before_the_grids_are_read(
+    generated, tmp_path, capsys, monkeypatch, command
+):
+    # verify --in once loaded surface.dat and frame.dat before it resolved
+    # the stored tolerances, so a corrupt grid file hid the report's fault
+    _, out, _ = generated
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    path = run_dir / REPORT_MACHINE_FILE
+    path.write_text(path.read_text() + "bogus_check 0.001 0.005 PASS\n")
+    (run_dir / SURFACE_FILE).write_text("# no header\n")
+    (run_dir / FRAME_FILE).write_text("not a frame\n")
+    calls = []
+
+    def counted(name):
+        def reader(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} read before report.kv was refused")
+
+        return reader
+
+    for name in ("load_surface_data", "load_frame"):
+        monkeypatch.setattr(pipeline, name, counted(name))
+    assert main([command, "--in", str(run_dir)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config: {path}: unknown tolerance names: bogus_check\n"
+    )
+    assert calls == []
 
 
 def test_custom_file_ignores_config_h(tmp_path, capsys):

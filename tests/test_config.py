@@ -3,7 +3,10 @@ import json
 import pytest
 
 from cmclab.config import RunConfig, config_from_mapping, load_config
-from cmclab.errors import ConfigError
+from cmclab.errors import ConfigError, InvalidInputError
+from cmclab.frames import SpectralParam
+from cmclab.report import default_tolerances
+from cmclab.surface_data import GridSpec
 
 MINIMAL = {"family": "cylinder", "lambda": 0.5, "out_dir": "/tmp/x"}
 
@@ -11,18 +14,16 @@ MINIMAL = {"family": "cylinder", "lambda": 0.5, "out_dir": "/tmp/x"}
 def test_minimal_config_defaults():
     cfg = config_from_mapping(dict(MINIMAL))
     assert cfg.family == "cylinder"
-    assert cfg.lam == 0.5
+    assert cfg.spectral == SpectralParam(0.5)
     assert cfg.data().H == 0.5
-    assert (cfg.nx, cfg.ny) == (101, 101)
-    assert (cfg.x_min, cfg.x_max, cfg.y_min, cfg.y_max) == (-1.0, 1.0, -1.0, 1.0)
-    assert cfg.tolerances == {}
+    assert cfg.grid == GridSpec(-1.0, 1.0, -1.0, 1.0, 101, 101)
+    assert cfg.tolerances == default_tolerances()
 
 
 def test_grid_and_spectral_builders():
-    cfg = config_from_mapping({**MINIMAL, "nx": 11, "ny": 7})
-    g = cfg.grid()
-    assert (g.nx, g.ny) == (11, 7)
-    assert cfg.spectral().lam == 0.5
+    cfg = config_from_mapping({**MINIMAL, "nx": 11, "ny": 7, "x_max": 2.0})
+    assert cfg.grid == GridSpec(-1.0, 2.0, -1.0, 1.0, 11, 7)
+    assert cfg.spectral.lam == 0.5
 
 
 def test_unknown_keys_refused_by_name():
@@ -85,7 +86,7 @@ def test_tolerances_must_be_numeric_map():
             {**MINIMAL, "tolerances": {"metric_match_primary": "tight"}}
         )
     cfg = config_from_mapping({**MINIMAL, "tolerances": {"metric_match_primary": 1}})
-    assert cfg.tolerances == {"metric_match_primary": 1.0}
+    assert cfg.tolerances == {**default_tolerances(), "metric_match_primary": 1.0}
 
 
 def test_null_tolerances_refused():
@@ -96,15 +97,18 @@ def test_null_tolerances_refused():
 
 
 def test_direct_constructor_checks_too():
-    with pytest.raises(ConfigError):
-        RunConfig(family="cylinder", lam=0.5, out_dir="/tmp/x", nx=2)
+    # a RunConfig holds a GridSpec and a SpectralParam, which check themselves;
+    # config_from_mapping builds them
+    with pytest.raises(InvalidInputError, match="nx, ny >= 6"):
+        RunConfig("cylinder", {}, GridSpec(-1.0, 1.0, -1.0, 1.0, 2, 101),
+                  SpectralParam(0.5), "/tmp/x", default_tolerances())
 
 
 def test_load_config_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**MINIMAL, "nx": 21, "ny": 21}))
     cfg = load_config(path)
-    assert (cfg.nx, cfg.ny) == (21, 21)
+    assert (cfg.grid.nx, cfg.grid.ny) == (21, 21)
 
 
 def test_load_config_missing_file(tmp_path):

@@ -21,11 +21,17 @@ from cmclab.measure import (
 )
 from cmclab.reference import closed_form_max_diff, dual_data, lawson_data
 from cmclab.reference import numeric_normal_max_deviation
-from cmclab.surface_data import GridSpec, SurfaceData, cylinder_data, delaunay_data
+from cmclab.surface_data import (
+    GridSpec,
+    SurfaceData,
+    cylinder_data,
+    delaunay_data,
+    max_gauss_residual,
+)
 from cmclab.surfaces import H3SurfaceGrid, surface_primary, surface_shifted
-from cmclab.verify import evaluate
+from cmclab.verify import evaluate, verify_theorem
 
-from conftest import square_grid
+from conftest import sinh_gordon_run, square_grid
 
 
 def constant_data(u_value, Q, H, n=6):
@@ -276,6 +282,30 @@ def test_fourth_order_convergence(build):
     assert np.all((14.0 < ratios) & (ratios < 18.5)), ratios
 
 
+@pytest.mark.parametrize("n", [51, 101, 201])
+def test_sinh_gordon_data_passes_every_check(n):
+    # every family has u_y = 0; this data's u_y is not, so the y terms of
+    # the Lax matrix carry data
+    report = verify_theorem(*sinh_gordon_run(n))
+    assert report.overall_pass(), [r.name for r in report.records if not r.passed]
+
+
+def test_sinh_gordon_data_converges_at_fourth_order():
+    # the Gauss residual of u and each side's measured matches: 5.0e-5,
+    # 3.1e-6 and 1.9e-7 for the residual at 51, 101 and 201 nodes, and
+    # 3.6e-4, 2.3e-5 and 1.5e-6 for the shifted Hopf match
+    errors = []
+    for n in (101, 201):
+        data, frame = sinh_gordon_run(n)
+        row = [max_gauss_residual(data)]
+        for side in evaluate(frame):
+            c = closed_form(data, frame.spectral, side.sign)
+            row += [check(side.measured, c) for check in (metric_match, hopf_match, mean_match)]
+        errors.append(np.array(row))
+    ratios = errors[0] / errors[1]
+    assert np.all((14.0 < ratios) & (ratios < 18.5)), ratios
+
+
 GRID6 = GridSpec(-1.0, 1.0, -1.0, 1.0, 6, 6)
 ORIGIN = np.array([0.0, 0.0, 0.0, 1.0])  # a point of H^3
 POINTS6 = np.broadcast_to(ORIGIN[:, None, None], (4, 6, 6))
@@ -469,4 +499,3 @@ class TestReducers:
     def test_closed_form_gap_is_the_largest_part(self, other, gap):
         # one part differs and the other two agree: the gap is that part's
         assert closed_form_max_diff(targets(), other) == pytest.approx(gap, rel=1e-12)
-

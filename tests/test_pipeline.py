@@ -267,7 +267,7 @@ class TestRun:
             for ln in (out / DIAGNOSTICS_FILE).read_text().splitlines()
             if not ln.startswith("#")
         ]
-        assert len(lines) == cfg.nx * cfg.ny
+        assert len(lines) == cfg.grid.nx * cfg.grid.ny
         table = np.array([[float(v) for v in ln.split()] for ln in lines])
         assert np.all(np.isfinite(table))
         assert table.shape[1] == 10
@@ -278,7 +278,7 @@ class TestRun:
         out, cfg, _ = run_dir
         header, *lines = (out / DIAGNOSTICS_FILE).read_text().splitlines()
         assert header == "# columns: i j x y E Fc G |Qm| Hm gauss-residual"
-        residual = np.array([float(ln.split()[-1]) for ln in lines]).reshape(cfg.ny, cfg.nx)
+        residual = np.array([float(ln.split()[-1]) for ln in lines]).reshape(cfg.grid.ny, cfg.grid.nx)
         assert np.array_equal(residual.T, cfg.data().residual)
 
     def test_mesh_shape(self, run_dir):
@@ -292,8 +292,9 @@ class TestRun:
                     faces.append([int(v) for v in ln.split()[1:]])
             v = np.array(verts)
             f = np.array(faces)
-            assert v.shape == (cfg.nx * cfg.ny, 3)
-            assert f.shape == ((cfg.nx - 1) * (cfg.ny - 1), 4)
+            g = cfg.grid
+            assert v.shape == (g.nx * g.ny, 3)
+            assert f.shape == ((g.nx - 1) * (g.ny - 1), 4)
             assert f.min() >= 1 and f.max() <= len(verts)
             assert np.linalg.norm(v, axis=1).max() < 1.0
 

@@ -3,7 +3,8 @@ no module imports a name it never uses, no core module imports the
 reference definitions and `import cmclab` does not load them, the frame
 modules form 2x2 products only through the entrywise kernel, 2x2 stacks
 and 4-vector grids are allocated and indexed entries first, tolerance
-gates refuse NaN, the hyperboloid bound is written once, grid tables are
+gates refuse NaN, only `errors.naming` leads a refusal with its file's
+path, the hyperboloid bound is written once, grid tables are
 spelled only by the whole-array text kernel, each check name is spelled
 once, in its row, the README's check table is the registry's, and every
 committed benchmark record says when, how and where it was measured."""
@@ -382,6 +383,54 @@ def test_nan_gate_lint_sees_each_form(tmp_path):
     )
     assert _nan_blind_gates(path) == [
         "frames.py:2", "frames.py:4", "frames.py:6", "frames.py:10", "frames.py:12"
+    ]
+
+
+def _path_prefixes(path):
+    """Each f-string in `path` that starts with a formatted `path` followed
+    by ": ", the prefix `errors.naming` puts on the refusals of a file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.JoinedStr)
+            and len(node.values) > 1
+            and isinstance(node.values[0], ast.FormattedValue)
+            and "path" in (
+                getattr(node.values[0].value, "id", None),
+                getattr(node.values[0].value, "attr", None),
+            )
+            and isinstance(node.values[1], ast.Constant)
+            and node.values[1].value.startswith(": ")
+        ):
+            found.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+def test_only_errors_names_a_file_in_a_refusal():
+    # each reader runs under errors.naming, which leads its refusals with
+    # the file; a message that spells the path itself would name it twice
+    files = [path for path in CORE if path.name != "errors.py"]
+    assert [entry for path in files for entry in _path_prefixes(path)] == []
+    assert _path_prefixes(ROOT / "src" / "cmclab" / "errors.py") != []
+
+
+def test_path_prefix_lint_sees_each_form(tmp_path):
+    path = tmp_path / "pipeline.py"
+    path.write_text(
+        "def f(path, self, where, exc, n):\n"
+        "    a = f'{path}: not a frame'\n"
+        "    b = f'{path}: {exc}'\n"
+        "    c = f'{self.path}: line {n}'\n"
+        "    d = f'{path!s}: {n} rows'\n"
+        "    e = f'out_dir {path}: not a directory'\n"
+        "    g = f'expected output file not found: {path}'\n"
+        "    h = f'{where}: {exc}'\n"
+        "    i = f'{path} is missing'\n"
+        "    return '{path}: plain'\n"
+    )
+    assert _path_prefixes(path) == [
+        "pipeline.py:2", "pipeline.py:3", "pipeline.py:4", "pipeline.py:5"
     ]
 
 
